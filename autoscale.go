@@ -60,8 +60,8 @@ func ReactiveAutoscaler() *AutoscalePolicy {
 }
 
 // NamedAutoscaler resolves a policy name ("predictive" or
-// "reactive") to a fresh built-in policy — the mapping behind the
-// gfsim -autoscale flag and the gfsd run-spec field.
+// "reactive") to a fresh built-in policy — the names the gfsim
+// -autoscale flag and the run spec's autoscale.mode field accept.
 func NamedAutoscaler(name string) (*AutoscalePolicy, error) {
 	mode, err := autoscale.ParseMode(name)
 	if err != nil {

@@ -54,8 +54,9 @@ type BatchResult struct {
 	// byte-identical across worker counts for deterministic specs.
 	Report    *Report
 	FedReport *FederationReport
-	// Err is non-nil when setup was missing or ambiguous, or the run
-	// panicked.
+	// Err is non-nil when setup was missing or ambiguous (both Setup
+	// functions, or a trace source alongside a task slice), the run
+	// failed or was cancelled, or it panicked.
 	Err error
 }
 
@@ -140,31 +141,13 @@ func runOne(ctx context.Context, spec BatchSpec) (br BatchResult) {
 		br.Err = fmt.Errorf("gfs: batch run %q sets both Setup and SetupFederation", spec.Name)
 	case spec.SetupFederation != nil:
 		fed, tasks := spec.SetupFederation()
-		switch {
-		case tasks == nil && fed.TraceSource() != nil:
-			br.Fed, br.Err = fed.RunTraceContext(ctx, fed.TraceSource())
-		case tasks != nil && fed.TraceSource() != nil:
-			fed.TraceSource().Close()
-			br.Err = fmt.Errorf("gfs: batch run %q supplies both a trace source and a task slice", spec.Name)
-		default:
-			br.Fed, br.Err = fed.RunContext(ctx, tasks)
-		}
+		br.Fed, br.Err = fed.run(ctx, tasks)
 		if br.Err == nil && fed.aggCollectors != nil {
 			br.FedReport = fed.Report()
 		}
 	default:
 		eng, tasks := spec.Setup()
-		switch {
-		case tasks == nil && eng.TraceSource() != nil:
-			br.Result, br.Err = eng.RunTraceContext(ctx)
-		case tasks != nil && eng.TraceSource() != nil:
-			// Ambiguous setup: surface the misuse (and release the
-			// source) instead of silently replaying neither-or-both.
-			eng.TraceSource().Close()
-			br.Err = fmt.Errorf("gfs: batch run %q supplies both a trace source and a task slice", spec.Name)
-		default:
-			br.Result, br.Err = eng.RunContext(ctx, tasks)
-		}
+		br.Result, br.Err = eng.run(ctx, tasks)
 		if br.Err == nil && len(eng.Collectors()) > 0 {
 			br.Report = eng.Report()
 		}

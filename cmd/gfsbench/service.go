@@ -9,17 +9,9 @@ import (
 	"net/http/httptest"
 	"time"
 
+	"github.com/sjtucitlab/gfs/internal/runspec"
 	"github.com/sjtucitlab/gfs/internal/service"
 )
-
-// serviceSpec mirrors the gfsd run-spec JSON for submission.
-type serviceSpec struct {
-	Scheduler string  `json:"scheduler"`
-	Nodes     int     `json:"nodes"`
-	Days      int     `json:"days"`
-	SpotScale float64 `json:"spot_scale"`
-	Seed      int64   `json:"seed"`
-}
 
 // serviceStatus is the slice of the gfsd session status this
 // experiment reads back.
@@ -34,9 +26,7 @@ type serviceStatus struct {
 		TasksFinished uint64 `json:"tasks_finished"`
 		TasksEvicted  uint64 `json:"tasks_evicted"`
 	} `json:"progress"`
-	Spec struct {
-		Scheduler string `json:"scheduler"`
-	} `json:"spec"`
+	Spec runspec.Spec `json:"spec"`
 }
 
 // runService exercises the gfsd daemon path end to end, in process:
@@ -51,7 +41,7 @@ func runService(env expEnv) error {
 	ts := httptest.NewServer(svc)
 	defer ts.Close()
 
-	specs := []serviceSpec{
+	specs := []runspec.Spec{
 		{Scheduler: "gfs", Nodes: env.scale.Nodes / 2, Days: 1, SpotScale: 1, Seed: env.scale.Seed},
 		{Scheduler: "yarn", Nodes: env.scale.Nodes / 2, Days: 1, SpotScale: 1, Seed: env.scale.Seed},
 		{Scheduler: "chronus", Nodes: env.scale.Nodes / 2, Days: 1, SpotScale: 1, Seed: env.scale.Seed},
@@ -100,7 +90,7 @@ func runService(env expEnv) error {
 	return nil
 }
 
-func serviceSubmit(base string, sp serviceSpec) (string, error) {
+func serviceSubmit(base string, sp runspec.Spec) (string, error) {
 	body, err := json.Marshal(sp)
 	if err != nil {
 		return "", err

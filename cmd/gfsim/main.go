@@ -12,7 +12,12 @@
 //	gfsim -scheduler gfs -report jsonl
 //
 // Schedulers: gfs, gfs-e, gfs-d, gfs-s, gfs-p, gfs-sp, yarn, chronus,
-// lyra, fgd, firstfit. The spot guarantee window is set with -hours
+// lyra, fgd, firstfit. The flags lower onto the run spec gfsd sessions
+// submit (internal/runspec) and execute through the same builder and
+// runner, so names, defaults, sizing bounds and rejections are the
+// daemon's; only the trained gfs* variants — an estimator fitted
+// offline, installed over the spec's reactive stack — are the CLI's
+// own. The spot guarantee window is set with -hours
 // (so -h keeps its conventional meaning: print usage). -scenario
 // injects a named storm profile (rack-failure, zone-cascade,
 // diurnal-storm, random-storms); runs are deterministic, so repeated
@@ -50,288 +55,189 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 
 	gfs "github.com/sjtucitlab/gfs"
-	"github.com/sjtucitlab/gfs/internal/baselines"
+	"github.com/sjtucitlab/gfs/internal/core"
 	"github.com/sjtucitlab/gfs/internal/experiments"
 	"github.com/sjtucitlab/gfs/internal/gde"
+	"github.com/sjtucitlab/gfs/internal/runspec"
 	"github.com/sjtucitlab/gfs/internal/sched"
 )
 
-func main() {
-	scheduler := flag.String("scheduler", "gfs", "scheduler to run")
-	nodes := flag.Int("nodes", 16, "8-GPU nodes in the cluster")
-	days := flag.Int("days", 1, "trace span in days")
-	spotScale := flag.Float64("spotscale", 1, "spot submission multiplier (1/2/4)")
-	seed := flag.Int64("seed", 17, "trace seed")
-	guarantee := flag.Int("hours", 1, "spot guarantee hours (GFS variants)")
-	events := flag.Int("events", 0, "print the first N simulator events")
-	scenario := flag.String("scenario", "", "named scenario profile (rack-failure, zone-cascade, diurnal-storm, random-storms)")
-	federation := flag.Bool("federation", false, "run a two-member federation (west = -scenario, east calm)")
-	route := flag.String("route", "least-loaded", "federation route policy (least-loaded, cheapest-spot, forecast-aware, round-robin)")
-	tracePath := flag.String("trace", "", "replay this trace file (streamed; gzip and format auto-detected) instead of generating a workload")
-	report := flag.String("report", "", "emit the collected run report in this format (text, jsonl, csv, prom)")
-	shards := flag.Int("shards", 0, "event-loop shards (0 = GFS_SHARDS env, then serial); results are byte-identical at any value")
-	autoscalePolicy := flag.String("autoscale", "", "capacity autoscaler policy (predictive, reactive); provisions/retires nodes mid-run")
-	flag.Parse()
+// gfsVariants are the trained GFS stacks -scheduler accepts on top of
+// the spec's scheduler table.
+var gfsVariants = map[string]experiments.GFSVariant{
+	"gfs":    experiments.GFSFull,
+	"gfs-e":  experiments.GFSNaiveForecast,
+	"gfs-d":  experiments.GFSStaticEta,
+	"gfs-s":  experiments.GFSSimpleScore,
+	"gfs-p":  experiments.GFSRandomPreempt,
+	"gfs-sp": experiments.GFSSimpleBoth,
+}
 
+// invocation is a parsed command line: the run spec plus the knobs
+// that only shape what gfsim trains and prints.
+type invocation struct {
+	spec runspec.Spec
+	// trained is set for the gfs* schedulers: variant and hours then
+	// pick the estimator-backed stack installed over the spec's.
+	trained bool
+	variant experiments.GFSVariant
+	hours   int
+	events  int
+	trace   string
+	report  string
+}
+
+// parseFlags lowers the command line onto an invocation, rejecting
+// flag combinations a spec cannot express and everything the spec
+// validator rejects. Flag defaults are the spec's, and — as in a spec
+// — a zero value means the default.
+func parseFlags(fs *flag.FlagSet, args []string) (*invocation, error) {
+	var def runspec.Spec
+	def.Normalize()
+	scheduler := fs.String("scheduler", def.Scheduler, "scheduler to run")
+	nodes := fs.Int("nodes", def.Nodes, "8-GPU nodes in the cluster")
+	days := fs.Int("days", def.Days, "trace span in days")
+	spotScale := fs.Float64("spotscale", def.SpotScale, "spot submission multiplier (1/2/4)")
+	seed := fs.Int64("seed", def.Seed, "trace seed")
+	guarantee := fs.Int("hours", 1, "spot guarantee hours (GFS variants)")
+	events := fs.Int("events", 0, "print the first N simulator events")
+	scenario := fs.String("scenario", "", "named scenario profile (rack-failure, zone-cascade, diurnal-storm, random-storms)")
+	federation := fs.Bool("federation", false, "run a two-member federation (west = -scenario, east calm)")
+	route := fs.String("route", def.Route, "federation route policy (least-loaded, cheapest-spot, forecast-aware, round-robin)")
+	tracePath := fs.String("trace", "", "replay this trace file (streamed; gzip and format auto-detected) instead of generating a workload")
+	report := fs.String("report", "", "emit the collected run report in this format (text, jsonl, csv, prom)")
+	shards := fs.Int("shards", 0, "event-loop shards (0 = GFS_SHARDS env, then serial); results are byte-identical at any value")
+	autoscalePolicy := fs.String("autoscale", "", "capacity autoscaler policy (predictive, reactive); provisions/retires nodes mid-run")
+	if err := fs.Parse(args); err != nil {
+		return nil, err
+	}
+
+	var err error
+	fs.Visit(func(f *flag.Flag) {
+		switch {
+		case err != nil:
+		case *tracePath != "" && (f.Name == "days" || f.Name == "spotscale"):
+			// Generation knobs have no meaning for a replayed file.
+			err = fmt.Errorf("-%s does not apply to -trace (the file fixes the workload)", f.Name)
+		case *federation && (f.Name == "scheduler" || f.Name == "hours"):
+			// Reject flags that would otherwise be silently ignored.
+			err = fmt.Errorf("-%s does not apply to -federation (members run the reactive GFS stack)", f.Name)
+		}
+	})
+	if err != nil {
+		return nil, err
+	}
 	if *report != "" {
-		switch *report {
-		case "text", "jsonl", "csv", "prom":
-		default:
-			fail(fmt.Errorf("unknown report format %q (valid: text, jsonl, csv, prom)", *report))
+		if err := runspec.CheckReportFormat(*report); err != nil {
+			return nil, err
 		}
 	}
 
-	scale := experiments.SmallScale()
-	scale.Nodes = *nodes
-	scale.Days = *days
-	scale.Seed = *seed
-
-	if *tracePath != "" {
-		// Generation knobs have no meaning for a replayed file.
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "days" || f.Name == "spotscale" {
-				fail(fmt.Errorf("-%s does not apply to -trace (the file fixes the workload)", f.Name))
-			}
-		})
-	}
-
-	if *federation {
-		// Federation members run the default reactive GFS stack;
-		// reject flags that would otherwise be silently ignored.
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "scheduler" || f.Name == "hours" {
-				fail(fmt.Errorf("-%s does not apply to -federation (members run the reactive GFS stack)", f.Name))
-			}
-			if f.Name == "autoscale" {
-				fail(fmt.Errorf("-autoscale does not apply to -federation (members manage capacity per engine)"))
-			}
-		})
-		runFederation(scale, *spotScale, *scenario, *route, *events, *shards, *tracePath, *report)
-		return
-	}
-
-	var tasks []*gfs.Task
-	if *tracePath != "" {
-		fmt.Printf("cluster: %d nodes × 8 GPUs; replaying %s (streamed)\n", *nodes, *tracePath)
-	} else {
-		tasks = scale.Trace(*spotScale)
-		fmt.Printf("cluster: %d nodes × 8 GPUs; trace: %d tasks over %d day(s)\n",
-			*nodes, len(tasks), *days)
-	}
-
-	var extra []gfs.Option
-	if *shards > 0 {
-		extra = append(extra, gfs.WithShards(*shards))
+	inv := &invocation{
+		spec: runspec.Spec{
+			Scheduler: *scheduler, Nodes: *nodes, Days: *days, SpotScale: *spotScale, Seed: *seed,
+			Shards: *shards, Scenario: *scenario, Federation: *federation, Route: *route,
+		},
+		hours: *guarantee, events: *events, trace: *tracePath, report: *report,
 	}
 	if *autoscalePolicy != "" {
-		pol, err := gfs.NamedAutoscaler(*autoscalePolicy)
+		inv.spec.Autoscale = &runspec.AutoscaleSpec{Mode: *autoscalePolicy}
+	}
+	if v, ok := gfsVariants[*scheduler]; ok {
+		// The spec names the reactive stack; main installs the trained
+		// variant over it (federation members stay reactive).
+		inv.spec.Scheduler = "gfs"
+		inv.variant, inv.trained = v, !*federation
+	}
+	inv.spec.Normalize()
+	return inv, inv.spec.Validate()
+}
+
+func main() {
+	inv, err := parseFlags(flag.CommandLine, os.Args[1:])
+	if err != nil {
+		fail(err)
+	}
+	sp := inv.spec
+
+	var sys *core.System
+	var extra []gfs.Option
+	if inv.trained {
+		scale := sp.Scale()
+		est, err := trainFor(scale, inv.variant)
 		if err != nil {
 			fail(err)
 		}
-		fmt.Printf("autoscale: %s policy\n", *autoscalePolicy)
-		extra = append(extra, gfs.WithAutoscaler(pol))
+		sys = scale.NewGFS(est, inv.variant, inv.hours)
+		extra = scale.GFSOptions(sys)
 	}
-	var collectors []gfs.Collector
-	if *report != "" {
-		collectors = gfs.DefaultCollectors()
-		extra = append(extra, gfs.WithCollectors(collectors...))
-	}
-	if *scenario != "" {
-		sc, err := scale.NamedScenario(*scenario)
-		if err != nil {
+	var src gfs.TraceSource
+	if inv.trace != "" {
+		if src, err = gfs.OpenTrace(inv.trace); err != nil {
 			fail(err)
 		}
-		fmt.Printf("scenario: %s (%d actions)\n", *scenario, sc.Len())
-		extra = append(extra, gfs.WithScenario(sc))
 	}
-	if *events > 0 {
-		remaining := *events
-		extra = append(extra, gfs.WithObserver(gfs.ObserverFunc(func(e gfs.Event) {
+	var obs gfs.Observer
+	if remaining := inv.events; remaining > 0 {
+		obs = gfs.ObserverFunc(func(e gfs.Event) {
 			if remaining > 0 {
 				fmt.Println(e)
 				remaining--
 			}
-		})))
+		})
+	}
+	run, err := runspec.Build(sp, src, obs, extra...)
+	if err != nil {
+		fail(err)
 	}
 
-	// openTrace opens the replay source fresh (sources are
-	// single-use); nil without -trace.
-	openTrace := func() gfs.TraceSource {
-		src, err := gfs.OpenTrace(*tracePath)
-		if err != nil {
-			fail(err)
+	workload := fmt.Sprintf("trace: %d tasks over %d day(s)", len(run.Tasks), sp.Days)
+	if inv.trace != "" {
+		workload = fmt.Sprintf("replaying %s (streamed)", inv.trace)
+	}
+	if sp.Federation {
+		if run.Scenario != nil {
+			fmt.Printf("scenario on west: %s (%d actions)\n", sp.Scenario, run.Scenario.Len())
 		}
-		return src
+		fmt.Printf("federation: 2 × %d nodes × 8 GPUs; route %s; %s\n", sp.Nodes, sp.Route, workload)
+	} else {
+		fmt.Printf("cluster: %d nodes × 8 GPUs; %s\n", sp.Nodes, workload)
+		if sp.Autoscale != nil {
+			fmt.Printf("autoscale: %s policy\n", sp.Autoscale.Mode)
+		}
+		if run.Scenario != nil {
+			fmt.Printf("scenario: %s (%d actions)\n", sp.Scenario, run.Scenario.Len())
+		}
 	}
 
-	var res *sched.Result
-	var err error
-	switch *scheduler {
-	case "gfs", "gfs-e", "gfs-d", "gfs-s", "gfs-p", "gfs-sp":
-		variant := map[string]experiments.GFSVariant{
-			"gfs":    experiments.GFSFull,
-			"gfs-e":  experiments.GFSNaiveForecast,
-			"gfs-d":  experiments.GFSStaticEta,
-			"gfs-s":  experiments.GFSSimpleScore,
-			"gfs-p":  experiments.GFSRandomPreempt,
-			"gfs-sp": experiments.GFSSimpleBoth,
-		}[*scheduler]
-		est, terr := trainFor(scale, variant)
-		if terr != nil {
-			fail(terr)
+	out := run.Run(context.Background())
+	if out.Err != nil {
+		fail(out.Err)
+	}
+	if out.Fed != nil {
+		for _, m := range out.Fed.Members {
+			fmt.Printf("\n-- member %s (routed %d, migrated in %d / out %d, goodput %.1f GPU-h) --\n",
+				m.Name, m.Routed, m.MigratedIn, m.MigratedOut, m.GoodputGPUSeconds/3600)
+			printResult(m.Result)
 		}
-		sys := scale.NewGFS(est, variant, *guarantee)
-		if *tracePath != "" {
-			res, err = scale.ReplayGFS(sys, openTrace(), extra...)
-		} else {
-			res = scale.RunGFS(sys, tasks, extra...)
-		}
-		if err == nil {
+		fmt.Printf("\nfederation total: goodput %.1f GPU-h, %d migrations, %d saturations, %d unfinished\n",
+			out.Fed.GoodputGPUSeconds/3600, out.Fed.Migrations, out.Fed.Saturations, out.Fed.Unfinished)
+	} else {
+		if sys != nil {
 			fmt.Printf("final η: %.3f\n", sys.Quota.Allocator().Eta())
 		}
-	case "yarn":
-		res, err = runSched(scale, baselines.NewYARNCS(), nil, tasks, *tracePath, openTrace, extra)
-	case "chronus":
-		res, err = runSched(scale, baselines.NewChronus(), nil, tasks, *tracePath, openTrace, extra)
-	case "lyra":
-		res, err = runSched(scale, baselines.NewLyra(), nil, tasks, *tracePath, openTrace, extra)
-	case "fgd":
-		res, err = runSched(scale, baselines.NewFGD(), nil, tasks, *tracePath, openTrace, extra)
-	case "firstfit":
-		res, err = runSched(scale, baselines.NewStaticFirstFit(),
-			sched.StaticQuota{Fraction: 0.25}, tasks, *tracePath, openTrace, extra)
-	default:
-		fail(fmt.Errorf("unknown scheduler %q", *scheduler))
+		printResult(out.Result)
 	}
-	if err != nil {
-		fail(err)
-	}
-	printResult(res)
-	if len(collectors) > 0 {
-		emitReport(gfs.AssembleReport(collectors...), *report)
-	}
-}
-
-// reportWriter is what both gfs.Report and gfs.FederationReport
-// export; emitReport drives either.
-type reportWriter interface {
-	WriteJSONL(io.Writer) error
-	WriteCSV(io.Writer) error
-	WritePrometheus(io.Writer) error
-}
-
-// emitReport writes a collected report (single or federation) to
-// stdout in the chosen format.
-func emitReport(rep reportWriter, format string) {
-	var err error
-	switch format {
-	case "text":
-		fmt.Print(rep)
-	case "jsonl":
-		err = rep.WriteJSONL(os.Stdout)
-	case "csv":
-		err = rep.WriteCSV(os.Stdout)
-	case "prom":
-		err = rep.WritePrometheus(os.Stdout)
-	}
-	if err != nil {
-		fail(err)
-	}
-}
-
-// runSched runs a baseline over the generated trace or, with a trace
-// path, replays the streamed file.
-func runSched(scale experiments.SimScale, sc sched.Scheduler, quota sched.QuotaPolicy,
-	tasks []*gfs.Task, tracePath string, openTrace func() gfs.TraceSource, extra []gfs.Option) (*sched.Result, error) {
-	if tracePath != "" {
-		return scale.ReplayBaseline(sc, quota, openTrace(), extra...)
-	}
-	return scale.RunBaseline(sc, quota, tasks, extra...), nil
-}
-
-// runFederation drives the two-member federated simulation: both
-// members run the reactive GFS stack over -nodes clusters; the storm
-// scenario (when given) hits west only. With a trace path the
-// federation replays the streamed file instead of a generated
-// workload.
-func runFederation(scale experiments.SimScale, spotScale float64, scenario, route string, events, shards int, tracePath, report string) {
-	policies := map[string]func() gfs.RoutePolicy{
-		"least-loaded":   gfs.RouteLeastLoaded,
-		"cheapest-spot":  gfs.RouteCheapestSpot,
-		"forecast-aware": gfs.RouteForecastAware,
-		"round-robin":    gfs.RouteRoundRobin,
-	}
-	mk, ok := policies[route]
-	if !ok {
-		fail(fmt.Errorf("unknown route policy %q (valid: least-loaded, cheapest-spot, forecast-aware, round-robin)", route))
-	}
-	var westOpts []gfs.Option
-	if scenario != "" {
-		sc, err := scale.NamedScenario(scenario)
-		if err != nil {
+	if inv.report != "" {
+		if err := runspec.WriteReport(os.Stdout, out, inv.report); err != nil {
 			fail(err)
 		}
-		fmt.Printf("scenario on west: %s (%d actions)\n", scenario, sc.Len())
-		westOpts = append(westOpts, gfs.WithScenario(sc))
-	}
-	profile := gfs.DefaultDiurnalProfile("A100")
-	members := []gfs.Member{
-		{Name: "west", Engine: gfs.NewEngine(scale.NewCluster(), westOpts...), Profile: &profile},
-		{Name: "east", Engine: gfs.NewEngine(scale.NewCluster())},
-	}
-	fedOpts := []gfs.FederationOption{gfs.WithRoute(mk())}
-	if shards > 0 {
-		fedOpts = append(fedOpts, gfs.WithFederationShards(shards))
-	}
-	if report != "" {
-		fedOpts = append(fedOpts, gfs.WithFederationCollectors(nil))
-	}
-	if events > 0 {
-		remaining := events
-		fedOpts = append(fedOpts, gfs.WithFederationObserver(gfs.ObserverFunc(func(e gfs.Event) {
-			if remaining > 0 {
-				fmt.Println(e)
-				remaining--
-			}
-		})))
-	}
-	fed := gfs.NewFederation(members, fedOpts...)
-	var res *gfs.FederationResult
-	if tracePath != "" {
-		src, err := gfs.OpenTrace(tracePath)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Printf("federation: 2 × %d nodes × 8 GPUs; route %s; replaying %s (streamed)\n",
-			scale.Nodes, route, tracePath)
-		res, err = fed.RunTrace(src)
-		if err != nil {
-			fail(err)
-		}
-	} else {
-		// Size the workload for the combined two-member capacity.
-		tscale := scale
-		tscale.Nodes *= 2
-		tasks := tscale.Trace(spotScale)
-		fmt.Printf("federation: 2 × %d nodes × 8 GPUs; route %s; trace: %d tasks over %d day(s)\n",
-			scale.Nodes, route, len(tasks), scale.Days)
-		res = fed.Run(tasks)
-	}
-	for _, m := range res.Members {
-		fmt.Printf("\n-- member %s (routed %d, migrated in %d / out %d, goodput %.1f GPU-h) --\n",
-			m.Name, m.Routed, m.MigratedIn, m.MigratedOut, m.GoodputGPUSeconds/3600)
-		printResult(m.Result)
-	}
-	fmt.Printf("\nfederation total: goodput %.1f GPU-h, %d migrations, %d saturations, %d unfinished\n",
-		res.GoodputGPUSeconds/3600, res.Migrations, res.Saturations, res.Unfinished)
-	if report != "" {
-		emitReport(fed.Report(), report)
 	}
 }
 

@@ -102,15 +102,23 @@ func TestRunContextCancellation(t *testing.T) {
 	}
 }
 
-// TestRunReportContextCancelled asserts the report paths assemble
-// nothing once cancelled.
-func TestRunReportContextCancelled(t *testing.T) {
+// TestCancelledRunAssemblesNoReport asserts the report path assembles
+// nothing once cancelled: a batch run stopped in flight carries
+// neither result nor report even though its engine has collectors.
+func TestCancelledRunAssemblesNoReport(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	eng := gfs.NewEngine(gfs.NewCluster("A100", 8, 8))
-	rep, err := eng.RunReportContext(ctx, chaosTrace(3))
-	if err != context.Canceled || rep != nil {
-		t.Fatalf("RunReportContext on dead ctx = (%v, %v), want (nil, context.Canceled)", rep, err)
+	n := 0
+	trip := gfs.ObserverFunc(func(gfs.Event) {
+		if n++; n == 50 {
+			cancel()
+		}
+	})
+	br := gfs.RunBatchContext(ctx, []gfs.BatchSpec{{Name: "a", Setup: func() (*gfs.Engine, []*gfs.Task) {
+		return gfs.NewEngine(gfs.NewCluster("A100", 8, 8),
+			gfs.WithCollectors(gfs.DefaultCollectors()...), gfs.WithObserver(trip)), chaosTrace(3)
+	}}})[0]
+	if br.Err != context.Canceled || br.Result != nil || br.Report != nil {
+		t.Fatalf("cancelled batch run = (%v, %v, %v), want (nil, nil, context.Canceled)", br.Result, br.Report, br.Err)
 	}
 }
 

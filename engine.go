@@ -134,9 +134,17 @@ func (e *Engine) Config() SimConfig { return e.cfg }
 // cluster membership (KillNode without a restore, ScaleOut) leave
 // those changes on the cluster after Run returns, so an engine with
 // such a scenario should run once; for sweeps, build fresh state per
-// run via RunBatch.
+// run via RunBatch. An engine with an attached trace source replays
+// it through RunTrace instead; Run panics on one.
 func (e *Engine) Run(tasks []*Task) *Result {
-	return sched.Run(e.cfg, tasks)
+	// A background context never cancels and a task slice cannot fail
+	// to decode, so the only error left is the source-plus-slice
+	// misuse.
+	res, err := e.run(context.Background(), tasks)
+	if err != nil {
+		panic(err.Error())
+	}
+	return res
 }
 
 // RunContext is Run with cooperative cancellation: the simulation
@@ -147,12 +155,25 @@ func (e *Engine) Run(tasks []*Task) *Result {
 // background context takes the exact same loop). The run itself
 // spawns no goroutines, so cancellation leaks nothing.
 func (e *Engine) RunContext(ctx context.Context, tasks []*Task) (*Result, error) {
-	return sched.RunContext(ctx, e.cfg, tasks)
+	return e.run(ctx, tasks)
 }
 
-// TraceSource returns the streaming trace attached by WithTraceSource
-// (nil without one).
-func (e *Engine) TraceSource() TraceSource { return e.src }
+// run is the one execution path behind Run, RunContext, RunTrace,
+// RunTraceContext and RunBatch: an engine without a trace source runs
+// the task slice; one with a source replays it (closing it when the
+// replay ends, cancelled or not) and must be handed a nil slice — an
+// engine given both is ambiguous, so the source is released and the
+// run refused rather than silently replaying neither-or-both.
+func (e *Engine) run(ctx context.Context, tasks []*Task) (*Result, error) {
+	if e.src == nil {
+		return sched.RunContext(ctx, e.cfg, tasks)
+	}
+	defer e.src.Close()
+	if tasks != nil {
+		return nil, errors.New("gfs: run has both a trace source and a task slice")
+	}
+	return sched.RunSourceContext(ctx, e.cfg, e.src)
+}
 
 // Collectors returns the collectors registered with WithCollectors
 // (plus any defaults attached by RunReport), in registration order.
@@ -173,59 +194,22 @@ func (e *Engine) Report() *Report {
 	return rep
 }
 
-// ensureCollectors attaches the default collector set when none were
-// registered, so RunReport always has sections to assemble.
-func (e *Engine) ensureCollectors() {
-	if len(e.collectors) > 0 {
-		return
-	}
-	cs := DefaultCollectors()
-	meta := e.runMeta()
-	for _, c := range cs {
-		c.Begin(meta)
-		e.cfg.Observers = append(e.cfg.Observers, c)
-	}
-	e.collectors = cs
-}
-
 // RunReport executes the run with the engine's collectors attached —
 // the full default set when none were registered — and returns the
 // assembled Report. Like Run, it mutates tasks and the cluster, so
 // each engine reports on one run; Report.Result recovers the legacy
 // Result view.
 func (e *Engine) RunReport(tasks []*Task) *Report {
-	e.ensureCollectors()
+	if len(e.collectors) == 0 {
+		e.collectors = DefaultCollectors()
+		meta := e.runMeta()
+		for _, c := range e.collectors {
+			c.Begin(meta)
+			e.cfg.Observers = append(e.cfg.Observers, c)
+		}
+	}
 	e.Run(tasks)
 	return e.Report()
-}
-
-// RunReportContext is RunReport with cooperative cancellation: on
-// ctx firing the run returns ctx.Err() promptly and no report is
-// assembled.
-func (e *Engine) RunReportContext(ctx context.Context, tasks []*Task) (*Report, error) {
-	e.ensureCollectors()
-	if _, err := e.RunContext(ctx, tasks); err != nil {
-		return nil, err
-	}
-	return e.Report(), nil
-}
-
-// RunTraceReport is RunReport over the engine's attached streaming
-// trace (WithTraceSource): the replay runs with collectors attached
-// and the assembled Report is returned.
-func (e *Engine) RunTraceReport() (*Report, error) {
-	return e.RunTraceReportContext(context.Background())
-}
-
-// RunTraceReportContext is RunTraceReport with cooperative
-// cancellation: on ctx firing the replay returns ctx.Err() promptly
-// and no report is assembled.
-func (e *Engine) RunTraceReportContext(ctx context.Context) (*Report, error) {
-	e.ensureCollectors()
-	if _, err := e.RunTraceContext(ctx); err != nil {
-		return nil, err
-	}
-	return e.Report(), nil
 }
 
 // RunTrace executes the simulation over the engine's attached trace
@@ -233,10 +217,10 @@ func (e *Engine) RunTraceReportContext(ctx context.Context) (*Report, error) {
 // injected as the clock reaches their submission times, so ingestion
 // stays constant-memory and works on traces far larger than RAM. The
 // replayed run is event-for-event identical to Run over the same
-// trace (see sched.RunSource for the idle-gap quota-tick caveat).
-// Decode and ordering errors from the source abort the run. Like Run,
-// it mutates replayed tasks and the cluster, so an engine runs one
-// trace; the source is closed when the replay ends.
+// trace (see sched.RunSourceContext for the idle-gap quota-tick
+// caveat). Decode and ordering errors from the source abort the run.
+// Like Run, it mutates replayed tasks and the cluster, so an engine
+// runs one trace; the source is closed when the replay ends.
 func (e *Engine) RunTrace() (*Result, error) {
 	return e.RunTraceContext(context.Background())
 }
@@ -248,6 +232,5 @@ func (e *Engine) RunTraceContext(ctx context.Context) (*Result, error) {
 	if e.src == nil {
 		return nil, errors.New("gfs: RunTrace needs WithTraceSource")
 	}
-	defer e.src.Close()
-	return sched.RunSourceContext(ctx, e.cfg, e.src)
+	return e.run(ctx, nil)
 }

@@ -2,9 +2,11 @@ package gfs_test
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 
 	gfs "github.com/sjtucitlab/gfs"
+	"github.com/sjtucitlab/gfs/internal/sched"
 )
 
 // chaosTrace generates a one-day 128-GPU workload with enough spot
@@ -280,12 +282,18 @@ func TestRunBatchRecoversPanics(t *testing.T) {
 	}
 }
 
-// TestDeprecatedWrappersStillWork: the pre-Engine entry points keep
-// their behavior (they now delegate to the Engine).
-func TestDeprecatedWrappersStillWork(t *testing.T) {
-	tasks := []*gfs.Task{gfs.NewTask(1, gfs.HP, 1, 8, gfs.Hour)}
-	res := gfs.SimulateScheduler(gfs.NewCluster("A100", 2, 8), gfs.NewYARNCS(), nil, tasks)
-	if res.UnfinishedHP != 0 {
-		t.Fatal("wrapper run failed")
+// TestEngineConfigRoundTrip: Engine.Config exposes exactly the
+// configuration Engine.Run executes, so driving the simulator core
+// with it (as the benchmark's stepwise probes do) reproduces the run.
+func TestEngineConfigRoundTrip(t *testing.T) {
+	build := func() *gfs.Engine {
+		return gfs.NewEngine(gfs.NewCluster("A100", 16, 8),
+			gfs.WithScheduler(gfs.NewYARNCS()),
+			gfs.WithGrace(30*gfs.Second))
+	}
+	got := sched.Run(build().Config(), chaosTrace(5))
+	want := build().Run(chaosTrace(5))
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("sched.Run(Engine.Config()) diverged from Engine.Run:\n got  %+v\n want %+v", got, want)
 	}
 }

@@ -2,6 +2,7 @@ package gfs
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sort"
 
@@ -258,10 +259,6 @@ func NewFederation(members []Member, opts ...FederationOption) *Federation {
 // Members returns the federation's members in order.
 func (f *Federation) Members() []Member { return f.members }
 
-// TraceSource returns the streaming trace attached by
-// WithFederationTraceSource (nil without one).
-func (f *Federation) TraceSource() TraceSource { return f.src }
-
 // fedDemux fans the tagged federation stream out to the aggregate
 // collector set and, by member name, to each member's set.
 type fedDemux struct{ f *Federation }
@@ -324,14 +321,6 @@ func (f *Federation) attachCollectors(mk func() []Collector) {
 	f.observers = append(f.observers, fedDemux{f: f})
 }
 
-// ensureCollectors arranges for the default collector sets when none
-// were configured, so RunReport always has sections to assemble.
-func (f *Federation) ensureCollectors() {
-	if f.collectMk == nil {
-		f.collectMk = DefaultCollectors
-	}
-}
-
 // Report assembles the merged FederationReport from the collector
 // sets attached by WithFederationCollectors (or RunReport). Call it
 // after Run or RunTrace; nil without collectors.
@@ -363,27 +352,23 @@ func (f *Federation) Report() *FederationReport {
 // mutates tasks and member clusters, so each federation reports on
 // one run.
 func (f *Federation) RunReport(tasks []*Task) *FederationReport {
-	f.ensureCollectors()
+	if f.collectMk == nil {
+		f.collectMk = DefaultCollectors
+	}
 	f.Run(tasks)
 	return f.Report()
-}
-
-// RunTraceReport is RunReport over a streaming trace source.
-func (f *Federation) RunTraceReport(src TraceSource) (*FederationReport, error) {
-	f.ensureCollectors()
-	if _, err := f.RunTrace(src); err != nil {
-		return nil, err
-	}
-	return f.Report(), nil
 }
 
 // Run executes the federated simulation over the trace and returns
 // per-member and aggregate metrics. Tasks and member clusters are
 // mutated in place, so each Run needs a fresh federation and trace.
+// It panics on a bad configuration, the only error a never-cancelled
+// preloaded run can hit.
 func (f *Federation) Run(tasks []*Task) *FederationResult {
-	f.realizeCollectors()
-	res := sched.RunFederation(f.fedConfig(), tasks)
-	f.lastRes = res
+	res, err := f.run(context.Background(), tasks)
+	if err != nil {
+		panic(err.Error())
+	}
 	return res
 }
 
@@ -391,13 +376,7 @@ func (f *Federation) Run(tasks []*Task) *FederationResult {
 // loop checks ctx once per simulated instant and returns ctx.Err()
 // promptly when it fires, assembling no result.
 func (f *Federation) RunContext(ctx context.Context, tasks []*Task) (*FederationResult, error) {
-	f.realizeCollectors()
-	res, err := sched.RunFederationContext(ctx, f.fedConfig(), tasks)
-	if err != nil {
-		return nil, err
-	}
-	f.lastRes = res
-	return res, nil
+	return f.run(ctx, tasks)
 }
 
 // RunTrace executes the federated simulation over a streaming trace
@@ -414,9 +393,22 @@ func (f *Federation) RunTrace(src TraceSource) (*FederationResult, error) {
 // once per shared-clock instant like RunContext. The source is closed
 // when the replay ends, cancelled or not.
 func (f *Federation) RunTraceContext(ctx context.Context, src TraceSource) (*FederationResult, error) {
-	defer src.Close()
+	f.src = src
+	return f.run(ctx, nil)
+}
+
+// run is the one execution path behind Run, RunContext, RunTrace,
+// RunTraceContext and RunBatch, with Engine.run's rules: an attached
+// source is replayed (and closed) and tolerates no slice beside it.
+func (f *Federation) run(ctx context.Context, tasks []*Task) (*FederationResult, error) {
+	if f.src != nil {
+		defer f.src.Close()
+		if tasks != nil {
+			return nil, errors.New("gfs: run has both a trace source and a task slice")
+		}
+	}
 	f.realizeCollectors()
-	res, err := sched.RunFederationSourceContext(ctx, f.fedConfig(), src)
+	res, err := sched.RunFederationContext(ctx, f.fedConfig(), tasks, f.src)
 	if err != nil {
 		return nil, err
 	}

@@ -26,8 +26,7 @@
 // Engines compose further: WithObserver taps the typed event stream
 // (TaskArrived … NodeUp), WithScenario injects timed cluster
 // mutations mid-run, and RunBatch fans independent runs out over a
-// worker pool. See README.md for the migration table from the older
-// Simulate* entry points.
+// worker pool. README.md lists every entry point.
 package gfs
 
 import (
@@ -210,34 +209,6 @@ func DefaultOptions() Options { return core.DefaultOptions() }
 
 // NewSystem assembles a GFS system (PTS scheduler + GDE/SQA quota).
 func NewSystem(opts Options) *System { return core.New(opts) }
-
-// Simulate runs the discrete-event simulation of a GFS system over a
-// trace and returns its metrics.
-//
-// Deprecated: use NewEngine(cl, WithSystem(sys)).Run(tasks), which
-// also supports observers and scenario injection.
-func Simulate(cl *Cluster, sys *System, tasks []*Task) *Result {
-	return NewEngine(cl, WithSystem(sys)).Run(tasks)
-}
-
-// SimulateScheduler runs any scheduler (e.g. a baseline) with an
-// optional quota policy (nil = unlimited).
-//
-// Deprecated: use NewEngine(cl, WithScheduler(s), WithQuota(quota)).Run(tasks).
-func SimulateScheduler(cl *Cluster, s Scheduler, quota QuotaPolicy, tasks []*Task) *Result {
-	return NewEngine(cl, WithScheduler(s), WithQuota(quota)).Run(tasks)
-}
-
-// SimulateConfig runs a fully custom simulation configuration.
-//
-// Deprecated: build an Engine with options instead; Engine.Config
-// exposes the equivalent SimConfig.
-func SimulateConfig(cfg SimConfig, tasks []*Task) *Result { return sched.Run(cfg, tasks) }
-
-// DefaultSimConfig fills in the paper's simulation settings.
-func DefaultSimConfig(cl *Cluster, s Scheduler) SimConfig {
-	return sched.DefaultSimConfig(cl, s)
-}
 
 // SyntheticDemandPanel generates aligned hourly HP-demand series for
 // the paper's four reference organizations (Fig. 4 presets), scaled

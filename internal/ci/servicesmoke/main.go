@@ -3,8 +3,12 @@
 // daemon on a loopback port, uploads a generated trace, polls the
 // session to completion, and fails unless the served JSONL report is
 // byte-identical to what `gfsim -trace ... -scheduler yarn -report
-// jsonl` prints for the same spec — the service layer must be a pure
-// transport around the engine, never a fork of it. It also checks
+// jsonl` prints for the same spec. Both binaries decode the same
+// runspec.Spec and run it through the same builder and runner, so the
+// construction cannot drift; what this guards is everything around
+// that shared path in two separately linked binaries — flag and query
+// lowering, trace upload and decoding, report serving — staying a pure
+// transport around it. It also checks
 // /metrics for the daemon counters and the per-session report
 // snapshot, then exercises the SIGTERM drain path.
 //

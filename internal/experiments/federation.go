@@ -29,22 +29,6 @@ type FederationRow struct {
 	Unfinished int
 }
 
-// federationMembers builds the experiment federation: "west" runs the
-// named storm scenario and carries the diurnal reclamation forecast,
-// "east" stays calm. Fresh state per call.
-func federationMembers(scale SimScale, scenario string) ([]gfs.Member, error) {
-	sc, err := scale.NamedScenario(scenario)
-	if err != nil {
-		return nil, err
-	}
-	profile := gfs.DefaultDiurnalProfile("A100")
-	return []gfs.Member{
-		{Name: "west", Engine: gfs.NewEngine(scale.NewCluster(), gfs.WithScenario(sc)),
-			Profile: &profile},
-		{Name: "east", Engine: gfs.NewEngine(scale.NewCluster())},
-	}, nil
-}
-
 // FederationExperiment measures what federation buys under correlated
 // capacity loss: a two-member federation (one stormy, one calm) runs
 // the same doubled-capacity workload routed (forecast-aware admission
@@ -60,7 +44,7 @@ func FederationExperiment(scale SimScale) ([]FederationRow, error) {
 	var rows []FederationRow
 	for _, scenario := range federationScenarios {
 		for _, mode := range []string{"federated", "isolated"} {
-			members, err := federationMembers(scale, scenario)
+			storm, err := scale.NamedScenario(scenario)
 			if err != nil {
 				return nil, err
 			}
@@ -71,7 +55,7 @@ func FederationExperiment(scale SimScale) ([]FederationRow, error) {
 					gfs.WithSpillover(nil),
 				}
 			}
-			res := gfs.NewFederation(members, opts...).Run(tscale.Trace(2))
+			res := gfs.NewFederation(scale.WestEastMembers(storm), opts...).Run(tscale.Trace(2))
 			var totalSpotRuns, totalSpotEvictions int
 			var allocSum float64
 			for _, m := range res.Members {

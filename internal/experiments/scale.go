@@ -96,6 +96,19 @@ var orgNames = []string{"OrgA", "OrgB", "OrgC", "OrgD"}
 // capacity returns the cluster GPU count.
 func (s SimScale) capacity() float64 { return float64(s.Nodes * s.GPUsPerNode) }
 
+// WestEastMembers builds the two-member federation every driver runs
+// (gfsim -federation, gfsd federation sessions, the federation
+// experiment): "west" takes the storm scenario (nil stays calm) and
+// carries the diurnal reclamation forecast, "east" stays calm, both
+// on the default reactive GFS stack. Fresh state per call.
+func (s SimScale) WestEastMembers(storm *gfs.Scenario) []gfs.Member {
+	profile := gfs.DefaultDiurnalProfile("A100")
+	return []gfs.Member{
+		{Name: "west", Engine: gfs.NewEngine(s.NewCluster(), gfs.WithScenario(storm)), Profile: &profile},
+		{Name: "east", Engine: gfs.NewEngine(s.NewCluster())},
+	}
+}
+
 // NewCluster builds the experiment cluster, laying the scale's
 // failure-domain topology over it when Zones > 0.
 func (s SimScale) NewCluster() *cluster.Cluster {
@@ -216,16 +229,20 @@ func (s SimScale) NewGFS(est *gde.Estimator, variant GFSVariant, guaranteeHours 
 	return core.New(opts)
 }
 
-// RunGFS simulates a GFS variant over tasks through the Engine API,
-// seeding the quota loop with the training-period demand history so
-// forecasts have context from hour zero (as production telemetry
-// would provide). Extra options (observers, scenarios) pass through.
-func (s SimScale) RunGFS(sys *core.System, tasks []*task.Task, extra ...gfs.Option) *sched.Result {
-	opts := []gfs.Option{
+// GFSOptions installs a GFS variant on an engine, seeding the quota
+// loop with the training-period demand history so forecasts have
+// context from hour zero (as production telemetry would provide).
+func (s SimScale) GFSOptions(sys *core.System) []gfs.Option {
+	return []gfs.Option{
 		gfs.WithSystem(sys),
 		gfs.WithInitialOrgDemand(s.demandHistory()),
 	}
-	return gfs.NewEngine(s.NewCluster(), append(opts, extra...)...).Run(tasks)
+}
+
+// RunGFS simulates a GFS variant over tasks through the Engine API.
+// Extra options (observers, scenarios) pass through.
+func (s SimScale) RunGFS(sys *core.System, tasks []*task.Task, extra ...gfs.Option) *sched.Result {
+	return gfs.NewEngine(s.NewCluster(), append(s.GFSOptions(sys), extra...)...).Run(tasks)
 }
 
 // demandHistory returns the tail of the training panel used as
@@ -246,24 +263,6 @@ func (s SimScale) demandHistory() map[string][]float64 {
 func (s SimScale) RunBaseline(sc sched.Scheduler, quota sched.QuotaPolicy, tasks []*task.Task, extra ...gfs.Option) *sched.Result {
 	opts := []gfs.Option{gfs.WithScheduler(sc), gfs.WithQuota(quota)}
 	return gfs.NewEngine(s.NewCluster(), append(opts, extra...)...).Run(tasks)
-}
-
-// ReplayGFS replays a streamed trace through a GFS variant, the
-// streaming counterpart of RunGFS (gfsim -trace).
-func (s SimScale) ReplayGFS(sys *core.System, src trace.Source, extra ...gfs.Option) (*sched.Result, error) {
-	opts := []gfs.Option{
-		gfs.WithSystem(sys),
-		gfs.WithInitialOrgDemand(s.demandHistory()),
-		gfs.WithTraceSource(src),
-	}
-	return gfs.NewEngine(s.NewCluster(), append(opts, extra...)...).RunTrace()
-}
-
-// ReplayBaseline replays a streamed trace through any scheduler with
-// an optional quota policy, the streaming counterpart of RunBaseline.
-func (s SimScale) ReplayBaseline(sc sched.Scheduler, quota sched.QuotaPolicy, src trace.Source, extra ...gfs.Option) (*sched.Result, error) {
-	opts := []gfs.Option{gfs.WithScheduler(sc), gfs.WithQuota(quota), gfs.WithTraceSource(src)}
-	return gfs.NewEngine(s.NewCluster(), append(opts, extra...)...).RunTrace()
 }
 
 // FcScale sizes forecasting experiments (Fig. 10, Table 7).

@@ -67,4 +67,10 @@ var Table = map[string]Class{
 	// iteration order never reaches a run's output here (sessions are
 	// listed via the ordered slice), so mapiter stays off.
 	Module + "/internal/service": {WallClock: true},
+
+	// The spec→engine builder both binaries run through: it holds the
+	// name tables as maps and decides every option of a run, so an
+	// ordered map range or a wall-clock read here would reach the
+	// output of gfsim and gfsd alike.
+	Module + "/internal/runspec": {MapIter: true, WallClock: true},
 }

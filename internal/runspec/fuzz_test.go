@@ -1,4 +1,4 @@
-package service
+package runspec
 
 import (
 	"math"
@@ -10,7 +10,7 @@ import (
 
 // FuzzRunSpecJSON drives the POST /v1/sessions spec decoder with
 // arbitrary bodies: it must never panic, and any spec it accepts must
-// satisfy the bounds validate() promises (those are what protect the
+// satisfy the bounds Validate promises (those are what protect the
 // multi-tenant workers from absurd sessions) and decode the same way
 // twice.
 func FuzzRunSpecJSON(f *testing.F) {
@@ -22,7 +22,7 @@ func FuzzRunSpecJSON(f *testing.F) {
 	f.Add([]byte(`{"nodes":1e9}`))
 	f.Add([]byte(`[1,2,3]`))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		sp, err := DecodeRunSpec(data)
+		sp, err := Decode(data)
 		if err != nil {
 			return
 		}
@@ -44,7 +44,7 @@ func FuzzRunSpecJSON(f *testing.F) {
 		if sp.SpotScale < 0 || sp.SpotScale > maxSpotScale {
 			t.Fatalf("accepted spot_scale %g outside [0,%d]", sp.SpotScale, maxSpotScale)
 		}
-		again, err := DecodeRunSpec(data)
+		again, err := Decode(data)
 		if err != nil {
 			t.Fatalf("second decode of accepted spec failed: %v", err)
 		}
@@ -74,7 +74,7 @@ func FuzzAutoscalePolicyJSON(f *testing.F) {
 	f.Add([]byte(`{"autoscale":{"mode":"reactive","idle_after_s":1e308}}`))
 	f.Add([]byte(`{"autoscale":null}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		sp, err := DecodeRunSpec(data)
+		sp, err := Decode(data)
 		if err != nil || sp.Autoscale == nil {
 			return
 		}

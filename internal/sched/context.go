@@ -11,10 +11,10 @@ import (
 // mechanism behind DELETE /v1/sessions/{id} in the gfsd service. The
 // cancellation check runs at simulator-step granularity: a cancelled
 // run returns within one Step of the signal, leaving no goroutines
-// behind (the simulator itself never spawns any). The ctx-free
-// entry points (Run, RunSource, RunFederation, RunFederationSource)
-// are thin wrappers over these, so a background context — whose
-// Done channel is nil — costs the hot loop nothing.
+// behind (the simulator itself never spawns any). Run, the one
+// ctx-free entry point, is a thin wrapper over RunContext, so a
+// background context — whose Done channel is nil — costs the hot loop
+// nothing.
 
 // RunContext executes the simulation over the given trace, checking
 // ctx between simulator steps: on cancellation it returns ctx.Err()
@@ -39,10 +39,24 @@ func RunContext(ctx context.Context, cfg SimConfig, tasks []*task.Task) (*Result
 	return s.Finish(), nil
 }
 
-// RunSourceContext is RunSource with cooperative cancellation: the
-// streamed replay checks ctx once per simulator step and returns
-// ctx.Err() promptly when cancelled. The source is not closed here
-// (RunSource's callers own it), matching RunSource.
+// RunSourceContext executes the simulation over a streamed trace:
+// tasks are pulled from src one at a time and Injected as the clock
+// reaches their submission times, so ingestion never materializes the
+// trace. The source must yield tasks in non-decreasing submission
+// order (as every trace codec in this module does) with unique
+// positive IDs — the simulator's epoch and dedup bookkeeping key on
+// them, and checking uniqueness here would cost the O(trace) memory
+// streaming exists to avoid (the codecs reject non-positive IDs at
+// decode). ctx is checked once per simulator step; on cancellation
+// the replay returns ctx.Err() promptly. The source is not closed
+// here: callers own it.
+//
+// A streamed run is event-for-event identical to Run over the same
+// trace, with one caveat: if the simulator goes completely idle
+// between two arrivals (nothing queued, running or pending for longer
+// than the quota interval), the quota tick chain re-anchors at the
+// next arrival instead of keeping the original phase, since a
+// streaming simulator cannot see into its future.
 func RunSourceContext(ctx context.Context, cfg SimConfig, src TaskSource) (*Result, error) {
 	s := NewSimulator(cfg, nil)
 	feed := &replayFeed{src: src}
@@ -78,10 +92,18 @@ func RunSourceContext(ctx context.Context, cfg SimConfig, src TaskSource) (*Resu
 	return s.Finish(), nil
 }
 
-// RunFederationContext is RunFederation with cooperative
-// cancellation: the shared-clock loop checks ctx once per instant and
-// returns ctx.Err() promptly when cancelled.
-func RunFederationContext(ctx context.Context, cfg FedConfig, tasks []*task.Task) (*FedResult, error) {
+// RunFederationContext executes a federated simulation: tasks arrive
+// on the shared clock, the route policy admits each to one member,
+// members advance in lockstep, and capacity-loss victims spill over
+// per the spillover policy. The run is deterministic in (config,
+// trace). tasks are queued up front; src, when non-nil, streams
+// further arrivals in just ahead of the shared clock instead, so the
+// routing loop ingests arbitrarily large traces in constant memory (it
+// must yield tasks in non-decreasing submission order). The
+// shared-clock loop checks ctx once per instant and returns ctx.Err()
+// promptly when cancelled; a bad configuration and a failing source
+// are the only other errors.
+func RunFederationContext(ctx context.Context, cfg FedConfig, tasks []*task.Task, src TaskSource) (*FedResult, error) {
 	f, err := newFedSim(cfg)
 	if err != nil {
 		return nil, err
@@ -90,25 +112,12 @@ func RunFederationContext(ctx context.Context, cfg FedConfig, tasks []*task.Task
 	for _, tk := range tasks {
 		f.queue.PushFront(tk.Submit, tk)
 	}
-	if err := f.loop(); err != nil {
-		return nil, err
+	if src != nil {
+		f.feed = &replayFeed{src: src}
+		if err := f.feed.pull(); err != nil {
+			return nil, err
+		}
 	}
-	return f.finish(), nil
-}
-
-// RunFederationSourceContext is RunFederationSource with cooperative
-// cancellation, checked once per shared-clock instant.
-func RunFederationSourceContext(ctx context.Context, cfg FedConfig, src TaskSource) (*FedResult, error) {
-	f, err := newFedSim(cfg)
-	if err != nil {
-		return nil, err
-	}
-	f.ctx = ctx
-	feed := &replayFeed{src: src}
-	if err := feed.pull(); err != nil {
-		return nil, err
-	}
-	f.feed = feed
 	if err := f.loop(); err != nil {
 		return nil, err
 	}

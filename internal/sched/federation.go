@@ -347,8 +347,8 @@ type fedSim struct {
 	// (initialized to -1, before any simulated instant).
 	satLast []simclock.Time
 	// feed, when non-nil, streams arrivals in just ahead of the
-	// shared clock (RunFederationSource); RunFederation leaves it nil
-	// and preloads the queue instead.
+	// shared clock (RunFederationContext with a source); without one
+	// the queue is preloaded instead.
 	feed *replayFeed
 	// ctx, when non-nil, is checked once per shared-clock instant so a
 	// federated run cancels cooperatively (RunFederationContext).
@@ -373,24 +373,9 @@ func (t fedTap) OnEvent(e Event) {
 	}
 }
 
-// RunFederation executes a federated simulation: tasks arrive on the
-// shared clock, the route policy admits each to one member, members
-// advance in lockstep, and capacity-loss victims spill over per the
-// spillover policy. The run is deterministic in (config, trace).
-func RunFederation(cfg FedConfig, tasks []*task.Task) *FedResult {
-	// A background context never cancels, and with no streaming feed
-	// the loop cannot fail either, so the only possible error is a bad
-	// configuration.
-	res, err := RunFederationContext(context.Background(), cfg, tasks)
-	if err != nil {
-		panic(err.Error())
-	}
-	return res
-}
-
 // newFedSim builds the shared-clock driver over the configured
-// members; RunFederation and RunFederationSource differ only in how
-// arrivals reach its queue.
+// members; preloaded and streamed runs differ only in how arrivals
+// reach its queue.
 func newFedSim(cfg FedConfig) (*fedSim, error) {
 	if len(cfg.Members) == 0 {
 		return nil, fmt.Errorf("sched: federation needs at least one member")

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"context"
 	"testing"
 
 	"github.com/sjtucitlab/gfs/internal/cluster"
@@ -12,6 +13,17 @@ import (
 // low-level loop tests.
 func fedTestConfig(nodes int) SimConfig {
 	return DefaultSimConfig(cluster.NewHomogeneous("A100", nodes, 8), &firstFit{})
+}
+
+// runFed runs a preloaded federation to completion, failing the test
+// on a configuration error.
+func runFed(t *testing.T, cfg FedConfig, tasks []*task.Task) *FedResult {
+	t.Helper()
+	res, err := RunFederationContext(context.Background(), cfg, tasks, nil)
+	if err != nil {
+		t.Fatalf("RunFederationContext: %v", err)
+	}
+	return res
 }
 
 // TestFederationLateMigrationRestartsMember: a member whose event
@@ -27,7 +39,7 @@ func TestFederationLateMigrationRestartsMember(t *testing.T) {
 	tasks := []*task.Task{
 		mkTask(1, task.Spot, 1, 8, 48*simclock.Hour, 0),
 	}
-	res := RunFederation(FedConfig{
+	res := runFed(t, FedConfig{
 		Members: []FedMember{
 			{Name: "west", Cfg: westCfg},
 			{Name: "east", Cfg: eastCfg},
@@ -68,7 +80,7 @@ func TestFederationSpillKeepsLocalWhenFull(t *testing.T) {
 		mkTask(2, task.HP, 1, 8, 24*simclock.Hour, 0),     // west node 1
 		mkTask(3, task.HP, 1, 8, 24*simclock.Hour, 0),     // east's only node: no room to spill
 	}
-	res := RunFederation(FedConfig{
+	res := runFed(t, FedConfig{
 		Members: []FedMember{
 			{Name: "west", Cfg: westCfg},
 			{Name: "east", Cfg: eastCfg},

@@ -1,7 +1,6 @@
 package sched
 
 import (
-	"context"
 	"fmt"
 	"io"
 
@@ -56,32 +55,4 @@ func (f *replayFeed) pull() error {
 	f.n++
 	f.next = tk
 	return nil
-}
-
-// RunSource executes the simulation over a streamed trace: tasks are
-// pulled from src one at a time and Injected as the clock reaches
-// their submission times, so ingestion never materializes the trace.
-// The source must yield tasks in non-decreasing submission order (as
-// every trace codec in this module does) with unique positive IDs —
-// the simulator's epoch and dedup bookkeeping key on them, and
-// checking uniqueness here would cost the O(trace) memory streaming
-// exists to avoid (the codecs reject non-positive IDs at decode).
-//
-// A streamed run is event-for-event identical to Run over the same
-// trace, with one caveat: if the simulator goes completely idle
-// between two arrivals (nothing queued, running or pending for longer
-// than the quota interval), the quota tick chain re-anchors at the
-// next arrival instead of keeping the original phase, since a
-// streaming simulator cannot see into its future.
-func RunSource(cfg SimConfig, src TaskSource) (*Result, error) {
-	return RunSourceContext(context.Background(), cfg, src)
-}
-
-// RunFederationSource executes a federated simulation over a streamed
-// trace: like RunFederation, but arrivals are pulled from src just
-// ahead of the shared clock instead of being queued up front, so the
-// routing loop ingests arbitrarily large traces in constant memory.
-// The source must yield tasks in non-decreasing submission order.
-func RunFederationSource(cfg FedConfig, src TaskSource) (*FedResult, error) {
-	return RunFederationSourceContext(context.Background(), cfg, src)
 }

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -23,8 +24,8 @@ func replayTrace(seed int64) []*task.Task {
 	return trace.Generate(cfg)
 }
 
-// TestRunSourceMatchesRun: streaming a trace through RunSource must
-// be event-for-event identical to preloading it with Run — the
+// TestRunSourceMatchesRun: streaming a trace through RunSourceContext
+// must be event-for-event identical to preloading it with Run — the
 // PushFront arrival class makes mid-run injection tie-break exactly
 // like construction-time queueing.
 func TestRunSourceMatchesRun(t *testing.T) {
@@ -38,9 +39,9 @@ func TestRunSourceMatchesRun(t *testing.T) {
 		if !streamed {
 			return Run(cfg, tasks), log
 		}
-		res, err := RunSource(cfg, trace.SliceSource(tasks))
+		res, err := RunSourceContext(context.Background(), cfg, trace.SliceSource(tasks))
 		if err != nil {
-			t.Fatalf("RunSource: %v", err)
+			t.Fatalf("RunSourceContext: %v", err)
 		}
 		return res, log
 	}
@@ -81,8 +82,8 @@ func TestRunSourceWithScenario(t *testing.T) {
 		cfg.Scenario = scenario
 		tasks := replayTrace(7)
 		if streamed {
-			if _, err := RunSource(cfg, trace.SliceSource(tasks)); err != nil {
-				t.Fatalf("RunSource: %v", err)
+			if _, err := RunSourceContext(context.Background(), cfg, trace.SliceSource(tasks)); err != nil {
+				t.Fatalf("RunSourceContext: %v", err)
 			}
 		} else {
 			Run(cfg, tasks)
@@ -102,15 +103,15 @@ func TestRunSourceRejectsUnsorted(t *testing.T) {
 	a.Submit = 100
 	b := task.New(2, task.Spot, 1, 1, simclock.Hour)
 	b.Submit = 50
-	_, err := RunSource(DefaultSimConfig(cl, &firstFit{}), trace.SliceSource([]*task.Task{a, b}))
+	_, err := RunSourceContext(context.Background(), DefaultSimConfig(cl, &firstFit{}), trace.SliceSource([]*task.Task{a, b}))
 	if err == nil || !strings.Contains(err.Error(), "submission order") {
 		t.Fatalf("want submission-order error, got %v", err)
 	}
 }
 
-// TestRunFederationSourceMatchesRunFederation: the lazily-fed
-// federated loop produces the same result as the preloaded one.
-func TestRunFederationSourceMatchesRunFederation(t *testing.T) {
+// TestFederationSourceMatchesPreloaded: the lazily-fed federated loop
+// produces the same result as the preloaded one.
+func TestFederationSourceMatchesPreloaded(t *testing.T) {
 	build := func() FedConfig {
 		mk := func(name string) FedMember {
 			cl := cluster.NewHomogeneous("A100", 8, 8)
@@ -126,10 +127,10 @@ func TestRunFederationSourceMatchesRunFederation(t *testing.T) {
 	cfgA.Observers = []Observer{logA}
 	cfgB.Observers = []Observer{logB}
 
-	eager := RunFederation(cfgA, replayTrace(13))
-	streamed, err := RunFederationSource(cfgB, trace.SliceSource(replayTrace(13)))
+	eager := runFed(t, cfgA, replayTrace(13))
+	streamed, err := RunFederationContext(context.Background(), cfgB, nil, trace.SliceSource(replayTrace(13)))
 	if err != nil {
-		t.Fatalf("RunFederationSource: %v", err)
+		t.Fatalf("RunFederationContext: %v", err)
 	}
 	if logA.String() != logB.String() {
 		t.Fatal("federated event logs must match between eager and streamed runs")

@@ -59,7 +59,7 @@ type SimConfig struct {
 	// never scheduler preemption) before the victim is requeued
 	// locally. Returning true claims the task: the simulator forgets
 	// it and the caller becomes responsible for its future, typically
-	// by injecting it into a sibling cluster (see RunFederation).
+	// by injecting it into a sibling cluster (see RunFederationContext).
 	EvictionInterceptor func(tk *task.Task, cause EvictCause) bool
 	// Shards partitions the run across a worker pool: each org's
 	// task events live on a fixed shard of the event queue, the
@@ -145,7 +145,7 @@ type provisionEvent struct{ pool cluster.Pool }
 // Simulator is the discrete-event driver. Run drives it to
 // completion in one call; NewSimulator/Step/Finish expose the same
 // loop incrementally so several simulators can advance in lockstep on
-// a shared clock (see RunFederation).
+// a shared clock (see RunFederationContext).
 type Simulator struct {
 	cfg     SimConfig
 	queue   *simclock.ShardedQueue

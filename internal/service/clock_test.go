@@ -47,7 +47,7 @@ func TestRegistrySweepFakeClock(t *testing.T) {
 	ttl := time.Hour
 
 	done := reg.add(context.Background(), RunSpec{}, nil, 4)
-	done.finish(StateDone, runOutcome{}, "")
+	done.finish(StateDone, gfs.BatchResult{}, "")
 	clock.Advance(30 * time.Minute)
 	running := reg.add(context.Background(), RunSpec{}, nil, 4)
 	running.markRunning()
@@ -68,7 +68,7 @@ func TestRegistrySweepFakeClock(t *testing.T) {
 	// A session is never expired relative to its end, not its start:
 	// finish the second session and confirm it gets a full TTL from
 	// that moment even though it was created long ago.
-	running.finish(StateCancelled, runOutcome{}, "test")
+	running.finish(StateCancelled, gfs.BatchResult{}, "test")
 	if n := reg.sweep(clock.Now(), ttl); n != 0 {
 		t.Fatalf("freshly-finished session swept immediately, expired %d", n)
 	}
@@ -104,7 +104,7 @@ func TestSessionTimestampsFakeClock(t *testing.T) {
 	}
 
 	clock.Advance(time.Second)
-	sess.finish(StateDone, runOutcome{}, "")
+	sess.finish(StateDone, gfs.BatchResult{}, "")
 	st = sess.status()
 	if st.EndedAt == nil || !st.EndedAt.Equal(epoch.Add(3250*time.Millisecond)) {
 		t.Fatalf("EndedAt = %v, want %v", st.EndedAt, epoch.Add(3250*time.Millisecond))

@@ -14,9 +14,13 @@
 //	DELETE /v1/sessions/{id}          cancel (idempotent)
 //	GET    /metrics                   daemon counters + per-session snapshots
 //
-// Cancellation rides the context plumbing of Engine.RunContext: the
-// simulation checks the session context once per simulator step, so a
-// DELETE lands within one step. Event streaming is backpressure-safe:
+// A RunSpec is the runspec.Spec gfsim lowers its flags onto, and a
+// session executes it through the same builder and runner
+// (internal/runspec), so this package is transport only. Cancellation
+// rides the engine's context plumbing: the simulation checks the
+// session context once per simulator step, so a DELETE lands within
+// one step. A run that panics is recovered by that runner and fails
+// only its own session. Event streaming is backpressure-safe:
 // each session buffers its event stream in a bounded ring, and a
 // client that falls off the tail receives a synthetic "gap" record
 // counting the events it missed instead of stalling the simulation.

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	gfs "github.com/sjtucitlab/gfs"
+	"github.com/sjtucitlab/gfs/internal/runspec"
 )
 
 // Config sizes a Server. Zero fields take defaults.
@@ -169,6 +170,15 @@ func httpError(w http.ResponseWriter, code int, format string, args ...any) {
 	json.NewEncoder(w).Encode(map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
+// shedLoad answers a submission the pool refused (full backlog or
+// draining) with 503 and a Retry-After hint: both conditions clear
+// within a session's runtime, so well-behaved clients back off
+// briefly instead of hammering the intake.
+func shedLoad(w http.ResponseWriter, err error) {
+	w.Header().Set("Retry-After", "1")
+	httpError(w, http.StatusServiceUnavailable, "%v", err)
+}
+
 // writeJSON writes a JSON response body.
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
@@ -217,7 +227,7 @@ func (s *Server) cancelSession(sess *Session) {
 func (s *Server) runSession(sess *Session) {
 	if sess.ctx.Err() != nil || sess.State() != StateQueued {
 		// Cancelled (or force-finished) while queued: never ran.
-		if sess.finish(StateCancelled, runOutcome{}, context.Canceled.Error()) {
+		if sess.finish(StateCancelled, gfs.BatchResult{}, context.Canceled.Error()) {
 			s.met.sessionFinished(StateCancelled)
 		}
 		if sess.src != nil {
@@ -231,10 +241,21 @@ func (s *Server) runSession(sess *Session) {
 			s.met.recordTTFE(s.cfg.Clock.Now().Sub(sess.created))
 		}
 	})
-	out, err := runSpec(sess.ctx, sess.spec, sess.src, obs)
+	// The shared builder and runner: the construction gfsim executes,
+	// under RunBatch's panic recover, so a run that panics fails its
+	// session instead of killing the daemon.
+	var out gfs.BatchResult
+	if built, err := runspec.Build(sess.spec, sess.src, obs); err != nil {
+		out.Err = err
+	} else {
+		out = built.Run(sess.ctx)
+	}
+	// Sessions serve reports only; don't pin the run's task tables
+	// until the TTL expires.
+	out.Result, out.Fed = nil, nil
 	var st State
 	var msg string
-	switch {
+	switch err := out.Err; {
 	case err == nil:
 		st = StateDone
 	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
@@ -288,7 +309,7 @@ func (s *Server) createFromSpec(w http.ResponseWriter, r *http.Request) {
 	}
 	sess, err := s.startSession(spec, src)
 	if err != nil {
-		httpError(w, http.StatusServiceUnavailable, "%v", err)
+		shedLoad(w, err)
 		return
 	}
 	writeJSON(w, http.StatusAccepted, sess.status())
@@ -302,8 +323,8 @@ func (s *Server) createFromTrace(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "bad spec: %v", err)
 		return
 	}
-	spec.normalize()
-	if err := spec.validate(); err != nil {
+	spec.Normalize()
+	if err := spec.Validate(); err != nil {
 		httpError(w, http.StatusBadRequest, "bad spec: %v", err)
 		return
 	}
@@ -319,7 +340,7 @@ func (s *Server) createFromTrace(w http.ResponseWriter, r *http.Request) {
 		}
 		sess, err := s.startSession(spec, src)
 		if err != nil {
-			httpError(w, http.StatusServiceUnavailable, "%v", err)
+			shedLoad(w, err)
 			return
 		}
 		select {
@@ -350,7 +371,7 @@ func (s *Server) createFromTrace(w http.ResponseWriter, r *http.Request) {
 	spec.TraceBytes = int64(len(data))
 	sess, err := s.startSession(spec, src)
 	if err != nil {
-		httpError(w, http.StatusServiceUnavailable, "%v", err)
+		shedLoad(w, err)
 		return
 	}
 	writeJSON(w, http.StatusAccepted, sess.status())
@@ -390,13 +411,13 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, sess.status())
 }
 
-// reportWriter is the export surface gfs.Report and
-// gfs.FederationReport share.
-type reportWriter interface {
-	fmt.Stringer
-	WriteJSONL(io.Writer) error
-	WriteCSV(io.Writer) error
-	WritePrometheus(io.Writer) error
+// reportContentTypes maps each report format to the Content-Type it
+// is served under.
+var reportContentTypes = map[string]string{
+	"text":  "text/plain; charset=utf-8",
+	"jsonl": "application/x-ndjson",
+	"csv":   "text/csv",
+	"prom":  "text/plain; version=0.0.4",
 }
 
 // handleReport serves a finished session's collected report.
@@ -411,10 +432,8 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 	if format == "" {
 		format = "text"
 	}
-	switch format {
-	case "text", "jsonl", "csv", "prom":
-	default:
-		httpError(w, http.StatusBadRequest, "unknown report format %q (valid: text, jsonl, csv, prom)", format)
+	if err := runspec.CheckReportFormat(format); err != nil {
+		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	if r.URL.Query().Get("wait") == "true" {
@@ -433,33 +452,10 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusConflict, "session %s %s: %s", sess.ID(), st.State, st.Error)
 		return
 	}
-	out := sess.result()
-	var rep reportWriter
-	if out.FedReport != nil {
-		rep = out.FedReport
-	} else {
-		rep = out.Report
-	}
-	var err error
-	switch format {
-	case "text":
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		_, err = io.WriteString(w, rep.String())
-	case "jsonl":
-		w.Header().Set("Content-Type", "application/x-ndjson")
-		err = rep.WriteJSONL(w)
-	case "csv":
-		w.Header().Set("Content-Type", "text/csv")
-		err = rep.WriteCSV(w)
-	case "prom":
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-		err = rep.WritePrometheus(w)
-	}
-	if err != nil {
-		// Headers are gone; nothing left to do but drop the
-		// connection mid-body.
-		return
-	}
+	w.Header().Set("Content-Type", reportContentTypes[format])
+	// A write error means the headers are gone; nothing left to do
+	// but drop the connection mid-body.
+	_ = runspec.WriteReport(w, sess.result(), format)
 }
 
 // handleMetrics serves the daemon's operational counters followed by
@@ -475,7 +471,13 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		if sess.State() != StateDone {
 			continue
 		}
-		reports = append(reports, gfs.LabeledReport{Label: sess.ID(), Report: sess.result().promReport()})
+		// A federated run contributes its aggregate view.
+		out := sess.result()
+		rep := out.Report
+		if out.FedReport != nil {
+			rep = out.FedReport.Aggregate
+		}
+		reports = append(reports, gfs.LabeledReport{Label: sess.ID(), Report: rep})
 	}
 	gfs.WritePrometheusLabeled(w, "session", reports)
 }

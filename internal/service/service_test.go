@@ -14,6 +14,7 @@ import (
 	"time"
 
 	gfs "github.com/sjtucitlab/gfs"
+	"github.com/sjtucitlab/gfs/internal/runspec"
 )
 
 // newTestServer mounts a service on httptest with test-friendly
@@ -118,18 +119,16 @@ func fetchReport(t *testing.T, ts *httptest.Server, id, format string) []byte {
 // the engine directly — the byte-parity oracle.
 func referenceJSONL(t *testing.T, spec RunSpec, src gfs.TraceSource) []byte {
 	t.Helper()
-	spec.normalize()
-	out, err := runSpec(context.Background(), spec, src, nil)
+	built, err := runspec.Build(spec, src, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if out.FedReport != nil {
-		err = out.FedReport.WriteJSONL(&buf)
-	} else {
-		err = out.Report.WriteJSONL(&buf)
+	out := built.Run(context.Background())
+	if out.Err != nil {
+		t.Fatal(out.Err)
 	}
-	if err != nil {
+	var buf bytes.Buffer
+	if err := runspec.WriteReport(&buf, out, "jsonl"); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -357,7 +356,16 @@ func TestBacklogFullRejects(t *testing.T) {
 	// the single backlog slot.
 	waitState(t, ts, running.ID, StateRunning, 30*time.Second)
 	queued := postSpec(t, ts, slowSpec(), http.StatusAccepted)
-	postSpec(t, ts, smallSpec(), http.StatusServiceUnavailable)
+	body, _ := json.Marshal(smallSpec())
+	resp, err := http.Post(ts.URL+"/v1/sessions", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") != "1" {
+		t.Fatalf("submission over a full backlog = %d (Retry-After %q), want 503 with Retry-After: 1",
+			resp.StatusCode, resp.Header.Get("Retry-After"))
+	}
 	for _, id := range []string{running.ID, queued.ID} {
 		req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/sessions/"+id, nil)
 		resp, err := http.DefaultClient.Do(req)
@@ -368,14 +376,43 @@ func TestBacklogFullRejects(t *testing.T) {
 	}
 }
 
+// panicSource is a trace source that blows up mid-replay.
+type panicSource struct{}
+
+func (panicSource) Next() (*gfs.Task, error) { panic("boom: source exploded") }
+func (panicSource) Close() error             { return nil }
+
+// TestPanickingRunFailsSession: a panic inside a run lands its
+// session in failed with the panic text — sessions execute under the
+// shared runner's recover — and the daemon keeps serving: a healthy
+// session on the same server still reaches done.
+func TestPanickingRunFailsSession(t *testing.T) {
+	svc, ts := newTestServer(t, Config{Workers: 1})
+	sess, err := svc.startSession(smallSpec(), panicSource{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-sess.Done():
+	case <-time.After(30 * time.Second):
+		t.Fatal("panicking session never reached a terminal state")
+	}
+	st := getStatus(t, ts, sess.ID())
+	if st.State != StateFailed || !strings.Contains(st.Error, "boom: source exploded") {
+		t.Fatalf("panicking session = %s (err %q), want failed with the panic text", st.State, st.Error)
+	}
+	healthy := postSpec(t, ts, smallSpec(), http.StatusAccepted)
+	waitState(t, ts, healthy.ID, StateDone, 30*time.Second)
+}
+
 func TestValidation(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1})
 	cases := []RunSpec{
 		{Scheduler: "nope"},
 		{Scheduler: "yarn", Federation: true},
 		{Nodes: -1},
-		{Nodes: maxNodes + 1},
-		{Days: maxDays + 1},
+		{Nodes: 1 << 20},
+		{Days: 365},
 		{Scenario: "not-a-scenario"},
 		{Route: "nope"},
 	}

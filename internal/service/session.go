@@ -47,7 +47,7 @@ type Session struct {
 	state          State
 	errMsg         string
 	started, ended time.Time
-	outcome        runOutcome
+	outcome        gfs.BatchResult
 }
 
 // ID returns the session identifier.
@@ -80,7 +80,7 @@ func (s *Session) Cancel() bool {
 	}
 	// Don't wait for a worker to drain the backlog entry; the
 	// pool's closure sees the terminal state and skips the run.
-	return s.finish(StateCancelled, runOutcome{}, context.Canceled.Error())
+	return s.finish(StateCancelled, gfs.BatchResult{}, context.Canceled.Error())
 }
 
 // markRunning transitions queued → running; false if the session was
@@ -99,7 +99,7 @@ func (s *Session) markRunning() bool {
 // finish moves the session to a terminal state, recording the outcome
 // and closing the done channel and event stream. The first caller
 // wins; later calls are no-ops returning false.
-func (s *Session) finish(st State, out runOutcome, errMsg string) bool {
+func (s *Session) finish(st State, out gfs.BatchResult, errMsg string) bool {
 	s.mu.Lock()
 	if s.state.Terminal() {
 		s.mu.Unlock()
@@ -116,7 +116,7 @@ func (s *Session) finish(st State, out runOutcome, errMsg string) bool {
 }
 
 // result returns the terminal outcome (zero until done).
-func (s *Session) result() runOutcome {
+func (s *Session) result() gfs.BatchResult {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.outcome

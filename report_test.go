@@ -471,18 +471,20 @@ func TestBatchEngineReports(t *testing.T) {
 }
 
 // TestReplayReportMatchesEagerReport: streaming a trace through
-// RunTraceReport yields the identical report to RunReport over the
-// equivalent task slice.
+// RunTrace with collectors attached yields the identical report to
+// RunReport over the equivalent task slice.
 func TestReplayReportMatchesEagerReport(t *testing.T) {
 	eager := gfs.NewEngine(gfs.NewCluster("A100", 16, 8),
 		gfs.WithScheduler(gfs.NewYARNCS())).RunReport(chaosTrace(17))
-	streamed, err := gfs.NewEngine(gfs.NewCluster("A100", 16, 8),
+	eng := gfs.NewEngine(gfs.NewCluster("A100", 16, 8),
 		gfs.WithScheduler(gfs.NewYARNCS()),
+		gfs.WithCollectors(gfs.DefaultCollectors()...),
 		gfs.WithTraceSource(openBytes(t, encodedChaosTrace(t, 17))),
-	).RunTraceReport()
-	if err != nil {
+	)
+	if _, err := eng.RunTrace(); err != nil {
 		t.Fatal(err)
 	}
+	streamed := eng.Report()
 	var a, b bytes.Buffer
 	if err := eager.WriteJSONL(&a); err != nil {
 		t.Fatal(err)
