@@ -135,6 +135,11 @@ type planCand struct {
 func scanPlan(nodes []*cluster.Node, need int, victimsFor func(n *cluster.Node, need int) []*task.Task, planCost func(n *cluster.Node, victims []*task.Task) float64) planCand {
 	var best planCand
 	for _, n := range nodes {
+		// No subset of a node's spot tasks frees more than its
+		// reclaimable cards: reject in O(1) before ordering victims.
+		if n.ReclaimableGPUs() < need {
+			continue
+		}
 		victims := victimsFor(n, need)
 		if victims == nil {
 			continue
@@ -179,13 +184,9 @@ func minimalVictims(n *cluster.Node, need int, order []*task.Task) []*task.Task 
 	if n.WholeFreeGPUs() >= need {
 		return []*task.Task{}
 	}
-	victimSet := make(map[int]bool)
-	var victims []*task.Task
-	for _, v := range order {
-		victimSet[v.ID] = true
-		victims = append(victims, v)
-		if n.WholeFreeGPUsExcluding(victimSet) >= need {
-			return victims
+	for i := range order {
+		if n.WholeFreeGPUsWithout(order[:i+1]) >= need {
+			return order[:i+1]
 		}
 	}
 	return nil

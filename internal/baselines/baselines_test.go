@@ -2,9 +2,12 @@ package baselines
 
 import (
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/sjtucitlab/gfs/internal/cluster"
+	"github.com/sjtucitlab/gfs/internal/opt"
 	"github.com/sjtucitlab/gfs/internal/sched"
 	"github.com/sjtucitlab/gfs/internal/simclock"
 	"github.com/sjtucitlab/gfs/internal/task"
@@ -315,6 +318,54 @@ func TestNames(t *testing.T) {
 	for _, s := range allSchedulers() {
 		if !want[s.Name()] {
 			t.Fatalf("unexpected name %q", s.Name())
+		}
+	}
+}
+
+// TestMinimalVictimsMatchesMapPath: on random mixed nodes and random
+// victim orders, the map-free prefix search returns the prefix the
+// map-based one did, agrees with the exhaustive solver on victim
+// count bounds, and a node the O(1) reclaimable test rejects is one
+// where no order yields a plan.
+func TestMinimalVictimsMatchesMapPath(t *testing.T) {
+	for seed := int64(1); seed <= 300; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n := cluster.NewHomogeneous("A100", 1, 8).Nodes()[0]
+		for id := 1; id <= 10; id++ {
+			tk := mkTask(id, task.Type(rng.Intn(2)), 1, []float64{0.25, 0.5, 1, 1, 2, 4}[rng.Intn(6)])
+			_ = n.PlacePod(tk) // pods that do not fit are simply absent
+		}
+		if rng.Intn(8) == 0 {
+			n.SetCordoned(true)
+		}
+		order := n.SpotTasks()
+		rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
+		order = order[:rng.Intn(len(order)+1)] // Chronus offers only expired leases
+		for need := 1; need <= 8; need++ {
+			var want []*task.Task
+			if n.WholeFreeGPUs() >= need {
+				want = []*task.Task{}
+			} else {
+				set := make(map[int]bool)
+				for i, v := range order {
+					set[v.ID] = true
+					if n.WholeFreeGPUsExcluding(set) >= need {
+						want = order[:i+1]
+						break
+					}
+				}
+			}
+			got := minimalVictims(n, need, order)
+			if (got == nil) != (want == nil) || !slices.Equal(got, want) {
+				t.Fatalf("seed %d %v need %d: victims %v, map path %v", seed, n, need, got, want)
+			}
+			minCount := opt.MinVictimCount(n, need)
+			if got != nil && len(got) < minCount {
+				t.Fatalf("seed %d %v need %d: %d victims beat the solver's minimum %d", seed, n, need, len(got), minCount)
+			}
+			if n.ReclaimableGPUs() < need && (got != nil || minCount >= 0) {
+				t.Fatalf("seed %d %v need %d: rejected in O(1) yet plannable (%v, solver %d)", seed, n, need, got, minCount)
+			}
 		}
 	}
 }

@@ -3,6 +3,7 @@ package cluster
 import (
 	"errors"
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -326,5 +327,67 @@ func TestCapacityConservedProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestReclaimableAndWithoutMatchMapPath: through random placements
+// and releases of whole-card and fractional, HP and spot pods, on
+// nodes that get cordoned and failed, the O(1) reclaimable-cards
+// count equals the map path's evict-every-spot-task count, and the
+// slice-based WholeFreeGPUsWithout equals WholeFreeGPUsExcluding on
+// random victim subsets of either class.
+func TestReclaimableAndWithoutMatchMapPath(t *testing.T) {
+	for seed := int64(1); seed <= 200; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n := NewNode(0, "A100", 8)
+		var live []*task.Task
+		for step, id := 0, 1; step < 60; step++ {
+			switch r := rng.Intn(10); {
+			case r < 6:
+				tk := newTask(id, task.Type(rng.Intn(2)), 1, []float64{0.25, 0.5, 0.5, 1, 2, 4}[rng.Intn(6)])
+				id++
+				if n.PlacePod(tk) == nil {
+					if rng.Intn(3) == 0 {
+						_ = n.PlacePod(tk) // a second pod, when it fits
+					}
+					live = append(live, tk)
+				}
+			case r < 9 && len(live) > 0:
+				i := rng.Intn(len(live))
+				n.ReleaseTask(live[i])
+				live = append(live[:i], live[i+1:]...)
+			case r == 9:
+				n.SetCordoned(rng.Intn(2) == 0)
+			}
+			spot := make(map[int]bool)
+			for _, tk := range n.SpotTasks() {
+				spot[tk.ID] = true
+			}
+			if got, want := n.ReclaimableGPUs(), n.WholeFreeGPUsExcluding(spot); got != want {
+				t.Fatalf("seed %d step %d %v: ReclaimableGPUs %d, map path %d", seed, step, n, got, want)
+			}
+			var subset []*task.Task
+			set := make(map[int]bool)
+			for _, tk := range live {
+				if rng.Intn(2) == 0 {
+					subset = append(subset, tk)
+					set[tk.ID] = true
+				}
+			}
+			if got, want := n.WholeFreeGPUsWithout(subset), n.WholeFreeGPUsExcluding(set); got != want {
+				t.Fatalf("seed %d step %d %v: WholeFreeGPUsWithout %d, map path %d", seed, step, n, got, want)
+			}
+		}
+		for _, tk := range live {
+			n.ReleaseTask(tk)
+		}
+		n.SetDown(true)
+		if n.ReclaimableGPUs() != 0 || n.WholeFreeGPUsWithout(nil) != 0 {
+			t.Fatalf("seed %d: a down node reclaims %d / frees %d", seed, n.ReclaimableGPUs(), n.WholeFreeGPUsWithout(nil))
+		}
+		n.SetDown(false)
+		if n.ReclaimableGPUs() != 8 {
+			t.Fatalf("seed %d: an empty node reclaims %d of 8", seed, n.ReclaimableGPUs())
+		}
 	}
 }

@@ -73,7 +73,6 @@ type Node struct {
 	// gpus so WholeFreeGPUs — the whole-card admission test run for
 	// every node on every placement — is O(1) instead of a card scan.
 	wholeFree int
-
 	// version counts occupancy mutations (placements, releases,
 	// up/down transitions). Schedulers and the cluster's aggregate
 	// cache key derived values on it, re-computing only for nodes
@@ -93,6 +92,13 @@ type Node struct {
 	// cordoned marks a draining node: it accepts no new placements
 	// but keeps its running pods and stays in capacity totals.
 	cordoned bool
+	// spotCards counts cards in use whose tenants are all spot tasks
+	// (HP and spot never share a card), maintained in lockstep with
+	// wholeFree so the preemption feasibility test ReclaimableGPUs is
+	// O(1) too. It is an int32 beside the flags so that it packs into
+	// their padding: the 10,000-node placement scans are memory-bound
+	// and a wider Node measurably slows them.
+	spotCards int32
 
 	// pods tracks how many pods of each task run here and the
 	// per-pod GPU request, so victims can be released. Sorted by
@@ -224,6 +230,53 @@ func (n *Node) WholeFreeGPUsExcluding(victims map[int]bool) int {
 	return c
 }
 
+// WholeFreeGPUsWithout is WholeFreeGPUsExcluding over a short victim
+// list instead of a set: victim sets on one node hold a handful of
+// tasks, so a linear membership test beats building a map per plan.
+func (n *Node) WholeFreeGPUsWithout(victims []*task.Task) int {
+	if !n.Schedulable() {
+		return 0
+	}
+	c := n.wholeFree
+	for i := range n.gpus {
+		g := &n.gpus[i]
+		if g.used == 0 {
+			continue
+		}
+		all := true
+		for _, sh := range g.shares {
+			if !hasTask(victims, sh.taskID) {
+				all = false
+				break
+			}
+		}
+		if all {
+			c++
+		}
+	}
+	return c
+}
+
+func hasTask(ts []*task.Task, id int) bool {
+	for _, t := range ts {
+		if t.ID == id {
+			return true
+		}
+	}
+	return false
+}
+
+// ReclaimableGPUs counts the cards that would be completely free if
+// every spot task on the node were evicted: idle cards plus cards held
+// only by spot tenants. It is the O(1) upper bound preemption planning
+// tests before building any victim set.
+func (n *Node) ReclaimableGPUs() int {
+	if !n.Schedulable() {
+		return 0
+	}
+	return n.wholeFree + int(n.spotCards)
+}
+
 // HPGPUs returns GPU capacity currently held by HP tasks.
 func (n *Node) HPGPUs() float64 { return n.hpUsed }
 
@@ -324,6 +377,9 @@ func (n *Node) addShare(i, taskID int, frac float64, spot bool) {
 	g := &n.gpus[i]
 	if g.used == 0 {
 		n.wholeFree--
+		if spot {
+			n.spotCards++
+		}
 	}
 	if j, _ := g.shareOf(taskID); j >= 0 {
 		g.shares[j].frac += frac
@@ -351,6 +407,9 @@ func (n *Node) ReleaseTask(tk *task.Task) bool {
 			if g.used < 1e-12 {
 				g.used = 0
 				n.wholeFree++
+				if g.spot {
+					n.spotCards--
+				}
 			}
 			// Order within shares carries no meaning, so swap-remove.
 			last := len(g.shares) - 1
@@ -386,14 +445,17 @@ func (n *Node) PodsOf(id int) int {
 
 // SpotTasks returns the spot tasks currently running on this node,
 // sorted by task ID for determinism.
-func (n *Node) SpotTasks() []*task.Task {
-	var out []*task.Task
+func (n *Node) SpotTasks() []*task.Task { return n.AppendSpotTasks(nil) }
+
+// AppendSpotTasks appends the node's spot tasks to dst in task-ID
+// order, so per-node scans can reuse one buffer.
+func (n *Node) AppendSpotTasks(dst []*task.Task) []*task.Task {
 	for i := range n.pods {
 		if n.pods[i].task.Type == task.Spot {
-			out = append(out, n.pods[i].task)
+			dst = append(dst, n.pods[i].task)
 		}
 	}
-	return out
+	return dst
 }
 
 // Tasks returns all tasks on this node sorted by ID.
@@ -452,17 +514,8 @@ func (n *Node) WeightedEvictionRate(now simclock.Time, gamma float64, short, lon
 // packed. A node with 0 or a full multiple of usable sizes scores 0.
 func (n *Node) Fragmentation() float64 {
 	idle := n.WholeFreeGPUs()
-	rem := idle
-	for _, s := range []int{8, 4, 2, 1} {
-		rem %= s
-		if rem == 0 {
-			break
-		}
-	}
-	// With sizes down to 1 the remainder is always 0; instead,
-	// count idle capacity that cannot serve the largest popular
-	// request still pending. We use distance-to-alignment: idle
-	// cards that do not complete a group of 8 are worth less.
+	// Distance-to-alignment: idle cards that do not complete a group
+	// of 8 are worth less.
 	frag := 0.0
 	if idle > 0 && idle < 8 {
 		// Stranded fraction grows as idle drifts away from any

@@ -7,9 +7,10 @@
 package pts
 
 import (
+	"cmp"
 	"errors"
 	"math"
-	"sort"
+	"slices"
 
 	"github.com/sjtucitlab/gfs/internal/cluster"
 	"github.com/sjtucitlab/gfs/internal/sched"
@@ -75,10 +76,22 @@ type Scheduler struct {
 
 	// Per-shard scratch for sharded scans (see Context.Par): local
 	// argmax winners, deferred breaker trips, and preemption
-	// candidates, reused across scans.
+	// candidates, reused across scans. Serial scans use slot 0.
 	parBest  []scored
 	parTrips [][]*cluster.Node
-	parPre   []preemptCand
+	parPre   []preemptScratch
+}
+
+// preemptScratch is one shard's preemption-planning workspace: the
+// range winner, two victim buffers — the node being costed and the
+// leader so far, swapped when a node takes the lead, so planning
+// allocates nothing — and the scan's work counts.
+type preemptScratch struct {
+	best      preemptCand
+	cur, lead []*task.Task
+	// rejected counts nodes the O(1) reclaimable-cards test ruled out,
+	// costed those whose victim set was built.
+	rejected, costed uint64
 }
 
 // cachedScore holds a node's packing score (Eq. 13) and both class
@@ -271,12 +284,14 @@ func (s *Scheduler) applyTrips(ctx *sched.Context, trips [][]*cluster.Node) {
 }
 
 // scratch ensures the per-shard result and trip buffers cover shards
-// slots and returns them truncated to that size.
-func (s *Scheduler) scratch(shards int) ([]scored, [][]*cluster.Node, []preemptCand) {
+// slots and returns them truncated to that size. The preemption
+// workspaces grow in place: their buffers and work counts outlive any
+// one scan.
+func (s *Scheduler) scratch(shards int) ([]scored, [][]*cluster.Node, []preemptScratch) {
 	if cap(s.parBest) < shards {
 		s.parBest = make([]scored, shards)
 		s.parTrips = make([][]*cluster.Node, shards)
-		s.parPre = make([]preemptCand, shards)
+		s.parPre = append(s.parPre, make([]preemptScratch, shards-len(s.parPre))...)
 	}
 	return s.parBest[:shards], s.parTrips[:shards], s.parPre[:shards]
 }
@@ -397,31 +412,33 @@ type preemptCand struct {
 // bestPreemption evaluates candidate nodes for one pod and returns
 // the minimum-cost node with its trimmed victim set. evictedSoFar
 // feeds the |T_k| term so multi-pod placements account for earlier
-// victims.
+// victims. The victims live in scheduler scratch, valid until the
+// next call.
 func (s *Scheduler) bestPreemption(ctx *sched.Context, tk *task.Task, evictedSoFar int) (*cluster.Node, []*task.Task) {
 	nodes := ctx.State.Cluster.NodesOfModel(tk.GPUModel)
 	if cand, ok := s.bestPreemptionSharded(ctx, tk, evictedSoFar, nodes); ok {
 		return cand.node, cand.victims
 	}
-	cand := s.scanPreempt(ctx, tk, evictedSoFar, nodes)
+	_, _, pre := s.scratch(1)
+	cand := s.scanPreempt(ctx, tk, evictedSoFar, nodes, &pre[0])
 	return cand.node, cand.victims
 }
 
-// scanPreempt runs the Algorithm 2 node loop over one range. Victim
-// sets are pure functions of node state, so ranges can be scanned
-// concurrently; the cost comparator's node-ID tie-break makes the
-// argmin a total order, so a shard-ordered reduce of range winners
-// equals the full serial scan. Under RandomPreemption the range
-// winner is its first feasible node, and the reduce takes the lowest
-// shard's — the global first feasible, matching the serial early
-// return (which merely avoided costing the rest).
-func (s *Scheduler) scanPreempt(ctx *sched.Context, tk *task.Task, evictedSoFar int, nodes []*cluster.Node) preemptCand {
+// scanPreempt runs the Algorithm 2 node loop over one range, using sc
+// as its workspace. Victim sets are pure functions of node state, so
+// ranges can be scanned concurrently; the cost comparator's node-ID
+// tie-break makes the argmin a total order, so a shard-ordered reduce
+// of range winners equals the full serial scan. Under RandomPreemption
+// the range winner is its first feasible node, and the reduce takes
+// the lowest shard's — the global first feasible, matching the serial
+// early return (which merely avoided costing the rest).
+func (s *Scheduler) scanPreempt(ctx *sched.Context, tk *task.Task, evictedSoFar int, nodes []*cluster.Node, sc *preemptScratch) preemptCand {
 	need := podNeed(tk)
 	elapsed := ctx.ElapsedSeconds()
 	cand := preemptCand{cost: math.Inf(1)}
 	for _, n := range nodes {
-		victims := s.victimSet(ctx, n, need)
-		if victims == nil {
+		victims, ok := s.victimSet(ctx, n, need, sc)
+		if !ok {
 			continue
 		}
 		if s.cfg.RandomPreemption {
@@ -438,6 +455,9 @@ func (s *Scheduler) scanPreempt(ctx *sched.Context, tk *task.Task, evictedSoFar 
 		cost := preemptionCost(ctx.G, ctx.F+evictedSoFar, victims, s.cfg.Beta, gpuSeconds, ctx.Now)
 		if cost < cand.cost || (cost == cand.cost && cand.node != nil && n.ID < cand.node.ID) {
 			cand = preemptCand{node: n, victims: victims, cost: cost}
+			// The leader's victims stay put; later nodes are costed
+			// in the other buffer.
+			sc.cur, sc.lead = sc.lead, sc.cur
 		}
 	}
 	return cand
@@ -454,86 +474,80 @@ func (s *Scheduler) bestPreemptionSharded(ctx *sched.Context, tk *task.Task, evi
 	shards := par.Shards()
 	_, _, pre := s.scratch(shards)
 	for i := range pre {
-		pre[i] = preemptCand{cost: math.Inf(1)}
+		pre[i].best = preemptCand{cost: math.Inf(1)}
 	}
 	if !par.Scan(len(nodes), func(shard, lo, hi int) {
-		pre[shard] = s.scanPreempt(ctx, tk, evictedSoFar, nodes[lo:hi])
+		pre[shard].best = s.scanPreempt(ctx, tk, evictedSoFar, nodes[lo:hi], &pre[shard])
 	}) {
 		return preemptCand{}, false
 	}
 	win := preemptCand{cost: math.Inf(1)}
 	for i := range pre {
-		if pre[i].node == nil {
+		c := pre[i].best
+		if c.node == nil {
 			continue
 		}
 		if s.cfg.RandomPreemption {
 			// Lowest shard with a feasible node holds the global
 			// first feasible.
-			return pre[i], true
+			return c, true
 		}
-		if pre[i].cost < win.cost || (pre[i].cost == win.cost && win.node != nil && pre[i].node.ID < win.node.ID) {
-			win = pre[i]
+		if c.cost < win.cost || (c.cost == win.cost && win.node != nil && c.node.ID < win.node.ID) {
+			win = c
 		}
 	}
 	return win, true
 }
 
-// victimSet returns the minimal victim set on n freeing need whole
-// cards, or nil when even evicting every spot task is insufficient.
-// Victims are trimmed in descending waste order (Alg. 2 lines 8–11)
-// so high-waste tasks survive preemption when possible.
-func (s *Scheduler) victimSet(ctx *sched.Context, n *cluster.Node, need int) []*task.Task {
-	spot := n.SpotTasks()
-	if len(spot) == 0 {
-		if n.WholeFreeGPUs() >= need {
-			return []*task.Task{}
-		}
-		return nil
+// victimSet returns the minimal victim set on n, in task-ID order,
+// freeing need whole cards; ok is false when n is no candidate.
+// Evicting every spot tenant frees at most the reclaimable cards, so
+// nodes short of that — most of a contended cluster — fail in O(1)
+// before any set is built. Victims are trimmed in descending waste
+// order (Alg. 2 lines 8–11) so high-waste tasks survive preemption
+// when possible. A node whose idle cards suffice is a candidate only
+// if it hosts no spot task at all: the trim of a mixed node then
+// spares every tenant, and a plan that preempts nobody there is left
+// to the non-preemptive path (behaviour the golden logs pin). The
+// result aliases sc.cur.
+func (s *Scheduler) victimSet(ctx *sched.Context, n *cluster.Node, need int, sc *preemptScratch) (victims []*task.Task, ok bool) {
+	if n.ReclaimableGPUs() < need {
+		sc.rejected++
+		return nil, false
 	}
-	all := make(map[int]bool, len(spot))
-	for _, v := range spot {
-		all[v.ID] = true
-	}
-	if n.WholeFreeGPUsExcluding(all) < need {
-		return nil
-	}
+	sc.costed++
+	buf := n.AppendSpotTasks(sc.cur[:0])
+	sc.cur = buf
 	if s.cfg.RandomPreemption {
 		// GFS-p ablation: accumulate victims in arbitrary (ID)
 		// order until the requirement is met, waste-blind.
-		victimSet := make(map[int]bool)
-		var out []*task.Task
-		for _, v := range spot {
-			victimSet[v.ID] = true
-			out = append(out, v)
-			if n.WholeFreeGPUsExcluding(victimSet) >= need {
-				return out
+		for i := range buf {
+			if n.WholeFreeGPUsWithout(buf[:i+1]) >= need {
+				return buf[:i+1], true
 			}
 		}
-		return out
+		return buf, true
 	}
 	// Waste-aware trim (Alg. 2): spare the highest-waste victims
-	// first.
-	order := append([]*task.Task(nil), spot...)
-	sort.Slice(order, func(i, j int) bool {
-		wi, wj := order[i].Waste(ctx.Now), order[j].Waste(ctx.Now)
-		if wi != wj {
-			return wi > wj
+	// first. buf[:lo] is spared, buf[lo:i] must go, buf[i:] is still
+	// undecided (and counted as going).
+	now := ctx.Now
+	slices.SortFunc(buf, func(a, b *task.Task) int {
+		if wa, wb := a.Waste(now), b.Waste(now); wa != wb {
+			return cmp.Compare(wb, wa)
 		}
-		return order[i].ID < order[j].ID
+		return cmp.Compare(a.ID, b.ID)
 	})
-	for _, v := range order {
-		all[v.ID] = false
-		if n.WholeFreeGPUsExcluding(all) < need {
-			all[v.ID] = true
+	lo := 0
+	for i := range buf {
+		buf[lo], buf[i] = buf[i], buf[lo]
+		if n.WholeFreeGPUsWithout(buf[lo+1:]) >= need {
+			lo++
 		}
 	}
-	var out []*task.Task
-	for _, v := range spot {
-		if all[v.ID] {
-			out = append(out, v)
-		}
-	}
-	return out
+	victims = buf[lo:]
+	slices.SortFunc(victims, func(a, b *task.Task) int { return cmp.Compare(a.ID, b.ID) })
+	return victims, len(victims) > 0 || len(buf) == 0
 }
 
 // preemptionCost implements the simplified Eq. (19):

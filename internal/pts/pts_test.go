@@ -427,11 +427,12 @@ func TestVictimSetInfeasibleNode(t *testing.T) {
 	hp := mkTask(1, task.HP, 1, 6)
 	place(t, s, ctx, hp)
 	// 4 whole cards needed, only 2 free and no spot to evict.
-	if vs := s.victimSet(ctx, cl.Nodes()[0], 4); vs != nil {
-		t.Fatalf("victimSet = %v, want nil (infeasible)", vs)
+	var sc preemptScratch
+	if vs, ok := s.victimSet(ctx, cl.Nodes()[0], 4, &sc); ok {
+		t.Fatalf("victimSet = %v, want infeasible", vs)
 	}
 	// 2 needed: feasible with no victims.
-	if vs := s.victimSet(ctx, cl.Nodes()[0], 2); vs == nil || len(vs) != 0 {
-		t.Fatalf("victimSet = %v, want empty", vs)
+	if vs, ok := s.victimSet(ctx, cl.Nodes()[0], 2, &sc); !ok || len(vs) != 0 {
+		t.Fatalf("victimSet = %v, %v, want empty and feasible", vs, ok)
 	}
 }

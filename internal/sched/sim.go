@@ -147,12 +147,12 @@ type provisionEvent struct{ pool cluster.Pool }
 // loop incrementally so several simulators can advance in lockstep on
 // a shared clock (see RunFederationContext).
 type Simulator struct {
-	cfg     SimConfig
-	queue   *simclock.ShardedQueue
-	state   *State
-	pending []*task.Task
-	epochs  map[int]int
-	now     simclock.Time
+	cfg    SimConfig
+	queue  *simclock.ShardedQueue
+	state  *State
+	pend   pendingQueue
+	epochs map[int]int
+	now    simclock.Time
 
 	// shards is the resolved shard count; group is the worker pool
 	// behind every fan-out (nil when shards == 1) and par its
@@ -241,10 +241,17 @@ type Simulator struct {
 	hpSorted   bool
 	hpFrontier int
 
-	// failedShapes is the scheduling pass's failed-shape set, reused
-	// across passes. Passes see few distinct failed shapes (bounded
-	// by MaxFailuresPerPass), so a linear scan beats a fresh map.
-	failedShapes []taskShape
+	// passCtx is the scheduler-facing context, refilled per pass.
+	passCtx Context
+	// work counts what scheduling passes did; tests gate on it.
+	work passWork
+}
+
+// passWork tallies scheduling-pass work: passes run, distinct shapes
+// queued at pass start (summed), queue entries examined, Schedule
+// calls and starts. The queue itself counts the buckets parked.
+type passWork struct {
+	passes, shapes, examined, calls, starts uint64
 }
 
 // newFinishEvent takes a finish record from the pool (or allocates
@@ -263,30 +270,6 @@ func (s *Simulator) newFinishEvent(tk *task.Task, epoch int) *finishEvent {
 type queueObs struct {
 	at  simclock.Time
 	dur simclock.Duration
-}
-
-// taskShape keys placement-feasibility: two pending tasks with the
-// same shape either both fit or both fail against the same cluster
-// state.
-type taskShape struct {
-	typ        task.Type
-	pods       int
-	gpusPerPod float64
-	model      string
-}
-
-func shapeOfTask(tk *task.Task) taskShape {
-	return taskShape{typ: tk.Type, pods: tk.Pods, gpusPerPod: tk.GPUsPerPod, model: tk.GPUModel}
-}
-
-// shapeFailed reports whether shape already failed this pass.
-func (s *Simulator) shapeFailed(shape taskShape) bool {
-	for i := range s.failedShapes {
-		if s.failedShapes[i] == shape {
-			return true
-		}
-	}
-	return false
 }
 
 // Run executes the simulation over the given trace and returns the
@@ -316,6 +299,7 @@ func NewSimulator(cfg SimConfig, tasks []*task.Task) *Simulator {
 	shards := resolveShards(cfg.Shards)
 	s := &Simulator{
 		cfg:       cfg,
+		pend:      pendingQueue{sched: cfg.Scheduler, byShape: make(map[taskShape]*shapeBucket)},
 		queue:     simclock.NewShardedQueue(shards),
 		shards:    shards,
 		state:     NewState(cfg.Cluster),
@@ -421,7 +405,7 @@ func (s *Simulator) Now() simclock.Time { return s.now }
 
 // PendingTasks returns the number of tasks waiting in the scheduling
 // queue.
-func (s *Simulator) PendingTasks() int { return len(s.pending) }
+func (s *Simulator) PendingTasks() int { return s.pend.n }
 
 // Step processes the next timestamp bundle — every event sharing the
 // earliest pending timestamp, followed by at most one scheduling pass
@@ -542,7 +526,7 @@ func (s *Simulator) handle(ev simclock.Event) bool {
 	switch e := ev.Value.(type) {
 	case *task.Task: // arrival
 		e.EnterQueue(s.now)
-		s.insertPending(e)
+		s.pend.insert(e)
 		s.lastProgress = s.now
 		if s.hasObs {
 			s.emit(Event{Kind: TaskArrived, Task: e})
@@ -590,7 +574,7 @@ func (s *Simulator) handle(ev simclock.Event) bool {
 		s.autoscaleTick()
 		// Keep ticking while there is anything left to drive.
 		active := s.queue.Len() > 0 || s.running > 0
-		stalled := len(s.pending) > 0 && s.now.Sub(s.lastProgress) < s.cfg.IdleTimeout
+		stalled := s.pend.n > 0 && s.now.Sub(s.lastProgress) < s.cfg.IdleTimeout
 		if active || stalled {
 			s.queue.Push(0, s.now.Add(s.cfg.QuotaInterval), tickEvent{})
 		} else {
@@ -878,14 +862,15 @@ func (s *Simulator) autoscaleTick() {
 	if s.cfg.Autoscaler == nil {
 		return
 	}
+	// Only guaranteed work drives capacity purchases; queued spot is
+	// opportunistic and harvests whatever headroom exists. The fold
+	// runs in queue order: float addition is not associative.
 	pend := 0.0
-	for _, tk := range s.pending {
-		// Only guaranteed work drives capacity purchases; queued spot
-		// is opportunistic and harvests whatever headroom exists.
+	s.pend.each(func(tk *task.Task) {
 		if tk.Type == task.HP {
 			pend += tk.TotalGPUs()
 		}
-	}
+	})
 	plan := s.cfg.Autoscaler.Plan(&AutoscaleContext{
 		Now:         s.now,
 		Cluster:     s.state.Cluster,
@@ -1152,7 +1137,7 @@ func (s *Simulator) evictVictim(v *task.Task, cause EvictCause, locs []NodePods)
 		s.migrated[v.ID] = true
 		return
 	}
-	s.insertPending(v)
+	s.pend.insert(v)
 }
 
 // maxSpotQueue is the worst spot queuing experience over the recent
@@ -1160,10 +1145,12 @@ func (s *Simulator) evictVictim(v *task.Task, cause EvictCause, locs []NodePods)
 // starts.
 func (s *Simulator) maxSpotQueue() simclock.Duration {
 	var maxQ simclock.Duration
-	for _, tk := range s.pending {
-		if tk.Type == task.Spot {
-			if w := s.now.Sub(tk.QueuedSince); w > maxQ {
-				maxQ = w
+	for _, b := range s.pend.buckets {
+		for _, e := range b.entries {
+			if e.tk.Type == task.Spot {
+				if w := s.now.Sub(e.tk.QueuedSince); w > maxQ {
+					maxQ = w
+				}
 			}
 		}
 	}
@@ -1181,28 +1168,20 @@ func (s *Simulator) maxSpotQueue() simclock.Duration {
 	return maxQ
 }
 
-// insertPending adds tk to the pending queue, keeping it ordered by
-// the scheduler's Less (insertion after equals preserves stability).
-func (s *Simulator) insertPending(tk *task.Task) {
-	i := sort.Search(len(s.pending), func(i int) bool {
-		return s.cfg.Scheduler.Less(tk, s.pending[i])
-	})
-	s.pending = append(s.pending, nil)
-	copy(s.pending[i+1:], s.pending[i:])
-	s.pending[i] = tk
-}
-
+// schedulePass offers the queue to the scheduler in queue order.
+// Placement failure is deterministic in the task's shape while the
+// cluster state is unchanged, so a shape that fails is parked — every
+// queued task of that shape skipped at once — until a start mutates
+// the state. This lets small tasks backfill past blocked large ones
+// without rescanning the cluster, or even the queue, per entry.
 func (s *Simulator) schedulePass() {
-	if len(s.pending) == 0 {
+	q := &s.pend
+	if q.n == 0 {
 		return
 	}
-	snapshot := s.pending
-	// Victims evicted during the pass land in s.pending (sorted);
-	// kept tasks accumulate separately and the two merge after.
-	s.pending = nil
-	ctx := &Context{
+	ctx := &s.passCtx
+	*ctx = Context{
 		Now:       s.now,
-		Start:     0,
 		State:     s.state,
 		SpotQuota: s.spotQuota,
 		G:         s.gCount,
@@ -1218,75 +1197,53 @@ func (s *Simulator) schedulePass() {
 		}
 	}
 	admitted := 0.0
-
-	var kept []*task.Task
-	failures := 0
-	// Placement failure is deterministic in the task's shape while
-	// the cluster state is unchanged, so a shape that failed once
-	// this pass is skipped until a success mutates the state. This
-	// lets small tasks backfill past blocked large ones without
-	// rescanning the cluster for every queue entry.
-	s.failedShapes = s.failedShapes[:0]
-	for _, tk := range snapshot {
-		if tk.State != task.Pending {
+	// Entries from passSeq on are victims evicted during this pass;
+	// they wait for the next one.
+	passSeq := q.seq
+	q.begin()
+	s.work.passes++
+	s.work.shapes += uint64(len(q.live))
+	for failures := 0; failures < s.cfg.MaxFailuresPerPass; {
+		i := q.min()
+		if i < 0 {
+			break
+		}
+		e := q.live[i].head()
+		tk := e.tk
+		s.work.examined++
+		if e.seq >= passSeq {
+			q.skip(i)
 			continue
 		}
-		shape := shapeOfTask(tk)
-		if failures >= s.cfg.MaxFailuresPerPass || s.shapeFailed(shape) {
-			kept = append(kept, tk)
+		if tk.State != task.Pending {
+			q.remove(i)
 			continue
 		}
 		if tk.Type == task.Spot {
 			if admitted > 0 && admitted+tk.TotalGPUs() > admitLimit {
-				kept = append(kept, tk)
-				continue // ramp-deferred, not a placement failure
+				q.park(i) // ramp-deferred, not a placement failure
+				continue
 			}
 			if s.state.Cluster.SpotGPUs("")+tk.TotalGPUs() > s.spotQuota {
-				kept = append(kept, tk)
-				s.failedShapes = append(s.failedShapes, shape)
+				q.park(i)
 				failures++
 				continue
 			}
 		}
+		s.work.calls++
 		dec, err := s.cfg.Scheduler.Schedule(ctx, tk)
 		if err != nil {
-			kept = append(kept, tk)
-			s.failedShapes = append(s.failedShapes, shape)
+			q.park(i)
 			failures++
 			continue
 		}
 		if tk.Type == task.Spot {
 			admitted += tk.TotalGPUs()
 		}
+		q.resume(q.remove(i))
 		s.apply(tk, dec)
-		s.failedShapes = s.failedShapes[:0]
 		ctx.G, ctx.F = s.gCount, s.fCount
 	}
-	s.mergePending(kept)
-}
-
-// mergePending merges the kept tasks (already ordered) with the
-// victims inserted during the pass (also ordered).
-func (s *Simulator) mergePending(kept []*task.Task) {
-	victims := s.pending
-	if len(victims) == 0 {
-		s.pending = kept
-		return
-	}
-	merged := make([]*task.Task, 0, len(kept)+len(victims))
-	i, j := 0, 0
-	for i < len(kept) && j < len(victims) {
-		if s.cfg.Scheduler.Less(victims[j], kept[i]) {
-			merged = append(merged, victims[j])
-			j++
-		} else {
-			merged = append(merged, kept[i])
-			i++
-		}
-	}
-	merged = append(merged, kept[i:]...)
-	merged = append(merged, victims[j:]...)
-	s.pending = merged
 }
 
 // apply performs the task-lifecycle side effects of a committed
@@ -1308,7 +1265,7 @@ func (s *Simulator) apply(tk *task.Task, dec *Decision) {
 		if s.hasObs {
 			s.emit(Event{Kind: TaskEvicted, Task: v, Cause: CausePreempted, Waste: waste})
 		}
-		s.insertPending(v)
+		s.pend.insert(v)
 	}
 	start := s.now
 	if len(dec.Victims) > 0 && s.cfg.Grace > 0 {
@@ -1323,6 +1280,7 @@ func (s *Simulator) apply(tk *task.Task, dec *Decision) {
 	}
 	s.epochs[tk.ID]++
 	s.running++
+	s.work.starts++
 	s.queue.Push(s.taskShard(tk), end, s.newFinishEvent(tk, s.epochs[tk.ID]))
 	s.sampleAlloc()
 	s.lastProgress = s.now
