@@ -72,10 +72,9 @@ func NamedAutoscaler(name string) (*AutoscalePolicy, error) {
 
 // WithAutoscaler installs an autoscaler: it is consulted at every
 // quota tick and may provision new pools (delivered after a pre-warm
-// lead through the same global-sequence event path scenario actions
-// use, so sharded runs stay byte-identical) and retire nodes, which
-// drain rather than strand their tasks. Capacity churn reaches
-// observers as NodeProvisioned / NodeRetired events.
+// lead through the same event path scenario actions use) and retire
+// nodes, which drain rather than strand their tasks. Capacity churn
+// reaches observers as NodeProvisioned / NodeRetired events.
 func WithAutoscaler(a Autoscaler) Option {
 	return func(e *Engine) { e.cfg.Autoscaler = a }
 }

@@ -10,7 +10,6 @@ import (
 	"bytes"
 	"compress/gzip"
 	"math"
-	"runtime"
 	"testing"
 
 	gfs "github.com/sjtucitlab/gfs"
@@ -180,21 +179,18 @@ func BenchmarkReport(b *testing.B) {
 	}
 }
 
-// benchSim10K drives one full run at production node count: the
-// sim10KScale pool under YARN-CS, at the given event-loop shard
-// count (0 = serial engine default).
-func benchSim10K(b *testing.B, shards int) {
-	b.Helper()
+// BenchmarkSim10K is the scale gate of the hot-path rewrite — one
+// full run at production node count, the sim10KScale pool under
+// YARN-CS. A single op must stay under two seconds (see
+// docs/performance.md), which only holds while per-event costs stay
+// flat in cluster size.
+func BenchmarkSim10K(b *testing.B) {
 	scale := sim10KScale()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		tasks := scale.Trace(1)
-		opts := []gfs.Option{gfs.WithScheduler(gfs.NewYARNCS())}
-		if shards > 0 {
-			opts = append(opts, gfs.WithShards(shards))
-		}
-		eng := gfs.NewEngine(gfs.NewCluster("A100", scale.Nodes, scale.GPUsPerNode), opts...)
+		eng := gfs.NewEngine(gfs.NewCluster("A100", scale.Nodes, scale.GPUsPerNode), gfs.WithScheduler(gfs.NewYARNCS()))
 		b.StartTimer()
 		res := eng.Run(tasks)
 		if i == b.N-1 {
@@ -202,22 +198,6 @@ func benchSim10K(b *testing.B, shards int) {
 			b.ReportMetric(100*res.AllocationRate, "allocPct")
 		}
 	}
-}
-
-// BenchmarkSim10K is the scale gate of the hot-path rewrite — a single
-// op must stay under two seconds (see docs/performance.md), which only
-// holds while per-event costs stay flat in cluster size. It runs the
-// serial engine; BenchmarkSim10KParallel is the sharded twin.
-func BenchmarkSim10K(b *testing.B) { benchSim10K(b, 0) }
-
-// BenchmarkSim10KParallel runs the same 10,000-node workload with the
-// event loop sharded across runtime.NumCPU() workers (min 2, so the
-// parallel machinery is exercised even on one-core runners). Results
-// are byte-identical to BenchmarkSim10K by the WithShards contract;
-// the CI benchgate asserts the parallel median beats the serial one on
-// multi-core runners (warn-only at ≤2 cores).
-func BenchmarkSim10KParallel(b *testing.B) {
-	benchSim10K(b, max(2, runtime.NumCPU()))
 }
 
 // BenchmarkAutoscale bounds the capacity-planning overhead at

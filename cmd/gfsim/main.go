@@ -49,9 +49,9 @@
 // or "reactive"): it provisions and retires nodes mid-run across the
 // spot → on-demand → reserved tier ladder, and its capacity churn
 // shows up in -events output as NodeProvisioned / NodeRetired. It
-// composes with every scheduler, -trace, -scenario, -report and
-// -shards; federation members manage capacity per engine, so it is
-// rejected alongside -federation.
+// composes with every scheduler, -trace, -scenario and -report;
+// federation members manage capacity per engine, so it is rejected
+// alongside -federation.
 package main
 
 import (
@@ -112,7 +112,6 @@ func parseFlags(fs *flag.FlagSet, args []string) (*invocation, error) {
 	route := fs.String("route", def.Route, "federation route policy (least-loaded, cheapest-spot, forecast-aware, round-robin)")
 	tracePath := fs.String("trace", "", "replay this trace file (streamed; gzip and format auto-detected) instead of generating a workload")
 	report := fs.String("report", "", "emit the collected run report in this format (text, jsonl, csv, prom)")
-	shards := fs.Int("shards", 0, "event-loop shards (0 = GFS_SHARDS env, then serial); results are byte-identical at any value")
 	autoscalePolicy := fs.String("autoscale", "", "capacity autoscaler policy (predictive, reactive); provisions/retires nodes mid-run")
 	if err := fs.Parse(args); err != nil {
 		return nil, err
@@ -142,7 +141,7 @@ func parseFlags(fs *flag.FlagSet, args []string) (*invocation, error) {
 	inv := &invocation{
 		spec: runspec.Spec{
 			Scheduler: *scheduler, Nodes: *nodes, Days: *days, SpotScale: *spotScale, Seed: *seed,
-			Shards: *shards, Scenario: *scenario, Federation: *federation, Route: *route,
+			Scenario: *scenario, Federation: *federation, Route: *route,
 		},
 		hours: *guarantee, events: *events, trace: *tracePath, report: *report,
 	}

@@ -35,12 +35,12 @@ func TestFlagsLowerOntoSpec(t *testing.T) {
 	}
 
 	inv, err = parse("-scheduler", "gfs-e", "-nodes", "64", "-days", "2", "-spotscale", "2", "-seed", "5",
-		"-hours", "4", "-shards", "2", "-scenario", "rack-failure", "-autoscale", "reactive", "-report", "jsonl", "-events", "9")
+		"-hours", "4", "-scenario", "rack-failure", "-autoscale", "reactive", "-report", "jsonl", "-events", "9")
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := def
-	want.Nodes, want.Days, want.SpotScale, want.Seed, want.Shards = 64, 2, 2, 5, 2
+	want.Nodes, want.Days, want.SpotScale, want.Seed = 64, 2, 2, 5
 	want.Scenario = "rack-failure"
 	want.Autoscale = &runspec.AutoscaleSpec{Mode: "reactive"}
 	if !reflect.DeepEqual(inv.spec, want) {
@@ -86,6 +86,7 @@ func TestRejections(t *testing.T) {
 		{[]string{"-autoscale", "nope"}, specError(`{"autoscale":{"mode":"nope"}}`)},
 		{[]string{"-nodes", "100000"}, specError(`{"nodes":100000}`)},
 		{[]string{"-report", "xml"}, runspec.CheckReportFormat("xml").Error()},
+		{[]string{"-shards", "2"}, "flag provided but not defined: -shards"},
 	}
 	for _, c := range cases {
 		_, err := parse(c.args...)

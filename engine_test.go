@@ -3,6 +3,7 @@ package gfs_test
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
 
 	gfs "github.com/sjtucitlab/gfs"
@@ -295,5 +296,30 @@ func TestEngineConfigRoundTrip(t *testing.T) {
 	want := build().Run(chaosTrace(5))
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("sched.Run(Engine.Config()) diverged from Engine.Run:\n got  %+v\n want %+v", got, want)
+	}
+}
+
+// TestWithShardsIsInert: the deprecated option changes nothing. On a
+// cluster big enough that the deleted sharded core would have fanned
+// its placement scans out, a WithShards(4) run logs the same events as
+// the plain engine and never raises the goroutine count — the engine
+// spawns nothing.
+func TestWithShardsIsInert(t *testing.T) {
+	run := func(extra ...gfs.Option) (string, int) {
+		log := &gfs.EventLog{}
+		peak := 0
+		watch := gfs.ObserverFunc(func(gfs.Event) { peak = max(peak, runtime.NumGoroutine()) })
+		opts := append([]gfs.Option{gfs.WithObserver(log), gfs.WithObserver(watch)}, extra...)
+		gfs.NewEngine(gfs.NewCluster("A100", 1024, 8), opts...).Run(chaosTrace(9))
+		return log.String(), peak
+	}
+	before := runtime.NumGoroutine()
+	plain, _ := run()
+	sharded, peak := run(gfs.WithShards(4))
+	if plain == "" || sharded != plain {
+		t.Fatal("WithShards(4) changed the event log")
+	}
+	if peak > before {
+		t.Fatalf("goroutines rose from %d to %d during a WithShards(4) run", before, peak)
 	}
 }

@@ -147,8 +147,7 @@ func replayStormCase(sched gfs.Scheduler, seed int64) string {
 // autoscaleCase runs the full GFS stack with the built-in capacity
 // policy over an under-provisioned cluster, so the workload forces
 // mid-run provisions and idle retirements onto the event spine. A
-// fresh policy is built per call — policies keep per-run state, and
-// the shard-equivalence suite reruns each case at several widths.
+// fresh policy is built per call — policies keep per-run state.
 func autoscaleCase(mode gfs.AutoscaleMode, seed int64) string {
 	log := &gfs.EventLog{}
 	pol := &gfs.AutoscalePolicy{

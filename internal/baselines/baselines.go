@@ -35,55 +35,21 @@ func placeBy(ctx *sched.Context, tk *task.Task, score func(n *cluster.Node) floa
 	return placeByFiltered(ctx, tk, nil, score)
 }
 
-// scoredNode is one scan range's argmin under the (score, node-ID)
-// order.
-type scoredNode struct {
-	node  *cluster.Node
-	score float64
-}
-
-// scanScored finds the argmin of score over the fitting nodes of one
-// range (ok == nil admits all). The comparator's node-ID tie-break
-// makes it a total order, so per-range argmins reduced in shard order
-// equal the full serial scan.
-func scanScored(tk *task.Task, nodes []*cluster.Node, ok func(*cluster.Node) bool, score func(*cluster.Node) float64) scoredNode {
-	var best scoredNode
+// bestScored picks one pod's node: the argmin of score over the
+// fitting candidates (ok == nil admits all), lowest node ID on ties.
+func bestScored(tk *task.Task, nodes []*cluster.Node, ok func(*cluster.Node) bool, score func(*cluster.Node) float64) *cluster.Node {
+	var best *cluster.Node
+	bestScore := 0.0
 	for _, n := range nodes {
 		if (ok != nil && !ok(n)) || !n.CanFitPod(tk) {
 			continue
 		}
 		s := score(n)
-		if best.node == nil || s < best.score || (s == best.score && n.ID < best.node.ID) {
-			best.node, best.score = n, s
+		if best == nil || s < bestScore || (s == bestScore && n.ID < best.ID) {
+			best, bestScore = n, s
 		}
 	}
 	return best
-}
-
-// bestScored picks one pod's node: the score argmin over fitting
-// candidates, fanned over the shard workers when the run is sharded
-// and the candidate set is large enough to pay for the barrier. The
-// score and filter closures run concurrently on worker goroutines,
-// which is safe throughout this package because every baseline scores
-// from pure node reads.
-func bestScored(ctx *sched.Context, tk *task.Task, nodes []*cluster.Node, ok func(*cluster.Node) bool, score func(*cluster.Node) float64) *cluster.Node {
-	if par := ctx.Par; par.Wide(len(nodes)) {
-		results := make([]scoredNode, par.Shards())
-		par.Scan(len(nodes), func(shard, lo, hi int) {
-			results[shard] = scanScored(tk, nodes[lo:hi], ok, score)
-		})
-		var win scoredNode
-		for _, r := range results {
-			if r.node == nil {
-				continue
-			}
-			if win.node == nil || r.score < win.score || (r.score == win.score && r.node.ID < win.node.ID) {
-				win = r
-			}
-		}
-		return win.node
-	}
-	return scanScored(tk, nodes, ok, score).node
 }
 
 // podNeed is the whole-card requirement of one pod.
@@ -107,7 +73,7 @@ func preemptBy(
 	need := podNeed(tk)
 	nodes := ctx.State.Cluster.NodesOfModel(tk.GPUModel)
 	for pod := 0; pod < tk.Pods; pod++ {
-		best := bestPlan(ctx, tk, nodes, need, victimsFor, planCost)
+		best := bestPlan(nodes, need, victimsFor, planCost)
 		if best.node == nil {
 			txn.Rollback()
 			return nil, ErrUnschedulable
@@ -123,16 +89,16 @@ func preemptBy(
 	return txn.Commit(), nil
 }
 
-// planCand is one scan range's best eviction plan under the (cost,
-// node-ID) order.
+// planCand is one node's eviction plan and its cost.
 type planCand struct {
 	node    *cluster.Node
 	victims []*task.Task
 	cost    float64
 }
 
-// scanPlan finds the cheapest eviction plan over one node range.
-func scanPlan(nodes []*cluster.Node, need int, victimsFor func(n *cluster.Node, need int) []*task.Task, planCost func(n *cluster.Node, victims []*task.Task) float64) planCand {
+// bestPlan picks one pod's preemption plan: the cheapest eviction plan
+// over the candidate nodes, lowest node ID on ties.
+func bestPlan(nodes []*cluster.Node, need int, victimsFor func(n *cluster.Node, need int) []*task.Task, planCost func(n *cluster.Node, victims []*task.Task) float64) planCand {
 	var best planCand
 	for _, n := range nodes {
 		// No subset of a node's spot tasks frees more than its
@@ -150,30 +116,6 @@ func scanPlan(nodes []*cluster.Node, need int, victimsFor func(n *cluster.Node, 
 		}
 	}
 	return best
-}
-
-// bestPlan picks one pod's preemption plan, fanned over the shard
-// workers when that pays (victim planning is pure per node in every
-// baseline, so ranges scan concurrently), reduced with the serial
-// comparator in shard order.
-func bestPlan(ctx *sched.Context, tk *task.Task, nodes []*cluster.Node, need int, victimsFor func(n *cluster.Node, need int) []*task.Task, planCost func(n *cluster.Node, victims []*task.Task) float64) planCand {
-	if par := ctx.Par; par.Wide(len(nodes)) {
-		results := make([]planCand, par.Shards())
-		par.Scan(len(nodes), func(shard, lo, hi int) {
-			results[shard] = scanPlan(nodes[lo:hi], need, victimsFor, planCost)
-		})
-		var win planCand
-		for _, r := range results {
-			if r.node == nil {
-				continue
-			}
-			if win.node == nil || r.cost < win.cost || (r.cost == win.cost && r.node.ID < win.node.ID) {
-				win = r
-			}
-		}
-		return win
-	}
-	return scanPlan(nodes, need, victimsFor, planCost)
 }
 
 // minimalVictims returns the smallest prefix (in the given order) of

@@ -89,7 +89,7 @@ func placeByFiltered(ctx *sched.Context, tk *task.Task, ok func(*cluster.Node) b
 	txn := ctx.State.Begin()
 	nodes := ctx.State.Cluster.NodesOfModel(tk.GPUModel)
 	for pod := 0; pod < tk.Pods; pod++ {
-		best := bestScored(ctx, tk, nodes, ok, score)
+		best := bestScored(tk, nodes, ok, score)
 		if best == nil {
 			txn.Rollback()
 			return nil, ErrUnschedulable

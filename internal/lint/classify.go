@@ -13,7 +13,6 @@ type Class struct {
 	MapIter   bool
 	WallClock bool
 	Goroutine bool
-	FloatFold bool
 	EventEmit bool
 }
 
@@ -26,8 +25,6 @@ func (c Class) enables(name string) bool {
 		return c.WallClock
 	case "goroutine":
 		return c.Goroutine
-	case "floatfold":
-		return c.FloatFold
 	case "eventemit":
 		return c.EventEmit
 	}
@@ -37,7 +34,7 @@ func (c Class) enables(name string) bool {
 // simCore is the strictest class: the packages that execute inside
 // the event loop, where a single unordered iteration or wall-clock
 // read shows up as a golden-corpus byte diff.
-var simCore = Class{MapIter: true, WallClock: true, Goroutine: true, FloatFold: true, EventEmit: true}
+var simCore = Class{MapIter: true, WallClock: true, Goroutine: true, EventEmit: true}
 
 // Table classifies every determinism-critical package. Packages not
 // listed here (forecast training, experiments, CLIs, test scaffolding)
@@ -45,11 +42,11 @@ var simCore = Class{MapIter: true, WallClock: true, Goroutine: true, FloatFold: 
 // covers whatever they feed into a run.
 var Table = map[string]Class{
 	// The public engine wraps the simulator's event path: observers,
-	// collectors, report assembly, scenario composition. It never
-	// spawns core goroutines itself (RunBatch worker fan-out is
-	// deterministic by merge order, not execution order), so the
-	// goroutine rule stays off; everything ordering-sensitive is on.
-	Module: {MapIter: true, WallClock: true, FloatFold: true, EventEmit: true},
+	// collectors, report assembly, scenario composition. RunBatch's
+	// worker fan-out lives here (deterministic by merge order, not
+	// execution order), so the goroutine rule stays off; everything
+	// ordering-sensitive is on.
+	Module: {MapIter: true, WallClock: true, EventEmit: true},
 
 	// The simulator core proper.
 	Module + "/internal/sched":     simCore,

@@ -6,11 +6,11 @@ import (
 )
 
 // EventEmit flags construction of sched.Event values outside the emit
-// path. Events carry the run's global sequence: Simulator.emit stamps
-// At and Seq under the single global counter, which is what keeps the
-// event stream byte-identical at any shard count (and what the
-// NodeRetired cordon-ordering fix in the autoscaler PR shows is easy
-// to violate by hand). An Event literal is therefore only legal as the
+// path. Events carry the run's sequence: Simulator.emit stamps At and
+// Seq under the single per-run counter, which is what gives observers
+// one totally ordered, gap-free stream (and what the NodeRetired
+// cordon-ordering fix in the autoscaler PR shows is easy to violate by
+// hand). An Event literal is therefore only legal as the
 // direct argument of an emit-path call — s.emit(Event{...}),
 // f.emitFed(Event{...}) — where the stamping happens before any
 // observer sees it. Building an Event elsewhere and publishing it

@@ -147,10 +147,6 @@ func TestGoroutineFixture(t *testing.T) {
 	runFixture(t, "goroutine", Class{Goroutine: true})
 }
 
-func TestFloatFoldFixture(t *testing.T) {
-	runFixture(t, "floatfold", Class{FloatFold: true})
-}
-
 // TestSchedFixture is the acceptance case from the issue: a package
 // literally named sched, checked under the full sim-core class, where
 // an unsorted map range and a hand-built Event both must be flagged.

@@ -1,19 +1,16 @@
-// Package goroutine is the fixture for the goroutine rule: raw go
-// statements are flagged everywhere except inside the blessed
-// shardGroup worker pool (its methods and its constructor).
+// Package goroutine is the fixture for the goroutine rule: every go
+// statement in a simulator-core package is flagged, wherever it sits.
 package goroutine
 
-// shardGroup mimics the epoch-barrier pool in internal/sched.
-type shardGroup struct {
+// pool looks like a worker pool; no receiver or constructor is exempt.
+type pool struct {
 	work chan func()
 }
 
-// newShardGroup is the blessed constructor: it parks the workers
-// before any barrier runs.
-func newShardGroup(n int) *shardGroup {
-	g := &shardGroup{work: make(chan func())}
+func newPool(n int) *pool {
+	g := &pool{work: make(chan func())}
 	for i := 0; i < n; i++ {
-		go func() {
+		go func() { // want "go statement in a simulator-core package"
 			for f := range g.work {
 				f()
 			}
@@ -22,22 +19,15 @@ func newShardGroup(n int) *shardGroup {
 	return g
 }
 
-// run is a blessed method: fan-out under the pool's barrier.
-func (g *shardGroup) run(f func()) {
-	go f()
+func (g *pool) run(f func()) {
+	go f() // want "go statement in a simulator-core package"
 }
 
-// rogue spawns outside the pool and must be flagged.
-func rogue(f func()) {
-	go f() // want "raw go statement outside the shardGroup/Parallel fan-out"
-}
-
-// rogueInLit is a go statement inside a closure of an unblessed
-// function — still flagged; blessing is per-declaration.
+// rogueInLit is a go statement inside a closure — still flagged.
 func rogueInLit(fs []func()) func() {
 	return func() {
 		for _, f := range fs {
-			go f() // want "raw go statement outside the shardGroup/Parallel fan-out"
+			go f() // want "go statement in a simulator-core package"
 		}
 	}
 }

@@ -70,24 +70,18 @@ type Scheduler struct {
 	// per node, keyed on the node's occupancy version: a scheduling
 	// pass re-scores only the nodes whose free capacity changed since
 	// the last look (its dirty set) instead of recomputing every node
-	// for every pod. Indexed by node ID; grown on demand (pre-grown
-	// before a sharded scan so ranges write disjoint slots).
+	// for every pod. Indexed by node ID; grown on demand.
 	scoreCache []cachedScore
 
-	// Per-shard scratch for sharded scans (see Context.Par): local
-	// argmax winners, deferred breaker trips, and preemption
-	// candidates, reused across scans. Serial scans use slot 0.
-	parBest  []scored
-	parTrips [][]*cluster.Node
-	parPre   []preemptScratch
+	// pre is the preemption-planning workspace, reused across plans.
+	pre preemptScratch
 }
 
-// preemptScratch is one shard's preemption-planning workspace: the
-// range winner, two victim buffers — the node being costed and the
-// leader so far, swapped when a node takes the lead, so planning
-// allocates nothing — and the scan's work counts.
+// preemptScratch is the preemption-planning workspace: two victim
+// buffers — the node being costed and the leader so far, swapped when
+// a node takes the lead, so planning allocates nothing — and the
+// planner's work counts.
 type preemptScratch struct {
-	best      preemptCand
 	cur, lead []*task.Task
 	// rejected counts nodes the O(1) reclaimable-cards test ruled out,
 	// costed those whose victim set was built.
@@ -218,36 +212,13 @@ func (s *Scheduler) nonPreemptive(ctx *sched.Context, tk *task.Task) (*sched.Dec
 
 // bestNode filters and scores candidates for one pod, keeping the
 // single maximum of the lexicographic (score1, score2, score3,
-// lowest-ID) order in one pass. The comparator is exactly the one the
-// former sort used, and node-ID tie-breaking makes it a total order,
-// so the argmax equals the sorted head — which is also why the
-// sharded fan-out below can scan contiguous ranges independently and
-// reduce their winners in shard order without changing the answer.
+// lowest-ID) order in one pass (Algorithm 1). The comparator is
+// exactly the one the former sort used, and node-ID tie-breaking makes
+// it a total order, so the argmax equals the sorted head.
 func (s *Scheduler) bestNode(ctx *sched.Context, tk *task.Task) *cluster.Node {
-	nodes := ctx.State.Cluster.NodesOfModel(tk.GPUModel)
-	if n, ok := s.bestNodeSharded(ctx, tk, nodes); ok {
-		return n
-	}
-	var best scored
-	_, trips, _ := s.scratch(1)
-	trips[0] = s.scanBest(ctx, tk, nodes, &best, trips[0][:0])
-	s.applyTrips(ctx, trips)
-	return best.node
-}
-
-// scanBest runs the Algorithm 1 candidate loop over one node range,
-// updating *best under the scoredBetter order. Nodes whose spot
-// Score3 collapsed are appended to trips instead of entering the
-// breaker blacklist immediately: within a single scan a node's
-// blacklist entry can never affect any other node (each node is
-// visited exactly once and trip implies skip), so deferring the map
-// writes to the post-scan barrier is observationally identical in
-// serial and makes the parallel ranges write-free on shared state.
-// The scoreCache writes are per-node slots pre-grown by the sharded
-// caller, hence disjoint between ranges.
-func (s *Scheduler) scanBest(ctx *sched.Context, tk *task.Task, nodes []*cluster.Node, best *scored, trips []*cluster.Node) []*cluster.Node {
 	colocFirst := s.cfg.CoLocationFirst
-	for _, n := range nodes {
+	var best scored
+	for _, n := range ctx.State.Cluster.NodesOfModel(tk.GPUModel) {
 		if !n.CanFitPod(tk) {
 			continue
 		}
@@ -257,7 +228,7 @@ func (s *Scheduler) scanBest(ctx *sched.Context, tk *task.Task, nodes []*cluster
 			// Score3 > 0; tripping nodes enter the breaker
 			// blacklist.
 			if s3 <= 0 {
-				trips = append(trips, n)
+				s.tripBreaker(n, ctx.Now)
 				continue
 			}
 			if s.spotBlocked(n, ctx.Now) {
@@ -265,87 +236,11 @@ func (s *Scheduler) scanBest(ctx *sched.Context, tk *task.Task, nodes []*cluster
 			}
 		}
 		cand := scored{node: n, s1: s1, s2: s2, s3: s3}
-		if best.node == nil || scoredBetter(&cand, best, colocFirst) {
-			*best = cand
+		if best.node == nil || scoredBetter(&cand, &best, colocFirst) {
+			best = cand
 		}
 	}
-	return trips
-}
-
-// applyTrips commits the deferred breaker trips in shard order. Every
-// trip in one scan stamps the same expiry and distinct nodes, so the
-// resulting blacklist is identical to the serial scan's.
-func (s *Scheduler) applyTrips(ctx *sched.Context, trips [][]*cluster.Node) {
-	for _, ts := range trips {
-		for _, n := range ts {
-			s.tripBreaker(n, ctx.Now)
-		}
-	}
-}
-
-// scratch ensures the per-shard result and trip buffers cover shards
-// slots and returns them truncated to that size. The preemption
-// workspaces grow in place: their buffers and work counts outlive any
-// one scan.
-func (s *Scheduler) scratch(shards int) ([]scored, [][]*cluster.Node, []preemptScratch) {
-	if cap(s.parBest) < shards {
-		s.parBest = make([]scored, shards)
-		s.parTrips = make([][]*cluster.Node, shards)
-		s.parPre = append(s.parPre, make([]preemptScratch, shards-len(s.parPre))...)
-	}
-	return s.parBest[:shards], s.parTrips[:shards], s.parPre[:shards]
-}
-
-// bestNodeSharded fans the Algorithm 1 scan over the shard workers.
-// It reports ok=false when the run is unsharded or the candidate set
-// is too small to pay for the barrier, in which case the caller runs
-// the serial loop.
-func (s *Scheduler) bestNodeSharded(ctx *sched.Context, tk *task.Task, nodes []*cluster.Node) (*cluster.Node, bool) {
-	par := ctx.Par
-	if par == nil || len(nodes) == 0 {
-		return nil, false
-	}
-	shards := par.Shards()
-	best, trips, _ := s.scratch(shards)
-	for i := range best {
-		best[i] = scored{}
-		trips[i] = trips[i][:0]
-	}
-	s.growCache(nodes)
-	if !par.Scan(len(nodes), func(shard, lo, hi int) {
-		var b scored
-		trips[shard] = s.scanBest(ctx, tk, nodes[lo:hi], &b, trips[shard])
-		best[shard] = b
-	}) {
-		return nil, false
-	}
-	s.applyTrips(ctx, trips)
-	colocFirst := s.cfg.CoLocationFirst
-	var win scored
-	for i := range best {
-		if best[i].node == nil {
-			continue
-		}
-		if win.node == nil || scoredBetter(&best[i], &win, colocFirst) {
-			win = best[i]
-		}
-	}
-	return win.node, true
-}
-
-// growCache pre-extends the score cache to cover every candidate's
-// node ID, so the parallel ranges only write disjoint, pre-existing
-// slots and never trigger the append-grow path concurrently.
-func (s *Scheduler) growCache(nodes []*cluster.Node) {
-	maxID := 0
-	for _, n := range nodes {
-		if n.ID > maxID {
-			maxID = n.ID
-		}
-	}
-	for maxID >= len(s.scoreCache) {
-		s.scoreCache = append(s.scoreCache, cachedScore{})
-	}
+	return best.node
 }
 
 // scoredBetter reports whether a precedes b in the node preference
@@ -409,34 +304,17 @@ type preemptCand struct {
 	cost    float64
 }
 
-// bestPreemption evaluates candidate nodes for one pod and returns
-// the minimum-cost node with its trimmed victim set. evictedSoFar
-// feeds the |T_k| term so multi-pod placements account for earlier
-// victims. The victims live in scheduler scratch, valid until the
-// next call.
+// bestPreemption runs the Algorithm 2 node loop for one pod and
+// returns the minimum-cost node (lowest ID on ties) with its trimmed
+// victim set. evictedSoFar feeds the |T_k| term so multi-pod
+// placements account for earlier victims. The victims live in
+// scheduler scratch, valid until the next call.
 func (s *Scheduler) bestPreemption(ctx *sched.Context, tk *task.Task, evictedSoFar int) (*cluster.Node, []*task.Task) {
-	nodes := ctx.State.Cluster.NodesOfModel(tk.GPUModel)
-	if cand, ok := s.bestPreemptionSharded(ctx, tk, evictedSoFar, nodes); ok {
-		return cand.node, cand.victims
-	}
-	_, _, pre := s.scratch(1)
-	cand := s.scanPreempt(ctx, tk, evictedSoFar, nodes, &pre[0])
-	return cand.node, cand.victims
-}
-
-// scanPreempt runs the Algorithm 2 node loop over one range, using sc
-// as its workspace. Victim sets are pure functions of node state, so
-// ranges can be scanned concurrently; the cost comparator's node-ID
-// tie-break makes the argmin a total order, so a shard-ordered reduce
-// of range winners equals the full serial scan. Under RandomPreemption
-// the range winner is its first feasible node, and the reduce takes
-// the lowest shard's — the global first feasible, matching the serial
-// early return (which merely avoided costing the rest).
-func (s *Scheduler) scanPreempt(ctx *sched.Context, tk *task.Task, evictedSoFar int, nodes []*cluster.Node, sc *preemptScratch) preemptCand {
+	sc := &s.pre
 	need := podNeed(tk)
 	elapsed := ctx.ElapsedSeconds()
 	cand := preemptCand{cost: math.Inf(1)}
-	for _, n := range nodes {
+	for _, n := range ctx.State.Cluster.NodesOfModel(tk.GPUModel) {
 		victims, ok := s.victimSet(ctx, n, need, sc)
 		if !ok {
 			continue
@@ -444,7 +322,7 @@ func (s *Scheduler) scanPreempt(ctx *sched.Context, tk *task.Task, evictedSoFar 
 		if s.cfg.RandomPreemption {
 			// GFS-p ablation: arbitrary node choice — take the
 			// first feasible node without costing it.
-			return preemptCand{node: n, victims: victims}
+			return n, victims
 		}
 		// Eq. 18's usage impact normalizes by S_k·T, "the total
 		// execution time of GPUs in node n_k": per-node capacity
@@ -460,43 +338,7 @@ func (s *Scheduler) scanPreempt(ctx *sched.Context, tk *task.Task, evictedSoFar 
 			sc.cur, sc.lead = sc.lead, sc.cur
 		}
 	}
-	return cand
-}
-
-// bestPreemptionSharded fans the Algorithm 2 scan over the shard
-// workers, reducing range winners in shard order with the serial
-// comparator. ok=false means the caller should scan serially.
-func (s *Scheduler) bestPreemptionSharded(ctx *sched.Context, tk *task.Task, evictedSoFar int, nodes []*cluster.Node) (preemptCand, bool) {
-	par := ctx.Par
-	if par == nil || len(nodes) == 0 {
-		return preemptCand{}, false
-	}
-	shards := par.Shards()
-	_, _, pre := s.scratch(shards)
-	for i := range pre {
-		pre[i].best = preemptCand{cost: math.Inf(1)}
-	}
-	if !par.Scan(len(nodes), func(shard, lo, hi int) {
-		pre[shard].best = s.scanPreempt(ctx, tk, evictedSoFar, nodes[lo:hi], &pre[shard])
-	}) {
-		return preemptCand{}, false
-	}
-	win := preemptCand{cost: math.Inf(1)}
-	for i := range pre {
-		c := pre[i].best
-		if c.node == nil {
-			continue
-		}
-		if s.cfg.RandomPreemption {
-			// Lowest shard with a feasible node holds the global
-			// first feasible.
-			return c, true
-		}
-		if c.cost < win.cost || (c.cost == win.cost && win.node != nil && c.node.ID < win.node.ID) {
-			win = c
-		}
-	}
-	return win, true
+	return cand.node, cand.victims
 }
 
 // victimSet returns the minimal victim set on n, in task-ID order,

@@ -56,9 +56,6 @@ func Build(sp Spec, src gfs.TraceSource, obs gfs.Observer, extra ...gfs.Option) 
 			gfs.WithRoute(routePolicies[sp.Route]()),
 			gfs.WithFederationCollectors(nil),
 		}
-		if sp.Shards > 0 {
-			opts = append(opts, gfs.WithFederationShards(sp.Shards))
-		}
 		if obs != nil {
 			opts = append(opts, gfs.WithFederationObserver(obs))
 		}
@@ -81,9 +78,6 @@ func Build(sp Spec, src gfs.TraceSource, obs gfs.Observer, extra ...gfs.Option) 
 		opts = append(opts, gfs.WithTraceSource(src))
 	} else {
 		b.Tasks = scale.Trace(sp.SpotScale)
-	}
-	if sp.Shards > 0 {
-		opts = append(opts, gfs.WithShards(sp.Shards))
 	}
 	if sp.Autoscale != nil {
 		// A fresh policy per build: the policy keeps per-run state,

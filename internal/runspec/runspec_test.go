@@ -10,21 +10,25 @@ import (
 )
 
 // TestValidateBounds: the sizing bounds reject the first value past
-// each limit and accept the limit itself.
+// each limit and accept the limit itself; the removed "shards" field
+// is no longer a field at all.
 func TestValidateBounds(t *testing.T) {
 	for _, sp := range []Spec{
 		{Nodes: maxNodes + 1}, {GPUsPerNode: maxGPUsPerNode + 1}, {Days: maxDays + 1},
-		{SpotScale: maxSpotScale + 1}, {Shards: maxSpecShards + 1}, {Nodes: -1},
+		{SpotScale: maxSpotScale + 1}, {Nodes: -1},
 	} {
 		sp.Normalize()
 		if err := sp.Validate(); err == nil {
 			t.Errorf("spec %+v should be out of bounds", sp)
 		}
 	}
-	at := Spec{Nodes: maxNodes, GPUsPerNode: maxGPUsPerNode, Days: maxDays, SpotScale: maxSpotScale, Shards: maxSpecShards}
+	at := Spec{Nodes: maxNodes, GPUsPerNode: maxGPUsPerNode, Days: maxDays, SpotScale: maxSpotScale}
 	at.Normalize()
 	if err := at.Validate(); err != nil {
 		t.Fatalf("spec at the bounds rejected: %v", err)
+	}
+	if _, err := Decode([]byte(`{"shards":2}`)); err == nil || !strings.Contains(err.Error(), `unknown field "shards"`) {
+		t.Fatalf(`Decode of the removed "shards" field = %v, want an unknown-field error`, err)
 	}
 }
 

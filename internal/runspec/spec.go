@@ -45,11 +45,6 @@ type Spec struct {
 	SpotScale float64 `json:"spot_scale,omitempty"`
 	// Seed seeds the generated workload (default 17).
 	Seed int64 `json:"seed,omitempty"`
-	// Shards partitions the run's event loop across a worker pool
-	// (see gfs.WithShards); results are byte-identical at any shard
-	// count, so this is purely a latency knob. Zero defers to the
-	// daemon's environment (GFS_SHARDS), then serial.
-	Shards int `json:"shards,omitempty"`
 	// Scenario names a storm profile (rack-failure, zone-cascade,
 	// diurnal-storm, random-storms); empty runs calm.
 	Scenario string `json:"scenario,omitempty"`
@@ -217,10 +212,6 @@ const (
 	maxGPUsPerNode = 16
 	maxDays        = 14
 	maxSpotScale   = 16
-	// maxSpecShards caps per-session parallelism well below the
-	// engine's own clamp: shard workers multiply across the daemon's
-	// concurrent sessions.
-	maxSpecShards = 16
 	// maxLeadS bounds autoscale lead and grace durations to the
 	// longest run a spec can describe; anything beyond is a typo, and
 	// the bound keeps the float→simclock conversion overflow-free.
@@ -275,9 +266,6 @@ func (sp *Spec) Validate() error {
 	}
 	if sp.SpotScale < 0 || sp.SpotScale > maxSpotScale {
 		return fmt.Errorf("spot_scale must be in [0, %d], got %g", maxSpotScale, sp.SpotScale)
-	}
-	if sp.Shards < 0 || sp.Shards > maxSpecShards {
-		return fmt.Errorf("shards must be in [0, %d], got %d", maxSpecShards, sp.Shards)
 	}
 	if sp.Scenario != "" {
 		if _, err := sp.Scale().NamedScenario(sp.Scenario); err != nil {

@@ -9,8 +9,7 @@ import (
 // each quota tick, after the demand sample and quota update for that
 // tick have landed. Implementations must not mutate the cluster; all
 // capacity changes go through the returned AutoscalePlan so they land
-// on the simulator's global-sequence event path and stay
-// byte-identical under sharding.
+// on the simulator's event path, in queue order like any other event.
 type AutoscaleContext struct {
 	// Now is the simulated time of the tick.
 	Now simclock.Time

@@ -38,12 +38,6 @@ type Context struct {
 	// G and F are the cluster-wide counts of successful and
 	// evicted spot runs (Eq. 19).
 	G, F int
-	// Par is the simulator's shard worker pool for fanning
-	// candidate-node scans across cores, nil on unsharded runs.
-	// Schedulers that ignore it stay correct; schedulers that use it
-	// must reduce per-shard results deterministically (see
-	// Parallel).
-	Par *Parallel
 }
 
 // ElapsedSeconds returns T, the simulated time elapsed since the

@@ -5,7 +5,6 @@ import (
 	"hash/fnv"
 	"math"
 	"math/rand"
-	"runtime"
 	"sort"
 
 	"github.com/sjtucitlab/gfs/internal/cluster"
@@ -49,8 +48,7 @@ type SimConfig struct {
 	// Autoscaler, when non-nil, is consulted at every quota tick
 	// (after the demand sample and quota update): it may provision
 	// new pools — delivered after a pre-warm lead through the same
-	// global-sequence event path scenario actions use, so sharded
-	// runs stay byte-identical — and retire nodes, which drain
+	// event path scenario actions use — and retire nodes, which drain
 	// rather than strand (cordon + spot eviction, capacity leaves
 	// when the last HP pod completes).
 	Autoscaler Autoscaler
@@ -61,20 +59,6 @@ type SimConfig struct {
 	// it and the caller becomes responsible for its future, typically
 	// by injecting it into a sibling cluster (see RunFederationContext).
 	EvictionInterceptor func(tk *task.Task, cause EvictCause) bool
-	// Shards partitions the run across a worker pool: each org's
-	// task events live on a fixed shard of the event queue, the
-	// per-tick demand accounting fans out over org shards, and
-	// placement scans fan out over contiguous node ranges (see
-	// Context.Par), all merged deterministically so any shard count
-	// produces byte-identical output to Shards == 1. Zero falls back
-	// to the GFS_SHARDS environment variable, then to 1 (serial).
-	Shards int
-	// ShardMinNodes is the minimum candidate-node count before a
-	// placement scan fans out to the shard workers; smaller scans run
-	// serially because barrier latency would dominate. Zero falls
-	// back to the GFS_SHARD_MIN_NODES environment variable, then to
-	// 1024.
-	ShardMinNodes int
 }
 
 // DefaultSimConfig fills in the paper's settings for a given cluster
@@ -137,9 +121,8 @@ type tickEvent struct{}
 type scenarioEvent struct{ action ScenarioAction }
 
 // provisionEvent delivers one autoscaler-ordered pool after its
-// pre-warm lead. It rides the normal event class on shard 0, exactly
-// like scenario actions, so delivery order — and therefore node
-// numbering — is identical at any shard count.
+// pre-warm lead. It rides the normal event class, exactly like
+// scenario actions, so arrivals at the same instant are handled first.
 type provisionEvent struct{ pool cluster.Pool }
 
 // Simulator is the discrete-event driver. Run drives it to
@@ -148,20 +131,11 @@ type provisionEvent struct{ pool cluster.Pool }
 // a shared clock (see RunFederationContext).
 type Simulator struct {
 	cfg    SimConfig
-	queue  *simclock.ShardedQueue
+	queue  simclock.Queue
 	state  *State
 	pend   pendingQueue
 	epochs map[int]int
 	now    simclock.Time
-
-	// shards is the resolved shard count; group is the worker pool
-	// behind every fan-out (nil when shards == 1) and par its
-	// scheduler-facing handle, surfaced as Context.Par. Workers stop
-	// in Finish; a runtime cleanup backstops simulators abandoned
-	// without it (cancelled contexts, dropped federations).
-	shards int
-	group  *shardGroup
-	par    *Parallel
 
 	spotQuota    float64
 	gCount       int
@@ -296,12 +270,9 @@ func NewSimulator(cfg SimConfig, tasks []*task.Task) *Simulator {
 	if cfg.IdleTimeout <= 0 {
 		cfg.IdleTimeout = 48 * simclock.Hour
 	}
-	shards := resolveShards(cfg.Shards)
 	s := &Simulator{
 		cfg:       cfg,
 		pend:      pendingQueue{sched: cfg.Scheduler, byShape: make(map[taskShape]*shapeBucket)},
-		queue:     simclock.NewShardedQueue(shards),
-		shards:    shards,
 		state:     NewState(cfg.Cluster),
 		epochs:    make(map[int]int),
 		spotQuota: math.Inf(1),
@@ -313,19 +284,6 @@ func NewSimulator(cfg SimConfig, tasks []*task.Task) *Simulator {
 		lastHour:  -1,
 		// Built lazily on the first demand tick.
 		hpLiveStale: true,
-	}
-	if shards > 1 {
-		s.group = newShardGroup(shards)
-		s.par = &Parallel{
-			group:    s.group,
-			cl:       cfg.Cluster,
-			minItems: resolveShardMinNodes(cfg.ShardMinNodes),
-		}
-		// Backstop for simulators dropped without Finish (a
-		// cancelled RunContext, an errored federation loop): release
-		// the parked workers when the simulator becomes unreachable.
-		// The cleanup closure must not capture s, only the group.
-		runtime.AddCleanup(s, func(g *shardGroup) { g.close() }, s.group)
 	}
 	initOrgs := make([]string, 0, len(cfg.InitialOrgDemand))
 	for org := range cfg.InitialOrgDemand {
@@ -344,7 +302,7 @@ func NewSimulator(cfg SimConfig, tasks []*task.Task) *Simulator {
 	// mid-run by a federation router or the streaming replay loop,
 	// which therefore tie-break exactly like a preloaded trace.
 	for _, tk := range tasks {
-		s.queue.PushFront(s.taskShard(tk), tk.Submit, tk)
+		s.queue.PushFront(tk.Submit, tk)
 	}
 	// Scenario actions join the same queue in the normal class.
 	// Against finish events the tie-break goes the other way:
@@ -354,38 +312,16 @@ func NewSimulator(cfg SimConfig, tasks []*task.Task) *Simulator {
 	// hardware).
 	actions := SortActions(append([]ScenarioAction(nil), cfg.Scenario...))
 	for _, a := range actions {
-		s.queue.Push(0, a.At, scenarioEvent{action: a})
+		s.queue.Push(a.At, scenarioEvent{action: a})
 	}
 	if len(tasks) > 0 {
 		s.now = tasks[0].Submit
 		s.updateQuota() // initial quota before the first pass
 		s.quotaInit = true
-		s.queue.Push(0, tasks[0].Submit.Add(cfg.QuotaInterval), tickEvent{})
+		s.queue.Push(tasks[0].Submit.Add(cfg.QuotaInterval), tickEvent{})
 		s.tickOn = true
 	}
 	return s
-}
-
-// taskShard routes a task's queue events to its org's home shard.
-// The hash is FNV-1a over the org name, inlined so routing allocates
-// nothing; cluster-wide events (ticks, scenario actions) live on
-// shard 0. With one shard everything collapses to shard 0 and the
-// hash is skipped.
-func (s *Simulator) taskShard(tk *task.Task) int {
-	if s.shards == 1 {
-		return 0
-	}
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	org := tk.Org
-	for i := 0; i < len(org); i++ {
-		h ^= uint64(org[i])
-		h *= prime64
-	}
-	return int(h % uint64(s.shards))
 }
 
 // PeekTime returns the timestamp of the next pending event, or false
@@ -457,7 +393,7 @@ func (s *Simulator) Inject(tk *task.Task, at simclock.Time) {
 		// after migrating away; rebuild it from s.tasks.
 		s.hpLiveStale = true
 	}
-	s.queue.PushFront(s.taskShard(tk), at, tk)
+	s.queue.PushFront(at, tk)
 	if !s.quotaInit {
 		// First task ever seen: establish the initial quota before
 		// the first pass, as Run does for pre-loaded traces.
@@ -466,18 +402,15 @@ func (s *Simulator) Inject(tk *task.Task, at simclock.Time) {
 		s.quotaInit = true
 	}
 	if !s.tickOn {
-		s.queue.Push(0, at.Add(s.cfg.QuotaInterval), tickEvent{})
+		s.queue.Push(at.Add(s.cfg.QuotaInterval), tickEvent{})
 		s.tickOn = true
 	}
 }
 
-// Finish closes the books — observing the final allocation sample,
-// stopping any shard workers — and returns the run's metrics. Call
-// it exactly once, after Step returns false.
+// Finish closes the books — observing the final allocation sample —
+// and returns the run's metrics. Call it exactly once, after Step
+// returns false.
 func (s *Simulator) Finish() *Result {
-	if s.group != nil {
-		s.group.close()
-	}
 	s.sampleAlloc()
 	return s.result()
 }
@@ -576,7 +509,7 @@ func (s *Simulator) handle(ev simclock.Event) bool {
 		active := s.queue.Len() > 0 || s.running > 0
 		stalled := s.pend.n > 0 && s.now.Sub(s.lastProgress) < s.cfg.IdleTimeout
 		if active || stalled {
-			s.queue.Push(0, s.now.Add(s.cfg.QuotaInterval), tickEvent{})
+			s.queue.Push(s.now.Add(s.cfg.QuotaInterval), tickEvent{})
 		} else {
 			// The tick chain ends here; a later Inject restarts it.
 			s.tickOn = false
@@ -645,43 +578,6 @@ func (s *Simulator) recordDemand() {
 		}
 		frontier = s.hpFrontier
 	}
-	if s.group != nil && frontier >= demandParMin {
-		// Org-sharded accumulation: shard w owns the org slots
-		// congruent to w, so every slot's float adds happen on
-		// exactly one worker, in the same ascending-index order the
-		// serial loop uses — each slot sees the identical add
-		// sequence and lands on the identical bits. Tasks mutate
-		// only between barriers and the migrated map is read-only
-		// here, so the fan-out is race-free. Compaction follows
-		// serially.
-		s.group.run(func(w int) {
-			for idx := 0; idx < frontier; idx++ {
-				slot := s.hpOrg[idx]
-				if slot%s.shards != w {
-					continue
-				}
-				tk := s.hpLive[idx]
-				if tk.State == task.Finished || s.migrated[tk.ID] {
-					continue
-				}
-				if tk.State == task.Running || tk.Submit <= s.now {
-					s.hourAccum[slot] += tk.TotalGPUs()
-					s.hourTouched[slot] = true
-				}
-			}
-		})
-		s.compactHPLive(frontier)
-	} else {
-		s.accumulateAndCompact(frontier)
-	}
-	s.hourSamples++
-}
-
-// accumulateAndCompact is the serial demand pass: one walk of the
-// arrived prefix that accumulates per-org usage and compacts finished
-// tasks in place. Relative order is preserved, so the per-org sums
-// are bit-identical to a full scan of s.tasks.
-func (s *Simulator) accumulateAndCompact(frontier int) {
 	live := s.hpLive[:0]
 	liveOrg := s.hpOrg[:0]
 	for idx, tk := range s.hpLive[:frontier] {
@@ -699,28 +595,6 @@ func (s *Simulator) accumulateAndCompact(frontier int) {
 			s.hourTouched[slot] = true
 		}
 	}
-	s.finishCompact(live, liveOrg, frontier)
-}
-
-// compactHPLive compacts finished tasks out of the arrived prefix
-// without touching the demand accumulators (the sharded fan-out
-// already did).
-func (s *Simulator) compactHPLive(frontier int) {
-	live := s.hpLive[:0]
-	liveOrg := s.hpOrg[:0]
-	for idx, tk := range s.hpLive[:frontier] {
-		if tk.State == task.Finished {
-			continue
-		}
-		live = append(live, tk)
-		liveOrg = append(liveOrg, s.hpOrg[idx])
-	}
-	s.finishCompact(live, liveOrg, frontier)
-}
-
-// finishCompact stitches a compacted arrived prefix back onto the
-// unarrived tail and updates the frontier.
-func (s *Simulator) finishCompact(live []*task.Task, liveOrg []int, frontier int) {
 	kept := len(live)
 	if kept < frontier {
 		// Shift the unarrived tail down over the compacted gap.
@@ -735,6 +609,7 @@ func (s *Simulator) finishCompact(live []*task.Task, liveOrg []int, frontier int
 	clearTasks(s.hpLive[len(live):])
 	s.hpLive = live
 	s.hpOrg = liveOrg
+	s.hourSamples++
 }
 
 // clearTasks zeroes a compacted-away tail so it doesn't pin tasks.
@@ -854,10 +729,10 @@ func (s *Simulator) drainNode(n *cluster.Node) bool {
 }
 
 // autoscaleTick consults the configured autoscaler once per quota
-// tick and applies its plan: provisions join the event queue on shard
-// 0 with their pre-warm lead (the nodes do not exist — and therefore
-// cannot host a pod — until the delivery event fires), retirements
-// apply immediately in plan order.
+// tick and applies its plan: provisions join the event queue with
+// their pre-warm lead (the nodes do not exist — and therefore cannot
+// host a pod — until the delivery event fires), retirements apply
+// immediately in plan order.
 func (s *Simulator) autoscaleTick() {
 	if s.cfg.Autoscaler == nil {
 		return
@@ -886,7 +761,7 @@ func (s *Simulator) autoscaleTick() {
 		if lead < 0 {
 			lead = 0
 		}
-		s.queue.Push(0, s.now.Add(lead), provisionEvent{pool: p.Pool})
+		s.queue.Push(s.now.Add(lead), provisionEvent{pool: p.Pool})
 	}
 	retired := false
 	for _, id := range plan.Retire {
@@ -990,7 +865,7 @@ func (s *Simulator) cascadeFailure(a ScenarioAction) {
 			child.CascadeP = 0
 		}
 		child.At = s.now.Add(a.CascadeDelay)
-		s.queue.Push(0, child.At, scenarioEvent{action: child})
+		s.queue.Push(child.At, scenarioEvent{action: child})
 	}
 }
 
@@ -1186,7 +1061,6 @@ func (s *Simulator) schedulePass() {
 		SpotQuota: s.spotQuota,
 		G:         s.gCount,
 		F:         s.fCount,
-		Par:       s.par,
 	}
 	// Admission ramp: quota policies may bound how much new spot
 	// capacity one pass admits.
@@ -1281,7 +1155,7 @@ func (s *Simulator) apply(tk *task.Task, dec *Decision) {
 	s.epochs[tk.ID]++
 	s.running++
 	s.work.starts++
-	s.queue.Push(s.taskShard(tk), end, s.newFinishEvent(tk, s.epochs[tk.ID]))
+	s.queue.Push(end, s.newFinishEvent(tk, s.epochs[tk.ID]))
 	s.sampleAlloc()
 	s.lastProgress = s.now
 	if s.hasObs {

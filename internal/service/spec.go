@@ -67,7 +67,6 @@ func specFromQuery(q url.Values) (RunSpec, error) {
 	sp.Nodes = geti("nodes")
 	sp.GPUsPerNode = geti("gpus_per_node")
 	sp.Days = geti("days")
-	sp.Shards = geti("shards")
 	if s := q.Get("spot_scale"); s != "" && err == nil {
 		if sp.SpotScale, err = strconv.ParseFloat(s, 64); err != nil {
 			err = fmt.Errorf("bad spot_scale %q", s)

@@ -1,3 +1,10 @@
+// Nothing in the product uses ShardedQueue any more: the sharded core
+// it served is deleted (docs/performance.md, "Sharding verdict") and
+// the simulator holds a plain Queue. The file stays, unchanged below
+// this note, only because bench/'s simclock.sharded_hold_ns_100k probe
+// compiles against NewShardedQueue; the benchmark PR that drops the
+// probe deletes this file, its test and Queue.pushSeq with it.
+
 package simclock
 
 // ShardedQueue is a set of per-shard event queues that together

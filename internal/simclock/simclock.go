@@ -130,9 +130,9 @@ func (q *Queue) push(at Time, class uint8, value any) {
 }
 
 // pushSeq schedules an event with an externally assigned insertion
-// sequence. ShardedQueue uses it to stamp a single global sequence
-// across its member queues so the merged delivery order is identical
-// to a lone Queue receiving the same pushes.
+// sequence. It is split from push only for ShardedQueue (sharded.go),
+// which stamps one sequence across its member queues; when that file
+// goes, this folds back into push.
 func (q *Queue) pushSeq(at Time, class uint8, value any, seq uint64) {
 	e := Event{At: at, Value: value, class: class, seq: seq}
 	q.n++

@@ -1,7 +1,6 @@
 package gfs_test
 
 import (
-	"fmt"
 	"testing"
 
 	gfs "github.com/sjtucitlab/gfs"
@@ -169,44 +168,6 @@ func TestInvariantsFederationStorm(t *testing.T) {
 	chk.finish(tasks)
 }
 
-// TestInvariantsShardedStorm re-runs the engine-storm invariant
-// matrix with the event loop sharded at {2, 4}, with the fan-out
-// threshold dropped so every placement scan takes the parallel path.
-// Byte-identity to the serial run is TestShardEquivalence's job; this
-// asserts the safety invariants hold independently — task
-// conservation, non-negative capacity, and a monotone clock must
-// survive the seeded RandomStorms stack on the sharded core even if
-// the equivalence contract were ever relaxed.
-func TestInvariantsShardedStorm(t *testing.T) {
-	t.Setenv("GFS_SHARD_MIN_NODES", "1")
-	for _, shards := range []int{2, 4} {
-		for _, tc := range []struct {
-			name  string
-			sched gfs.Scheduler
-			seed  int64
-		}{
-			{"gfs", nil, 25},
-			{"yarn", gfs.NewYARNCS(), 26},
-		} {
-			t.Run(fmt.Sprintf("%s/shards%d", tc.name, shards), func(t *testing.T) {
-				cl := gfs.NewClusterWithTopology("A100", 16, 8, 2, 4)
-				chk := newInvariantChecker(t).watch("", cl)
-				opts := []gfs.Option{
-					gfs.WithObserver(chk),
-					gfs.WithScenario(goldenStorm(tc.seed)),
-					gfs.WithShards(shards),
-				}
-				if tc.sched != nil {
-					opts = append(opts, gfs.WithScheduler(tc.sched), gfs.WithQuota(gfs.StaticQuota(0.5)))
-				}
-				tasks := gfs.GenerateTrace(goldenTraceCfg(tc.seed))
-				gfs.NewEngine(cl, opts...).Run(tasks)
-				chk.finish(tasks)
-			})
-		}
-	}
-}
-
 // autoscaleInvariantChecker layers the autoscaler's capacity
 // contract on top of the base invariants:
 //
@@ -308,36 +269,32 @@ func (c *autoscaleInvariantChecker) finishAutoscale(tasks []*gfs.Task) {
 }
 
 // TestInvariantsAutoscaleStorm checks the autoscaler's capacity
-// contract under the seeded RandomStorms stack, serial and sharded at
-// {1, 2, 4}, for both policy modes. The under-provisioned base fleet
-// forces real provisioning traffic; the storm interleaves failures
-// and reclamation with capacity churn.
+// contract under the seeded RandomStorms stack, for both policy
+// modes. The under-provisioned base fleet forces real provisioning
+// traffic; the storm interleaves failures and reclamation with
+// capacity churn.
 func TestInvariantsAutoscaleStorm(t *testing.T) {
-	t.Setenv("GFS_SHARD_MIN_NODES", "1")
-	for _, shards := range []int{1, 2, 4} {
-		for _, mode := range []gfs.AutoscaleMode{gfs.AutoscaleReactive, gfs.AutoscalePredictive} {
-			t.Run(fmt.Sprintf("%s/shards%d", mode, shards), func(t *testing.T) {
-				cl := gfs.NewClusterWithTopology("A100", 12, 8, 2, 4)
-				chk := newAutoscaleChecker(t, cl)
-				pol := &gfs.AutoscalePolicy{
-					Mode:     mode,
-					MaxNodes: 8,
-					Step:     2,
-					Curve:    &gfs.DiurnalCurve{PeakHour: 14, Width: 4},
-				}
-				tasks := gfs.GenerateTrace(goldenTraceCfg(27))
-				gfs.NewEngine(cl,
-					gfs.WithObserver(chk),
-					gfs.WithScenario(goldenStorm(27)),
-					gfs.WithAutoscaler(pol),
-					gfs.WithShards(shards),
-				).Run(tasks)
-				if len(chk.provisioned) == 0 {
-					t.Fatal("autoscaler never provisioned; the case no longer exercises the contract")
-				}
-				chk.finishAutoscale(tasks)
-			})
-		}
+	for _, mode := range []gfs.AutoscaleMode{gfs.AutoscaleReactive, gfs.AutoscalePredictive} {
+		t.Run(string(mode), func(t *testing.T) {
+			cl := gfs.NewClusterWithTopology("A100", 12, 8, 2, 4)
+			chk := newAutoscaleChecker(t, cl)
+			pol := &gfs.AutoscalePolicy{
+				Mode:     mode,
+				MaxNodes: 8,
+				Step:     2,
+				Curve:    &gfs.DiurnalCurve{PeakHour: 14, Width: 4},
+			}
+			tasks := gfs.GenerateTrace(goldenTraceCfg(27))
+			gfs.NewEngine(cl,
+				gfs.WithObserver(chk),
+				gfs.WithScenario(goldenStorm(27)),
+				gfs.WithAutoscaler(pol),
+			).Run(tasks)
+			if len(chk.provisioned) == 0 {
+				t.Fatal("autoscaler never provisioned; the case no longer exercises the contract")
+			}
+			chk.finishAutoscale(tasks)
+		})
 	}
 }
 

@@ -97,18 +97,15 @@ func WithScenario(sc *Scenario) Option {
 	}
 }
 
-// WithShards partitions the run across n event-loop shards backed by
-// a worker pool: each org's task events live on their own shard
-// queue, demand accounting fans out over org shards, and large
-// placement scans fan out over contiguous node ranges. Every fan-out
-// merges deterministically, so any shard count produces byte-
-// identical results to an unsharded run — shards change wall-clock
-// time only. Zero (the default) falls back to the GFS_SHARDS
-// environment variable, then to 1 (serial); a sensible value for big
-// clusters is runtime.NumCPU. See docs/performance.md for when
-// sharding pays.
+// WithShards is accepted and ignored: the run is serial whatever n
+// is. The intra-run sharded core it selected measured slower than the
+// serial engine on its best case and was deleted (docs/performance.md,
+// "Sharding verdict"); to use several cores, spread runs over them
+// with RunBatch.
+//
+// Deprecated: the option has no effect and will be removed.
 func WithShards(n int) Option {
-	return func(e *Engine) { e.cfg.Shards = n }
+	return func(*Engine) {}
 }
 
 // WithTraceSource attaches a streaming trace to the engine for
