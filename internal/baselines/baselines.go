@@ -30,18 +30,44 @@ func fcfsLess(a, b *task.Task) bool {
 
 // placeBy places all pods of tk, choosing each pod's node by the
 // given score (lower is better) among nodes that fit. It returns the
-// committed decision or rolls back.
+// committed decision or rolls back. The score may read only a node's
+// occupancy and ID: untouched nodes of one capacity then tie down to
+// the ID, and Candidates offers just the lowest of them.
 func placeBy(ctx *sched.Context, tk *task.Task, score func(n *cluster.Node) float64) (*sched.Decision, error) {
-	return placeByFiltered(ctx, tk, nil, score)
+	return placePods(ctx, tk, false, nil, score)
+}
+
+// placePods places all pods of tk, each on the best-scored node (ok ==
+// nil admits all) among the cluster's Candidates for it — or, with
+// every set, among all Fitting nodes, for a filter or score that tells
+// two empty nodes apart by more than their ID.
+func placePods(ctx *sched.Context, tk *task.Task, every bool, ok func(*cluster.Node) bool, score func(*cluster.Node) float64) (*sched.Decision, error) {
+	fitting := ctx.State.Cluster.Candidates
+	if every {
+		fitting = ctx.State.Cluster.Fitting
+	}
+	txn := ctx.State.Begin()
+	for pod := 0; pod < tk.Pods; pod++ {
+		best := bestScored(fitting(tk), ok, score)
+		if best == nil {
+			txn.Rollback()
+			return nil, ErrUnschedulable
+		}
+		if err := txn.Place(best, tk); err != nil {
+			txn.Rollback()
+			return nil, ErrUnschedulable
+		}
+	}
+	return txn.Commit(), nil
 }
 
 // bestScored picks one pod's node: the argmin of score over the
-// fitting candidates (ok == nil admits all), lowest node ID on ties.
-func bestScored(tk *task.Task, nodes []*cluster.Node, ok func(*cluster.Node) bool, score func(*cluster.Node) float64) *cluster.Node {
+// fitting nodes (ok == nil admits all), lowest node ID on ties.
+func bestScored(fitting []*cluster.Node, ok func(*cluster.Node) bool, score func(*cluster.Node) float64) *cluster.Node {
 	var best *cluster.Node
 	bestScore := 0.0
-	for _, n := range nodes {
-		if (ok != nil && !ok(n)) || !n.CanFitPod(tk) {
+	for _, n := range fitting {
+		if ok != nil && !ok(n) {
 			continue
 		}
 		s := score(n)

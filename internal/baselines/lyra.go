@@ -20,6 +20,12 @@ type Lyra struct {
 	// LoanFraction is the share of nodes (highest IDs) lendable to
 	// spot tasks.
 	LoanFraction float64
+
+	// pool memoizes the loan pool — node → lendable — of cluster
+	// poolOf at poolSize nodes; clusters only grow, so the size dates it.
+	pool     map[*cluster.Node]bool
+	poolOf   *cluster.Cluster
+	poolSize int
 }
 
 // NewLyra creates the scheduler with the default 25% loan pool.
@@ -31,16 +37,22 @@ func (*Lyra) Name() string { return "Lyra" }
 // Less implements sched.Scheduler.
 func (*Lyra) Less(a, b *task.Task) bool { return fcfsLess(a, b) }
 
-// loanable reports whether n belongs to the loan pool of the cluster.
+// loanable reports whether n belongs to the loan pool of the cluster:
+// the last LoanFraction of its model's nodes, by position.
 func (l *Lyra) loanable(cl *cluster.Cluster, n *cluster.Node) bool {
-	nodes := cl.NodesOfModel(n.Model)
-	loanStart := int(float64(len(nodes)) * (1 - l.LoanFraction))
-	for i, m := range nodes {
-		if m == n {
-			return i >= loanStart
+	if size := len(cl.Nodes()); l.poolOf != cl || l.poolSize != size {
+		l.pool, l.poolOf, l.poolSize = make(map[*cluster.Node]bool), cl, size
+		for _, model := range cl.Models() {
+			peers := cl.NodesOfModel(model)
+			loanStart := int(float64(len(peers)) * (1 - l.LoanFraction))
+			for i, m := range peers {
+				if i >= loanStart && m.Model == model {
+					l.pool[m] = true
+				}
+			}
 		}
 	}
-	return false
+	return l.pool[n]
 }
 
 // Schedule implements sched.Scheduler.
@@ -48,13 +60,13 @@ func (l *Lyra) Schedule(ctx *sched.Context, tk *task.Task) (*sched.Decision, err
 	cl := ctx.State.Cluster
 	if tk.Type == task.Spot {
 		// Training runs only on the loan pool, packed tight.
-		return placeByFiltered(ctx, tk,
+		return placePods(ctx, tk, true,
 			func(n *cluster.Node) bool { return l.loanable(cl, n) },
 			func(n *cluster.Node) float64 { return n.IdleGPUs() })
 	}
 	// Inference prefers the reserved pool (best fit); it spills into
 	// idle loan-pool capacity before preempting anyone.
-	dec, err := placeBy(ctx, tk, func(n *cluster.Node) float64 {
+	dec, err := placePods(ctx, tk, true, nil, func(n *cluster.Node) float64 {
 		score := n.IdleGPUs()
 		if l.loanable(cl, n) {
 			score += 1000
@@ -81,23 +93,4 @@ func (l *Lyra) Schedule(ctx *sched.Context, tk *task.Task) (*sched.Decision, err
 			return float64(len(victims))
 		},
 	)
-}
-
-// placeByFiltered is placeBy restricted to nodes passing the filter
-// (nil admits all).
-func placeByFiltered(ctx *sched.Context, tk *task.Task, ok func(*cluster.Node) bool, score func(*cluster.Node) float64) (*sched.Decision, error) {
-	txn := ctx.State.Begin()
-	nodes := ctx.State.Cluster.NodesOfModel(tk.GPUModel)
-	for pod := 0; pod < tk.Pods; pod++ {
-		best := bestScored(tk, nodes, ok, score)
-		if best == nil {
-			txn.Rollback()
-			return nil, ErrUnschedulable
-		}
-		if err := txn.Place(best, tk); err != nil {
-			txn.Rollback()
-			return nil, ErrUnschedulable
-		}
-	}
-	return txn.Commit(), nil
 }

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 	"strings"
 )
@@ -9,15 +10,23 @@ import (
 // Cluster is a set of nodes, indexed by GPU model for heterogeneous
 // pools.
 type Cluster struct {
-	nodes   []*Node
-	byModel map[string][]*Node
-	byID    map[int]*Node
+	nodes []*Node
+	byID  map[int]*Node
+	// byModel holds one placement index per GPU model, models lists
+	// them in first-seen order (what a request for any model ranges
+	// over), and fit is the scratch Candidates and Fitting fill.
+	byModel map[string]*modelIndex
+	models  []*modelIndex
+	fit     []*Node
 
-	// version counts occupancy mutations across all member nodes
-	// (bumped by Node.bump and AddNode); the aggregate cache below is
-	// valid while it holds still. It starts at 1 so the zero
-	// aggVersion always reads as stale.
+	// version counts occupancy and up/down changes across all member
+	// nodes (Node.bump, which AddNode also goes through); the aggregate
+	// cache below is valid while it holds still. It starts at 1 so the
+	// zero aggVersion always reads as stale.
 	version uint64
+	// occupied has one bit per node, by position in nodes, set while
+	// the node holds any allocation: the only nodes refreshAgg visits.
+	occupied []uint64
 
 	// upCapacity is the total card count over non-down nodes,
 	// maintained incrementally. Capacities are integers, so the
@@ -34,7 +43,7 @@ type Cluster struct {
 
 // New builds an empty cluster.
 func New() *Cluster {
-	return &Cluster{byModel: make(map[string][]*Node), byID: make(map[int]*Node), version: 1}
+	return &Cluster{byModel: make(map[string]*modelIndex), byID: make(map[int]*Node), version: 1}
 }
 
 // NewHomogeneous builds a cluster of n nodes with gpusPerNode GPUs of
@@ -74,16 +83,29 @@ func NewHeterogeneous(pools []Pool) *Cluster {
 	return c
 }
 
-// AddNode registers a node.
+// AddNode registers a node, whatever it already holds.
 func (c *Cluster) AddNode(n *Node) {
+	ix := c.byModel[n.Model]
+	if ix == nil {
+		ix = &modelIndex{cl: c}
+		c.byModel[n.Model] = ix
+		c.models = append(c.models, ix)
+	}
+	for len(ix.free) <= n.Capacity() {
+		ix.free = append(ix.free, nil)
+		ix.pristine = append(ix.pristine, nil)
+	}
+	n.owner, n.ord = ix, int32(len(c.nodes))
 	c.nodes = append(c.nodes, n)
-	c.byModel[n.Model] = append(c.byModel[n.Model], n)
+	ix.nodes = append(ix.nodes, n)
 	c.byID[n.ID] = n
-	n.owner = c
+	if len(c.nodes) > 64*len(c.occupied) {
+		c.occupied = append(c.occupied, 0)
+	}
 	if !n.down {
 		c.upCapacity += n.Capacity()
 	}
-	c.version++
+	n.bump()
 }
 
 // AddPool grows the cluster by a pool of fresh nodes, numbering them
@@ -232,7 +254,10 @@ func (c *Cluster) NodesOfModel(model string) []*Node {
 	if model == "" {
 		return c.nodes
 	}
-	return c.byModel[model]
+	if ix := c.byModel[model]; ix != nil {
+		return ix.nodes
+	}
+	return nil
 }
 
 // Models lists the distinct GPU models, sorted.
@@ -250,18 +275,25 @@ func (c *Cluster) Models() []string {
 // nodes in slice order with the same per-node expressions the
 // per-call scans used — used accumulates hpUsed+spotUsed node by
 // node, not aggHP+aggSpot — so caching never shifts a single ULP.
+// Only occupied nodes are visited, in ascending position: a skipped
+// node holds exactly +0.0 of each class, the sums start at +0.0 and
+// never go negative, and x + 0.0 is x bit for bit, so every partial
+// sum equals the one the full walk produced.
 func (c *Cluster) refreshAgg() {
 	if c.aggVersion == c.version {
 		return
 	}
 	used, hp, spot := 0.0, 0.0, 0.0
-	for _, n := range c.nodes {
-		if n.down {
-			continue
+	for w, word := range c.occupied {
+		for ; word != 0; word &= word - 1 {
+			n := c.nodes[w<<6+bits.TrailingZeros64(word)]
+			if n.down {
+				continue
+			}
+			used += n.hpUsed + n.spotUsed
+			hp += n.hpUsed
+			spot += n.spotUsed
 		}
-		used += n.hpUsed + n.spotUsed
-		hp += n.hpUsed
-		spot += n.spotUsed
 	}
 	c.aggUsed, c.aggHP, c.aggSpot = used, hp, spot
 	c.aggVersion = c.version

@@ -73,14 +73,13 @@ type Node struct {
 	// gpus so WholeFreeGPUs — the whole-card admission test run for
 	// every node on every placement — is O(1) instead of a card scan.
 	wholeFree int
-	// version counts occupancy mutations (placements, releases,
-	// up/down transitions). Schedulers and the cluster's aggregate
-	// cache key derived values on it, re-computing only for nodes
-	// whose capacity actually changed.
-	version uint64
-	// owner is the cluster this node was added to, if any; occupancy
-	// mutations invalidate its aggregate cache.
-	owner *Cluster
+	// slot is the node's position inside its placement-index container
+	// and ord its position in the owning cluster's node list (its bit in
+	// Cluster.occupied): int32s, because Node must not grow (spotCards).
+	slot, ord int32
+	// owner is the placement index of the node's model in the cluster
+	// it was added to, if any; bump reports every change there.
+	owner *modelIndex
 
 	// evictions records the times of past spot evictions on this
 	// node, oldest first, for the windowed rate of Eq. (15).
@@ -92,6 +91,10 @@ type Node struct {
 	// cordoned marks a draining node: it accepts no new placements
 	// but keeps its running pods and stays in capacity totals.
 	cordoned bool
+	// bin names the placement-index container the node sits in, in
+	// Node.container's encoding. An int16 in the flags' padding, which
+	// caps a node at 32,766 cards.
+	bin int16
 	// spotCards counts cards in use whose tenants are all spot tasks
 	// (HP and spot never share a card), maintained in lockstep with
 	// wholeFree so the preemption feasibility test ReclaimableGPUs is
@@ -118,19 +121,27 @@ func NewNode(id int, model string, capacity int) *Node {
 	return n
 }
 
-// bump records an occupancy mutation on the node's version and
-// invalidates the owning cluster's aggregate cache.
+// bump reports a change of the node's occupancy, availability or
+// eviction history to the owning cluster, once the node's own fields
+// are settled: the aggregate cache goes stale, the node's occupied bit
+// follows its usage, and the placement index re-files the node. The
+// hook lives here, not in sched.State, so callers that mutate a node
+// directly (Txn.Rollback, benchmarks) keep the index exact.
 func (n *Node) bump() {
-	n.version++
-	if n.owner != nil {
-		n.owner.version++
+	ix := n.owner
+	if ix == nil {
+		return
 	}
+	c := ix.cl
+	c.version++
+	w, bit := n.ord>>6, uint64(1)<<(n.ord&63)
+	if n.hpUsed != 0 || n.spotUsed != 0 {
+		c.occupied[w] |= bit
+	} else {
+		c.occupied[w] &^= bit
+	}
+	ix.reindex(n)
 }
-
-// Version returns the node's occupancy version: it changes exactly
-// when the node's allocations or availability change, so cached
-// occupancy-derived scores can be reused while it holds still.
-func (n *Node) Version() uint64 { return n.version }
 
 // podIndex returns the position of taskID in the sorted pod table,
 // or the insertion point with found == false.
@@ -163,24 +174,25 @@ func (n *Node) Schedulable() bool { return !n.down && !n.cordoned }
 // SetDown marks the node failed or restores it. Callers must release
 // the node's tasks before failing it; restoring also clears a cordon.
 func (n *Node) SetDown(down bool) {
-	if n.down != down {
-		if n.owner != nil {
-			if down {
-				n.owner.upCapacity -= len(n.gpus)
-			} else {
-				n.owner.upCapacity += len(n.gpus)
-			}
+	if n.down != down && n.owner != nil {
+		if down {
+			n.owner.cl.upCapacity -= len(n.gpus)
+		} else {
+			n.owner.cl.upCapacity += len(n.gpus)
 		}
-		n.bump()
 	}
 	n.down = down
 	if !down {
 		n.cordoned = false
 	}
+	n.bump()
 }
 
 // SetCordoned cordons or uncordons the node.
-func (n *Node) SetCordoned(c bool) { n.cordoned = c }
+func (n *Node) SetCordoned(c bool) {
+	n.cordoned = c
+	n.bump()
+}
 
 // IdleGPUs returns the total unallocated GPU capacity, counting
 // fractional remainders.
@@ -467,6 +479,11 @@ func (n *Node) Tasks() []*task.Task {
 	return out
 }
 
+// evictionRetention is how far back a node remembers its evictions:
+// twice the production long window. Every history horizon a scheduler
+// queries (pts.Config.LongWindow) must fit inside it.
+const evictionRetention = 2 * 24 * simclock.Hour
+
 // RecordEviction notes a spot eviction on this node at time t. The
 // history stays time-sorted even if callers report out of order.
 func (n *Node) RecordEviction(t simclock.Time) {
@@ -478,9 +495,10 @@ func (n *Node) RecordEviction(t simclock.Time) {
 	} else {
 		n.evictions = append(n.evictions, t)
 	}
-	// Trim entries older than the long window plus slack to bound
-	// memory; callers only query 1 h / 24 h windows.
-	cutoff := t.Add(-2 * 24 * simclock.Hour)
+	// Trim entries older than the retention to bound memory. The
+	// newest always survives (it is no older than t), so a node that
+	// has recorded an eviction never reads as pristine again.
+	cutoff := t.Add(-evictionRetention)
 	trim := 0
 	for trim < len(n.evictions) && n.evictions[trim] < cutoff {
 		trim++
@@ -488,6 +506,7 @@ func (n *Node) RecordEviction(t simclock.Time) {
 	if trim > 0 {
 		n.evictions = append(n.evictions[:0], n.evictions[trim:]...)
 	}
+	n.bump()
 }
 
 // EvictionsSince counts spot evictions on this node in (since, now].

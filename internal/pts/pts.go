@@ -63,15 +63,11 @@ func DefaultConfig() Config {
 
 // Scheduler is the PTS implementation of sched.Scheduler.
 type Scheduler struct {
-	cfg       Config
-	blacklist map[int]simclock.Time // node ID → blacklisted until
-
-	// scoreCache memoizes the occupancy-derived criteria (Eqs. 13–14)
-	// per node, keyed on the node's occupancy version: a scheduling
-	// pass re-scores only the nodes whose free capacity changed since
-	// the last look (its dirty set) instead of recomputing every node
-	// for every pod. Indexed by node ID; grown on demand.
-	scoreCache []cachedScore
+	cfg Config
+	// blacklist is the circuit breaker's state: node ID → the time its
+	// spot blacklisting ends. Scores are not kept: the cluster's
+	// placement index hands bestNode few enough nodes to score afresh.
+	blacklist map[int]simclock.Time
 
 	// pre is the preemption-planning workspace, reused across plans.
 	pre preemptScratch
@@ -86,16 +82,6 @@ type preemptScratch struct {
 	// rejected counts nodes the O(1) reclaimable-cards test ruled out,
 	// costed those whose victim set was built.
 	rejected, costed uint64
-}
-
-// cachedScore holds a node's packing score (Eq. 13) and both class
-// variants of the co-location score (Eq. 14). version stores the
-// node's occupancy version plus one, so the zero value always reads
-// as stale.
-type cachedScore struct {
-	version    uint64
-	s1         float64
-	s2HP, s2SP float64
 }
 
 // New creates a PTS scheduler.
@@ -133,31 +119,19 @@ func (s *Scheduler) Schedule(ctx *sched.Context, tk *task.Task) (*sched.Decision
 	return nil, ErrUnschedulable
 }
 
-// scores evaluates the three criteria for a node. The occupancy
-// criteria (Eqs. 13–14) are pure functions of the node's allocation
-// state, served from the version-keyed cache when the node is clean;
-// eviction awareness (Eq. 16) depends on the clock and is always
-// evaluated fresh.
+// scores evaluates the three criteria for a node: the occupancy
+// criteria (Eqs. 13–14) from the node's allocation state, eviction
+// awareness (Eq. 16) from its history as of the clock.
 func (s *Scheduler) scores(ctx *sched.Context, n *cluster.Node, tk *task.Task) (s1, s2, s3 float64) {
-	for n.ID >= len(s.scoreCache) {
-		s.scoreCache = append(s.scoreCache, cachedScore{})
-	}
-	c := &s.scoreCache[n.ID]
-	if c.version != n.Version()+1 {
-		total := float64(n.Capacity())
-		// Criterion 1 (Eq. 13): prefer packed nodes.
-		c.s1 = 1 - n.IdleGPUs()/total
-		// Criterion 2 (Eq. 14): homogeneous co-location.
-		c.s2HP = n.HPGPUs() / total
-		c.s2SP = n.SpotGPUs() / total
-		c.version = n.Version() + 1
-	}
-	s1 = c.s1
+	total := float64(n.Capacity())
+	// Criterion 1 (Eq. 13): prefer packed nodes.
+	s1 = 1 - n.IdleGPUs()/total
+	// Criterion 2 (Eq. 14): homogeneous co-location.
 	if !s.cfg.DisableCoLocation {
 		if tk.Type == task.HP {
-			s2 = c.s2HP
+			s2 = n.HPGPUs() / total
 		} else {
-			s2 = c.s2SP
+			s2 = n.SpotGPUs() / total
 		}
 	}
 	// Criterion 3 (Eq. 16): eviction awareness with asymmetric
@@ -210,18 +184,19 @@ func (s *Scheduler) nonPreemptive(ctx *sched.Context, tk *task.Task) (*sched.Dec
 	return txn.Commit(), nil
 }
 
-// bestNode filters and scores candidates for one pod, keeping the
-// single maximum of the lexicographic (score1, score2, score3,
-// lowest-ID) order in one pass (Algorithm 1). The comparator is
-// exactly the one the former sort used, and node-ID tie-breaking makes
-// it a total order, so the argmax equals the sorted head.
+// bestNode scores the candidates for one pod and keeps the single
+// maximum of the lexicographic (score1, score2, score3, lowest-ID)
+// order (Algorithm 1). Node-ID tie-breaking makes that a total order,
+// so the argmax does not depend on the order candidates arrive in.
+// The filter is the cluster's: Candidates yields every feasible node
+// but the pristine ones — empty, never evicted from, so all three
+// scores tie (0, 0, and 0 for HP or 1 for spot) — and of those the
+// lowest ID per capacity, the only one that can win. The rest could
+// not trip the breaker either: a trip needs a recorded eviction.
 func (s *Scheduler) bestNode(ctx *sched.Context, tk *task.Task) *cluster.Node {
 	colocFirst := s.cfg.CoLocationFirst
 	var best scored
-	for _, n := range ctx.State.Cluster.NodesOfModel(tk.GPUModel) {
-		if !n.CanFitPod(tk) {
-			continue
-		}
+	for _, n := range ctx.State.Cluster.Candidates(tk) {
 		s1, s2, s3 := s.scores(ctx, n, tk)
 		if tk.Type == task.Spot && !s.cfg.DisableEvictionAware && tk.GPUsPerPod >= 1 {
 			// Alg. 1 line 7: whole-card spot pods require
