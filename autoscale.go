@@ -53,12 +53,6 @@ func PredictiveAutoscaler() *AutoscalePolicy {
 	return &AutoscalePolicy{Mode: autoscale.ModePredictive}
 }
 
-// ReactiveAutoscaler returns a fresh built-in policy in reactive mode
-// with default settings.
-func ReactiveAutoscaler() *AutoscalePolicy {
-	return &AutoscalePolicy{Mode: autoscale.ModeReactive}
-}
-
 // NamedAutoscaler resolves a policy name ("predictive" or
 // "reactive") to a fresh built-in policy — the names the gfsim
 // -autoscale flag and the run spec's autoscale.mode field accept.

@@ -25,9 +25,53 @@ func TestExportedSymbolsDocumented(t *testing.T) {
 	}
 }
 
-// undocumented parses the package in dir (tests excluded) and lists
-// exported declarations lacking doc comments.
-func undocumented(t *testing.T, dir string) []string {
+// TestExportedSymbolCeilings is the size ledger of the exported
+// surface: functions, types, and methods on exported types, per
+// package (what `go doc -all` lists as func and type lines), pinned to
+// the counts at the last change that moved them. It fails when a count
+// differs from its pin in either direction, so the pin moves only on
+// purpose: down with every deletion, up only with a reason.
+func TestExportedSymbolCeilings(t *testing.T) {
+	for _, c := range []struct {
+		dir     string
+		ceiling int
+	}{
+		{".", 255},
+		{"internal/sched", 98},
+		{"internal/cluster", 54},
+		{"internal/stats", 24},
+		{"internal/service", 18},
+	} {
+		got := 0
+		_, decls := nonTestDecls(t, c.dir)
+		for _, decl := range decls {
+			switch d := decl.(type) {
+			case *ast.FuncDecl:
+				if d.Name.IsExported() && !unexportedRecv(d) {
+					got++
+				}
+			case *ast.GenDecl:
+				for _, spec := range d.Specs {
+					if sp, ok := spec.(*ast.TypeSpec); ok && sp.Name.IsExported() {
+						got++
+					}
+				}
+			}
+		}
+		switch {
+		case got > c.ceiling:
+			t.Errorf("%s exports %d symbols, ceiling %d (%+d): delete what has no caller, or raise the ceiling in doclint_test.go and justify it in CHANGES.md",
+				c.dir, got, c.ceiling, got-c.ceiling)
+		case got < c.ceiling:
+			t.Errorf("%s exports %d symbols, ceiling %d (%+d): lower the ceiling in doclint_test.go to %d so the deletion stays deleted",
+				c.dir, got, c.ceiling, got-c.ceiling, got)
+		}
+	}
+}
+
+// nonTestDecls parses the package in dir (tests excluded) and returns
+// its top-level declarations with the file set that positions them.
+func nonTestDecls(t *testing.T, dir string) (*token.FileSet, []ast.Decl) {
 	t.Helper()
 	fset := token.NewFileSet()
 	pkgs, err := parser.ParseDir(fset, dir, func(fi fs.FileInfo) bool {
@@ -36,13 +80,23 @@ func undocumented(t *testing.T, dir string) []string {
 	if err != nil {
 		t.Fatalf("parse %s: %v", dir, err)
 	}
-	var out []string
+	var out []ast.Decl
 	for _, pkg := range pkgs {
 		for _, file := range pkg.Files {
-			for _, decl := range file.Decls {
-				out = append(out, undocumentedInDecl(fset, decl)...)
-			}
+			out = append(out, file.Decls...)
 		}
+	}
+	return fset, out
+}
+
+// undocumented lists the exported declarations of the package in dir
+// lacking doc comments.
+func undocumented(t *testing.T, dir string) []string {
+	t.Helper()
+	var out []string
+	fset, decls := nonTestDecls(t, dir)
+	for _, decl := range decls {
+		out = append(out, undocumentedInDecl(fset, decl)...)
 	}
 	return out
 }

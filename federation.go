@@ -24,8 +24,6 @@ type (
 	MemberState = sched.MemberState
 	// FederationResult aggregates a federated run.
 	FederationResult = sched.FedResult
-	// MemberResult is one member's share of a federated run.
-	MemberResult = sched.MemberResult
 	// PricingTable maps GPU model → on-demand hourly USD price.
 	PricingTable = pricing.Table
 )

@@ -39,10 +39,8 @@ import (
 	"github.com/sjtucitlab/gfs/internal/forecast"
 	"github.com/sjtucitlab/gfs/internal/gde"
 	"github.com/sjtucitlab/gfs/internal/org"
-	"github.com/sjtucitlab/gfs/internal/pts"
 	"github.com/sjtucitlab/gfs/internal/sched"
 	"github.com/sjtucitlab/gfs/internal/simclock"
-	"github.com/sjtucitlab/gfs/internal/sqa"
 	"github.com/sjtucitlab/gfs/internal/stats"
 	"github.com/sjtucitlab/gfs/internal/task"
 	"github.com/sjtucitlab/gfs/internal/timefeat"
@@ -71,9 +69,6 @@ type (
 	Result = sched.Result
 	// TaskMetrics summarizes one task class of a Result.
 	TaskMetrics = stats.TaskMetrics
-	// AllocationSample is one allocation-rate observation of a
-	// Result's Samples series.
-	AllocationSample = stats.AllocationSample
 	// System bundles the GFS scheduler and quota policy.
 	System = core.System
 	// Options configures a GFS instance.
@@ -88,10 +83,6 @@ type (
 	Time = simclock.Time
 	// Duration is a span of simulated time in seconds.
 	Duration = simclock.Duration
-	// PTSConfig holds the Preemptive Task Scheduler parameters.
-	PTSConfig = pts.Config
-	// SQAConfig holds the Spot Quota Allocator parameters.
-	SQAConfig = sqa.Config
 	// Forecaster is a point-forecast demand model.
 	Forecaster = forecast.Forecaster
 	// Distributional is a forecaster with Gaussian uncertainty.
@@ -182,15 +173,9 @@ func SummarizeTrace(tasks []*Task) TraceStats { return trace.Summarize(tasks) }
 // format.
 func WriteTraceCSV(w io.Writer, tasks []*Task) error { return trace.WriteCSV(w, tasks) }
 
-// ReadTraceCSV reads a trace previously written by WriteTraceCSV.
-func ReadTraceCSV(r io.Reader) ([]*Task, error) { return trace.ReadCSV(r) }
-
 // DefaultEstimatorConfig sizes the GDE as in the experiments: a week
 // of hourly history predicting the next 4 hours.
 func DefaultEstimatorConfig() EstimatorConfig { return gde.DefaultConfig() }
-
-// NewEstimator creates an untrained demand estimator.
-func NewEstimator(cfg EstimatorConfig) *Estimator { return gde.New(cfg) }
 
 // TrainEstimator creates and trains a demand estimator on an aligned
 // panel of per-organization hourly demand series starting at

@@ -61,6 +61,46 @@ func TestFacadeEndToEnd(t *testing.T) {
 	}
 }
 
+// TestBatchSharesTrainedEstimator: RunBatch workers share one trained
+// estimator, so forecasting for organizations it never saw in training
+// must only read it (CI runs this under -race).
+func TestBatchSharesTrainedEstimator(t *testing.T) {
+	est, err := gfs.TrainEstimator(gfs.EstimatorConfig{
+		History: 48, Horizon: 4, Model: gfs.NewOrgLinearFast(4),
+	}, demandPanel(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	unseen := []string{"UnseenA", "UnseenB"}
+	spec := func(name string) gfs.BatchSpec {
+		return gfs.BatchSpec{Name: name, Setup: func() (*gfs.Engine, []*gfs.Task) {
+			cfg := gfs.DefaultTraceConfig()
+			cfg.Days = 1
+			cfg.ClusterGPUs = 64
+			cfg.MaxDuration = 4 * gfs.Hour
+			tasks := gfs.GenerateTrace(cfg)
+			for i, tk := range tasks {
+				if i%3 == 0 {
+					tk.Org = unseen[i/3%len(unseen)]
+				}
+			}
+			opts := gfs.DefaultOptions()
+			opts.Estimator = est
+			return gfs.NewEngine(gfs.NewCluster("A100", 8, 8), gfs.WithSystem(gfs.NewSystem(opts))), tasks
+		}}
+	}
+	res := gfs.RunBatch([]gfs.BatchSpec{spec("a"), spec("b")}, gfs.WithWorkers(2))
+	for _, r := range res {
+		if r.Err != nil {
+			t.Fatalf("%s: %v", r.Name, r.Err)
+		}
+	}
+	if a, b := res[0].Result, res[1].Result; a.AllocationRate != b.AllocationRate || a.FinalQuota != b.FinalQuota {
+		t.Fatalf("identical specs diverged: alloc %v vs %v, quota %v vs %v",
+			a.AllocationRate, b.AllocationRate, a.FinalQuota, b.FinalQuota)
+	}
+}
+
 func TestFacadeBaselines(t *testing.T) {
 	for _, s := range []gfs.Scheduler{
 		gfs.NewYARNCS(), gfs.NewChronus(), gfs.NewLyra(),

@@ -234,17 +234,6 @@ func (c *Cluster) SiblingDomains(domain string) []string {
 	return out
 }
 
-// UpNodes counts nodes that are not down.
-func (c *Cluster) UpNodes() int {
-	up := 0
-	for _, n := range c.nodes {
-		if !n.Down() {
-			up++
-		}
-	}
-	return up
-}
-
 // Nodes returns all nodes in ID order.
 func (c *Cluster) Nodes() []*Node { return c.nodes }
 
@@ -380,15 +369,6 @@ func (c *Cluster) AllocationRate(model string) float64 {
 		return 0
 	}
 	return c.UsedGPUs(model) / total
-}
-
-// Fragmentation sums the per-node fragmentation measure.
-func (c *Cluster) Fragmentation() float64 {
-	f := 0.0
-	for _, n := range c.nodes {
-		f += n.Fragmentation()
-	}
-	return f
 }
 
 // String implements fmt.Stringer.

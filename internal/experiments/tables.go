@@ -258,25 +258,3 @@ func FormatTable1(rows []Table1Row) string {
 	}
 	return b.String()
 }
-
-// ImprovementOverBest returns GFS's relative improvement on a metric
-// versus the best baseline (positive = GFS better, assuming lower is
-// better).
-func ImprovementOverBest(rows []SchedRow, metric func(SchedRow) float64) float64 {
-	var gfs float64
-	best := math.Inf(1)
-	for _, r := range rows {
-		v := metric(r)
-		if r.Scheduler == "GFS" {
-			gfs = v
-			continue
-		}
-		if !math.IsNaN(v) && v < best {
-			best = v
-		}
-	}
-	if best == 0 || math.IsInf(best, 1) {
-		return 0
-	}
-	return (best - gfs) / best
-}

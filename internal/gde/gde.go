@@ -53,13 +53,6 @@ func New(cfg Config) *Estimator {
 	return &Estimator{cfg: cfg, model: cfg.Model, orgIDs: make(map[string]forecast.OrgMeta)}
 }
 
-// Model exposes the underlying forecaster (for ablations and
-// reports).
-func (e *Estimator) Model() forecast.Distributional { return e.model }
-
-// Horizon returns the configured forecast span.
-func (e *Estimator) Horizon() int { return e.cfg.Horizon }
-
 // History returns the configured input window.
 func (e *Estimator) History() int { return e.cfg.History }
 
@@ -96,15 +89,15 @@ func (e *Estimator) Train(panel map[string][]float64, startHour int) error {
 // Fitted reports whether Train has succeeded.
 func (e *Estimator) Fitted() bool { return e.fitted }
 
-// meta resolves an organization name, registering unseen names with a
-// fresh id (they fall back to the embedding of their clamped id).
+// meta resolves an organization name. It only reads: a trained
+// estimator is shared across batch workers. Every name unseen in
+// training gets the first id past the trained ones (the model falls
+// back to the embedding of the clamped id).
 func (e *Estimator) meta(org string) forecast.OrgMeta {
 	if m, ok := e.orgIDs[org]; ok {
 		return m
 	}
-	m := forecast.OrgMeta{OrgID: len(e.orgIDs)}
-	e.orgIDs[org] = m
-	return m
+	return forecast.OrgMeta{OrgID: len(e.orgIDs)}
 }
 
 // Forecast returns the demand distribution for the next Horizon hours

@@ -61,7 +61,10 @@ func TestOrgIDsDeterministic(t *testing.T) {
 	}
 }
 
-func TestUnknownOrgRegistered(t *testing.T) {
+// TestUnknownOrgForecastsWithoutRegistering: a trained estimator is
+// shared read-only across batch workers, so asking about an org unseen
+// in training must not write, and every unseen org resolves alike.
+func TestUnknownOrgForecastsWithoutRegistering(t *testing.T) {
 	e := New(smallConfig())
 	if err := e.Train(panel(24*7), 0); err != nil {
 		t.Fatal(err)
@@ -71,8 +74,11 @@ func TestUnknownOrgRegistered(t *testing.T) {
 	if len(mu) != 4 {
 		t.Fatal("unknown org should still forecast")
 	}
-	if _, ok := e.orgIDs["Mystery"]; !ok {
-		t.Fatal("unknown org should be registered")
+	if _, ok := e.orgIDs["Mystery"]; ok || len(e.orgIDs) != 4 {
+		t.Fatalf("lookup of an unknown org wrote the id table: %+v", e.orgIDs)
+	}
+	if a, b := e.meta("Mystery"), e.meta("Other"); a != b || a.OrgID != 4 {
+		t.Fatalf("unseen orgs resolve to %+v and %+v, want both OrgID 4", a, b)
 	}
 }
 
@@ -147,10 +153,10 @@ func TestOrgLinearBackedEstimator(t *testing.T) {
 
 func TestDefaultConfigUsesOrgLinear(t *testing.T) {
 	e := New(DefaultConfig())
-	if e.Model().Name() != "OrgLinear" {
-		t.Fatalf("default model = %s, want OrgLinear", e.Model().Name())
+	if e.model.Name() != "OrgLinear" {
+		t.Fatalf("default model = %s, want OrgLinear", e.model.Name())
 	}
-	if e.Horizon() != 4 || e.History() != 168 {
+	if e.cfg.Horizon != 4 || e.History() != 168 {
 		t.Fatal("default dims")
 	}
 }

@@ -33,14 +33,14 @@ func TestLinearLearnsRegression(t *testing.T) {
 		x := tensor.Randn(16, 2, 1, rng)
 		y := tensor.New(16, 1)
 		for i := 0; i < 16; i++ {
-			y.Set(i, 0, 2*x.At(i, 0)-x.At(i, 1)+0.5)
+			y.Set(i, 0, 2*x.Row(i)[0]-x.Row(i)[1]+0.5)
 		}
 		out := l.Forward(tp, x)
 		lt := MSE(tp, out, y)
 		ZeroGrads(l.Params())
 		tp.Backward(lt)
 		opt.Step()
-		loss = lt.Item()
+		loss = lt.Data[0]
 	}
 	if loss > 1e-3 {
 		t.Fatalf("final loss %v, want < 1e-3", loss)
@@ -59,15 +59,16 @@ func TestEmbeddingLookupAndGrad(t *testing.T) {
 		t.Fatalf("out %dx%d", out.Rows, out.Cols)
 	}
 	for j := 0; j < 4; j++ {
-		if out.At(0, j) != e.Table.At(3, j) || out.At(1, j) != e.Table.At(3, j) {
+		if out.Row(0)[j] != e.Table.Row(3)[j] || out.Row(1)[j] != e.Table.Row(3)[j] {
 			t.Fatal("rows should copy table entries")
 		}
 	}
-	loss := tp.Sum(out)
+	loss := tp.Mean(out)
 	ZeroGrads(e.Params())
 	tp.Backward(loss)
-	// Row 3 used twice → grad 2; row 7 once → 1; others 0.
-	if e.Table.Grad[3*4] != 2 || e.Table.Grad[7*4] != 1 || e.Table.Grad[0] != 0 {
+	// Row 3 used twice → twice row 7's grad (used once); others 0.
+	g := e.Table.Grad[7*4]
+	if g == 0 || e.Table.Grad[3*4] != 2*g || e.Table.Grad[0] != 0 {
 		t.Fatalf("scatter grads wrong: %v", e.Table.Grad)
 	}
 }
@@ -101,7 +102,7 @@ func TestAttentionMaskBlocks(t *testing.T) {
 	y := m.Forward(tp, x, mask)
 	// All output rows must be identical (same attended value).
 	for j := 0; j < 4; j++ {
-		if math.Abs(y.At(0, j)-y.At(1, j)) > 1e-9 || math.Abs(y.At(0, j)-y.At(2, j)) > 1e-9 {
+		if math.Abs(y.Row(0)[j]-y.Row(1)[j]) > 1e-9 || math.Abs(y.Row(0)[j]-y.Row(2)[j]) > 1e-9 {
 			t.Fatal("masked attention rows should coincide")
 		}
 	}
@@ -173,7 +174,7 @@ func TestLSTMLearnsRunningMean(t *testing.T) {
 		ZeroGrads(params)
 		tp.Backward(lt)
 		opt.Step()
-		loss = lt.Item()
+		loss = lt.Data[0]
 	}
 	if loss > 5e-3 {
 		t.Fatalf("LSTM failed to learn mean: loss %v", loss)
@@ -187,8 +188,8 @@ func TestGaussianNLLMatchesFormula(t *testing.T) {
 	y := tensor.FromSlice(1, 1, []float64{3})
 	nll := GaussianNLL(tp, mu, sigma, y)
 	want := math.Log(2) + 0.5*math.Pow((3.0-1)/2, 2) + 0.5*math.Log(2*math.Pi)
-	if math.Abs(nll.Item()-want) > 1e-12 {
-		t.Fatalf("nll = %v, want %v", nll.Item(), want)
+	if math.Abs(nll.Data[0]-want) > 1e-12 {
+		t.Fatalf("nll = %v, want %v", nll.Data[0], want)
 	}
 }
 
@@ -259,7 +260,7 @@ func TestPositionalEncodingProperties(t *testing.T) {
 	}
 	// Row 0 alternates sin(0)=0, cos(0)=1.
 	for j := 0; j < 8; j += 2 {
-		if pe.At(0, j) != 0 || pe.At(0, j+1) != 1 {
+		if pe.Row(0)[j] != 0 || pe.Row(0)[j+1] != 1 {
 			t.Fatal("row 0 should be (0,1,0,1,…)")
 		}
 	}
@@ -272,7 +273,7 @@ func TestPositionalEncodingProperties(t *testing.T) {
 	// Distinct positions get distinct encodings.
 	same := true
 	for j := 0; j < 8; j++ {
-		if pe.At(1, j) != pe.At(2, j) {
+		if pe.Row(1)[j] != pe.Row(2)[j] {
 			same = false
 		}
 	}

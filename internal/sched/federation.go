@@ -45,9 +45,6 @@ func (m *MemberState) FreeGPUs() float64 { return m.cluster.IdleGPUs("") }
 // excluded).
 func (m *MemberState) TotalGPUs() float64 { return m.cluster.TotalGPUs("") }
 
-// PendingTasks returns the depth of the member's scheduling queue.
-func (m *MemberState) PendingTasks() int { return m.sim.PendingTasks() }
-
 // ExpectedReclaim returns the member's forecast reclamation fraction
 // at time at (zero without a forecast).
 func (m *MemberState) ExpectedReclaim(at simclock.Time) float64 {

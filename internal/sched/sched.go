@@ -50,11 +50,6 @@ func (c *Context) ElapsedSeconds() float64 {
 	return elapsed
 }
 
-// ElapsedGPUSeconds returns Σ_k S_k·T, the cluster-wide GPU-time.
-func (c *Context) ElapsedGPUSeconds() float64 {
-	return c.State.Cluster.TotalGPUs("") * c.ElapsedSeconds()
-}
-
 // Scheduler places tasks on the cluster.
 type Scheduler interface {
 	// Name identifies the scheduler in reports.

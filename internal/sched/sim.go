@@ -75,12 +75,6 @@ func DefaultSimConfig(cl *cluster.Cluster, s Scheduler) SimConfig {
 	}
 }
 
-// Victim describes an evicted spot task and where its pods were.
-type Victim struct {
-	Task *task.Task
-	Locs []NodePods
-}
-
 // Result summarizes one simulation run.
 type Result struct {
 	SchedulerName string

@@ -114,9 +114,6 @@ func (s *State) KillNode(n *cluster.Node) ([]*task.Task, [][]NodePods) {
 	return victims, locs
 }
 
-// Running reports whether tk currently holds GPUs.
-func (s *State) Running(tk *task.Task) bool { return len(s.locs[tk.ID]) > 0 }
-
 // Txn is an undoable set of placements and evictions. A scheduler
 // builds its decision inside a transaction; Rollback restores the
 // exact capacity state, Commit finalizes it.

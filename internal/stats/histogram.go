@@ -39,179 +39,3 @@ func quantileSorted(s []float64, p float64) float64 {
 	frac := pos - float64(lo)
 	return s[lo]*(1-frac) + s[hi]*frac
 }
-
-// Bucket is one cumulative histogram bucket: the count of
-// observations at or below the upper bound (Prometheus "le"
-// convention).
-type Bucket struct {
-	// UpperBound is the bucket's inclusive upper edge; the final
-	// bucket of a snapshot is +Inf.
-	UpperBound float64
-	// CumulativeCount is the number of observations ≤ UpperBound.
-	CumulativeCount int
-}
-
-// Histogram accumulates observations into fixed buckets, cheap enough
-// for the simulation hot path (one binary search per observation, no
-// retained samples). Snapshots render in the Prometheus cumulative
-// style; Quantile interpolates within a bucket, so its error is
-// bounded by the bucket width.
-type Histogram struct {
-	bounds []float64 // ascending upper edges, +Inf excluded
-	counts []int     // per-bucket (non-cumulative), len(bounds)+1
-	count  int
-	sum    float64
-	min    float64
-	max    float64
-}
-
-// NewHistogram builds a histogram over the given ascending bucket
-// upper bounds. A final +Inf overflow bucket is implicit; bounds may
-// be empty (everything lands in the overflow bucket). Unsorted or
-// duplicated bounds panic — histogram shapes are static
-// configuration, not data.
-func NewHistogram(bounds []float64) *Histogram {
-	for i := 1; i < len(bounds); i++ {
-		if bounds[i] <= bounds[i-1] {
-			panic("stats: histogram bounds must be strictly ascending")
-		}
-	}
-	return &Histogram{
-		bounds: append([]float64(nil), bounds...),
-		counts: make([]int, len(bounds)+1),
-		min:    math.Inf(1),
-		max:    math.Inf(-1),
-	}
-}
-
-// ExponentialBounds returns n ascending bounds starting at start and
-// growing by factor — the usual shape for latency-style histograms.
-// It panics on a non-positive start or n, or a factor ≤ 1.
-func ExponentialBounds(start, factor float64, n int) []float64 {
-	if start <= 0 || factor <= 1 || n <= 0 {
-		panic("stats: ExponentialBounds needs start > 0, factor > 1, n > 0")
-	}
-	out := make([]float64, n)
-	b := start
-	for i := range out {
-		out[i] = b
-		b *= factor
-	}
-	return out
-}
-
-// Observe records one sample.
-func (h *Histogram) Observe(x float64) {
-	i := sort.SearchFloat64s(h.bounds, x)
-	h.counts[i]++
-	h.count++
-	h.sum += x
-	if x < h.min {
-		h.min = x
-	}
-	if x > h.max {
-		h.max = x
-	}
-}
-
-// Count returns the number of observations.
-func (h *Histogram) Count() int { return h.count }
-
-// Sum returns the sum of all observations.
-func (h *Histogram) Sum() float64 { return h.sum }
-
-// Mean returns the arithmetic mean, or 0 with no observations.
-func (h *Histogram) Mean() float64 {
-	if h.count == 0 {
-		return 0
-	}
-	return h.sum / float64(h.count)
-}
-
-// Min returns the smallest observation, or +Inf with none.
-func (h *Histogram) Min() float64 { return h.min }
-
-// Max returns the largest observation, or -Inf with none.
-func (h *Histogram) Max() float64 { return h.max }
-
-// Buckets returns the cumulative bucket snapshot, ending with the
-// +Inf overflow bucket (whose count equals Count).
-func (h *Histogram) Buckets() []Bucket {
-	out := make([]Bucket, 0, len(h.bounds)+1)
-	cum := 0
-	for i, b := range h.bounds {
-		cum += h.counts[i]
-		out = append(out, Bucket{UpperBound: b, CumulativeCount: cum})
-	}
-	out = append(out, Bucket{UpperBound: math.Inf(1), CumulativeCount: h.count})
-	return out
-}
-
-// Quantile estimates the p-th percentile (p in [0,1]) by linear
-// interpolation within the bucket holding that rank, clamped to the
-// observed min/max so estimates never leave the data range. It
-// returns 0 with no observations.
-func (h *Histogram) Quantile(p float64) float64 {
-	if h.count == 0 {
-		return 0
-	}
-	if p <= 0 {
-		return h.min
-	}
-	if p >= 1 {
-		return h.max
-	}
-	rank := p * float64(h.count)
-	cum := 0
-	for i, c := range h.counts {
-		if c == 0 {
-			continue
-		}
-		prev := cum
-		cum += c
-		if float64(cum) < rank {
-			continue
-		}
-		lo := h.min
-		if i > 0 {
-			lo = h.bounds[i-1]
-		}
-		hi := h.max
-		if i < len(h.bounds) && h.bounds[i] < hi {
-			hi = h.bounds[i]
-		}
-		if lo < h.min {
-			lo = h.min
-		}
-		if hi < lo {
-			hi = lo
-		}
-		frac := (rank - float64(prev)) / float64(c)
-		return lo + (hi-lo)*frac
-	}
-	return h.max
-}
-
-// Merge folds other into h. The histograms must share identical
-// bounds; mismatched shapes panic.
-func (h *Histogram) Merge(other *Histogram) {
-	if len(h.bounds) != len(other.bounds) {
-		panic("stats: merging histograms with different bounds")
-	}
-	for i, b := range h.bounds {
-		if other.bounds[i] != b {
-			panic("stats: merging histograms with different bounds")
-		}
-	}
-	for i, c := range other.counts {
-		h.counts[i] += c
-	}
-	h.count += other.count
-	h.sum += other.sum
-	if other.min < h.min {
-		h.min = other.min
-	}
-	if other.max > h.max {
-		h.max = other.max
-	}
-}

@@ -86,140 +86,3 @@ func TestPercentileMonotonic(t *testing.T) {
 		}
 	}
 }
-
-// TestHistogramEmpty: a fresh histogram reports zero counts, zero
-// quantiles, and a full cumulative snapshot ending at +Inf.
-func TestHistogramEmpty(t *testing.T) {
-	h := NewHistogram([]float64{1, 10})
-	if h.Count() != 0 || h.Sum() != 0 || h.Mean() != 0 {
-		t.Fatalf("empty histogram: count %d sum %g mean %g", h.Count(), h.Sum(), h.Mean())
-	}
-	if got := h.Quantile(0.5); got != 0 {
-		t.Fatalf("empty quantile = %g, want 0", got)
-	}
-	bk := h.Buckets()
-	if len(bk) != 3 || !math.IsInf(bk[2].UpperBound, 1) || bk[2].CumulativeCount != 0 {
-		t.Fatalf("empty buckets = %+v", bk)
-	}
-}
-
-// TestHistogramSingleSample: one observation lands in exactly one
-// bucket and every quantile returns that value.
-func TestHistogramSingleSample(t *testing.T) {
-	h := NewHistogram([]float64{1, 10, 100})
-	h.Observe(7)
-	for _, p := range []float64{0, 0.01, 0.5, 0.99, 1} {
-		if got := h.Quantile(p); got != 7 {
-			t.Fatalf("single-sample quantile(p=%g) = %g, want 7", p, got)
-		}
-	}
-	bk := h.Buckets()
-	want := []int{0, 1, 1, 1}
-	for i, b := range bk {
-		if b.CumulativeCount != want[i] {
-			t.Fatalf("bucket %d cumulative = %d, want %d", i, b.CumulativeCount, want[i])
-		}
-	}
-}
-
-// TestHistogramBucketEdges: observations exactly on a bucket's upper
-// bound count into that bucket (Prometheus "le" semantics), and
-// overflow lands in the +Inf bucket.
-func TestHistogramBucketEdges(t *testing.T) {
-	h := NewHistogram([]float64{1, 10})
-	h.Observe(1)    // on the edge: le=1
-	h.Observe(10)   // on the edge: le=10
-	h.Observe(1000) // overflow
-	bk := h.Buckets()
-	if bk[0].CumulativeCount != 1 || bk[1].CumulativeCount != 2 || bk[2].CumulativeCount != 3 {
-		t.Fatalf("edge buckets = %+v", bk)
-	}
-}
-
-// TestHistogramQuantileBounded: against random data, the histogram's
-// quantile must stay within one bucket width of the exact percentile
-// and inside the observed range — the advertised accuracy contract.
-func TestHistogramQuantileBounded(t *testing.T) {
-	bounds := ExponentialBounds(1, 2, 16) // 1 .. 32768
-	rng := rand.New(rand.NewSource(3))
-	for trial := 0; trial < 20; trial++ {
-		h := NewHistogram(bounds)
-		xs := make([]float64, 500)
-		for i := range xs {
-			xs[i] = math.Exp(rng.Float64() * 10) // heavy-tailed in (1, e^10)
-			h.Observe(xs[i])
-		}
-		for _, p := range []float64{0.05, 0.5, 0.95, 0.99} {
-			est := h.Quantile(p)
-			exact := Percentile(xs, p)
-			if est < Min(xs) || est > Max(xs) {
-				t.Fatalf("quantile %g outside data range", est)
-			}
-			// The estimate and the exact value must share a bucket
-			// or be in adjacent buckets (interpolation can cross one
-			// edge when ranks straddle it).
-			bi := bucketIndex(bounds, est)
-			bj := bucketIndex(bounds, exact)
-			if d := bi - bj; d < -1 || d > 1 {
-				t.Fatalf("p=%g: estimate %g (bucket %d) too far from exact %g (bucket %d)",
-					p, est, bi, exact, bj)
-			}
-		}
-	}
-}
-
-func bucketIndex(bounds []float64, x float64) int {
-	for i, b := range bounds {
-		if x <= b {
-			return i
-		}
-	}
-	return len(bounds)
-}
-
-// TestHistogramMerge: merging two histograms must equal observing the
-// union, and mismatched bounds must panic.
-func TestHistogramMerge(t *testing.T) {
-	bounds := []float64{1, 10, 100}
-	a, b, u := NewHistogram(bounds), NewHistogram(bounds), NewHistogram(bounds)
-	rng := rand.New(rand.NewSource(5))
-	for i := 0; i < 100; i++ {
-		x := rng.Float64() * 200
-		if i%2 == 0 {
-			a.Observe(x)
-		} else {
-			b.Observe(x)
-		}
-		u.Observe(x)
-	}
-	a.Merge(b)
-	// Sums accumulate in different orders, so compare within float
-	// round-off; counts and extremes are exact.
-	if a.Count() != u.Count() || math.Abs(a.Sum()-u.Sum()) > 1e-9*u.Sum() ||
-		a.Min() != u.Min() || a.Max() != u.Max() {
-		t.Fatalf("merge diverged: %d/%g vs %d/%g", a.Count(), a.Sum(), u.Count(), u.Sum())
-	}
-	ab, ub := a.Buckets(), u.Buckets()
-	for i := range ab {
-		if ab[i] != ub[i] {
-			t.Fatalf("bucket %d: merged %+v != union %+v", i, ab[i], ub[i])
-		}
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("merging mismatched bounds must panic")
-		}
-	}()
-	a.Merge(NewHistogram([]float64{5}))
-}
-
-// TestHistogramBadBounds: non-ascending bounds are a configuration
-// bug and must panic loudly.
-func TestHistogramBadBounds(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("descending bounds must panic")
-		}
-	}()
-	NewHistogram([]float64{10, 1})
-}

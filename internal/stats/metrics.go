@@ -179,14 +179,3 @@ func (w *EvictionWindow) Rate(now simclock.Time) float64 {
 	}
 	return float64(ev) / float64(len(w.events))
 }
-
-// Counts returns (evicted, total) runs in the window ending at now.
-func (w *EvictionWindow) Counts(now simclock.Time) (evicted, total int) {
-	w.trim(now)
-	for _, e := range w.events {
-		if e.evicted {
-			evicted++
-		}
-	}
-	return evicted, len(w.events)
-}

@@ -118,15 +118,3 @@ func TestEvictionWindowRate(t *testing.T) {
 		t.Fatalf("rate = %v, want 0 after window", got)
 	}
 }
-
-func TestEvictionWindowCounts(t *testing.T) {
-	w := NewEvictionWindow(simclock.Hour)
-	now := simclock.Time(simclock.Hour)
-	w.Record(now.Add(-10*simclock.Minute), true)
-	w.Record(now.Add(-5*simclock.Minute), true)
-	w.Record(now.Add(-1*simclock.Minute), false)
-	ev, total := w.Counts(now)
-	if ev != 2 || total != 3 {
-		t.Fatalf("counts = %d/%d, want 2/3", ev, total)
-	}
-}

@@ -1,7 +1,6 @@
 // Package stats provides the statistical utilities used throughout
-// the reproduction: percentiles, empirical CDFs, Pearson/Spearman
-// correlation, and scheduling metric accumulators (JCT, JQT, eviction
-// rate, allocation rate).
+// the reproduction: percentiles, empirical CDFs, and scheduling
+// metric accumulators (JCT, JQT, eviction rate, allocation rate).
 package stats
 
 import (
@@ -20,24 +19,6 @@ func Mean(xs []float64) float64 {
 	}
 	return s / float64(len(xs))
 }
-
-// Variance returns the population variance, or 0 for fewer than two
-// samples.
-func Variance(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	s := 0.0
-	for _, x := range xs {
-		d := x - m
-		s += d * d
-	}
-	return s / float64(len(xs))
-}
-
-// Std returns the population standard deviation.
-func Std(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
 
 // Min returns the minimum, or +Inf for an empty slice.
 func Min(xs []float64) float64 {
@@ -116,60 +97,6 @@ func CDFAt(cdf []CDFPoint, x float64) float64 {
 	return p
 }
 
-// Pearson returns the Pearson correlation coefficient of x and y, or
-// 0 when undefined (mismatched lengths, fewer than two points, or a
-// zero-variance input).
-func Pearson(x, y []float64) float64 {
-	if len(x) != len(y) || len(x) < 2 {
-		return 0
-	}
-	mx, my := Mean(x), Mean(y)
-	var sxy, sxx, syy float64
-	for i := range x {
-		dx, dy := x[i]-mx, y[i]-my
-		sxy += dx * dy
-		sxx += dx * dx
-		syy += dy * dy
-	}
-	if sxx == 0 || syy == 0 {
-		return 0
-	}
-	return sxy / math.Sqrt(sxx*syy)
-}
-
-// ranks assigns average ranks (1-based) handling ties, as required by
-// Spearman correlation.
-func ranks(xs []float64) []float64 {
-	idx := make([]int, len(xs))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool { return xs[idx[a]] < xs[idx[b]] })
-	r := make([]float64, len(xs))
-	for i := 0; i < len(idx); {
-		j := i
-		for j+1 < len(idx) && xs[idx[j+1]] == xs[idx[i]] {
-			j++
-		}
-		avg := (float64(i+1) + float64(j+1)) / 2
-		for k := i; k <= j; k++ {
-			r[idx[k]] = avg
-		}
-		i = j + 1
-	}
-	return r
-}
-
-// Spearman returns the Spearman rank correlation ρ of x and y, the
-// statistic the paper uses to relate cluster characteristics to
-// organizational patterns (§3.2.2).
-func Spearman(x, y []float64) float64 {
-	if len(x) != len(y) || len(x) < 2 {
-		return 0
-	}
-	return Pearson(ranks(x), ranks(y))
-}
-
 // NormICDF is the inverse CDF (quantile function) of the standard
 // normal distribution, used for the ICDF upper bounds of §3.3.1.
 func NormICDF(p float64) float64 {
@@ -180,9 +107,4 @@ func NormICDF(p float64) float64 {
 		return math.Inf(1)
 	}
 	return math.Sqrt2 * math.Erfinv(2*p-1)
-}
-
-// NormCDF is the standard normal CDF Φ.
-func NormCDF(x float64) float64 {
-	return 0.5 * (1 + math.Erf(x/math.Sqrt2))
 }

@@ -15,16 +15,10 @@ func approx(t *testing.T, got, want, tol float64, msg string) {
 	}
 }
 
-func TestMeanVarianceStd(t *testing.T) {
-	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
-	approx(t, Mean(xs), 5, 1e-12, "mean")
-	approx(t, Variance(xs), 4, 1e-12, "variance")
-	approx(t, Std(xs), 2, 1e-12, "std")
-	if Mean(nil) != 0 || Variance(nil) != 0 {
-		t.Fatal("empty inputs should return 0")
-	}
-	if Variance([]float64{3}) != 0 {
-		t.Fatal("single sample variance should be 0")
+func TestMean(t *testing.T) {
+	approx(t, Mean([]float64{2, 4, 4, 4, 5, 5, 7, 9}), 5, 1e-12, "mean")
+	if Mean(nil) != 0 {
+		t.Fatal("empty input should return 0")
 	}
 }
 
@@ -77,44 +71,12 @@ func TestCDF(t *testing.T) {
 	}
 }
 
-func TestPearson(t *testing.T) {
-	x := []float64{1, 2, 3, 4, 5}
-	y := []float64{2, 4, 6, 8, 10}
-	approx(t, Pearson(x, y), 1, 1e-12, "perfect positive")
-	yneg := []float64{10, 8, 6, 4, 2}
-	approx(t, Pearson(x, yneg), -1, 1e-12, "perfect negative")
-	if Pearson(x, []float64{1, 1, 1, 1, 1}) != 0 {
-		t.Fatal("zero variance should give 0")
-	}
-	if Pearson(x, []float64{1, 2}) != 0 {
-		t.Fatal("length mismatch should give 0")
-	}
-}
-
-func TestSpearmanMonotone(t *testing.T) {
-	x := []float64{1, 2, 3, 4, 5}
-	y := []float64{1, 8, 27, 64, 125} // nonlinear but monotone
-	approx(t, Spearman(x, y), 1, 1e-12, "monotone → ρ=1")
-}
-
-func TestSpearmanTies(t *testing.T) {
-	x := []float64{1, 2, 2, 3}
-	y := []float64{10, 20, 20, 30}
-	approx(t, Spearman(x, y), 1, 1e-12, "tied ranks aligned")
-}
-
 func TestNormICDF(t *testing.T) {
 	approx(t, NormICDF(0.5), 0, 1e-12, "median")
 	approx(t, NormICDF(0.975), 1.959964, 1e-5, "97.5%")
 	approx(t, NormICDF(0.9), 1.281552, 1e-5, "90%")
 	if !math.IsInf(NormICDF(0), -1) || !math.IsInf(NormICDF(1), 1) {
 		t.Fatal("boundary quantiles should be infinite")
-	}
-}
-
-func TestNormCDFInverse(t *testing.T) {
-	for _, p := range []float64{0.05, 0.25, 0.5, 0.9, 0.95, 0.99} {
-		approx(t, NormCDF(NormICDF(p)), p, 1e-9, "CDF∘ICDF")
 	}
 }
 
@@ -165,25 +127,5 @@ func TestCDFMonotoneProperty(t *testing.T) {
 		if !sort.SliceIsSorted(cdf, func(i, j int) bool { return cdf[i].X < cdf[j].X }) {
 			t.Fatal("CDF X must be sorted")
 		}
-	}
-}
-
-// Property: Spearman is invariant under strictly monotone transforms.
-func TestSpearmanInvarianceProperty(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 30; trial++ {
-		n := rng.Intn(50) + 3
-		x := make([]float64, n)
-		y := make([]float64, n)
-		for i := range x {
-			x[i] = rng.NormFloat64()
-			y[i] = rng.NormFloat64()
-		}
-		base := Spearman(x, y)
-		xt := make([]float64, n)
-		for i := range x {
-			xt[i] = math.Exp(x[i]) // strictly monotone
-		}
-		approx(t, Spearman(xt, y), base, 1e-9, "monotone transform invariance")
 	}
 }

@@ -66,19 +66,6 @@ func softplus(x float64) float64 {
 	return math.Max(x, 0) + math.Log1p(math.Exp(-math.Abs(x)))
 }
 
-// Exp returns e^a elementwise.
-func (tp *Tape) Exp(a *Tensor) *Tensor {
-	out := New(a.Rows, a.Cols)
-	for i := range out.Data {
-		out.Data[i] = math.Exp(a.Data[i])
-	}
-	return tp.record(out, func() {
-		for i := range out.Grad {
-			a.Grad[i] += out.Grad[i] * out.Data[i]
-		}
-	})
-}
-
 // Log returns ln(a) elementwise.
 func (tp *Tape) Log(a *Tensor) *Tensor {
 	out := New(a.Rows, a.Cols)
@@ -138,22 +125,6 @@ func (tp *Tape) SoftmaxRows(a *Tensor) *Tensor {
 			for j := range orow {
 				a.Grad[i*a.Cols+j] += orow[j] * (grow[j] - dot)
 			}
-		}
-	})
-}
-
-// Sum reduces to a 1×1 scalar.
-func (tp *Tape) Sum(a *Tensor) *Tensor {
-	out := New(1, 1)
-	s := 0.0
-	for _, v := range a.Data {
-		s += v
-	}
-	out.Data[0] = s
-	return tp.record(out, func() {
-		g := out.Grad[0]
-		for i := range a.Grad {
-			a.Grad[i] += g
 		}
 	})
 }
@@ -276,21 +247,6 @@ func (tp *Tape) SliceCols(a *Tensor, from, to int) *Tensor {
 			for j := 0; j < w; j++ {
 				a.Grad[i*a.Cols+from+j] += out.Grad[i*w+j]
 			}
-		}
-	})
-}
-
-// SliceRows returns rows [from, to).
-func (tp *Tape) SliceRows(a *Tensor, from, to int) *Tensor {
-	if from < 0 || to > a.Rows || from >= to {
-		panic(fmt.Sprintf("tensor: SliceRows [%d,%d) of %d rows", from, to, a.Rows))
-	}
-	h := to - from
-	out := New(h, a.Cols)
-	copy(out.Data, a.Data[from*a.Cols:to*a.Cols])
-	return tp.record(out, func() {
-		for i := range out.Grad {
-			a.Grad[from*a.Cols+i] += out.Grad[i]
 		}
 	})
 }

@@ -41,9 +41,6 @@ func FromSlice(rows, cols int, data []float64) *Tensor {
 	return &Tensor{Rows: rows, Cols: cols, Data: data, Grad: make([]float64, len(data))}
 }
 
-// FromVector wraps data as a column vector.
-func FromVector(data []float64) *Tensor { return FromSlice(len(data), 1, data) }
-
 // Randn fills a new tensor with N(0, scale²) entries.
 func Randn(rows, cols int, scale float64, rng *rand.Rand) *Tensor {
 	t := New(rows, cols)
@@ -64,32 +61,14 @@ func Xavier(rows, cols int, rng *rand.Rand) *Tensor {
 	return t
 }
 
-// At returns element (i, j).
-func (t *Tensor) At(i, j int) float64 { return t.Data[i*t.Cols+j] }
-
 // Set assigns element (i, j).
 func (t *Tensor) Set(i, j int, v float64) { t.Data[i*t.Cols+j] = v }
-
-// Clone deep-copies the tensor's data (grad starts at zero).
-func (t *Tensor) Clone() *Tensor {
-	c := New(t.Rows, t.Cols)
-	copy(c.Data, t.Data)
-	return c
-}
 
 // ZeroGrad clears the gradient buffer.
 func (t *Tensor) ZeroGrad() {
 	for i := range t.Grad {
 		t.Grad[i] = 0
 	}
-}
-
-// Item returns the single element of a 1×1 tensor.
-func (t *Tensor) Item() float64 {
-	if t.Rows != 1 || t.Cols != 1 {
-		panic(fmt.Sprintf("tensor: Item on %dx%d", t.Rows, t.Cols))
-	}
-	return t.Data[0]
 }
 
 // Row returns a copy of row i.
@@ -115,9 +94,6 @@ func NewTape() *Tape { return &Tape{} }
 // Reset discards all recorded operations so the tape can be reused
 // for the next forward pass.
 func (tp *Tape) Reset() { tp.nodes = tp.nodes[:0] }
-
-// Len reports the number of recorded operations.
-func (tp *Tape) Len() int { return len(tp.nodes) }
 
 func (tp *Tape) record(out *Tensor, back func()) *Tensor {
 	out.back = back

@@ -152,17 +152,6 @@ func (s *csvSource) Next() (*task.Task, error) {
 
 func (s *csvSource) Close() error { return nil }
 
-// ReadCSV parses a trace written by WriteCSV, materializing it as a
-// slice. For large traces prefer NewCSVSource (or Open), which this
-// function wraps.
-func ReadCSV(r io.Reader) ([]*task.Task, error) {
-	src, err := NewCSVSource(r)
-	if err != nil {
-		return nil, err
-	}
-	return Collect(src)
-}
-
 // columnError tags a field-level parse failure with its column name.
 func columnError(col string, err error) error {
 	return fmt.Errorf("column %s: %w", col, err)

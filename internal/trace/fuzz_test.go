@@ -73,7 +73,7 @@ func FuzzParseTaskCSV(f *testing.F) {
 	f.Add([]byte("id,org,gpu_model,type,pods,gpus_per_pod,gang,duration_s,checkpoint_s,submit_s\n0,o,m,hp,1,NaN,x,-1,-1,-1\n"))
 	f.Add([]byte(`not,a,trace`))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		tasks, err := ReadCSV(bytes.NewReader(data))
+		tasks, err := readCSV(bytes.NewReader(data))
 		if err != nil {
 			return
 		}
@@ -84,7 +84,7 @@ func FuzzParseTaskCSV(f *testing.F) {
 				err := WriteCSV(&buf, ts)
 				return buf.Bytes(), err
 			},
-			func(b []byte) ([]*task.Task, error) { return ReadCSV(bytes.NewReader(b)) },
+			func(b []byte) ([]*task.Task, error) { return readCSV(bytes.NewReader(b)) },
 		)
 	})
 }

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"io"
 	"math"
 	"strings"
 	"testing"
@@ -202,6 +203,15 @@ func TestOrgsAssigned(t *testing.T) {
 	}
 }
 
+// readCSV decodes a whole CSV trace into a slice.
+func readCSV(r io.Reader) ([]*task.Task, error) {
+	src, err := NewCSVSource(r)
+	if err != nil {
+		return nil, err
+	}
+	return Collect(src)
+}
+
 func TestCSVRoundTrip(t *testing.T) {
 	cfg := Default()
 	cfg.Days = 1
@@ -210,7 +220,7 @@ func TestCSVRoundTrip(t *testing.T) {
 	if err := WriteCSV(&buf, tasks); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadCSV(&buf)
+	got, err := readCSV(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,18 +239,18 @@ func TestCSVRoundTrip(t *testing.T) {
 }
 
 func TestReadCSVErrors(t *testing.T) {
-	if _, err := ReadCSV(strings.NewReader("")); err == nil {
+	if _, err := readCSV(strings.NewReader("")); err == nil {
 		t.Fatal("empty input should error")
 	}
-	if _, err := ReadCSV(strings.NewReader("bogus,header\n")); err == nil {
+	if _, err := readCSV(strings.NewReader("bogus,header\n")); err == nil {
 		t.Fatal("bad header should error")
 	}
 	bad := strings.Join(csvHeader, ",") + "\nx,o,m,hp,1,1,false,60,0,0\n"
-	if _, err := ReadCSV(strings.NewReader(bad)); err == nil {
+	if _, err := readCSV(strings.NewReader(bad)); err == nil {
 		t.Fatal("non-numeric id should error")
 	}
 	badType := strings.Join(csvHeader, ",") + "\n1,o,m,weird,1,1,false,60,0,0\n"
-	if _, err := ReadCSV(strings.NewReader(badType)); err == nil {
+	if _, err := readCSV(strings.NewReader(badType)); err == nil {
 		t.Fatal("unknown type should error")
 	}
 }

@@ -36,29 +36,6 @@ func WithGrace(d Duration) Option {
 	return func(e *Engine) { e.cfg.Grace = d }
 }
 
-// WithQuotaInterval sets the quota update period (Table 4: 300 s).
-func WithQuotaInterval(d Duration) Option {
-	return func(e *Engine) { e.cfg.QuotaInterval = d }
-}
-
-// WithQuotaWindow sets the lookback for the eviction rate fed to the
-// quota policy (default 1 h).
-func WithQuotaWindow(d Duration) Option {
-	return func(e *Engine) { e.cfg.QuotaWindow = d }
-}
-
-// WithIdleTimeout stops a run when nothing progresses for this long
-// (default 48 h).
-func WithIdleTimeout(d Duration) Option {
-	return func(e *Engine) { e.cfg.IdleTimeout = d }
-}
-
-// WithMaxFailuresPerPass bounds wasted placement attempts per
-// scheduling pass (default 25).
-func WithMaxFailuresPerPass(n int) Option {
-	return func(e *Engine) { e.cfg.MaxFailuresPerPass = n }
-}
-
 // WithInitialOrgDemand seeds per-organization hourly demand history
 // so quota forecasts have context from hour zero.
 func WithInitialOrgDemand(panel map[string][]float64) Option {

@@ -34,10 +34,6 @@ const (
 	TraceFormatCSV = trace.FormatCSV
 	// TraceFormatJSONL is newline-delimited JSON, one task per line.
 	TraceFormatJSONL = trace.FormatJSONL
-	// TraceFormatAlibaba is the Alibaba GPU cluster trace task table.
-	TraceFormatAlibaba = trace.FormatAlibaba
-	// TraceFormatPhilly is the Philly-style per-job layout.
-	TraceFormatPhilly = trace.FormatPhilly
 )
 
 // OpenTrace opens a trace file as a streaming TraceSource,
@@ -72,11 +68,6 @@ func ParseTraceFormat(s string) (TraceFormat, error) { return trace.ParseFormat(
 // accepted by the CLIs, rejecting anything else so a typo cannot
 // silently fall back to the default era.
 func ParseTraceRegime(s string) (TraceRegime, error) { return trace.ParseRegime(s) }
-
-// TraceFormatForPath picks the output encoding a path implies: .jsonl
-// or .ndjson (optionally .gz-suffixed) means JSONL, everything else
-// CSV.
-func TraceFormatForPath(path string) TraceFormat { return trace.FormatForPath(path) }
 
 // TraceSkipper is implemented by lenient adapter sources (Alibaba,
 // Philly) that drop unusable rows; Skipped reports how many.
@@ -140,11 +131,6 @@ func SummarizeTraceSource(src TraceSource) (TraceStats, error) {
 // WriteTraceJSONL writes a trace as newline-delimited JSON, the
 // self-describing sibling of the CSV interchange format.
 func WriteTraceJSONL(w io.Writer, tasks []*Task) error { return trace.WriteJSONL(w, tasks) }
-
-// ReadTraceJSONL reads a trace previously written by WriteTraceJSONL.
-func ReadTraceJSONL(r io.Reader) ([]*Task, error) {
-	return trace.Collect(trace.NewJSONLSource(r))
-}
 
 // WriteTraceFile writes a trace to path, choosing CSV or JSONL from
 // the extension and gzip-compressing when the path ends in .gz — the
