@@ -9,7 +9,7 @@
 //
 // Experiments: table1, fig2, fig3, fig4, fig5, fig8, fig9, table5,
 // table6, fig10, table7, table8, table9, table10, storm, federation,
-// replay, report, benefit, autoscale, service, all. Scales: small
+// replay, report, benefit, autoscale, all. Scales: small
 // (128 GPUs), medium (512), paper (2,296). The replay experiment
 // compares schedulers on an ingested trace: -trace names the file
 // (any format gfstrace reads); without it the experiment synthesizes
@@ -18,10 +18,7 @@
 // Report for the GFS stack, pricing its allocation gain over the
 // pre-GFS baseline (Fig. 9's accounting). The autoscale experiment
 // prices static, reactive and predictive capacity strategies against
-// each other on the monthly cost ledger. The service experiment
-// exercises the gfsd daemon path in-process: concurrent sessions on
-// the shared worker pool, with a determinism cross-check over their
-// reports.
+// each other on the monthly cost ledger.
 package main
 
 import (
@@ -75,7 +72,6 @@ var registry = []experiment{
 	{"report", runReport},
 	{"benefit", runBenefit},
 	{"autoscale", runAutoscale},
-	{"service", runService},
 }
 
 // experimentIDs returns the registry ids in order.

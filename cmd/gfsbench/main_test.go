@@ -5,8 +5,6 @@ import (
 	"regexp"
 	"strings"
 	"testing"
-
-	"github.com/sjtucitlab/gfs/internal/experiments"
 )
 
 // TestRegistryWellFormed asserts every registry entry has a unique id
@@ -64,15 +62,5 @@ func TestDocCommentEnumeratesRegistry(t *testing.T) {
 	want := append(experimentIDs(), "all")
 	if got, wantStr := strings.Join(docIDs, " "), strings.Join(want, " "); got != wantStr {
 		t.Fatalf("doc comment enumeration out of sync with registry:\n  doc:      %s\n  registry: %s", got, wantStr)
-	}
-}
-
-// TestServiceExperiment runs the gfsd-backed experiment end to end at
-// a reduced scale — it is the one registry entry whose runner spans
-// the HTTP service layer, so exercise it in tests.
-func TestServiceExperiment(t *testing.T) {
-	env := expEnv{scale: experiments.SmallScale()}
-	if err := runService(env); err != nil {
-		t.Fatalf("service experiment: %v", err)
 	}
 }

@@ -1,7 +1,6 @@
 package gfs_test
 
 import (
-	"bytes"
 	"context"
 	"reflect"
 	"runtime"
@@ -11,40 +10,67 @@ import (
 	gfs "github.com/sjtucitlab/gfs"
 )
 
+// RunBatchContext is the module's one cancellable entry point (gfsim,
+// gfsd and runspec.Built.Run all cancel through it), so the context
+// contract is asserted on single-spec batches.
+
+// closeCounter counts Close calls on the source it wraps.
+type closeCounter struct {
+	gfs.TraceSource
+	closed int
+}
+
+func (c *closeCounter) Close() error {
+	c.closed++
+	return c.TraceSource.Close()
+}
+
+// cancelAfter returns a context and an observer that cancels it when
+// the n-th event arrives. The observer runs synchronously inside the
+// step loop, so cancelling from it exercises the per-step check exactly.
+func cancelAfter(n int) (context.Context, gfs.Observer) {
+	ctx, cancel := context.WithCancel(context.Background())
+	seen := 0
+	return ctx, gfs.ObserverFunc(func(gfs.Event) {
+		if seen++; seen == n {
+			cancel()
+		}
+	})
+}
+
+// chaosSpec is the chaos-scenario engine of runChaos as a batch spec.
+func chaosSpec(seed int64, obs ...gfs.Observer) []gfs.BatchSpec {
+	return []gfs.BatchSpec{{Name: "chaos", Setup: func() (*gfs.Engine, []*gfs.Task) {
+		return gfs.NewEngine(gfs.NewCluster("A100", 16, 8),
+			gfs.WithScenario(chaosScenario()), gfs.WithObserver(obs...)), chaosTrace(seed)
+	}}}
+}
+
 // TestRunContextMatchesRun asserts the context-plumbing contract: a
-// RunContext that completes under a live (but unfired) context is
+// run that completes under a live (but unfired) context is
 // byte-identical to Run over the same spec — event for event and
 // metric for metric.
 func TestRunContextMatchesRun(t *testing.T) {
-	run := func(useCtx bool) (*gfs.Result, *gfs.EventLog) {
-		log := &gfs.EventLog{}
-		eng := gfs.NewEngine(gfs.NewCluster("A100", 16, 8),
-			gfs.WithScenario(chaosScenario()), gfs.WithObserver(log))
-		tasks := chaosTrace(11)
-		if !useCtx {
-			return eng.Run(tasks), log
-		}
-		ctx, cancel := context.WithCancel(context.Background())
-		defer cancel()
-		res, err := eng.RunContext(ctx, tasks)
-		if err != nil {
-			t.Fatalf("RunContext: %v", err)
-		}
-		return res, log
+	res1, log1 := runChaos(11)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	log2 := &gfs.EventLog{}
+	br := gfs.RunBatchContext(ctx, chaosSpec(11, log2))[0]
+	if br.Err != nil {
+		t.Fatalf("run under a live context: %v", br.Err)
 	}
-	res1, log1 := run(false)
-	res2, log2 := run(true)
 	if log1.String() != log2.String() {
-		t.Fatal("RunContext event log differs from Run")
+		t.Fatal("event log under a live context differs from Run")
 	}
-	if !reflect.DeepEqual(res1, res2) {
-		t.Fatalf("RunContext result differs from Run:\n%+v\n%+v", res1, res2)
+	if !reflect.DeepEqual(res1, br.Result) {
+		t.Fatalf("result under a live context differs from Run:\n%+v\n%+v", res1, br.Result)
 	}
 }
 
 // TestRunContextCancellation asserts that cancelling mid-run stops
 // the simulation promptly — well before the trace is exhausted — with
-// ctx's error, and leaks no goroutines (the run path spawns none).
+// ctx's error, and leaks no goroutines (the run path spawns none
+// beyond the batch's own worker, which RunBatchContext waits for).
 func TestRunContextCancellation(t *testing.T) {
 	full, fullLog := runChaos(11)
 	if full == nil || len(fullLog.Events) == 0 {
@@ -53,30 +79,19 @@ func TestRunContextCancellation(t *testing.T) {
 
 	before := runtime.NumGoroutine()
 
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	log := &gfs.EventLog{}
 	cancelAt := len(fullLog.Events) / 4
-	// The observer runs synchronously inside the step loop, so
-	// cancelling from it exercises the per-step check exactly.
-	trip := gfs.ObserverFunc(func(e gfs.Event) {
-		if len(log.Events) == cancelAt {
-			cancel()
-		}
-		log.OnEvent(e)
-	})
-	eng := gfs.NewEngine(gfs.NewCluster("A100", 16, 8),
-		gfs.WithScenario(chaosScenario()), gfs.WithObserver(trip))
+	ctx, trip := cancelAfter(cancelAt + 1)
+	log := &gfs.EventLog{}
 
 	start := time.Now()
-	res, err := eng.RunContext(ctx, chaosTrace(11))
+	br := gfs.RunBatchContext(ctx, chaosSpec(11, trip, log))[0]
 	took := time.Since(start)
 
-	if err != context.Canceled {
-		t.Fatalf("cancelled RunContext err = %v, want context.Canceled", err)
+	if br.Err != context.Canceled {
+		t.Fatalf("cancelled run err = %v, want context.Canceled", br.Err)
 	}
-	if res != nil {
-		t.Fatalf("cancelled RunContext returned a result: %+v", res)
+	if br.Result != nil {
+		t.Fatalf("cancelled run returned a result: %+v", br.Result)
 	}
 	if took > 5*time.Second {
 		t.Fatalf("cancelled run returned after %v", took)
@@ -89,7 +104,7 @@ func TestRunContextCancellation(t *testing.T) {
 	}
 
 	// No goroutines may linger: the simulator runs entirely on the
-	// caller's goroutine.
+	// goroutine that called it.
 	deadline := time.Now().Add(2 * time.Second)
 	for {
 		if after := runtime.NumGoroutine(); after <= before {
@@ -106,13 +121,7 @@ func TestRunContextCancellation(t *testing.T) {
 // nothing once cancelled: a batch run stopped in flight carries
 // neither result nor report even though its engine has collectors.
 func TestCancelledRunAssemblesNoReport(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	n := 0
-	trip := gfs.ObserverFunc(func(gfs.Event) {
-		if n++; n == 50 {
-			cancel()
-		}
-	})
+	ctx, trip := cancelAfter(50)
 	br := gfs.RunBatchContext(ctx, []gfs.BatchSpec{{Name: "a", Setup: func() (*gfs.Engine, []*gfs.Task) {
 		return gfs.NewEngine(gfs.NewCluster("A100", 8, 8),
 			gfs.WithCollectors(gfs.DefaultCollectors()...), gfs.WithObserver(trip)), chaosTrace(3)
@@ -123,42 +132,36 @@ func TestCancelledRunAssemblesNoReport(t *testing.T) {
 }
 
 // TestRunTraceContextCancelled asserts streamed replay honours
-// cancellation and still closes its source.
+// cancellation mid-stream and still closes its source.
 func TestRunTraceContextCancelled(t *testing.T) {
-	var buf bytes.Buffer
-	if err := gfs.WriteTraceJSONL(&buf, chaosTrace(5)); err != nil {
-		t.Fatal(err)
+	src := &closeCounter{TraceSource: openBytes(t, encodedChaosTrace(t, 5))}
+	ctx, trip := cancelAfter(50)
+	br := gfs.RunBatchContext(ctx, []gfs.BatchSpec{{Name: "replay", Setup: func() (*gfs.Engine, []*gfs.Task) {
+		return gfs.NewEngine(gfs.NewCluster("A100", 8, 8), gfs.WithTraceSource(src), gfs.WithObserver(trip)), nil
+	}}})[0]
+	if br.Err != context.Canceled || br.Result != nil {
+		t.Fatalf("cancelled replay = (%v, %v), want (nil, context.Canceled)", br.Result, br.Err)
 	}
-	src, err := gfs.OpenTraceReader(&buf, gfs.TraceFormatJSONL)
-	if err != nil {
-		t.Fatal(err)
+	if src.closed != 1 {
+		t.Fatalf("cancelled replay closed its source %d times, want 1", src.closed)
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	eng := gfs.NewEngine(gfs.NewCluster("A100", 8, 8), gfs.WithTraceSource(src))
-	res, err := eng.RunTraceContext(ctx)
-	if err != context.Canceled || res != nil {
-		t.Fatalf("RunTraceContext on dead ctx = (%v, %v), want (nil, context.Canceled)", res, err)
+	if _, err := src.Next(); err != nil {
+		t.Fatalf("cancelled replay did not stop mid-stream: its source is drained (%v)", err)
 	}
 }
 
 // TestFederationRunContextCancelled asserts the shared-clock loop
 // checks the context too.
 func TestFederationRunContextCancelled(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	n := 0
-	trip := gfs.ObserverFunc(func(gfs.Event) {
-		if n++; n == 50 {
-			cancel()
-		}
-	})
-	fed := gfs.NewFederation([]gfs.Member{
-		{Name: "west", Engine: gfs.NewEngine(gfs.NewCluster("A100", 8, 8))},
-		{Name: "east", Engine: gfs.NewEngine(gfs.NewCluster("A100", 8, 8))},
-	}, gfs.WithFederationObserver(trip))
-	res, err := fed.RunContext(ctx, chaosTrace(7))
-	if err != context.Canceled || res != nil {
-		t.Fatalf("federated RunContext = (%v, %v), want (nil, context.Canceled)", res, err)
+	ctx, trip := cancelAfter(50)
+	br := gfs.RunBatchContext(ctx, []gfs.BatchSpec{{Name: "fed", SetupFederation: func() (*gfs.Federation, []*gfs.Task) {
+		return gfs.NewFederation([]gfs.Member{
+			{Name: "west", Engine: gfs.NewEngine(gfs.NewCluster("A100", 8, 8))},
+			{Name: "east", Engine: gfs.NewEngine(gfs.NewCluster("A100", 8, 8))},
+		}, gfs.WithFederationObserver(trip), gfs.WithFederationCollectors(nil)), chaosTrace(7)
+	}}})[0]
+	if br.Err != context.Canceled || br.Fed != nil || br.FedReport != nil {
+		t.Fatalf("cancelled federated run = (%v, %v, %v), want (nil, nil, context.Canceled)", br.Fed, br.FedReport, br.Err)
 	}
 }
 

@@ -147,23 +147,15 @@ func (e *Engine) Run(tasks []*Task) *Result {
 	return res
 }
 
-// RunContext is Run with cooperative cancellation: the simulation
-// checks ctx between simulator steps and returns ctx.Err() promptly —
-// within one step — when it fires. A cancelled run leaves tasks in
-// whatever lifecycle state they reached and assembles no report; a
-// run that completes is byte-identical to Run over the same spec (a
-// background context takes the exact same loop). The run itself
-// spawns no goroutines, so cancellation leaks nothing.
-func (e *Engine) RunContext(ctx context.Context, tasks []*Task) (*Result, error) {
-	return e.run(ctx, tasks)
-}
-
-// run is the one execution path behind Run, RunContext, RunTrace,
-// RunTraceContext and RunBatch: an engine without a trace source runs
-// the task slice; one with a source replays it (closing it when the
-// replay ends, cancelled or not) and must be handed a nil slice — an
-// engine given both is ambiguous, so the source is released and the
-// run refused rather than silently replaying neither-or-both.
+// run is the one execution path behind Run, RunTrace and RunBatch —
+// the last is where a cancellable context comes from: the simulation
+// checks ctx between simulator steps and returns ctx.Err() within one
+// step of it firing, leaving tasks in whatever lifecycle state they
+// reached. An engine without a trace source runs the task slice; one
+// with a source replays it (closing it when the replay ends, cancelled
+// or not) and must be handed a nil slice — an engine given both is
+// ambiguous, so the source is released and the run refused rather
+// than silently replaying neither-or-both.
 func (e *Engine) run(ctx context.Context, tasks []*Task) (*Result, error) {
 	if e.src == nil {
 		return sched.RunContext(ctx, e.cfg, tasks)
@@ -222,15 +214,8 @@ func (e *Engine) RunReport(tasks []*Task) *Report {
 // Like Run, it mutates replayed tasks and the cluster, so an engine
 // runs one trace; the source is closed when the replay ends.
 func (e *Engine) RunTrace() (*Result, error) {
-	return e.RunTraceContext(context.Background())
-}
-
-// RunTraceContext is RunTrace with cooperative cancellation, checked
-// once per simulator step like RunContext. The source is closed when
-// the replay ends, cancelled or not.
-func (e *Engine) RunTraceContext(ctx context.Context) (*Result, error) {
 	if e.src == nil {
 		return nil, errors.New("gfs: RunTrace needs WithTraceSource")
 	}
-	return e.run(ctx, nil)
+	return e.run(context.Background(), nil)
 }

@@ -142,7 +142,7 @@ type Federation struct {
 	delay     Duration
 	observers []Observer
 	// src is the streaming trace attached by
-	// WithFederationTraceSource, drained by a RunBatch replay spec.
+	// WithFederationTraceSource, drained by RunTrace.
 	src TraceSource
 	// Report-collection state: collectMk is the set factory from
 	// WithFederationCollectors, realized into one collector set per
@@ -202,10 +202,9 @@ func WithFederationCollectors(mk func() []Collector) FederationOption {
 	}
 }
 
-// WithFederationTraceSource attaches a streaming trace for replay.
-// It exists for RunBatch federation specs: a SetupFederation that
-// returns a nil task slice with a source attached is replayed via
-// RunTrace. Direct callers can simply pass the source to RunTrace.
+// WithFederationTraceSource attaches a streaming trace for replay by
+// RunTrace, or by RunBatch when the spec's SetupFederation returns a
+// nil task slice.
 func WithFederationTraceSource(src TraceSource) FederationOption {
 	return func(f *Federation) { f.src = src }
 }
@@ -359,34 +358,24 @@ func (f *Federation) Run(tasks []*Task) *FederationResult {
 	return res
 }
 
-// RunContext is Run with cooperative cancellation: the shared-clock
-// loop checks ctx once per simulated instant and returns ctx.Err()
-// promptly when it fires, assembling no result.
-func (f *Federation) RunContext(ctx context.Context, tasks []*Task) (*FederationResult, error) {
-	return f.run(ctx, tasks)
+// RunTrace executes the federated simulation over the attached trace
+// source (WithFederationTraceSource): arrivals are pulled just ahead
+// of the shared clock and routed to members through the same Inject
+// path as Run, so federated replay of an ingested trace stays
+// constant-memory on the ingestion side. The source must yield tasks
+// in non-decreasing submission order; it is closed when the replay
+// ends.
+func (f *Federation) RunTrace() (*FederationResult, error) {
+	if f.src == nil {
+		return nil, errors.New("gfs: RunTrace needs WithFederationTraceSource")
+	}
+	return f.run(context.Background(), nil)
 }
 
-// RunTrace executes the federated simulation over a streaming trace
-// source: arrivals are pulled just ahead of the shared clock and
-// routed to members through the same Inject path as Run, so federated
-// replay of an ingested trace stays constant-memory on the ingestion
-// side. The source must yield tasks in non-decreasing submission
-// order; it is closed when the replay ends.
-func (f *Federation) RunTrace(src TraceSource) (*FederationResult, error) {
-	return f.RunTraceContext(context.Background(), src)
-}
-
-// RunTraceContext is RunTrace with cooperative cancellation, checked
-// once per shared-clock instant like RunContext. The source is closed
-// when the replay ends, cancelled or not.
-func (f *Federation) RunTraceContext(ctx context.Context, src TraceSource) (*FederationResult, error) {
-	f.src = src
-	return f.run(ctx, nil)
-}
-
-// run is the one execution path behind Run, RunContext, RunTrace,
-// RunTraceContext and RunBatch, with Engine.run's rules: an attached
-// source is replayed (and closed) and tolerates no slice beside it.
+// run is the one execution path behind Run, RunTrace and RunBatch,
+// with Engine.run's rules: ctx is checked once per shared-clock
+// instant, and an attached source is replayed (and closed) and
+// tolerates no slice beside it.
 func (f *Federation) run(ctx context.Context, tasks []*Task) (*FederationResult, error) {
 	if f.src != nil {
 		defer f.src.Close()

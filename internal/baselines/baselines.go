@@ -7,15 +7,10 @@
 package baselines
 
 import (
-	"errors"
-
 	"github.com/sjtucitlab/gfs/internal/cluster"
 	"github.com/sjtucitlab/gfs/internal/sched"
 	"github.com/sjtucitlab/gfs/internal/task"
 )
-
-// ErrUnschedulable is returned when no placement exists.
-var ErrUnschedulable = errors.New("baselines: no feasible placement")
 
 // fcfsLess is the shared HP-first, then-FCFS queue order.
 func fcfsLess(a, b *task.Task) bool {
@@ -30,9 +25,10 @@ func fcfsLess(a, b *task.Task) bool {
 
 // placeBy places all pods of tk, choosing each pod's node by the
 // given score (lower is better) among nodes that fit. It returns the
-// committed decision or rolls back. The score may read only a node's
-// occupancy and ID: untouched nodes of one capacity then tie down to
-// the ID, and Candidates offers just the lowest of them.
+// committed decision, or sched.ErrUnschedulable with nothing placed.
+// The score may read only a node's occupancy and ID: untouched nodes
+// of one capacity then tie down to the ID, and Candidates offers just
+// the lowest of them.
 func placeBy(ctx *sched.Context, tk *task.Task, score func(n *cluster.Node) float64) (*sched.Decision, error) {
 	return placePods(ctx, tk, false, nil, score)
 }
@@ -46,19 +42,9 @@ func placePods(ctx *sched.Context, tk *task.Task, every bool, ok func(*cluster.N
 	if every {
 		fitting = ctx.State.Cluster.Fitting
 	}
-	txn := ctx.State.Begin()
-	for pod := 0; pod < tk.Pods; pod++ {
-		best := bestScored(fitting(tk), ok, score)
-		if best == nil {
-			txn.Rollback()
-			return nil, ErrUnschedulable
-		}
-		if err := txn.Place(best, tk); err != nil {
-			txn.Rollback()
-			return nil, ErrUnschedulable
-		}
-	}
-	return txn.Commit(), nil
+	return ctx.State.Gang(tk, func(int) (*cluster.Node, []*task.Task) {
+		return bestScored(fitting(tk), ok, score), nil
+	})
 }
 
 // bestScored picks one pod's node: the argmin of score over the
@@ -78,14 +64,6 @@ func bestScored(fitting []*cluster.Node, ok func(*cluster.Node) bool, score func
 	return best
 }
 
-// podNeed is the whole-card requirement of one pod.
-func podNeed(tk *task.Task) int {
-	if tk.GPUsPerPod < 1 {
-		return 1
-	}
-	return int(tk.GPUsPerPod)
-}
-
 // preemptBy evicts spot tasks to make room for every pod of the HP
 // task tk. For each pod it scans nodes, asks victimsFor for the
 // eviction plan (nil = node infeasible), scores plans with planCost
@@ -95,24 +73,12 @@ func preemptBy(
 	victimsFor func(n *cluster.Node, need int) []*task.Task,
 	planCost func(n *cluster.Node, victims []*task.Task) float64,
 ) (*sched.Decision, error) {
-	txn := ctx.State.Begin()
-	need := podNeed(tk)
+	need := tk.PodCards()
 	nodes := ctx.State.Cluster.NodesOfModel(tk.GPUModel)
-	for pod := 0; pod < tk.Pods; pod++ {
+	return ctx.State.Gang(tk, func(int) (*cluster.Node, []*task.Task) {
 		best := bestPlan(nodes, need, victimsFor, planCost)
-		if best.node == nil {
-			txn.Rollback()
-			return nil, ErrUnschedulable
-		}
-		for _, v := range best.victims {
-			txn.Evict(v)
-		}
-		if err := txn.Place(best.node, tk); err != nil {
-			txn.Rollback()
-			return nil, ErrUnschedulable
-		}
-	}
-	return txn.Commit(), nil
+		return best.node, best.victims
+	})
 }
 
 // planCand is one node's eviction plan and its cost.

@@ -65,11 +65,8 @@ func (c *Chronus) Schedule(ctx *sched.Context, tk *task.Task) (*sched.Decision, 
 	dec, err := placeBy(ctx, tk, func(n *cluster.Node) float64 {
 		return n.IdleGPUs()
 	})
-	if err == nil {
-		return dec, nil
-	}
-	if tk.Type != task.HP {
-		return nil, ErrUnschedulable
+	if err == nil || tk.Type != task.HP {
+		return dec, err
 	}
 	return preemptBy(ctx, tk,
 		func(n *cluster.Node, need int) []*task.Task {

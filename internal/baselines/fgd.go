@@ -29,11 +29,8 @@ func (*FGD) Schedule(ctx *sched.Context, tk *task.Task) (*sched.Decision, error)
 	dec, err := placeBy(ctx, tk, func(n *cluster.Node) float64 {
 		return fragDelta(n, tk)
 	})
-	if err == nil {
-		return dec, nil
-	}
-	if tk.Type != task.HP {
-		return nil, ErrUnschedulable
+	if err == nil || tk.Type != task.HP {
+		return dec, err
 	}
 	// Fragmentation-blind preemption: take the node with the most
 	// spot capacity, evicting in ID order.
@@ -53,7 +50,7 @@ func (*FGD) Schedule(ctx *sched.Context, tk *task.Task) (*sched.Decision, error)
 // landed on n.
 func fragDelta(n *cluster.Node, tk *task.Task) float64 {
 	before := n.Fragmentation()
-	idleAfter := n.WholeFreeGPUs() - podNeed(tk)
+	idleAfter := n.WholeFreeGPUs() - tk.PodCards()
 	if idleAfter < 0 {
 		idleAfter = 0
 	}

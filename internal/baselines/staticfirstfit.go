@@ -27,11 +27,8 @@ func (*StaticFirstFit) Schedule(ctx *sched.Context, tk *task.Task) (*sched.Decis
 	dec, err := placeBy(ctx, tk, func(n *cluster.Node) float64 {
 		return float64(n.ID)
 	})
-	if err == nil {
-		return dec, nil
-	}
-	if tk.Type != task.HP {
-		return nil, ErrUnschedulable
+	if err == nil || tk.Type != task.HP {
+		return dec, err
 	}
 	// Preempt on the first node (by ID) with enough evictable spot
 	// capacity; victims in ID order, oblivious to waste.

@@ -29,11 +29,8 @@ func (*YARNCS) Schedule(ctx *sched.Context, tk *task.Task) (*sched.Decision, err
 	dec, err := placeBy(ctx, tk, func(n *cluster.Node) float64 {
 		return n.IdleGPUs()
 	})
-	if err == nil {
-		return dec, nil
-	}
-	if tk.Type != task.HP {
-		return nil, ErrUnschedulable
+	if err == nil || tk.Type != task.HP {
+		return dec, err
 	}
 	// Preempt: fewest victims; ties broken by most recently
 	// launched victims first (classic capacity-scheduler policy).

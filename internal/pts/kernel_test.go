@@ -33,7 +33,7 @@ func refBestNode(s *Scheduler, ctx *sched.Context, tk *task.Task) *cluster.Node 
 			}
 		}
 		cand := scored{node: n, s1: s1, s2: s2, s3: s3}
-		if best.node == nil || scoredBetter(&cand, &best, s.cfg.CoLocationFirst) {
+		if best.node == nil || scoredBetter(&cand, &best) {
 			best = cand
 		}
 	}
@@ -86,7 +86,7 @@ func refBaselines(cl *cluster.Cluster) []refBaseline {
 			return func(n *cluster.Node) float64 {
 				// Fragmentation reads nothing but the idle-card count, so
 				// a fresh node with that many cards stands in for "after".
-				after := max(n.WholeFreeGPUs()-podNeed(tk), 0)
+				after := max(n.WholeFreeGPUs()-tk.PodCards(), 0)
 				return cluster.NewNode(0, "", after).Fragmentation() - n.Fragmentation()
 			}
 		}},
@@ -114,11 +114,10 @@ func refBaselines(cl *cluster.Cluster) []refBaseline {
 func kernelConfigs() []Config {
 	steep := DefaultConfig()
 	steep.PenaltyM = 130
-	cfgs := []Config{steep, steep, steep, steep, steep, DefaultConfig()}
+	cfgs := []Config{steep, steep, steep, steep, DefaultConfig()}
 	cfgs[1].DisableCoLocation = true
 	cfgs[2].DisableEvictionAware = true
 	cfgs[3].RandomPreemption = true
-	cfgs[4].CoLocationFirst = true
 	return cfgs
 }
 

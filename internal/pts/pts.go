@@ -8,7 +8,6 @@ package pts
 
 import (
 	"cmp"
-	"errors"
 	"math"
 	"slices"
 
@@ -17,9 +16,6 @@ import (
 	"github.com/sjtucitlab/gfs/internal/simclock"
 	"github.com/sjtucitlab/gfs/internal/task"
 )
-
-// ErrUnschedulable is returned when no placement exists.
-var ErrUnschedulable = errors.New("pts: no feasible placement")
 
 // Config holds the PTS parameters (Table 4).
 type Config struct {
@@ -43,10 +39,6 @@ type Config struct {
 	// RandomPreemption replaces waste-aware victim selection with
 	// arbitrary choice (GFS-p ablation).
 	RandomPreemption bool
-	// CoLocationFirst promotes the co-location criterion (Eq. 14)
-	// above packing in the lexicographic node order, hardening the
-	// HP/spot class segregation.
-	CoLocationFirst bool
 }
 
 // DefaultConfig returns Table 4's settings.
@@ -107,16 +99,21 @@ func (s *Scheduler) Less(a, b *task.Task) bool {
 	return a.Submit < b.Submit
 }
 
-// Schedule implements Algorithm 3: non-preemptive first; for HP tasks
-// that fail, preemptive scheduling.
+// Schedule implements Algorithm 3: non-preemptive first (Algorithm 1,
+// each pod on its bestNode); for HP tasks that fail, preemptive
+// scheduling (Algorithm 2, each pod on its bestPreemption node after
+// evicting that node's victim set). On failure the error is
+// sched.ErrUnschedulable.
 func (s *Scheduler) Schedule(ctx *sched.Context, tk *task.Task) (*sched.Decision, error) {
-	if dec, err := s.nonPreemptive(ctx, tk); err == nil {
-		return dec, nil
+	dec, err := ctx.State.Gang(tk, func(int) (*cluster.Node, []*task.Task) {
+		return s.bestNode(ctx, tk), nil
+	})
+	if err != nil && tk.Type == task.HP {
+		return ctx.State.Gang(tk, func(evicted int) (*cluster.Node, []*task.Task) {
+			return s.bestPreemption(ctx, tk, evicted)
+		})
 	}
-	if tk.Type == task.HP {
-		return s.preemptive(ctx, tk)
-	}
-	return nil, ErrUnschedulable
+	return dec, err
 }
 
 // scores evaluates the three criteria for a node: the occupancy
@@ -167,23 +164,6 @@ type scored struct {
 	s1, s2, s3 float64
 }
 
-// nonPreemptive implements Algorithm 1.
-func (s *Scheduler) nonPreemptive(ctx *sched.Context, tk *task.Task) (*sched.Decision, error) {
-	txn := ctx.State.Begin()
-	for pod := 0; pod < tk.Pods; pod++ {
-		best := s.bestNode(ctx, tk)
-		if best == nil {
-			txn.Rollback()
-			return nil, ErrUnschedulable
-		}
-		if err := txn.Place(best, tk); err != nil {
-			txn.Rollback()
-			return nil, ErrUnschedulable
-		}
-	}
-	return txn.Commit(), nil
-}
-
 // bestNode scores the candidates for one pod and keeps the single
 // maximum of the lexicographic (score1, score2, score3, lowest-ID)
 // order (Algorithm 1). Node-ID tie-breaking makes that a total order,
@@ -194,7 +174,6 @@ func (s *Scheduler) nonPreemptive(ctx *sched.Context, tk *task.Task) (*sched.Dec
 // lowest ID per capacity, the only one that can win. The rest could
 // not trip the breaker either: a trip needs a recorded eviction.
 func (s *Scheduler) bestNode(ctx *sched.Context, tk *task.Task) *cluster.Node {
-	colocFirst := s.cfg.CoLocationFirst
 	var best scored
 	for _, n := range ctx.State.Cluster.Candidates(tk) {
 		s1, s2, s3 := s.scores(ctx, n, tk)
@@ -211,7 +190,7 @@ func (s *Scheduler) bestNode(ctx *sched.Context, tk *task.Task) *cluster.Node {
 			}
 		}
 		cand := scored{node: n, s1: s1, s2: s2, s3: s3}
-		if best.node == nil || scoredBetter(&cand, &best, colocFirst) {
+		if best.node == nil || scoredBetter(&cand, &best) {
 			best = cand
 		}
 	}
@@ -220,55 +199,17 @@ func (s *Scheduler) bestNode(ctx *sched.Context, tk *task.Task) *cluster.Node {
 
 // scoredBetter reports whether a precedes b in the node preference
 // order.
-func scoredBetter(a, b *scored, colocFirst bool) bool {
-	first, second := a.s1, a.s2
-	firstB, secondB := b.s1, b.s2
-	if colocFirst {
-		first, second = a.s2, a.s1
-		firstB, secondB = b.s2, b.s1
+func scoredBetter(a, b *scored) bool {
+	if a.s1 != b.s1 {
+		return a.s1 > b.s1
 	}
-	if first != firstB {
-		return first > firstB
-	}
-	if second != secondB {
-		return second > secondB
+	if a.s2 != b.s2 {
+		return a.s2 > b.s2
 	}
 	if a.s3 != b.s3 {
 		return a.s3 > b.s3
 	}
 	return a.node.ID < b.node.ID
-}
-
-// preemptive implements Algorithm 2: per pod, evaluate every node's
-// minimal victim set (descending-waste trimming) and pick the node
-// with the lowest preemption cost (Eq. 19).
-func (s *Scheduler) preemptive(ctx *sched.Context, tk *task.Task) (*sched.Decision, error) {
-	txn := ctx.State.Begin()
-	evicted := 0
-	for pod := 0; pod < tk.Pods; pod++ {
-		node, victims := s.bestPreemption(ctx, tk, evicted)
-		if node == nil {
-			txn.Rollback()
-			return nil, ErrUnschedulable
-		}
-		for _, v := range victims {
-			txn.Evict(v)
-			evicted++
-		}
-		if err := txn.Place(node, tk); err != nil {
-			txn.Rollback()
-			return nil, ErrUnschedulable
-		}
-	}
-	return txn.Commit(), nil
-}
-
-// need returns the whole-card requirement of one pod.
-func podNeed(tk *task.Task) int {
-	if tk.GPUsPerPod < 1 {
-		return 1
-	}
-	return int(tk.GPUsPerPod)
 }
 
 // preemptCand is one node's preemption proposal: its trimmed victim
@@ -279,14 +220,15 @@ type preemptCand struct {
 	cost    float64
 }
 
-// bestPreemption runs the Algorithm 2 node loop for one pod and
-// returns the minimum-cost node (lowest ID on ties) with its trimmed
-// victim set. evictedSoFar feeds the |T_k| term so multi-pod
-// placements account for earlier victims. The victims live in
-// scheduler scratch, valid until the next call.
+// bestPreemption runs the Algorithm 2 node loop for one pod: it
+// evaluates every node's minimal victim set (descending-waste trimming)
+// and returns the node with the lowest preemption cost (Eq. 19; lowest
+// ID on ties) with its trimmed victim set. evictedSoFar feeds the |T_k|
+// term so multi-pod placements account for earlier victims. The victims
+// live in scheduler scratch, valid until the next call.
 func (s *Scheduler) bestPreemption(ctx *sched.Context, tk *task.Task, evictedSoFar int) (*cluster.Node, []*task.Task) {
 	sc := &s.pre
-	need := podNeed(tk)
+	need := tk.PodCards()
 	elapsed := ctx.ElapsedSeconds()
 	cand := preemptCand{cost: math.Inf(1)}
 	for _, n := range ctx.State.Cluster.NodesOfModel(tk.GPUModel) {

@@ -343,13 +343,9 @@ type fedSim struct {
 	// satLast dedupes ClusterSaturated per member and timestamp
 	// (initialized to -1, before any simulated instant).
 	satLast []simclock.Time
-	// feed, when non-nil, streams arrivals in just ahead of the
-	// shared clock (RunFederationContext with a source); without one
-	// the queue is preloaded instead.
-	feed *replayFeed
-	// ctx, when non-nil, is checked once per shared-clock instant so a
-	// federated run cancels cooperatively (RunFederationContext).
-	ctx context.Context
+	// feed streams arrivals in just ahead of the shared clock; it is
+	// dry from the start when the queue was preloaded instead.
+	feed replayFeed
 }
 
 // fedTap forwards one member's event stream to the federation
@@ -420,44 +416,14 @@ func newFedSim(cfg FedConfig) (*fedSim, error) {
 	return f, nil
 }
 
-// refill drains the streaming feed into the federation queue just
-// ahead of the clock: every task due at or before the earliest
-// pending timestamp is pushed (front class, like preloaded arrivals)
-// before that instant resolves. With no feed it is a no-op.
-func (f *fedSim) refill() error {
-	if f.feed == nil {
-		return nil
-	}
-	for f.feed.next != nil {
-		if t, ok := f.nextTime(); ok && f.feed.next.Submit > t {
-			return nil
-		}
-		tk := f.feed.next
-		if err := f.feed.pull(); err != nil {
-			return err
-		}
-		f.queue.PushFront(tk.Submit, tk)
-	}
-	return nil
-}
-
-// loop advances the shared clock: at each instant, federation events
-// (routing, migration delivery) resolve first, then every member with
-// events at that instant steps, in member order.
-func (f *fedSim) loop() error {
-	var done <-chan struct{}
-	if f.ctx != nil {
-		done = f.ctx.Done()
-	}
-	for {
-		if done != nil {
-			select {
-			case <-done:
-				return f.ctx.Err()
-			default:
-			}
-		}
-		if err := f.refill(); err != nil {
+// loop advances the shared clock: at each instant the feed's due
+// arrivals join the federation queue (front class, like preloaded
+// ones), federation events (routing, migration delivery) resolve, then
+// every member with events at that instant steps, in member order.
+func (f *fedSim) loop(ctx context.Context) error {
+	arrive := func(tk *task.Task) { f.queue.PushFront(tk.Submit, tk) }
+	for done := ctx.Done(); !stopped(done); {
+		if err := f.feed.drain(f.nextTime, arrive); err != nil {
 			return err
 		}
 		t, ok := f.nextTime()
@@ -488,6 +454,7 @@ func (f *fedSim) loop() error {
 			}
 		}
 	}
+	return ctx.Err()
 }
 
 // nextTime returns the earliest pending timestamp across the

@@ -31,6 +31,31 @@ type replayFeed struct {
 	done bool
 }
 
+// newReplayFeed loads the first task of src; a nil source is a feed
+// that is already dry.
+func newReplayFeed(src TaskSource) (replayFeed, error) {
+	f := replayFeed{src: src, done: src == nil}
+	return f, f.pull()
+}
+
+// drain hands inject every task due at or before the next pending
+// instant — next reports it, false when nothing is pending — so an
+// arrival is always queued before the clock steps past its submission
+// time.
+func (f *replayFeed) drain(next func() (simclock.Time, bool), inject func(*task.Task)) error {
+	for f.next != nil {
+		if at, ok := next(); ok && f.next.Submit > at {
+			return nil
+		}
+		tk := f.next
+		if err := f.pull(); err != nil {
+			return err
+		}
+		inject(tk)
+	}
+	return nil
+}
+
 // pull loads the next task into the lookahead slot.
 func (f *replayFeed) pull() error {
 	if f.done {

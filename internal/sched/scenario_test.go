@@ -1,0 +1,109 @@
+package sched
+
+import (
+	"slices"
+	"testing"
+
+	"github.com/sjtucitlab/gfs/internal/cluster"
+	"github.com/sjtucitlab/gfs/internal/simclock"
+	"github.com/sjtucitlab/gfs/internal/task"
+)
+
+// scenarioWorld is four 8-GPU nodes, one rack each (zone-0: nodes 0 and
+// 1, zone-1: nodes 2 and 3), with node 1 down and node 3 cordoned, an
+// HP task filling node 0 and a spot task on node 2, stepped past the
+// arrivals to t=100 with the event log cleared.
+func scenarioWorld(t *testing.T) (*Simulator, *EventLog) {
+	t.Helper()
+	cl := cluster.NewHomogeneous("A100", 4, 8)
+	cl.AssignDomains(2, 2)
+	cl.Node(1).SetDown(true)
+	cl.Node(3).SetCordoned(true)
+	log := &EventLog{}
+	cfg := DefaultSimConfig(cl, &firstFit{})
+	cfg.Observers = []Observer{log}
+	s := NewSimulator(cfg, []*task.Task{
+		mkTask(1, task.HP, 1, 8, simclock.Hour, 0),
+		mkTask(2, task.Spot, 1, 4, simclock.Hour, 0),
+	})
+	s.Step()
+	if cl.Node(0).UsedGPUs() != 8 || cl.Node(2).SpotGPUs() != 4 {
+		t.Fatalf("world not as described: node 0 holds %g, node 2 holds %g spot", cl.Node(0).UsedGPUs(), cl.Node(2).SpotGPUs())
+	}
+	s.now = 100
+	log.Events = nil
+	return s, log
+}
+
+// TestScenarioOpContract pins, for all eight ops, the two halves of the
+// one node-mutation path: an action that changes nothing — unknown
+// node or domain, a node already in the state asked for, nothing to
+// reclaim — emits no event, samples no allocation, leaves capacity and
+// the idle clock alone and asks for no scheduling pass; an action that
+// changes something emits its events, then exactly one AllocSampled
+// carrying the new capacity, restarts the idle clock and asks for a
+// pass.
+func TestScenarioOpContract(t *testing.T) {
+	const down, up, evicted, sampled = NodeDown, NodeUp, TaskEvicted, AllocSampled
+	for _, c := range []struct {
+		name   string
+		action ScenarioAction
+		// want is the event kinds of an effective action, in order (nil
+		// for a no-op); capacity the schedulable GPUs afterwards.
+		want     []EventKind
+		capacity float64
+	}{
+		{"node-down unknown id", ScenarioAction{Op: OpNodeDown, NodeID: 99}, nil, 24},
+		{"node-down already down", ScenarioAction{Op: OpNodeDown, NodeID: 1}, nil, 24},
+		{"node-down", ScenarioAction{Op: OpNodeDown, NodeID: 0}, []EventKind{down, evicted, sampled}, 16},
+		{"node-up unknown id", ScenarioAction{Op: OpNodeUp, NodeID: 99}, nil, 24},
+		{"node-up already up", ScenarioAction{Op: OpNodeUp, NodeID: 0}, nil, 24},
+		{"node-up", ScenarioAction{Op: OpNodeUp, NodeID: 1}, []EventKind{up, sampled}, 32},
+		{"node-up uncordons", ScenarioAction{Op: OpNodeUp, NodeID: 3}, []EventKind{up, sampled}, 24},
+		{"node-drain unknown id", ScenarioAction{Op: OpNodeDrain, NodeID: 99}, nil, 24},
+		{"node-drain already cordoned", ScenarioAction{Op: OpNodeDrain, NodeID: 3}, nil, 24},
+		{"node-drain down node", ScenarioAction{Op: OpNodeDrain, NodeID: 1}, nil, 24},
+		{"node-drain", ScenarioAction{Op: OpNodeDrain, NodeID: 2}, []EventKind{down, evicted, sampled}, 24},
+		{"scale-out", ScenarioAction{Op: OpScaleOut, Pool: cluster.Pool{Model: "A100", Nodes: 2, GPUsPerNode: 8}}, []EventKind{up, up, sampled}, 40},
+		{"reclaim zero fraction", ScenarioAction{Op: OpReclaimSpot}, nil, 24},
+		{"reclaim", ScenarioAction{Op: OpReclaimSpot, Fraction: 1}, []EventKind{evicted, sampled}, 24},
+		{"domain-down empty domain", ScenarioAction{Op: OpDomainDown}, nil, 24},
+		{"domain-down unknown domain", ScenarioAction{Op: OpDomainDown, Domain: "zone-9"}, nil, 24},
+		{"domain-down already down", ScenarioAction{Op: OpDomainDown, Domain: "zone-0/rack-1"}, nil, 24},
+		{"domain-down", ScenarioAction{Op: OpDomainDown, Domain: "zone-1"}, []EventKind{down, evicted, down, sampled}, 8},
+		{"domain-up unknown domain", ScenarioAction{Op: OpDomainUp, Domain: "zone-9"}, nil, 24},
+		{"domain-up already up", ScenarioAction{Op: OpDomainUp, Domain: "zone-0/rack-0"}, nil, 24},
+		{"domain-up", ScenarioAction{Op: OpDomainUp, Domain: "zone-0"}, []EventKind{up, sampled}, 32},
+		{"domain-drain empty domain", ScenarioAction{Op: OpDomainDrain}, nil, 24},
+		{"domain-drain already cordoned", ScenarioAction{Op: OpDomainDrain, Domain: "zone-1/rack-1"}, nil, 24},
+		{"domain-drain", ScenarioAction{Op: OpDomainDrain, Domain: "zone-0"}, []EventKind{down, sampled}, 24},
+		{"unknown op", ScenarioAction{Op: OpDomainDrain + 1, NodeID: 0, Domain: "zone-0"}, nil, 24},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			s, log := scenarioWorld(t)
+			samples, progress, pending := len(s.alloc.Samples), s.lastProgress, s.pend.n
+			pass := s.applyScenario(c.action)
+			var kinds []EventKind
+			for _, e := range log.Events {
+				kinds = append(kinds, e.Kind)
+			}
+			if !slices.Equal(kinds, c.want) {
+				t.Errorf("emitted %v, want %v", kinds, c.want)
+			}
+			if got := s.alloc.Capacity(); got != c.capacity || s.state.Cluster.TotalGPUs("") != c.capacity {
+				t.Errorf("capacity: tracker %g, cluster %g, want %g", got, s.state.Cluster.TotalGPUs(""), c.capacity)
+			}
+			if c.want == nil {
+				if pass || len(s.alloc.Samples) != samples || s.lastProgress != progress || s.pend.n != pending {
+					t.Errorf("no-op action: pass %v, %d new samples, idle clock %d→%d, queue %d→%d",
+						pass, len(s.alloc.Samples)-samples, progress, s.lastProgress, pending, s.pend.n)
+				}
+				return
+			}
+			if last := log.Events[len(log.Events)-1]; !pass || s.lastProgress != s.now || last.Capacity != c.capacity {
+				t.Errorf("effective action: pass %v, idle clock %d at %d, sampled capacity %g, want %g",
+					pass, s.lastProgress, s.now, last.Capacity, c.capacity)
+			}
+		})
+	}
+}

@@ -2,9 +2,7 @@ package sched
 
 import (
 	"context"
-	"hash/fnv"
 	"math"
-	"math/rand"
 	"sort"
 
 	"github.com/sjtucitlab/gfs/internal/cluster"
@@ -309,13 +307,25 @@ func NewSimulator(cfg SimConfig, tasks []*task.Task) *Simulator {
 		s.queue.Push(a.At, scenarioEvent{action: a})
 	}
 	if len(tasks) > 0 {
-		s.now = tasks[0].Submit
-		s.updateQuota() // initial quota before the first pass
-		s.quotaInit = true
-		s.queue.Push(tasks[0].Submit.Add(cfg.QuotaInterval), tickEvent{})
-		s.tickOn = true
+		s.arm(tasks[0].Submit)
 	}
 	return s
+}
+
+// arm readies the simulator for a first (or, after the tick chain went
+// idle, a next) task arriving at time at: the initial quota is set
+// before the first pass ever runs, and the quota tick chain restarts
+// one interval on.
+func (s *Simulator) arm(at simclock.Time) {
+	if !s.quotaInit {
+		s.now = at
+		s.updateQuota()
+		s.quotaInit = true
+	}
+	if !s.tickOn {
+		s.queue.Push(at.Add(s.cfg.QuotaInterval), tickEvent{})
+		s.tickOn = true
+	}
 }
 
 // PeekTime returns the timestamp of the next pending event, or false
@@ -388,17 +398,7 @@ func (s *Simulator) Inject(tk *task.Task, at simclock.Time) {
 		s.hpLiveStale = true
 	}
 	s.queue.PushFront(at, tk)
-	if !s.quotaInit {
-		// First task ever seen: establish the initial quota before
-		// the first pass, as Run does for pre-loaded traces.
-		s.now = at
-		s.updateQuota()
-		s.quotaInit = true
-	}
-	if !s.tickOn {
-		s.queue.Push(at.Add(s.cfg.QuotaInterval), tickEvent{})
-		s.tickOn = true
-	}
+	s.arm(at)
 }
 
 // Finish closes the books — observing the final allocation sample —
@@ -416,7 +416,9 @@ func (s *Simulator) Finish() *Result {
 func (s *Simulator) sampleAlloc() {
 	used := s.state.Cluster.UsedGPUs("")
 	s.alloc.Observe(s.now, used)
-	s.emitAlloc(used)
+	if s.hasObs {
+		s.emit(Event{Kind: AllocSampled, Used: used, Capacity: s.alloc.Capacity()})
+	}
 }
 
 // refreshCapacity closes the tracker's integration window after a
@@ -428,11 +430,17 @@ func (s *Simulator) refreshCapacity() {
 	s.alloc.SetCapacity(s.now, s.state.Cluster.TotalGPUs(""))
 }
 
-// emitAlloc publishes one allocation tick to the observers.
-func (s *Simulator) emitAlloc(used float64) {
-	if s.hasObs {
-		s.emit(Event{Kind: AllocSampled, Used: used, Capacity: s.alloc.Capacity()})
+// progressed is the one epilogue of every handler that changed what
+// the cluster holds or offers: it re-reads capacity when membership
+// moved, observes the allocation and restarts the idle clock. It
+// returns true — a scheduling pass should follow.
+func (s *Simulator) progressed(membership bool) bool {
+	if membership {
+		s.refreshCapacity()
 	}
+	s.sampleAlloc()
+	s.lastProgress = s.now
+	return true
 }
 
 // emit delivers one event to every observer, stamping time and
@@ -476,8 +484,7 @@ func (s *Simulator) handle(ev simclock.Event) bool {
 		if len(s.retiring) > 0 {
 			s.checkRetiring()
 		}
-		s.sampleAlloc()
-		s.lastProgress = s.now
+		s.progressed(false)
 		if s.hasObs {
 			s.emit(Event{Kind: TaskFinished, Task: tk})
 		}
@@ -486,15 +493,12 @@ func (s *Simulator) handle(ev simclock.Event) bool {
 		return s.applyScenario(e.action)
 	case provisionEvent:
 		added := s.state.Cluster.AddPool(e.pool)
-		s.refreshCapacity()
 		if s.hasObs {
 			for _, n := range added {
 				s.emit(Event{Kind: NodeProvisioned, Node: n, Tier: n.Tier})
 			}
 		}
-		s.sampleAlloc()
-		s.lastProgress = s.now
-		return true
+		return s.progressed(true)
 	case tickEvent:
 		s.recordDemand()
 		s.updateQuota()
@@ -672,56 +676,6 @@ func (s *Simulator) updateQuota() {
 	}
 }
 
-// failNode kills one node: emits NodeDown and releases and requeues
-// its tasks. It reports whether the node was up; callers refresh the
-// capacity tracker (once per action, not per node).
-func (s *Simulator) failNode(n *cluster.Node) bool {
-	if n == nil || n.Down() {
-		return false
-	}
-	if s.hasObs {
-		s.emit(Event{Kind: NodeDown, Node: n})
-	}
-	victims, locs := s.state.KillNode(n)
-	n.SetDown(true)
-	for i, v := range victims {
-		s.evictVictim(v, CauseNodeFailure, locs[i])
-	}
-	return true
-}
-
-// restoreNode returns a failed or drained node to service. It reports
-// whether the node needed restoring; callers refresh the capacity
-// tracker.
-func (s *Simulator) restoreNode(n *cluster.Node) bool {
-	if n == nil || n.Schedulable() {
-		return false
-	}
-	n.SetDown(false)
-	if s.hasObs {
-		s.emit(Event{Kind: NodeUp, Node: n})
-	}
-	return true
-}
-
-// drainNode cordons one node and evicts its spot tasks. It reports
-// whether the node was schedulable.
-func (s *Simulator) drainNode(n *cluster.Node) bool {
-	if n == nil || !n.Schedulable() {
-		return false
-	}
-	n.SetCordoned(true)
-	if s.hasObs {
-		s.emit(Event{Kind: NodeDown, Node: n})
-	}
-	for _, v := range n.SpotTasks() {
-		locs := s.state.NodesOf(v)
-		s.state.ReleaseAll(v)
-		s.evictVictim(v, CauseDrained, locs)
-	}
-	return true
-}
-
 // autoscaleTick consults the configured autoscaler once per quota
 // tick and applies its plan: provisions join the event queue with
 // their pre-warm lead (the nodes do not exist — and therefore cannot
@@ -769,30 +723,17 @@ func (s *Simulator) autoscaleTick() {
 		if len(s.retiring) > 0 {
 			s.checkRetiring()
 		}
-		s.sampleAlloc()
-		s.lastProgress = s.now
+		s.progressed(false)
 	}
 }
 
-// retireNode begins retiring one node: it cordons the node, emits
-// NodeRetired, and evicts its spot tasks with the drain cause. The
-// cordon lands before the event — as drainNode does for NodeDown —
-// so observers never see a retired node still schedulable. A node
-// left without pods leaves capacity immediately; one still hosting HP
-// pods parks in the retiring set and leaves when its last pod
-// completes. It reports whether the node was schedulable.
+// retireNode begins retiring one node: it drains it (NodeRetired), and
+// a node left without pods leaves capacity immediately; one still
+// hosting HP pods parks in the retiring set and leaves when its last
+// pod completes. It reports whether the node was schedulable.
 func (s *Simulator) retireNode(n *cluster.Node) bool {
-	if n == nil || !n.Schedulable() {
+	if !s.drainNode(n, true) {
 		return false
-	}
-	n.SetCordoned(true)
-	if s.hasObs {
-		s.emit(Event{Kind: NodeRetired, Node: n, Tier: n.Tier})
-	}
-	for _, v := range n.SpotTasks() {
-		locs := s.state.NodesOf(v)
-		s.state.ReleaseAll(v)
-		s.evictVictim(v, CauseDrained, locs)
 	}
 	if n.UsedGPUs() == 0 {
 		n.SetDown(true)
@@ -828,157 +769,12 @@ func (s *Simulator) checkRetiring() {
 	}
 }
 
-// cascadeFailure schedules spread copies of a domain failure onto
-// sibling domains. Each sibling is hit independently with probability
-// a.CascadeP, after a.CascadeDelay, at a.CascadeP×decay for the next
-// hop. The draw stream is seeded from (Seed, firing time, domain), so
-// it is deterministic per run yet independent across repeats of the
-// same action at different times. Because spread copies are pushed
-// mid-run, a copy landing at the exact timestamp of a task's finish
-// resolves by push order (unlike pre-queued scenario actions, which
-// always win such ties) — still deterministic, just not biased
-// toward the failure.
-func (s *Simulator) cascadeFailure(a ScenarioAction) {
-	decay := a.CascadeDecay
-	if decay <= 0 {
-		decay = 0.5
-	}
-	h := fnv.New64a()
-	h.Write([]byte(a.Domain))
-	rng := rand.New(rand.NewSource(a.Seed ^ int64(s.now)*0x5851F42D4C957F2D ^ int64(h.Sum64())))
-	for _, sib := range s.state.Cluster.SiblingDomains(a.Domain) {
-		if rng.Float64() >= a.CascadeP {
-			continue
-		}
-		child := a
-		child.Domain = sib
-		child.CascadeP = a.CascadeP * decay
-		// Probabilities below 1% cannot meaningfully spread; cutting
-		// them bounds cascade depth.
-		if child.CascadeP < 0.01 {
-			child.CascadeP = 0
-		}
-		child.At = s.now.Add(a.CascadeDelay)
-		s.queue.Push(child.At, scenarioEvent{action: child})
-	}
-}
-
-// applyScenario performs one timed cluster mutation and reports
-// whether a scheduling pass should follow.
-func (s *Simulator) applyScenario(a ScenarioAction) bool {
-	cl := s.state.Cluster
-	switch a.Op {
-	case OpNodeDown:
-		if !s.failNode(cl.Node(a.NodeID)) {
-			return false
-		}
-		s.refreshCapacity()
-		s.sampleAlloc()
-		s.lastProgress = s.now
-		return true
-	case OpNodeUp:
-		if !s.restoreNode(cl.Node(a.NodeID)) {
-			return false
-		}
-		s.refreshCapacity()
-		s.sampleAlloc()
-		s.lastProgress = s.now
-		return true
-	case OpNodeDrain:
-		if !s.drainNode(cl.Node(a.NodeID)) {
-			return false
-		}
-		s.sampleAlloc()
-		s.lastProgress = s.now
-		return true
-	case OpDomainDown:
-		any := false
-		for _, n := range cl.NodesInDomain(a.Domain) {
-			if s.failNode(n) {
-				any = true
-			}
-		}
-		if !any {
-			return false
-		}
-		// Only a domain that newly lost nodes spreads, so a cascade
-		// cannot bounce between already-dark domains.
-		if a.CascadeP > 0 {
-			s.cascadeFailure(a)
-		}
-		s.refreshCapacity()
-		s.sampleAlloc()
-		s.lastProgress = s.now
-		return true
-	case OpDomainUp:
-		any := false
-		for _, n := range cl.NodesInDomain(a.Domain) {
-			if s.restoreNode(n) {
-				any = true
-			}
-		}
-		if !any {
-			return false
-		}
-		s.refreshCapacity()
-		s.sampleAlloc()
-		s.lastProgress = s.now
-		return true
-	case OpDomainDrain:
-		any := false
-		for _, n := range cl.NodesInDomain(a.Domain) {
-			if s.drainNode(n) {
-				any = true
-			}
-		}
-		if !any {
-			return false
-		}
-		s.sampleAlloc()
-		s.lastProgress = s.now
-		return true
-	case OpScaleOut:
-		added := cl.AddPool(a.Pool)
-		s.refreshCapacity()
-		if s.hasObs {
-			for _, n := range added {
-				s.emit(Event{Kind: NodeUp, Node: n})
-			}
-		}
-		s.sampleAlloc()
-		s.lastProgress = s.now
-		return true
-	case OpReclaimSpot:
-		target := a.Fraction * cl.SpotGPUs("")
-		if target <= 0 {
-			return false
-		}
-		reclaimed := 0.0
-		// s.tasks is in trace (ID) order, so the victim sweep is
-		// deterministic.
-		for _, tk := range s.tasks {
-			if reclaimed >= target {
-				break
-			}
-			if tk.Type != task.Spot || tk.State != task.Running || s.migrated[tk.ID] {
-				continue
-			}
-			locs := s.state.NodesOf(tk)
-			s.state.ReleaseAll(tk)
-			reclaimed += tk.TotalGPUs()
-			s.evictVictim(tk, CauseReclaimed, locs)
-		}
-		s.sampleAlloc()
-		s.lastProgress = s.now
-		return true
-	}
-	return false
-}
-
-// evictVictim performs the task-lifecycle bookkeeping for a scenario
-// eviction whose pods have already been released: progress rollback,
+// evict is the one eviction-bookkeeping path, for a running victim
+// whose pods (on locs) have already been released: progress rollback,
 // counters, per-node eviction history, event emission and requeueing.
-func (s *Simulator) evictVictim(v *task.Task, cause EvictCause, locs []NodePods) {
+// Every cause but scheduler preemption first offers the victim to the
+// eviction interceptor.
+func (s *Simulator) evict(v *task.Task, cause EvictCause, locs []NodePods) {
 	if v.State != task.Running {
 		return
 	}
@@ -996,7 +792,7 @@ func (s *Simulator) evictVictim(v *task.Task, cause EvictCause, locs []NodePods)
 	if s.hasObs {
 		s.emit(Event{Kind: TaskEvicted, Task: v, Cause: cause, Waste: waste})
 	}
-	if s.cfg.EvictionInterceptor != nil && s.cfg.EvictionInterceptor(v, cause) {
+	if cause != CausePreempted && s.cfg.EvictionInterceptor != nil && s.cfg.EvictionInterceptor(v, cause) {
 		// Claimed: the task leaves this simulator's books (it will be
 		// re-injected elsewhere). The epochs entry stays so any stale
 		// finish event for the old run is still discarded.
@@ -1117,23 +913,12 @@ func (s *Simulator) schedulePass() {
 // apply performs the task-lifecycle side effects of a committed
 // decision: victim eviction bookkeeping and the task start.
 func (s *Simulator) apply(tk *task.Task, dec *Decision) {
-	victimLocs := dec.VictimLocs
 	for i, v := range dec.Victims {
-		waste := v.Evict(s.now)
-		s.waste += waste
-		s.epochs[v.ID]++
-		s.fCount++
-		s.running--
-		s.evWindow.Record(s.now, true)
-		if i < len(victimLocs) {
-			for _, np := range victimLocs[i] {
-				np.Node.RecordEviction(s.now)
-			}
+		var locs []NodePods
+		if i < len(dec.VictimLocs) {
+			locs = dec.VictimLocs[i]
 		}
-		if s.hasObs {
-			s.emit(Event{Kind: TaskEvicted, Task: v, Cause: CausePreempted, Waste: waste})
-		}
-		s.pend.insert(v)
+		s.evict(v, CausePreempted, locs)
 	}
 	start := s.now
 	if len(dec.Victims) > 0 && s.cfg.Grace > 0 {
@@ -1150,8 +935,7 @@ func (s *Simulator) apply(tk *task.Task, dec *Decision) {
 	s.running++
 	s.work.starts++
 	s.queue.Push(end, s.newFinishEvent(tk, s.epochs[tk.ID]))
-	s.sampleAlloc()
-	s.lastProgress = s.now
+	s.progressed(false)
 	if s.hasObs {
 		s.emit(Event{Kind: TaskStarted, Task: tk})
 	}

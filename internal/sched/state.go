@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"errors"
 	"fmt"
 
 	"github.com/sjtucitlab/gfs/internal/cluster"
@@ -80,8 +81,8 @@ func (s *State) place(n *cluster.Node, tk *task.Task) error {
 	return nil
 }
 
-// releaseAll frees every pod of tk across the cluster.
-func (s *State) releaseAll(tk *task.Task) {
+// ReleaseAll frees every pod of tk across the cluster.
+func (s *State) ReleaseAll(tk *task.Task) {
 	locs := s.locs[tk.ID]
 	for i := range locs {
 		locs[i].Node.ReleaseTask(tk)
@@ -95,9 +96,6 @@ func (s *State) releaseAll(tk *task.Task) {
 	delete(s.locs, tk.ID)
 }
 
-// ReleaseAll is the driver-facing release used when a task finishes.
-func (s *State) ReleaseAll(tk *task.Task) { s.releaseAll(tk) }
-
 // KillNode releases every task hosted on n from the whole cluster
 // (gang tasks lose all their pods, wherever they are) and returns the
 // victims sorted by task ID together with the nodes each occupied
@@ -109,7 +107,7 @@ func (s *State) KillNode(n *cluster.Node) ([]*task.Task, [][]NodePods) {
 	locs := make([][]NodePods, len(victims))
 	for i, tk := range victims {
 		locs[i] = s.NodesOf(tk)
-		s.releaseAll(tk)
+		s.ReleaseAll(tk)
 	}
 	return victims, locs
 }
@@ -179,26 +177,8 @@ func (t *Txn) Evict(victim *task.Task) {
 	if len(locs) == 0 {
 		return
 	}
-	t.state.releaseAll(victim)
+	t.state.ReleaseAll(victim)
 	t.evicted = append(t.evicted, evictRec{tk: victim, locs: locs})
-}
-
-// Victims returns the tasks evicted so far, in eviction order.
-func (t *Txn) Victims() []*task.Task {
-	out := make([]*task.Task, len(t.evicted))
-	for i, e := range t.evicted {
-		out[i] = e.tk
-	}
-	return out
-}
-
-// PodNodes returns the node of each placed pod, in placement order.
-func (t *Txn) PodNodes() []*cluster.Node {
-	out := make([]*cluster.Node, len(t.placed))
-	for i, p := range t.placed {
-		out[i] = p.node
-	}
-	return out
 }
 
 // Rollback undoes all placements and re-places evicted victims.
@@ -212,7 +192,7 @@ func (t *Txn) Rollback() {
 	for _, p := range t.placed {
 		if !seen[p.tk.ID] {
 			seen[p.tk.ID] = true
-			t.state.releaseAll(p.tk)
+			t.state.ReleaseAll(p.tk)
 		}
 	}
 	// Restore victims in reverse order.
@@ -230,20 +210,50 @@ func (t *Txn) Rollback() {
 	t.release()
 }
 
-// Commit finalizes the transaction and returns the decision.
+// Commit finalizes the transaction and returns the decision: the node
+// of each placed pod in placement order, the victims in eviction order.
 func (t *Txn) Commit() *Decision {
 	t.mustBeOpen()
 	t.done = true
-	var locs [][]NodePods
+	dec := &Decision{PodNodes: make([]*cluster.Node, len(t.placed))}
+	for i, p := range t.placed {
+		dec.PodNodes[i] = p.node
+	}
 	if len(t.evicted) > 0 {
-		locs = make([][]NodePods, len(t.evicted))
+		dec.Victims = make([]*task.Task, len(t.evicted))
+		dec.VictimLocs = make([][]NodePods, len(t.evicted))
 		for i, e := range t.evicted {
-			locs[i] = e.locs
+			dec.Victims[i], dec.VictimLocs[i] = e.tk, e.locs
 		}
 	}
-	dec := &Decision{PodNodes: t.PodNodes(), Victims: t.Victims(), VictimLocs: locs}
 	t.release()
 	return dec
+}
+
+// ErrUnschedulable is what Gang returns when some pod has no host.
+var ErrUnschedulable = errors.New("sched: no feasible placement")
+
+// Gang is the gang-placement transaction every scheduler runs. For
+// each pod of tk in turn, pick names the host and the tenants to evict
+// from the cluster first — evicted counts the victims of the pods
+// before it — and the pod is placed there. A pod with no host (nil), or
+// one that does not fit after all, rolls the whole gang back: the
+// cluster is unchanged and the error is ErrUnschedulable.
+func (s *State) Gang(tk *task.Task, pick func(evicted int) (*cluster.Node, []*task.Task)) (*Decision, error) {
+	txn := s.Begin()
+	evicted := 0
+	for pod := 0; pod < tk.Pods; pod++ {
+		n, victims := pick(evicted)
+		for _, v := range victims {
+			txn.Evict(v)
+		}
+		evicted += len(victims)
+		if n == nil || txn.Place(n, tk) != nil {
+			txn.Rollback()
+			return nil, ErrUnschedulable
+		}
+	}
+	return txn.Commit(), nil
 }
 
 func (t *Txn) mustBeOpen() {

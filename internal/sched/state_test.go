@@ -129,8 +129,7 @@ func TestEvictUnknownTaskIsNoop(t *testing.T) {
 	st := NewState(cluster.NewHomogeneous("A100", 1, 8))
 	txn := st.Begin()
 	txn.Evict(newTask(9, task.Spot, 1, 1))
-	if len(txn.Victims()) != 0 {
-		t.Fatal("evicting an unplaced task should record nothing")
+	if dec := txn.Commit(); len(dec.Victims) != 0 || len(dec.VictimLocs) != 0 {
+		t.Fatalf("evicting an unplaced task should record nothing, got %v", dec.Victims)
 	}
-	txn.Rollback()
 }

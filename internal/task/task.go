@@ -146,6 +146,15 @@ func New(id int, typ Type, pods int, gpusPerPod float64, duration simclock.Durat
 // TotalGPUs returns w·g, the task's aggregate GPU request.
 func (t *Task) TotalGPUs() float64 { return float64(t.Pods) * t.GPUsPerPod }
 
+// PodCards returns the whole cards one pod needs free: a fractional pod
+// counts as one.
+func (t *Task) PodCards() int {
+	if t.GPUsPerPod < 1 {
+		return 1
+	}
+	return int(t.GPUsPerPod)
+}
+
 // Remaining returns the work still to be done given checkpoint-saved
 // progress.
 func (t *Task) Remaining() simclock.Duration {

@@ -125,7 +125,7 @@ func TestReplayBatchDeterministicAcrossWorkers(t *testing.T) {
 // TestFederationRunTrace: a federation replays a streamed trace and
 // matches the eager federated run on the same workload.
 func TestFederationRunTrace(t *testing.T) {
-	build := func() *gfs.Federation {
+	build := func(opts ...gfs.FederationOption) *gfs.Federation {
 		storm := gfs.CorrelatedFailure(6*gfs.Hour, "zone-0").
 			RestoreDomain(12*gfs.Hour, "zone-0")
 		return gfs.NewFederation([]gfs.Member{
@@ -135,12 +135,19 @@ func TestFederationRunTrace(t *testing.T) {
 			{Name: "east", Engine: gfs.NewEngine(
 				gfs.NewClusterWithTopology("A100", 16, 8, 2, 4),
 				gfs.WithScheduler(gfs.NewYARNCS()))},
-		})
+		}, opts...)
 	}
 	eager := build().Run(chaosTrace(17))
-	streamed, err := build().RunTrace(openBytes(t, encodedChaosTrace(t, 17)))
+	src := &closeCounter{TraceSource: openBytes(t, encodedChaosTrace(t, 17))}
+	streamed, err := build(gfs.WithFederationTraceSource(src)).RunTrace()
 	if err != nil {
 		t.Fatal(err)
+	}
+	if src.closed != 1 {
+		t.Fatalf("replayed source closed %d times, want 1", src.closed)
+	}
+	if _, err := build().RunTrace(); err == nil {
+		t.Fatal("RunTrace without WithFederationTraceSource should error")
 	}
 	if eager.GoodputGPUSeconds != streamed.GoodputGPUSeconds ||
 		eager.Migrations != streamed.Migrations ||
