@@ -180,6 +180,29 @@ func autoscaleSetup(testing.TB) func() [2]metric {
 	}
 }
 
+// gfsSetup is the full GFS stack — PTS placement under the GDE/SQA
+// quota — over the standard one-day trace, seeded with the
+// training-period demand history: the one row whose quota tick
+// forecasts (bench/'s paper_gfs times the same path at paper scale).
+// The OrgLinear estimator is trained once, outside every op, and
+// shared by all of them as RunBatch workers share one.
+func gfsSetup(tb testing.TB) benchSetup {
+	scale := benchFigScale()
+	est, err := scale.TrainEstimator()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return func(testing.TB) func() [2]metric {
+		tasks := scale.Trace(2)
+		sys := scale.NewGFS(est, experiments.GFSFull, 1)
+		eng := gfs.NewEngine(scale.NewCluster(), scale.GFSOptions(sys)...)
+		return func() [2]metric {
+			res := eng.Run(tasks)
+			return [2]metric{{"tasks", float64(len(tasks))}, {"allocPct", 100 * res.AllocationRate}}
+		}
+	}
+}
+
 // TestAllocCeilings pins the allocations of one measured run of each
 // whole-run benchmark, set-up excluded exactly as runBench's StopTimer
 // excludes it. The counts are what the pooled hot path (event records,
@@ -207,6 +230,7 @@ func TestAllocCeilings(t *testing.T) {
 		{"Report", reportSetup, 2555},
 		{"Sim10K", sim10KSetup, 13160},
 		{"Autoscale", autoscaleSetup, 23900},
+		{"GFS", gfsSetup(t), 24400},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			// The first op also pays one-time initialisation

@@ -36,7 +36,7 @@ func main() {
 		demandNow := 0.0
 		for _, name := range []string{"OrgA", "OrgB", "OrgC", "OrgD"} {
 			hist := day[name][:hour]
-			mu, sigma := est.Forecast(name, hist, hour-48)
+			mu, sigma := est.Forecast(name, hist, hour-est.History())
 			forecasts = append(forecasts, sqa.OrgForecast{Mu: mu, Sigma: sigma})
 			demandNow += day[name][hour]
 		}

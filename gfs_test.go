@@ -63,7 +63,9 @@ func TestFacadeEndToEnd(t *testing.T) {
 
 // TestBatchSharesTrainedEstimator: RunBatch workers share one trained
 // estimator, so forecasting for organizations it never saw in training
-// must only read it (CI runs this under -race).
+// must only read it, and each run's quota policy and predictive
+// autoscaler keep their forecast memos to themselves (CI runs this
+// under -race).
 func TestBatchSharesTrainedEstimator(t *testing.T) {
 	est, err := gfs.TrainEstimator(gfs.EstimatorConfig{
 		History: 48, Horizon: 4, Model: gfs.NewOrgLinearFast(4),
@@ -86,7 +88,10 @@ func TestBatchSharesTrainedEstimator(t *testing.T) {
 			}
 			opts := gfs.DefaultOptions()
 			opts.Estimator = est
-			return gfs.NewEngine(gfs.NewCluster("A100", 8, 8), gfs.WithSystem(gfs.NewSystem(opts))), tasks
+			scaler := gfs.PredictiveAutoscaler()
+			scaler.Estimator = est
+			return gfs.NewEngine(gfs.NewCluster("A100", 8, 8), gfs.WithSystem(gfs.NewSystem(opts)),
+				gfs.WithInitialOrgDemand(demandPanel()), gfs.WithAutoscaler(scaler)), tasks
 		}}
 	}
 	res := gfs.RunBatch([]gfs.BatchSpec{spec("a"), spec("b")}, gfs.WithWorkers(2))

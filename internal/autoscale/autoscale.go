@@ -118,6 +118,7 @@ type Policy struct {
 	initDone  bool
 	idleSince map[int]simclock.Time
 	pending   []pendingProv
+	memo      gde.Memo // the fitted Estimator's forecasts, once per hour
 }
 
 // pendingProv tracks one ordered-but-undelivered provision so the
@@ -300,17 +301,14 @@ func (p *Policy) lead(now simclock.Time) simclock.Duration {
 // independently, so summing their individual quantiles would price
 // perfectly-correlated worst cases into every scale-up — and maxed
 // over the steps. Organizations are visited in sorted name order so
-// the float accumulation is deterministic.
+// the float accumulation is deterministic. GDE forecasts are computed
+// once per hour, when the demand series gain their next value, and
+// read from the policy's memo at the ticks in between.
 func (p *Policy) forecastUpper(ctx *sched.AutoscaleContext) float64 {
 	if len(ctx.OrgDemand) == 0 {
 		return 0
 	}
 	z := stats.NormICDF(p.Confidence)
-	orgs := make([]string, 0, len(ctx.OrgDemand))
-	for org := range ctx.OrgDemand {
-		orgs = append(orgs, org)
-	}
-	sort.Strings(orgs)
 	var mus, vars []float64
 	add := func(i int, mu, sigma float64) {
 		for len(mus) <= i {
@@ -322,19 +320,26 @@ func (p *Policy) forecastUpper(ctx *sched.AutoscaleContext) float64 {
 		}
 		vars[i] += sigma * sigma
 	}
-	for _, org := range orgs {
-		hist := ctx.OrgDemand[org]
-		if len(hist) == 0 {
-			continue
-		}
-		if p.Estimator != nil && p.Estimator.Fitted() {
-			m, s := p.Estimator.Forecast(org, hist, ctx.HourIndex)
-			for i := range m {
-				add(i, m[i], s[i])
+	if p.Estimator != nil && p.Estimator.Fitted() {
+		for _, f := range p.memo.Forecasts(p.Estimator, ctx.OrgDemand, ctx.HourIndex) {
+			if len(ctx.OrgDemand[f.Org]) == 0 {
+				continue
 			}
-		} else {
-			mu, sigma := seasonalNaive(hist)
-			add(0, mu, sigma)
+			for i := range f.Mu {
+				add(i, f.Mu[i], f.Sigma[i])
+			}
+		}
+	} else {
+		orgs := make([]string, 0, len(ctx.OrgDemand))
+		for org := range ctx.OrgDemand {
+			orgs = append(orgs, org)
+		}
+		sort.Strings(orgs)
+		for _, org := range orgs {
+			if hist := ctx.OrgDemand[org]; len(hist) > 0 {
+				mu, sigma := seasonalNaive(hist)
+				add(0, mu, sigma)
+			}
 		}
 	}
 	upper := 0.0

@@ -4,10 +4,14 @@ import (
 	"testing"
 
 	"github.com/sjtucitlab/gfs/internal/cluster"
+	"github.com/sjtucitlab/gfs/internal/forecast"
+	"github.com/sjtucitlab/gfs/internal/gde"
+	"github.com/sjtucitlab/gfs/internal/org"
 	"github.com/sjtucitlab/gfs/internal/pricing"
 	"github.com/sjtucitlab/gfs/internal/sched"
 	"github.com/sjtucitlab/gfs/internal/simclock"
 	"github.com/sjtucitlab/gfs/internal/task"
+	"github.com/sjtucitlab/gfs/internal/timefeat"
 )
 
 const tick = 5 * simclock.Minute
@@ -271,5 +275,55 @@ func TestPredictiveAtLeastReactive(t *testing.T) {
 				t.Fatalf("predictive buys %d nodes with a spike due, no more than reactive's %d", predictive, reactive)
 			}
 		})
+	}
+}
+
+// recorder keeps every example the estimator asks its model to
+// forecast.
+type recorder struct {
+	forecast.Distributional
+	calls []forecast.Example
+}
+
+func (r *recorder) PredictDist(ex forecast.Example) (mu, sigma []float64) {
+	r.calls = append(r.calls, ex)
+	return r.Distributional.PredictDist(ex)
+}
+
+// TestPredictiveForecastWindow: with a fitted estimator at a
+// non-default 48 h window, every forecast's history ends at the tick's
+// hour (StartHour is the hour of History[0]), and the policy asks the
+// model once per organization per hour however many ticks the hour
+// holds.
+func TestPredictiveForecastWindow(t *testing.T) {
+	const history = 48
+	rec := &recorder{Distributional: forecast.NaivePeak{}}
+	est := gde.New(gde.Config{History: history, Horizon: 4, Model: rec})
+	panel := org.Panel(org.Presets(), timefeat.NewCalendar(), 0, 24*7, 5)
+	if err := est.Train(panel, 0); err != nil {
+		t.Fatal(err)
+	}
+	demand := map[string][]float64{}
+	for name, s := range panel {
+		demand[name] = append([]float64(nil), s[:100]...)
+	}
+	p := &Policy{Mode: ModePredictive, Estimator: est}
+	f := newFleet(2)
+	start := simclock.Time(100 * simclock.Hour)
+	for now := start; now < start+2*simclock.Time(simclock.Hour); now = now.Add(tick) {
+		if now > start && now%simclock.Time(simclock.Hour) == 0 {
+			for name, s := range demand {
+				demand[name] = append(s, 0)
+			}
+		}
+		f.step(p, now, 0, demand)
+	}
+	if want := 2 * len(demand); len(rec.calls) != want {
+		t.Fatalf("%d forecasts over two hours of %d orgs, want %d", len(rec.calls), len(demand), want)
+	}
+	for i, ex := range rec.calls {
+		if hour := 100 + i/len(demand); ex.StartHour+len(ex.History) != hour {
+			t.Fatalf("hour %d: forecast starts at %d with %d hours of history", hour, ex.StartHour, len(ex.History))
+		}
 	}
 }

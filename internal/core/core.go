@@ -5,8 +5,6 @@
 package core
 
 import (
-	"sort"
-
 	"github.com/sjtucitlab/gfs/internal/gde"
 	"github.com/sjtucitlab/gfs/internal/pts"
 	"github.com/sjtucitlab/gfs/internal/sched"
@@ -74,13 +72,18 @@ func New(opts Options) *System {
 // inventory estimate, and the observed eviction rate and queuing
 // delays feed back into η (the closed loop of Fig. 6).
 //
-// The quota itself refreshes at every update tick (300 s, Table 4),
-// but η moves at most once per guarantee window H: the eviction rate
-// it reacts to is measured over the past H hours, so faster
-// multiplicative updates compound against a sticky signal and drive
-// the loop into oscillation.
+// The quota itself refreshes at every update tick (300 s, Table 4):
+// capacity, idle cards and the inventory bound are re-read each time.
+// The GDE forecasts it subtracts refresh hourly, when the demand
+// series they are computed from gain their next value; in between,
+// every tick reads the stored forecasts. η moves at most once per
+// guarantee window H: the eviction rate it reacts to is measured over
+// the past H hours, so faster multiplicative updates compound against
+// a sticky signal and drive the loop into oscillation.
 type Quota struct {
 	est         *gde.Estimator
+	memo        gde.Memo
+	forecasts   []sqa.OrgForecast
 	alloc       *sqa.Allocator
 	disableFeed bool
 	ramp        float64
@@ -114,13 +117,11 @@ func (q *Quota) Quota(ctx *sched.QuotaContext) float64 {
 
 	inventory := capacity // no estimator: everything idle is fair game
 	if q.est != nil && q.est.Fitted() {
-		startHour := ctx.HourIndex - q.est.History()
-		forecasts := make([]sqa.OrgForecast, 0, len(ctx.OrgDemand))
-		for _, org := range sortedKeys(ctx.OrgDemand) {
-			mu, sigma := q.est.Forecast(org, ctx.OrgDemand[org], startHour)
-			forecasts = append(forecasts, sqa.OrgForecast{Mu: mu, Sigma: sigma})
+		q.forecasts = q.forecasts[:0]
+		for _, f := range q.memo.Forecasts(q.est, ctx.OrgDemand, ctx.HourIndex) {
+			q.forecasts = append(q.forecasts, sqa.OrgForecast{Mu: f.Mu, Sigma: f.Sigma})
 		}
-		inventory = q.alloc.Inventory(capacity, forecasts)
+		inventory = q.alloc.Inventory(capacity, q.forecasts)
 	}
 	return q.alloc.Quota(inventory, idle, ctx.SpotGuaranteed)
 }
@@ -132,13 +133,4 @@ func (q *Quota) Quota(ctx *sched.QuotaContext) float64 {
 // scheduling pass and the next HP surge evicts the whole cohort.
 func (q *Quota) MaxAdmitPerPass(capacity float64) float64 {
 	return q.ramp * capacity
-}
-
-func sortedKeys(m map[string][]float64) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }
