@@ -19,13 +19,9 @@ type Cluster struct {
 	models  []*modelIndex
 	fit     []*Node
 
-	// version counts occupancy and up/down changes across all member
-	// nodes (Node.bump, which AddNode also goes through); the aggregate
-	// cache below is valid while it holds still. It starts at 1 so the
-	// zero aggVersion always reads as stale.
-	version uint64
 	// occupied has one bit per node, by position in nodes, set while
-	// the node holds any allocation: the only nodes refreshAgg visits.
+	// the node holds any allocation: the only nodes the usage fold
+	// visits.
 	occupied []uint64
 
 	// upCapacity is the total card count over non-down nodes,
@@ -34,16 +30,23 @@ type Cluster struct {
 	// matter the order of updates.
 	upCapacity int
 
-	// Whole-cluster usage aggregates, recomputed lazily — in exactly
-	// the node-order fold the eager scans used, so the cached floats
-	// are bit-identical to recomputation — when version moves.
-	aggVersion              uint64
-	aggUsed, aggHP, aggSpot float64
+	// fold[w] holds the whole-cluster usage fold's partial sums over
+	// the nodes up to the end of word w of occupied, for the words that
+	// hold an occupied node; total holds the sums over all of them.
+	// The entries of the occupied words before stale are current:
+	// Node.bump lowers stale to the node's word, and refreshAgg replays
+	// the fold from there.
+	fold  []usage
+	total usage
+	stale int
 }
+
+// usage is one partial sum of the usage fold.
+type usage struct{ used, hp, spot float64 }
 
 // New builds an empty cluster.
 func New() *Cluster {
-	return &Cluster{byModel: make(map[string]*modelIndex), byID: make(map[int]*Node), version: 1}
+	return &Cluster{byModel: make(map[string]*modelIndex), byID: make(map[int]*Node)}
 }
 
 // NewHomogeneous builds a cluster of n nodes with gpusPerNode GPUs of
@@ -101,6 +104,7 @@ func (c *Cluster) AddNode(n *Node) {
 	c.byID[n.ID] = n
 	if len(c.nodes) > 64*len(c.occupied) {
 		c.occupied = append(c.occupied, 0)
+		c.fold = append(c.fold, usage{})
 	}
 	if !n.down {
 		c.upCapacity += n.Capacity()
@@ -259,33 +263,49 @@ func (c *Cluster) Models() []string {
 	return out
 }
 
-// refreshAgg recomputes the whole-cluster usage aggregates if any
-// node changed since the last computation. The three sums fold over
-// nodes in slice order with the same per-node expressions the
-// per-call scans used — used accumulates hpUsed+spotUsed node by
-// node, not aggHP+aggSpot — so caching never shifts a single ULP.
-// Only occupied nodes are visited, in ascending position: a skipped
-// node holds exactly +0.0 of each class, the sums start at +0.0 and
-// never go negative, and x + 0.0 is x bit for bit, so every partial
-// sum equals the one the full walk produced.
-func (c *Cluster) refreshAgg() {
-	if c.aggVersion == c.version {
-		return
+// refreshAgg brings the whole-cluster usage totals up to date and
+// returns them. The three sums fold over nodes in slice order with the
+// same per-node expressions the per-call scans used — used accumulates
+// hpUsed+spotUsed node by node, not hp+spot — so no sum shifts a single
+// ULP. Only occupied nodes are visited, in ascending position: a
+// skipped node holds exactly +0.0 of each class, the sums start at +0.0
+// and never go negative, and x + 0.0 is x bit for bit, so every partial
+// sum equals the one the full walk produced. The fold restarts at the
+// first word holding a changed node, from the partial sums stored at
+// the last occupied word before it: the same additions in the same
+// order as a fold from the start, so the sums keep their bits. Sums
+// are stored for occupied words only, so a sparse cluster's fold costs
+// no more than a walk over its bitmap.
+func (c *Cluster) refreshAgg() usage {
+	if c.stale == len(c.occupied) {
+		return c.total
 	}
-	used, hp, spot := 0.0, 0.0, 0.0
-	for w, word := range c.occupied {
+	occupied, fold, nodes := c.occupied, c.fold[:len(c.occupied)], c.nodes
+	var acc usage
+	for w := c.stale - 1; w >= 0; w-- {
+		if occupied[w] != 0 {
+			acc = fold[w]
+			break
+		}
+	}
+	for w := c.stale; w < len(occupied); w++ {
+		word := occupied[w]
+		if word == 0 {
+			continue
+		}
 		for ; word != 0; word &= word - 1 {
-			n := c.nodes[w<<6+bits.TrailingZeros64(word)]
+			n := nodes[w<<6+bits.TrailingZeros64(word)]
 			if n.down {
 				continue
 			}
-			used += n.hpUsed + n.spotUsed
-			hp += n.hpUsed
-			spot += n.spotUsed
+			acc.used += n.hpUsed + n.spotUsed
+			acc.hp += n.hpUsed
+			acc.spot += n.spotUsed
 		}
+		fold[w] = acc
 	}
-	c.aggUsed, c.aggHP, c.aggSpot = used, hp, spot
-	c.aggVersion = c.version
+	c.total, c.stale = acc, len(occupied)
+	return acc
 }
 
 // TotalGPUs returns the cluster capacity C, optionally restricted to
@@ -310,8 +330,7 @@ func (c *Cluster) TotalGPUs(model string) float64 {
 // restricted to one model.
 func (c *Cluster) UsedGPUs(model string) float64 {
 	if model == "" {
-		c.refreshAgg()
-		return c.aggUsed
+		return c.refreshAgg().used
 	}
 	u := 0.0
 	for _, n := range c.NodesOfModel(model) {
@@ -332,8 +351,7 @@ func (c *Cluster) IdleGPUs(model string) float64 {
 // SpotGPUs returns capacity held by spot tasks.
 func (c *Cluster) SpotGPUs(model string) float64 {
 	if model == "" {
-		c.refreshAgg()
-		return c.aggSpot
+		return c.refreshAgg().spot
 	}
 	u := 0.0
 	for _, n := range c.NodesOfModel(model) {
@@ -348,8 +366,7 @@ func (c *Cluster) SpotGPUs(model string) float64 {
 // HPGPUs returns capacity held by HP tasks.
 func (c *Cluster) HPGPUs(model string) float64 {
 	if model == "" {
-		c.refreshAgg()
-		return c.aggHP
+		return c.refreshAgg().hp
 	}
 	u := 0.0
 	for _, n := range c.NodesOfModel(model) {

@@ -171,10 +171,10 @@ func TestEvictionWindows(t *testing.T) {
 	n.RecordEviction(base.Add(20 * simclock.Hour))
 	n.RecordEviction(base.Add(25*simclock.Hour - 30*simclock.Minute))
 	now := base.Add(25 * simclock.Hour)
-	if got := n.EvictionsSince(now.Add(-simclock.Hour)); got != 1 {
+	if got := n.evictionsSince(now.Add(-simclock.Hour)); got != 1 {
 		t.Fatalf("short window = %d, want 1", got)
 	}
-	if got := n.EvictionsSince(now.Add(-24 * simclock.Hour)); got != 2 {
+	if got := n.evictionsSince(now.Add(-24 * simclock.Hour)); got != 2 {
 		t.Fatalf("long window = %d, want 2", got)
 	}
 }
@@ -202,7 +202,7 @@ func TestEvictionTrimKeepsWindows(t *testing.T) {
 	n.RecordEviction(simclock.Time(0))
 	now := simclock.Time(3 * 24 * simclock.Hour)
 	n.RecordEviction(now)
-	if got := n.EvictionsSince(now.Add(-24 * simclock.Hour)); got != 1 {
+	if got := n.evictionsSince(now.Add(-24 * simclock.Hour)); got != 1 {
 		t.Fatalf("long window after trim = %d, want 1", got)
 	}
 }

@@ -35,7 +35,7 @@ func (n *Node) container() int16 {
 	if n.down || n.cordoned {
 		return 0
 	}
-	if n.wholeFree == len(n.gpus) && n.hpUsed == 0 && n.spotUsed == 0 && len(n.evictions) == 0 {
+	if int(n.wholeFree) == len(n.gpus) && n.hpUsed == 0 && n.spotUsed == 0 && len(n.evictions) == 0 {
 		return -int16(n.wholeFree)
 	}
 	if n.wholeFree > 0 {

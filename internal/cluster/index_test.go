@@ -207,6 +207,67 @@ func TestIndexUnderRandomOps(t *testing.T) {
 	}
 }
 
+// TestUsageFoldRestartsExactly drives clusters of 200 to 250 nodes —
+// four words of the occupied bitmap, grown by pools across the fifth
+// word's boundary — through fractional placements drawn from
+// [0.1, 0.9], whose sums depend on their order, releases, and failures
+// and returns of occupied nodes, several at scattered positions between
+// reads, and checks that the fold, restarted from the first changed
+// word, equals the full walk bit for bit.
+func TestUsageFoldRestartsExactly(t *testing.T) {
+	var midRestarts, crossed int
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		c := NewHomogeneous("A100", 200+rng.Intn(51), 8)
+		words := len(c.occupied)
+		var live []*task.Task
+		for step, id := 0, 1; step < 300; step++ {
+			for k := 1 + rng.Intn(4); k > 0; k-- {
+				n := c.nodes[rng.Intn(len(c.nodes))]
+				switch r := rng.Intn(12); {
+				case r < 6:
+					g := 0.1 + 0.8*rng.Float64()
+					if r == 0 {
+						g = float64(1 + rng.Intn(2))
+					}
+					tk := newTask(id, task.Type(rng.Intn(2)), 1, g)
+					id++
+					placed := false
+					for p := 1 + rng.Intn(2); p > 0; p-- {
+						placed = c.nodes[rng.Intn(len(c.nodes))].PlacePod(tk) == nil || placed
+					}
+					if placed {
+						live = append(live, tk)
+					}
+				case r < 9 && len(live) > 0:
+					i := rng.Intn(len(live))
+					for _, m := range c.nodes {
+						m.ReleaseTask(live[i])
+					}
+					live = slices.Delete(live, i, i+1)
+				case r < 11:
+					n.SetDown(!n.down) // whatever it holds
+				case r == 11 && len(c.nodes) < 320:
+					c.AddPool(Pool{Model: "A100", Nodes: 1 + rng.Intn(8), GPUsPerNode: 8})
+				}
+			}
+			if c.stale > 0 && c.stale < len(c.occupied) {
+				midRestarts++
+			}
+			used, hp, spot := bruteAgg(c)
+			if got := [3]float64{c.UsedGPUs(""), c.HPGPUs(""), c.SpotGPUs("")}; got != [3]float64{used, hp, spot} {
+				t.Fatalf("seed %d step %d: aggregates %v, full walk %v", seed, step, got, [3]float64{used, hp, spot})
+			}
+		}
+		if len(c.occupied) > words {
+			crossed++
+		}
+	}
+	if midRestarts == 0 || crossed == 0 {
+		t.Fatalf("%d reads restarted mid-bitmap, %d runs grew a word: too little exercised", midRestarts, crossed)
+	}
+}
+
 func TestIndexEdges(t *testing.T) {
 	whole := newTask(1, task.HP, 1, 2)
 	has := func(c *Cluster, n *Node) bool { return slices.Contains(c.Candidates(whole), n) }
@@ -260,8 +321,8 @@ func TestIndexEdges(t *testing.T) {
 		// is still held (trimming happens only on a later record, and
 		// spares the newest), so the node stays distinguishable.
 		now := simclock.Time(49 * simclock.Hour)
-		if n.EvictionsSince(now.Add(-evictionRetention)) != 0 || n.bin != 9 {
-			t.Fatalf("bin %d, evictions in retention %d", n.bin, n.EvictionsSince(now.Add(-evictionRetention)))
+		if n.evictionsSince(now.Add(-evictionRetention)) != 0 || n.bin != 9 {
+			t.Fatalf("bin %d, evictions in retention %d", n.bin, n.evictionsSince(now.Add(-evictionRetention)))
 		}
 		n.RecordEviction(now)
 		if len(n.evictions) != 1 || n.bin != 9 || checkIndex(c) != nil {

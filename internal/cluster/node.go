@@ -72,7 +72,10 @@ type Node struct {
 	// wholeFree counts cards with used == 0, kept in lockstep with
 	// gpus so WholeFreeGPUs — the whole-card admission test run for
 	// every node on every placement — is O(1) instead of a card scan.
-	wholeFree int
+	wholeFree int32
+	// changes counts the runs of bump, for Changes. It shares
+	// wholeFree's eight bytes, so Node does not grow.
+	changes uint32
 	// slot is the node's position inside its placement-index container
 	// and ord its position in the owning cluster's node list (its bit in
 	// Cluster.occupied): int32s, because Node must not grow (spotCards).
@@ -117,24 +120,26 @@ type podAlloc struct {
 
 // NewNode creates a node with capacity GPUs of the given model.
 func NewNode(id int, model string, capacity int) *Node {
-	n := &Node{ID: id, Model: model, gpus: make([]gpu, capacity), wholeFree: capacity}
+	n := &Node{ID: id, Model: model, gpus: make([]gpu, capacity), wholeFree: int32(capacity)}
 	return n
 }
 
 // bump reports a change of the node's occupancy, availability or
-// eviction history to the owning cluster, once the node's own fields
-// are settled: the aggregate cache goes stale, the node's occupied bit
-// follows its usage, and the placement index re-files the node. The
-// hook lives here, not in sched.State, so callers that mutate a node
-// directly (Txn.Rollback, benchmarks) keep the index exact.
+// eviction history, once the node's own fields are settled: the change
+// counter moves, and in the owning cluster the usage fold goes stale
+// from the node's word on, the node's occupied bit follows its usage,
+// and the placement index re-files the node. The hook lives here, not
+// in sched.State, so callers that mutate a node directly
+// (Txn.Rollback, benchmarks) keep the index exact.
 func (n *Node) bump() {
+	n.changes++
 	ix := n.owner
 	if ix == nil {
 		return
 	}
 	c := ix.cl
-	c.version++
-	w, bit := n.ord>>6, uint64(1)<<(n.ord&63)
+	w, bit := int(n.ord>>6), uint64(1)<<(n.ord&63)
+	c.stale = min(c.stale, w)
 	if n.hpUsed != 0 || n.spotUsed != 0 {
 		c.occupied[w] |= bit
 	} else {
@@ -157,6 +162,12 @@ func (n *Node) podIndex(taskID int) (int, bool) {
 	}
 	return lo, lo < len(n.pods) && n.pods[lo].task.ID == taskID
 }
+
+// Changes counts the changes to the node's occupancy, availability and
+// eviction history, modulo 2³²: a node whose count reads the same as
+// before has not changed since, so whatever was derived from it then
+// still holds.
+func (n *Node) Changes() uint32 { return n.changes }
 
 // Capacity returns the number of physical GPUs.
 func (n *Node) Capacity() int { return len(n.gpus) }
@@ -206,7 +217,7 @@ func (n *Node) WholeFreeGPUs() int {
 	if !n.Schedulable() {
 		return 0
 	}
-	return n.wholeFree
+	return int(n.wholeFree)
 }
 
 // WholeFreeGPUsExcluding counts the cards that would be completely
@@ -249,7 +260,7 @@ func (n *Node) WholeFreeGPUsWithout(victims []*task.Task) int {
 	if !n.Schedulable() {
 		return 0
 	}
-	c := n.wholeFree
+	c := int(n.wholeFree)
 	for i := range n.gpus {
 		g := &n.gpus[i]
 		if g.used == 0 {
@@ -286,7 +297,7 @@ func (n *Node) ReclaimableGPUs() int {
 	if !n.Schedulable() {
 		return 0
 	}
-	return n.wholeFree + int(n.spotCards)
+	return int(n.wholeFree + n.spotCards)
 }
 
 // HPGPUs returns GPU capacity currently held by HP tasks.
@@ -321,7 +332,7 @@ func (n *Node) CanFitPod(tk *task.Task) bool {
 		}
 		return false
 	}
-	return n.wholeFree >= int(g)
+	return int(n.wholeFree) >= int(g)
 }
 
 // PlacePod allocates the GPUs for one pod of tk. It returns
@@ -355,7 +366,7 @@ func (n *Node) PlacePod(tk *task.Task) error {
 		n.addShare(idx, tk.ID, g, isSpot)
 	} else {
 		need := int(g)
-		if n.wholeFree < need {
+		if int(n.wholeFree) < need {
 			return ErrInsufficient
 		}
 		placed := 0
@@ -509,8 +520,8 @@ func (n *Node) RecordEviction(t simclock.Time) {
 	n.bump()
 }
 
-// EvictionsSince counts spot evictions on this node in (since, now].
-func (n *Node) EvictionsSince(since simclock.Time) int {
+// evictionsSince counts spot evictions on this node in (since, now].
+func (n *Node) evictionsSince(since simclock.Time) int {
 	i := sort.Search(len(n.evictions), func(i int) bool { return n.evictions[i] > since })
 	return len(n.evictions) - i
 }
@@ -522,8 +533,8 @@ func (n *Node) EvictionsSince(since simclock.Time) int {
 // where e_short and e_long count eviction events in the past short
 // and long windows and T_long is the long window length in hours.
 func (n *Node) WeightedEvictionRate(now simclock.Time, gamma float64, short, long simclock.Duration) float64 {
-	eShort := float64(n.EvictionsSince(now.Add(-short)))
-	eLong := float64(n.EvictionsSince(now.Add(-long)))
+	eShort := float64(n.evictionsSince(now.Add(-short)))
+	eLong := float64(n.evictionsSince(now.Add(-long)))
 	return gamma*eShort + (1-gamma)*eLong/long.Hours()
 }
 

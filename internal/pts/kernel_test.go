@@ -476,7 +476,9 @@ func TestLongWindowFitsEvictionRetention(t *testing.T) {
 	n.RecordEviction(0)
 	now := simclock.Time(long)
 	n.RecordEviction(now)
-	if got := n.EvictionsSince(now.Add(-long) - 1); got != 2 {
-		t.Fatalf("an eviction one LongWindow (%v h) old was trimmed: %d of 2 left", long.Hours(), got)
+	// With γ = 1 Eq. 15 is the count over the short window, here one
+	// tick longer than LongWindow.
+	if got := n.WeightedEvictionRate(now, 1, long+1, long+1); got != 2 {
+		t.Fatalf("an eviction one LongWindow (%v h) old was trimmed: %v of 2 left", long.Hours(), got)
 	}
 }

@@ -1,6 +1,7 @@
 package pts
 
 import (
+	"math"
 	"math/rand"
 	"slices"
 	"sort"
@@ -114,7 +115,6 @@ func TestVictimSetMatchesMapPath(t *testing.T) {
 			cfg := DefaultConfig()
 			cfg.RandomPreemption = random
 			s := New(cfg)
-			var sc preemptScratch
 			for _, n := range cl.Nodes() {
 				all := make(map[int]bool)
 				for _, v := range n.SpotTasks() {
@@ -129,7 +129,7 @@ func TestVictimSetMatchesMapPath(t *testing.T) {
 						t.Fatalf("seed %d %v need %d: reclaimable says %v, solver min %d", seed, n, need, feasible, minCount)
 					}
 					want := mapVictimSet(now, n, need, random)
-					got, ok := s.victimSet(ctx, n, need, &sc)
+					got, ok := s.victimSet(ctx, n, need)
 					if ok != (want != nil) || (ok && !slices.Equal(got, want)) {
 						t.Fatalf("seed %d %v need %d random=%v: victims %v ok=%v, map path %v", seed, n, need, random, got, ok, want)
 					}
@@ -165,20 +165,23 @@ func TestPreemptionPlanBoundedByExactSolver(t *testing.T) {
 		s := New(DefaultConfig())
 		for _, g := range []float64{1, 2, 4, 8} {
 			hp := mkTask(9000, task.HP, 1, g)
-			node, victims := s.bestPreemption(ctx, hp, 0)
+			p := s.bestPreemption(ctx, hp, 0)
 			exact := opt.ExactPreemption(cl.Nodes(), int(g), ctx.G, ctx.F, s.cfg.Beta, ctx.ElapsedSeconds(), now)
 			if exact == nil {
-				if node != nil {
-					t.Fatalf("seed %d g=%v: plan on %v where the solver finds none", seed, g, node)
+				if p.node != nil {
+					t.Fatalf("seed %d g=%v: plan on %v where the solver finds none", seed, g, p.node)
 				}
 				continue
 			}
-			if node == nil {
+			if p.node == nil {
 				continue // a zero-victim plan on a mixed node is left to the non-preemptive path
 			}
-			cost := preemptionCost(ctx.G, ctx.F, victims, s.cfg.Beta, float64(node.Capacity())*ctx.ElapsedSeconds(), now)
-			if cost < exact.Cost-1e-12 {
-				t.Fatalf("seed %d g=%v: plan cost %v beats the exact optimum %v", seed, g, cost, exact.Cost)
+			ref := preemptionCost(ctx.G, ctx.F, len(p.victims), wasteOf(p.victims, now), s.cfg.Beta, float64(p.node.Capacity())*ctx.ElapsedSeconds())
+			if math.Float64bits(ref) != math.Float64bits(p.cost) {
+				t.Fatalf("seed %d g=%v: plan cost %v, recomputed from its victims %v", seed, g, p.cost, ref)
+			}
+			if ref < exact.Cost-1e-12 {
+				t.Fatalf("seed %d g=%v: plan cost %v beats the exact optimum %v", seed, g, ref, exact.Cost)
 			}
 		}
 	}
@@ -193,10 +196,9 @@ func TestVictimSetOnLosingNodeAllocatesNothing(t *testing.T) {
 	}
 	ctx.Now = ctx.Now.Add(25 * simclock.Minute)
 	n := cl.Nodes()[0]
-	var sc preemptScratch
-	s.victimSet(ctx, n, 4, &sc) // sizes the scratch
+	s.victimSet(ctx, n, 4) // sizes the workspace
 	allocs := testing.AllocsPerRun(100, func() {
-		if vs, ok := s.victimSet(ctx, n, 4, &sc); !ok || len(vs) != 4 {
+		if vs, ok := s.victimSet(ctx, n, 4); !ok || len(vs) != 4 {
 			t.Fatalf("victimSet = %v, %v; want 4 victims", vs, ok)
 		}
 	})
@@ -205,27 +207,78 @@ func TestVictimSetOnLosingNodeAllocatesNothing(t *testing.T) {
 	}
 }
 
-// TestPreemptPlanRejectsMostNodesInO1 is the work gate for the O(1)
-// reclaimable-cards reject: over a full simulation of PTS on a cluster
-// too small for its trace, it settles most of the nodes preemption
-// planning visits.
-func TestPreemptPlanRejectsMostNodesInO1(t *testing.T) {
+// planCounts runs one day of PTS at spot scale 4 on 48 eight-card
+// nodes, for a trace sized for clusterGPUs cards with gangs scaled by
+// gangScale, and returns the planner's node counters.
+func planCounts(clusterGPUs float64, gangScale int) (rejected, costed, reused uint64) {
 	cfg := trace.Default()
-	cfg.Seed, cfg.Days, cfg.ClusterGPUs, cfg.SpotScale = 11, 1, 64*8, 4
+	cfg.Seed, cfg.Days, cfg.ClusterGPUs, cfg.SpotScale, cfg.GangScale = 11, 1, clusterGPUs, 4, gangScale
 	cfg.MaxDuration = 6 * simclock.Hour
 	s := New(DefaultConfig())
 	sched.Run(sched.DefaultSimConfig(cluster.NewHomogeneous("A100", 48, 8), s), trace.Generate(cfg))
-	rejected, costed := s.pre.rejected, s.pre.costed
-	t.Logf("preemption scan: %d nodes rejected in O(1), %d costed", rejected, costed)
-	if costed == 0 || rejected < costed {
-		t.Fatalf("rejected %d, costed %d: want a contended run where the O(1) test settles most nodes", rejected, costed)
+	return s.plans.rejected, s.plans.costed, s.plans.reused
+}
+
+// TestPreemptPlanRejectsMostNodesInO1 is the work gate for the O(1)
+// reclaimable-cards reject and for the plan memo. Over a full
+// simulation of PTS on a cluster too small for its trace, the O(1) test
+// settles most of the nodes preemption planning visits: more than the
+// costed+reused victim sets a planner without the memo would build.
+// With production-size gangs, where one gang's pods are planned at one
+// instant back to back, the memo serves more than half of those.
+func TestPreemptPlanRejectsMostNodesInO1(t *testing.T) {
+	rejected, costed, reused := planCounts(64*8, trace.Default().GangScale)
+	t.Logf("preemption scan: %d nodes rejected in O(1), %d costed, %d reused", rejected, costed, reused)
+	if costed+reused == 0 || rejected < costed+reused {
+		t.Fatalf("rejected %d, costed %d, reused %d: want a contended run where the O(1) test settles most nodes", rejected, costed, reused)
+	}
+	rejected, costed, reused = planCounts(48*8, 4)
+	t.Logf("production-size gangs: %d nodes rejected in O(1), %d costed, %d reused", rejected, costed, reused)
+	if reused == 0 || 2*costed >= costed+reused {
+		t.Fatalf("costed %d, reused %d: want the memo to serve most of the nodes a fresh planner would cost", costed, reused)
 	}
 }
 
-// BenchmarkPreemptPlan1250 plans the eviction of 32 one-card spot
-// tasks for a four-node HP gang on a 1,250-node cluster where every
-// node is full of spot, then undoes it.
-func BenchmarkPreemptPlan1250(b *testing.B) {
+// TestPreemptPlanAllocatesNothing: once the memo is sized, a plan at a
+// new instant allocates nothing, and neither does a plan of the same
+// instant on an unchanged cluster, which builds no victim set at all.
+func TestPreemptPlanAllocatesNothing(t *testing.T) {
+	cl := cluster.NewHomogeneous("A100", 64, 8)
+	ctx := newCtx(cl)
+	for i, n := range cl.Nodes() {
+		for k := 0; k < 8; k++ {
+			tk := mkTask(8*i+k+1, task.Spot, 1, 1)
+			if err := n.PlacePod(tk); err != nil {
+				t.Fatal(err)
+			}
+			tk.Start(simclock.Time((8*i + k) * 37 % 3600))
+		}
+	}
+	s := New(DefaultConfig())
+	hp := mkTask(10_000, task.HP, 1, 4)
+	plan := func() {
+		if p := s.bestPreemption(ctx, hp, 0); p.node == nil || len(p.victims) != 4 {
+			t.Fatalf("plan on %v with %d victims, want 4", p.node, len(p.victims))
+		}
+	}
+	plan() // sizes the memo
+	costed := s.plans.costed
+	if allocs := testing.AllocsPerRun(100, plan); allocs != 0 {
+		t.Fatalf("a reused plan allocates %v times, want 0", allocs)
+	}
+	if s.plans.costed != costed {
+		t.Fatalf("plans of one instant on an unchanged cluster costed %d nodes again", s.plans.costed-costed)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { ctx.Now++; plan() }); allocs != 0 {
+		t.Fatalf("a plan at a new instant allocates %v times, want 0", allocs)
+	}
+}
+
+// benchPreemptPlan1250 plans the eviction of 32 one-card spot tasks
+// for a four-node HP gang on a 1,250-node cluster where every node is
+// full of spot, then undoes it; advance moves the clock on by a second
+// before every plan.
+func benchPreemptPlan1250(b *testing.B, advance bool) {
 	cl := cluster.NewHomogeneous("A100", 1250, 8)
 	ctx := newCtx(cl)
 	id := 1
@@ -246,6 +299,9 @@ func BenchmarkPreemptPlan1250(b *testing.B) {
 	gang := mkTask(id, task.HP, 4, 8)
 	b.ReportAllocs()
 	for b.Loop() {
+		if advance {
+			ctx.Now = ctx.Now.Add(simclock.Second)
+		}
 		dec, err := s.Schedule(ctx, gang)
 		if err != nil || len(dec.Victims) != 32 {
 			b.Fatalf("plan: %v, %d victims", err, len(dec.Victims))
@@ -262,3 +318,12 @@ func BenchmarkPreemptPlan1250(b *testing.B) {
 		txn.Commit()
 	}
 }
+
+// BenchmarkPreemptPlan1250 keeps the clock still, so after the first
+// gang every plan is served from the memo but for the four nodes the
+// last gang touched.
+func BenchmarkPreemptPlan1250(b *testing.B) { benchPreemptPlan1250(b, false) }
+
+// BenchmarkPreemptPlan1250Advancing plans every gang at a new instant,
+// where every node's victim set is built afresh.
+func BenchmarkPreemptPlan1250Advancing(b *testing.B) { benchPreemptPlan1250(b, true) }

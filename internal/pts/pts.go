@@ -61,19 +61,54 @@ type Scheduler struct {
 	// placement index hands bestNode few enough nodes to score afresh.
 	blacklist map[int]simclock.Time
 
-	// pre is the preemption-planning workspace, reused across plans.
-	pre preemptScratch
+	// plans is the preemption planner's memo and workspace.
+	plans planMemo
 }
 
-// preemptScratch is the preemption-planning workspace: two victim
-// buffers — the node being costed and the leader so far, swapped when
-// a node takes the lead, so planning allocates nothing — and the
-// planner's work counts.
-type preemptScratch struct {
-	cur, lead []*task.Task
+// planMemo is what preemption planning keeps from plan to plan. Within
+// one instant, on one cluster, for one pod size, a node's trimmed victim
+// set and its Σwaste read nothing but the node's own state and its
+// tenants' wastes as of that instant, and neither moves unless the node
+// changes: an entry stands while its node's change counter reads what it
+// read when the entry was made. Only Eq. 19 reads more — the G and F
+// counts, the victims of the gang's earlier pods — so it is evaluated
+// afresh on every plan.
+type planMemo struct {
+	// The key every entry was made under; a plan under another key
+	// moves gen on, which retires all of them, and empties the arena.
+	cl   *cluster.Cluster
+	now  simclock.Time
+	need int
+	gen  uint64
+	// nodes holds one entry per node, by node ID (clusters number
+	// their nodes densely from 0).
+	nodes []planEntry
+	// arena holds the victims of the key's entries; buf is the trim's
+	// workspace.
+	arena, buf []*task.Task
 	// rejected counts nodes the O(1) reclaimable-cards test ruled out,
-	// costed those whose victim set was built.
-	rejected, costed uint64
+	// costed those whose victim set was built, reused those whose entry
+	// stood. A plan that never reused would cost costed+reused nodes.
+	rejected, costed, reused uint64
+}
+
+// planEntry is one node's memoized victim set: arena[lo:hi], in task-ID
+// order, with its Σwaste summed in that order; ok is false where the
+// node is no candidate after all.
+type planEntry struct {
+	gen     uint64
+	waste   float64
+	changes uint32
+	lo, hi  int32
+	ok      bool
+}
+
+// entry returns n's entry, growing the table to cover n's ID.
+func (m *planMemo) entry(n *cluster.Node) *planEntry {
+	if n.ID >= len(m.nodes) {
+		m.nodes = append(m.nodes, make([]planEntry, max(n.ID+1, len(m.cl.Nodes()))-len(m.nodes))...)
+	}
+	return &m.nodes[n.ID]
 }
 
 // New creates a PTS scheduler.
@@ -110,7 +145,8 @@ func (s *Scheduler) Schedule(ctx *sched.Context, tk *task.Task) (*sched.Decision
 	})
 	if err != nil && tk.Type == task.HP {
 		return ctx.State.Gang(tk, func(evicted int) (*cluster.Node, []*task.Task) {
-			return s.bestPreemption(ctx, tk, evicted)
+			p := s.bestPreemption(ctx, tk, evicted)
+			return p.node, p.victims
 		})
 	}
 	return dec, err
@@ -224,22 +260,48 @@ type preemptCand struct {
 // evaluates every node's minimal victim set (descending-waste trimming)
 // and returns the node with the lowest preemption cost (Eq. 19; lowest
 // ID on ties) with its trimmed victim set. evictedSoFar feeds the |T_k|
-// term so multi-pod placements account for earlier victims. The victims
-// live in scheduler scratch, valid until the next call.
-func (s *Scheduler) bestPreemption(ctx *sched.Context, tk *task.Task, evictedSoFar int) (*cluster.Node, []*task.Task) {
-	sc := &s.pre
+// term so multi-pod placements account for earlier victims. Victim sets
+// come from the plan memo where their nodes have not changed since the
+// last plan of the same instant, cluster and pod size, and are built
+// otherwise. The victims live in scheduler scratch, valid until the
+// next call.
+func (s *Scheduler) bestPreemption(ctx *sched.Context, tk *task.Task, evictedSoFar int) preemptCand {
+	m := &s.plans
 	need := tk.PodCards()
-	elapsed := ctx.ElapsedSeconds()
 	cand := preemptCand{cost: math.Inf(1)}
-	for _, n := range ctx.State.Cluster.NodesOfModel(tk.GPUModel) {
-		victims, ok := s.victimSet(ctx, n, need, sc)
-		if !ok {
+	nodes := ctx.State.Cluster.NodesOfModel(tk.GPUModel)
+	if s.cfg.RandomPreemption {
+		// GFS-p ablation: arbitrary node choice — take the first
+		// feasible node without costing it.
+		for _, n := range nodes {
+			if victims, ok := s.victimSet(ctx, n, need); ok {
+				return preemptCand{node: n, victims: victims}
+			}
+		}
+		return cand
+	}
+	if m.cl != ctx.State.Cluster || m.now != ctx.Now || m.need != need {
+		m.cl, m.now, m.need = ctx.State.Cluster, ctx.Now, need
+		m.gen++
+		m.arena = m.arena[:0]
+	}
+	elapsed := ctx.ElapsedSeconds()
+	for _, n := range nodes {
+		if n.ReclaimableGPUs() < need {
+			m.rejected++
 			continue
 		}
-		if s.cfg.RandomPreemption {
-			// GFS-p ablation: arbitrary node choice — take the
-			// first feasible node without costing it.
-			return n, victims
+		e := m.entry(n)
+		if e.gen == m.gen && e.changes == n.Changes() {
+			m.reused++
+		} else {
+			victims, ok := s.victimSet(ctx, n, need)
+			*e = planEntry{gen: m.gen, waste: wasteOf(victims, ctx.Now), changes: n.Changes(),
+				lo: int32(len(m.arena)), hi: int32(len(m.arena) + len(victims)), ok: ok}
+			m.arena = append(m.arena, victims...)
+		}
+		if !e.ok {
+			continue
 		}
 		// Eq. 18's usage impact normalizes by S_k·T, "the total
 		// execution time of GPUs in node n_k": per-node capacity
@@ -247,15 +309,12 @@ func (s *Scheduler) bestPreemption(ctx *sched.Context, tk *task.Task, evictedSoF
 		// shrink the waste term to noise and let the victim-count
 		// term steer preemption onto huge gang tasks.
 		gpuSeconds := float64(n.Capacity()) * elapsed
-		cost := preemptionCost(ctx.G, ctx.F+evictedSoFar, victims, s.cfg.Beta, gpuSeconds, ctx.Now)
+		cost := preemptionCost(ctx.G, ctx.F+evictedSoFar, int(e.hi-e.lo), e.waste, s.cfg.Beta, gpuSeconds)
 		if cost < cand.cost || (cost == cand.cost && cand.node != nil && n.ID < cand.node.ID) {
-			cand = preemptCand{node: n, victims: victims, cost: cost}
-			// The leader's victims stay put; later nodes are costed
-			// in the other buffer.
-			sc.cur, sc.lead = sc.lead, sc.cur
+			cand = preemptCand{node: n, victims: m.arena[e.lo:e.hi:e.hi], cost: cost}
 		}
 	}
-	return cand.node, cand.victims
+	return cand
 }
 
 // victimSet returns the minimal victim set on n, in task-ID order,
@@ -268,15 +327,14 @@ func (s *Scheduler) bestPreemption(ctx *sched.Context, tk *task.Task, evictedSoF
 // if it hosts no spot task at all: the trim of a mixed node then
 // spares every tenant, and a plan that preempts nobody there is left
 // to the non-preemptive path (behaviour the golden logs pin). The
-// result aliases sc.cur.
-func (s *Scheduler) victimSet(ctx *sched.Context, n *cluster.Node, need int, sc *preemptScratch) (victims []*task.Task, ok bool) {
+// result aliases the planner's workspace, valid until the next call.
+func (s *Scheduler) victimSet(ctx *sched.Context, n *cluster.Node, need int) (victims []*task.Task, ok bool) {
 	if n.ReclaimableGPUs() < need {
-		sc.rejected++
 		return nil, false
 	}
-	sc.costed++
-	buf := n.AppendSpotTasks(sc.cur[:0])
-	sc.cur = buf
+	s.plans.costed++
+	buf := n.AppendSpotTasks(s.plans.buf[:0])
+	s.plans.buf = buf
 	if s.cfg.RandomPreemption {
 		// GFS-p ablation: accumulate victims in arbitrary (ID)
 		// order until the requirement is met, waste-blind.
@@ -309,19 +367,24 @@ func (s *Scheduler) victimSet(ctx *sched.Context, n *cluster.Node, need int, sc 
 	return victims, len(victims) > 0 || len(buf) == 0
 }
 
-// preemptionCost implements the simplified Eq. (19):
+// preemptionCost implements the simplified Eq. (19) for a victim set of
+// t tasks whose wastes sum to wasteSum:
 //
 //	cost(n) = (F+|T|)/(G+F+|T|) + β·Σϑ/(Σ S·T)
-func preemptionCost(g, f int, victims []*task.Task, beta, gpuSeconds float64, now simclock.Time) float64 {
-	t := float64(len(victims))
-	denom := float64(g+f) + t
+func preemptionCost(g, f, t int, wasteSum, beta, gpuSeconds float64) float64 {
+	denom := float64(g + f + t)
 	evictTerm := 0.0
 	if denom > 0 {
-		evictTerm = (float64(f) + t) / denom
-	}
-	wasteSum := 0.0
-	for _, v := range victims {
-		wasteSum += v.Waste(now)
+		evictTerm = float64(f+t) / denom
 	}
 	return evictTerm + beta*wasteSum/gpuSeconds
+}
+
+// wasteOf sums the victims' wastes at now (Eq. 17) in slice order.
+func wasteOf(victims []*task.Task, now simclock.Time) float64 {
+	sum := 0.0
+	for _, v := range victims {
+		sum += v.Waste(now)
+	}
+	return sum
 }

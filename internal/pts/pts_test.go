@@ -373,13 +373,14 @@ func TestPreemptionCostFormula(t *testing.T) {
 	v.CheckpointEvery = 2 * simclock.Hour
 	v.EnterQueue(0)
 	v.Start(0) // waste = 2 GPUs × 3600 s = 7200
-	got := preemptionCost(90, 10, []*task.Task{v}, 0.5, 100_000, now)
+	victims := []*task.Task{v}
+	got := preemptionCost(90, 10, len(victims), wasteOf(victims, now), 0.5, 100_000)
 	want := (10.0+1)/(90+10+1) + 0.5*7200/100_000
 	if math.Abs(got-want) > 1e-12 {
 		t.Fatalf("cost = %v, want %v", got, want)
 	}
 	// Empty victim set: only the eviction-history term.
-	got = preemptionCost(90, 10, nil, 0.5, 100_000, now)
+	got = preemptionCost(90, 10, 0, wasteOf(nil, now), 0.5, 100_000)
 	if math.Abs(got-0.1) > 1e-12 {
 		t.Fatalf("no-victim cost = %v, want 0.1", got)
 	}
@@ -427,12 +428,11 @@ func TestVictimSetInfeasibleNode(t *testing.T) {
 	hp := mkTask(1, task.HP, 1, 6)
 	place(t, s, ctx, hp)
 	// 4 whole cards needed, only 2 free and no spot to evict.
-	var sc preemptScratch
-	if vs, ok := s.victimSet(ctx, cl.Nodes()[0], 4, &sc); ok {
+	if vs, ok := s.victimSet(ctx, cl.Nodes()[0], 4); ok {
 		t.Fatalf("victimSet = %v, want infeasible", vs)
 	}
 	// 2 needed: feasible with no victims.
-	if vs, ok := s.victimSet(ctx, cl.Nodes()[0], 2, &sc); !ok || len(vs) != 0 {
+	if vs, ok := s.victimSet(ctx, cl.Nodes()[0], 2); !ok || len(vs) != 0 {
 		t.Fatalf("victimSet = %v, %v, want empty and feasible", vs, ok)
 	}
 }
