@@ -147,24 +147,16 @@ func (e *Engine) Run(tasks []*Task) *Result {
 	return res
 }
 
-// run is the one execution path behind Run, RunTrace and RunBatch —
-// the last is where a cancellable context comes from: the simulation
-// checks ctx between simulator steps and returns ctx.Err() within one
-// step of it firing, leaving tasks in whatever lifecycle state they
-// reached. An engine without a trace source runs the task slice; one
-// with a source replays it (closing it when the replay ends, cancelled
-// or not) and must be handed a nil slice — an engine given both is
-// ambiguous, so the source is released and the run refused rather
-// than silently replaying neither-or-both.
+// run is the one execution path behind Run, RunTrace and RunBatch: the
+// engine runs as a federation of one whose source is the engine's (see
+// Federation.execute for the context and source rules).
 func (e *Engine) run(ctx context.Context, tasks []*Task) (*Result, error) {
-	if e.src == nil {
-		return sched.RunContext(ctx, e.cfg, tasks)
+	solo := Federation{members: []Member{{Engine: e}}, src: e.src}
+	res, err := solo.execute(ctx, tasks, nil)
+	if err != nil {
+		return nil, err
 	}
-	defer e.src.Close()
-	if tasks != nil {
-		return nil, errors.New("gfs: run has both a trace source and a task slice")
-	}
-	return sched.RunSourceContext(ctx, e.cfg, e.src)
+	return res.Members[0].Result, nil
 }
 
 // Collectors returns the collectors registered with WithCollectors
@@ -209,7 +201,7 @@ func (e *Engine) RunReport(tasks []*Task) *Report {
 // injected as the clock reaches their submission times, so ingestion
 // stays constant-memory and works on traces far larger than RAM. The
 // replayed run is event-for-event identical to Run over the same
-// trace (see sched.RunSourceContext for the idle-gap quota-tick
+// trace (see sched.RunFederationContext for the idle-gap quota-tick
 // caveat). Decode and ordering errors from the source abort the run.
 // Like Run, it mutates replayed tasks and the cluster, so an engine
 // runs one trace; the source is closed when the replay ends.

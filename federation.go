@@ -153,7 +153,6 @@ type Federation struct {
 	collectMk        func() []Collector
 	aggCollectors    []Collector
 	memberCollectors [][]Collector
-	memberIndex      map[string]int
 	lastRes          *FederationResult
 }
 
@@ -245,17 +244,22 @@ func NewFederation(members []Member, opts ...FederationOption) *Federation {
 // Members returns the federation's members in order.
 func (f *Federation) Members() []Member { return f.members }
 
-// fedDemux fans the tagged federation stream out to the aggregate
-// collector set and, by member name, to each member's set.
-type fedDemux struct{ f *Federation }
+// fedDemux fans the tagged stream out to the aggregate collector set
+// and, by member name, to each member's set. Holding the sets, not the
+// Federation, lets Engine.run's solo Federation stay on the stack.
+type fedDemux struct {
+	agg     []Collector
+	members [][]Collector
+	index   map[string]int
+}
 
 // OnEvent implements Observer.
-func (d fedDemux) OnEvent(e Event) {
-	for _, c := range d.f.aggCollectors {
+func (d *fedDemux) OnEvent(e Event) {
+	for _, c := range d.agg {
 		c.OnEvent(e)
 	}
-	if i, ok := d.f.memberIndex[e.Member]; ok {
-		for _, c := range d.f.memberCollectors[i] {
+	if i, ok := d.index[e.Member]; ok {
+		for _, c := range d.members[i] {
 			c.OnEvent(e)
 		}
 	}
@@ -277,7 +281,7 @@ func (f *Federation) realizeCollectors() {
 func (f *Federation) attachCollectors(mk func() []Collector) {
 	agg := RunMeta{Scheduler: "federation(" + f.route.Name() + ")"}
 	pools := map[string]float64{}
-	f.memberIndex = map[string]int{}
+	index := map[string]int{}
 	f.memberCollectors = nil
 	for i, m := range f.members {
 		meta := m.Engine.runMeta()
@@ -290,7 +294,7 @@ func (f *Federation) attachCollectors(mk func() []Collector) {
 			c.Begin(meta)
 		}
 		f.memberCollectors = append(f.memberCollectors, cs)
-		f.memberIndex[m.Name] = i
+		index[m.Name] = i
 	}
 	var models []string
 	for m := range pools {
@@ -304,7 +308,7 @@ func (f *Federation) attachCollectors(mk func() []Collector) {
 	for _, c := range f.aggCollectors {
 		c.Begin(agg)
 	}
-	f.observers = append(f.observers, fedDemux{f: f})
+	f.observers = append(f.observers, &fedDemux{agg: f.aggCollectors, members: f.memberCollectors, index: index})
 }
 
 // Report assembles the merged FederationReport from the collector
@@ -372,16 +376,35 @@ func (f *Federation) RunTrace() (*FederationResult, error) {
 	return f.run(context.Background(), nil)
 }
 
-// run is the one execution path behind Run, RunTrace and RunBatch,
-// with Engine.run's rules: ctx is checked once per shared-clock
-// instant, and an attached source is replayed (and closed) and
-// tolerates no slice beside it.
+// run is the execution path behind Run, RunTrace and RunBatch. Only
+// the federation's source is replayed, so a member engine's own source
+// refuses the run (and is closed).
 func (f *Federation) run(ctx context.Context, tasks []*Task) (*FederationResult, error) {
+	var refused error
+	for _, m := range f.members {
+		if m.Engine.src != nil {
+			m.Engine.src.Close()
+			refused = fmt.Errorf("gfs: federation member %q has its own trace source (attach it with WithFederationTraceSource)", m.Name)
+		}
+	}
+	return f.execute(ctx, tasks, refused)
+}
+
+// execute is the one body behind every run, an Engine's included (as
+// a federation of one); a cancelled ctx, which only RunBatch passes,
+// stops it within one simulated instant. An attached source is
+// replayed and closed when the run ends, however it ends, and a task
+// slice beside it is ambiguous, so the run is refused — as it is
+// when refused is non-nil.
+func (f *Federation) execute(ctx context.Context, tasks []*Task, refused error) (*FederationResult, error) {
 	if f.src != nil {
 		defer f.src.Close()
 		if tasks != nil {
-			return nil, errors.New("gfs: run has both a trace source and a task slice")
+			refused = errors.New("gfs: run has both a trace source and a task slice")
 		}
+	}
+	if refused != nil {
+		return nil, refused
 	}
 	f.realizeCollectors()
 	res, err := sched.RunFederationContext(ctx, f.fedConfig(), tasks, f.src)
@@ -393,25 +416,27 @@ func (f *Federation) run(ctx context.Context, tasks []*Task) (*FederationResult,
 }
 
 // fedConfig lowers the federation's members and policies onto the
-// simulator core's configuration.
+// simulator core's configuration. Only routing reads prices and
+// forecasts, so a federation of one builds neither.
 func (f *Federation) fedConfig() sched.FedConfig {
 	cfg := sched.FedConfig{
 		Route:          f.route,
 		Spill:          f.spill,
 		MigrationDelay: f.delay,
 		Observers:      f.observers,
+		Members:        make([]sched.FedMember, len(f.members)),
 	}
-	for _, m := range f.members {
-		fm := sched.FedMember{
-			Name:      m.Name,
-			Cfg:       m.Engine.Config(),
-			SpotPrice: m.spotPrice(),
+	for i, m := range f.members {
+		fm := &cfg.Members[i]
+		fm.Name, fm.Cfg = m.Name, m.Engine.Config()
+		if len(f.members) == 1 {
+			continue
 		}
+		fm.SpotPrice = m.spotPrice()
 		if m.Profile != nil {
 			p := *m.Profile
 			fm.Reclaim = p.Intensity
 		}
-		cfg.Members = append(cfg.Members, fm)
 	}
 	return cfg
 }

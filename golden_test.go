@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -57,30 +58,42 @@ func goldenStorm(seed int64) *gfs.Scenario {
 	)
 }
 
-// engineCase runs one scheduler over a fresh 16-node cluster and
-// returns the rendered event log.
-func engineCase(sched gfs.Scheduler, seed int64) string {
+// goldenEngine builds one golden case's engine, fresh per call, with
+// log observing it; extra options (a trace source, say) apply last.
+type goldenEngine func(log *gfs.EventLog, extra ...gfs.Option) *gfs.Engine
+
+// runGolden runs mk's engine over the seed's golden trace and returns
+// the rendered event log.
+func runGolden(mk goldenEngine, seed int64) string {
 	log := &gfs.EventLog{}
-	opts := []gfs.Option{gfs.WithObserver(log)}
-	if sched != nil {
-		opts = append(opts, gfs.WithScheduler(sched), gfs.WithQuota(gfs.StaticQuota(0.5)))
-	}
-	eng := gfs.NewEngine(gfs.NewCluster("A100", 16, 8), opts...)
-	eng.Run(gfs.GenerateTrace(goldenTraceCfg(seed)))
+	mk(log).Run(gfs.GenerateTrace(goldenTraceCfg(seed)))
 	return log.String()
 }
 
-// stormCase is engineCase over the full scenario stack on the
-// standard 2-zone topology.
-func stormCase(sched gfs.Scheduler, seed int64) string {
-	log := &gfs.EventLog{}
-	opts := []gfs.Option{gfs.WithObserver(log), gfs.WithScenario(goldenStorm(seed))}
-	if sched != nil {
-		opts = append(opts, gfs.WithScheduler(sched), gfs.WithQuota(gfs.StaticQuota(0.5)))
+// schedulerOpts runs sched under a static half quota; nil keeps the
+// full GFS stack.
+func schedulerOpts(sched gfs.Scheduler) []gfs.Option {
+	if sched == nil {
+		return nil
 	}
-	eng := gfs.NewEngine(gfs.NewClusterWithTopology("A100", 16, 8, 2, 4), opts...)
-	eng.Run(gfs.GenerateTrace(goldenTraceCfg(seed)))
-	return log.String()
+	return []gfs.Option{gfs.WithScheduler(sched), gfs.WithQuota(gfs.StaticQuota(0.5))}
+}
+
+// engineOf runs one scheduler over a fresh 16-node cluster.
+func engineOf(sched gfs.Scheduler) goldenEngine {
+	return func(log *gfs.EventLog, extra ...gfs.Option) *gfs.Engine {
+		opts := append([]gfs.Option{gfs.WithObserver(log)}, schedulerOpts(sched)...)
+		return gfs.NewEngine(gfs.NewCluster("A100", 16, 8), append(opts, extra...)...)
+	}
+}
+
+// stormOf is engineOf over the full scenario stack on the standard
+// 2-zone topology.
+func stormOf(sched gfs.Scheduler, seed int64) goldenEngine {
+	return func(log *gfs.EventLog, extra ...gfs.Option) *gfs.Engine {
+		opts := append([]gfs.Option{gfs.WithObserver(log), gfs.WithScenario(goldenStorm(seed))}, schedulerOpts(sched)...)
+		return gfs.NewEngine(gfs.NewClusterWithTopology("A100", 16, 8, 2, 4), append(opts, extra...)...)
+	}
 }
 
 // federationCase runs a two-member federation — a storm over the
@@ -117,12 +130,7 @@ func replayCSVCase(sched gfs.Scheduler, seed int64) string {
 		panic(err)
 	}
 	log := &gfs.EventLog{}
-	eng := gfs.NewEngine(gfs.NewCluster("A100", 16, 8),
-		gfs.WithScheduler(sched), gfs.WithQuota(gfs.StaticQuota(0.5)),
-		gfs.WithObserver(log),
-		gfs.WithTraceSource(src),
-	)
-	if _, err := eng.RunTrace(); err != nil {
+	if _, err := engineOf(sched)(log, gfs.WithTraceSource(src)).RunTrace(); err != nil {
 		panic(err)
 	}
 	return log.String()
@@ -132,53 +140,47 @@ func replayCSVCase(sched gfs.Scheduler, seed int64) string {
 // the scenario × streamed-replay interplay.
 func replayStormCase(sched gfs.Scheduler, seed int64) string {
 	log := &gfs.EventLog{}
-	eng := gfs.NewEngine(gfs.NewClusterWithTopology("A100", 16, 8, 2, 4),
-		gfs.WithScheduler(sched), gfs.WithQuota(gfs.StaticQuota(0.5)),
-		gfs.WithScenario(goldenStorm(seed)),
-		gfs.WithObserver(log),
-		gfs.WithTraceSource(gfs.TraceFromTasks(gfs.GenerateTrace(goldenTraceCfg(seed)))),
-	)
-	if _, err := eng.RunTrace(); err != nil {
+	src := gfs.TraceFromTasks(gfs.GenerateTrace(goldenTraceCfg(seed)))
+	if _, err := stormOf(sched, seed)(log, gfs.WithTraceSource(src)).RunTrace(); err != nil {
 		panic(err)
 	}
 	return log.String()
 }
 
-// autoscaleCase runs the full GFS stack with the built-in capacity
-// policy over an under-provisioned cluster, so the workload forces
-// mid-run provisions and idle retirements onto the event spine. A
-// fresh policy is built per call — policies keep per-run state.
-func autoscaleCase(mode gfs.AutoscaleMode, seed int64) string {
-	log := &gfs.EventLog{}
-	pol := &gfs.AutoscalePolicy{
+// autoscalePolicy is the built-in capacity policy the autoscale cases
+// run, fresh per call — policies keep per-run state.
+func autoscalePolicy(mode gfs.AutoscaleMode) *gfs.AutoscalePolicy {
+	return &gfs.AutoscalePolicy{
 		Mode:     mode,
 		MaxNodes: 8,
 		Step:     2,
 		Curve:    &gfs.DiurnalCurve{PeakHour: 14, Width: 4},
 	}
+}
+
+// autoscaleCase runs the full GFS stack with the built-in capacity
+// policy over an under-provisioned cluster, so the workload forces
+// mid-run provisions and idle retirements onto the event spine.
+func autoscaleCase(mode gfs.AutoscaleMode, seed int64) string {
+	log := &gfs.EventLog{}
 	eng := gfs.NewEngine(gfs.NewCluster("A100", 10, 8),
-		gfs.WithAutoscaler(pol), gfs.WithObserver(log))
+		gfs.WithAutoscaler(autoscalePolicy(mode)), gfs.WithObserver(log))
 	eng.Run(gfs.GenerateTrace(goldenTraceCfg(seed)))
 	return log.String()
 }
 
-// autoscaleStormCase layers the full storm stack over an autoscaled
+// autoscaleStormOf layers the full storm stack over an autoscaled
 // run: correlated failures, diurnal reclamation and capacity churn
 // interleaved on one spine.
-func autoscaleStormCase(seed int64) string {
-	log := &gfs.EventLog{}
-	pol := &gfs.AutoscalePolicy{
-		Mode:     gfs.AutoscalePredictive,
-		MaxNodes: 8,
-		Step:     2,
-		Curve:    &gfs.DiurnalCurve{PeakHour: 14, Width: 4},
+func autoscaleStormOf(seed int64) goldenEngine {
+	return func(log *gfs.EventLog, extra ...gfs.Option) *gfs.Engine {
+		opts := []gfs.Option{
+			gfs.WithAutoscaler(autoscalePolicy(gfs.AutoscalePredictive)),
+			gfs.WithScenario(goldenStorm(seed)),
+			gfs.WithObserver(log),
+		}
+		return gfs.NewEngine(gfs.NewClusterWithTopology("A100", 12, 8, 2, 4), append(opts, extra...)...)
 	}
-	eng := gfs.NewEngine(gfs.NewClusterWithTopology("A100", 12, 8, 2, 4),
-		gfs.WithAutoscaler(pol),
-		gfs.WithScenario(goldenStorm(seed)),
-		gfs.WithObserver(log))
-	eng.Run(gfs.GenerateTrace(goldenTraceCfg(seed)))
-	return log.String()
 }
 
 // goldenCases is the scenario × scheduler × seed matrix. Names are
@@ -187,20 +189,20 @@ var goldenCases = []struct {
 	name string
 	run  func() string
 }{
-	{"engine_yarn_seed1", func() string { return engineCase(gfs.NewYARNCS(), 1) }},
-	{"engine_gfs_seed2", func() string { return engineCase(nil, 2) }}, // full GFS stack (PTS + SQA)
-	{"engine_fgd_seed3", func() string { return engineCase(gfs.NewFGD(), 3) }},
-	{"engine_chronus_seed4", func() string { return engineCase(gfs.NewChronus(), 4) }},
-	{"engine_lyra_seed5", func() string { return engineCase(gfs.NewLyra(), 5) }},
-	{"engine_firstfit_seed6", func() string { return engineCase(gfs.NewStaticFirstFit(), 6) }},
-	{"storm_yarn_seed7", func() string { return stormCase(gfs.NewYARNCS(), 7) }},
-	{"storm_gfs_seed8", func() string { return stormCase(nil, 8) }},
+	{"engine_yarn_seed1", func() string { return runGolden(engineOf(gfs.NewYARNCS()), 1) }},
+	{"engine_gfs_seed2", func() string { return runGolden(engineOf(nil), 2) }}, // full GFS stack (PTS + SQA)
+	{"engine_fgd_seed3", func() string { return runGolden(engineOf(gfs.NewFGD()), 3) }},
+	{"engine_chronus_seed4", func() string { return runGolden(engineOf(gfs.NewChronus()), 4) }},
+	{"engine_lyra_seed5", func() string { return runGolden(engineOf(gfs.NewLyra()), 5) }},
+	{"engine_firstfit_seed6", func() string { return runGolden(engineOf(gfs.NewStaticFirstFit()), 6) }},
+	{"storm_yarn_seed7", func() string { return runGolden(stormOf(gfs.NewYARNCS(), 7), 7) }},
+	{"storm_gfs_seed8", func() string { return runGolden(stormOf(nil, 8), 8) }},
 	{"federation_seed9", func() string { return federationCase(9) }},
 	{"replay_csv_yarn_seed1", func() string { return replayCSVCase(gfs.NewYARNCS(), 1) }},
 	{"replay_storm_yarn_seed7", func() string { return replayStormCase(gfs.NewYARNCS(), 7) }},
 	{"autoscale_predictive_seed12", func() string { return autoscaleCase(gfs.AutoscalePredictive, 12) }},
 	{"autoscale_reactive_seed13", func() string { return autoscaleCase(gfs.AutoscaleReactive, 13) }},
-	{"autoscale_storm_seed14", func() string { return autoscaleStormCase(14) }},
+	{"autoscale_storm_seed14", func() string { return runGolden(autoscaleStormOf(14), 14) }},
 }
 
 // TestGoldenCorpus fails on any byte drift between the current
@@ -209,27 +211,82 @@ func TestGoldenCorpus(t *testing.T) {
 	for _, tc := range goldenCases {
 		t.Run(tc.name, func(t *testing.T) {
 			got := tc.run()
-			path := filepath.Join("testdata", "golden", tc.name+".log")
-			if *updateGolden {
-				if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-					t.Fatal(err)
-				}
-				if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
-					t.Fatal(err)
-				}
-				t.Logf("wrote %s (%d bytes)", path, len(got))
+			if !*updateGolden {
+				checkGolden(t, tc.name, got)
 				return
 			}
-			want, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatalf("missing fixture %s (run with -update to generate): %v", path, err)
+			path := goldenPath(tc.name)
+			if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+				t.Fatal(err)
 			}
-			if got == string(want) {
-				return
+			if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+				t.Fatal(err)
 			}
-			t.Fatalf("event log drifted from %s:\n%s\nrun `go test -run TestGoldenCorpus . -update` only if the change is intentional, and review the fixture diff", path, firstDiff(string(want), got))
+			t.Logf("wrote %s (%d bytes)", path, len(got))
 		})
 	}
+}
+
+// goldenPath is the fixture file of the named case.
+func goldenPath(name string) string { return filepath.Join("testdata", "golden", name+".log") }
+
+// checkGolden fails unless got is the named fixture byte for byte.
+func checkGolden(t *testing.T, name, got string) {
+	t.Helper()
+	path := goldenPath(name)
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing fixture %s (run with -update to generate): %v", path, err)
+	}
+	if got != string(want) {
+		t.Fatalf("event log drifted from %s:\n%s\nrun `go test -run TestGoldenCorpus . -update` only if the change is intentional, and review the fixture diff", path, firstDiff(string(want), got))
+	}
+}
+
+// TestFederationOfOneIsEngine: an Engine run is a federation of one,
+// so a one-member Federation over a golden case's engine writes that
+// case's fixture byte for byte, routes every task, raises no
+// saturation and returns the Result Engine.Run does — preloaded and
+// streamed alike.
+func TestFederationOfOneIsEngine(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		mk   func() goldenEngine
+		seed int64
+	}{
+		{"engine_yarn_seed1", func() goldenEngine { return engineOf(gfs.NewYARNCS()) }, 1},
+		{"storm_gfs_seed8", func() goldenEngine { return stormOf(nil, 8) }, 8},
+		{"autoscale_storm_seed14", func() goldenEngine { return autoscaleStormOf(14) }, 14},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			log := &gfs.EventLog{}
+			tasks := gfs.GenerateTrace(goldenTraceCfg(tc.seed))
+			res := gfs.NewFederation([]gfs.Member{{Name: "solo", Engine: tc.mk()(log)}}).Run(tasks)
+			checkGolden(t, tc.name, log.String())
+			m := res.Members[0]
+			if m.Routed != len(tasks) || res.Saturations != 0 {
+				t.Fatalf("routed %d of %d tasks with %d saturations", m.Routed, len(tasks), res.Saturations)
+			}
+			want := tc.mk()(&gfs.EventLog{}).Run(gfs.GenerateTrace(goldenTraceCfg(tc.seed)))
+			if !reflect.DeepEqual(m.Result, want) {
+				t.Fatalf("member result differs from Engine.Run:\n got  %+v\n want %+v", m.Result, want)
+			}
+		})
+	}
+	t.Run("replay_storm_yarn_seed7", func(t *testing.T) {
+		log := &gfs.EventLog{}
+		src := gfs.TraceFromTasks(gfs.GenerateTrace(goldenTraceCfg(7)))
+		fed := gfs.NewFederation([]gfs.Member{{Name: "solo", Engine: stormOf(gfs.NewYARNCS(), 7)(log)}},
+			gfs.WithFederationTraceSource(src))
+		res, err := fed.RunTrace()
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkGolden(t, "replay_storm_yarn_seed7", log.String())
+		if m := res.Members[0]; m.Routed != len(m.Result.Tasks) || res.Saturations != 0 {
+			t.Fatalf("routed %d of %d tasks with %d saturations", m.Routed, len(m.Result.Tasks), res.Saturations)
+		}
+	})
 }
 
 // firstDiff renders the first differing line with context, so a

@@ -10,15 +10,15 @@ import (
 	"github.com/sjtucitlab/gfs/internal/task"
 )
 
-// This file implements the federated simulation loop: several member
-// simulators (one cluster + scheduler + quota + scenario each)
-// advance in lockstep on a shared clock, a RoutePolicy admits each
-// arriving task to one member, and a SpilloverPolicy migrates
-// capacity-loss victims to sibling members after a migration delay.
-// Everything is deterministic: members are visited in index order,
-// ties on the shared clock resolve federation events before member
-// events, and no map iteration touches the hot path — so a federated
-// run is byte-for-byte reproducible at any RunBatch worker count.
+// This file implements the module's one run loop: member simulators
+// (one cluster + scheduler + quota + scenario each) advance in
+// lockstep on a shared clock, a RoutePolicy admits each arriving task
+// to one member, and a SpilloverPolicy migrates capacity-loss victims
+// to sibling members after a migration delay. A plain run is a
+// federation of one. Everything is deterministic: members are visited
+// in index order, ties on the shared clock resolve federation events
+// before member events, and no map iteration touches the hot path — so
+// a run is byte-for-byte reproducible at any RunBatch worker count.
 
 // MemberState is the per-member view route and spillover policies
 // decide over: live capacity, queue depth, spot pricing and an
@@ -252,7 +252,9 @@ type FedMember struct {
 	Reclaim func(simclock.Time) float64
 }
 
-// FedConfig configures a federated simulation run.
+// FedConfig configures a federated simulation run. A one-member
+// config is a plain run: routing and spillover need a sibling, so
+// neither policy is consulted and no ClusterSaturated is raised.
 type FedConfig struct {
 	// Members lists the federation members; routing and spillover
 	// indices refer to this order.
@@ -280,7 +282,8 @@ type MemberResult struct {
 	// Result holds the member's full simulation metrics over the
 	// tasks that ended their journey on this member.
 	Result *Result
-	// Routed counts tasks the route policy admitted here.
+	// Routed counts tasks admitted here on arrival: every task, for
+	// a solo member.
 	Routed int
 	// MigratedIn and MigratedOut count spillover tasks received from
 	// and handed to sibling members.
@@ -326,25 +329,31 @@ type fedMigration struct {
 	cause    EvictCause
 }
 
+// memberBooks is one member's state: the policy view (whose sim is
+// the member's simulator), its MemberResult tallies, and satLast, the
+// instant it was last flagged ClusterSaturated (-1: never).
+type memberBooks struct {
+	MemberState
+	routed, migIn, migOut int
+	satLast               simclock.Time
+}
+
 // fedSim drives the member simulators on a shared clock.
 type fedSim struct {
-	cfg     FedConfig
-	delay   simclock.Duration
-	members []*Simulator
-	states  []*MemberState
-	queue   simclock.Queue
-	now     simclock.Time
-	seq     uint64
-	hasObs  bool
-
-	routed, migIn, migOut []int
-	migrations            int
-	saturations           int
-	// satLast dedupes ClusterSaturated per member and timestamp
-	// (initialized to -1, before any simulated instant).
-	satLast []simclock.Time
+	cfg    FedConfig
+	delay  simclock.Duration
+	books  []memberBooks
+	queue  simclock.Queue
+	now    simclock.Time
+	seq    uint64
+	hasObs bool
+	// states points into books for the route and spillover policies,
+	// which a solo member never consults.
+	states      []*MemberState
+	migrations  int
+	saturations int
 	// feed streams arrivals in just ahead of the shared clock; it is
-	// dry from the start when the queue was preloaded instead.
+	// dry from the start when the trace was preloaded instead.
 	feed replayFeed
 }
 
@@ -366,64 +375,108 @@ func (t fedTap) OnEvent(e Event) {
 	}
 }
 
-// newFedSim builds the shared-clock driver over the configured
-// members; preloaded and streamed runs differ only in how arrivals
-// reach its queue.
-func newFedSim(cfg FedConfig) (*fedSim, error) {
+// RunFederationContext executes a simulation, deterministic in
+// (config, trace). tasks are queued up front; src, when non-nil,
+// streams further arrivals in just ahead of the shared clock, which
+// keeps decoding (not the simulators) constant-memory. It must yield
+// unique positive IDs in non-decreasing submission order; callers own
+// and close it. Streaming a solo member's trace matches preloading it
+// event for event, except that once it idles longer than the quota
+// interval its tick chain re-anchors at the next arrival.
+// Cancellation, a bad configuration and a failing source are the only
+// errors.
+func RunFederationContext(ctx context.Context, cfg FedConfig, tasks []*task.Task, src TaskSource) (*FedResult, error) {
 	if len(cfg.Members) == 0 {
 		return nil, fmt.Errorf("sched: federation needs at least one member")
 	}
+	f := newFedSim(cfg, tasks)
+	var err error
+	if f.feed, err = newReplayFeed(src); err != nil {
+		return nil, err
+	}
+	if err = f.loop(ctx); err != nil {
+		return nil, err
+	}
+	return f.finish(), nil
+}
+
+// newFedSim builds the shared-clock driver over the configured members
+// with tasks preloaded: into a solo member's simulator, else onto the
+// federation queue for routing.
+func newFedSim(cfg FedConfig, tasks []*task.Task) *fedSim {
 	if cfg.Route == nil {
 		cfg.Route = RouteLeastLoaded{}
 	}
 	f := &fedSim{
-		cfg:     cfg,
-		delay:   cfg.MigrationDelay,
-		routed:  make([]int, len(cfg.Members)),
-		migIn:   make([]int, len(cfg.Members)),
-		migOut:  make([]int, len(cfg.Members)),
-		satLast: make([]simclock.Time, len(cfg.Members)),
-		hasObs:  len(cfg.Observers) > 0,
+		cfg:    cfg,
+		delay:  cfg.MigrationDelay,
+		books:  make([]memberBooks, len(cfg.Members)),
+		hasObs: len(cfg.Observers) > 0,
 	}
 	if f.delay <= 0 {
 		f.delay = simclock.Minute
 	}
-	for i := range f.satLast {
-		f.satLast[i] = -1
-	}
+	solo := len(cfg.Members) == 1
 	for i := range cfg.Members {
-		i := i
-		m := &cfg.Members[i]
+		m, b := &cfg.Members[i], &f.books[i]
 		mcfg := m.Cfg
 		if f.hasObs {
 			mcfg.Observers = append(append([]Observer(nil), mcfg.Observers...), fedTap{f: f, member: m.Name})
 		}
-		if cfg.Spill != nil {
-			mcfg.EvictionInterceptor = func(tk *task.Task, cause EvictCause) bool {
-				return f.intercept(i, tk, cause)
+		var preload []*task.Task
+		if solo {
+			preload, b.routed = tasks, len(tasks)
+		} else {
+			if cfg.Spill != nil {
+				mcfg.EvictionInterceptor = func(tk *task.Task, cause EvictCause) bool {
+					return f.intercept(i, tk, cause)
+				}
 			}
+			f.states = append(f.states, &b.MemberState)
 		}
-		sim := NewSimulator(mcfg, nil)
-		f.members = append(f.members, sim)
-		f.states = append(f.states, &MemberState{
+		b.MemberState = MemberState{
 			Name:      m.Name,
 			SpotPrice: m.SpotPrice,
 			Reclaim:   m.Reclaim,
 			cluster:   mcfg.Cluster,
-			sim:       sim,
-		})
+			sim:       NewSimulator(mcfg, preload),
+		}
+		b.satLast = -1
 	}
-	return f, nil
+	if !solo {
+		for _, tk := range tasks {
+			f.queue.PushFront(tk.Submit, tk)
+		}
+	}
+	return f
+}
+
+// arrive takes one streamed task: a solo member injects it at its
+// submission time, as preloading would have queued it; otherwise it
+// joins the federation queue (front class, like preloaded arrivals).
+func (f *fedSim) arrive(tk *task.Task) {
+	if len(f.books) == 1 {
+		f.books[0].routed++
+		f.books[0].sim.Inject(tk, tk.Submit)
+		return
+	}
+	f.queue.PushFront(tk.Submit, tk)
 }
 
 // loop advances the shared clock: at each instant the feed's due
-// arrivals join the federation queue (front class, like preloaded
-// ones), federation events (routing, migration delivery) resolve, then
-// every member with events at that instant steps, in member order.
+// arrivals arrive, federation events (routing, migration delivery)
+// resolve, then every member with events at that instant steps, in
+// member order. It checks ctx first, so a cancelled run stops within
+// one instant of the signal — gfsd's DELETE /v1/sessions/{id} — and
+// a background context, whose Done channel is nil, pays the default.
 func (f *fedSim) loop(ctx context.Context) error {
-	arrive := func(tk *task.Task) { f.queue.PushFront(tk.Submit, tk) }
-	for done := ctx.Done(); !stopped(done); {
-		if err := f.feed.drain(f.nextTime, arrive); err != nil {
+	for done := ctx.Done(); ; {
+		select {
+		case <-done:
+			return ctx.Err()
+		default:
+		}
+		if err := f.feed.drain(f.nextTime, f.arrive); err != nil {
 			return err
 		}
 		t, ok := f.nextTime()
@@ -444,7 +497,8 @@ func (f *fedSim) loop(ctx context.Context) error {
 				f.deliver(e)
 			}
 		}
-		for _, m := range f.members {
+		for i := range f.books {
+			m := f.books[i].sim
 			for {
 				mt, ok := m.PeekTime()
 				if !ok || mt != t {
@@ -454,7 +508,6 @@ func (f *fedSim) loop(ctx context.Context) error {
 			}
 		}
 	}
-	return ctx.Err()
 }
 
 // nextTime returns the earliest pending timestamp across the
@@ -465,8 +518,8 @@ func (f *fedSim) nextTime() (simclock.Time, bool) {
 	if ev, ok := f.queue.Peek(); ok {
 		best, found = ev.At, true
 	}
-	for _, m := range f.members {
-		if mt, ok := m.PeekTime(); ok && (!found || mt < best) {
+	for i := range f.books {
+		if mt, ok := f.books[i].sim.PeekTime(); ok && (!found || mt < best) {
 			best, found = mt, true
 		}
 	}
@@ -478,29 +531,31 @@ func (f *fedSim) nextTime() (simclock.Time, bool) {
 // capacity.
 func (f *fedSim) route(tk *task.Task) {
 	to := f.cfg.Route.Route(&RouteContext{Now: f.now, Task: tk, Members: f.states})
-	if to < 0 || to >= len(f.members) {
+	if to < 0 || to >= len(f.books) {
 		to = 0
 	}
-	if f.states[to].FreeGPUs() < tk.TotalGPUs() {
+	b := &f.books[to]
+	if b.FreeGPUs() < tk.TotalGPUs() {
 		f.saturated(to)
 	}
-	f.routed[to]++
-	f.members[to].Inject(tk, f.now)
+	b.routed++
+	b.sim.Inject(tk, f.now)
 }
 
 // intercept is the per-member eviction hook: it asks the spillover
 // policy where the victim goes and, when a sibling takes it,
 // schedules the migration and claims the task from the member.
 func (f *fedSim) intercept(from int, tk *task.Task, cause EvictCause) bool {
+	now := f.books[from].sim.Now()
 	to := f.cfg.Spill.Spill(&SpillContext{
-		Now: f.members[from].Now(), Task: tk, Cause: cause,
+		Now: now, Task: tk, Cause: cause,
 		From: from, Members: f.states,
 	})
-	if to < 0 || to == from || to >= len(f.members) {
+	if to < 0 || to == from || to >= len(f.books) {
 		return false
 	}
 	f.saturated(from)
-	f.queue.Push(f.members[from].Now().Add(f.delay), fedMigration{tk: tk, from: from, to: to, cause: cause})
+	f.queue.Push(now.Add(f.delay), fedMigration{tk: tk, from: from, to: to, cause: cause})
 	return true
 }
 
@@ -508,28 +563,28 @@ func (f *fedSim) intercept(from int, tk *task.Task, cause EvictCause) bool {
 // TaskMigrated on the federation stream.
 func (f *fedSim) deliver(e fedMigration) {
 	f.migrations++
-	f.migOut[e.from]++
-	f.migIn[e.to]++
+	f.books[e.from].migOut++
+	f.books[e.to].migIn++
 	if f.hasObs {
 		f.emitFed(Event{
 			Kind: TaskMigrated, Task: e.tk, Cause: e.cause,
-			Member: f.cfg.Members[e.from].Name, Target: f.cfg.Members[e.to].Name,
+			Member: f.books[e.from].Name, Target: f.books[e.to].Name,
 		})
 	}
-	f.members[e.to].Inject(e.tk, f.now)
+	f.books[e.to].sim.Inject(e.tk, f.now)
 }
 
 // saturated records (and, once per member and timestamp, emits) a
 // ClusterSaturated event for member i.
 func (f *fedSim) saturated(i int) {
-	at := f.now
-	if f.satLast[i] == at {
+	b := &f.books[i]
+	if b.satLast == f.now {
 		return
 	}
-	f.satLast[i] = at
+	b.satLast = f.now
 	f.saturations++
 	if f.hasObs {
-		f.emitFed(Event{Kind: ClusterSaturated, Member: f.cfg.Members[i].Name})
+		f.emitFed(Event{Kind: ClusterSaturated, Member: b.Name})
 	}
 }
 
@@ -546,15 +601,16 @@ func (f *fedSim) emitFed(ev Event) {
 
 // finish collects per-member and aggregate metrics.
 func (f *fedSim) finish() *FedResult {
-	out := &FedResult{}
-	for i, m := range f.members {
-		r := m.Finish()
+	out := &FedResult{Members: make([]MemberResult, 0, len(f.books))}
+	for i := range f.books {
+		b := &f.books[i]
+		r := b.sim.Finish()
 		mr := MemberResult{
-			Name:        f.cfg.Members[i].Name,
+			Name:        b.Name,
 			Result:      r,
-			Routed:      f.routed[i],
-			MigratedIn:  f.migIn[i],
-			MigratedOut: f.migOut[i],
+			Routed:      b.routed,
+			MigratedIn:  b.migIn,
+			MigratedOut: b.migOut,
 		}
 		for _, tk := range r.Tasks {
 			if tk.State == task.Finished {

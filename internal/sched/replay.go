@@ -8,7 +8,7 @@ import (
 	"github.com/sjtucitlab/gfs/internal/task"
 )
 
-// TaskSource is the pull iterator the streaming replay loops drain:
+// TaskSource is the pull iterator the run loop's replay feed drains:
 // Next returns tasks in non-decreasing submission order and io.EOF at
 // the end of the trace. internal/trace.Source satisfies it
 // structurally, so any decoded or transformed trace stream replays

@@ -11,10 +11,10 @@ import (
 	"github.com/sjtucitlab/gfs/internal/trace"
 )
 
-// replayTrace generates a dense one-day workload small enough for
+// denseTrace generates a dense one-day workload small enough for
 // fast tests but busy enough that ties (same-second arrivals, quota
 // ticks during arrivals) actually occur.
-func replayTrace(seed int64) []*task.Task {
+func denseTrace(seed int64) []*task.Task {
 	cfg := trace.Default()
 	cfg.Seed = seed
 	cfg.Days = 1
@@ -24,10 +24,41 @@ func replayTrace(seed int64) []*task.Task {
 	return trace.Generate(cfg)
 }
 
-// TestRunSourceMatchesRun: streaming a trace through RunSourceContext
-// must be event-for-event identical to preloading it with Run — the
-// PushFront arrival class makes mid-run injection tie-break exactly
-// like construction-time queueing.
+// recordingPolicy counts the route and spill decisions asked of it.
+type recordingPolicy struct{ calls int }
+
+func (*recordingPolicy) Name() string { return "recording" }
+
+func (p *recordingPolicy) Route(*RouteContext) int { p.calls++; return 0 }
+
+func (p *recordingPolicy) Spill(*SpillContext) int { p.calls++; return -1 }
+
+// runSolo runs cfg as a federation of one — the call every Engine run
+// makes — over tasks, or streamed from src, and fails the test unless
+// the run consulted no policy, raised no saturation and counted every
+// task as routed.
+func runSolo(t *testing.T, cfg SimConfig, tasks []*task.Task, src TaskSource) (*Result, error) {
+	t.Helper()
+	pol := &recordingPolicy{}
+	res, err := RunFederationContext(context.Background(), FedConfig{
+		Members: []FedMember{{Name: "solo", Cfg: cfg}}, Route: pol, Spill: pol,
+	}, tasks, src)
+	if pol.calls != 0 {
+		t.Fatalf("a one-member run consulted its policies %d times", pol.calls)
+	}
+	if err != nil {
+		return nil, err
+	}
+	if m := res.Members[0]; res.Saturations != 0 || m.Routed != len(m.Result.Tasks) {
+		t.Fatalf("one-member run: %d saturations, %d routed of %d tasks", res.Saturations, m.Routed, len(m.Result.Tasks))
+	}
+	return res.Members[0].Result, nil
+}
+
+// TestRunSourceMatchesRun: streaming a trace into a one-member run
+// must be event-for-event identical to preloading it — the PushFront
+// arrival class makes mid-run injection tie-break exactly like
+// construction-time queueing.
 func TestRunSourceMatchesRun(t *testing.T) {
 	run := func(streamed bool) (*Result, *EventLog) {
 		cl := cluster.NewHomogeneous("A100", 16, 8)
@@ -35,13 +66,14 @@ func TestRunSourceMatchesRun(t *testing.T) {
 		cfg := DefaultSimConfig(cl, &firstFit{preempt: true})
 		cfg.Quota = StaticQuota{Fraction: 0.5}
 		cfg.Observers = []Observer{log}
-		tasks := replayTrace(41)
+		tasks := denseTrace(41)
 		if !streamed {
-			return Run(cfg, tasks), log
+			res, _ := runSolo(t, cfg, tasks, nil)
+			return res, log
 		}
-		res, err := RunSourceContext(context.Background(), cfg, trace.SliceSource(tasks))
+		res, err := runSolo(t, cfg, nil, trace.SliceSource(tasks))
 		if err != nil {
-			t.Fatalf("RunSourceContext: %v", err)
+			t.Fatalf("streamed run: %v", err)
 		}
 		return res, log
 	}
@@ -80,13 +112,11 @@ func TestRunSourceWithScenario(t *testing.T) {
 		cfg := DefaultSimConfig(cl, &firstFit{preempt: true})
 		cfg.Observers = []Observer{log}
 		cfg.Scenario = scenario
-		tasks := replayTrace(7)
-		if streamed {
-			if _, err := RunSourceContext(context.Background(), cfg, trace.SliceSource(tasks)); err != nil {
-				t.Fatalf("RunSourceContext: %v", err)
-			}
-		} else {
-			Run(cfg, tasks)
+		tasks := denseTrace(7)
+		if !streamed {
+			runSolo(t, cfg, tasks, nil)
+		} else if _, err := runSolo(t, cfg, nil, trace.SliceSource(tasks)); err != nil {
+			t.Fatalf("streamed run: %v", err)
 		}
 		return log.String()
 	}
@@ -103,7 +133,7 @@ func TestRunSourceRejectsUnsorted(t *testing.T) {
 	a.Submit = 100
 	b := task.New(2, task.Spot, 1, 1, simclock.Hour)
 	b.Submit = 50
-	_, err := RunSourceContext(context.Background(), DefaultSimConfig(cl, &firstFit{}), trace.SliceSource([]*task.Task{a, b}))
+	_, err := runSolo(t, DefaultSimConfig(cl, &firstFit{}), nil, trace.SliceSource([]*task.Task{a, b}))
 	if err == nil || !strings.Contains(err.Error(), "submission order") {
 		t.Fatalf("want submission-order error, got %v", err)
 	}
@@ -127,8 +157,8 @@ func TestFederationSourceMatchesPreloaded(t *testing.T) {
 	cfgA.Observers = []Observer{logA}
 	cfgB.Observers = []Observer{logB}
 
-	eager := runFed(t, cfgA, replayTrace(13))
-	streamed, err := RunFederationContext(context.Background(), cfgB, nil, trace.SliceSource(replayTrace(13)))
+	eager := runFed(t, cfgA, denseTrace(13))
+	streamed, err := RunFederationContext(context.Background(), cfgB, nil, trace.SliceSource(denseTrace(13)))
 	if err != nil {
 		t.Fatalf("RunFederationContext: %v", err)
 	}

@@ -117,10 +117,10 @@ type scenarioEvent struct{ action ScenarioAction }
 // scenario actions, so arrivals at the same instant are handled first.
 type provisionEvent struct{ pool cluster.Pool }
 
-// Simulator is the discrete-event driver. Run drives it to
-// completion in one call; NewSimulator/Step/Finish expose the same
-// loop incrementally so several simulators can advance in lockstep on
-// a shared clock (see RunFederationContext).
+// Simulator is one cluster's discrete-event core. RunFederationContext
+// is the one loop that steps it — a plain Run is a federation of one —
+// advancing every member in lockstep on a shared clock;
+// NewSimulator/Step/Inject/Finish are the calls it makes.
 type Simulator struct {
 	cfg    SimConfig
 	queue  simclock.Queue
@@ -161,11 +161,10 @@ type Simulator struct {
 	// retiring holds autoscaler-retired nodes still hosting HP pods;
 	// each leaves capacity (SetDown) when its last pod completes.
 	retiring map[int]*cluster.Node
-	// known and migrated are Inject/interceptor bookkeeping, nil (and
-	// cost-free) for plain Run simulations: known dedupes re-injected
-	// tasks, migrated marks tasks claimed by the interceptor so they
-	// no longer count toward this simulator's demand or results.
-	known    map[int]bool
+	// migrated marks tasks claimed by the interceptor, which no longer
+	// count toward this simulator's demand or results but stay in
+	// s.tasks, so Inject re-admits them without a second entry. It is
+	// nil (and cost-free) until a task migrates away.
 	migrated map[int]bool
 
 	// finishFree recycles finishEvent records: one is allocated per
@@ -239,11 +238,11 @@ type queueObs struct {
 }
 
 // Run executes the simulation over the given trace and returns the
-// metrics. It is RunContext with a background context (which can
-// never cancel, so no error surfaces).
+// metrics: a federation of one under a background context, which can
+// never cancel, so no error surfaces.
 func Run(cfg SimConfig, tasks []*task.Task) *Result {
-	res, _ := RunContext(context.Background(), cfg, tasks)
-	return res
+	res, _ := RunFederationContext(context.Background(), FedConfig{Members: []FedMember{{Cfg: cfg}}}, tasks, nil)
+	return res.Members[0].Result
 }
 
 // NewSimulator builds a simulator over the trace without running it.
@@ -376,22 +375,16 @@ func (s *Simulator) Step() bool {
 
 // Inject adds a task to the simulation mid-run, arriving at time at
 // (which must not precede the simulator's current time). It is the
-// entry point for federation routing and migration: member simulators
-// start with empty traces and receive their tasks as the shared clock
-// reaches each submission. Re-injecting a task that previously
-// migrated away returns it to this simulator's books.
+// entry point for streamed arrivals, federation routing and migration:
+// tasks reach a member as the shared clock reaches each submission.
+// Re-injecting a task that previously migrated away returns it to this
+// simulator's books.
 func (s *Simulator) Inject(tk *task.Task, at simclock.Time) {
-	if s.known == nil {
-		s.known = make(map[int]bool, len(s.tasks))
-		for _, t := range s.tasks {
-			s.known[t.ID] = true
-		}
-	}
-	if !s.known[tk.ID] {
-		s.known[tk.ID] = true
+	if s.migrated[tk.ID] {
+		delete(s.migrated, tk.ID)
+	} else {
 		s.tasks = append(s.tasks, tk)
 	}
-	delete(s.migrated, tk.ID)
 	if tk.Type == task.HP {
 		// The task may have been compacted out of the demand view
 		// after migrating away; rebuild it from s.tasks.

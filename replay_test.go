@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"compress/gzip"
 	"fmt"
+	"strings"
 	"testing"
 
 	gfs "github.com/sjtucitlab/gfs"
@@ -156,5 +157,37 @@ func TestFederationRunTrace(t *testing.T) {
 	}
 	if streamed.Migrations == 0 {
 		t.Fatal("storm should force migrations")
+	}
+}
+
+// TestFederationRefusesMemberSource: only the federation's own source
+// feeds the shared clock, so a member engine built with
+// WithTraceSource refuses the run with an error naming the member,
+// and every source involved is closed exactly once.
+func TestFederationRefusesMemberSource(t *testing.T) {
+	for _, withFedSource := range []bool{false, true} {
+		member := &closeCounter{TraceSource: openBytes(t, encodedChaosTrace(t, 17))}
+		var fedSrc *closeCounter
+		br := gfs.RunBatch([]gfs.BatchSpec{{Name: "fed", SetupFederation: func() (*gfs.Federation, []*gfs.Task) {
+			var opts []gfs.FederationOption
+			tasks := chaosTrace(17)
+			if withFedSource {
+				fedSrc = &closeCounter{TraceSource: openBytes(t, encodedChaosTrace(t, 17))}
+				opts, tasks = append(opts, gfs.WithFederationTraceSource(fedSrc)), nil
+			}
+			return gfs.NewFederation([]gfs.Member{
+				{Name: "west", Engine: gfs.NewEngine(gfs.NewCluster("A100", 8, 8))},
+				{Name: "east", Engine: gfs.NewEngine(gfs.NewCluster("A100", 8, 8), gfs.WithTraceSource(member))},
+			}, opts...), tasks
+		}}})[0]
+		if br.Err == nil || !strings.Contains(br.Err.Error(), `member "east" has its own trace source`) || br.Fed != nil {
+			t.Fatalf("federation source %v: run = (%v, %v), want the member source refused", withFedSource, br.Fed, br.Err)
+		}
+		if member.closed != 1 {
+			t.Fatalf("federation source %v: member source closed %d times, want 1", withFedSource, member.closed)
+		}
+		if fedSrc != nil && fedSrc.closed != 1 {
+			t.Fatalf("federation's own source closed %d times, want 1", fedSrc.closed)
+		}
 	}
 }
