@@ -38,7 +38,7 @@ func main() {
 	backlog := flag.Int("backlog", 64, "queued sessions beyond the running ones")
 	maxBody := flag.Int64("max-body", 32<<20, "max buffered request body bytes (streamed uploads exempt)")
 	sessionTTL := flag.Duration("session-ttl", time.Hour, "expire finished sessions after this long (0 keeps forever)")
-	eventBuffer := flag.Int("event-buffer", 16384, "events retained per session for streaming")
+	eventBuffer := flag.Int("event-buffer", 16384, "most events retained per session for streaming (a bound; ring memory grows with the events emitted)")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "grace for in-flight sessions on shutdown before cancellation")
 	flag.Parse()
 

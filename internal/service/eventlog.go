@@ -7,70 +7,55 @@ import (
 	gfs "github.com/sjtucitlab/gfs"
 )
 
-// wireEvent is one simulator event as serialized onto a session's
-// event stream: the gfs.Event fields relevant to its kind, flattened
-// to JSON-friendly scalars. Seq is the log's own contiguous counter
-// (the stream cursor), not the simulator's. The synthetic kind "gap"
-// marks events a slow client missed because they fell off the
-// session's bounded ring; Dropped counts them.
-type wireEvent struct {
-	Seq  uint64 `json:"seq"`
-	At   int64  `json:"at"`
-	Kind string `json:"kind"`
-	// Task identity, set on task lifecycle events.
-	Task  int     `json:"task,omitempty"`
-	Class string  `json:"class,omitempty"`
-	Org   string  `json:"org,omitempty"`
-	GPUs  float64 `json:"gpus,omitempty"`
-	// Eviction detail (TaskEvicted).
-	Cause string  `json:"cause,omitempty"`
-	Waste float64 `json:"waste,omitempty"`
-	// Node identity (NodeDown/NodeUp); pointer so node 0 survives
-	// omitempty.
-	Node *int `json:"node,omitempty"`
-	// Quota tick detail (QuotaUpdated); QuotaValue renders an
-	// unlimited quota as "unlimited" instead of an unmarshalable
-	// +Inf.
-	Quota *gfs.QuotaValue `json:"quota,omitempty"`
-	Used  float64         `json:"used,omitempty"`
-	Eta   float64         `json:"eta,omitempty"`
-	// Allocation sample detail (AllocSampled; Used is shared with
-	// quota ticks).
-	Capacity float64 `json:"capacity,omitempty"`
-	// Federation tags (member streams leave them empty).
-	Member string `json:"member,omitempty"`
-	Target string `json:"target,omitempty"`
-	// Dropped counts the events a "gap" record stands in for.
-	Dropped uint64 `json:"dropped,omitempty"`
+// chunkSlots bounds one slab of a session's ring. Slabs are allocated
+// as the first event lands in them, so a ring's memory follows the
+// events emitted, not its capacity.
+const chunkSlots = 256
+
+// rec is one simulator event as a session's ring keeps it: the
+// gfs.Event fields its stream record shows, flattened to scalars. It
+// holds no pointers, so the ring is a plain copy to append to and
+// nothing for the garbage collector to scan. The record's sequence
+// number is its position in the log and is not stored.
+type rec struct {
+	at int64
+	// task is the task ID and gpus its total GPUs, both valid when
+	// hasTask; node is the node ID of NodeDown/NodeUp.
+	task, node int64
+	gpus       float64
+	// f holds the kind's own floats: waste (TaskEvicted); quota, used,
+	// eta (QuotaUpdated); used, capacity (AllocSampled).
+	f [3]float64
+	// org, member and target index the log's string table; 0 is "".
+	org, member, target uint32
+	kind                gfs.EventKind
+	cause               gfs.EvictCause
+	class               uint8 // the task's gfs.TaskType
+	hasTask             bool
 }
 
-// toWire flattens a simulator event for the stream, stamping it with
-// the log's sequence number.
-func toWire(e gfs.Event, seq uint64) wireEvent {
-	w := wireEvent{Seq: seq, At: int64(e.At), Kind: e.Kind.String(), Member: e.Member, Target: e.Target}
+// capture flattens the scalar fields of a simulator event. The string
+// fields are interned by the caller.
+func capture(e gfs.Event) rec {
+	r := rec{at: int64(e.At), kind: e.Kind}
 	if t := e.Task; t != nil {
-		w.Task = t.ID
-		w.Class = t.Type.String()
-		w.Org = t.Org
-		w.GPUs = t.TotalGPUs()
+		r.hasTask = true
+		r.task = int64(t.ID)
+		r.class = uint8(t.Type)
+		r.gpus = t.TotalGPUs()
 	}
 	switch e.Kind {
 	case gfs.TaskEvicted:
-		w.Cause = e.Cause.String()
-		w.Waste = e.Waste
+		r.cause = e.Cause
+		r.f[0] = e.Waste
 	case gfs.QuotaUpdated:
-		q := gfs.QuotaValue(e.Quota)
-		w.Quota = &q
-		w.Used = e.Used
-		w.Eta = e.Eta
+		r.f = [3]float64{e.Quota, e.Used, e.Eta}
 	case gfs.NodeDown, gfs.NodeUp:
-		id := e.Node.ID
-		w.Node = &id
+		r.node = int64(e.Node.ID)
 	case gfs.AllocSampled:
-		w.Used = e.Used
-		w.Capacity = e.Capacity
+		r.f[0], r.f[1] = e.Used, e.Capacity
 	}
-	return w
+	return r
 }
 
 // Progress is the live view of a session's simulation, rebuilt from
@@ -103,14 +88,23 @@ type eventLog struct {
 	// is waiting).
 	notify chan struct{}
 	armed  bool
-	// buf is the ring: n events starting at head; the oldest
-	// retained event has sequence total-n.
-	buf     []wireEvent
-	head, n int
-	total   uint64
-	dropped uint64
-	closed  bool
-	prog    Progress
+	// chunks hold the ring: event seq lives at slot seq % capacity,
+	// which is chunks[slot/chunkSlots][slot%chunkSlots]. Slots fill in
+	// order, so the chunk list grows by appending until the first
+	// wrap; the oldest retained event has sequence total-min(total,
+	// capacity).
+	chunks   [][]rec
+	capacity int
+	total    uint64
+	closed   bool
+	prog     Progress
+	// strs is the string table rec indexes: strs[0] is "", every
+	// other entry a distinct org, member or target in its quoted JSON
+	// form, escaped once when first seen. It only grows, so a reader
+	// may keep the slice it saw under the mutex. ids maps the raw
+	// string to its index.
+	strs []string
+	ids  map[string]uint32
 	// firstAt is when the first event landed (wall clock), for the
 	// time-to-first-event metric.
 	firstAt  time.Time
@@ -118,30 +112,53 @@ type eventLog struct {
 	clock    Clock
 }
 
-// newEventLog builds a log retaining at most capacity events.
+// newEventLog builds a log retaining at most capacity events. It
+// allocates no ring storage until events arrive.
 func newEventLog(capacity int, clock Clock) *eventLog {
 	if capacity < 1 {
 		capacity = 1
 	}
-	return &eventLog{notify: make(chan struct{}), buf: make([]wireEvent, capacity), clock: clock}
+	return &eventLog{notify: make(chan struct{}), capacity: capacity, strs: []string{""}, clock: clock}
+}
+
+// intern returns s's index in the string table, adding it on first
+// sight. Call with l.mu held.
+func (l *eventLog) intern(s string) uint32 {
+	if s == "" {
+		return 0
+	}
+	if id, ok := l.ids[s]; ok {
+		return id
+	}
+	if l.ids == nil {
+		l.ids = make(map[string]uint32)
+	}
+	id := uint32(len(l.strs))
+	l.strs = append(l.strs, string(appendJSONString(nil, s)))
+	l.ids[s] = id
+	return id
 }
 
 // append records one simulator event, reporting whether it was the
 // session's first.
 func (l *eventLog) append(e gfs.Event) (first bool) {
+	r := capture(e)
 	l.mu.Lock()
-	w := toWire(e, l.total)
-	if l.n == len(l.buf) {
-		l.head = (l.head + 1) % len(l.buf)
-		l.n--
-		l.dropped++
+	if e.Task != nil {
+		r.org = l.intern(e.Task.Org)
 	}
-	l.buf[(l.head+l.n)%len(l.buf)] = w
-	l.n++
+	r.member = l.intern(e.Member)
+	r.target = l.intern(e.Target)
+	slot := int(l.total % uint64(l.capacity))
+	c := slot / chunkSlots
+	if c == len(l.chunks) {
+		l.chunks = append(l.chunks, make([]rec, min(chunkSlots, l.capacity-c*chunkSlots)))
+	}
+	l.chunks[c][slot%chunkSlots] = r
 	l.total++
 	l.prog.Events = l.total
-	l.prog.DroppedEvents = l.dropped
-	l.prog.SimTimeS = int64(e.At)
+	l.prog.DroppedEvents = l.total - l.retained()
+	l.prog.SimTimeS = r.at
 	switch e.Kind {
 	case gfs.TaskArrived:
 		l.prog.TasksArrived++
@@ -166,38 +183,62 @@ func (l *eventLog) append(e gfs.Event) (first bool) {
 	return first
 }
 
-// read returns up to max events starting at cursor. gap counts events
-// the cursor missed (it resumes at the oldest retained one); next is
-// the cursor for the following read. With no events available it
-// returns a wait channel closed on the next append (or immediately
-// never, when the log is closed — check the closed flag).
-func (l *eventLog) read(cursor uint64, max int) (evs []wireEvent, next uint64, gap uint64, closed bool, wait <-chan struct{}) {
+// retained is how many events the ring holds. Call with l.mu held.
+func (l *eventLog) retained() uint64 { return min(l.total, uint64(l.capacity)) }
+
+// batch is one read from an eventLog.
+type batch struct {
+	// recs are the events read, in order; recs[0] has sequence first.
+	recs  []rec
+	first uint64
+	// gap counts the events the cursor missed: it resumed at first,
+	// the oldest retained event.
+	gap uint64
+	// strs is the string table recs index.
+	strs   []string
+	closed bool
+	// wait, set when recs is empty and the log is open, is closed on
+	// the next append or on close.
+	wait <-chan struct{}
+}
+
+// next is the cursor for the read after b.
+func (b batch) next() uint64 { return b.first + uint64(len(b.recs)) }
+
+// read copies up to len(buf) events starting at cursor into buf. A
+// cursor past the end reads from the end; one that fell off the ring
+// resumes at the oldest retained event and reports the gap. With no
+// events available the batch carries a wait channel, unless the log
+// is closed: then no more events will come.
+func (l *eventLog) read(cursor uint64, buf []rec) batch {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	base := l.total - uint64(l.n)
-	if cursor > l.total {
-		cursor = l.total
-	}
+	b := batch{strs: l.strs, closed: l.closed}
+	base := l.total - l.retained()
+	cursor = min(cursor, l.total)
 	if cursor < base {
-		gap = base - cursor
+		b.gap = base - cursor
 		cursor = base
 	}
-	avail := int(l.total - cursor)
-	if avail == 0 {
+	b.first = cursor
+	n := int(min(l.total-cursor, uint64(len(buf))))
+	if n == 0 {
 		if !l.closed {
 			l.armed = true
+			b.wait = l.notify
 		}
-		return nil, cursor, gap, l.closed, l.notify
+		return b
 	}
-	if avail > max {
-		avail = max
+	b.recs = buf[:n]
+	slot := int(cursor % uint64(l.capacity))
+	for done := 0; done < n; {
+		k := copy(b.recs[done:], l.chunks[slot/chunkSlots][slot%chunkSlots:])
+		done += k
+		if slot += k; slot == l.capacity {
+			slot = 0
+		}
 	}
-	evs = make([]wireEvent, avail)
-	start := l.head + int(cursor-base)
-	for i := range evs {
-		evs[i] = l.buf[(start+i)%len(l.buf)]
-	}
-	return evs, cursor + uint64(avail), gap, l.closed, nil
+	return b
 }
 
 // close marks the stream complete (the session reached a terminal

@@ -30,7 +30,11 @@ type Config struct {
 	// SessionTTL expires terminal sessions this long after they end;
 	// 0 or negative keeps them forever (until restart).
 	SessionTTL time.Duration
-	// EventBuffer sizes each session's event ring (default 16384).
+	// EventBuffer bounds how many events each session's ring retains
+	// for streaming (default 16384). It is a bound, not a
+	// preallocation: a ring takes memory in slabs of 256 events as
+	// they are emitted, so a session's ring costs what its run emits,
+	// up to the bound.
 	EventBuffer int
 	// Clock supplies wall-clock reads (default the real clock).
 	// Tests inject a manual clock to drive TTL expiry and latency
@@ -225,13 +229,18 @@ func (s *Server) cancelSession(sess *Session) {
 
 // runSession executes one session on a pool worker.
 func (s *Server) runSession(sess *Session) {
+	// The worker owns the trace source from here: it runs or closes
+	// it, and the session forgets it so a finished session does not
+	// pin a consumed decoder's buffers until its TTL expires.
+	src := sess.src
+	sess.src = nil
 	if sess.ctx.Err() != nil || sess.State() != StateQueued {
 		// Cancelled (or force-finished) while queued: never ran.
+		if src != nil {
+			src.Close()
+		}
 		if sess.finish(StateCancelled, gfs.BatchResult{}, context.Canceled.Error()) {
 			s.met.sessionFinished(StateCancelled)
-		}
-		if sess.src != nil {
-			sess.src.Close()
 		}
 		return
 	}
@@ -245,7 +254,7 @@ func (s *Server) runSession(sess *Session) {
 	// under RunBatch's panic recover, so a run that panics fails its
 	// session instead of killing the daemon.
 	var out gfs.BatchResult
-	if built, err := runspec.Build(sess.spec, sess.src, obs); err != nil {
+	if built, err := runspec.Build(sess.spec, src, obs); err != nil {
 		out.Err = err
 	} else {
 		out = built.Run(sess.ctx)

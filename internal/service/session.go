@@ -34,7 +34,7 @@ func (s State) Terminal() bool {
 type Session struct {
 	id      string
 	spec    RunSpec
-	src     gfs.TraceSource // attached trace; consumed by the run
+	src     gfs.TraceSource // attached trace, until runSession takes it
 	log     *eventLog
 	clock   Clock
 	created time.Time
@@ -97,7 +97,9 @@ func (s *Session) markRunning() bool {
 }
 
 // finish moves the session to a terminal state, recording the outcome
-// and closing the done channel and event stream. The first caller
+// and closing the done channel and event stream. It also releases the
+// session context, which would otherwise stay registered with the
+// server's root context for the daemon's lifetime. The first caller
 // wins; later calls are no-ops returning false.
 func (s *Session) finish(st State, out gfs.BatchResult, errMsg string) bool {
 	s.mu.Lock()
@@ -110,6 +112,7 @@ func (s *Session) finish(st State, out gfs.BatchResult, errMsg string) bool {
 	s.errMsg = errMsg
 	s.ended = s.clock.Now()
 	s.mu.Unlock()
+	s.cancel()
 	s.log.close()
 	close(s.doneCh)
 	return true

@@ -1,17 +1,36 @@
 package service
 
 import (
-	"encoding/json"
-	"fmt"
+	"errors"
+	"math"
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
+	"unicode/utf8"
+
+	gfs "github.com/sjtucitlab/gfs"
 )
 
 // streamBatch bounds how many events one read drains before flushing
 // to the client — large enough to amortize syscalls, small enough to
 // keep the stream live.
 const streamBatch = 512
+
+// streamBuf is one stream handler's scratch: the records a read copies
+// out of the ring and the bytes a batch encodes to. Handlers borrow
+// them from streamBufs, so a stream allocates neither per event nor,
+// in steady state, per batch.
+type streamBuf struct {
+	recs [streamBatch]rec
+	out  []byte
+}
+
+var streamBufs = sync.Pool{New: func() any { return new(streamBuf) }}
+
+// maxPooledOut caps the encode buffer a handler returns to the pool;
+// an outsized one (very long org names) is left to the collector.
+const maxPooledOut = 1 << 20
 
 // handleEvents streams a session's events as they happen.
 //
@@ -62,45 +81,250 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 			flusher.Flush()
 		}
 	}
-	emit := func(e wireEvent) error {
-		data, err := json.Marshal(e)
-		if err != nil {
-			return err
+	buf := streamBufs.Get().(*streamBuf)
+	defer func() {
+		if cap(buf.out) > maxPooledOut {
+			buf.out = nil
 		}
-		if sse {
-			_, err = fmt.Fprintf(w, "id: %d\nevent: %s\ndata: %s\n\n", e.Seq, e.Kind, data)
-			return err
-		}
-		_, err = w.Write(append(data, '\n'))
-		return err
-	}
+		streamBufs.Put(buf)
+	}()
 
 	flush() // push headers out so clients see the stream open
 	for {
-		evs, next, gap, closed, wait := sess.log.read(cursor, streamBatch)
-		if gap > 0 {
-			first := next - uint64(len(evs))
-			if err := emit(wireEvent{Seq: first, Kind: "gap", Dropped: gap}); err != nil {
+		b := sess.log.read(cursor, buf.recs[:])
+		var err error
+		buf.out, err = appendBatch(buf.out[:0], b, sse)
+		if len(buf.out) > 0 {
+			if _, werr := w.Write(buf.out); werr != nil {
 				return
 			}
 		}
-		for _, e := range evs {
-			if err := emit(e); err != nil {
-				return
-			}
+		if err != nil {
+			// An event JSON cannot carry (a NaN or infinite float)
+			// ends the stream after the events before it.
+			return
 		}
-		cursor = next
-		if len(evs) > 0 {
+		cursor = b.next()
+		if len(b.recs) > 0 {
 			flush()
 			continue
 		}
-		if closed || !follow {
+		if b.closed || !follow {
 			return
 		}
 		select {
-		case <-wait:
+		case <-b.wait:
 		case <-r.Context().Done():
 			return
 		}
 	}
+}
+
+// appendBatch encodes a read as stream records: the gap record when
+// the cursor fell off the ring, then each event. On an event JSON
+// cannot carry it returns the records before it and the error.
+func appendBatch(dst []byte, b batch, sse bool) ([]byte, error) {
+	if b.gap > 0 {
+		dst = appendGap(dst, b.first, b.gap, sse)
+	}
+	for i := range b.recs {
+		mark := len(dst)
+		var err error
+		if dst, err = appendEvent(dst, b.first+uint64(i), &b.recs[i], b.strs, sse); err != nil {
+			return dst[:mark], err
+		}
+	}
+	return dst, nil
+}
+
+// errUnsupportedFloat rejects a NaN or infinite float, which JSON
+// cannot represent.
+var errUnsupportedFloat = errors.New("service: event carries a NaN or infinite float")
+
+// appendGap appends the synthetic record standing in for dropped
+// events, the first retained one having sequence seq.
+func appendGap(dst []byte, seq, dropped uint64, sse bool) []byte {
+	dst = appendHead(dst, seq, "gap", sse)
+	dst = append(dst, `{"seq":`...)
+	dst = strconv.AppendUint(dst, seq, 10)
+	dst = append(dst, `,"at":0,"kind":"gap","dropped":`...)
+	dst = strconv.AppendUint(dst, dropped, 10)
+	return appendTail(dst, sse)
+}
+
+// appendEvent appends one event's stream record: a JSON object, ended
+// by a newline for NDJSON, framed as "id: <seq>\nevent: <kind>\ndata:
+// <json>\n\n" for SSE. The object is byte for byte what
+// encoding/json made of the daemon's original per-event struct:
+// fields in the order seq, at, kind, task, class, org, gpus, cause,
+// waste, node, quota, used, eta, capacity, member, target; every field
+// after kind omitted when zero, except class and cause (always set on
+// the events that carry them), node (on NodeDown/NodeUp, even node 0)
+// and quota (on QuotaUpdated: "unlimited" for +Inf, null for -Inf and
+// NaN). A NaN or infinite float elsewhere is errUnsupportedFloat, as
+// it was for encoding/json.
+func appendEvent(dst []byte, seq uint64, r *rec, strs []string, sse bool) ([]byte, error) {
+	kind := r.kind.String()
+	dst = appendHead(dst, seq, kind, sse)
+	dst = append(dst, `{"seq":`...)
+	dst = strconv.AppendUint(dst, seq, 10)
+	dst = append(dst, `,"at":`...)
+	dst = strconv.AppendInt(dst, r.at, 10)
+	dst = append(dst, `,"kind":`...)
+	dst = appendJSONString(dst, kind)
+	var err error
+	if r.hasTask {
+		if r.task != 0 {
+			dst = append(dst, `,"task":`...)
+			dst = strconv.AppendInt(dst, r.task, 10)
+		}
+		dst = append(dst, `,"class":`...)
+		dst = appendJSONString(dst, gfs.TaskType(r.class).String())
+		dst = appendStr(dst, `,"org":`, r.org, strs)
+		dst = appendFloatField(dst, `,"gpus":`, r.gpus, &err)
+	}
+	switch r.kind {
+	case gfs.TaskEvicted:
+		dst = append(dst, `,"cause":`...)
+		dst = appendJSONString(dst, r.cause.String())
+		dst = appendFloatField(dst, `,"waste":`, r.f[0], &err)
+	case gfs.NodeDown, gfs.NodeUp:
+		dst = append(dst, `,"node":`...)
+		dst = strconv.AppendInt(dst, r.node, 10)
+	case gfs.QuotaUpdated:
+		dst = append(dst, `,"quota":`...)
+		switch q := r.f[0]; {
+		case math.IsInf(q, 1):
+			dst = append(dst, `"unlimited"`...)
+		case math.IsInf(q, -1) || math.IsNaN(q):
+			dst = append(dst, `null`...)
+		default:
+			dst = appendJSONFloat(dst, q)
+		}
+		dst = appendFloatField(dst, `,"used":`, r.f[1], &err)
+		dst = appendFloatField(dst, `,"eta":`, r.f[2], &err)
+	case gfs.AllocSampled:
+		dst = appendFloatField(dst, `,"used":`, r.f[0], &err)
+		dst = appendFloatField(dst, `,"capacity":`, r.f[1], &err)
+	}
+	dst = appendStr(dst, `,"member":`, r.member, strs)
+	dst = appendStr(dst, `,"target":`, r.target, strs)
+	return appendTail(dst, sse), err
+}
+
+// appendHead opens a record: the SSE id and event lines.
+func appendHead(dst []byte, seq uint64, kind string, sse bool) []byte {
+	if !sse {
+		return dst
+	}
+	dst = append(dst, "id: "...)
+	dst = strconv.AppendUint(dst, seq, 10)
+	dst = append(dst, "\nevent: "...)
+	dst = append(dst, kind...)
+	return append(dst, "\ndata: "...)
+}
+
+// appendTail closes a record's object and frame.
+func appendTail(dst []byte, sse bool) []byte {
+	if sse {
+		return append(dst, "}\n\n"...)
+	}
+	return append(dst, "}\n"...)
+}
+
+// appendStr appends an interned string field unless it is empty.
+func appendStr(dst []byte, key string, id uint32, strs []string) []byte {
+	if id == 0 {
+		return dst
+	}
+	dst = append(dst, key...)
+	return append(dst, strs[id]...)
+}
+
+// appendFloatField appends a float field unless it is zero, recording
+// errUnsupportedFloat in *err for a NaN or infinity.
+func appendFloatField(dst []byte, key string, f float64, err *error) []byte {
+	if f == 0 {
+		return dst
+	}
+	if math.IsNaN(f) || math.IsInf(f, 0) {
+		*err = errUnsupportedFloat
+		return dst
+	}
+	dst = append(dst, key...)
+	return appendJSONFloat(dst, f)
+}
+
+// appendJSONFloat appends a finite float as encoding/json writes a
+// float64: the shortest decimal that round-trips, in exponent form
+// below 1e-6 and from 1e21 up, with a two-digit negative exponent
+// trimmed to one (1e-07 → 1e-7).
+func appendJSONFloat(dst []byte, f float64) []byte {
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	dst = strconv.AppendFloat(dst, f, format, -1, 64)
+	if format == 'e' {
+		if n := len(dst); n >= 4 && dst[n-4] == 'e' && dst[n-3] == '-' && dst[n-2] == '0' {
+			dst[n-2] = dst[n-1]
+			dst = dst[:n-1]
+		}
+	}
+	return dst
+}
+
+// appendJSONString appends s as encoding/json writes a string with
+// HTML escaping on: quoted; '"' and '\\' backslash-escaped; \b, \f,
+// \n, \r and \t by name; other control bytes and '<', '>', '&' as
+// \u00XX; U+2028 and U+2029 as \u2028 and \u2029; each invalid
+// UTF-8 byte as \ufffd.
+func appendJSONString(dst []byte, s string) []byte {
+	const hex = "0123456789abcdef"
+	dst = append(dst, '"')
+	start := 0
+	for i := 0; i < len(s); {
+		if c := s[i]; c < utf8.RuneSelf {
+			if c >= 0x20 && c != '"' && c != '\\' && c != '<' && c != '>' && c != '&' {
+				i++
+				continue
+			}
+			dst = append(dst, s[start:i]...)
+			switch c {
+			case '"', '\\':
+				dst = append(dst, '\\', c)
+			case '\b':
+				dst = append(dst, '\\', 'b')
+			case '\f':
+				dst = append(dst, '\\', 'f')
+			case '\n':
+				dst = append(dst, '\\', 'n')
+			case '\r':
+				dst = append(dst, '\\', 'r')
+			case '\t':
+				dst = append(dst, '\\', 't')
+			default:
+				dst = append(dst, '\\', 'u', '0', '0', hex[c>>4], hex[c&0xf])
+			}
+			i++
+			start = i
+			continue
+		}
+		c, size := utf8.DecodeRuneInString(s[i:])
+		switch {
+		case c == utf8.RuneError && size == 1:
+			dst = append(dst, s[start:i]...)
+			dst = append(dst, `\ufffd`...)
+		case c == '\u2028' || c == '\u2029':
+			dst = append(dst, s[start:i]...)
+			dst = append(dst, '\\', 'u', '2', '0', '2', hex[c&0xf])
+		default:
+			i += size
+			continue
+		}
+		i += size
+		start = i
+	}
+	dst = append(dst, s[start:]...)
+	return append(dst, '"')
 }
