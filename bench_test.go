@@ -31,7 +31,7 @@ func benchFigScale() experiments.SimScale {
 // (80,000-GPU) pool over a seven-day diurnal trace. Offered loads are
 // scaled down so the trace stays in the low thousands of pods — the
 // benchmark bounds the engine's fixed per-event and per-placement
-// machinery (calendar queue, flat node tables, placement index) at
+// machinery (event heap, flat node tables, placement index) at
 // production node counts, not queueing behaviour under contention.
 func sim10KScale() experiments.SimScale {
 	s := experiments.SmallScale()
@@ -225,12 +225,12 @@ func TestAllocCeilings(t *testing.T) {
 		setup   benchSetup
 		ceiling uint64
 	}{
-		{"Sim", simSetup, 1420},
+		{"Sim", simSetup, 1280},
 		{"TraceIngest", traceIngestSetup(gzTrace(t)), 452},
-		{"Report", reportSetup, 2555},
-		{"Sim10K", sim10KSetup, 13160},
-		{"Autoscale", autoscaleSetup, 23900},
-		{"GFS", gfsSetup(t), 24400},
+		{"Report", reportSetup, 2420},
+		{"Sim10K", sim10KSetup, 11090},
+		{"Autoscale", autoscaleSetup, 21950},
+		{"GFS", gfsSetup(t), 24250},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			// The first op also pays one-time initialisation

@@ -29,7 +29,6 @@ type Decision struct {
 // attempt.
 type Context struct {
 	Now   simclock.Time
-	Start simclock.Time
 	State *State
 	// SpotQuota is the current spot quota in GPUs (+Inf when the
 	// policy imposes none). The driver enforces admission; it is
@@ -43,7 +42,7 @@ type Context struct {
 // ElapsedSeconds returns T, the simulated time elapsed since the
 // trace epoch (at least 1 s so cost normalizations stay finite).
 func (c *Context) ElapsedSeconds() float64 {
-	elapsed := c.Now.Sub(c.Start).Seconds()
+	elapsed := float64(c.Now)
 	if elapsed <= 0 {
 		elapsed = 1
 	}

@@ -17,11 +17,6 @@ type SimConfig struct {
 	Scheduler Scheduler
 	// Quota is the spot quota policy; nil means unlimited.
 	Quota QuotaPolicy
-	// QuotaInterval is the quota update period (Table 4: 300 s).
-	QuotaInterval simclock.Duration
-	// QuotaWindow is the lookback for the eviction rate fed to the
-	// quota policy (defaults to 1 h).
-	QuotaWindow simclock.Duration
 	// Grace is the preemption grace period (30 s in production).
 	Grace simclock.Duration
 	// MaxFailuresPerPass bounds wasted work scanning a long
@@ -59,14 +54,20 @@ type SimConfig struct {
 	EvictionInterceptor func(tk *task.Task, cause EvictCause) bool
 }
 
+// The quota tick runs every quotaInterval (Table 4: 300 s), and the
+// eviction rate and queueing delay fed to the quota policy look back
+// over quotaWindow.
+const (
+	quotaInterval = 300 * simclock.Second
+	quotaWindow   = simclock.Hour
+)
+
 // DefaultSimConfig fills in the paper's settings for a given cluster
 // and scheduler.
 func DefaultSimConfig(cl *cluster.Cluster, s Scheduler) SimConfig {
 	return SimConfig{
 		Cluster:            cl,
 		Scheduler:          s,
-		QuotaInterval:      300 * simclock.Second,
-		QuotaWindow:        simclock.Hour,
 		Grace:              30 * simclock.Second,
 		MaxFailuresPerPass: 25,
 		IdleTimeout:        48 * simclock.Hour,
@@ -249,12 +250,6 @@ func Run(cfg SimConfig, tasks []*task.Task) *Result {
 // Drive it with Step until it returns false (or interleave Step with
 // Inject), then collect metrics with Finish.
 func NewSimulator(cfg SimConfig, tasks []*task.Task) *Simulator {
-	if cfg.QuotaInterval <= 0 {
-		cfg.QuotaInterval = 300 * simclock.Second
-	}
-	if cfg.QuotaWindow <= 0 {
-		cfg.QuotaWindow = simclock.Hour
-	}
 	if cfg.MaxFailuresPerPass <= 0 {
 		cfg.MaxFailuresPerPass = 25
 	}
@@ -267,7 +262,7 @@ func NewSimulator(cfg SimConfig, tasks []*task.Task) *Simulator {
 		state:     NewState(cfg.Cluster),
 		epochs:    make(map[int]int),
 		spotQuota: math.Inf(1),
-		evWindow:  stats.NewEvictionWindow(cfg.QuotaWindow),
+		evWindow:  stats.NewEvictionWindow(quotaWindow),
 		alloc:     stats.NewAllocationTracker(cfg.Cluster.TotalGPUs("")),
 		tasks:     tasks,
 		orgDemand: make(map[string][]float64),
@@ -322,7 +317,7 @@ func (s *Simulator) arm(at simclock.Time) {
 		s.quotaInit = true
 	}
 	if !s.tickOn {
-		s.queue.Push(at.Add(s.cfg.QuotaInterval), tickEvent{})
+		s.queue.Push(at.Add(quotaInterval), tickEvent{})
 		s.tickOn = true
 	}
 }
@@ -500,7 +495,7 @@ func (s *Simulator) handle(ev simclock.Event) bool {
 		active := s.queue.Len() > 0 || s.running > 0
 		stalled := s.pend.n > 0 && s.now.Sub(s.lastProgress) < s.cfg.IdleTimeout
 		if active || stalled {
-			s.queue.Push(s.now.Add(s.cfg.QuotaInterval), tickEvent{})
+			s.queue.Push(s.now.Add(quotaInterval), tickEvent{})
 		} else {
 			// The tick chain ends here; a later Inject restarts it.
 			s.tickOn = false
@@ -812,7 +807,7 @@ func (s *Simulator) maxSpotQueue() simclock.Duration {
 			}
 		}
 	}
-	cutoff := s.now.Add(-s.cfg.QuotaWindow)
+	cutoff := s.now.Add(-quotaWindow)
 	kept := s.recentQueues[:0]
 	for _, o := range s.recentQueues {
 		if o.at >= cutoff {

@@ -1,10 +1,11 @@
 // Package simclock provides virtual time and a deterministic
-// discrete-event queue for the cluster simulator.
+// discrete-event queue, a binary heap, for the cluster simulator.
 //
 // Simulation time is measured in whole seconds from an arbitrary
 // epoch (the start of the simulated trace). Events scheduled for the
-// same instant are delivered in insertion order, which makes every
-// simulation run reproducible bit-for-bit.
+// same instant are delivered PushFront events first, then in
+// insertion order, which makes every simulation run reproducible
+// bit-for-bit.
 package simclock
 
 // Time is a point in simulated time, in seconds since the simulation
@@ -50,8 +51,9 @@ func (t Time) Weekday() int { return t.DayIndex() % 7 }
 func (t Time) HourIndex() int { return int(t / Time(Hour)) }
 
 // Event is a scheduled payload in the event queue. Events are plain
-// values: the queue stores them inline in its buckets, so scheduling
-// an event allocates nothing beyond any boxing of Value itself.
+// values stored inline in the queue's heap, so scheduling an event
+// allocates nothing beyond any boxing of Value itself and the heap's
+// occasional growth.
 type Event struct {
 	At    Time
 	Value any
@@ -76,38 +78,16 @@ func (e *Event) before(f *Event) bool {
 // Queue delivers events ordered by (At, class, insertion sequence).
 // The zero value is an empty queue ready to use.
 //
-// Internally it is a calendar queue: a ring of fixed-width time
-// buckets covering [base, horizon), each kept sorted, plus an
-// unsorted far list for events beyond the horizon. When the ring
-// drains, the far list is redistributed over a fresh ring sized to
-// the remaining events (a rebase), so Push and Pop run in amortized
-// near-constant time regardless of how many events are pending —
-// unlike a binary heap's O(log n) — while preserving the exact
-// delivery order a heap over (At, class, seq) would produce.
+// It is a binary min-heap over Event.before. Because the insertion
+// sequence is unique, that order is total: the pop sequence is fixed
+// by the pushes alone, whatever the heap's internal layout.
 type Queue struct {
 	seq uint64
-	n   int // live events across buckets and far
-
-	// The ring: buckets[i] covers [base+i*width, base+(i+1)*width),
-	// sorted by delivery order; off[i] is the pop cursor into it.
-	// cur is the bucket holding the queue's head; earlier buckets
-	// are drained. Events landing in a drained window are clamped
-	// into bucket cur, which keeps delivery order exact because
-	// every event in a later bucket belongs to a later window.
-	base    Time
-	width   Duration
-	horizon Time
-	cur     int
-	buckets [][]Event
-	off     []int
-
-	// far holds events at or beyond the horizon, unsorted, awaiting
-	// the next rebase.
-	far []Event
+	h   []Event
 }
 
 // Len reports the number of pending events.
-func (q *Queue) Len() int { return q.n }
+func (q *Queue) Len() int { return len(q.h) }
 
 // Push schedules value for delivery at time at.
 func (q *Queue) Push(at Time, value any) {
@@ -135,140 +115,53 @@ func (q *Queue) push(at Time, class uint8, value any) {
 // goes, this folds back into push.
 func (q *Queue) pushSeq(at Time, class uint8, value any, seq uint64) {
 	e := Event{At: at, Value: value, class: class, seq: seq}
-	q.n++
-	if q.cur >= len(q.buckets) || at >= q.horizon {
-		// No ring yet, or the ring is fully drained: hold the event
-		// in the far list for the next rebase.
-		q.far = append(q.far, e)
-		return
+	h := append(q.h, e)
+	// Sift up: move parents down until e's slot is found.
+	i := len(h) - 1
+	for p := (i - 1) / 2; i > 0 && e.before(&h[p]); p = (i - 1) / 2 {
+		h[i] = h[p]
+		i = p
 	}
-	idx := q.cur
-	if at > q.base {
-		if i := int((at - q.base) / Time(q.width)); i > idx {
-			idx = i
-		}
-	}
-	q.insert(idx, e)
-}
-
-// insert places e into bucket idx, keeping the live tail sorted.
-func (q *Queue) insert(idx int, e Event) {
-	b := q.buckets[idx]
-	// Binary search over the live tail for the first event after e.
-	lo, hi := q.off[idx], len(b)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if b[mid].before(&e) {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	b = append(b, Event{})
-	copy(b[lo+1:], b[lo:])
-	b[lo] = e
-	q.buckets[idx] = b
-}
-
-// head advances cur to the bucket holding the next event, rebasing
-// the ring from the far list as needed. It reports false when the
-// queue is empty.
-func (q *Queue) head() bool {
-	if q.n == 0 {
-		return false
-	}
-	for {
-		for q.cur < len(q.buckets) {
-			if q.off[q.cur] < len(q.buckets[q.cur]) {
-				return true
-			}
-			// Drained bucket: reset it for reuse and move on.
-			q.buckets[q.cur] = q.buckets[q.cur][:0]
-			q.off[q.cur] = 0
-			q.cur++
-		}
-		q.rebase()
-	}
-}
-
-// Ring sizing bounds: at least minBuckets so tiny queues don't
-// degenerate into one list, at most maxBuckets so a huge preloaded
-// trace doesn't allocate a bucket per event.
-const (
-	minBuckets = 16
-	maxBuckets = 1 << 17
-)
-
-// rebase redistributes the far list over a fresh ring sized to it:
-// one bucket per ~8 events (within bounds), bucket width covering the
-// far span. Called only with the ring drained and far non-empty; the
-// ring arrays — and each bucket's backing storage, reset as it
-// drained — are reused whenever capacity allows.
-func (q *Queue) rebase() {
-	evs := q.far
-	minAt, maxAt := evs[0].At, evs[0].At
-	for i := 1; i < len(evs); i++ {
-		if evs[i].At < minAt {
-			minAt = evs[i].At
-		}
-		if evs[i].At > maxAt {
-			maxAt = evs[i].At
-		}
-	}
-	nb := (len(evs) + 7) / 8
-	if nb < minBuckets {
-		nb = minBuckets
-	}
-	if nb > maxBuckets {
-		nb = maxBuckets
-	}
-	span := Duration(maxAt-minAt) + 1
-	width := (span + Duration(nb) - 1) / Duration(nb) // ceil: horizon covers maxAt
-	q.base = minAt
-	q.width = width
-	q.horizon = minAt + Time(Duration(nb)*width)
-	q.cur = 0
-	if nb <= cap(q.buckets) {
-		q.buckets = q.buckets[:nb]
-		q.off = q.off[:nb]
-	} else {
-		q.buckets = make([][]Event, nb)
-		q.off = make([]int, nb)
-	}
-	// Steal the far backing array before refilling; events beyond
-	// the new horizon (none today, since width is ceiled, but kept
-	// for safety against future sizing changes) would re-append.
-	q.far = nil
-	for _, e := range evs {
-		idx := int((e.At - q.base) / Time(q.width))
-		if idx >= nb {
-			q.far = append(q.far, e)
-			continue
-		}
-		q.insert(idx, e)
-	}
+	h[i] = e
+	q.h = h
 }
 
 // Peek returns the next event without removing it. The second result
 // is false if the queue is empty.
 func (q *Queue) Peek() (Event, bool) {
-	if !q.head() {
+	if len(q.h) == 0 {
 		return Event{}, false
 	}
-	return q.buckets[q.cur][q.off[q.cur]], true
+	return q.h[0], true
 }
 
 // Pop removes and returns the next event. The second result is false
 // if the queue is empty.
 func (q *Queue) Pop() (Event, bool) {
-	if !q.head() {
+	n := len(q.h) - 1
+	if n < 0 {
 		return Event{}, false
 	}
-	b := q.buckets[q.cur]
-	i := q.off[q.cur]
-	e := b[i]
-	b[i] = Event{} // release the Value reference
-	q.off[q.cur] = i + 1
-	q.n--
-	return e, true
+	h := q.h
+	top, last := h[0], h[n]
+	h[n] = Event{} // release the Value reference
+	h = h[:n]
+	q.h = h
+	if n == 0 {
+		return top, true
+	}
+	// Sift down: move the smaller child up until last's slot is found.
+	i := 0
+	for c := 1; c < n; c = 2*i + 1 {
+		if c+1 < n && h[c+1].before(&h[c]) {
+			c++
+		}
+		if !h[c].before(&last) {
+			break
+		}
+		h[i] = h[c]
+		i = c
+	}
+	h[i] = last
+	return top, true
 }

@@ -3,9 +3,11 @@ package simclock
 import (
 	"container/heap"
 	"math/rand"
+	"runtime"
 	"sort"
 	"testing"
 	"testing/quick"
+	"weak"
 )
 
 func TestTimeArithmetic(t *testing.T) {
@@ -114,8 +116,8 @@ func TestQueuePopEmpty(t *testing.T) {
 	}
 }
 
-// TestQueueReuseAfterDrain exercises the drained-ring push path: a
-// queue that empties completely must accept and order new events.
+// TestQueueReuseAfterDrain checks that a queue that empties
+// completely accepts and orders new events.
 func TestQueueReuseAfterDrain(t *testing.T) {
 	var q Queue
 	for round := 0; round < 5; round++ {
@@ -133,6 +135,32 @@ func TestQueueReuseAfterDrain(t *testing.T) {
 		if q.Len() != 0 {
 			t.Fatalf("round %d: queue not drained", round)
 		}
+	}
+}
+
+// TestQueuePopReleasesValue checks that Pop zeroes the slot it
+// vacates. Without that, the backing array keeps a stale copy of a
+// moved event past the heap's end, pinning its value after it is
+// popped, here while the queue still holds other events.
+func TestQueuePopReleasesValue(t *testing.T) {
+	var q Queue
+	v := new([64]byte)
+	wp := weak.Make(v)
+	q.Push(1, "first")
+	q.Push(2, v)
+	v = nil
+	for _, at := range []Time{1, 2} {
+		if e, ok := q.Pop(); !ok || e.At != at {
+			t.Fatalf("Pop = t=%d, %v; want t=%d", e.At, ok, at)
+		}
+	}
+	q.Push(3, "keep")
+	runtime.GC()
+	if wp.Value() != nil {
+		t.Fatal("popped value still reachable from the queue")
+	}
+	if q.Len() != 1 {
+		t.Fatalf("Len = %d, want 1", q.Len())
 	}
 }
 
@@ -184,9 +212,9 @@ func TestQueueMatchesSort(t *testing.T) {
 	}
 }
 
-// refQueue is the original container/heap implementation, kept here
-// as the oracle for the calendar queue: any divergence in delivery
-// order between the two is a determinism bug.
+// refQueue is a container/heap implementation, kept here as an
+// oracle independent of Queue's hand-written sift: any divergence in
+// delivery order between the two is a determinism bug.
 type refQueue struct {
 	h   refHeap
 	seq uint64
@@ -234,11 +262,11 @@ func (h *refHeap) Pop() any {
 }
 
 // TestQueueEquivalentToHeap drives random interleaved operation
-// sequences through the calendar queue and the reference heap and
-// demands identical delivery. Pushes follow the simulator's contract
-// (never below the last popped time); the time distribution mixes
-// dense near-term events, same-instant ties, and far-future spikes to
-// stress bucket clamping and rebasing.
+// sequences through Queue and the reference heap and demands
+// identical delivery. Pushes follow the simulator's contract (never
+// below the last popped time); the time distribution mixes dense
+// near-term events, same-instant ties, and far-future spikes, so the
+// heap holds long runs of equal keys beside widely spread ones.
 func TestQueueEquivalentToHeap(t *testing.T) {
 	for seed := int64(0); seed < 50; seed++ {
 		rng := rand.New(rand.NewSource(seed))
