@@ -203,15 +203,28 @@ func gfsSetup(tb testing.TB) benchSetup {
 	}
 }
 
+// trainSetup is one OrgLinear GDE training at benchFigScale, the
+// set-up gfsSetup excludes: demand panel, window preparation and every
+// Adam step.
+func trainSetup(tb testing.TB) func() [2]metric {
+	return func() [2]metric {
+		if _, err := benchFigScale().TrainEstimator(); err != nil {
+			tb.Fatal(err)
+		}
+		return [2]metric{}
+	}
+}
+
 // TestAllocCeilings pins the allocations of one measured run of each
-// whole-run benchmark, set-up excluded exactly as runBench's StopTimer
-// excludes it. The counts are what the pooled hot path (event records,
-// transactions, placement registries), the streaming decoder and the
-// collectors are built to hold; a dropped pool or a per-event
-// allocation shows up here on any hardware. Ceilings sit at most 2 %
-// above the count measured when they were set: lower one when a change
-// removes allocations, and raise one only with the reason in
-// CHANGES.md.
+// whole-run benchmark, and of one estimator training (trainSetup),
+// set-up excluded exactly as runBench's StopTimer excludes it. The
+// counts are what the pooled hot path (event records, transactions,
+// placement registries), the streaming decoder, the collectors and the
+// once-per-Fit window preparation are built to hold; a dropped pool or
+// a per-event allocation shows up here on any hardware. Ceilings sit
+// at most 2 % above the count measured when they were set: lower one
+// when a change removes allocations, and raise one only with the
+// reason in CHANGES.md.
 func TestAllocCeilings(t *testing.T) {
 	if bi, ok := debug.ReadBuildInfo(); ok {
 		for _, s := range bi.Settings {
@@ -230,7 +243,8 @@ func TestAllocCeilings(t *testing.T) {
 		{"Report", reportSetup, 2420},
 		{"Sim10K", sim10KSetup, 11090},
 		{"Autoscale", autoscaleSetup, 21950},
-		{"GFS", gfsSetup(t), 24250},
+		{"GFS", gfsSetup(t), 24130},
+		{"Train", trainSetup, 150700},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			// The first op also pays one-time initialisation

@@ -14,26 +14,23 @@ import (
 // NeurIPS '21): progressive series decomposition with an
 // auto-correlation mechanism in place of dot-product attention.
 type AutoformerConfig struct {
-	Dim       int
-	Kernel    int
-	TopK      int
-	Epochs    int
-	LR        float64
-	BatchSize int
-	Seed      int64
-	Calendar  *timefeat.Calendar
+	Dim    int
+	Kernel int
+	TopK   int
+	TrainConfig
+	Calendar *timefeat.Calendar
 }
 
 // DefaultAutoformerConfig returns the experiment settings.
 func DefaultAutoformerConfig() AutoformerConfig {
-	return AutoformerConfig{Dim: 16, Kernel: 25, TopK: 3, Epochs: 6, LR: 0.005,
-		BatchSize: 8, Seed: 1, Calendar: timefeat.NewCalendar()}
+	return AutoformerConfig{Dim: 16, Kernel: 25, TopK: 3,
+		TrainConfig: TrainConfig{Epochs: 6, LR: 0.005, BatchSize: 8, Seed: 1},
+		Calendar:    timefeat.NewCalendar()}
 }
 
 // Autoformer is the decomposition + auto-correlation forecaster.
 type Autoformer struct {
-	cfg  AutoformerConfig
-	l, h int
+	cfg AutoformerConfig
 
 	inProj       *nn.Linear
 	wv           *nn.Linear
@@ -44,7 +41,6 @@ type Autoformer struct {
 	maMatrix     *tensor.Tensor // constant decomposition operator
 
 	params []*tensor.Tensor
-	fitted bool
 }
 
 // NewAutoformer creates an untrained Autoformer.
@@ -61,28 +57,17 @@ func NewAutoformer(cfg AutoformerConfig) *Autoformer {
 // Name implements Forecaster.
 func (m *Autoformer) Name() string { return "Autoformer" }
 
-func (m *Autoformer) calHour(ex Example, t int) (float64, float64) {
-	f := m.cfg.Calendar.AtHour(ex.StartHour + t)
-	return float64(f.Hour) / 24, float64(f.Weekday) / 7
-}
-
-func (m *Autoformer) build(l, h int, rng *rand.Rand) {
+func (m *Autoformer) build(l, h int, rng *rand.Rand) []*tensor.Tensor {
 	d := m.cfg.Dim
 	m.inProj = nn.NewLinear(3, d, rng)
 	m.wv = nn.NewLinear(d, d, rng)
 	m.lnGain, m.lnBias = onesRow(d), tensor.New(1, d)
 	m.seasonalHead = nn.NewLinear(d, h, rng)
 	m.trendHead = nn.NewLinear(d, h, rng)
-	ma := MovingAverageMatrix(l, m.cfg.Kernel)
-	m.maMatrix = tensor.New(l, l)
-	for i := 0; i < l; i++ {
-		for j := 0; j < l; j++ {
-			m.maMatrix.Set(i, j, ma[i][j])
-		}
-	}
+	m.maMatrix = MovingAverageMatrix(l, m.cfg.Kernel)
 	m.params = nn.CollectParams(m.inProj, m.wv, m.seasonalHead, m.trendHead)
 	m.params = append(m.params, m.lnGain, m.lnBias)
-	m.l, m.h = l, h
+	return m.params
 }
 
 // decomp splits a sequence representation into (seasonal, trend)
@@ -179,11 +164,10 @@ func topAutocorrLags(hist []float64, k int) (lags []int, weights []float64) {
 	return lags, weights
 }
 
-func (m *Autoformer) forward(tp *tensor.Tape, ex Example, sc scaler) *tensor.Tensor {
-	hist := sc.apply(ex.History)
-	x := m.inProj.Forward(tp, seqInput(m, ex, hist))
+func (m *Autoformer) forward(tp *tensor.Tape, w window) *tensor.Tensor {
+	x := m.inProj.Forward(tp, seqInput(m.cfg.Calendar, w))
 	seasonal, trend := m.decomp(tp, x)
-	ac := m.autoCorrelate(tp, seasonal, hist)
+	ac := m.autoCorrelate(tp, seasonal, w.hist)
 	seasonal = tp.LayerNorm(tp.Add(seasonal, ac), m.lnGain, m.lnBias, 1e-5)
 	// Progressive decomposition: refine once more after mixing.
 	seasonal2, trend2 := m.decomp(tp, seasonal)
@@ -195,24 +179,10 @@ func (m *Autoformer) forward(tp *tensor.Tape, ex Example, sc scaler) *tensor.Ten
 
 // Fit implements Forecaster.
 func (m *Autoformer) Fit(train []Example) error {
-	l, h, err := shapeOf(train)
-	if err != nil {
-		return err
-	}
-	rng := rand.New(rand.NewSource(m.cfg.Seed))
-	m.build(l, h, rng)
-	trainPointModel(rng, m.params, m.cfg.Epochs, m.cfg.LR, m.cfg.BatchSize, 5,
-		train, h, m.forward)
-	m.fitted = true
-	return nil
+	return fit(m.cfg.TrainConfig, train, 0, m.build, mse(m.forward))
 }
 
 // Predict implements Forecaster.
 func (m *Autoformer) Predict(ex Example) []float64 {
-	if !m.fitted {
-		return make([]float64, len(ex.Future))
-	}
-	sc := newScaler(ex.History)
-	tp := tensor.NewTape()
-	return sc.invert(m.forward(tp, ex, sc).Row(0))
+	return predict(m.params, ex, 0, m.forward)
 }

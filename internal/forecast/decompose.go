@@ -1,5 +1,7 @@
 package forecast
 
+import "github.com/sjtucitlab/gfs/internal/tensor"
+
 // Decompose splits a series into trend and cyclical components using
 // the paper's domain-adaptive sliding kernel (Eqs. 1–2): a moving
 // average with reflection padding to suppress boundary effects.
@@ -12,12 +14,7 @@ func Decompose(series []float64, kernel int) (trend, cyclical []float64) {
 	if n == 0 {
 		return trend, cyclical
 	}
-	if kernel < 1 {
-		kernel = 1
-	}
-	if kernel%2 == 0 {
-		kernel++
-	}
+	kernel = oddKernel(kernel)
 	half := kernel / 2
 	for i := 0; i < n; i++ {
 		sum := 0.0
@@ -28,6 +25,15 @@ func Decompose(series []float64, kernel int) (trend, cyclical []float64) {
 		cyclical[i] = series[i] - trend[i]
 	}
 	return trend, cyclical
+}
+
+// oddKernel is the moving-average width used for kernel: at least 1,
+// and odd.
+func oddKernel(kernel int) int {
+	if kernel < 1 {
+		return 1
+	}
+	return kernel | 1
 }
 
 // reflect maps an out-of-range index back inside [0, n) by mirroring
@@ -48,22 +54,17 @@ func reflect(i, n int) int {
 }
 
 // MovingAverageMatrix builds the n×n constant matrix A such that A·x
-// equals the reflected moving average of x. The Autoformer baseline
-// uses it to make decomposition a differentiable linear map.
-func MovingAverageMatrix(n, kernel int) [][]float64 {
-	if kernel < 1 {
-		kernel = 1
-	}
-	if kernel%2 == 0 {
-		kernel++
-	}
+// equals the reflected moving average of x, the trend Decompose
+// computes. Autoformer and FEDformer use it to make decomposition a
+// differentiable linear map.
+func MovingAverageMatrix(n, kernel int) *tensor.Tensor {
+	kernel = oddKernel(kernel)
 	half := kernel / 2
-	a := make([][]float64, n)
 	w := 1.0 / float64(kernel)
-	for i := range a {
-		a[i] = make([]float64, n)
+	a := tensor.New(n, n)
+	for i := 0; i < n; i++ {
 		for k := -half; k <= half; k++ {
-			a[i][reflect(i+k, n)] += w
+			a.Data[i*n+reflect(i+k, n)] += w
 		}
 	}
 	return a

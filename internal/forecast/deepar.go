@@ -11,17 +11,14 @@ import (
 // DeepARConfig parameterizes the DeepAR baseline (Salinas et al.):
 // an autoregressive LSTM with a Gaussian output head.
 type DeepARConfig struct {
-	Hidden    int
-	Epochs    int
-	LR        float64
-	BatchSize int
-	Seed      int64
-	Calendar  *timefeat.Calendar
+	Hidden int
+	TrainConfig
+	Calendar *timefeat.Calendar
 }
 
 // DefaultDeepARConfig returns the experiment settings.
 func DefaultDeepARConfig() DeepARConfig {
-	return DeepARConfig{Hidden: 16, Epochs: 8, LR: 0.01, BatchSize: 8, Seed: 1,
+	return DeepARConfig{Hidden: 16, TrainConfig: TrainConfig{Epochs: 8, LR: 0.01, BatchSize: 8, Seed: 1},
 		Calendar: timefeat.NewCalendar()}
 }
 
@@ -33,7 +30,6 @@ type DeepAR struct {
 	muHead    *nn.Linear
 	sigmaHead *nn.Linear
 	params    []*tensor.Tensor
-	fitted    bool
 }
 
 // NewDeepAR creates an untrained DeepAR model.
@@ -50,8 +46,18 @@ func NewDeepAR(cfg DeepARConfig) *DeepAR {
 // Name implements Forecaster.
 func (m *DeepAR) Name() string { return "DeepAR" }
 
-// inputDim is [prev value, hour/24, weekday/7].
+// deepARInputs is the width of one LSTM step's input:
+// [prev value, hour/24, weekday/7].
 const deepARInputs = 3
+
+func (m *DeepAR) build(l, h int, rng *rand.Rand) []*tensor.Tensor {
+	m.l, m.h = l, h
+	m.cell = nn.NewLSTMCell(deepARInputs, m.cfg.Hidden, rng)
+	m.muHead = nn.NewLinear(m.cfg.Hidden, 1, rng)
+	m.sigmaHead = nn.NewLinear(m.cfg.Hidden, 1, rng)
+	m.params = nn.CollectParams(m.cell, m.muHead, m.sigmaHead)
+	return m.params
+}
 
 func (m *DeepAR) stepInput(prev float64, hour int) *tensor.Tensor {
 	f := m.cfg.Calendar.AtHour(hour)
@@ -62,104 +68,46 @@ func (m *DeepAR) stepInput(prev float64, hour int) *tensor.Tensor {
 	})
 }
 
-// unroll conditions the LSTM on the scaled history and returns the
-// final state.
-func (m *DeepAR) unroll(tp *tensor.Tape, ex Example, hist []float64) (h, c *tensor.Tensor) {
+// decode conditions the LSTM on the window's scaled history, then
+// produces the (1×H) mu and sigma rows. When teacher is non-nil those
+// (scaled) values feed the next step; otherwise the predicted mean
+// feeds back (free-running).
+func (m *DeepAR) decode(tp *tensor.Tape, w window, teacher []float64) (mu, sigma *tensor.Tensor) {
+	var h, c *tensor.Tensor
 	prev := 0.0
-	for t, v := range hist {
-		x := m.stepInput(prev, ex.StartHour+t)
-		h, c = m.cell.Step(tp, x, h, c)
+	for t, v := range w.hist {
+		h, c = m.cell.Step(tp, m.stepInput(prev, w.ex.StartHour+t), h, c)
 		prev = v
 	}
-	return h, c
-}
-
-// decode produces mu/sigma tensors for each of the H future steps.
-// When teacherValues is non-nil those (scaled) values feed the next
-// step; otherwise the predicted mean feeds back (free-running).
-func (m *DeepAR) decode(tp *tensor.Tape, ex Example, hist []float64, h, c *tensor.Tensor, teacherValues []float64) (mus, sigmas []*tensor.Tensor) {
-	prev := hist[len(hist)-1]
+	var mus, sigmas []*tensor.Tensor
 	for t := 0; t < m.h; t++ {
-		x := m.stepInput(prev, ex.StartHour+m.l+t)
+		x := m.stepInput(prev, w.ex.StartHour+m.l+t)
 		h, c = m.cell.Step(tp, x, h, c)
 		mu := m.muHead.Forward(tp, h)
 		sigma := tp.AddScalar(tp.Softplus(m.sigmaHead.Forward(tp, h)), 1e-4)
 		mus = append(mus, mu)
 		sigmas = append(sigmas, sigma)
-		if teacherValues != nil {
-			prev = teacherValues[t]
+		if teacher != nil {
+			prev = teacher[t]
 		} else {
 			prev = mu.Data[0]
 		}
 	}
-	return mus, sigmas
+	return tp.ConcatCols(mus...), tp.ConcatCols(sigmas...)
 }
 
 // Fit implements Forecaster via teacher-forced maximum likelihood.
 func (m *DeepAR) Fit(train []Example) error {
-	l, h, err := shapeOf(train)
-	if err != nil {
-		return err
-	}
-	m.l, m.h = l, h
-	rng := rand.New(rand.NewSource(m.cfg.Seed))
-	m.cell = nn.NewLSTMCell(deepARInputs, m.cfg.Hidden, rng)
-	m.muHead = nn.NewLinear(m.cfg.Hidden, 1, rng)
-	m.sigmaHead = nn.NewLinear(m.cfg.Hidden, 1, rng)
-	m.params = nn.CollectParams(m.cell, m.muHead, m.sigmaHead)
-	opt := nn.NewAdam(m.params, m.cfg.LR)
-	opt.Clip = 5
-
-	idx := make([]int, len(train))
-	for i := range idx {
-		idx[i] = i
-	}
-	tp := tensor.NewTape()
-	for epoch := 0; epoch < m.cfg.Epochs; epoch++ {
-		rng.Shuffle(len(idx), func(i, j int) { idx[i], idx[j] = idx[j], idx[i] })
-		for b := 0; b < len(idx); b += m.cfg.BatchSize {
-			end := b + m.cfg.BatchSize
-			if end > len(idx) {
-				end = len(idx)
-			}
-			nn.ZeroGrads(m.params)
-			for _, i := range idx[b:end] {
-				ex := train[i]
-				sc := newScaler(ex.History)
-				hist := sc.apply(ex.History)
-				future := sc.apply(ex.Future)
-				tp.Reset()
-				hState, cState := m.unroll(tp, ex, hist)
-				mus, sigmas := m.decode(tp, ex, hist, hState, cState, future)
-				mu := tp.ConcatCols(mus...)
-				sigma := tp.ConcatCols(sigmas...)
-				y := tensor.FromSlice(1, m.h, future)
-				tp.Backward(nn.GaussianNLL(tp, mu, sigma, y))
-			}
-			opt.Step()
-		}
-	}
-	m.fitted = true
-	return nil
+	return fit(m.cfg.TrainConfig, train, 0, m.build, nll(func(tp *tensor.Tape, w window) (mu, sigma *tensor.Tensor) {
+		return m.decode(tp, w, w.future)
+	}))
 }
 
 // PredictDist implements Distributional (free-running decode).
 func (m *DeepAR) PredictDist(ex Example) (mu, sigma []float64) {
-	if !m.fitted {
-		return make([]float64, len(ex.Future)), ones(len(ex.Future))
-	}
-	sc := newScaler(ex.History)
-	hist := sc.apply(ex.History)
-	tp := tensor.NewTape()
-	h, c := m.unroll(tp, ex, hist)
-	mus, sigmas := m.decode(tp, ex, hist, h, c, nil)
-	muN := make([]float64, m.h)
-	sigmaN := make([]float64, m.h)
-	for t := 0; t < m.h; t++ {
-		muN[t] = mus[t].Data[0]
-		sigmaN[t] = sigmas[t].Data[0]
-	}
-	return sc.invert(muN), sc.invertStd(sigmaN)
+	return predictDist(m.params, ex, 0, func(tp *tensor.Tape, w window) (mu, sigma *tensor.Tensor) {
+		return m.decode(tp, w, nil)
+	})
 }
 
 // Predict implements Forecaster.

@@ -11,26 +11,22 @@ import (
 // AAAI '23): trend/seasonal decomposition followed by one linear map
 // per component.
 type DLinearConfig struct {
-	Kernel    int
-	Epochs    int
-	LR        float64
-	BatchSize int
-	Seed      int64
+	Kernel int
+	TrainConfig
 }
 
 // DefaultDLinearConfig returns the experiment settings.
 func DefaultDLinearConfig() DLinearConfig {
-	return DLinearConfig{Kernel: 25, Epochs: 40, LR: 0.01, BatchSize: 16, Seed: 1}
+	return DLinearConfig{Kernel: 25, TrainConfig: TrainConfig{Epochs: 40, LR: 0.01, BatchSize: 16, Seed: 1}}
 }
 
 // DLinear is the linear decomposition point forecaster.
 type DLinear struct {
 	cfg       DLinearConfig
-	l, h      int
+	l         int
 	trendHead *nn.Linear
 	cycHead   *nn.Linear
 	params    []*tensor.Tensor
-	fitted    bool
 }
 
 // NewDLinear creates an untrained DLinear model.
@@ -38,68 +34,33 @@ func NewDLinear(cfg DLinearConfig) *DLinear {
 	if cfg.BatchSize <= 0 {
 		cfg.BatchSize = 16
 	}
+	cfg.Kernel = oddKernel(cfg.Kernel)
 	return &DLinear{cfg: cfg}
 }
 
 // Name implements Forecaster.
 func (m *DLinear) Name() string { return "DLinear" }
 
-func (m *DLinear) forward(tp *tensor.Tape, ex Example, sc scaler) *tensor.Tensor {
-	hist := sc.apply(ex.History)
-	trend, cyc := Decompose(hist, m.cfg.Kernel)
-	yt := m.trendHead.Forward(tp, tensor.FromSlice(1, m.l, trend))
-	yc := m.cycHead.Forward(tp, tensor.FromSlice(1, m.l, cyc))
+func (m *DLinear) build(l, h int, rng *rand.Rand) []*tensor.Tensor {
+	m.l = l
+	m.trendHead = nn.NewLinear(l, h, rng)
+	m.cycHead = nn.NewLinear(l, h, rng)
+	m.params = nn.CollectParams(m.trendHead, m.cycHead)
+	return m.params
+}
+
+func (m *DLinear) forward(tp *tensor.Tape, w window) *tensor.Tensor {
+	yt := m.trendHead.Forward(tp, tensor.FromSlice(1, m.l, w.trend))
+	yc := m.cycHead.Forward(tp, tensor.FromSlice(1, m.l, w.cyc))
 	return tp.Add(yt, yc)
 }
 
 // Fit implements Forecaster.
 func (m *DLinear) Fit(train []Example) error {
-	l, h, err := shapeOf(train)
-	if err != nil {
-		return err
-	}
-	m.l, m.h = l, h
-	rng := rand.New(rand.NewSource(m.cfg.Seed))
-	m.trendHead = nn.NewLinear(l, h, rng)
-	m.cycHead = nn.NewLinear(l, h, rng)
-	m.params = nn.CollectParams(m.trendHead, m.cycHead)
-	opt := nn.NewAdam(m.params, m.cfg.LR)
-	opt.Clip = 5
-
-	idx := make([]int, len(train))
-	for i := range idx {
-		idx[i] = i
-	}
-	tp := tensor.NewTape()
-	for epoch := 0; epoch < m.cfg.Epochs; epoch++ {
-		rng.Shuffle(len(idx), func(i, j int) { idx[i], idx[j] = idx[j], idx[i] })
-		for b := 0; b < len(idx); b += m.cfg.BatchSize {
-			end := b + m.cfg.BatchSize
-			if end > len(idx) {
-				end = len(idx)
-			}
-			nn.ZeroGrads(m.params)
-			for _, i := range idx[b:end] {
-				ex := train[i]
-				sc := newScaler(ex.History)
-				tp.Reset()
-				pred := m.forward(tp, ex, sc)
-				y := tensor.FromSlice(1, h, sc.apply(ex.Future))
-				tp.Backward(nn.MSE(tp, pred, y))
-			}
-			opt.Step()
-		}
-	}
-	m.fitted = true
-	return nil
+	return fit(m.cfg.TrainConfig, train, m.cfg.Kernel, m.build, mse(m.forward))
 }
 
 // Predict implements Forecaster.
 func (m *DLinear) Predict(ex Example) []float64 {
-	if !m.fitted {
-		return make([]float64, len(ex.Future))
-	}
-	sc := newScaler(ex.History)
-	tp := tensor.NewTape()
-	return sc.invert(m.forward(tp, ex, sc).Row(0))
+	return predict(m.params, ex, m.cfg.Kernel, m.forward)
 }

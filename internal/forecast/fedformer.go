@@ -14,26 +14,24 @@ import (
 // Fourier modes with learnable complex weights, combined with series
 // decomposition.
 type FEDformerConfig struct {
-	Dim       int
-	Kernel    int
-	Modes     int
-	Epochs    int
-	LR        float64
-	BatchSize int
-	Seed      int64
-	Calendar  *timefeat.Calendar
+	Dim    int
+	Kernel int
+	Modes  int
+	TrainConfig
+	Calendar *timefeat.Calendar
 }
 
 // DefaultFEDformerConfig returns the experiment settings.
 func DefaultFEDformerConfig() FEDformerConfig {
-	return FEDformerConfig{Dim: 16, Kernel: 25, Modes: 8, Epochs: 6, LR: 0.005,
-		BatchSize: 8, Seed: 1, Calendar: timefeat.NewCalendar()}
+	return FEDformerConfig{Dim: 16, Kernel: 25, Modes: 8,
+		TrainConfig: TrainConfig{Epochs: 6, LR: 0.005, BatchSize: 8, Seed: 1},
+		Calendar:    timefeat.NewCalendar()}
 }
 
 // FEDformer is the frequency-enhanced decomposition forecaster.
 type FEDformer struct {
-	cfg  FEDformerConfig
-	l, h int
+	cfg FEDformerConfig
+	l   int
 
 	inProj       *nn.Linear
 	wRe, wIm     *tensor.Tensor // learnable complex mode weights (modes×dim)
@@ -45,7 +43,6 @@ type FEDformer struct {
 	fRe, fIm     *tensor.Tensor // constant DFT matrices (modes×seq)
 
 	params []*tensor.Tensor
-	fitted bool
 }
 
 // NewFEDformer creates an untrained FEDformer.
@@ -62,12 +59,7 @@ func NewFEDformer(cfg FEDformerConfig) *FEDformer {
 // Name implements Forecaster.
 func (m *FEDformer) Name() string { return "FEDformer" }
 
-func (m *FEDformer) calHour(ex Example, t int) (float64, float64) {
-	f := m.cfg.Calendar.AtHour(ex.StartHour + t)
-	return float64(f.Hour) / 24, float64(f.Weekday) / 7
-}
-
-func (m *FEDformer) build(l, h int, rng *rand.Rand) {
+func (m *FEDformer) build(l, h int, rng *rand.Rand) []*tensor.Tensor {
 	d := m.cfg.Dim
 	modes := m.cfg.Modes
 	if modes > l/2 {
@@ -83,13 +75,7 @@ func (m *FEDformer) build(l, h int, rng *rand.Rand) {
 	m.seasonalHead = nn.NewLinear(d, h, rng)
 	m.trendHead = nn.NewLinear(d, h, rng)
 
-	ma := MovingAverageMatrix(l, m.cfg.Kernel)
-	m.maMatrix = tensor.New(l, l)
-	for i := 0; i < l; i++ {
-		for j := 0; j < l; j++ {
-			m.maMatrix.Set(i, j, ma[i][j])
-		}
-	}
+	m.maMatrix = MovingAverageMatrix(l, m.cfg.Kernel)
 	// Low-frequency DFT selection: mode k row holds cos/sin basis.
 	m.fRe = tensor.New(modes, l)
 	m.fIm = tensor.New(modes, l)
@@ -102,7 +88,8 @@ func (m *FEDformer) build(l, h int, rng *rand.Rand) {
 	}
 	m.params = nn.CollectParams(m.inProj, m.seasonalHead, m.trendHead)
 	m.params = append(m.params, m.wRe, m.wIm, m.lnGain, m.lnBias)
-	m.l, m.h = l, h
+	m.l = l
+	return m.params
 }
 
 // freqBlock applies the frequency-enhanced transform: project the
@@ -125,9 +112,8 @@ func (m *FEDformer) freqBlock(tp *tensor.Tape, x *tensor.Tensor) *tensor.Tensor 
 	return tp.Scale(back, scale)
 }
 
-func (m *FEDformer) forward(tp *tensor.Tape, ex Example, sc scaler) *tensor.Tensor {
-	hist := sc.apply(ex.History)
-	x := m.inProj.Forward(tp, seqInput(m, ex, hist))
+func (m *FEDformer) forward(tp *tensor.Tape, w window) *tensor.Tensor {
+	x := m.inProj.Forward(tp, seqInput(m.cfg.Calendar, w))
 	trend := tp.MatMul(m.maMatrix, x)
 	seasonal := tp.Sub(x, trend)
 	fe := m.freqBlock(tp, seasonal)
@@ -139,24 +125,10 @@ func (m *FEDformer) forward(tp *tensor.Tape, ex Example, sc scaler) *tensor.Tens
 
 // Fit implements Forecaster.
 func (m *FEDformer) Fit(train []Example) error {
-	l, h, err := shapeOf(train)
-	if err != nil {
-		return err
-	}
-	rng := rand.New(rand.NewSource(m.cfg.Seed))
-	m.build(l, h, rng)
-	trainPointModel(rng, m.params, m.cfg.Epochs, m.cfg.LR, m.cfg.BatchSize, 5,
-		train, h, m.forward)
-	m.fitted = true
-	return nil
+	return fit(m.cfg.TrainConfig, train, 0, m.build, mse(m.forward))
 }
 
 // Predict implements Forecaster.
 func (m *FEDformer) Predict(ex Example) []float64 {
-	if !m.fitted {
-		return make([]float64, len(ex.Future))
-	}
-	sc := newScaler(ex.History)
-	tp := tensor.NewTape()
-	return sc.invert(m.forward(tp, ex, sc).Row(0))
+	return predict(m.params, ex, 0, m.forward)
 }

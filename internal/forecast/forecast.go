@@ -93,6 +93,9 @@ func shapeOf(exs []Example) (l, h int, err error) {
 		return 0, 0, fmt.Errorf("forecast: no examples")
 	}
 	l, h = len(exs[0].History), len(exs[0].Future)
+	if l == 0 || h == 0 {
+		return 0, 0, fmt.Errorf("forecast: empty window (history %d, future %d)", l, h)
+	}
 	for i, ex := range exs {
 		if len(ex.History) != l || len(ex.Future) != h {
 			return 0, 0, fmt.Errorf("forecast: example %d shape (%d,%d) != (%d,%d)",
@@ -127,31 +130,29 @@ func newScaler(history []float64) scaler {
 	return scaler{mean: m, std: sd}
 }
 
-func (s scaler) apply(xs []float64) []float64 {
-	out := make([]float64, len(xs))
-	for i, x := range xs {
-		out[i] = (x - s.mean) / s.std
+// apply appends the standardized xs to dst.
+func (s scaler) apply(dst, xs []float64) []float64 {
+	for _, x := range xs {
+		dst = append(dst, (x-s.mean)/s.std)
 	}
-	return out
+	return dst
 }
 
+// invert maps standardized values back to demand units, in place.
 func (s scaler) invert(xs []float64) []float64 {
-	out := make([]float64, len(xs))
 	for i, x := range xs {
-		out[i] = x*s.std + s.mean
+		xs[i] = x*s.std + s.mean
 	}
-	return out
+	return xs
 }
 
+// invertStd maps standardized deviations back to demand units, in
+// place, flooring them at 1e-9.
 func (s scaler) invertStd(xs []float64) []float64 {
-	out := make([]float64, len(xs))
 	for i, x := range xs {
-		out[i] = x * s.std
-		if out[i] < 1e-9 {
-			out[i] = 1e-9
-		}
+		xs[i] = max(x*s.std, 1e-9)
 	}
-	return out
+	return xs
 }
 
 // timeFeatureIndices returns the (hour, weekday, holiday) vocabulary

@@ -65,12 +65,25 @@ func TestShapeOfValidation(t *testing.T) {
 	if _, _, err := shapeOf(exs); err == nil {
 		t.Fatal("ragged shapes should error")
 	}
+	for _, ex := range []Example{
+		{Future: make([]float64, 2)},
+		{History: make([]float64, 4)},
+	} {
+		if _, _, err := shapeOf([]Example{ex}); err == nil {
+			t.Fatalf("window with history %d, future %d should error", len(ex.History), len(ex.Future))
+		}
+		// An empty window used to train on a NaN scaler, and DeepAR
+		// panicked on the missing last history value.
+		if err := NewDeepAR(DefaultDeepARConfig()).Fit([]Example{ex}); err == nil {
+			t.Fatalf("DeepAR.Fit on history %d, future %d should error", len(ex.History), len(ex.Future))
+		}
+	}
 }
 
 func TestScalerRoundTrip(t *testing.T) {
 	xs := []float64{10, 12, 14, 16}
 	sc := newScaler(xs)
-	normalized := sc.apply(xs)
+	normalized := sc.apply(nil, xs)
 	if math.Abs(stats.Mean(normalized)) > 1e-9 {
 		t.Fatal("normalized mean should be 0")
 	}
@@ -89,7 +102,7 @@ func TestScalerRoundTrip(t *testing.T) {
 
 func TestScalerConstantSeries(t *testing.T) {
 	sc := newScaler([]float64{5, 5, 5})
-	out := sc.apply([]float64{5})
+	out := sc.apply(nil, []float64{5})
 	if out[0] != 0 {
 		t.Fatal("constant series should normalize to 0 without dividing by 0")
 	}
@@ -159,7 +172,7 @@ func TestMovingAverageMatrixMatchesDecompose(t *testing.T) {
 	for i := range series {
 		got := 0.0
 		for j := range series {
-			got += ma[i][j] * series[j]
+			got += ma.Data[i*len(series)+j] * series[j]
 		}
 		if math.Abs(got-trend[i]) > 1e-12 {
 			t.Fatalf("row %d: matrix %v vs direct %v", i, got, trend[i])

@@ -18,12 +18,8 @@ type OrgLinearConfig struct {
 	EmbedDim int
 	// Vocab sizes for the business attributes.
 	NumOrgs, NumClusters, NumModels int
-	// Epochs, LR and BatchSize drive MLE training (Eq. 8).
-	Epochs    int
-	LR        float64
-	BatchSize int
-	// Seed makes initialization and shuffling reproducible.
-	Seed int64
+	// TrainConfig drives MLE training (Eq. 8).
+	TrainConfig
 	// Calendar resolves hour indices to temporal features.
 	Calendar *timefeat.Calendar
 }
@@ -35,9 +31,8 @@ func DefaultOrgLinearConfig() OrgLinearConfig {
 		Kernel:   25,
 		EmbedDim: 4,
 		NumOrgs:  16, NumClusters: 8, NumModels: 8,
-		Epochs: 40, LR: 0.01, BatchSize: 16,
-		Seed:     1,
-		Calendar: timefeat.NewCalendar(),
+		TrainConfig: TrainConfig{Epochs: 40, LR: 0.01, BatchSize: 16, Seed: 1},
+		Calendar:    timefeat.NewCalendar(),
 	}
 }
 
@@ -47,8 +42,8 @@ func DefaultOrgLinearConfig() OrgLinearConfig {
 // softplus variance head (Eq. 7), trained by Gaussian maximum
 // likelihood (Eq. 8).
 type OrgLinear struct {
-	cfg  OrgLinearConfig
-	l, h int
+	cfg OrgLinearConfig
+	l   int
 
 	hourEmb, weekEmb, holEmb *nn.Embedding
 	orgEmb, clusterEmb       *nn.Embedding
@@ -60,7 +55,6 @@ type OrgLinear struct {
 	varHead   *nn.Linear
 
 	params []*tensor.Tensor
-	fitted bool
 }
 
 // NewOrgLinear creates an untrained model; layer shapes are fixed at
@@ -72,13 +66,14 @@ func NewOrgLinear(cfg OrgLinearConfig) *OrgLinear {
 	if cfg.BatchSize <= 0 {
 		cfg.BatchSize = 16
 	}
+	cfg.Kernel = oddKernel(cfg.Kernel)
 	return &OrgLinear{cfg: cfg}
 }
 
 // Name implements Forecaster.
 func (m *OrgLinear) Name() string { return "OrgLinear" }
 
-func (m *OrgLinear) build(l, h int, rng *rand.Rand) {
+func (m *OrgLinear) build(l, h int, rng *rand.Rand) []*tensor.Tensor {
 	e := m.cfg.EmbedDim
 	hours, weeks, hols := timefeat.Dims()
 	m.hourEmb = nn.NewEmbedding(hours, e, rng)
@@ -97,7 +92,8 @@ func (m *OrgLinear) build(l, h int, rng *rand.Rand) {
 		m.orgEmb, m.clusterEmb, m.modelEmb,
 		m.bizAttn, m.cycHead, m.trendHead, m.varHead,
 	)
-	m.l, m.h = l, h
+	m.l = l
+	return m.params
 }
 
 // context assembles [c_o ⊕ c_t] (1×4e) for an example.
@@ -135,13 +131,11 @@ func clampIdx(i, vocab int) int {
 }
 
 // forward computes normalized (mu, sigma) rows (1×H each).
-func (m *OrgLinear) forward(tp *tensor.Tape, ex Example, sc scaler) (mu, sigma *tensor.Tensor) {
-	hist := sc.apply(ex.History)
-	trend, cyc := Decompose(hist, m.cfg.Kernel)
-	ctx := m.context(tp, ex)
-	xc := tp.ConcatCols(tensor.FromSlice(1, m.l, cyc), ctx)
-	xt := tp.ConcatCols(tensor.FromSlice(1, m.l, trend), ctx)
-	xv := tp.ConcatCols(tensor.FromSlice(1, m.l, hist), ctx)
+func (m *OrgLinear) forward(tp *tensor.Tape, w window) (mu, sigma *tensor.Tensor) {
+	ctx := m.context(tp, w.ex)
+	xc := tp.ConcatCols(tensor.FromSlice(1, m.l, w.cyc), ctx)
+	xt := tp.ConcatCols(tensor.FromSlice(1, m.l, w.trend), ctx)
+	xv := tp.ConcatCols(tensor.FromSlice(1, m.l, w.hist), ctx)
 	yc := m.cycHead.Forward(tp, xc)
 	yt := m.trendHead.Forward(tp, xt)
 	mu = tp.Add(yc, yt)                            // Eq. 6
@@ -152,53 +146,12 @@ func (m *OrgLinear) forward(tp *tensor.Tape, ex Example, sc scaler) (mu, sigma *
 
 // Fit implements Forecaster via minibatch Adam on the Gaussian NLL.
 func (m *OrgLinear) Fit(train []Example) error {
-	l, h, err := shapeOf(train)
-	if err != nil {
-		return err
-	}
-	rng := rand.New(rand.NewSource(m.cfg.Seed))
-	m.build(l, h, rng)
-	opt := nn.NewAdam(m.params, m.cfg.LR)
-	opt.Clip = 5
-
-	idx := make([]int, len(train))
-	for i := range idx {
-		idx[i] = i
-	}
-	tp := tensor.NewTape()
-	for epoch := 0; epoch < m.cfg.Epochs; epoch++ {
-		rng.Shuffle(len(idx), func(i, j int) { idx[i], idx[j] = idx[j], idx[i] })
-		for b := 0; b < len(idx); b += m.cfg.BatchSize {
-			end := b + m.cfg.BatchSize
-			if end > len(idx) {
-				end = len(idx)
-			}
-			nn.ZeroGrads(m.params)
-			for _, i := range idx[b:end] {
-				ex := train[i]
-				sc := newScaler(ex.History)
-				tp.Reset()
-				mu, sigma := m.forward(tp, ex, sc)
-				y := tensor.FromSlice(1, h, sc.apply(ex.Future))
-				loss := nn.GaussianNLL(tp, mu, sigma, y)
-				tp.Backward(loss)
-			}
-			opt.Step()
-		}
-	}
-	m.fitted = true
-	return nil
+	return fit(m.cfg.TrainConfig, train, m.cfg.Kernel, m.build, nll(m.forward))
 }
 
 // PredictDist implements Distributional.
 func (m *OrgLinear) PredictDist(ex Example) (mu, sigma []float64) {
-	if !m.fitted {
-		return make([]float64, len(ex.Future)), ones(len(ex.Future))
-	}
-	sc := newScaler(ex.History)
-	tp := tensor.NewTape()
-	muT, sigmaT := m.forward(tp, ex, sc)
-	return sc.invert(muT.Row(0)), sc.invertStd(sigmaT.Row(0))
+	return predictDist(m.params, ex, m.cfg.Kernel, m.forward)
 }
 
 // Predict implements Forecaster.

@@ -5,59 +5,143 @@ import (
 
 	"github.com/sjtucitlab/gfs/internal/nn"
 	"github.com/sjtucitlab/gfs/internal/tensor"
+	"github.com/sjtucitlab/gfs/internal/timefeat"
 )
 
-// trainPointModel runs the shared minibatch-Adam MSE loop used by the
-// point-forecast baselines. forward must build the (1×H) normalized
-// prediction for one example on the given tape.
-func trainPointModel(
-	rng *rand.Rand,
-	params []*tensor.Tensor,
-	epochs int, lr float64, batchSize int, clip float64,
-	train []Example, h int,
-	forward func(tp *tensor.Tape, ex Example, sc scaler) *tensor.Tensor,
-) {
-	opt := nn.NewAdam(params, lr)
-	opt.Clip = clip
-	idx := make([]int, len(train))
+// TrainConfig is the optimization schedule every trainable model
+// shares: minibatch Adam with gradients clipped at norm 5.
+type TrainConfig struct {
+	// Epochs is the number of shuffled passes over the examples.
+	Epochs int
+	// LR is Adam's learning rate.
+	LR float64
+	// BatchSize is the number of examples per Adam step; the model
+	// constructors replace a non-positive size with their default.
+	BatchSize int
+	// Seed makes initialization and shuffling reproducible.
+	Seed int64
+}
+
+// window is one example as a forward pass reads it: the scaler of its
+// history, the scaled history and future and, for the decomposition
+// models, the trend/cyclical split of the scaled history (Eqs. 1–2).
+// All of it is a fixed function of the example, so fit prepares each
+// example once per Fit, and prediction prepares its example the same
+// way.
+type window struct {
+	ex           Example
+	sc           scaler
+	hist, future []float64
+	trend, cyc   []float64
+}
+
+// prepare builds ex's window. A positive kernel also decomposes the
+// scaled history; the models that decompose inside the network pass 0.
+func prepare(ex Example, kernel int) window {
+	w := window{ex: ex, sc: newScaler(ex.History)}
+	l := len(ex.History)
+	scaled := w.sc.apply(make([]float64, 0, l+len(ex.Future)), ex.History)
+	scaled = w.sc.apply(scaled, ex.Future)
+	w.hist, w.future = scaled[:l:l], scaled[l:]
+	if kernel > 0 {
+		w.trend, w.cyc = Decompose(w.hist, kernel)
+	}
+	return w
+}
+
+// fit is the one training loop. It checks train's shape, lets build
+// draw the layers for (L, H) from a generator seeded by tc.Seed and
+// return their parameters, prepares every example once, then runs
+// tc.Epochs passes of minibatch Adam over loss. Each pass shuffles
+// with the generator build drew from, and a batch's gradients
+// accumulate one example at a time in shuffled order.
+func fit(tc TrainConfig, train []Example, kernel int,
+	build func(l, h int, rng *rand.Rand) []*tensor.Tensor,
+	loss func(tp *tensor.Tape, w window) *tensor.Tensor,
+) error {
+	l, h, err := shapeOf(train)
+	if err != nil {
+		return err
+	}
+	rng := rand.New(rand.NewSource(tc.Seed))
+	params := build(l, h, rng)
+	ws := make([]window, len(train))
+	for i, ex := range train {
+		ws[i] = prepare(ex, kernel)
+	}
+	opt := nn.NewAdam(params, tc.LR)
+	opt.Clip = 5
+	idx := make([]int, len(ws))
 	for i := range idx {
 		idx[i] = i
 	}
 	tp := tensor.NewTape()
-	for epoch := 0; epoch < epochs; epoch++ {
+	for epoch := 0; epoch < tc.Epochs; epoch++ {
 		rng.Shuffle(len(idx), func(i, j int) { idx[i], idx[j] = idx[j], idx[i] })
-		for b := 0; b < len(idx); b += batchSize {
-			end := b + batchSize
-			if end > len(idx) {
-				end = len(idx)
-			}
+		for b := 0; b < len(idx); b += tc.BatchSize {
 			nn.ZeroGrads(params)
-			for _, i := range idx[b:end] {
-				ex := train[i]
-				sc := newScaler(ex.History)
+			for _, i := range idx[b:min(b+tc.BatchSize, len(idx))] {
 				tp.Reset()
-				pred := forward(tp, ex, sc)
-				y := tensor.FromSlice(1, h, sc.apply(ex.Future))
-				tp.Backward(nn.MSE(tp, pred, y))
+				tp.Backward(loss(tp, ws[i]))
 			}
 			opt.Step()
 		}
 	}
+	return nil
 }
 
-// seqInput encodes a scaled history as a seq×3 matrix of
+// mse is the point models' loss: the squared error of forward's
+// scaled forecast against the scaled future.
+func mse(forward func(*tensor.Tape, window) *tensor.Tensor) func(*tensor.Tape, window) *tensor.Tensor {
+	return func(tp *tensor.Tape, w window) *tensor.Tensor {
+		return nn.MSE(tp, forward(tp, w), tensor.FromSlice(1, len(w.future), w.future))
+	}
+}
+
+// nll is the Gaussian models' loss (Eq. 8): the negative
+// log-likelihood of the scaled future under forward's (mu, sigma).
+func nll(forward func(*tensor.Tape, window) (mu, sigma *tensor.Tensor)) func(*tensor.Tape, window) *tensor.Tensor {
+	return func(tp *tensor.Tape, w window) *tensor.Tensor {
+		mu, sigma := forward(tp, w)
+		return nn.GaussianNLL(tp, mu, sigma, tensor.FromSlice(1, len(w.future), w.future))
+	}
+}
+
+// predict is every point model's Predict: zeros before Fit (params is
+// nil), otherwise forward on ex's window, mapped back to demand units.
+func predict(params []*tensor.Tensor, ex Example, kernel int,
+	forward func(*tensor.Tape, window) *tensor.Tensor,
+) []float64 {
+	if params == nil {
+		return make([]float64, len(ex.Future))
+	}
+	w := prepare(ex, kernel)
+	return w.sc.invert(forward(tensor.NewTape(), w).Row(0))
+}
+
+// predictDist is predict for the Gaussian models, which forecast zero
+// means with unit deviations before Fit.
+func predictDist(params []*tensor.Tensor, ex Example, kernel int,
+	forward func(*tensor.Tape, window) (mu, sigma *tensor.Tensor),
+) (mu, sigma []float64) {
+	if params == nil {
+		return make([]float64, len(ex.Future)), ones(len(ex.Future))
+	}
+	w := prepare(ex, kernel)
+	muT, sigmaT := forward(tensor.NewTape(), w)
+	return w.sc.invert(muT.Row(0)), w.sc.invertStd(sigmaT.Row(0))
+}
+
+// seqInput encodes a window's scaled history as a seq×3 matrix of
 // [value, hour/24, weekday/7] rows, the input layout shared by the
 // attention-family baselines.
-func seqInput(m interface {
-	calHour(ex Example, t int) (hourNorm, weekNorm float64)
-}, ex Example, hist []float64) *tensor.Tensor {
-	l := len(hist)
-	x := tensor.New(l, 3)
-	for t := 0; t < l; t++ {
-		hn, wn := m.calHour(ex, t)
-		x.Set(t, 0, hist[t])
-		x.Set(t, 1, hn)
-		x.Set(t, 2, wn)
+func seqInput(cal *timefeat.Calendar, w window) *tensor.Tensor {
+	x := tensor.New(len(w.hist), 3)
+	for t, v := range w.hist {
+		f := cal.AtHour(w.ex.StartHour + t)
+		x.Set(t, 0, v)
+		x.Set(t, 1, float64(f.Hour)/24)
+		x.Set(t, 2, float64(f.Weekday)/7)
 	}
 	return x
 }

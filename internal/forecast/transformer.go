@@ -25,29 +25,26 @@ const (
 
 // TransformerConfig parameterizes the encoder-based baselines.
 type TransformerConfig struct {
-	Dim       int
-	Heads     int
-	FFDim     int
-	Epochs    int
-	LR        float64
-	BatchSize int
-	Seed      int64
-	Variant   AttentionVariant
-	Calendar  *timefeat.Calendar
+	Dim   int
+	Heads int
+	FFDim int
+	TrainConfig
+	Variant  AttentionVariant
+	Calendar *timefeat.Calendar
 }
 
 // DefaultTransformerConfig returns the experiment settings.
 func DefaultTransformerConfig() TransformerConfig {
-	return TransformerConfig{Dim: 16, Heads: 2, FFDim: 32, Epochs: 6, LR: 0.005,
-		BatchSize: 8, Seed: 1, Calendar: timefeat.NewCalendar()}
+	return TransformerConfig{Dim: 16, Heads: 2, FFDim: 32,
+		TrainConfig: TrainConfig{Epochs: 6, LR: 0.005, BatchSize: 8, Seed: 1},
+		Calendar:    timefeat.NewCalendar()}
 }
 
 // Transformer is an encoder-only attention forecaster: input
 // projection + positional encoding, one attention block with residual
 // layer norms, mean pooling, and a linear horizon head.
 type Transformer struct {
-	cfg  TransformerConfig
-	l, h int
+	cfg TransformerConfig
 
 	inProj   *nn.Linear
 	attn     *nn.MultiHeadAttention
@@ -60,7 +57,6 @@ type Transformer struct {
 	pe       *tensor.Tensor
 
 	params []*tensor.Tensor
-	fitted bool
 }
 
 // NewTransformer creates an untrained encoder forecaster.
@@ -82,12 +78,7 @@ func (m *Transformer) Name() string {
 	return "Transformer"
 }
 
-func (m *Transformer) calHour(ex Example, t int) (float64, float64) {
-	f := m.cfg.Calendar.AtHour(ex.StartHour + t)
-	return float64(f.Hour) / 24, float64(f.Weekday) / 7
-}
-
-func (m *Transformer) build(l, h int, rng *rand.Rand) {
+func (m *Transformer) build(l, h int, rng *rand.Rand) []*tensor.Tensor {
 	d := m.cfg.Dim
 	m.inProj = nn.NewLinear(3, d, rng)
 	m.attn = nn.NewMultiHeadAttention(d, m.cfg.Heads, rng)
@@ -99,7 +90,7 @@ func (m *Transformer) build(l, h int, rng *rand.Rand) {
 	m.pe = nn.PositionalEncoding(l, d)
 	m.params = append(nn.CollectParams(m.inProj, m.attn, m.ff1, m.ff2, m.head),
 		m.ln1Gain, m.ln1Bias, m.ln2Gain, m.ln2Bias)
-	m.l, m.h = l, h
+	return m.params
 }
 
 func onesRow(n int) *tensor.Tensor {
@@ -110,9 +101,8 @@ func onesRow(n int) *tensor.Tensor {
 	return t
 }
 
-func (m *Transformer) forward(tp *tensor.Tape, ex Example, sc scaler) *tensor.Tensor {
-	hist := sc.apply(ex.History)
-	x := tp.Add(m.inProj.Forward(tp, seqInput(m, ex, hist)), m.pe)
+func (m *Transformer) forward(tp *tensor.Tape, w window) *tensor.Tensor {
+	x := tp.Add(m.inProj.Forward(tp, seqInput(m.cfg.Calendar, w)), m.pe)
 
 	var a *tensor.Tensor
 	if m.cfg.Variant == ProbSparseAttention {
@@ -224,24 +214,10 @@ func constOnes(r, c int) *tensor.Tensor {
 
 // Fit implements Forecaster.
 func (m *Transformer) Fit(train []Example) error {
-	l, h, err := shapeOf(train)
-	if err != nil {
-		return err
-	}
-	rng := rand.New(rand.NewSource(m.cfg.Seed))
-	m.build(l, h, rng)
-	trainPointModel(rng, m.params, m.cfg.Epochs, m.cfg.LR, m.cfg.BatchSize, 5,
-		train, h, m.forward)
-	m.fitted = true
-	return nil
+	return fit(m.cfg.TrainConfig, train, 0, m.build, mse(m.forward))
 }
 
 // Predict implements Forecaster.
 func (m *Transformer) Predict(ex Example) []float64 {
-	if !m.fitted {
-		return make([]float64, len(ex.Future))
-	}
-	sc := newScaler(ex.History)
-	tp := tensor.NewTape()
-	return sc.invert(m.forward(tp, ex, sc).Row(0))
+	return predict(m.params, ex, 0, m.forward)
 }
