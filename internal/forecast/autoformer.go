@@ -165,7 +165,7 @@ func topAutocorrLags(hist []float64, k int) (lags []int, weights []float64) {
 }
 
 func (m *Autoformer) forward(tp *tensor.Tape, w window) *tensor.Tensor {
-	x := m.inProj.Forward(tp, seqInput(m.cfg.Calendar, w))
+	x := m.inProj.Forward(tp, seqInput(tp, m.cfg.Calendar, w))
 	seasonal, trend := m.decomp(tp, x)
 	ac := m.autoCorrelate(tp, seasonal, w.hist)
 	seasonal = tp.LayerNorm(tp.Add(seasonal, ac), m.lnGain, m.lnBias, 1e-5)

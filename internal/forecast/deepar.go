@@ -59,9 +59,9 @@ func (m *DeepAR) build(l, h int, rng *rand.Rand) []*tensor.Tensor {
 	return m.params
 }
 
-func (m *DeepAR) stepInput(prev float64, hour int) *tensor.Tensor {
+func (m *DeepAR) stepInput(tp *tensor.Tape, prev float64, hour int) *tensor.Tensor {
 	f := m.cfg.Calendar.AtHour(hour)
-	return tensor.FromSlice(1, deepARInputs, []float64{
+	return tp.Leaf(1, deepARInputs, []float64{
 		prev,
 		float64(f.Hour) / 24,
 		float64(f.Weekday) / 7,
@@ -76,12 +76,12 @@ func (m *DeepAR) decode(tp *tensor.Tape, w window, teacher []float64) (mu, sigma
 	var h, c *tensor.Tensor
 	prev := 0.0
 	for t, v := range w.hist {
-		h, c = m.cell.Step(tp, m.stepInput(prev, w.ex.StartHour+t), h, c)
+		h, c = m.cell.Step(tp, m.stepInput(tp, prev, w.ex.StartHour+t), h, c)
 		prev = v
 	}
 	var mus, sigmas []*tensor.Tensor
 	for t := 0; t < m.h; t++ {
-		x := m.stepInput(prev, w.ex.StartHour+m.l+t)
+		x := m.stepInput(tp, prev, w.ex.StartHour+m.l+t)
 		h, c = m.cell.Step(tp, x, h, c)
 		mu := m.muHead.Forward(tp, h)
 		sigma := tp.AddScalar(tp.Softplus(m.sigmaHead.Forward(tp, h)), 1e-4)

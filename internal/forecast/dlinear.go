@@ -50,8 +50,8 @@ func (m *DLinear) build(l, h int, rng *rand.Rand) []*tensor.Tensor {
 }
 
 func (m *DLinear) forward(tp *tensor.Tape, w window) *tensor.Tensor {
-	yt := m.trendHead.Forward(tp, tensor.FromSlice(1, m.l, w.trend))
-	yc := m.cycHead.Forward(tp, tensor.FromSlice(1, m.l, w.cyc))
+	yt := m.trendHead.Forward(tp, tp.Leaf(1, m.l, w.trend))
+	yc := m.cycHead.Forward(tp, tp.Leaf(1, m.l, w.cyc))
 	return tp.Add(yt, yc)
 }
 

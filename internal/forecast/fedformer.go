@@ -113,7 +113,7 @@ func (m *FEDformer) freqBlock(tp *tensor.Tape, x *tensor.Tensor) *tensor.Tensor 
 }
 
 func (m *FEDformer) forward(tp *tensor.Tape, w window) *tensor.Tensor {
-	x := m.inProj.Forward(tp, seqInput(m.cfg.Calendar, w))
+	x := m.inProj.Forward(tp, seqInput(tp, m.cfg.Calendar, w))
 	trend := tp.MatMul(m.maMatrix, x)
 	seasonal := tp.Sub(x, trend)
 	fe := m.freqBlock(tp, seasonal)

@@ -101,8 +101,26 @@ func shapeOf(exs []Example) (l, h int, err error) {
 			return 0, 0, fmt.Errorf("forecast: example %d shape (%d,%d) != (%d,%d)",
 				i, len(ex.History), len(ex.Future), l, h)
 		}
+		// One NaN or ±Inf would turn every trained parameter, and so
+		// every forecast, into NaN.
+		if j := nonFinite(ex.History); j >= 0 {
+			return 0, 0, fmt.Errorf("forecast: example %d history[%d] = %v is not finite", i, j, ex.History[j])
+		}
+		if j := nonFinite(ex.Future); j >= 0 {
+			return 0, 0, fmt.Errorf("forecast: example %d future[%d] = %v is not finite", i, j, ex.Future[j])
+		}
 	}
 	return l, h, nil
+}
+
+// nonFinite returns the index of xs's first NaN or ±Inf, or -1.
+func nonFinite(xs []float64) int {
+	for i, x := range xs {
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			return i
+		}
+	}
+	return -1
 }
 
 // scaler standardizes one example by its history statistics, the

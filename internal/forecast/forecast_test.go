@@ -2,6 +2,7 @@ package forecast
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"github.com/sjtucitlab/gfs/internal/stats"
@@ -76,6 +77,25 @@ func TestShapeOfValidation(t *testing.T) {
 		// panicked on the missing last history value.
 		if err := NewDeepAR(DefaultDeepARConfig()).Fit([]Example{ex}); err == nil {
 			t.Fatalf("DeepAR.Fit on history %d, future %d should error", len(ex.History), len(ex.Future))
+		}
+	}
+	// A non-finite value used to train every parameter to NaN; the
+	// error names the example and the index.
+	for _, tc := range []struct {
+		history, future []float64
+		want            string
+	}{
+		{[]float64{1, 2, math.NaN(), 4}, []float64{1, 2}, "example 1 history[2] = NaN"},
+		{[]float64{1, 2, 3, 4}, []float64{math.Inf(1), 2}, "example 1 future[0] = +Inf"},
+		{[]float64{math.Inf(-1), 2, 3, 4}, []float64{1, 2}, "example 1 history[0] = -Inf"},
+	} {
+		exs := []Example{
+			{History: []float64{1, 2, 3, 4}, Future: []float64{5, 6}},
+			{History: tc.history, Future: tc.future},
+		}
+		_, _, err := shapeOf(exs)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("shapeOf error %v, want one naming %q", err, tc.want)
 		}
 	}
 }

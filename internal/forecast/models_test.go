@@ -239,5 +239,7 @@ func TestTopQueriesSelection(t *testing.T) {
 }
 
 func fromRows(r, c int, data []float64) *tensor.Tensor {
-	return tensor.FromSlice(r, c, data)
+	t := tensor.New(r, c)
+	copy(t.Data, data)
+	return t
 }

@@ -133,9 +133,9 @@ func clampIdx(i, vocab int) int {
 // forward computes normalized (mu, sigma) rows (1×H each).
 func (m *OrgLinear) forward(tp *tensor.Tape, w window) (mu, sigma *tensor.Tensor) {
 	ctx := m.context(tp, w.ex)
-	xc := tp.ConcatCols(tensor.FromSlice(1, m.l, w.cyc), ctx)
-	xt := tp.ConcatCols(tensor.FromSlice(1, m.l, w.trend), ctx)
-	xv := tp.ConcatCols(tensor.FromSlice(1, m.l, w.hist), ctx)
+	xc := tp.ConcatCols(tp.Leaf(1, m.l, w.cyc), ctx)
+	xt := tp.ConcatCols(tp.Leaf(1, m.l, w.trend), ctx)
+	xv := tp.ConcatCols(tp.Leaf(1, m.l, w.hist), ctx)
 	yc := m.cycHead.Forward(tp, xc)
 	yt := m.trendHead.Forward(tp, xt)
 	mu = tp.Add(yc, yt)                            // Eq. 6

@@ -2,6 +2,7 @@ package forecast
 
 import (
 	"math/rand"
+	"sync"
 
 	"github.com/sjtucitlab/gfs/internal/nn"
 	"github.com/sjtucitlab/gfs/internal/tensor"
@@ -94,7 +95,7 @@ func fit(tc TrainConfig, train []Example, kernel int,
 // scaled forecast against the scaled future.
 func mse(forward func(*tensor.Tape, window) *tensor.Tensor) func(*tensor.Tape, window) *tensor.Tensor {
 	return func(tp *tensor.Tape, w window) *tensor.Tensor {
-		return nn.MSE(tp, forward(tp, w), tensor.FromSlice(1, len(w.future), w.future))
+		return nn.MSE(tp, forward(tp, w), tp.Leaf(1, len(w.future), w.future))
 	}
 }
 
@@ -103,8 +104,21 @@ func mse(forward func(*tensor.Tape, window) *tensor.Tensor) func(*tensor.Tape, w
 func nll(forward func(*tensor.Tape, window) (mu, sigma *tensor.Tensor)) func(*tensor.Tape, window) *tensor.Tensor {
 	return func(tp *tensor.Tape, w window) *tensor.Tensor {
 		mu, sigma := forward(tp, w)
-		return nn.GaussianNLL(tp, mu, sigma, tensor.FromSlice(1, len(w.future), w.future))
+		return nn.GaussianNLL(tp, mu, sigma, tp.Leaf(1, len(w.future), w.future))
 	}
+}
+
+// tapes is the pool of prediction tapes. A trained model is shared
+// read-only by concurrent forecasters, so a prediction borrows a tape
+// here instead of keeping one on the model. A pooled tape keeps its
+// slots' buffers, but not the tensors of the model it last ran, until
+// a garbage collection frees it.
+var tapes = sync.Pool{New: func() any { return tensor.NewTape() }}
+
+// putTape resets a borrowed tape and returns it to the pool.
+func putTape(tp *tensor.Tape) {
+	tp.Reset()
+	tapes.Put(tp)
 }
 
 // predict is every point model's Predict: zeros before Fit (params is
@@ -116,7 +130,9 @@ func predict(params []*tensor.Tensor, ex Example, kernel int,
 		return make([]float64, len(ex.Future))
 	}
 	w := prepare(ex, kernel)
-	return w.sc.invert(forward(tensor.NewTape(), w).Row(0))
+	tp := tapes.Get().(*tensor.Tape)
+	defer putTape(tp)
+	return w.sc.invert(forward(tp, w).Row(0))
 }
 
 // predictDist is predict for the Gaussian models, which forecast zero
@@ -128,15 +144,17 @@ func predictDist(params []*tensor.Tensor, ex Example, kernel int,
 		return make([]float64, len(ex.Future)), ones(len(ex.Future))
 	}
 	w := prepare(ex, kernel)
-	muT, sigmaT := forward(tensor.NewTape(), w)
+	tp := tapes.Get().(*tensor.Tape)
+	defer putTape(tp)
+	muT, sigmaT := forward(tp, w)
 	return w.sc.invert(muT.Row(0)), w.sc.invertStd(sigmaT.Row(0))
 }
 
-// seqInput encodes a window's scaled history as a seq×3 matrix of
+// seqInput encodes a window's scaled history as a seq×3 leaf of
 // [value, hour/24, weekday/7] rows, the input layout shared by the
 // attention-family baselines.
-func seqInput(cal *timefeat.Calendar, w window) *tensor.Tensor {
-	x := tensor.New(len(w.hist), 3)
+func seqInput(tp *tensor.Tape, cal *timefeat.Calendar, w window) *tensor.Tensor {
+	x := tp.Leaf(len(w.hist), 3, nil)
 	for t, v := range w.hist {
 		f := cal.AtHour(w.ex.StartHour + t)
 		x.Set(t, 0, v)

@@ -102,7 +102,7 @@ func onesRow(n int) *tensor.Tensor {
 }
 
 func (m *Transformer) forward(tp *tensor.Tape, w window) *tensor.Tensor {
-	x := tp.Add(m.inProj.Forward(tp, seqInput(m.cfg.Calendar, w)), m.pe)
+	x := tp.Add(m.inProj.Forward(tp, seqInput(tp, m.cfg.Calendar, w)), m.pe)
 
 	var a *tensor.Tensor
 	if m.cfg.Variant == ProbSparseAttention {
@@ -153,7 +153,7 @@ func (m *Transformer) probSparse(tp *tensor.Tape, x *tensor.Tensor) *tensor.Tens
 
 		// Reassemble rows in original order: active rows come from
 		// `active`, others from the replicated mean.
-		rep := tp.MatMul(constOnes(seq-u, 1), passive)
+		rep := tp.MatMul(constOnes(tp, seq-u, 1), passive)
 		stacked := tp.ConcatRows(active, rep)
 		perm := make([]int, seq)
 		next := u // passive rows start after the u active rows
@@ -204,8 +204,8 @@ func topQueries(scores *tensor.Tensor, u int) []int {
 	return sel
 }
 
-func constOnes(r, c int) *tensor.Tensor {
-	t := tensor.New(r, c)
+func constOnes(tp *tensor.Tape, r, c int) *tensor.Tensor {
+	t := tp.Leaf(r, c, nil)
 	for i := range t.Data {
 		t.Data[i] = 1
 	}

@@ -2,6 +2,7 @@ package gde
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"github.com/sjtucitlab/gfs/internal/forecast"
@@ -47,6 +48,25 @@ func TestTrainErrors(t *testing.T) {
 	short := map[string][]float64{"X": make([]float64, 10)}
 	if err := e.Train(short, 0); err == nil {
 		t.Fatal("too-short panel should error")
+	}
+}
+
+// TestTrainRejectsNonFiniteDemand trains the default OrgLinear GDE on
+// a panel holding one NaN or ±Inf. That used to fit every parameter to
+// NaN, so every forecast was NaN and SQA counted the org's demand as 0;
+// now Train fails and the estimator stays unfitted.
+func TestTrainRejectsNonFiniteDemand(t *testing.T) {
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		p := panel(24 * 7)
+		p["OrgB"][100] = bad
+		e := New(Config{History: 48, Horizon: 4})
+		err := e.Train(p, 0)
+		if err == nil || !strings.Contains(err.Error(), "not finite") {
+			t.Fatalf("Train with %v in the panel: error %v, want a non-finite value error", bad, err)
+		}
+		if e.Fitted() {
+			t.Fatalf("Train with %v in the panel left the estimator fitted", bad)
+		}
 	}
 }
 

@@ -101,7 +101,10 @@ func (m *MultiHeadAttention) Forward(tp *tensor.Tape, x *tensor.Tensor, mask *te
 	q := m.WQ.Forward(tp, x)
 	k := m.WK.Forward(tp, x)
 	v := m.WV.Forward(tp, x)
-	var heads []*tensor.Tensor
+	// ConcatCols copies its operand list, so the heads stay on the
+	// stack for the usual head counts.
+	var buf [4]*tensor.Tensor
+	heads := buf[:0]
 	for h := 0; h < m.Heads; h++ {
 		from, to := h*m.HeadDim, (h+1)*m.HeadDim
 		qh := tp.SliceCols(q, from, to)
@@ -144,10 +147,10 @@ func NewLSTMCell(input, hidden int, rng *rand.Rand) *LSTMCell {
 // (nil means zero state). It returns the next h and c.
 func (l *LSTMCell) Step(tp *tensor.Tape, x, h, c *tensor.Tensor) (*tensor.Tensor, *tensor.Tensor) {
 	if h == nil {
-		h = tensor.New(1, l.Hidden)
+		h = tp.Leaf(1, l.Hidden, nil)
 	}
 	if c == nil {
-		c = tensor.New(1, l.Hidden)
+		c = tp.Leaf(1, l.Hidden, nil)
 	}
 	z := l.Gates.Forward(tp, tp.ConcatCols(x, h))
 	i := tp.Sigmoid(tp.SliceCols(z, 0, l.Hidden))

@@ -165,11 +165,11 @@ func TestLSTMLearnsRunningMean(t *testing.T) {
 		mean /= 5
 		var h, c *tensor.Tensor
 		for _, v := range seq {
-			x := tensor.FromSlice(1, 1, []float64{v})
+			x := tp.Leaf(1, 1, []float64{v})
 			h, c = cell.Step(tp, x, h, c)
 		}
 		pred := head.Forward(tp, h)
-		y := tensor.FromSlice(1, 1, []float64{mean})
+		y := tp.Leaf(1, 1, []float64{mean})
 		lt := MSE(tp, pred, y)
 		ZeroGrads(params)
 		tp.Backward(lt)
@@ -183,9 +183,9 @@ func TestLSTMLearnsRunningMean(t *testing.T) {
 
 func TestGaussianNLLMatchesFormula(t *testing.T) {
 	tp := tensor.NewTape()
-	mu := tensor.FromSlice(1, 1, []float64{1})
-	sigma := tensor.FromSlice(1, 1, []float64{2})
-	y := tensor.FromSlice(1, 1, []float64{3})
+	mu := tp.Leaf(1, 1, []float64{1})
+	sigma := tp.Leaf(1, 1, []float64{2})
+	y := tp.Leaf(1, 1, []float64{3})
 	nll := GaussianNLL(tp, mu, sigma, y)
 	want := math.Log(2) + 0.5*math.Pow((3.0-1)/2, 2) + 0.5*math.Log(2*math.Pi)
 	if math.Abs(nll.Data[0]-want) > 1e-12 {
@@ -196,8 +196,8 @@ func TestGaussianNLLMatchesFormula(t *testing.T) {
 func TestGaussianNLLMinimizedAtTruth(t *testing.T) {
 	// Fit μ,σ to data from N(5, 2²) by direct MLE.
 	rng := rand.New(rand.NewSource(10))
-	muP := tensor.FromSlice(1, 1, []float64{0})
-	rawSigma := tensor.FromSlice(1, 1, []float64{0})
+	muP := tensor.New(1, 1)
+	rawSigma := tensor.New(1, 1)
 	params := []*tensor.Tensor{muP, rawSigma}
 	opt := NewAdam(params, 0.05)
 	n := 256
@@ -207,7 +207,7 @@ func TestGaussianNLLMinimizedAtTruth(t *testing.T) {
 	}
 	for epoch := 0; epoch < 2000; epoch++ {
 		tp := tensor.NewTape()
-		y := tensor.FromSlice(n, 1, append([]float64(nil), data...))
+		y := tp.Leaf(n, 1, data)
 		muRep := tp.MatMul(ones(n, 1), muP)
 		sigma := tp.Softplus(tp.MatMul(ones(n, 1), rawSigma))
 		loss := GaussianNLL(tp, muRep, sigma, y)
@@ -234,7 +234,7 @@ func ones(r, c int) *tensor.Tensor {
 }
 
 func TestAdamClipBoundsUpdates(t *testing.T) {
-	p := tensor.FromSlice(1, 2, []float64{0, 0})
+	p := tensor.New(1, 2)
 	p.Grad[0] = 1e6
 	p.Grad[1] = 1e6
 	opt := NewAdam([]*tensor.Tensor{p}, 0.1)

@@ -41,6 +41,12 @@ func checkGrads(t *testing.T, name string, inputs []*Tensor, forward func(tp *Ta
 	}
 }
 
+// fromSlice wraps data (not copied) as an r×c tensor with a gradient
+// buffer.
+func fromSlice(r, c int, data []float64) *Tensor {
+	return &Tensor{Rows: r, Cols: c, Data: data, Grad: make([]float64, len(data))}
+}
+
 func randT(rng *rand.Rand, r, c int) *Tensor {
 	t := New(r, c)
 	for i := range t.Data {
@@ -182,7 +188,7 @@ func TestGradActivations(t *testing.T) {
 
 func TestGradReLU(t *testing.T) {
 	// Avoid kink at 0 by keeping inputs away from it.
-	a := FromSlice(1, 4, []float64{-2, -0.5, 0.5, 2})
+	a := fromSlice(1, 4, []float64{-2, -0.5, 0.5, 2})
 	checkGrads(t, "ReLU", []*Tensor{a}, func(tp *Tape) *Tensor {
 		return tp.Mean(tp.Square(tp.ReLU(a)))
 	})
@@ -312,7 +318,7 @@ func TestShapePanics(t *testing.T) {
 	expectPanic("MatMulT", func() { tp.MatMulT(a, New(2, 4)) })
 	expectPanic("AddRow", func() { tp.AddRow(a, New(1, 4)) })
 	expectPanic("Backward", func() { tp.Backward(a) })
-	expectPanic("FromSlice", func() { FromSlice(2, 2, []float64{1}) })
+	expectPanic("Leaf", func() { tp.Leaf(2, 2, []float64{1}) })
 	expectPanic("SliceCols", func() { tp.SliceCols(a, 2, 2) })
 	expectPanic("Gather", func() { tp.Gather(a, []int{7}) })
 	expectPanic("ConcatCols", func() { tp.ConcatCols() })
@@ -320,8 +326,29 @@ func TestShapePanics(t *testing.T) {
 	expectPanic("LayerNorm", func() { tp.LayerNorm(a, New(1, 4), New(1, 3), 1e-5) })
 }
 
+// TestResetDropsOperands checks that an idle tape references no tensor
+// it did not create, so a pooled tape keeps no model alive.
+func TestResetDropsOperands(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	a, b := randT(rng, 2, 3), randT(rng, 2, 3)
+	tp := NewTape()
+	tp.LayerNorm(tp.ConcatRows(tp.Add(a, b), a), randT(rng, 1, 3), randT(rng, 1, 3), 1e-5)
+	n := len(tp.nodes)
+	tp.Reset()
+	for i, nd := range tp.nodes[:n] {
+		if nd.a != nil || nd.b != nil || nd.c != nil {
+			t.Fatalf("slot %d keeps an operand after Reset", i)
+		}
+		for _, op := range nd.ts {
+			if op != nil {
+				t.Fatalf("slot %d keeps an operand list entry after Reset", i)
+			}
+		}
+	}
+}
+
 func TestTapeResetAndReuse(t *testing.T) {
-	a := FromSlice(1, 1, []float64{3})
+	a := fromSlice(1, 1, []float64{3})
 	tp := NewTape()
 	l1 := tp.Square(a)
 	tp.Backward(l1)
@@ -337,6 +364,10 @@ func TestTapeResetAndReuse(t *testing.T) {
 	}
 	a.ZeroGrad()
 	l2 := tp.Scale(a, 4)
+	// The first op after Reset reuses the first slot's tensor, cleared.
+	if l2 != l1 || l2.Data[0] != 12 || l2.Grad[0] != 0 {
+		t.Fatalf("reused slot: same tensor %v, Data %v, Grad %v; want true, [12], [0]", l2 == l1, l2.Data, l2.Grad)
+	}
 	tp.Backward(l2)
 	if a.Grad[0] != 4 {
 		t.Fatalf("grad after reuse = %v, want 4", a.Grad[0])
@@ -345,7 +376,7 @@ func TestTapeResetAndReuse(t *testing.T) {
 
 func TestGradAccumulatesOverUses(t *testing.T) {
 	// x used twice: d(x²+3x)/dx = 2x+3.
-	x := FromSlice(1, 1, []float64{2})
+	x := fromSlice(1, 1, []float64{2})
 	tp := NewTape()
 	loss := tp.Add(tp.Square(x), tp.Scale(x, 3))
 	tp.Backward(loss)
@@ -367,11 +398,11 @@ func TestHelpers(t *testing.T) {
 	if math.Abs(meanOf(r.Data)) > 0.02 {
 		t.Fatalf("randn mean = %v", meanOf(r.Data))
 	}
-	row := FromSlice(2, 2, []float64{1, 2, 3, 4}).Row(1)
+	row := fromSlice(2, 2, []float64{1, 2, 3, 4}).Row(1)
 	if row[0] != 3 || row[1] != 4 {
 		t.Fatal("Row extraction wrong")
 	}
-	if FromSlice(1, 1, []float64{5}).String() != "tensor(1x1)" {
+	if fromSlice(1, 1, []float64{5}).String() != "tensor(1x1)" {
 		t.Fatal("String format")
 	}
 }
