@@ -239,14 +239,14 @@ func TestAllocCeilings(t *testing.T) {
 		setup   benchSetup
 		ceiling uint64
 	}{
-		{"Sim", simSetup, 1280},
+		{"Sim", simSetup, 1248},
 		{"TraceIngest", traceIngestSetup(gzTrace(t)), 452},
-		{"Report", reportSetup, 2420},
-		{"Sim10K", sim10KSetup, 11090},
-		{"Autoscale", autoscaleSetup, 21950},
+		{"Report", reportSetup, 2379},
+		{"Sim10K", sim10KSetup, 11031},
+		{"Autoscale", autoscaleSetup, 21887},
 		// GFS leaves room for one prediction tape regrown (~146
 		// allocations) after a garbage collection empties the pool.
-		{"GFS", gfsSetup(t), 2375},
+		{"GFS", gfsSetup(t), 2341},
 		{"Train", trainSetup, 1820},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

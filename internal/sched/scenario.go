@@ -126,8 +126,8 @@ func (s *Simulator) applyScenario(a ScenarioAction) bool {
 			return false
 		}
 		reclaimed := 0.0
-		// s.tasks is in trace (ID) order, so the victim sweep is
-		// deterministic.
+		// s.tasks is in injection order (a migrant joins when it is
+		// delivered), so the victim sweep is deterministic.
 		for _, tk := range s.tasks {
 			if reclaimed >= target {
 				break

@@ -81,7 +81,7 @@ func TestScenarioOpContract(t *testing.T) {
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			s, log := scenarioWorld(t)
-			samples, progress, pending := len(s.alloc.Samples), s.lastProgress, s.pend.n
+			tracker, progress, pending := *s.alloc, s.lastProgress, s.pend.n
 			pass := s.applyScenario(c.action)
 			var kinds []EventKind
 			for _, e := range log.Events {
@@ -94,9 +94,9 @@ func TestScenarioOpContract(t *testing.T) {
 				t.Errorf("capacity: tracker %g, cluster %g, want %g", got, s.state.Cluster.TotalGPUs(""), c.capacity)
 			}
 			if c.want == nil {
-				if pass || len(s.alloc.Samples) != samples || s.lastProgress != progress || s.pend.n != pending {
-					t.Errorf("no-op action: pass %v, %d new samples, idle clock %d→%d, queue %d→%d",
-						pass, len(s.alloc.Samples)-samples, progress, s.lastProgress, pending, s.pend.n)
+				if pass || *s.alloc != tracker || s.lastProgress != progress || s.pend.n != pending {
+					t.Errorf("no-op action: pass %v, tracker moved %v, idle clock %d→%d, queue %d→%d",
+						pass, *s.alloc != tracker, progress, s.lastProgress, pending, s.pend.n)
 				}
 				return
 			}

@@ -81,8 +81,6 @@ type Result struct {
 	HP, Spot      stats.TaskMetrics
 	// AllocationRate is the time-averaged GPU allocation rate.
 	AllocationRate float64
-	// Samples traces the allocation rate over time.
-	Samples []stats.AllocationSample
 	// WastedGPUSeconds accumulates Eq. 17 waste over all
 	// evictions.
 	WastedGPUSeconds float64
@@ -103,10 +101,12 @@ type RuntimeInflater interface {
 // Event payloads. Arrivals ride as a bare *task.Task (no wrapper, so
 // pushing one allocates nothing); finishes as pooled *finishEvent
 // records recycled after delivery; ticks as a zero-size marker whose
-// boxing is allocation-free.
+// boxing is allocation-free. A finish event carries the task's run
+// count at start: every run that ends appends to tk.Runs, so a moved
+// count marks the event stale.
 type finishEvent struct {
-	tk    *task.Task
-	epoch int
+	tk   *task.Task
+	runs int
 }
 
 type tickEvent struct{}
@@ -123,12 +123,11 @@ type provisionEvent struct{ pool cluster.Pool }
 // advancing every member in lockstep on a shared clock;
 // NewSimulator/Step/Inject/Finish are the calls it makes.
 type Simulator struct {
-	cfg    SimConfig
-	queue  simclock.Queue
-	state  *State
-	pend   pendingQueue
-	epochs map[int]int
-	now    simclock.Time
+	cfg   SimConfig
+	queue simclock.Queue
+	state *State
+	pend  pendingQueue
+	now   simclock.Time
 
 	spotQuota    float64
 	gCount       int
@@ -136,13 +135,17 @@ type Simulator struct {
 	waste        float64
 	evWindow     *stats.EvictionWindow
 	alloc        *stats.AllocationTracker
-	tasks        []*task.Task
 	orgDemand    map[string][]float64
 	hourSamples  int
 	lastHour     int
 	lastProgress simclock.Time
 	recentQueues []queueObs
 	running      int
+
+	// tasks is every task in injection order: the preloaded slice,
+	// then each Inject (a migrant when it is delivered, once). Only
+	// OpReclaimSpot and result read it.
+	tasks []*task.Task
 
 	// hasObs caches len(cfg.Observers) > 0 so the hot loop skips
 	// event construction entirely when nobody listens.
@@ -163,9 +166,10 @@ type Simulator struct {
 	// each leaves capacity (SetDown) when its last pod completes.
 	retiring map[int]*cluster.Node
 	// migrated marks tasks claimed by the interceptor, which no longer
-	// count toward this simulator's demand or results but stay in
-	// s.tasks, so Inject re-admits them without a second entry. It is
-	// nil (and cost-free) until a task migrates away.
+	// count toward this simulator's demand or results but keep their
+	// places in s.tasks and hpLive, so a task coming back is re-admitted
+	// without a second entry. It is nil (and cost-free) until a task
+	// migrates away.
 	migrated map[int]bool
 
 	// finishFree recycles finishEvent records: one is allocated per
@@ -173,39 +177,28 @@ type Simulator struct {
 	// rest of the run.
 	finishFree []*finishEvent
 
-	// hpLive is the demand-sampling view: the HP tasks of s.tasks,
-	// in s.tasks order, with finished tasks compacted away. Keeping
-	// the original order matters — per-org demand accumulates in
-	// iteration order, and floating-point addition is not
-	// associative, so any reordering could drift the quota signal.
-	// hpLiveStale forces a rebuild from s.tasks (set by Inject,
-	// whose re-injections can resurrect tasks already compacted).
-	hpLive      []*task.Task
-	hpLiveStale bool
+	// hpLive is the demand-sampling view: every arrived, unfinished HP
+	// task, in arrival order. The arrival handler appends a task once
+	// (a migrant coming back keeps its place) and each tick compacts
+	// finished tasks away. Order matters — per-org demand accumulates
+	// in iteration order, and floating-point addition is not
+	// associative. Arrivals pop in time order, ties in s.tasks order:
+	// that is s.tasks order for a Submit-sorted preload, a source stream
+	// and every federation route or delivery. An unsorted preload (or
+	// one a source interleaves with) arrives in stable Submit order
+	// instead, so its sums may round differently than a scan of s.tasks
+	// when HP requests are fractional.
+	hpLive []*task.Task
 	// hpOrg holds each hpLive task's org slot, so the per-tick demand
 	// accumulation indexes a flat array instead of hashing org strings.
-	// Slots are assigned per distinct org name in order of first
-	// appearance: orgNames/hourAccum/hourTouched are parallel arrays,
-	// orgSlots the name → slot index. The per-org sequence of
-	// floating-point adds is unchanged from the map it replaces, so
-	// the hourly averages are bit-identical.
+	// Slots are assigned per distinct org name, the initial panel's
+	// first: orgNames/hourAccum/hourTouched are parallel arrays,
+	// orgSlots the name → slot index.
 	hpOrg       []int
 	orgSlots    map[string]int
 	orgNames    []string
 	hourAccum   []float64
 	hourTouched []bool
-	// orgScratch is the reused sorted-key buffer for the hourly
-	// orgDemand walk, keeping the hot loop allocation-free and off
-	// map iteration order.
-	orgScratch []string
-	// hpSorted records whether hpLive is nondecreasing in Submit (true
-	// for generated traces; mid-run injection can break it), and
-	// hpFrontier is then the count of leading tasks with Submit ≤ now.
-	// Tasks beyond the frontier have not arrived, cannot be running or
-	// finished, and contribute nothing to demand, so each tick walks
-	// only the arrived prefix instead of the whole trace tail.
-	hpSorted   bool
-	hpFrontier int
 
 	// passCtx is the scheduler-facing context, refilled per pass.
 	passCtx Context
@@ -223,14 +216,14 @@ type passWork struct {
 // newFinishEvent takes a finish record from the pool (or allocates
 // one). Records return to the pool in handle, immediately after the
 // queue delivers them.
-func (s *Simulator) newFinishEvent(tk *task.Task, epoch int) *finishEvent {
+func (s *Simulator) newFinishEvent(tk *task.Task) *finishEvent {
 	if n := len(s.finishFree); n > 0 {
 		e := s.finishFree[n-1]
 		s.finishFree = s.finishFree[:n-1]
-		e.tk, e.epoch = tk, epoch
+		e.tk, e.runs = tk, len(tk.Runs)
 		return e
 	}
-	return &finishEvent{tk: tk, epoch: epoch}
+	return &finishEvent{tk: tk, runs: len(tk.Runs)}
 }
 
 type queueObs struct {
@@ -260,7 +253,6 @@ func NewSimulator(cfg SimConfig, tasks []*task.Task) *Simulator {
 		cfg:       cfg,
 		pend:      pendingQueue{sched: cfg.Scheduler, byShape: make(map[taskShape]*shapeBucket)},
 		state:     NewState(cfg.Cluster),
-		epochs:    make(map[int]int),
 		spotQuota: math.Inf(1),
 		evWindow:  stats.NewEvictionWindow(quotaWindow),
 		alloc:     stats.NewAllocationTracker(cfg.Cluster.TotalGPUs("")),
@@ -268,8 +260,6 @@ func NewSimulator(cfg SimConfig, tasks []*task.Task) *Simulator {
 		orgDemand: make(map[string][]float64),
 		orgSlots:  make(map[string]int),
 		lastHour:  -1,
-		// Built lazily on the first demand tick.
-		hpLiveStale: true,
 	}
 	initOrgs := make([]string, 0, len(cfg.InitialOrgDemand))
 	for org := range cfg.InitialOrgDemand {
@@ -278,6 +268,7 @@ func NewSimulator(cfg SimConfig, tasks []*task.Task) *Simulator {
 	sort.Strings(initOrgs)
 	for _, org := range initOrgs {
 		s.orgDemand[org] = append([]float64(nil), cfg.InitialOrgDemand[org]...)
+		s.orgSlot(org)
 	}
 	s.hasObs = len(cfg.Observers) > 0
 	if er, ok := cfg.Quota.(EtaReporter); ok {
@@ -373,17 +364,10 @@ func (s *Simulator) Step() bool {
 // entry point for streamed arrivals, federation routing and migration:
 // tasks reach a member as the shared clock reaches each submission.
 // Re-injecting a task that previously migrated away returns it to this
-// simulator's books.
+// simulator's books when it arrives.
 func (s *Simulator) Inject(tk *task.Task, at simclock.Time) {
-	if s.migrated[tk.ID] {
-		delete(s.migrated, tk.ID)
-	} else {
+	if !s.migrated[tk.ID] {
 		s.tasks = append(s.tasks, tk)
-	}
-	if tk.Type == task.HP {
-		// The task may have been compacted out of the demand view
-		// after migrating away; rebuild it from s.tasks.
-		s.hpLiveStale = true
 	}
 	s.queue.PushFront(at, tk)
 	s.arm(at)
@@ -448,6 +432,13 @@ func (s *Simulator) emit(ev Event) {
 func (s *Simulator) handle(ev simclock.Event) bool {
 	switch e := ev.Value.(type) {
 	case *task.Task: // arrival
+		if s.migrated[e.ID] {
+			// Back from a sibling: the task kept its places while away.
+			delete(s.migrated, e.ID)
+		} else if e.Type == task.HP {
+			s.hpLive = append(s.hpLive, e)
+			s.hpOrg = append(s.hpOrg, s.orgSlot(e.Org))
+		}
 		e.EnterQueue(s.now)
 		s.pend.insert(e)
 		s.lastProgress = s.now
@@ -456,11 +447,11 @@ func (s *Simulator) handle(ev simclock.Event) bool {
 		}
 		return true
 	case *finishEvent:
-		tk, epoch := e.tk, e.epoch
+		tk, runs := e.tk, e.runs
 		e.tk = nil
 		s.finishFree = append(s.finishFree, e)
-		if s.epochs[tk.ID] != epoch || tk.State != task.Running {
-			return false // stale: the run was preempted
+		if len(tk.Runs) != runs || tk.State != task.Running {
+			return false // stale: the run was evicted
 		}
 		s.state.ReleaseAll(tk)
 		tk.Finish(s.now)
@@ -510,99 +501,43 @@ func (s *Simulator) handle(ev simclock.Event) bool {
 // Averaging smooths Poisson arrival bursts into the hourly usage
 // signal production telemetry would report.
 func (s *Simulator) recordDemand() {
-	// Close the previous hour before sampling the current tick.
-	hour := s.now.HourIndex()
-	if hour != s.lastHour {
+	// Close the previous hour before sampling the current tick. An org
+	// with a series but no samples this hour still advances it.
+	if hour := s.now.HourIndex(); hour != s.lastHour {
 		if s.lastHour >= 0 && s.hourSamples > 0 {
 			n := float64(s.hourSamples)
 			for i, org := range s.orgNames {
 				if s.hourTouched[i] {
 					s.orgDemand[org] = append(s.orgDemand[org], s.hourAccum[i]/n)
+				} else if series, ok := s.orgDemand[org]; ok {
+					s.orgDemand[org] = append(series, 0)
 				}
-			}
-			// Orgs with no samples this hour still advance
-			// their series. Walk the keys sorted (reusing the
-			// scratch buffer): the per-org appends are independent,
-			// but the hot loop stays off map iteration order.
-			s.orgScratch = s.orgScratch[:0]
-			for org := range s.orgDemand {
-				s.orgScratch = append(s.orgScratch, org)
-			}
-			sort.Strings(s.orgScratch)
-			for _, org := range s.orgScratch {
-				if i, ok := s.orgSlots[org]; ok && s.hourTouched[i] {
-					continue
-				}
-				s.orgDemand[org] = append(s.orgDemand[org], 0)
 			}
 		}
 		s.lastHour = hour
-		for i := range s.hourAccum {
-			s.hourAccum[i] = 0
-			s.hourTouched[i] = false
-		}
+		clear(s.hourAccum)
+		clear(s.hourTouched)
 		s.hourSamples = 0
 	}
-
-	if s.hpLiveStale {
-		s.rebuildHPLive()
-	}
 	// Accumulate over the live view, compacting finished tasks in
-	// place (they are terminal and contribute nothing). Relative
-	// order is preserved, so the per-org sums are bit-identical to a
-	// full scan of s.tasks.
-	//
-	// Only the arrived prefix needs visiting: a task that has not
-	// arrived cannot be running (it is scheduled only after its
-	// arrival event) or finished, so it contributes nothing and
-	// cannot be compacted. When hpLive is Submit-sorted that prefix
-	// is hpLive[:frontier]; otherwise the frontier spans everything.
-	frontier := len(s.hpLive)
-	if s.hpSorted {
-		for s.hpFrontier < len(s.hpLive) && s.hpLive[s.hpFrontier].Submit <= s.now {
-			s.hpFrontier++
-		}
-		frontier = s.hpFrontier
-	}
-	live := s.hpLive[:0]
-	liveOrg := s.hpOrg[:0]
-	for idx, tk := range s.hpLive[:frontier] {
+	// place (they are terminal and contribute nothing) without
+	// reordering the rest.
+	live, liveOrg := s.hpLive[:0], s.hpOrg[:0]
+	for i, tk := range s.hpLive {
 		if tk.State == task.Finished {
 			continue
 		}
-		slot := s.hpOrg[idx]
+		slot := s.hpOrg[i]
 		live = append(live, tk)
 		liveOrg = append(liveOrg, slot)
-		if s.migrated[tk.ID] {
-			continue
-		}
-		if tk.State == task.Running || tk.Submit <= s.now {
+		if !s.migrated[tk.ID] {
 			s.hourAccum[slot] += tk.TotalGPUs()
 			s.hourTouched[slot] = true
 		}
 	}
-	kept := len(live)
-	if kept < frontier {
-		// Shift the unarrived tail down over the compacted gap.
-		live = append(live, s.hpLive[frontier:]...)
-		liveOrg = append(liveOrg, s.hpOrg[frontier:]...)
-	} else {
-		// Nothing compacted: the tail is already in place.
-		live = s.hpLive
-		liveOrg = s.hpOrg
-	}
-	s.hpFrontier = kept
-	clearTasks(s.hpLive[len(live):])
-	s.hpLive = live
-	s.hpOrg = liveOrg
+	clear(s.hpLive[len(live):])
+	s.hpLive, s.hpOrg = live, liveOrg
 	s.hourSamples++
-}
-
-// clearTasks zeroes a compacted-away tail so it doesn't pin tasks.
-func clearTasks(ts []*task.Task) {
-	for i := range ts {
-		ts[i] = nil
-	}
 }
 
 // orgSlot returns org's accumulator slot, assigning one on first
@@ -617,28 +552,6 @@ func (s *Simulator) orgSlot(org string) int {
 	s.hourTouched = append(s.hourTouched, false)
 	s.orgSlots[org] = i
 	return i
-}
-
-// rebuildHPLive refreshes the demand view from s.tasks, keeping every
-// unfinished HP task in trace order.
-func (s *Simulator) rebuildHPLive() {
-	s.hpLive = s.hpLive[:0]
-	s.hpOrg = s.hpOrg[:0]
-	for _, tk := range s.tasks {
-		if tk.Type == task.HP && tk.State != task.Finished {
-			s.hpLive = append(s.hpLive, tk)
-			s.hpOrg = append(s.hpOrg, s.orgSlot(tk.Org))
-		}
-	}
-	s.hpSorted = true
-	for i := 1; i < len(s.hpLive); i++ {
-		if s.hpLive[i].Submit < s.hpLive[i-1].Submit {
-			s.hpSorted = false
-			break
-		}
-	}
-	s.hpFrontier = 0
-	s.hpLiveStale = false
 }
 
 func (s *Simulator) updateQuota() {
@@ -768,7 +681,6 @@ func (s *Simulator) evict(v *task.Task, cause EvictCause, locs []NodePods) {
 	}
 	waste := v.Evict(s.now)
 	s.waste += waste
-	s.epochs[v.ID]++
 	s.running--
 	if v.Type == task.Spot {
 		s.fCount++
@@ -782,8 +694,8 @@ func (s *Simulator) evict(v *task.Task, cause EvictCause, locs []NodePods) {
 	}
 	if cause != CausePreempted && s.cfg.EvictionInterceptor != nil && s.cfg.EvictionInterceptor(v, cause) {
 		// Claimed: the task leaves this simulator's books (it will be
-		// re-injected elsewhere). The epochs entry stays so any stale
-		// finish event for the old run is still discarded.
+		// re-injected elsewhere). Its eviction moved len(v.Runs), so
+		// the old run's finish event is still discarded.
 		if s.migrated == nil {
 			s.migrated = make(map[int]bool)
 		}
@@ -919,10 +831,9 @@ func (s *Simulator) apply(tk *task.Task, dec *Decision) {
 	if infl, ok := s.cfg.Scheduler.(RuntimeInflater); ok {
 		end = end.Add(infl.InflateRuntime(tk))
 	}
-	s.epochs[tk.ID]++
 	s.running++
 	s.work.starts++
-	s.queue.Push(end, s.newFinishEvent(tk, s.epochs[tk.ID]))
+	s.queue.Push(end, s.newFinishEvent(tk))
 	s.progressed(false)
 	if s.hasObs {
 		s.emit(Event{Kind: TaskStarted, Task: tk})
@@ -947,7 +858,6 @@ func (s *Simulator) result() *Result {
 		HP:               stats.Summarize(tasks, task.HP),
 		Spot:             stats.Summarize(tasks, task.Spot),
 		AllocationRate:   s.alloc.Rate(),
-		Samples:          s.alloc.Samples,
 		WastedGPUSeconds: s.waste,
 		End:              s.now,
 		FinalQuota:       s.spotQuota,

@@ -116,3 +116,87 @@ func TestHourlyDemandIsAveraged(t *testing.T) {
 		t.Fatalf("hour-0 average = %v, want within (0, 8)", series[0])
 	}
 }
+
+// finishesOf returns the TaskFinished events for task id.
+func finishesOf(log *EventLog, id int) []Event {
+	var out []Event
+	for _, e := range log.Filter(TaskFinished) {
+		if e.Task.ID == id {
+			out = append(out, e)
+		}
+	}
+	return out
+}
+
+// TestStaleFinishAfterEvictAndRestart: a task evicted by a node failure
+// restarts on the other node before its first run's finish event
+// fires. That event must be discarded, and the task must finish once,
+// at the new run's end: later than the stale event for a task without
+// checkpoints, at the same instant for one that keeps its progress.
+func TestStaleFinishAfterEvictAndRestart(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		typ  task.Type
+		want simclock.Time
+	}{
+		{"no checkpoints", task.HP, simclock.Time(150 * simclock.Minute)},
+		{"checkpointed", task.Spot, simclock.Time(120 * simclock.Minute)},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			log := &EventLog{}
+			cfg := DefaultSimConfig(cluster.NewHomogeneous("A100", 2, 8), &firstFit{})
+			cfg.Observers = []Observer{log}
+			cfg.Scenario = []ScenarioAction{{At: simclock.Time(30 * simclock.Minute), Op: OpNodeDown, NodeID: 0}}
+			tk := mkTask(1, c.typ, 1, 8, 2*simclock.Hour, 0)
+			res := Run(cfg, []*task.Task{tk})
+			fin := finishesOf(log, 1)
+			if len(fin) != 1 || fin[0].At != c.want || tk.FinishedAt != c.want {
+				t.Fatalf("finished %d times (%v), at %d; want once at %d", len(fin), fin, tk.FinishedAt, c.want)
+			}
+			if len(tk.Runs) != 2 || !tk.Runs[0].Evicted || tk.Runs[1].Evicted {
+				t.Fatalf("runs %+v, want one evicted run then one completed", tk.Runs)
+			}
+			if res.UnfinishedHP+res.UnfinishedSpot != 0 {
+				t.Fatalf("%d unfinished", res.UnfinishedHP+res.UnfinishedSpot)
+			}
+		})
+	}
+}
+
+// TestStaleFinishAfterRoundTrip: a task spills west → east → west. When
+// west's first-run finish event fires the task is running on west
+// again, and east's fires while it runs on west; both are stale. The
+// task finishes once, on west, at its third run's end.
+func TestStaleFinishAfterRoundTrip(t *testing.T) {
+	westCfg := fedTestConfig(2)
+	westCfg.Scenario = []ScenarioAction{{At: simclock.Time(30 * simclock.Minute), Op: OpNodeDown, NodeID: 0}}
+	eastCfg := fedTestConfig(2)
+	eastCfg.Scenario = []ScenarioAction{{At: simclock.Time(60 * simclock.Minute), Op: OpNodeDown, NodeID: 0}}
+	log := &EventLog{}
+	tk := mkTask(1, task.HP, 1, 8, 4*simclock.Hour, 0)
+	res := runFed(t, FedConfig{
+		Members: []FedMember{
+			{Name: "west", Cfg: westCfg},
+			{Name: "east", Cfg: eastCfg},
+		},
+		Route:     routeByID{},
+		Spill:     SpillLeastLoaded{},
+		Observers: []Observer{log},
+	}, []*task.Task{tk})
+	if res.Migrations != 2 {
+		t.Fatalf("%d migrations, want 2", res.Migrations)
+	}
+	// Back on west after the one-minute migration delay, with no
+	// checkpoint to resume from.
+	want := simclock.Time(61*simclock.Minute + 4*simclock.Hour)
+	fin := finishesOf(log, 1)
+	if len(fin) != 1 || fin[0].Member != "west" || fin[0].At != want || tk.FinishedAt != want {
+		t.Fatalf("finished %d times (%v); want once on west at %d", len(fin), fin, want)
+	}
+	if len(tk.Runs) != 3 || res.Unfinished != 0 {
+		t.Fatalf("%d runs, %d unfinished; want 3 runs, none unfinished", len(tk.Runs), res.Unfinished)
+	}
+	if west := res.Member("west"); len(west.Result.Tasks) != 1 || len(res.Member("east").Result.Tasks) != 0 {
+		t.Fatalf("the task should be on west's books only")
+	}
+}

@@ -21,7 +21,6 @@ const (
 	Minute Duration = 60 * Second
 	Hour   Duration = 60 * Minute
 	Day    Duration = 24 * Hour
-	Week   Duration = 7 * Day
 )
 
 // Add returns t shifted forward by d.

@@ -58,7 +58,8 @@ func Summarize(tasks []*task.Task, typ task.Type) TaskMetrics {
 // AllocationTracker integrates the cluster's GPU allocation over
 // simulated time to produce the time-averaged allocation rate. The
 // capacity may change mid-run (node failures, scale-out): the rate is
-// then ∫used dt / ∫capacity dt over the observed span.
+// then ∫used dt / ∫capacity dt over the observed span. It keeps the
+// integrals only; a timeline of observations is a collector's job.
 type AllocationTracker struct {
 	capacity float64
 	lastT    simclock.Time
@@ -67,15 +68,6 @@ type AllocationTracker struct {
 	capArea  float64 // ∫ capacity dt
 	span     simclock.Duration
 	started  bool
-	// Samples holds (time, rate) pairs for heatmap and time-series
-	// outputs.
-	Samples []AllocationSample
-}
-
-// AllocationSample is one allocation-rate observation.
-type AllocationSample struct {
-	At   simclock.Time
-	Rate float64
 }
 
 // NewAllocationTracker creates a tracker for a cluster of the given
@@ -96,11 +88,6 @@ func (a *AllocationTracker) Observe(t simclock.Time, used float64) {
 	a.started = true
 	a.lastT = t
 	a.lastUsed = used
-	rate := 0.0
-	if a.capacity > 0 {
-		rate = used / a.capacity
-	}
-	a.Samples = append(a.Samples, AllocationSample{At: t, Rate: rate})
 }
 
 // SetCapacity closes the current integration window at time t and

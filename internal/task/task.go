@@ -100,9 +100,6 @@ type Task struct {
 	// milestones ψ. Zero means the task never checkpoints, so any
 	// eviction loses all progress.
 	CheckpointEvery simclock.Duration
-	// GuaranteeHours is the duration (in hours) the spot task was
-	// promised to run un-preempted when admitted; informational.
-	GuaranteeHours int
 
 	// Submit is when the task entered the system.
 	Submit simclock.Time

@@ -282,7 +282,7 @@ func Validate(src Source) (int, error) {
 func CheckTask(tk *task.Task) error {
 	switch {
 	case tk.ID < 1:
-		// Replay accounting keys on IDs (stale-finish epochs, Inject
+		// Replay accounting keys on IDs (migration bookkeeping, Inject
 		// dedup), so a missing or zero id field cannot pass.
 		return fmt.Errorf("id %d < 1", tk.ID)
 	case tk.Pods < 1:

@@ -320,10 +320,10 @@ func (r *Report) Attach(name string, value any) {
 }
 
 // Result reduces the report to the legacy Result type — the thin
-// back-compat view over the summary collector. Its Tasks and Samples
-// fields are nil (the report's sections carry richer versions); every
-// scalar field matches what Engine.Run would have returned for the
-// same run exactly.
+// back-compat view over the summary collector. Its Tasks field is nil
+// (the report's sections carry a richer version); every scalar field
+// matches what Engine.Run would have returned for the same run
+// exactly.
 func (r *Report) Result() *Result {
 	if r.Summary == nil {
 		return nil
