@@ -7,6 +7,8 @@
 package baselines
 
 import (
+	"iter"
+
 	"github.com/sjtucitlab/gfs/internal/cluster"
 	"github.com/sjtucitlab/gfs/internal/sched"
 	"github.com/sjtucitlab/gfs/internal/task"
@@ -38,21 +40,22 @@ func placeBy(ctx *sched.Context, tk *task.Task, score func(n *cluster.Node) floa
 // every set, among all Fitting nodes, for a filter or score that tells
 // two empty nodes apart by more than their ID.
 func placePods(ctx *sched.Context, tk *task.Task, every bool, ok func(*cluster.Node) bool, score func(*cluster.Node) float64) (*sched.Decision, error) {
-	fitting := ctx.State.Cluster.Candidates
-	if every {
-		fitting = ctx.State.Cluster.Fitting
-	}
+	cl := ctx.State.Cluster
 	return ctx.State.Gang(tk, func(int) (*cluster.Node, []*task.Task) {
-		return bestScored(fitting(tk), ok, score), nil
+		if every {
+			return bestScored(cl.Fitting(tk), ok, score), nil
+		}
+		return bestScored(cl.Candidates(tk), ok, score), nil
 	})
 }
 
 // bestScored picks one pod's node: the argmin of score over the
-// fitting nodes (ok == nil admits all), lowest node ID on ties.
-func bestScored(fitting []*cluster.Node, ok func(*cluster.Node) bool, score func(*cluster.Node) float64) *cluster.Node {
+// fitting nodes (ok == nil admits all), lowest node ID on ties — a
+// total order, so the walk's order does not matter.
+func bestScored(fitting iter.Seq2[*cluster.Node, float64], ok func(*cluster.Node) bool, score func(*cluster.Node) float64) *cluster.Node {
 	var best *cluster.Node
 	bestScore := 0.0
-	for _, n := range fitting {
+	for n := range fitting {
 		if ok != nil && !ok(n) {
 			continue
 		}

@@ -12,12 +12,17 @@ import (
 type Cluster struct {
 	nodes []*Node
 	byID  map[int]*Node
-	// byModel holds one placement index per GPU model, models lists
+	// byModel holds one placement index per GPU model, and models lists
 	// them in first-seen order (what a request for any model ranges
-	// over), and fit is the scratch Candidates and Fitting fill.
+	// over).
 	byModel map[string]*modelIndex
 	models  []*modelIndex
-	fit     []*Node
+
+	// evictions is the longest eviction history any node has held;
+	// loose is set once a node counted half a card more usage than its
+	// cards hold (a whole-card pod of fractional size).
+	evictions int
+	loose     bool
 
 	// occupied has one bit per node, by position in nodes, set while
 	// the node holds any allocation: the only nodes the usage fold
@@ -116,7 +121,7 @@ func (c *Cluster) AddNode(n *Node) {
 // after the current maximum ID, and returns the new nodes. It is the
 // mutation behind scale-out scenario actions.
 func (c *Cluster) AddPool(p Pool) []*Node {
-	id := c.MaxNodeID() + 1
+	id := c.maxNodeID() + 1
 	added := make([]*Node, 0, p.Nodes)
 	for i := 0; i < p.Nodes; i++ {
 		n := NewNode(id, p.Model, p.GPUsPerNode)
@@ -131,8 +136,8 @@ func (c *Cluster) AddPool(p Pool) []*Node {
 // Node returns the node with the given ID, or nil.
 func (c *Cluster) Node(id int) *Node { return c.byID[id] }
 
-// MaxNodeID returns the highest node ID, or -1 for an empty cluster.
-func (c *Cluster) MaxNodeID() int {
+// maxNodeID returns the highest node ID, or -1 for an empty cluster.
+func (c *Cluster) maxNodeID() int {
 	maxID := -1
 	for _, n := range c.nodes {
 		if n.ID > maxID {

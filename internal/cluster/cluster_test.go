@@ -207,6 +207,83 @@ func TestEvictionTrimKeepsWindows(t *testing.T) {
 	}
 }
 
+// TestQuietRateMatchesSearch: WeightedEvictionRate's early return for
+// a node whose newest eviction lies outside both windows reads the bits
+// the two-search formula does, at the window edges, with the short
+// window longer than the long one, and after retention trims.
+func TestQuietRateMatchesSearch(t *testing.T) {
+	search := func(n *Node, now simclock.Time, gamma float64, short, long simclock.Duration) float64 {
+		eShort := float64(n.evictionsSince(now.Add(-short)))
+		eLong := float64(n.evictionsSince(now.Add(-long)))
+		return gamma*eShort + (1-gamma)*eLong/long.Hours()
+	}
+	const h = simclock.Hour
+	now := simclock.Time(100 * h)
+	windows := [][2]simclock.Duration{{h, 24 * h}, {24 * h, h}, {h, h}, {0, 24 * h}}
+	histories := map[string][]simclock.Time{
+		"none":           nil,
+		"at now-long":    {now.Add(-24 * h)},
+		"at now-long+1":  {now.Add(-24*h + 1)},
+		"at now-short":   {now.Add(-h)},
+		"at now-short+1": {now.Add(-h + 1)},
+		"at now":         {now},
+		// Each record after the first trims what precedes it by more
+		// than the retention.
+		"trimmed":        {0, now.Add(-30 * h), now.Add(-24 * h)},
+		"trimmed, fresh": {0, now.Add(-60 * h), now.Add(-2 * h), now.Add(-24*h + 1)},
+	}
+	for name, hist := range histories {
+		n := NewNode(0, "A100", 8)
+		for _, at := range hist {
+			n.RecordEviction(at)
+		}
+		for _, w := range windows {
+			for _, gamma := range []float64{0, 0.8, 1, 1.5} {
+				for _, at := range []simclock.Time{now, now.Add(h), now.Add(-50 * h)} {
+					got, want := n.WeightedEvictionRate(at, gamma, w[0], w[1]), search(n, at, gamma, w[0], w[1])
+					if math.Float64bits(got) != math.Float64bits(want) {
+						t.Errorf("%s, windows %v, γ %v, at %v: rate %v, the search %v", name, w, gamma, at, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestEvictionHighWaterNeverFalls: the cluster's eviction high-water
+// mark counts the longest history any node has held, including one
+// recorded before the node joined, and a retention trim that shortens
+// the history leaves it where it was.
+func TestEvictionHighWaterNeverFalls(t *testing.T) {
+	n := NewNode(9, "A100", 8)
+	n.RecordEviction(0)
+	n.RecordEviction(1)
+	c := NewHomogeneous("A100", 2, 8)
+	c.AddNode(n)
+	if c.evictions != 2 {
+		t.Fatalf("mark %d after adding a node with 2 evictions", c.evictions)
+	}
+	m := c.nodes[0]
+	for i := 0; i < 5; i++ {
+		m.RecordEviction(simclock.Time(i))
+	}
+	if c.evictions != 5 {
+		t.Fatalf("mark %d after 5 evictions on one node", c.evictions)
+	}
+	m.RecordEviction(simclock.Time(3 * 24 * simclock.Hour))
+	if len(m.evictions) != 1 || c.evictions != 5 {
+		t.Fatalf("after the trim: history %d, mark %d", len(m.evictions), c.evictions)
+	}
+	for _, o := range c.nodes {
+		if len(o.evictions) > c.evictions {
+			t.Fatalf("%v holds %d evictions, above the mark %d", o, len(o.evictions), c.evictions)
+		}
+	}
+	if got, want := c.MaxEvictionRate(0.8, 24*simclock.Hour), 0.8*5+0.2*5/24.0; got != want {
+		t.Fatalf("MaxEvictionRate = %v, want %v", got, want)
+	}
+}
+
 func TestFragmentation(t *testing.T) {
 	n := NewNode(0, "A100", 8)
 	if n.Fragmentation() != 0 {

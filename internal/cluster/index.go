@@ -2,6 +2,8 @@ package cluster
 
 import (
 	"container/heap"
+	"iter"
+	"math"
 
 	"github.com/sjtucitlab/gfs/internal/task"
 )
@@ -101,62 +103,79 @@ func (h *idHeap) Pop() any {
 	return n
 }
 
-// appendFitting appends the model's nodes that can host one pod of tk
-// without preemption; with collapse set, each pristine class is
-// represented by its lowest-ID member alone. When nothing fits it
-// touches no node: the cost is one length test per container.
-func (ix *modelIndex) appendFitting(out []*Node, tk *task.Task, collapse bool) []*Node {
+// walk yields, until yield returns false, the nodes of the walked
+// models one pod of tk fits on without preemption, in ascending idle
+// order: free[0] (fractional pods only, filtered card by card), then
+// for each k from the pod's card count up free[k] and pristine[k] (with
+// collapse, its root alone), each with floor (k − ½)/C, C the largest
+// capacity walked (−∞ once the cluster is loose): a bound under the
+// idle share of it and every later node, a half card wider than any
+// rounding in the usage sums. yield must not change the cluster.
+func (c *Cluster) walk(tk *task.Task, collapse bool, yield func(*Node, float64) bool) {
+	models := c.models
+	if tk.GPUModel != "" {
+		one := [1]*modelIndex{c.byModel[tk.GPUModel]}
+		if one[0] == nil {
+			return
+		}
+		models = one[:]
+	}
+	top, half := 0, -0.5
+	for _, ix := range models {
+		top = max(top, len(ix.free)-1)
+	}
+	if c.loose {
+		half = math.Inf(-1)
+	}
+	floor := func(k int) float64 { return (float64(k) + half) / float64(top) }
 	need := 1
 	if g := tk.GPUsPerPod; g >= 1 {
 		// Capped one past the largest node, where no loop below runs.
-		need = int(min(g, float64(len(ix.free))))
-	}
-	for c := need; c < len(ix.pristine); c++ {
-		h := ix.pristine[c]
-		if collapse && len(h) > 1 {
-			h = h[:1] // the heap's root: the class's lowest ID
-		}
-		out = append(out, h...)
-	}
-	for k := need; k < len(ix.free); k++ {
-		out = append(out, ix.free[k]...)
-	}
-	if tk.GPUsPerPod < 1 {
+		need = int(min(g, float64(top+1)))
+	} else {
 		// A fractional pod also fits beside same-class tenants on a
 		// partly used card; only the per-card walk can tell.
-		for _, n := range ix.free[0] {
-			if n.CanFitPod(tk) {
-				out = append(out, n)
+		for _, ix := range models {
+			for _, n := range ix.free[0] {
+				if n.CanFitPod(tk) && !yield(n, floor(0)) {
+					return
+				}
 			}
 		}
 	}
-	return out
-}
-
-// Candidates returns the nodes among which the best host for one pod
-// of tk must lie under any preference order that reads only a node's
-// occupancy and eviction history and breaks ties on the lowest ID:
-// every non-pristine node the pod fits on without preemption, plus the
-// lowest-ID member of each pristine class large enough. The slice is
-// cluster-owned scratch, unordered, valid until the next call.
-func (c *Cluster) Candidates(tk *task.Task) []*Node { return c.fitting(tk, true) }
-
-// Fitting returns every node one pod of tk fits on without preemption
-// — Candidates without the pristine-class collapse, for callers whose
-// preference reads more of a node (its position, say). Same scratch.
-func (c *Cluster) Fitting(tk *task.Task) []*Node { return c.fitting(tk, false) }
-
-func (c *Cluster) fitting(tk *task.Task, collapse bool) []*Node {
-	out := c.fit[:0]
-	if tk.GPUModel != "" {
-		if ix := c.byModel[tk.GPUModel]; ix != nil {
-			out = ix.appendFitting(out, tk, collapse)
-		}
-	} else {
-		for _, ix := range c.models {
-			out = ix.appendFitting(out, tk, collapse)
+	for k := need; k <= top; k++ {
+		for _, ix := range models {
+			if k >= len(ix.free) {
+				continue
+			}
+			pristine := ix.pristine[k]
+			if collapse && len(pristine) > 1 {
+				pristine = pristine[:1] // the heap's root: the class's lowest ID
+			}
+			for _, nodes := range [2][]*Node{ix.free[k], pristine} {
+				for _, n := range nodes {
+					if !yield(n, floor(k)) {
+						return
+					}
+				}
+			}
 		}
 	}
-	c.fit = out
-	return out
+}
+
+// Candidates walks the nodes among which the best host for one pod of
+// tk must lie under any preference order that reads only a node's
+// occupancy and eviction history and breaks ties on the lowest ID —
+// every non-pristine node the pod fits on without preemption, and the
+// lowest-ID member of each pristine class large enough — in walk order
+// with walk's floors. The loop body must not change the cluster.
+func (c *Cluster) Candidates(tk *task.Task) iter.Seq2[*Node, float64] {
+	return func(yield func(*Node, float64) bool) { c.walk(tk, true, yield) }
+}
+
+// Fitting walks every node one pod of tk fits on without preemption:
+// Candidates without the pristine-class collapse, for callers whose
+// preference reads more of a node (its position, say).
+func (c *Cluster) Fitting(tk *task.Task) iter.Seq2[*Node, float64] {
+	return func(yield func(*Node, float64) bool) { c.walk(tk, false, yield) }
 }

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"iter"
 	"math"
 	"math/rand"
 	"slices"
@@ -72,6 +73,28 @@ func bruteFitting(c *Cluster, tk *task.Task) []*Node {
 	return out
 }
 
+// list collects a walk's nodes.
+func list(walk iter.Seq2[*Node, float64]) []*Node {
+	var out []*Node
+	for n := range walk {
+		out = append(out, n)
+	}
+	return out
+}
+
+// checkFloors checks a walk's floor contract: floors never fall, and
+// each node's idle share is at least its own.
+func checkFloors(walk iter.Seq2[*Node, float64]) error {
+	last := math.Inf(-1)
+	for n, floor := range walk {
+		if floor < last || n.IdleGPUs()/float64(n.Capacity()) < floor {
+			return fmt.Errorf("%v walked at floor %v after floor %v", n, floor, last)
+		}
+		last = floor
+	}
+	return nil
+}
+
 func ids(nodes []*Node) []int {
 	out := make([]int, len(nodes))
 	for i, n := range nodes {
@@ -86,7 +109,12 @@ func ids(nodes []*Node) []int {
 // each pristine class, for one probe pod.
 func checkKernel(c *Cluster, tk *task.Task) error {
 	want := bruteFitting(c, tk)
-	if got := ids(c.Fitting(tk)); !slices.Equal(got, ids(want)) {
+	for _, walk := range []iter.Seq2[*Node, float64]{c.Fitting(tk), c.Candidates(tk)} {
+		if err := checkFloors(walk); err != nil {
+			return err
+		}
+	}
+	if got := ids(list(c.Fitting(tk))); !slices.Equal(got, ids(want)) {
 		return fmt.Errorf("Fitting(%v) = %v, scan finds %v", tk, got, ids(want))
 	}
 	var collapsed []*Node
@@ -108,7 +136,7 @@ func checkKernel(c *Cluster, tk *task.Task) error {
 	for _, n := range lowest {
 		collapsed = append(collapsed, n)
 	}
-	if got := ids(c.Candidates(tk)); !slices.Equal(got, ids(collapsed)) {
+	if got := ids(list(c.Candidates(tk))); !slices.Equal(got, ids(collapsed)) {
 		return fmt.Errorf("Candidates(%v) = %v, want %v", tk, got, ids(collapsed))
 	}
 	return nil
@@ -270,7 +298,7 @@ func TestUsageFoldRestartsExactly(t *testing.T) {
 
 func TestIndexEdges(t *testing.T) {
 	whole := newTask(1, task.HP, 1, 2)
-	has := func(c *Cluster, n *Node) bool { return slices.Contains(c.Candidates(whole), n) }
+	has := func(c *Cluster, n *Node) bool { return slices.Contains(list(c.Candidates(whole)), n) }
 
 	t.Run("cordon and uncordon re-file the node", func(t *testing.T) {
 		c := NewHomogeneous("A100", 2, 8)
@@ -305,10 +333,10 @@ func TestIndexEdges(t *testing.T) {
 		if c.UsedGPUs("") != 6 || c.SpotGPUs("") != 6 {
 			t.Fatalf("aggregates miss the pre-loaded node: used %v spot %v", c.UsedGPUs(""), c.SpotGPUs(""))
 		}
-		if got := ids(c.Candidates(whole)); !slices.Equal(got, []int{0, 7}) {
+		if got := ids(list(c.Candidates(whole))); !slices.Equal(got, []int{0, 7}) {
 			t.Fatalf("Candidates = %v, want the empty node and the 2-free one", got)
 		}
-		if got := c.Candidates(newTask(3, task.HP, 1, 4)); len(got) != 1 || got[0].ID != 0 {
+		if got := list(c.Candidates(newTask(3, task.HP, 1, 4))); len(got) != 1 || got[0].ID != 0 {
 			t.Fatalf("a 4-card pod is offered %v", ids(got))
 		}
 	})
@@ -328,29 +356,29 @@ func TestIndexEdges(t *testing.T) {
 		if len(n.evictions) != 1 || n.bin != 9 || checkIndex(c) != nil {
 			t.Fatalf("after the trim: history %v bin %d (%v)", n.evictions, n.bin, checkIndex(c))
 		}
-		if got := ids(c.Candidates(whole)); !slices.Equal(got, []int{0, 1}) {
+		if got := ids(list(c.Candidates(whole))); !slices.Equal(got, []int{0, 1}) {
 			t.Fatalf("Candidates = %v, want the evicted-from node and one pristine representative", got)
 		}
 	})
 
 	t.Run("any-model request on a heterogeneous cluster", func(t *testing.T) {
 		c := NewHeterogeneous([]Pool{{Model: "A100", Nodes: 3, GPUsPerNode: 8}, {Model: "A10", Nodes: 3, GPUsPerNode: 4}, {Model: "H800", Nodes: 2, GPUsPerNode: 8}})
-		if got := ids(c.Candidates(whole)); !slices.Equal(got, []int{0, 3, 6}) {
+		if got := ids(list(c.Candidates(whole))); !slices.Equal(got, []int{0, 3, 6}) {
 			t.Fatalf("Candidates = %v, want one representative per model", got)
 		}
-		if got := ids(c.Candidates(newTask(2, task.HP, 1, 8))); !slices.Equal(got, []int{0, 6}) {
+		if got := ids(list(c.Candidates(newTask(2, task.HP, 1, 8)))); !slices.Equal(got, []int{0, 6}) {
 			t.Fatalf("8-card Candidates = %v, want the two 8-card models", got)
 		}
-		if got := c.Fitting(whole); len(got) != 8 {
+		if got := list(c.Fitting(whole)); len(got) != 8 {
 			t.Fatalf("Fitting offers %d of 8 nodes", len(got))
 		}
 		a10 := newTask(3, task.Spot, 1, 0.5)
 		a10.GPUModel = "A10"
-		if got := ids(c.Candidates(a10)); !slices.Equal(got, []int{3}) {
+		if got := ids(list(c.Candidates(a10))); !slices.Equal(got, []int{3}) {
 			t.Fatalf("A10 Candidates = %v", got)
 		}
 		a10.GPUModel = "V100"
-		if got := c.Candidates(a10); len(got) != 0 {
+		if got := list(c.Candidates(a10)); len(got) != 0 {
 			t.Fatalf("unknown model is offered %v", ids(got))
 		}
 	})
@@ -361,7 +389,7 @@ func TestIndexEdges(t *testing.T) {
 			c.AddNode(NewNode(id, "A100", 8))
 		}
 		for _, want := range []int{2, 3, 5, 7, 9} {
-			got := c.Candidates(whole)
+			got := list(c.Candidates(whole))
 			if len(got) != 1 || got[0].ID != want {
 				t.Fatalf("Candidates = %v, want [%d]", ids(got), want)
 			}
@@ -369,7 +397,7 @@ func TestIndexEdges(t *testing.T) {
 		}
 		c.Node(7).SetCordoned(false)
 		c.Node(3).SetCordoned(false)
-		if got := c.Candidates(whole); len(got) != 1 || got[0].ID != 3 {
+		if got := list(c.Candidates(whole)); len(got) != 1 || got[0].ID != 3 {
 			t.Fatalf("Candidates = %v, want [3]", ids(got))
 		}
 	})
@@ -377,7 +405,7 @@ func TestIndexEdges(t *testing.T) {
 	t.Run("oversized and full", func(t *testing.T) {
 		c := NewHomogeneous("A100", 2, 8)
 		for _, g := range []float64{9, 1e6, 1e300, math.Inf(1)} {
-			if got := c.Candidates(newTask(2, task.HP, 1, g)); len(got) != 0 {
+			if got := list(c.Candidates(newTask(2, task.HP, 1, g))); len(got) != 0 {
 				t.Fatalf("a %v-card pod is offered %v", g, ids(got))
 			}
 		}
@@ -410,7 +438,7 @@ func TestFullClusterOffersNothing(t *testing.T) {
 		}
 	}
 	for _, tk := range probes(c) {
-		if got := c.Candidates(tk); len(got) != 0 {
+		if got := list(c.Candidates(tk)); len(got) != 0 {
 			t.Fatalf("%v is offered %v", tk, ids(got))
 		}
 		if err := checkKernel(c, tk); err != nil {
@@ -428,8 +456,8 @@ func TestNodeStaysCompact(t *testing.T) {
 	}
 }
 
-// TestCandidatesAllocatesNothing: the candidate buffer is the
-// cluster's, reused from call to call.
+// TestCandidatesAllocatesNothing: the walks need no buffer, so ranging
+// over them allocates nothing.
 func TestCandidatesAllocatesNothing(t *testing.T) {
 	c := NewHomogeneous("A100", 64, 8)
 	for i, n := range c.nodes[:32] {
@@ -438,12 +466,18 @@ func TestCandidatesAllocatesNothing(t *testing.T) {
 		}
 	}
 	whole, frac := newTask(100, task.Spot, 1, 2), newTask(101, task.Spot, 1, 0.5)
-	c.Fitting(whole)
+	walked := 0
 	if avg := testing.AllocsPerRun(100, func() {
-		c.Candidates(whole)
-		c.Candidates(frac)
-		c.Fitting(whole)
-	}); avg != 0 {
-		t.Fatalf("%v allocations per call", avg)
+		for range c.Candidates(whole) {
+			walked++
+		}
+		for range c.Candidates(frac) {
+			walked++
+		}
+		for range c.Fitting(whole) {
+			walked++
+		}
+	}); avg != 0 || walked == 0 {
+		t.Fatalf("%v allocations per call, %d nodes walked", avg, walked)
 	}
 }

@@ -67,7 +67,7 @@ func TestAddPool(t *testing.T) {
 	if c.Node(4) != added[2] {
 		t.Fatal("byID lookup missing new node")
 	}
-	if c.MaxNodeID() != 4 {
-		t.Fatalf("MaxNodeID = %d", c.MaxNodeID())
+	if c.maxNodeID() != 4 {
+		t.Fatalf("maxNodeID = %d", c.maxNodeID())
 	}
 }

@@ -127,10 +127,11 @@ func NewNode(id int, model string, capacity int) *Node {
 // bump reports a change of the node's occupancy, availability or
 // eviction history, once the node's own fields are settled: the change
 // counter moves, and in the owning cluster the usage fold goes stale
-// from the node's word on, the node's occupied bit follows its usage,
-// and the placement index re-files the node. The hook lives here, not
-// in sched.State, so callers that mutate a node directly
-// (Txn.Rollback, benchmarks) keep the index exact.
+// from the node's word on, the occupied bit follows the node's usage,
+// the cluster's eviction and looseness marks take it in, and the
+// placement index re-files the node. The hook lives here, not in
+// sched.State, so callers that mutate a node directly (Txn.Rollback,
+// benchmarks) keep the index exact.
 func (n *Node) bump() {
 	n.changes++
 	ix := n.owner
@@ -140,6 +141,8 @@ func (n *Node) bump() {
 	c := ix.cl
 	w, bit := int(n.ord>>6), uint64(1)<<(n.ord&63)
 	c.stale = min(c.stale, w)
+	c.evictions = max(c.evictions, len(n.evictions))
+	c.loose = c.loose || n.IdleGPUs() < float64(n.wholeFree)-0.5
 	if n.hpUsed != 0 || n.spotUsed != 0 {
 		c.occupied[w] |= bit
 	} else {
@@ -440,7 +443,7 @@ func (n *Node) ReleaseTask(tk *task.Task) bool {
 			g.shares = g.shares[:last]
 		}
 	}
-	total := float64(n.pods[pi].pods) * tk.GPUsPerPod
+	total := float64(float64(n.pods[pi].pods) * tk.GPUsPerPod) // rounded, so never fused below
 	if tk.Type == task.Spot {
 		n.spotUsed -= total
 		if n.spotUsed < 1e-12 {
@@ -531,11 +534,25 @@ func (n *Node) evictionsSince(since simclock.Time) int {
 //	ē = γ·e_short + (1−γ)·e_long/T_long
 //
 // where e_short and e_long count eviction events in the past short
-// and long windows and T_long is the long window length in hours.
+// and long windows and T_long is the long window length in hours; with
+// the newest eviction outside both windows, both are 0 unsearched.
 func (n *Node) WeightedEvictionRate(now simclock.Time, gamma float64, short, long simclock.Duration) float64 {
-	eShort := float64(n.evictionsSince(now.Add(-short)))
-	eLong := float64(n.evictionsSince(now.Add(-long)))
-	return gamma*eShort + (1-gamma)*eLong/long.Hours()
+	if k := len(n.evictions); k == 0 || n.evictions[k-1] <= now.Add(-max(short, long)) {
+		return evictionRate(0, 0, gamma, long)
+	}
+	return evictionRate(n.evictionsSince(now.Add(-short)), n.evictionsSince(now.Add(-long)), gamma, long)
+}
+
+// evictionRate is Eq. (15) over the window counts. The conversion
+// rounds γ·e_short, so no platform fuses it into the sum.
+func evictionRate(eShort, eLong int, gamma float64, long simclock.Duration) float64 {
+	return float64(gamma*float64(eShort)) + (1-gamma)*float64(eLong)/long.Hours()
+}
+
+// MaxEvictionRate bounds every node's WeightedEvictionRate for γ in
+// [0, 1] and long > 0: Eq. (15) at the longest history any node held.
+func (c *Cluster) MaxEvictionRate(gamma float64, long simclock.Duration) float64 {
+	return evictionRate(c.evictions, c.evictions, gamma, long)
 }
 
 // Fragmentation measures how much idle capacity is stranded for

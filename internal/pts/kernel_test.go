@@ -22,7 +22,8 @@ func refBestNode(s *Scheduler, ctx *sched.Context, tk *task.Task) *cluster.Node 
 		if !n.CanFitPod(tk) {
 			continue
 		}
-		s1, s2, s3 := s.scores(ctx, n, tk)
+		s1, s2 := s.occupancy(n, tk)
+		s3 := s.score3(n.WeightedEvictionRate(ctx.Now, s.cfg.Gamma, s.cfg.ShortWindow, s.cfg.LongWindow), tk.Type)
 		if tk.Type == task.Spot && !s.cfg.DisableEvictionAware && tk.GPUsPerPod >= 1 {
 			if s3 <= 0 {
 				s.tripBreaker(n, ctx.Now)
@@ -38,6 +39,15 @@ func refBestNode(s *Scheduler, ctx *sched.Context, tk *task.Task) *cluster.Node 
 		}
 	}
 	return best.node
+}
+
+// fitting collects the cluster's Fitting walk.
+func fitting(cl *cluster.Cluster, tk *task.Task) []*cluster.Node {
+	var out []*cluster.Node
+	for n := range cl.Fitting(tk) {
+		out = append(out, n)
+	}
+	return out
 }
 
 // refBestScored is the baselines' bestScored as it stood before the
@@ -110,11 +120,14 @@ func refBaselines(cl *cluster.Cluster) []refBaseline {
 
 // kernelConfigs is Table 4 with a penalty steep enough that a single
 // fresh eviction trips the breaker, once plain and once under each
-// ablation switch, plus Table 4 itself.
+// ablation switch, plus Table 4 itself, and Table 4 with a penalty at
+// which three fresh evictions on one node trip it: under the steep one
+// bestNode's breaker guard is on from the first eviction, under Table
+// 4's never, and under this one it turns on mid-run.
 func kernelConfigs() []Config {
-	steep := DefaultConfig()
-	steep.PenaltyM = 130
-	cfgs := []Config{steep, steep, steep, steep, DefaultConfig()}
+	steep, three := DefaultConfig(), DefaultConfig()
+	steep.PenaltyM, three.PenaltyM = 130, 43
+	cfgs := []Config{steep, steep, steep, steep, DefaultConfig(), three}
 	cfgs[1].DisableCoLocation = true
 	cfgs[2].DisableEvictionAware = true
 	cfgs[3].RandomPreemption = true
@@ -345,7 +358,7 @@ func (w *kernelWorld) mutate() {
 		}
 		tk := w.randomTask()
 		for pod := 0; pod < tk.Pods; pod++ {
-			if fit := w.cl.Fitting(tk); len(fit) > 0 {
+			if fit := fitting(w.cl, tk); len(fit) > 0 {
 				if err := txn.Place(fit[rng.Intn(len(fit))], tk); err != nil {
 					w.t.Fatalf("Fitting offered a node %v does not fit: %v", tk, err)
 				}
@@ -372,14 +385,14 @@ func (w *kernelWorld) check() {
 				}
 				slices.Sort(want)
 				got := make([]int, 0, len(want))
-				for _, n := range w.cl.Fitting(tk) {
+				for _, n := range fitting(w.cl, tk) {
 					got = append(got, n.ID)
 				}
 				slices.Sort(got)
 				if !slices.Equal(got, want) {
 					w.t.Fatalf("Fitting(%v) = %v, the full scan finds %v", tk, got, want)
 				}
-				for _, n := range w.cl.Candidates(tk) {
+				for n := range w.cl.Candidates(tk) {
 					if _, fits := slices.BinarySearch(want, n.ID); !fits {
 						w.t.Fatalf("Candidates(%v) offers node %d, which does not fit", tk, n.ID)
 					}
@@ -455,7 +468,10 @@ func TestCandidatesWorkGate(t *testing.T) {
 		for _, typ := range []task.Type{task.HP, task.Spot} {
 			tk := mkTask(100+i, typ, 1, g)
 			tk.GPUModel = "A100"
-			cands := cl.Candidates(tk)
+			var cands []*cluster.Node
+			for n := range cl.Candidates(tk) {
+				cands = append(cands, n)
+			}
 			if len(cands) > 31 {
 				t.Errorf("%v: %d candidates on a cluster with 30 occupied nodes", tk, len(cands))
 			}
@@ -464,6 +480,94 @@ func TestCandidatesWorkGate(t *testing.T) {
 				t.Errorf("%v: the full scan's winner %v is not the kernel's %v", tk, want, s.bestNode(ctx, tk))
 			}
 		}
+	}
+}
+
+// TestBoundedVisitWorkGate is the bounded walk's hardware-independent
+// work gate: on 1,250 8-card nodes, 10 with one idle card and 1,000
+// with two, a 1-card pod visits the ten fullest nodes and the first of
+// the next bucket at most, finds the full scan's winner, and allocates
+// nothing.
+func TestBoundedVisitWorkGate(t *testing.T) {
+	cl := cluster.NewHomogeneous("A100", 1250, 8)
+	ctx := newCtx(cl)
+	s := New(DefaultConfig())
+	for i, n := range cl.Nodes()[:1010] {
+		g := 6.0
+		if i < 10 {
+			g = 7
+		}
+		if err := n.PlacePod(mkTask(i+1, task.Type(i%2), 1, g)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, typ := range []task.Type{task.HP, task.Spot} {
+		tk := mkTask(2000, typ, 1, 1)
+		visited := s.visited
+		got := s.bestNode(ctx, tk)
+		if visited = s.visited - visited; visited > 11 {
+			t.Errorf("%v visits %d nodes", tk, visited)
+		}
+		if want := refBestNode(s, ctx, tk); got != want {
+			t.Errorf("%v: bestNode picks %v, the full scan %v", tk, got, want)
+		}
+		if avg := testing.AllocsPerRun(100, func() { s.bestNode(ctx, tk) }); avg != 0 {
+			t.Errorf("%v: bestNode allocates %v times", tk, avg)
+		}
+	}
+}
+
+// TestBoundMarginAgainstDrift: HP fractions 0.1, 0.2 and 0.7 fill one
+// card, but their float sum among whole-card pods overshoots, so two
+// nodes with two idle cards read a packing score an ULP above 1 − 2/8.
+// The one walked second ties the first and has the lower ID, so it
+// wins: a walk whose bound had no margin would stop before it.
+func TestBoundMarginAgainstDrift(t *testing.T) {
+	cl := cluster.NewHomogeneous("A100", 4, 8)
+	ctx := newCtx(cl)
+	s := New(DefaultConfig())
+	id := 0
+	for _, n := range []*cluster.Node{cl.Nodes()[1], cl.Nodes()[0]} {
+		for _, g := range []float64{3, 0.1, 0.2, 2, 0.7} {
+			id++
+			if err := n.PlacePod(mkTask(id, task.HP, 1, g)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if s1, _ := s.occupancy(n, mkTask(0, task.HP, 1, 1)); s1 <= 1-2.0/8 || n.WholeFreeGPUs() != 2 {
+			t.Fatalf("%v: packing score %v, %d idle cards: no drift to test", n, s1, n.WholeFreeGPUs())
+		}
+	}
+	for _, typ := range []task.Type{task.HP, task.Spot} {
+		for _, g := range []float64{0.5, 1, 2} {
+			tk := mkTask(100, typ, 1, g)
+			if got, want := s.bestNode(ctx, tk), refBestNode(s, ctx, tk); got != want || want != cl.Nodes()[0] {
+				t.Errorf("%v: bestNode picks %v, the full scan %v", tk, got, want)
+			}
+		}
+	}
+}
+
+// TestLooseClusterWalksEverything: a whole-card pod of fractional size
+// holds int(g) cards but counts g, so four 1.5-GPU pods leave a node
+// with four idle cards and the packing score of one with two. No floor
+// holds for such a cluster, and bestNode must still find that node
+// past a fuller one.
+func TestLooseClusterWalksEverything(t *testing.T) {
+	cl := cluster.NewHomogeneous("A100", 3, 8)
+	ctx := newCtx(cl)
+	s := New(DefaultConfig())
+	for i := 1; i <= 4; i++ {
+		if err := cl.Nodes()[2].PlacePod(mkTask(i, task.HP, 1, 1.5)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := cl.Nodes()[1].PlacePod(mkTask(5, task.HP, 1, 5)); err != nil {
+		t.Fatal(err)
+	}
+	tk := mkTask(6, task.HP, 1, 1)
+	if got, want := s.bestNode(ctx, tk), refBestNode(s, ctx, tk); got != want || want != cl.Nodes()[2] {
+		t.Fatalf("bestNode picks %v, the full scan %v", got, want)
 	}
 }
 

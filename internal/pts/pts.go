@@ -57,9 +57,12 @@ func DefaultConfig() Config {
 type Scheduler struct {
 	cfg Config
 	// blacklist is the circuit breaker's state: node ID → the time its
-	// spot blacklisting ends. Scores are not kept: the cluster's
-	// placement index hands bestNode few enough nodes to score afresh.
+	// spot blacklisting ends. Scores are not kept: bestNode's bounded
+	// walk of the placement index scores few enough nodes afresh.
 	blacklist map[int]simclock.Time
+	// visited counts the nodes bestNode scored on Eqs. 13–14, rated
+	// those it also scored on Eq. 16.
+	visited, rated uint64
 
 	// plans is the preemption planner's memo and workspace.
 	plans planMemo
@@ -152,14 +155,11 @@ func (s *Scheduler) Schedule(ctx *sched.Context, tk *task.Task) (*sched.Decision
 	return dec, err
 }
 
-// scores evaluates the three criteria for a node: the occupancy
-// criteria (Eqs. 13–14) from the node's allocation state, eviction
-// awareness (Eq. 16) from its history as of the clock.
-func (s *Scheduler) scores(ctx *sched.Context, n *cluster.Node, tk *task.Task) (s1, s2, s3 float64) {
+// occupancy evaluates the criteria Eq. 16 does not: packing (Eq. 13)
+// and homogeneous co-location (Eq. 14).
+func (s *Scheduler) occupancy(n *cluster.Node, tk *task.Task) (s1, s2 float64) {
 	total := float64(n.Capacity())
-	// Criterion 1 (Eq. 13): prefer packed nodes.
 	s1 = 1 - n.IdleGPUs()/total
-	// Criterion 2 (Eq. 14): homogeneous co-location.
 	if !s.cfg.DisableCoLocation {
 		if tk.Type == task.HP {
 			s2 = n.HPGPUs() / total
@@ -167,20 +167,21 @@ func (s *Scheduler) scores(ctx *sched.Context, n *cluster.Node, tk *task.Task) (
 			s2 = n.SpotGPUs() / total
 		}
 	}
-	// Criterion 3 (Eq. 16): eviction awareness with asymmetric
-	// penalties.
-	if !s.cfg.DisableEvictionAware {
-		e := n.WeightedEvictionRate(ctx.Now, s.cfg.Gamma, s.cfg.ShortWindow, s.cfg.LongWindow)
-		p := 0.01 * s.cfg.PenaltyM * e
-		if tk.Type == task.HP {
-			s3 = math.Min(p, 1)
-		} else {
-			s3 = math.Max(1-p, 0)
-		}
-	} else {
-		s3 = 0.5
+	return s1, s2
+}
+
+// score3 is eviction awareness with asymmetric penalties (Eq. 16) at
+// eviction rate e. The conversion rounds p, so no platform fuses it
+// into 1 − p.
+func (s *Scheduler) score3(e float64, typ task.Type) float64 {
+	if s.cfg.DisableEvictionAware {
+		return 0.5
 	}
-	return s1, s2, s3
+	p := float64(0.01 * s.cfg.PenaltyM * e)
+	if typ == task.HP {
+		return math.Min(p, 1)
+	}
+	return math.Max(1-p, 0)
 }
 
 // spotBlocked reports whether the circuit breaker blacklists n for
@@ -200,24 +201,43 @@ type scored struct {
 	s1, s2, s3 float64
 }
 
-// bestNode scores the candidates for one pod and keeps the single
-// maximum of the lexicographic (score1, score2, score3, lowest-ID)
-// order (Algorithm 1). Node-ID tie-breaking makes that a total order,
-// so the argmax does not depend on the order candidates arrive in.
-// The filter is the cluster's: Candidates yields every feasible node
-// but the pristine ones — empty, never evicted from, so all three
-// scores tie (0, 0, and 0 for HP or 1 for spot) — and of those the
-// lowest ID per capacity, the only one that can win. The rest could
-// not trip the breaker either: a trip needs a recorded eviction.
+// bestNode returns the single maximum of the lexicographic (score1,
+// score2, score3, lowest-ID) order over the candidates for one pod
+// (Algorithm 1); a total order, so candidate order does not matter.
+// Pristine nodes tie on every score and cannot trip, so Candidates
+// offers the lowest ID per capacity alone. They come in ascending idle
+// order, each with a floor f under the idle share of every node from
+// there on, so none left scores a score1 above 1 − f; the walk stops
+// once the best score1 strictly exceeds that, and f's half card of
+// margin outweighs any rounding. Score3 is computed only where (score1,
+// score2) ties or beats the best. Alg. 1 line 7 trips the breaker on
+// any whole-card spot candidate whose Score3 is 0, winner or not, so
+// all are scored unless none can trip: for γ in [0, 1], m ≥ 0 and
+// long > 0, Eqs. 15–16 are monotone in the counts, and Score3 at the
+// cluster's largest possible eviction rate is above 0.
 func (s *Scheduler) bestNode(ctx *sched.Context, tk *task.Task) *cluster.Node {
+	c := &s.cfg
+	breaker := tk.Type == task.Spot && !c.DisableEvictionAware && tk.GPUsPerPod >= 1
+	every := breaker && (!(c.Gamma >= 0 && c.Gamma <= 1 && c.PenaltyM >= 0 && c.LongWindow > 0) ||
+		s.score3(ctx.State.Cluster.MaxEvictionRate(c.Gamma, c.LongWindow), task.Spot) <= 0)
 	var best scored
-	for _, n := range ctx.State.Cluster.Candidates(tk) {
-		s1, s2, s3 := s.scores(ctx, n, tk)
-		if tk.Type == task.Spot && !s.cfg.DisableEvictionAware && tk.GPUsPerPod >= 1 {
+	for n, floor := range ctx.State.Cluster.Candidates(tk) {
+		if !every && best.node != nil && best.s1 > 1-floor {
+			break
+		}
+		s.visited++
+		cand := scored{node: n}
+		cand.s1, cand.s2 = s.occupancy(n, tk)
+		if !every && best.node != nil && (cand.s1 < best.s1 || cand.s1 == best.s1 && cand.s2 < best.s2) {
+			continue
+		}
+		s.rated++
+		cand.s3 = s.score3(n.WeightedEvictionRate(ctx.Now, c.Gamma, c.ShortWindow, c.LongWindow), tk.Type)
+		if breaker {
 			// Alg. 1 line 7: whole-card spot pods require
 			// Score3 > 0; tripping nodes enter the breaker
 			// blacklist.
-			if s3 <= 0 {
+			if cand.s3 <= 0 {
 				s.tripBreaker(n, ctx.Now)
 				continue
 			}
@@ -225,7 +245,6 @@ func (s *Scheduler) bestNode(ctx *sched.Context, tk *task.Task) *cluster.Node {
 				continue
 			}
 		}
-		cand := scored{node: n, s1: s1, s2: s2, s3: s3}
 		if best.node == nil || scoredBetter(&cand, &best) {
 			best = cand
 		}

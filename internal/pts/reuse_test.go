@@ -170,7 +170,7 @@ func (w *reuseWorld) preempt(tk *task.Task, abort bool) {
 func (w *reuseWorld) place(tk *task.Task) {
 	txn := w.ctx.State.Begin()
 	for pod := 0; pod < tk.Pods; pod++ {
-		fit := w.cl.Fitting(tk)
+		fit := fitting(w.cl, tk)
 		if len(fit) == 0 {
 			txn.Rollback()
 			return
@@ -240,7 +240,7 @@ func (w *reuseWorld) step() {
 			}
 		}
 		tk := w.hpTask(1)
-		if fit := w.cl.Fitting(tk); len(fit) > 0 {
+		if fit := fitting(w.cl, tk); len(fit) > 0 {
 			if err := txn.Place(fit[rng.Intn(len(fit))], tk); err != nil {
 				w.t.Fatalf("Fitting offered a node %v does not fit: %v", tk, err)
 			}
