@@ -77,13 +77,13 @@ func runBench(b *testing.B, setup benchSetup) {
 	}
 }
 
-// yarnRunSetup is one plain Engine.Run of scale's trace under YARN-CS
-// with zero observers registered.
-func yarnRunSetup(scale experiments.SimScale, spotScale float64) benchSetup {
+// runSetup is one plain Engine.Run of scale's trace under the
+// scheduler newSched builds, with zero observers registered.
+func runSetup(scale experiments.SimScale, spotScale float64, newSched func() gfs.Scheduler) benchSetup {
 	return func(testing.TB) func() [2]metric {
 		tasks := scale.Trace(spotScale)
 		eng := gfs.NewEngine(gfs.NewCluster("A100", scale.Nodes, scale.GPUsPerNode),
-			gfs.WithScheduler(gfs.NewYARNCS()))
+			gfs.WithScheduler(newSched()))
 		return func() [2]metric {
 			res := eng.Run(tasks)
 			return [2]metric{{"tasks", float64(len(tasks))}, {"allocPct", 100 * res.AllocationRate}}
@@ -91,14 +91,27 @@ func yarnRunSetup(scale experiments.SimScale, spotScale float64) benchSetup {
 	}
 }
 
-// simSetup is the simulator hot loop over the standard one-day trace:
-// with no observer the event spine must cost nothing here.
-var simSetup = yarnRunSetup(benchFigScale(), 2)
+// simSetup is the simulator hot loop over the standard one-day trace
+// under YARN-CS: with no observer the event spine must cost nothing
+// here.
+var simSetup = runSetup(benchFigScale(), 2, gfs.NewYARNCS)
+
+// lyraSetup is the standard one-day run under Lyra with an HP load
+// above capacity, so inference reclaims the loan pool all day: the
+// baselines' preemption planning builds its victim orders in scheduler
+// scratch and allocates nothing per node it costs.
+var lyraSetup = runSetup(lyraScale(), 2, gfs.NewLyra)
+
+func lyraScale() experiments.SimScale {
+	s := benchFigScale()
+	s.HPLoad = 1.1
+	return s
+}
 
 // sim10KSetup is one full run at production node count. It stays in
 // the milliseconds only while per-event costs stay flat in cluster
 // size (see docs/performance.md).
-var sim10KSetup = yarnRunSetup(sim10KScale(), 1)
+var sim10KSetup = runSetup(sim10KScale(), 1, gfs.NewYARNCS)
 
 // gzTrace encodes the standard one-day trace as gzipped CSV.
 func gzTrace(tb testing.TB) []byte {
@@ -239,11 +252,12 @@ func TestAllocCeilings(t *testing.T) {
 		setup   benchSetup
 		ceiling uint64
 	}{
-		{"Sim", simSetup, 1243},
+		{"Sim", simSetup, 1186},
+		{"Lyra", lyraSetup, 2802},
 		{"TraceIngest", traceIngestSetup(gzTrace(t)), 452},
-		{"Report", reportSetup, 2375},
-		{"Sim10K", sim10KSetup, 11027},
-		{"Autoscale", autoscaleSetup, 21883},
+		{"Report", reportSetup, 2331},
+		{"Sim10K", sim10KSetup, 11025},
+		{"Autoscale", autoscaleSetup, 21881},
 		// GFS leaves room for one prediction tape regrown (~146
 		// allocations) after a garbage collection empties the pool.
 		{"GFS", gfsSetup(t), 2338},

@@ -25,37 +25,29 @@ func fcfsLess(a, b *task.Task) bool {
 	return a.ID < b.ID
 }
 
-// placeBy places all pods of tk, choosing each pod's node by the
-// given score (lower is better) among nodes that fit. It returns the
-// committed decision, or sched.ErrUnschedulable with nothing placed.
-// The score may read only a node's occupancy and ID: untouched nodes
-// of one capacity then tie down to the ID, and Candidates offers just
-// the lowest of them.
-func placeBy(ctx *sched.Context, tk *task.Task, score func(n *cluster.Node) float64) (*sched.Decision, error) {
-	return placePods(ctx, tk, false, nil, score)
+// placeBy places all pods of tk, each on the node pick chooses for it
+// without preemption. It returns the committed decision, or
+// sched.ErrUnschedulable with nothing placed.
+func placeBy(ctx *sched.Context, tk *task.Task, pick func(*cluster.Cluster, *task.Task) *cluster.Node) (*sched.Decision, error) {
+	return ctx.State.Gang(tk, func(int) (*cluster.Node, []*task.Task) { return pick(ctx.State.Cluster, tk), nil })
 }
 
-// placePods places all pods of tk, each on the best-scored node (ok ==
-// nil admits all) among the cluster's Candidates for it — or, with
-// every set, among all Fitting nodes, for a filter or score that tells
-// two empty nodes apart by more than their ID.
-func placePods(ctx *sched.Context, tk *task.Task, every bool, ok func(*cluster.Node) bool, score func(*cluster.Node) float64) (*sched.Decision, error) {
-	cl := ctx.State.Cluster
-	return ctx.State.Gang(tk, func(int) (*cluster.Node, []*task.Task) {
-		if every {
-			return bestScored(cl.Fitting(tk), ok, score), nil
-		}
-		return bestScored(cl.Candidates(tk), ok, score), nil
-	})
-}
-
-// bestScored picks one pod's node: the argmin of score over the
-// fitting nodes (ok == nil admits all), lowest node ID on ties — a
-// total order, so the walk's order does not matter.
-func bestScored(fitting iter.Seq2[*cluster.Node, float64], ok func(*cluster.Node) bool, score func(*cluster.Node) float64) *cluster.Node {
+// bestScored picks one pod's node: the argmin of score over the walked
+// nodes (ok == nil admits all), lowest node ID on ties. A score that
+// reads only a node's occupancy and ID may walk the cluster's
+// Candidates, where untouched nodes of one capacity tie down to the ID
+// and only the lowest of them comes; any other walks all Fitting nodes.
+// A bounded score is never below the node's idle cards, which the
+// walk's floor bounds for the node at hand and every later one, so the
+// walk stops at the first floor above the best score: no node from
+// there on can win or tie.
+func bestScored(fitting iter.Seq2[*cluster.Node, float64], bounded bool, ok func(*cluster.Node) bool, score func(*cluster.Node) float64) *cluster.Node {
 	var best *cluster.Node
 	bestScore := 0.0
-	for n := range fitting {
+	for n, floor := range fitting {
+		if bounded && best != nil && bestScore < floor {
+			break
+		}
 		if ok != nil && !ok(n) {
 			continue
 		}
@@ -68,21 +60,29 @@ func bestScored(fitting iter.Seq2[*cluster.Node, float64], ok func(*cluster.Node
 }
 
 // preemptBy evicts spot tasks to make room for every pod of the HP
-// task tk. For each pod it scans nodes, asks victimsFor for the
-// eviction plan (nil = node infeasible), scores plans with planCost
-// (lower better), applies the best, and places the pod.
+// task tk. For each pod it scans nodes, has order append each node's
+// spot tasks to a buffer in the order it would evict them, takes the
+// shortest prefix that frees the pod's cards as the node's plan, scores
+// plans with planCost (lower better), applies the best, and places the
+// pod.
 func preemptBy(
-	ctx *sched.Context, tk *task.Task,
-	victimsFor func(n *cluster.Node, need int) []*task.Task,
+	ctx *sched.Context, tk *task.Task, p *plans,
+	order func(n *cluster.Node, dst []*task.Task) []*task.Task,
 	planCost func(n *cluster.Node, victims []*task.Task) float64,
 ) (*sched.Decision, error) {
 	need := tk.PodCards()
 	nodes := ctx.State.Cluster.NodesOfModel(tk.GPUModel)
 	return ctx.State.Gang(tk, func(int) (*cluster.Node, []*task.Task) {
-		best := bestPlan(nodes, need, victimsFor, planCost)
+		best := p.best(nodes, need, order, planCost)
 		return best.node, best.victims
 	})
 }
+
+// plans is a scheduler's preemption workspace: the node at hand's
+// eviction order is built in cur, the best plan so far keeps its
+// victims in kept, and the two swap when the plan at hand wins. The
+// victims a plan returns are valid until the next one.
+type plans struct{ cur, kept []*task.Task }
 
 // planCand is one node's eviction plan and its cost.
 type planCand struct {
@@ -91,9 +91,9 @@ type planCand struct {
 	cost    float64
 }
 
-// bestPlan picks one pod's preemption plan: the cheapest eviction plan
+// best picks one pod's preemption plan: the cheapest eviction plan
 // over the candidate nodes, lowest node ID on ties.
-func bestPlan(nodes []*cluster.Node, need int, victimsFor func(n *cluster.Node, need int) []*task.Task, planCost func(n *cluster.Node, victims []*task.Task) float64) planCand {
+func (p *plans) best(nodes []*cluster.Node, need int, order func(n *cluster.Node, dst []*task.Task) []*task.Task, planCost func(n *cluster.Node, victims []*task.Task) float64) planCand {
 	var best planCand
 	for _, n := range nodes {
 		// No subset of a node's spot tasks frees more than its
@@ -101,13 +101,15 @@ func bestPlan(nodes []*cluster.Node, need int, victimsFor func(n *cluster.Node, 
 		if n.ReclaimableGPUs() < need {
 			continue
 		}
-		victims := victimsFor(n, need)
+		p.cur = order(n, p.cur[:0])
+		victims := minimalVictims(n, need, p.cur)
 		if victims == nil {
 			continue
 		}
 		c := planCost(n, victims)
 		if best.node == nil || c < best.cost || (c == best.cost && n.ID < best.node.ID) {
 			best = planCand{node: n, victims: victims, cost: c}
+			p.cur, p.kept = p.kept, p.cur
 		}
 	}
 	return best

@@ -1,6 +1,8 @@
 package baselines
 
 import (
+	"slices"
+
 	"github.com/sjtucitlab/gfs/internal/cluster"
 	"github.com/sjtucitlab/gfs/internal/sched"
 	"github.com/sjtucitlab/gfs/internal/simclock"
@@ -19,6 +21,8 @@ type Chronus struct {
 	// SwitchCost is the per-lease-renewal overhead added to a
 	// task's runtime.
 	SwitchCost simclock.Duration
+
+	plans plans
 }
 
 // NewChronus creates the scheduler with the paper's lease settings
@@ -58,25 +62,24 @@ func (c *Chronus) leaseExpired(v *task.Task, now simclock.Time) bool {
 	return now.Sub(v.StartedAt) >= c.SpotLease
 }
 
+// pick is best fit: the node with the least idle capacity left, a
+// score idle-bounded by definition.
+func (*Chronus) pick(cl *cluster.Cluster, tk *task.Task) *cluster.Node {
+	return bestScored(cl.Candidates(tk), true, nil, (*cluster.Node).IdleGPUs)
+}
+
 // Schedule implements sched.Scheduler: best-fit placement; HP tasks
 // may displace best-effort tasks, but only those whose lease has
 // expired (no mid-lease preemption).
 func (c *Chronus) Schedule(ctx *sched.Context, tk *task.Task) (*sched.Decision, error) {
-	dec, err := placeBy(ctx, tk, func(n *cluster.Node) float64 {
-		return n.IdleGPUs()
-	})
+	dec, err := placeBy(ctx, tk, c.pick)
 	if err == nil || tk.Type != task.HP {
 		return dec, err
 	}
-	return preemptBy(ctx, tk,
-		func(n *cluster.Node, need int) []*task.Task {
-			var order []*task.Task
-			for _, v := range n.SpotTasks() {
-				if c.leaseExpired(v, ctx.Now) {
-					order = append(order, v)
-				}
-			}
-			return minimalVictims(n, need, order)
+	return preemptBy(ctx, tk, &c.plans,
+		func(n *cluster.Node, dst []*task.Task) []*task.Task {
+			order := n.AppendSpotTasks(dst)
+			return slices.DeleteFunc(order, func(v *task.Task) bool { return !c.leaseExpired(v, ctx.Now) })
 		},
 		func(n *cluster.Node, victims []*task.Task) float64 {
 			return float64(len(victims))

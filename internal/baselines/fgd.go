@@ -1,7 +1,8 @@
 package baselines
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"github.com/sjtucitlab/gfs/internal/cluster"
 	"github.com/sjtucitlab/gfs/internal/sched"
@@ -13,7 +14,7 @@ import (
 // each pod goes to the node whose fragmentation measure grows least.
 // FGD has no notion of workload class, so HP and spot mix freely and
 // HP demand surges evict whatever is in the way.
-type FGD struct{}
+type FGD struct{ plans plans }
 
 // NewFGD creates the scheduler.
 func NewFGD() *FGD { return &FGD{} }
@@ -24,21 +25,25 @@ func (*FGD) Name() string { return "FGD" }
 // Less implements sched.Scheduler.
 func (*FGD) Less(a, b *task.Task) bool { return fcfsLess(a, b) }
 
+// pick takes the node whose fragmentation grows least. The growth is
+// no bound on idle cards, so every candidate is scored.
+func (*FGD) pick(cl *cluster.Cluster, tk *task.Task) *cluster.Node {
+	return bestScored(cl.Candidates(tk), false, nil, func(n *cluster.Node) float64 { return fragDelta(n, tk) })
+}
+
 // Schedule implements sched.Scheduler.
-func (*FGD) Schedule(ctx *sched.Context, tk *task.Task) (*sched.Decision, error) {
-	dec, err := placeBy(ctx, tk, func(n *cluster.Node) float64 {
-		return fragDelta(n, tk)
-	})
+func (f *FGD) Schedule(ctx *sched.Context, tk *task.Task) (*sched.Decision, error) {
+	dec, err := placeBy(ctx, tk, f.pick)
 	if err == nil || tk.Type != task.HP {
 		return dec, err
 	}
 	// Fragmentation-blind preemption: take the node with the most
 	// spot capacity, evicting in ID order.
-	return preemptBy(ctx, tk,
-		func(n *cluster.Node, need int) []*task.Task {
-			order := n.SpotTasks()
-			sort.Slice(order, func(i, j int) bool { return order[i].ID < order[j].ID })
-			return minimalVictims(n, need, order)
+	return preemptBy(ctx, tk, &f.plans,
+		func(n *cluster.Node, dst []*task.Task) []*task.Task {
+			order := n.AppendSpotTasks(dst)
+			slices.SortFunc(order, func(a, b *task.Task) int { return cmp.Compare(a.ID, b.ID) })
+			return order
 		},
 		func(n *cluster.Node, victims []*task.Task) float64 {
 			return -n.SpotGPUs()

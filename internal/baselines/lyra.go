@@ -1,7 +1,8 @@
 package baselines
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"github.com/sjtucitlab/gfs/internal/cluster"
 	"github.com/sjtucitlab/gfs/internal/sched"
@@ -26,6 +27,8 @@ type Lyra struct {
 	pool     map[*cluster.Node]bool
 	poolOf   *cluster.Cluster
 	poolSize int
+
+	plans plans
 }
 
 // NewLyra creates the scheduler with the default 25% loan pool.
@@ -55,39 +58,41 @@ func (l *Lyra) loanable(cl *cluster.Cluster, n *cluster.Node) bool {
 	return l.pool[n]
 }
 
-// Schedule implements sched.Scheduler.
-func (l *Lyra) Schedule(ctx *sched.Context, tk *task.Task) (*sched.Decision, error) {
-	cl := ctx.State.Cluster
+// pick packs training tight on the loan pool alone; inference prefers
+// the reserved pool (best fit) and spills into idle loan-pool capacity.
+// Both scores are idle-bounded (a loan-pool node only adds 1000). The
+// loan pool is a matter of position, so every fitting node is walked,
+// not just Candidates.
+func (l *Lyra) pick(cl *cluster.Cluster, tk *task.Task) *cluster.Node {
 	if tk.Type == task.Spot {
-		// Training runs only on the loan pool, packed tight.
-		return placePods(ctx, tk, true,
-			func(n *cluster.Node) bool { return l.loanable(cl, n) },
-			func(n *cluster.Node) float64 { return n.IdleGPUs() })
+		return bestScored(cl.Fitting(tk), true, func(n *cluster.Node) bool { return l.loanable(cl, n) }, (*cluster.Node).IdleGPUs)
 	}
-	// Inference prefers the reserved pool (best fit); it spills into
-	// idle loan-pool capacity before preempting anyone.
-	dec, err := placePods(ctx, tk, true, nil, func(n *cluster.Node) float64 {
+	return bestScored(cl.Fitting(tk), true, nil, func(n *cluster.Node) float64 {
 		score := n.IdleGPUs()
 		if l.loanable(cl, n) {
 			score += 1000
 		}
 		return score
 	})
-	if err == nil {
-		return dec, nil
+}
+
+// Schedule implements sched.Scheduler.
+func (l *Lyra) Schedule(ctx *sched.Context, tk *task.Task) (*sched.Decision, error) {
+	dec, err := placeBy(ctx, tk, l.pick)
+	if err == nil || tk.Type != task.HP {
+		return dec, err
 	}
 	// Reclaim: minimize displaced training tasks.
-	return preemptBy(ctx, tk,
-		func(n *cluster.Node, need int) []*task.Task {
-			order := n.SpotTasks()
-			sort.Slice(order, func(i, j int) bool {
-				pi, pj := n.PodsOf(order[i].ID), n.PodsOf(order[j].ID)
-				if pi != pj {
-					return pi > pj // biggest holdings free cards fastest
+	return preemptBy(ctx, tk, &l.plans,
+		func(n *cluster.Node, dst []*task.Task) []*task.Task {
+			order := n.AppendSpotTasks(dst)
+			slices.SortFunc(order, func(a, b *task.Task) int {
+				if pa, pb := n.PodsOf(a.ID), n.PodsOf(b.ID); pa != pb {
+					return cmp.Compare(pb, pa) // biggest holdings free cards fastest
 				}
-				return order[i].ID < order[j].ID
+				return cmp.Compare(a.ID, b.ID)
 			})
-			return minimalVictims(n, need, order)
+			return order
 		},
 		func(n *cluster.Node, victims []*task.Task) float64 {
 			return float64(len(victims))

@@ -1,7 +1,8 @@
 package baselines
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"github.com/sjtucitlab/gfs/internal/cluster"
 	"github.com/sjtucitlab/gfs/internal/sched"
@@ -12,7 +13,7 @@ import (
 // placement (the node with the least idle capacity that fits), and
 // preemption of the most recently launched spot containers when HP
 // tasks need resources.
-type YARNCS struct{}
+type YARNCS struct{ plans plans }
 
 // NewYARNCS creates the scheduler.
 func NewYARNCS() *YARNCS { return &YARNCS{} }
@@ -23,27 +24,30 @@ func (*YARNCS) Name() string { return "YARN-CS" }
 // Less implements sched.Scheduler (FCFS with HP priority).
 func (*YARNCS) Less(a, b *task.Task) bool { return fcfsLess(a, b) }
 
+// pick is best fit: the node with the least idle capacity left, a
+// score idle-bounded by definition.
+func (*YARNCS) pick(cl *cluster.Cluster, tk *task.Task) *cluster.Node {
+	return bestScored(cl.Candidates(tk), true, nil, (*cluster.Node).IdleGPUs)
+}
+
 // Schedule implements sched.Scheduler.
-func (*YARNCS) Schedule(ctx *sched.Context, tk *task.Task) (*sched.Decision, error) {
-	// Best fit: minimize remaining idle capacity.
-	dec, err := placeBy(ctx, tk, func(n *cluster.Node) float64 {
-		return n.IdleGPUs()
-	})
+func (y *YARNCS) Schedule(ctx *sched.Context, tk *task.Task) (*sched.Decision, error) {
+	dec, err := placeBy(ctx, tk, y.pick)
 	if err == nil || tk.Type != task.HP {
 		return dec, err
 	}
 	// Preempt: fewest victims; ties broken by most recently
 	// launched victims first (classic capacity-scheduler policy).
-	return preemptBy(ctx, tk,
-		func(n *cluster.Node, need int) []*task.Task {
-			order := n.SpotTasks()
-			sort.Slice(order, func(i, j int) bool {
-				if order[i].StartedAt != order[j].StartedAt {
-					return order[i].StartedAt > order[j].StartedAt
+	return preemptBy(ctx, tk, &y.plans,
+		func(n *cluster.Node, dst []*task.Task) []*task.Task {
+			order := n.AppendSpotTasks(dst)
+			slices.SortFunc(order, func(a, b *task.Task) int {
+				if a.StartedAt != b.StartedAt {
+					return cmp.Compare(b.StartedAt, a.StartedAt)
 				}
-				return order[i].ID < order[j].ID
+				return cmp.Compare(a.ID, b.ID)
 			})
-			return minimalVictims(n, need, order)
+			return order
 		},
 		func(n *cluster.Node, victims []*task.Task) float64 {
 			return float64(len(victims))

@@ -383,9 +383,9 @@ func (c *Cluster) HPGPUs(model string) float64 {
 	return u
 }
 
-// AllocationRate is used/total in [0,1], the paper's headline
+// allocationRate is used/total in [0,1], the paper's headline
 // efficiency metric.
-func (c *Cluster) AllocationRate(model string) float64 {
+func (c *Cluster) allocationRate(model string) float64 {
 	total := c.TotalGPUs(model)
 	if total == 0 {
 		return 0
@@ -396,5 +396,5 @@ func (c *Cluster) AllocationRate(model string) float64 {
 // String implements fmt.Stringer.
 func (c *Cluster) String() string {
 	return fmt.Sprintf("cluster (%d nodes, %.0f GPUs, %.1f%% allocated)",
-		len(c.nodes), c.TotalGPUs(""), 100*c.AllocationRate(""))
+		len(c.nodes), c.TotalGPUs(""), 100*c.allocationRate(""))
 }

@@ -327,10 +327,10 @@ func TestClusterAggregates(t *testing.T) {
 	if err := c.NodesOfModel("A100")[0].PlacePod(tk); err != nil {
 		t.Fatal(err)
 	}
-	if got := c.AllocationRate(""); math.Abs(got-8.0/20) > 1e-9 {
+	if got := c.allocationRate(""); math.Abs(got-8.0/20) > 1e-9 {
 		t.Fatalf("alloc rate = %v", got)
 	}
-	if got := c.AllocationRate("A100"); math.Abs(got-0.5) > 1e-9 {
+	if got := c.allocationRate("A100"); math.Abs(got-0.5) > 1e-9 {
 		t.Fatalf("A100 alloc rate = %v", got)
 	}
 	if got := c.IdleGPUs(""); got != 12 {

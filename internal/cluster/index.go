@@ -107,10 +107,10 @@ func (h *idHeap) Pop() any {
 // models one pod of tk fits on without preemption, in ascending idle
 // order: free[0] (fractional pods only, filtered card by card), then
 // for each k from the pod's card count up free[k] and pristine[k] (with
-// collapse, its root alone), each with floor (k − ½)/C, C the largest
-// capacity walked (−∞ once the cluster is loose): a bound under the
-// idle share of it and every later node, a half card wider than any
-// rounding in the usage sums. yield must not change the cluster.
+// collapse, its root alone), each with floor k − ½ (−∞ once the cluster
+// is loose): a bound under the idle cards of it and every later node,
+// whatever their capacity, a half card wider than any rounding in the
+// usage sums. yield must not change the cluster.
 func (c *Cluster) walk(tk *task.Task, collapse bool, yield func(*Node, float64) bool) {
 	models := c.models
 	if tk.GPUModel != "" {
@@ -120,14 +120,11 @@ func (c *Cluster) walk(tk *task.Task, collapse bool, yield func(*Node, float64) 
 		}
 		models = one[:]
 	}
-	top, half := 0, -0.5
-	for _, ix := range models {
-		top = max(top, len(ix.free)-1)
-	}
+	top, half := c.MaxCapacity(tk.GPUModel), -0.5
 	if c.loose {
 		half = math.Inf(-1)
 	}
-	floor := func(k int) float64 { return (float64(k) + half) / float64(top) }
+	floor := func(k int) float64 { return float64(k) + half }
 	need := 1
 	if g := tk.GPUsPerPod; g >= 1 {
 		// Capped one past the largest node, where no loop below runs.
@@ -161,6 +158,19 @@ func (c *Cluster) walk(tk *task.Task, collapse bool, yield func(*Node, float64) 
 			}
 		}
 	}
+}
+
+// MaxCapacity returns the largest capacity among the cluster's nodes of
+// model ("" for every model): the C under which a walk's floor f bounds
+// the idle share of every node from there on by f/C.
+func (c *Cluster) MaxCapacity(model string) int {
+	top := 0
+	for _, ix := range c.models {
+		if model == "" || ix.nodes[0].Model == model {
+			top = max(top, len(ix.free)-1)
+		}
+	}
+	return top
 }
 
 // Candidates walks the nodes among which the best host for one pod of

@@ -83,11 +83,11 @@ func list(walk iter.Seq2[*Node, float64]) []*Node {
 }
 
 // checkFloors checks a walk's floor contract: floors never fall, and
-// each node's idle share is at least its own.
+// each node's idle cards are at least its own.
 func checkFloors(walk iter.Seq2[*Node, float64]) error {
 	last := math.Inf(-1)
 	for n, floor := range walk {
-		if floor < last || n.IdleGPUs()/float64(n.Capacity()) < floor {
+		if floor < last || n.IdleGPUs() < floor {
 			return fmt.Errorf("%v walked at floor %v after floor %v", n, floor, last)
 		}
 		last = floor

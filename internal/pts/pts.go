@@ -206,23 +206,25 @@ type scored struct {
 // (Algorithm 1); a total order, so candidate order does not matter.
 // Pristine nodes tie on every score and cannot trip, so Candidates
 // offers the lowest ID per capacity alone. They come in ascending idle
-// order, each with a floor f under the idle share of every node from
-// there on, so none left scores a score1 above 1 − f; the walk stops
-// once the best score1 strictly exceeds that, and f's half card of
-// margin outweighs any rounding. Score3 is computed only where (score1,
-// score2) ties or beats the best. Alg. 1 line 7 trips the breaker on
-// any whole-card spot candidate whose Score3 is 0, winner or not, so
-// all are scored unless none can trip: for γ in [0, 1], m ≥ 0 and
-// long > 0, Eqs. 15–16 are monotone in the counts, and Score3 at the
-// cluster's largest possible eviction rate is above 0.
+// order, each with a floor f under the idle cards of every node from
+// there on, so with C the largest capacity walked none left scores a
+// score1 above 1 − f/C; the walk stops once the best score1 strictly
+// exceeds that, and f's half card of margin outweighs any rounding.
+// Score3 is computed only where (score1, score2) ties or beats the
+// best. Alg. 1 line 7 trips the breaker on any whole-card spot
+// candidate whose Score3 is 0, winner or not, so all are scored unless
+// none can trip: for γ in [0, 1], m ≥ 0 and long > 0, Eqs. 15–16 are
+// monotone in the counts, and Score3 at the cluster's largest possible
+// eviction rate is above 0.
 func (s *Scheduler) bestNode(ctx *sched.Context, tk *task.Task) *cluster.Node {
 	c := &s.cfg
 	breaker := tk.Type == task.Spot && !c.DisableEvictionAware && tk.GPUsPerPod >= 1
 	every := breaker && (!(c.Gamma >= 0 && c.Gamma <= 1 && c.PenaltyM >= 0 && c.LongWindow > 0) ||
 		s.score3(ctx.State.Cluster.MaxEvictionRate(c.Gamma, c.LongWindow), task.Spot) <= 0)
 	var best scored
+	top := float64(ctx.State.Cluster.MaxCapacity(tk.GPUModel))
 	for n, floor := range ctx.State.Cluster.Candidates(tk) {
-		if !every && best.node != nil && best.s1 > 1-floor {
+		if !every && best.node != nil && best.s1 > 1-floor/top {
 			break
 		}
 		s.visited++

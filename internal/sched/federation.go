@@ -614,7 +614,7 @@ func (f *fedSim) finish() *FedResult {
 		}
 		for _, tk := range r.Tasks {
 			if tk.State == task.Finished {
-				mr.GoodputGPUSeconds += tk.TotalGPUs() * float64(tk.Duration)
+				mr.GoodputGPUSeconds += float64(tk.TotalGPUs() * float64(tk.Duration))
 			}
 		}
 		out.GoodputGPUSeconds += mr.GoodputGPUSeconds

@@ -33,7 +33,7 @@ type DiurnalProfile struct {
 // [0,1].
 func (p DiurnalProfile) Intensity(t simclock.Time) float64 {
 	w := p.Curve.WeightAt(p.Calendar, t)
-	f := p.Base + (p.Peak-p.Base)*w
+	f := p.Base + float64((p.Peak-p.Base)*w)
 	if p.Pressure > 0 {
 		f *= p.Pressure
 	}
@@ -174,7 +174,7 @@ func RandomStorms(rng *rand.Rand, p StormProfile) []ScenarioAction {
 				}
 			}
 		} else {
-			f := minR + rng.Float64()*(maxR-minR)
+			f := minR + float64(rng.Float64()*(maxR-minR))
 			out = append(out, ScenarioAction{At: t, Op: OpReclaimSpot, Fraction: f})
 		}
 	}

@@ -82,7 +82,7 @@ func (a *Allocator) Inventory(capacity float64, forecasts []OrgForecast) float64
 			steps = len(f.Mu)
 		}
 		for t := 0; t < steps; t++ {
-			ub := f.Mu[t] + z*f.Sigma[t]
+			ub := f.Mu[t] + float64(z*f.Sigma[t])
 			if ub > peak {
 				peak = ub
 			}

@@ -30,12 +30,12 @@ func quantileSorted(s []float64, p float64) float64 {
 	if p >= 1 {
 		return s[len(s)-1]
 	}
-	pos := p * float64(len(s)-1)
+	pos := float64(p * float64(len(s)-1))
 	lo := int(math.Floor(pos))
 	hi := int(math.Ceil(pos))
 	if lo == hi {
 		return s[lo]
 	}
 	frac := pos - float64(lo)
-	return s[lo]*(1-frac) + s[hi]*frac
+	return float64(s[lo]*(1-frac)) + float64(s[hi]*frac) // rounded, so never fused
 }

@@ -81,8 +81,9 @@ func NewAllocationTracker(capacity float64) *AllocationTracker {
 func (a *AllocationTracker) Observe(t simclock.Time, used float64) {
 	if a.started {
 		dt := t.Sub(a.lastT)
-		a.area += a.lastUsed * float64(dt)
-		a.capArea += a.capacity * float64(dt)
+		// Rounded products: no platform fuses them into the sums.
+		a.area += float64(a.lastUsed * float64(dt))
+		a.capArea += float64(a.capacity * float64(dt))
 		a.span += dt
 	}
 	a.started = true

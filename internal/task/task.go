@@ -140,8 +140,9 @@ func New(id int, typ Type, pods int, gpusPerPod float64, duration simclock.Durat
 	}
 }
 
-// TotalGPUs returns w·g, the task's aggregate GPU request.
-func (t *Task) TotalGPUs() float64 { return float64(t.Pods) * t.GPUsPerPod }
+// TotalGPUs returns w·g, the task's aggregate GPU request. The
+// conversion rounds it, so no platform fuses it into a caller's sum.
+func (t *Task) TotalGPUs() float64 { return float64(float64(t.Pods) * t.GPUsPerPod) }
 
 // PodCards returns the whole cards one pod needs free: a fractional pod
 // counts as one.
