@@ -261,7 +261,7 @@ func TestAllocCeilings(t *testing.T) {
 		// GFS leaves room for one prediction tape regrown (~146
 		// allocations) after a garbage collection empties the pool.
 		{"GFS", gfsSetup(t), 2338},
-		{"Train", trainSetup, 1820},
+		{"Train", trainSetup, 1811},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			// The first op also pays one-time initialisation

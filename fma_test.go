@@ -10,21 +10,22 @@ import (
 
 // TestPlacementHasNoFusedMultiplyAdd: the Go spec lets a compiler fuse
 // x*y + z into one fused multiply-add, which rounds once where the
-// source rounds twice. amd64 never fuses; arm64 does. The placement
-// and simulation packages round every such product with an explicit
-// float64 conversion, so their scores, usage sums and metrics keep the
-// same bits on both: compiled for arm64, they hold no fused
-// instruction.
+// source rounds twice. amd64 never fuses; arm64 does. The placement,
+// simulation and autoscale packages round every such product with an
+// explicit float64 conversion, so their scores, usage sums, metrics
+// and capacity forecasts keep the same bits on both: compiled for
+// arm64, they hold no fused instruction.
 func TestPlacementHasNoFusedMultiplyAdd(t *testing.T) {
 	if testing.Short() {
-		t.Skip("cross-compiles seven packages for arm64")
+		t.Skip("cross-compiles eight packages for arm64")
 	}
 	goTool, err := exec.LookPath("go")
 	if err != nil {
 		t.Skip("no go command on PATH")
 	}
 	cmd := exec.Command(goTool, "build", "-gcflags=-S", "./internal/pts", "./internal/cluster",
-		"./internal/baselines", "./internal/task", "./internal/sched", "./internal/sqa", "./internal/stats")
+		"./internal/baselines", "./internal/task", "./internal/sched", "./internal/sqa", "./internal/stats",
+		"./internal/autoscale")
 	cmd.Env = append(os.Environ(), "GOARCH=arm64", "CGO_ENABLED=0")
 	out, err := cmd.CombinedOutput()
 	if err != nil {

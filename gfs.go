@@ -257,39 +257,29 @@ func NewOrgLinear() Distributional {
 // NewOrgLinearFast builds an OrgLinear with a reduced epoch budget,
 // useful for interactive experimentation and tests.
 func NewOrgLinearFast(epochs int) Distributional {
-	cfg := forecast.DefaultOrgLinearConfig()
-	cfg.Epochs = epochs
-	return forecast.NewOrgLinear(cfg)
+	return forecast.NewOrgLinear(forecast.OrgLinearConfig{Epochs: epochs})
 }
 
-// NewDeepAR builds the probabilistic RNN baseline.
-func NewDeepAR() Distributional {
-	return forecast.NewDeepAR(forecast.DefaultDeepARConfig())
-}
+// NewDeepAR builds the probabilistic RNN baseline, trained for 8
+// epochs.
+func NewDeepAR() Distributional { return forecast.NewDeepAR(8) }
 
-// NewDLinear builds the linear decomposition baseline.
-func NewDLinear() Forecaster {
-	return forecast.NewDLinear(forecast.DefaultDLinearConfig())
-}
+// NewDLinear builds the linear decomposition baseline, trained for 40
+// epochs.
+func NewDLinear() Forecaster { return forecast.NewDLinear(40) }
 
-// NewTransformer builds the vanilla attention baseline.
-func NewTransformer() Forecaster {
-	return forecast.NewTransformer(forecast.DefaultTransformerConfig())
-}
+// NewTransformer builds the vanilla attention baseline, trained for 6
+// epochs.
+func NewTransformer() Forecaster { return forecast.NewTransformer(6) }
 
-// NewInformer builds the prob-sparse attention baseline.
-func NewInformer() Forecaster {
-	cfg := forecast.DefaultTransformerConfig()
-	cfg.Variant = forecast.ProbSparseAttention
-	return forecast.NewTransformer(cfg)
-}
+// NewInformer builds the prob-sparse attention baseline, trained for 6
+// epochs.
+func NewInformer() Forecaster { return forecast.NewInformer(6) }
 
-// NewAutoformer builds the auto-correlation baseline.
-func NewAutoformer() Forecaster {
-	return forecast.NewAutoformer(forecast.DefaultAutoformerConfig())
-}
+// NewAutoformer builds the auto-correlation baseline, trained for 6
+// epochs.
+func NewAutoformer() Forecaster { return forecast.NewAutoformer(6) }
 
-// NewFEDformer builds the frequency-enhanced baseline.
-func NewFEDformer() Forecaster {
-	return forecast.NewFEDformer(forecast.DefaultFEDformerConfig())
-}
+// NewFEDformer builds the frequency-enhanced baseline, trained for 6
+// epochs.
+func NewFEDformer() Forecaster { return forecast.NewFEDformer(6) }

@@ -318,7 +318,7 @@ func (p *Policy) forecastUpper(ctx *sched.AutoscaleContext) float64 {
 		if mu > 0 {
 			mus[i] += mu
 		}
-		vars[i] += sigma * sigma
+		vars[i] += float64(sigma * sigma)
 	}
 	if p.Estimator != nil && p.Estimator.Fitted() {
 		for _, f := range p.memo.Forecasts(p.Estimator, ctx.OrgDemand, ctx.HourIndex) {
@@ -344,7 +344,7 @@ func (p *Policy) forecastUpper(ctx *sched.AutoscaleContext) float64 {
 	}
 	upper := 0.0
 	for i := range mus {
-		if u := mus[i] + z*math.Sqrt(vars[i]); u > upper {
+		if u := mus[i] + float64(z*math.Sqrt(vars[i])); u > upper {
 			upper = u
 		}
 	}

@@ -37,9 +37,7 @@ func (r *recorder) PredictDist(ex forecast.Example) (mu, sigma []float64) {
 // runs apart.
 func TestQuotaForecastsOncePerHour(t *testing.T) {
 	const history = 48 // a non-default window: StartHour errors show
-	ocfg := forecast.DefaultOrgLinearConfig()
-	ocfg.Epochs = 2
-	rec := &recorder{Distributional: forecast.NewOrgLinear(ocfg)}
+	rec := &recorder{Distributional: forecast.NewOrgLinear(forecast.OrgLinearConfig{Epochs: 2})}
 	est := gde.New(gde.Config{History: history, Horizon: 4, Model: rec})
 	panel := org.Panel(org.Presets(), timefeat.NewCalendar(), 0, 24*7, 5)
 	if err := est.Train(panel, 0); err != nil {

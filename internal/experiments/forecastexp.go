@@ -41,28 +41,14 @@ func Figure10(fc FcScale) ([]Figure10Row, error) {
 
 // Models instantiates the Fig. 10 lineup at this scale.
 func (f FcScale) Models() []forecast.Forecaster {
-	olCfg := forecast.DefaultOrgLinearConfig()
-	olCfg.Epochs = f.LinearEpochs
-	dlCfg := forecast.DefaultDLinearConfig()
-	dlCfg.Epochs = f.LinearEpochs
-	trCfg := forecast.DefaultTransformerConfig()
-	trCfg.Epochs = f.DeepEpochs
-	infCfg := trCfg
-	infCfg.Variant = forecast.ProbSparseAttention
-	autoCfg := forecast.DefaultAutoformerConfig()
-	autoCfg.Epochs = f.DeepEpochs
-	fedCfg := forecast.DefaultFEDformerConfig()
-	fedCfg.Epochs = f.DeepEpochs
-	darCfg := forecast.DefaultDeepARConfig()
-	darCfg.Epochs = f.DeepEpochs
 	return []forecast.Forecaster{
-		forecast.NewOrgLinear(olCfg),
-		forecast.NewTransformer(trCfg),
-		forecast.NewTransformer(infCfg),
-		forecast.NewAutoformer(autoCfg),
-		forecast.NewFEDformer(fedCfg),
-		forecast.NewDLinear(dlCfg),
-		forecast.NewDeepAR(darCfg),
+		forecast.NewOrgLinear(forecast.OrgLinearConfig{Epochs: f.LinearEpochs}),
+		forecast.NewTransformer(f.DeepEpochs),
+		forecast.NewInformer(f.DeepEpochs),
+		forecast.NewAutoformer(f.DeepEpochs),
+		forecast.NewFEDformer(f.DeepEpochs),
+		forecast.NewDLinear(f.LinearEpochs),
+		forecast.NewDeepAR(f.DeepEpochs),
 	}
 }
 
@@ -91,13 +77,9 @@ type Table7Row struct {
 // against DeepAR (the strongest probabilistic baseline).
 func Table7(fc FcScale) ([]Table7Row, error) {
 	train, test := fc.Panel()
-	darCfg := forecast.DefaultDeepARConfig()
-	darCfg.Epochs = fc.DeepEpochs
-	olCfg := forecast.DefaultOrgLinearConfig()
-	olCfg.Epochs = fc.LinearEpochs
 	models := []forecast.Distributional{
-		forecast.NewDeepAR(darCfg),
-		forecast.NewOrgLinear(olCfg),
+		forecast.NewDeepAR(fc.DeepEpochs),
+		forecast.NewOrgLinear(forecast.OrgLinearConfig{Epochs: fc.LinearEpochs}),
 	}
 	var rows []Table7Row
 	for _, m := range models {

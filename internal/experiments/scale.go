@@ -136,11 +136,9 @@ func (s SimScale) Trace(spotScale float64) []*task.Task {
 // demand generated by the same workload process as the evaluation
 // trace, so the model sees the volatility it must predict.
 func (s SimScale) TrainEstimator() (*gde.Estimator, error) {
-	ocfg := forecast.DefaultOrgLinearConfig()
-	ocfg.Epochs = s.OrgLinearEpochs
 	est := gde.New(gde.Config{
 		History: s.GDEHistory, Horizon: s.GDEHorizon,
-		Model: forecast.NewOrgLinear(ocfg),
+		Model: forecast.NewOrgLinear(forecast.OrgLinearConfig{Epochs: s.OrgLinearEpochs}),
 	})
 	panel := s.demandPanel(s.TrainDays)
 	return est, est.Train(panel, 0)

@@ -7,30 +7,22 @@ import (
 
 	"github.com/sjtucitlab/gfs/internal/nn"
 	"github.com/sjtucitlab/gfs/internal/tensor"
-	"github.com/sjtucitlab/gfs/internal/timefeat"
 )
 
-// AutoformerConfig parameterizes the Autoformer baseline (Wu et al.,
-// NeurIPS '21): progressive series decomposition with an
+// Autoformer's fixed widths and schedule.
+const (
+	autoformerDim       = 16
+	autoformerKernel    = 25 // moving-average window of the decomposition
+	autoformerTopK      = 3  // lags aggregated by auto-correlation
+	autoformerLR        = 0.005
+	autoformerBatchSize = 8
+)
+
+// Autoformer is the decomposition + auto-correlation forecaster of Wu
+// et al. (NeurIPS '21): progressive series decomposition with an
 // auto-correlation mechanism in place of dot-product attention.
-type AutoformerConfig struct {
-	Dim    int
-	Kernel int
-	TopK   int
-	TrainConfig
-	Calendar *timefeat.Calendar
-}
-
-// DefaultAutoformerConfig returns the experiment settings.
-func DefaultAutoformerConfig() AutoformerConfig {
-	return AutoformerConfig{Dim: 16, Kernel: 25, TopK: 3,
-		TrainConfig: TrainConfig{Epochs: 6, LR: 0.005, BatchSize: 8, Seed: 1},
-		Calendar:    timefeat.NewCalendar()}
-}
-
-// Autoformer is the decomposition + auto-correlation forecaster.
 type Autoformer struct {
-	cfg AutoformerConfig
+	epochs int
 
 	inProj       *nn.Linear
 	wv           *nn.Linear
@@ -43,28 +35,23 @@ type Autoformer struct {
 	params []*tensor.Tensor
 }
 
-// NewAutoformer creates an untrained Autoformer.
-func NewAutoformer(cfg AutoformerConfig) *Autoformer {
-	if cfg.Calendar == nil {
-		cfg.Calendar = timefeat.NewCalendar()
-	}
-	if cfg.BatchSize <= 0 {
-		cfg.BatchSize = 8
-	}
-	return &Autoformer{cfg: cfg}
+// NewAutoformer creates an untrained Autoformer that trains for the
+// given number of epochs.
+func NewAutoformer(epochs int) *Autoformer {
+	return &Autoformer{epochs: epochs}
 }
 
 // Name implements Forecaster.
 func (m *Autoformer) Name() string { return "Autoformer" }
 
 func (m *Autoformer) build(l, h int, rng *rand.Rand) []*tensor.Tensor {
-	d := m.cfg.Dim
+	d := autoformerDim
 	m.inProj = nn.NewLinear(3, d, rng)
 	m.wv = nn.NewLinear(d, d, rng)
 	m.lnGain, m.lnBias = onesRow(d), tensor.New(1, d)
 	m.seasonalHead = nn.NewLinear(d, h, rng)
 	m.trendHead = nn.NewLinear(d, h, rng)
-	m.maMatrix = MovingAverageMatrix(l, m.cfg.Kernel)
+	m.maMatrix = MovingAverageMatrix(l, autoformerKernel)
 	m.params = nn.CollectParams(m.inProj, m.wv, m.seasonalHead, m.trendHead)
 	m.params = append(m.params, m.lnGain, m.lnBias)
 	return m.params
@@ -86,7 +73,7 @@ func (m *Autoformer) decomp(tp *tensor.Tape, x *tensor.Tensor) (seasonal, trend 
 // gradients flow through the value projection.
 func (m *Autoformer) autoCorrelate(tp *tensor.Tape, x *tensor.Tensor, hist []float64) *tensor.Tensor {
 	v := m.wv.Forward(tp, x)
-	lags, weights := topAutocorrLags(hist, m.cfg.TopK)
+	lags, weights := topAutocorrLags(hist, autoformerTopK)
 	var agg *tensor.Tensor
 	for i, lag := range lags {
 		rolled := tp.Gather(v, rollIndices(x.Rows, lag))
@@ -165,7 +152,7 @@ func topAutocorrLags(hist []float64, k int) (lags []int, weights []float64) {
 }
 
 func (m *Autoformer) forward(tp *tensor.Tape, w window) *tensor.Tensor {
-	x := m.inProj.Forward(tp, seqInput(tp, m.cfg.Calendar, w))
+	x := m.inProj.Forward(tp, seqInput(tp, w))
 	seasonal, trend := m.decomp(tp, x)
 	ac := m.autoCorrelate(tp, seasonal, w.hist)
 	seasonal = tp.LayerNorm(tp.Add(seasonal, ac), m.lnGain, m.lnBias, 1e-5)
@@ -179,7 +166,8 @@ func (m *Autoformer) forward(tp *tensor.Tape, w window) *tensor.Tensor {
 
 // Fit implements Forecaster.
 func (m *Autoformer) Fit(train []Example) error {
-	return fit(m.cfg.TrainConfig, train, 0, m.build, mse(m.forward))
+	tc := trainConfig{epochs: m.epochs, lr: autoformerLR, batchSize: autoformerBatchSize}
+	return fit(tc, train, 0, m.build, mse(m.forward))
 }
 
 // Predict implements Forecaster.

@@ -5,26 +5,19 @@ import (
 
 	"github.com/sjtucitlab/gfs/internal/nn"
 	"github.com/sjtucitlab/gfs/internal/tensor"
-	"github.com/sjtucitlab/gfs/internal/timefeat"
 )
 
-// DeepARConfig parameterizes the DeepAR baseline (Salinas et al.):
-// an autoregressive LSTM with a Gaussian output head.
-type DeepARConfig struct {
-	Hidden int
-	TrainConfig
-	Calendar *timefeat.Calendar
-}
+// DeepAR's fixed width and schedule.
+const (
+	deepARHidden    = 16 // LSTM state width
+	deepARLR        = 0.01
+	deepARBatchSize = 8
+)
 
-// DefaultDeepARConfig returns the experiment settings.
-func DefaultDeepARConfig() DeepARConfig {
-	return DeepARConfig{Hidden: 16, TrainConfig: TrainConfig{Epochs: 8, LR: 0.01, BatchSize: 8, Seed: 1},
-		Calendar: timefeat.NewCalendar()}
-}
-
-// DeepAR is the probabilistic RNN forecaster.
+// DeepAR is the probabilistic RNN forecaster of Salinas et al.: an
+// autoregressive LSTM with a Gaussian output head.
 type DeepAR struct {
-	cfg       DeepARConfig
+	epochs    int
 	l, h      int
 	cell      *nn.LSTMCell
 	muHead    *nn.Linear
@@ -32,15 +25,10 @@ type DeepAR struct {
 	params    []*tensor.Tensor
 }
 
-// NewDeepAR creates an untrained DeepAR model.
-func NewDeepAR(cfg DeepARConfig) *DeepAR {
-	if cfg.Calendar == nil {
-		cfg.Calendar = timefeat.NewCalendar()
-	}
-	if cfg.BatchSize <= 0 {
-		cfg.BatchSize = 8
-	}
-	return &DeepAR{cfg: cfg}
+// NewDeepAR creates an untrained DeepAR model that trains for the
+// given number of epochs.
+func NewDeepAR(epochs int) *DeepAR {
+	return &DeepAR{epochs: epochs}
 }
 
 // Name implements Forecaster.
@@ -52,15 +40,15 @@ const deepARInputs = 3
 
 func (m *DeepAR) build(l, h int, rng *rand.Rand) []*tensor.Tensor {
 	m.l, m.h = l, h
-	m.cell = nn.NewLSTMCell(deepARInputs, m.cfg.Hidden, rng)
-	m.muHead = nn.NewLinear(m.cfg.Hidden, 1, rng)
-	m.sigmaHead = nn.NewLinear(m.cfg.Hidden, 1, rng)
+	m.cell = nn.NewLSTMCell(deepARInputs, deepARHidden, rng)
+	m.muHead = nn.NewLinear(deepARHidden, 1, rng)
+	m.sigmaHead = nn.NewLinear(deepARHidden, 1, rng)
 	m.params = nn.CollectParams(m.cell, m.muHead, m.sigmaHead)
 	return m.params
 }
 
 func (m *DeepAR) stepInput(tp *tensor.Tape, prev float64, hour int) *tensor.Tensor {
-	f := m.cfg.Calendar.AtHour(hour)
+	f := hourFeatures(hour)
 	return tp.Leaf(1, deepARInputs, []float64{
 		prev,
 		float64(f.Hour) / 24,
@@ -98,7 +86,8 @@ func (m *DeepAR) decode(tp *tensor.Tape, w window, teacher []float64) (mu, sigma
 
 // Fit implements Forecaster via teacher-forced maximum likelihood.
 func (m *DeepAR) Fit(train []Example) error {
-	return fit(m.cfg.TrainConfig, train, 0, m.build, nll(func(tp *tensor.Tape, w window) (mu, sigma *tensor.Tensor) {
+	tc := trainConfig{epochs: m.epochs, lr: deepARLR, batchSize: deepARBatchSize}
+	return fit(tc, train, 0, m.build, nll(func(tp *tensor.Tape, w window) (mu, sigma *tensor.Tensor) {
 		return m.decode(tp, w, w.future)
 	}))
 }

@@ -7,35 +7,28 @@ import (
 	"github.com/sjtucitlab/gfs/internal/tensor"
 )
 
-// DLinearConfig parameterizes the DLinear baseline (Zeng et al.,
-// AAAI '23): trend/seasonal decomposition followed by one linear map
-// per component.
-type DLinearConfig struct {
-	Kernel int
-	TrainConfig
-}
+// DLinear's fixed decomposition window and schedule.
+const (
+	dlinearKernel    = 25
+	dlinearLR        = 0.01
+	dlinearBatchSize = 16
+)
 
-// DefaultDLinearConfig returns the experiment settings.
-func DefaultDLinearConfig() DLinearConfig {
-	return DLinearConfig{Kernel: 25, TrainConfig: TrainConfig{Epochs: 40, LR: 0.01, BatchSize: 16, Seed: 1}}
-}
-
-// DLinear is the linear decomposition point forecaster.
+// DLinear is the linear decomposition point forecaster of Zeng et
+// al. (AAAI '23): trend/seasonal decomposition followed by one linear
+// map per component.
 type DLinear struct {
-	cfg       DLinearConfig
+	epochs    int
 	l         int
 	trendHead *nn.Linear
 	cycHead   *nn.Linear
 	params    []*tensor.Tensor
 }
 
-// NewDLinear creates an untrained DLinear model.
-func NewDLinear(cfg DLinearConfig) *DLinear {
-	if cfg.BatchSize <= 0 {
-		cfg.BatchSize = 16
-	}
-	cfg.Kernel = oddKernel(cfg.Kernel)
-	return &DLinear{cfg: cfg}
+// NewDLinear creates an untrained DLinear model that trains for the
+// given number of epochs.
+func NewDLinear(epochs int) *DLinear {
+	return &DLinear{epochs: epochs}
 }
 
 // Name implements Forecaster.
@@ -57,10 +50,11 @@ func (m *DLinear) forward(tp *tensor.Tape, w window) *tensor.Tensor {
 
 // Fit implements Forecaster.
 func (m *DLinear) Fit(train []Example) error {
-	return fit(m.cfg.TrainConfig, train, m.cfg.Kernel, m.build, mse(m.forward))
+	tc := trainConfig{epochs: m.epochs, lr: dlinearLR, batchSize: dlinearBatchSize}
+	return fit(tc, train, dlinearKernel, m.build, mse(m.forward))
 }
 
 // Predict implements Forecaster.
 func (m *DLinear) Predict(ex Example) []float64 {
-	return predict(m.params, ex, m.cfg.Kernel, m.forward)
+	return predict(m.params, ex, dlinearKernel, m.forward)
 }

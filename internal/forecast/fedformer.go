@@ -6,32 +6,24 @@ import (
 
 	"github.com/sjtucitlab/gfs/internal/nn"
 	"github.com/sjtucitlab/gfs/internal/tensor"
-	"github.com/sjtucitlab/gfs/internal/timefeat"
 )
 
-// FEDformerConfig parameterizes the FEDformer baseline (Zhou et al.,
-// ICML '22): a frequency-enhanced block that mixes a subset of
-// Fourier modes with learnable complex weights, combined with series
-// decomposition.
-type FEDformerConfig struct {
-	Dim    int
-	Kernel int
-	Modes  int
-	TrainConfig
-	Calendar *timefeat.Calendar
-}
+// FEDformer's fixed widths and schedule.
+const (
+	fedformerDim       = 16
+	fedformerKernel    = 25 // moving-average window of the decomposition
+	fedformerModes     = 8  // Fourier modes mixed, at most L/2
+	fedformerLR        = 0.005
+	fedformerBatchSize = 8
+)
 
-// DefaultFEDformerConfig returns the experiment settings.
-func DefaultFEDformerConfig() FEDformerConfig {
-	return FEDformerConfig{Dim: 16, Kernel: 25, Modes: 8,
-		TrainConfig: TrainConfig{Epochs: 6, LR: 0.005, BatchSize: 8, Seed: 1},
-		Calendar:    timefeat.NewCalendar()}
-}
-
-// FEDformer is the frequency-enhanced decomposition forecaster.
+// FEDformer is the frequency-enhanced decomposition forecaster of
+// Zhou et al. (ICML '22): a frequency-enhanced block that mixes a
+// subset of Fourier modes with learnable complex weights, combined
+// with series decomposition.
 type FEDformer struct {
-	cfg FEDformerConfig
-	l   int
+	epochs int
+	l      int
 
 	inProj       *nn.Linear
 	wRe, wIm     *tensor.Tensor // learnable complex mode weights (modes×dim)
@@ -45,23 +37,18 @@ type FEDformer struct {
 	params []*tensor.Tensor
 }
 
-// NewFEDformer creates an untrained FEDformer.
-func NewFEDformer(cfg FEDformerConfig) *FEDformer {
-	if cfg.Calendar == nil {
-		cfg.Calendar = timefeat.NewCalendar()
-	}
-	if cfg.BatchSize <= 0 {
-		cfg.BatchSize = 8
-	}
-	return &FEDformer{cfg: cfg}
+// NewFEDformer creates an untrained FEDformer that trains for the
+// given number of epochs.
+func NewFEDformer(epochs int) *FEDformer {
+	return &FEDformer{epochs: epochs}
 }
 
 // Name implements Forecaster.
 func (m *FEDformer) Name() string { return "FEDformer" }
 
 func (m *FEDformer) build(l, h int, rng *rand.Rand) []*tensor.Tensor {
-	d := m.cfg.Dim
-	modes := m.cfg.Modes
+	d := fedformerDim
+	modes := fedformerModes
 	if modes > l/2 {
 		modes = l / 2
 	}
@@ -75,7 +62,7 @@ func (m *FEDformer) build(l, h int, rng *rand.Rand) []*tensor.Tensor {
 	m.seasonalHead = nn.NewLinear(d, h, rng)
 	m.trendHead = nn.NewLinear(d, h, rng)
 
-	m.maMatrix = MovingAverageMatrix(l, m.cfg.Kernel)
+	m.maMatrix = MovingAverageMatrix(l, fedformerKernel)
 	// Low-frequency DFT selection: mode k row holds cos/sin basis.
 	m.fRe = tensor.New(modes, l)
 	m.fIm = tensor.New(modes, l)
@@ -113,7 +100,7 @@ func (m *FEDformer) freqBlock(tp *tensor.Tape, x *tensor.Tensor) *tensor.Tensor 
 }
 
 func (m *FEDformer) forward(tp *tensor.Tape, w window) *tensor.Tensor {
-	x := m.inProj.Forward(tp, seqInput(tp, m.cfg.Calendar, w))
+	x := m.inProj.Forward(tp, seqInput(tp, w))
 	trend := tp.MatMul(m.maMatrix, x)
 	seasonal := tp.Sub(x, trend)
 	fe := m.freqBlock(tp, seasonal)
@@ -125,7 +112,8 @@ func (m *FEDformer) forward(tp *tensor.Tape, w window) *tensor.Tensor {
 
 // Fit implements Forecaster.
 func (m *FEDformer) Fit(train []Example) error {
-	return fit(m.cfg.TrainConfig, train, 0, m.build, mse(m.forward))
+	tc := trainConfig{epochs: m.epochs, lr: fedformerLR, batchSize: fedformerBatchSize}
+	return fit(tc, train, 0, m.build, mse(m.forward))
 }
 
 // Predict implements Forecaster.

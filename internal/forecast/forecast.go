@@ -173,9 +173,8 @@ func (s scaler) invertStd(xs []float64) []float64 {
 	return xs
 }
 
-// timeFeatureIndices returns the (hour, weekday, holiday) vocabulary
-// indices for an hour index.
-func timeFeatureIndices(cal *timefeat.Calendar, hour int) (int, int, int) {
-	f := cal.AtHour(hour)
-	return f.Hour, f.Weekday, f.HolidayIndex()
+// hourFeatures decodes the temporal features of an hour index. Every
+// forecaster reads the holiday-free calendar, which a nil calendar is.
+func hourFeatures(hour int) timefeat.Features {
+	return (*timefeat.Calendar)(nil).AtHour(hour)
 }

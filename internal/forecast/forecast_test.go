@@ -75,7 +75,7 @@ func TestShapeOfValidation(t *testing.T) {
 		}
 		// An empty window used to train on a NaN scaler, and DeepAR
 		// panicked on the missing last history value.
-		if err := NewDeepAR(DefaultDeepARConfig()).Fit([]Example{ex}); err == nil {
+		if err := NewDeepAR(8).Fit([]Example{ex}); err == nil {
 			t.Fatalf("DeepAR.Fit on history %d, future %d should error", len(ex.History), len(ex.Future))
 		}
 	}

@@ -49,9 +49,7 @@ func fitAndScore(t *testing.T, m Forecaster, train, test []Example) (modelMAE, n
 
 func TestOrgLinearLearnsDiurnalPattern(t *testing.T) {
 	train, test := syntheticExamples(t, 48, 6)
-	cfg := DefaultOrgLinearConfig()
-	cfg.Epochs = 30
-	m := NewOrgLinear(cfg)
+	m := NewOrgLinear(OrgLinearConfig{Epochs: 30})
 	mae, naive := fitAndScore(t, m, train, test)
 	if mae >= naive {
 		t.Fatalf("OrgLinear MAE %v should beat flat-mean %v", mae, naive)
@@ -60,9 +58,7 @@ func TestOrgLinearLearnsDiurnalPattern(t *testing.T) {
 
 func TestOrgLinearDistributionalCalibration(t *testing.T) {
 	train, test := syntheticExamples(t, 48, 6)
-	cfg := DefaultOrgLinearConfig()
-	cfg.Epochs = 30
-	m := NewOrgLinear(cfg)
+	m := NewOrgLinear(OrgLinearConfig{Epochs: 30})
 	if err := m.Fit(train); err != nil {
 		t.Fatal(err)
 	}
@@ -103,9 +99,7 @@ func TestOrgLinearRejectsRaggedExamples(t *testing.T) {
 
 func TestDLinearLearns(t *testing.T) {
 	train, test := syntheticExamples(t, 48, 6)
-	cfg := DefaultDLinearConfig()
-	cfg.Epochs = 30
-	mae, naive := fitAndScore(t, NewDLinear(cfg), train, test)
+	mae, naive := fitAndScore(t, NewDLinear(30), train, test)
 	if mae >= naive {
 		t.Fatalf("DLinear MAE %v should beat flat-mean %v", mae, naive)
 	}
@@ -113,11 +107,7 @@ func TestDLinearLearns(t *testing.T) {
 
 func TestTransformerLearns(t *testing.T) {
 	train, test := syntheticExamples(t, 36, 6)
-	cfg := DefaultTransformerConfig()
-	cfg.Epochs = 4
-	cfg.Dim = 8
-	cfg.FFDim = 16
-	mae, naive := fitAndScore(t, NewTransformer(cfg), train, test)
+	mae, naive := fitAndScore(t, NewTransformer(4), train, test)
 	if mae >= naive*1.2 {
 		t.Fatalf("Transformer MAE %v vs flat-mean %v: failed to learn", mae, naive)
 	}
@@ -125,12 +115,7 @@ func TestTransformerLearns(t *testing.T) {
 
 func TestInformerLearns(t *testing.T) {
 	train, test := syntheticExamples(t, 36, 6)
-	cfg := DefaultTransformerConfig()
-	cfg.Variant = ProbSparseAttention
-	cfg.Epochs = 4
-	cfg.Dim = 8
-	cfg.FFDim = 16
-	m := NewTransformer(cfg)
+	m := NewInformer(4)
 	if m.Name() != "Informer" {
 		t.Fatal("variant should rename model")
 	}
@@ -142,10 +127,7 @@ func TestInformerLearns(t *testing.T) {
 
 func TestAutoformerLearns(t *testing.T) {
 	train, test := syntheticExamples(t, 48, 6)
-	cfg := DefaultAutoformerConfig()
-	cfg.Epochs = 4
-	cfg.Dim = 8
-	mae, naive := fitAndScore(t, NewAutoformer(cfg), train, test)
+	mae, naive := fitAndScore(t, NewAutoformer(4), train, test)
 	if mae >= naive*1.2 {
 		t.Fatalf("Autoformer MAE %v vs flat-mean %v: failed to learn", mae, naive)
 	}
@@ -153,10 +135,7 @@ func TestAutoformerLearns(t *testing.T) {
 
 func TestFEDformerLearns(t *testing.T) {
 	train, test := syntheticExamples(t, 48, 6)
-	cfg := DefaultFEDformerConfig()
-	cfg.Epochs = 4
-	cfg.Dim = 8
-	mae, naive := fitAndScore(t, NewFEDformer(cfg), train, test)
+	mae, naive := fitAndScore(t, NewFEDformer(4), train, test)
 	if mae >= naive*1.2 {
 		t.Fatalf("FEDformer MAE %v vs flat-mean %v: failed to learn", mae, naive)
 	}
@@ -164,10 +143,7 @@ func TestFEDformerLearns(t *testing.T) {
 
 func TestDeepARLearns(t *testing.T) {
 	train, test := syntheticExamples(t, 36, 6)
-	cfg := DefaultDeepARConfig()
-	cfg.Epochs = 3
-	cfg.Hidden = 8
-	m := NewDeepAR(cfg)
+	m := NewDeepAR(3)
 	mae, naive := fitAndScore(t, m, train, test)
 	if mae >= naive*1.3 {
 		t.Fatalf("DeepAR MAE %v vs flat-mean %v: failed to learn", mae, naive)

@@ -10,31 +10,26 @@ import (
 
 // OrgLinearConfig parameterizes the OrgLinear model (Fig. 7).
 type OrgLinearConfig struct {
-	// Kernel is the moving-average window of the trend/cyclical
-	// decomposition (Eq. 1).
-	Kernel int
-	// EmbedDim is the width of each temporal and business
-	// embedding.
-	EmbedDim int
-	// Vocab sizes for the business attributes.
-	NumOrgs, NumClusters, NumModels int
-	// TrainConfig drives MLE training (Eq. 8).
-	TrainConfig
-	// Calendar resolves hour indices to temporal features.
-	Calendar *timefeat.Calendar
+	// Epochs is the number of MLE training passes (Eq. 8).
+	Epochs int
 }
 
 // DefaultOrgLinearConfig returns the settings used by the
 // experiments.
 func DefaultOrgLinearConfig() OrgLinearConfig {
-	return OrgLinearConfig{
-		Kernel:   25,
-		EmbedDim: 4,
-		NumOrgs:  16, NumClusters: 8, NumModels: 8,
-		TrainConfig: TrainConfig{Epochs: 40, LR: 0.01, BatchSize: 16, Seed: 1},
-		Calendar:    timefeat.NewCalendar(),
-	}
+	return OrgLinearConfig{Epochs: 40}
 }
+
+// OrgLinear's fixed architecture and schedule.
+const (
+	orgLinearKernel    = 25 // moving-average window of the decomposition (Eq. 1)
+	orgLinearEmbedDim  = 4  // width of each temporal and business embedding
+	orgLinearOrgs      = 16 // business-attribute vocabularies (Eq. 4)
+	orgLinearClusters  = 8
+	orgLinearModels    = 8
+	orgLinearLR        = 0.01
+	orgLinearBatchSize = 16
+)
 
 // OrgLinear is the paper's hierarchical probabilistic forecaster:
 // decomposition into trend and cyclical parts, temporal and business
@@ -42,8 +37,8 @@ func DefaultOrgLinearConfig() OrgLinearConfig {
 // softplus variance head (Eq. 7), trained by Gaussian maximum
 // likelihood (Eq. 8).
 type OrgLinear struct {
-	cfg OrgLinearConfig
-	l   int
+	epochs int
+	l      int
 
 	hourEmb, weekEmb, holEmb *nn.Embedding
 	orgEmb, clusterEmb       *nn.Embedding
@@ -60,28 +55,21 @@ type OrgLinear struct {
 // NewOrgLinear creates an untrained model; layer shapes are fixed at
 // first Fit.
 func NewOrgLinear(cfg OrgLinearConfig) *OrgLinear {
-	if cfg.Calendar == nil {
-		cfg.Calendar = timefeat.NewCalendar()
-	}
-	if cfg.BatchSize <= 0 {
-		cfg.BatchSize = 16
-	}
-	cfg.Kernel = oddKernel(cfg.Kernel)
-	return &OrgLinear{cfg: cfg}
+	return &OrgLinear{epochs: cfg.Epochs}
 }
 
 // Name implements Forecaster.
 func (m *OrgLinear) Name() string { return "OrgLinear" }
 
 func (m *OrgLinear) build(l, h int, rng *rand.Rand) []*tensor.Tensor {
-	e := m.cfg.EmbedDim
+	e := orgLinearEmbedDim
 	hours, weeks, hols := timefeat.Dims()
 	m.hourEmb = nn.NewEmbedding(hours, e, rng)
 	m.weekEmb = nn.NewEmbedding(weeks, e, rng)
 	m.holEmb = nn.NewEmbedding(hols, e, rng)
-	m.orgEmb = nn.NewEmbedding(m.cfg.NumOrgs, e, rng)
-	m.clusterEmb = nn.NewEmbedding(m.cfg.NumClusters, e, rng)
-	m.modelEmb = nn.NewEmbedding(m.cfg.NumModels, e, rng)
+	m.orgEmb = nn.NewEmbedding(orgLinearOrgs, e, rng)
+	m.clusterEmb = nn.NewEmbedding(orgLinearClusters, e, rng)
+	m.modelEmb = nn.NewEmbedding(orgLinearModels, e, rng)
 	m.bizAttn = nn.NewMultiHeadAttention(e, 1, rng)
 	ctxDim := e + 3*e // business (pooled) + temporal (concat of 3)
 	m.cycHead = nn.NewLinear(l+ctxDim, h, rng)
@@ -100,9 +88,9 @@ func (m *OrgLinear) build(l, h int, rng *rand.Rand) []*tensor.Tensor {
 func (m *OrgLinear) context(tp *tensor.Tape, ex Example) *tensor.Tensor {
 	// Business attention (Eq. 4): attend over the three attribute
 	// embeddings, then pool.
-	org := clampIdx(ex.Org.OrgID, m.cfg.NumOrgs)
-	cl := clampIdx(ex.Org.ClusterID, m.cfg.NumClusters)
-	mdl := clampIdx(ex.Org.ModelID, m.cfg.NumModels)
+	org := clampIdx(ex.Org.OrgID, orgLinearOrgs)
+	cl := clampIdx(ex.Org.ClusterID, orgLinearClusters)
+	mdl := clampIdx(ex.Org.ModelID, orgLinearModels)
 	rows := tp.ConcatRows(
 		m.orgEmb.Forward(tp, []int{org}),
 		m.clusterEmb.Forward(tp, []int{cl}),
@@ -111,11 +99,11 @@ func (m *OrgLinear) context(tp *tensor.Tape, ex Example) *tensor.Tensor {
 	co := tp.MeanRows(m.bizAttn.Forward(tp, rows, nil))
 
 	// Temporal features at the forecast origin (Eq. 3).
-	hi, wi, hol := timeFeatureIndices(m.cfg.Calendar, ex.StartHour+m.l)
+	f := hourFeatures(ex.StartHour + m.l)
 	ct := tp.ConcatCols(
-		m.hourEmb.Forward(tp, []int{hi}),
-		m.weekEmb.Forward(tp, []int{wi}),
-		m.holEmb.Forward(tp, []int{hol}),
+		m.hourEmb.Forward(tp, []int{f.Hour}),
+		m.weekEmb.Forward(tp, []int{f.Weekday}),
+		m.holEmb.Forward(tp, []int{f.HolidayIndex()}),
 	)
 	return tp.ConcatCols(co, ct)
 }
@@ -146,12 +134,13 @@ func (m *OrgLinear) forward(tp *tensor.Tape, w window) (mu, sigma *tensor.Tensor
 
 // Fit implements Forecaster via minibatch Adam on the Gaussian NLL.
 func (m *OrgLinear) Fit(train []Example) error {
-	return fit(m.cfg.TrainConfig, train, m.cfg.Kernel, m.build, nll(m.forward))
+	tc := trainConfig{epochs: m.epochs, lr: orgLinearLR, batchSize: orgLinearBatchSize}
+	return fit(tc, train, orgLinearKernel, m.build, nll(m.forward))
 }
 
 // PredictDist implements Distributional.
 func (m *OrgLinear) PredictDist(ex Example) (mu, sigma []float64) {
-	return predictDist(m.params, ex, m.cfg.Kernel, m.forward)
+	return predictDist(m.params, ex, orgLinearKernel, m.forward)
 }
 
 // Predict implements Forecaster.

@@ -21,46 +21,31 @@ import (
 func TestTrainedParamsPinned(t *testing.T) {
 	train, test := syntheticExamples(t, 48, 6)
 
-	olCfg := DefaultOrgLinearConfig()
-	olCfg.Epochs = 3
-	dlCfg := DefaultDLinearConfig()
-	dlCfg.Epochs = 3
-	trCfg := DefaultTransformerConfig()
-	trCfg.Epochs, trCfg.Dim, trCfg.FFDim = 1, 8, 16
-	infCfg := trCfg
-	infCfg.Variant = ProbSparseAttention
-	afCfg := DefaultAutoformerConfig()
-	afCfg.Epochs, afCfg.Dim = 1, 8
-	fedCfg := DefaultFEDformerConfig()
-	fedCfg.Epochs, fedCfg.Dim = 1, 8
-	darCfg := DefaultDeepARConfig()
-	darCfg.Epochs, darCfg.Hidden = 1, 8
-
 	for _, tc := range []struct {
 		m               Forecaster
 		params, outputs string
 	}{
-		{NewOrgLinear(olCfg),
+		{NewOrgLinear(OrgLinearConfig{Epochs: 3}),
 			"306efe5f68c675e453c2abd4a31d86afd98397ee5e633ff8327d1353dab35910",
 			"5fc37b71349b7ad1f465a9d6fe9110cb3e505668b7428f3894a788b3a859802d"},
-		{NewDLinear(dlCfg),
+		{NewDLinear(3),
 			"11e416849eb6b725f20c51b7f1fcd82adf54f2ff165fefde14a9640777a35eae",
 			"c019bd21edcf6ff17ebfed2d00f0f6cb7612349b5b6b60af3634daaf8371627a"},
-		{NewTransformer(trCfg),
-			"c4a9f1058161c8c6f1c2143d94785483190ff6707d3361852d0dec9498bfbbaa",
-			"e8bc75f9b1df63465c6cf032c4d86676ce2ef173bec4364b0bfd7dc0c733fed4"},
-		{NewTransformer(infCfg),
-			"1ec6b1baa2121cb723bcc19a46230ac73df3534c318ad1393a4cf8fe9565a194",
-			"a147c24a640a292cea3266952399a4eff698d5efb19ad865cdad2fc97e64d60a"},
-		{NewAutoformer(afCfg),
-			"a689f03c17303da75c29ba52810e7ccde8703a16b8309c7e369d66e922e4745a",
-			"67d12a2b0e5deb77521932f4565c0c93bce3affc137358efc6634922e138412d"},
-		{NewFEDformer(fedCfg),
-			"66a89138261b5a31b701718077e2049bd0417896f0fec14b9801b084db930144",
-			"87d57ba2df5c1e3d311bb252f25eef5d9a7f551e56027359663b43772149a941"},
-		{NewDeepAR(darCfg),
-			"689738ed65dbcbfa1661aa0f6930890ccfc6a1b031f9dd430bc8b97d6e0a4b18",
-			"ab0030988f732be8a692227ded97956063821f8d0152d19dbe3c4fd953b09a23"},
+		{NewTransformer(1),
+			"d1bd3c14339fc85f133ad00407fbfb836f4bbb1b9ec1c0f451f10e59ebcc30e0",
+			"3394eb6c553e15d15aee8888395c869e06030f2931fa0ec6d85e66c418bc4284"},
+		{NewInformer(1),
+			"096f30560fc43b43682028c4341e6a6af03943df5dd58965eb36fca762ceea2a",
+			"49558b2588a5520fd0000d27aeb0dcca5302eaff279168ccb35964eb41ef7285"},
+		{NewAutoformer(1),
+			"32311576de257c4e4ba55e4120484931b44237655830465e5618fd395cc892ce",
+			"664055779277cf2f548a58647db085f6e3f36cd1a59195e0e06c77712ca86f4c"},
+		{NewFEDformer(1),
+			"2104d46f1a9bfdfe9d4f2cc1cfded564762a6cd206924ff45dd41acc2d7ca868",
+			"3b37c6c7900addbe972d51a9af3d3f53a60d942ea95bedf477ea015d74a68c0d"},
+		{NewDeepAR(1),
+			"99df9c6db174bcef994511d0379cfde23143be10cba3c404f65a7f5968bf9263",
+			"cae4e3d5b388eb5ccfef40759e8ddf30a81bc3b449659f33919df9c0e0f1cb26"},
 	} {
 		t.Run(tc.m.Name(), func(t *testing.T) {
 			if err := tc.m.Fit(train); err != nil {

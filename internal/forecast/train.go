@@ -6,22 +6,19 @@ import (
 
 	"github.com/sjtucitlab/gfs/internal/nn"
 	"github.com/sjtucitlab/gfs/internal/tensor"
-	"github.com/sjtucitlab/gfs/internal/timefeat"
 )
 
-// TrainConfig is the optimization schedule every trainable model
-// shares: minibatch Adam with gradients clipped at norm 5.
-type TrainConfig struct {
-	// Epochs is the number of shuffled passes over the examples.
-	Epochs int
-	// LR is Adam's learning rate.
-	LR float64
-	// BatchSize is the number of examples per Adam step; the model
-	// constructors replace a non-positive size with their default.
-	BatchSize int
-	// Seed makes initialization and shuffling reproducible.
-	Seed int64
+// trainConfig is the optimization schedule fit reads: minibatch Adam
+// with gradients clipped at norm 5. Every model fixes its rate and
+// batch size and takes only its epoch budget from the caller.
+type trainConfig struct {
+	epochs    int     // shuffled passes over the examples
+	lr        float64 // Adam's learning rate
+	batchSize int     // examples per Adam step
 }
+
+// trainSeed seeds every model's initialization and shuffling.
+const trainSeed = 1
 
 // window is one example as a forward pass reads it: the scaler of its
 // history, the scaled history and future and, for the decomposition
@@ -51,12 +48,12 @@ func prepare(ex Example, kernel int) window {
 }
 
 // fit is the one training loop. It checks train's shape, lets build
-// draw the layers for (L, H) from a generator seeded by tc.Seed and
+// draw the layers for (L, H) from a generator seeded by trainSeed and
 // return their parameters, prepares every example once, then runs
-// tc.Epochs passes of minibatch Adam over loss. Each pass shuffles
+// tc.epochs passes of minibatch Adam over loss. Each pass shuffles
 // with the generator build drew from, and a batch's gradients
 // accumulate one example at a time in shuffled order.
-func fit(tc TrainConfig, train []Example, kernel int,
+func fit(tc trainConfig, train []Example, kernel int,
 	build func(l, h int, rng *rand.Rand) []*tensor.Tensor,
 	loss func(tp *tensor.Tape, w window) *tensor.Tensor,
 ) error {
@@ -64,24 +61,24 @@ func fit(tc TrainConfig, train []Example, kernel int,
 	if err != nil {
 		return err
 	}
-	rng := rand.New(rand.NewSource(tc.Seed))
+	rng := rand.New(rand.NewSource(trainSeed))
 	params := build(l, h, rng)
 	ws := make([]window, len(train))
 	for i, ex := range train {
 		ws[i] = prepare(ex, kernel)
 	}
-	opt := nn.NewAdam(params, tc.LR)
+	opt := nn.NewAdam(params, tc.lr)
 	opt.Clip = 5
 	idx := make([]int, len(ws))
 	for i := range idx {
 		idx[i] = i
 	}
 	tp := tensor.NewTape()
-	for epoch := 0; epoch < tc.Epochs; epoch++ {
+	for epoch := 0; epoch < tc.epochs; epoch++ {
 		rng.Shuffle(len(idx), func(i, j int) { idx[i], idx[j] = idx[j], idx[i] })
-		for b := 0; b < len(idx); b += tc.BatchSize {
+		for b := 0; b < len(idx); b += tc.batchSize {
 			nn.ZeroGrads(params)
-			for _, i := range idx[b:min(b+tc.BatchSize, len(idx))] {
+			for _, i := range idx[b:min(b+tc.batchSize, len(idx))] {
 				tp.Reset()
 				tp.Backward(loss(tp, ws[i]))
 			}
@@ -153,10 +150,10 @@ func predictDist(params []*tensor.Tensor, ex Example, kernel int,
 // seqInput encodes a window's scaled history as a seq×3 leaf of
 // [value, hour/24, weekday/7] rows, the input layout shared by the
 // attention-family baselines.
-func seqInput(tp *tensor.Tape, cal *timefeat.Calendar, w window) *tensor.Tensor {
+func seqInput(tp *tensor.Tape, w window) *tensor.Tensor {
 	x := tp.Leaf(len(w.hist), 3, nil)
 	for t, v := range w.hist {
-		f := cal.AtHour(w.ex.StartHour + t)
+		f := hourFeatures(w.ex.StartHour + t)
 		x.Set(t, 0, v)
 		x.Set(t, 1, float64(f.Hour)/24)
 		x.Set(t, 2, float64(f.Weekday)/7)

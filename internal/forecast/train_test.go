@@ -32,7 +32,7 @@ func TestFitStepAllocatesNothing(t *testing.T) {
 	exs := orgPanelExamples(168, 4)
 	m := NewOrgLinear(DefaultOrgLinearConfig())
 	m.build(168, 4, rand.New(rand.NewSource(1)))
-	w := prepare(exs[0], m.cfg.Kernel)
+	w := prepare(exs[0], orgLinearKernel)
 	loss := nll(m.forward)
 	tp := tensor.NewTape()
 	step := func() {
@@ -50,9 +50,7 @@ func TestFitStepAllocatesNothing(t *testing.T) {
 // bit for bit.
 func TestPredictDistConcurrent(t *testing.T) {
 	train, test := syntheticExamples(t, 48, 6)
-	cfg := DefaultOrgLinearConfig()
-	cfg.Epochs = 3
-	m := NewOrgLinear(cfg)
+	m := NewOrgLinear(OrgLinearConfig{Epochs: 3})
 	if err := m.Fit(train); err != nil {
 		t.Fatal(err)
 	}

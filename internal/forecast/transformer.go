@@ -7,44 +7,36 @@ import (
 
 	"github.com/sjtucitlab/gfs/internal/nn"
 	"github.com/sjtucitlab/gfs/internal/tensor"
-	"github.com/sjtucitlab/gfs/internal/timefeat"
 )
 
-// AttentionVariant selects the attention mechanism of the shared
+// attentionVariant selects the attention mechanism of the shared
 // encoder, distinguishing the Transformer and Informer baselines.
-type AttentionVariant int
+type attentionVariant int
 
 const (
-	// FullAttention is the vanilla Transformer encoder.
-	FullAttention AttentionVariant = iota
-	// ProbSparseAttention is Informer's mechanism: only the top-u
+	// fullAttention is the vanilla Transformer encoder.
+	fullAttention attentionVariant = iota
+	// probSparseAttention is Informer's mechanism: only the top-u
 	// most "active" queries attend; the rest take the mean of the
 	// values.
-	ProbSparseAttention
+	probSparseAttention
 )
 
-// TransformerConfig parameterizes the encoder-based baselines.
-type TransformerConfig struct {
-	Dim   int
-	Heads int
-	FFDim int
-	TrainConfig
-	Variant  AttentionVariant
-	Calendar *timefeat.Calendar
-}
-
-// DefaultTransformerConfig returns the experiment settings.
-func DefaultTransformerConfig() TransformerConfig {
-	return TransformerConfig{Dim: 16, Heads: 2, FFDim: 32,
-		TrainConfig: TrainConfig{Epochs: 6, LR: 0.005, BatchSize: 8, Seed: 1},
-		Calendar:    timefeat.NewCalendar()}
-}
+// The encoder's fixed widths and schedule, shared by both variants.
+const (
+	transformerDim       = 16
+	transformerHeads     = 2
+	transformerFFDim     = 32 // feed-forward hidden width
+	transformerLR        = 0.005
+	transformerBatchSize = 8
+)
 
 // Transformer is an encoder-only attention forecaster: input
 // projection + positional encoding, one attention block with residual
 // layer norms, mean pooling, and a linear horizon head.
 type Transformer struct {
-	cfg TransformerConfig
+	epochs  int
+	variant attentionVariant
 
 	inProj   *nn.Linear
 	attn     *nn.MultiHeadAttention
@@ -59,32 +51,34 @@ type Transformer struct {
 	params []*tensor.Tensor
 }
 
-// NewTransformer creates an untrained encoder forecaster.
-func NewTransformer(cfg TransformerConfig) *Transformer {
-	if cfg.Calendar == nil {
-		cfg.Calendar = timefeat.NewCalendar()
-	}
-	if cfg.BatchSize <= 0 {
-		cfg.BatchSize = 8
-	}
-	return &Transformer{cfg: cfg}
+// NewTransformer creates an untrained encoder forecaster that trains
+// for the given number of epochs.
+func NewTransformer(epochs int) *Transformer {
+	return &Transformer{epochs: epochs, variant: fullAttention}
+}
+
+// NewInformer creates an untrained Informer: the encoder forecaster
+// with ProbSparse self-attention, trained for the given number of
+// epochs.
+func NewInformer(epochs int) *Transformer {
+	return &Transformer{epochs: epochs, variant: probSparseAttention}
 }
 
 // Name implements Forecaster.
 func (m *Transformer) Name() string {
-	if m.cfg.Variant == ProbSparseAttention {
+	if m.variant == probSparseAttention {
 		return "Informer"
 	}
 	return "Transformer"
 }
 
 func (m *Transformer) build(l, h int, rng *rand.Rand) []*tensor.Tensor {
-	d := m.cfg.Dim
+	d := transformerDim
 	m.inProj = nn.NewLinear(3, d, rng)
-	m.attn = nn.NewMultiHeadAttention(d, m.cfg.Heads, rng)
+	m.attn = nn.NewMultiHeadAttention(d, transformerHeads, rng)
 	m.ln1Gain, m.ln1Bias = onesRow(d), tensor.New(1, d)
-	m.ff1 = nn.NewLinear(d, m.cfg.FFDim, rng)
-	m.ff2 = nn.NewLinear(m.cfg.FFDim, d, rng)
+	m.ff1 = nn.NewLinear(d, transformerFFDim, rng)
+	m.ff2 = nn.NewLinear(transformerFFDim, d, rng)
 	m.ln2Gain, m.ln2Bias = onesRow(d), tensor.New(1, d)
 	m.head = nn.NewLinear(d, h, rng)
 	m.pe = nn.PositionalEncoding(l, d)
@@ -102,10 +96,10 @@ func onesRow(n int) *tensor.Tensor {
 }
 
 func (m *Transformer) forward(tp *tensor.Tape, w window) *tensor.Tensor {
-	x := tp.Add(m.inProj.Forward(tp, seqInput(tp, m.cfg.Calendar, w)), m.pe)
+	x := tp.Add(m.inProj.Forward(tp, seqInput(tp, w)), m.pe)
 
 	var a *tensor.Tensor
-	if m.cfg.Variant == ProbSparseAttention {
+	if m.variant == probSparseAttention {
 		a = m.probSparse(tp, x)
 	} else {
 		a = m.attn.Forward(tp, x, nil)
@@ -122,8 +116,7 @@ func (m *Transformer) forward(tp *tensor.Tape, w window) *tensor.Tensor {
 // mean of V. Selection is data-driven (no gradient), the selected
 // paths remain fully differentiable.
 func (m *Transformer) probSparse(tp *tensor.Tape, x *tensor.Tensor) *tensor.Tensor {
-	d := m.cfg.Dim
-	hd := d / m.cfg.Heads
+	hd := transformerDim / transformerHeads
 	q := m.attn.WQ.Forward(tp, x)
 	k := m.attn.WK.Forward(tp, x)
 	v := m.attn.WV.Forward(tp, x)
@@ -136,7 +129,7 @@ func (m *Transformer) probSparse(tp *tensor.Tape, x *tensor.Tensor) *tensor.Tens
 		u = seq
 	}
 	var heads []*tensor.Tensor
-	for hIdx := 0; hIdx < m.cfg.Heads; hIdx++ {
+	for hIdx := 0; hIdx < transformerHeads; hIdx++ {
 		from, to := hIdx*hd, (hIdx+1)*hd
 		qh := tp.SliceCols(q, from, to)
 		kh := tp.SliceCols(k, from, to)
@@ -214,7 +207,8 @@ func constOnes(tp *tensor.Tape, r, c int) *tensor.Tensor {
 
 // Fit implements Forecaster.
 func (m *Transformer) Fit(train []Example) error {
-	return fit(m.cfg.TrainConfig, train, 0, m.build, mse(m.forward))
+	tc := trainConfig{epochs: m.epochs, lr: transformerLR, batchSize: transformerBatchSize}
+	return fit(tc, train, 0, m.build, mse(m.forward))
 }
 
 // Predict implements Forecaster.

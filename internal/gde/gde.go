@@ -44,8 +44,7 @@ type Estimator struct {
 // New creates an estimator.
 func New(cfg Config) *Estimator {
 	if cfg.Model == nil {
-		ocfg := forecast.DefaultOrgLinearConfig()
-		cfg.Model = forecast.NewOrgLinear(ocfg)
+		cfg.Model = forecast.NewOrgLinear(forecast.DefaultOrgLinearConfig())
 	}
 	if cfg.Stride <= 0 {
 		cfg.Stride = cfg.Horizon

@@ -147,9 +147,7 @@ func TestNaivePeakForecastTracksPeak(t *testing.T) {
 }
 
 func TestOrgLinearBackedEstimator(t *testing.T) {
-	ocfg := forecast.DefaultOrgLinearConfig()
-	ocfg.Epochs = 10
-	e := New(Config{History: 48, Horizon: 4, Model: forecast.NewOrgLinear(ocfg)})
+	e := New(Config{History: 48, Horizon: 4, Model: forecast.NewOrgLinear(forecast.OrgLinearConfig{Epochs: 10})})
 	if err := e.Train(panel(24*14), 0); err != nil {
 		t.Fatal(err)
 	}

@@ -12,9 +12,8 @@ import (
 
 func newCtx(cl *cluster.Cluster) *sched.Context {
 	return &sched.Context{
-		Now:       simclock.Time(simclock.Hour),
-		State:     sched.NewState(cl),
-		SpotQuota: math.Inf(1),
+		Now:   simclock.Time(simclock.Hour),
+		State: sched.NewState(cl),
 	}
 }
 

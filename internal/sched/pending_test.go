@@ -37,7 +37,7 @@ func (r *flatSim) insert(tk *task.Task) {
 func (r *flatSim) pass() {
 	snapshot := r.pending
 	r.pending = nil
-	ctx := &Context{Now: r.now, State: r.state, SpotQuota: r.spotQuota}
+	ctx := &Context{Now: r.now, State: r.state}
 	admitLimit := math.Inf(1)
 	if lim, ok := r.cfg.Quota.(AdmissionLimiter); ok {
 		if l := lim.MaxAdmitPerPass(r.state.Cluster.TotalGPUs("")); l > 0 {

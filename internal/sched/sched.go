@@ -30,10 +30,6 @@ type Decision struct {
 type Context struct {
 	Now   simclock.Time
 	State *State
-	// SpotQuota is the current spot quota in GPUs (+Inf when the
-	// policy imposes none). The driver enforces admission; it is
-	// surfaced for score functions that want it.
-	SpotQuota float64
 	// G and F are the cluster-wide counts of successful and
 	// evicted spot runs (Eq. 19).
 	G, F int

@@ -746,11 +746,10 @@ func (s *Simulator) schedulePass() {
 	}
 	ctx := &s.passCtx
 	*ctx = Context{
-		Now:       s.now,
-		State:     s.state,
-		SpotQuota: s.spotQuota,
-		G:         s.gCount,
-		F:         s.fCount,
+		Now:   s.now,
+		State: s.state,
+		G:     s.gCount,
+		F:     s.fCount,
 	}
 	// Admission ramp: quota policies may bound how much new spot
 	// capacity one pass admits.

@@ -187,13 +187,10 @@ func (t *Txn) Evict(victim *task.Task) {
 func (t *Txn) Rollback() {
 	t.mustBeOpen()
 	t.done = true
-	// Release placed tasks (distinct tasks once each).
-	seen := map[int]bool{}
+	// Release placed tasks; a task's later pods find it released
+	// already, and ReleaseAll on a released task is a no-op.
 	for _, p := range t.placed {
-		if !seen[p.tk.ID] {
-			seen[p.tk.ID] = true
-			t.state.ReleaseAll(p.tk)
-		}
+		t.state.ReleaseAll(p.tk)
 	}
 	// Restore victims in reverse order.
 	for i := len(t.evicted) - 1; i >= 0; i-- {

@@ -84,7 +84,7 @@ type Config struct {
 	// zero means 2× the trace span.
 	MaxDuration simclock.Duration
 	// CheckpointEvery is the spot checkpoint interval; zero
-	// defaults to 30 simulated minutes.
+	// defaults to one simulated hour, the guarantee window (§2.2).
 	CheckpointEvery simclock.Duration
 	// MaxPodGPUs caps the per-pod GPU request, for pools whose
 	// nodes have fewer than 8 cards (e.g. 1-GPU A10 nodes); zero

@@ -135,39 +135,60 @@ func ftoa(f float64) string { return strconv.FormatFloat(f, 'g', -1, 64) }
 // organization and task class, led by two "*" rows carrying the
 // cluster-wide summary when present.
 func (r *Report) WriteCSV(w io.Writer) error {
+	return writeOrgCSV(w, false, []MemberReport{{Report: r}})
+}
+
+// writeOrgCSV writes the per-organization table of each report in
+// order, skipping nil reports: a report's two "*" summary rows when it
+// has a summary, then one row per organization and task class. With
+// member set, a leading member column holds each report's name.
+func writeOrgCSV(w io.Writer, member bool, reports []MemberReport) error {
 	cw := csv.NewWriter(w)
 	header := []string{
-		"org", "class", "count", "finished", "unfinished",
+		"member", "org", "class", "count", "finished", "unfinished",
 		"jct_mean_s", "jct_p50_s", "jct_p95_s", "jct_p99_s",
 		"queue_mean_s", "queue_p50_s", "queue_p95_s", "queue_p99_s", "queue_max_s",
 		"evictions", "runs", "eviction_rate", "gpu_seconds",
 	}
+	if !member {
+		header = header[1:]
+	}
 	if err := cw.Write(header); err != nil {
 		return err
 	}
-	row := func(org, class string, m ClassMetrics) error {
-		return cw.Write([]string{
-			org, class,
-			strconv.Itoa(m.Count), strconv.Itoa(m.Finished), strconv.Itoa(m.Unfinished),
-			ftoa(m.JCTMean), ftoa(m.JCTP50), ftoa(m.JCTP95), ftoa(m.JCTP99),
-			ftoa(m.QueueMean), ftoa(m.QueueP50), ftoa(m.QueueP95), ftoa(m.QueueP99), ftoa(m.QueueMax),
-			strconv.Itoa(m.Evictions), strconv.Itoa(m.Runs), ftoa(m.EvictionRate), ftoa(m.GPUSeconds),
-		})
-	}
-	if s := r.Summary; s != nil {
-		if err := row("*", "hp", s.HP); err != nil {
-			return err
+	rec := make([]string, 0, len(header))
+	for _, mr := range reports {
+		r := mr.Report
+		if r == nil {
+			continue
 		}
-		if err := row("*", "spot", s.Spot); err != nil {
-			return err
+		row := func(org, class string, m ClassMetrics) error {
+			rec = rec[:0]
+			if member {
+				rec = append(rec, mr.Name)
+			}
+			return cw.Write(append(rec, org, class,
+				strconv.Itoa(m.Count), strconv.Itoa(m.Finished), strconv.Itoa(m.Unfinished),
+				ftoa(m.JCTMean), ftoa(m.JCTP50), ftoa(m.JCTP95), ftoa(m.JCTP99),
+				ftoa(m.QueueMean), ftoa(m.QueueP50), ftoa(m.QueueP95), ftoa(m.QueueP99), ftoa(m.QueueMax),
+				strconv.Itoa(m.Evictions), strconv.Itoa(m.Runs), ftoa(m.EvictionRate), ftoa(m.GPUSeconds),
+			))
 		}
-	}
-	for _, o := range r.Orgs {
-		if err := row(o.Org, "hp", o.HP); err != nil {
-			return err
+		if s := r.Summary; s != nil {
+			if err := row("*", "hp", s.HP); err != nil {
+				return err
+			}
+			if err := row("*", "spot", s.Spot); err != nil {
+				return err
+			}
 		}
-		if err := row(o.Org, "spot", o.Spot); err != nil {
-			return err
+		for _, o := range r.Orgs {
+			if err := row(o.Org, "hp", o.HP); err != nil {
+				return err
+			}
+			if err := row(o.Org, "spot", o.Spot); err != nil {
+				return err
+			}
 		}
 	}
 	cw.Flush()
@@ -434,55 +455,5 @@ func (f *FederationReport) WritePrometheus(w io.Writer) error {
 // aggregate's rows tagged member "", then each member's rows tagged
 // with its name. The header gains a leading member column.
 func (f *FederationReport) WriteCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	header := []string{
-		"member", "org", "class", "count", "finished", "unfinished",
-		"jct_mean_s", "jct_p50_s", "jct_p95_s", "jct_p99_s",
-		"queue_mean_s", "queue_p50_s", "queue_p95_s", "queue_p99_s", "queue_max_s",
-		"evictions", "runs", "eviction_rate", "gpu_seconds",
-	}
-	if err := cw.Write(header); err != nil {
-		return err
-	}
-	row := func(member, org, class string, m ClassMetrics) error {
-		return cw.Write([]string{
-			member, org, class,
-			strconv.Itoa(m.Count), strconv.Itoa(m.Finished), strconv.Itoa(m.Unfinished),
-			ftoa(m.JCTMean), ftoa(m.JCTP50), ftoa(m.JCTP95), ftoa(m.JCTP99),
-			ftoa(m.QueueMean), ftoa(m.QueueP50), ftoa(m.QueueP95), ftoa(m.QueueP99), ftoa(m.QueueMax),
-			strconv.Itoa(m.Evictions), strconv.Itoa(m.Runs), ftoa(m.EvictionRate), ftoa(m.GPUSeconds),
-		})
-	}
-	dump := func(member string, r *Report) error {
-		if r == nil {
-			return nil
-		}
-		if s := r.Summary; s != nil {
-			if err := row(member, "*", "hp", s.HP); err != nil {
-				return err
-			}
-			if err := row(member, "*", "spot", s.Spot); err != nil {
-				return err
-			}
-		}
-		for _, o := range r.Orgs {
-			if err := row(member, o.Org, "hp", o.HP); err != nil {
-				return err
-			}
-			if err := row(member, o.Org, "spot", o.Spot); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if err := dump("", f.Aggregate); err != nil {
-		return err
-	}
-	for _, m := range f.Members {
-		if err := dump(m.Name, m.Report); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
+	return writeOrgCSV(w, true, append([]MemberReport{{Report: f.Aggregate}}, f.Members...))
 }
