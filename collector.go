@@ -75,7 +75,7 @@ func DefaultCollectors() []Collector {
 		NewEvictionCollector(),
 		NewQuotaCollector(),
 		NewAllocationCollector(),
-		NewCostCollector(CostConfig{}),
+		NewCostCollector(nil),
 	}
 }
 
@@ -166,7 +166,9 @@ func (t *taskTally) observe(e Event) {
 			r.evictions++
 			r.causes.add(e.Cause)
 			r.runs++
-			r.gpuSeconds += float64(e.At.Sub(r.lastStart)) * r.gpus
+			// The conversion rounds the product, so no platform
+			// fuses it into the sum (likewise below).
+			r.gpuSeconds += float64(float64(e.At.Sub(r.lastStart)) * r.gpus)
 			r.queuedSince = e.At
 		}
 	case TaskFinished:
@@ -174,7 +176,7 @@ func (t *taskTally) observe(e Event) {
 			r.runs++
 			r.finished = true
 			r.jct = e.At.Sub(r.submit)
-			r.gpuSeconds += float64(e.At.Sub(r.lastStart)) * r.gpus
+			r.gpuSeconds += float64(float64(e.At.Sub(r.lastStart)) * r.gpus)
 		}
 	}
 }
@@ -523,38 +525,22 @@ func (c *AllocationCollector) Finish(rep *Report) {
 	}
 }
 
-// CostConfig parameterizes the cost ledger.
-type CostConfig struct {
-	// Pricing maps GPU model → on-demand hourly list price; nil
-	// uses DefaultPricing.
-	Pricing PricingTable
-	// Margin is the spot realization margin (fraction of list price
-	// recovered when reclaimed capacity sells as spot); ≤ 0 uses the
-	// default ≈26%.
-	Margin float64
-	// BaselineRates holds the pre-deployment allocation rate per GPU
-	// model the run's rates are priced against (Fig. 9's "pre"
-	// column); models missing from the map price the full achieved
-	// rate.
-	BaselineRates map[string]float64
-}
-
 // CostCollector prices the run's allocation per GPU pool,
 // reproducing the paper's monthly-benefit accounting (§4.3):
 // each pool's allocation-rate improvement over its baseline ×
-// list price × 730 h × spot margin. Tasks pinned to a GPU model
-// charge that pool; unpinned tasks spread over pools by capacity
-// share.
+// DefaultPricing list price × 730 h × the ≈26% spot margin. Tasks
+// pinned to a GPU model charge that pool; unpinned tasks spread over
+// pools by capacity share.
 type CostCollector struct {
-	cfg     CostConfig
-	meta    RunMeta
-	models  []string
-	cap     map[string]float64
-	used    map[string]float64
-	area    map[string]float64
-	lastAt  Time
-	firstAt Time
-	started bool
+	baseline map[string]float64
+	meta     RunMeta
+	models   []string
+	cap      map[string]float64
+	used     map[string]float64
+	area     map[string]float64
+	lastAt   Time
+	firstAt  Time
+	started  bool
 	// downNodes distinguishes a NodeUp that restores a failed node
 	// (capacity already on the books) from one that delivers a
 	// scale-out node never seen before (a new pool, or growth of an
@@ -580,14 +566,11 @@ type CostCollector struct {
 type tierKey struct{ tier, model string }
 
 // NewCostCollector builds the collector behind Report.Cost.
-func NewCostCollector(cfg CostConfig) *CostCollector {
-	if cfg.Pricing == nil {
-		cfg.Pricing = DefaultPricing()
-	}
-	if cfg.Margin <= 0 {
-		cfg.Margin = pricing.DefaultSpotMargin
-	}
-	return &CostCollector{cfg: cfg}
+// baselineRates holds the pre-deployment allocation rate per GPU model
+// the run's rates are priced against (Fig. 9's "pre" column); models
+// missing from the map price the full achieved rate.
+func NewCostCollector(baselineRates map[string]float64) *CostCollector {
+	return &CostCollector{baseline: baselineRates}
 }
 
 // Name implements Collector.
@@ -658,14 +641,15 @@ func (c *CostCollector) integrateTo(at Time) {
 		// off map ranges means the determinism argument never depends
 		// on that observation. (charge can key used by "" when no
 		// pool is registered; that entry is never read by Finish, so
-		// skipping it here changes nothing.)
+		// skipping it here changes nothing.) The conversions round
+		// each product, so no platform fuses it into the sum.
 		for _, m := range c.models {
 			if u, ok := c.used[m]; ok {
-				c.area[m] += u * dt
+				c.area[m] += float64(u * dt)
 			}
 		}
 		for _, k := range c.tiers {
-			c.tierArea[k] += c.tierCap[k] * dt
+			c.tierArea[k] += float64(c.tierCap[k] * dt)
 		}
 		c.lastAt = at
 	}
@@ -767,27 +751,30 @@ func (c *CostCollector) OnEvent(e Event) {
 // Finish implements Collector.
 func (c *CostCollector) Finish(rep *Report) {
 	ledger := &CostLedger{
-		Margin:        c.cfg.Margin,
+		Margin:        pricing.DefaultSpotMargin,
 		HoursPerMonth: pricing.HoursPerMonth,
 	}
 	span := float64(c.lastAt.Sub(c.firstAt))
+	prices := pricing.DefaultTable()
 	for _, m := range c.models {
 		rate := 0.0
 		if span > 0 && c.cap[m] > 0 {
 			rate = c.area[m] / (c.cap[m] * span)
 		}
-		price := c.cfg.Pricing[m]
+		price := prices[m]
 		pc := PoolCost{
 			Model:           m,
 			GPUs:            c.cap[m],
-			BaselineRate:    c.cfg.BaselineRates[m],
+			BaselineRate:    c.baseline[m],
 			Rate:            rate,
 			PricePerGPUHour: price,
 		}
 		// The Fig. 9 formula, per pool: GPUs × Δrate × price ×
-		// 730 h × margin (see internal/pricing.MonthlyBenefit).
-		pc.MonthlyBenefitUSD = pc.GPUs * (pc.Rate - pc.BaselineRate) * price *
-			pricing.HoursPerMonth * c.cfg.Margin
+		// 730 h × margin (see internal/pricing.MonthlyBenefit). The
+		// conversion rounds it, so no platform fuses it into the
+		// ledger's sum.
+		pc.MonthlyBenefitUSD = float64(pc.GPUs * (pc.Rate - pc.BaselineRate) * price *
+			pricing.HoursPerMonth * pricing.DefaultSpotMargin)
 		ledger.MonthlyBenefitUSD += pc.MonthlyBenefitUSD
 		ledger.Pools = append(ledger.Pools, pc)
 	}
@@ -806,7 +793,7 @@ func (c *CostCollector) Finish(rep *Report) {
 	})
 	for _, k := range keys {
 		hours := c.tierArea[k] / 3600
-		price := pricing.TierPrice(pricing.Table(c.cfg.Pricing), k.model, k.tier)
+		price := pricing.TierPrice(prices, k.model, k.tier)
 		tc := TierCost{
 			Tier:            k.tier,
 			Model:           k.model,

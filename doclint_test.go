@@ -36,7 +36,7 @@ func TestExportedSymbolCeilings(t *testing.T) {
 		dir     string
 		ceiling int
 	}{
-		{".", 251},
+		{".", 244},
 		{"internal/sched", 95},
 		{"internal/cluster", 54},
 		{"internal/stats", 23},
@@ -68,6 +68,87 @@ func TestExportedSymbolCeilings(t *testing.T) {
 				c.dir, got, c.ceiling, got-c.ceiling, got)
 		}
 	}
+}
+
+// TestConfigFieldCeilings is the knob ledger: the exported fields of
+// every configuration struct, pinned to the counts at the last change
+// that moved them. A field no caller varies belongs in a constant
+// beside the code that reads it, so, like the symbol ledger, this
+// fails when a count differs from its pin in either direction.
+func TestConfigFieldCeilings(t *testing.T) {
+	for _, c := range []struct {
+		dir, typ string
+		ceiling  int
+	}{
+		{".", "Member", 3},
+		{"internal/autoscale", "Policy", 12},
+		{"internal/core", "Options", 4},
+		{"internal/forecast", "OrgLinearConfig", 1},
+		{"internal/gde", "Config", 3},
+		{"internal/pts", "Config", 3},
+		{"internal/runspec", "Spec", 13},
+		{"internal/sched", "DiurnalProfile", 4},
+		{"internal/sched", "FedConfig", 5},
+		{"internal/sched", "SimConfig", 8},
+		{"internal/sched", "StormProfile", 6},
+		{"internal/service", "Config", 6},
+		{"internal/sqa", "Config", 1},
+		{"internal/timefeat", "DiurnalCurve", 3},
+		{"internal/trace", "Config", 12},
+	} {
+		got := -1
+		_, decls := nonTestDecls(t, c.dir)
+		for _, decl := range decls {
+			if d, ok := decl.(*ast.GenDecl); ok {
+				for _, spec := range d.Specs {
+					if sp, ok := spec.(*ast.TypeSpec); ok && sp.Name.Name == c.typ {
+						got = exportedFields(sp)
+					}
+				}
+			}
+		}
+		switch {
+		case got < 0:
+			t.Errorf("%s: no struct type %s", c.dir, c.typ)
+		case got > c.ceiling:
+			t.Errorf("%s.%s has %d exported fields, ceiling %d (%+d): make a field no caller varies a constant, or raise the ceiling in doclint_test.go and justify it in CHANGES.md",
+				c.dir, c.typ, got, c.ceiling, got-c.ceiling)
+		case got < c.ceiling:
+			t.Errorf("%s.%s has %d exported fields, ceiling %d (%+d): lower the ceiling in doclint_test.go to %d so the deletion stays deleted",
+				c.dir, c.typ, got, c.ceiling, got-c.ceiling, got)
+		}
+	}
+}
+
+// exportedFields counts the exported fields of a struct type spec,
+// embedded ones included; -1 if it is no struct.
+func exportedFields(sp *ast.TypeSpec) int {
+	st, ok := sp.Type.(*ast.StructType)
+	if !ok {
+		return -1
+	}
+	n := 0
+	for _, f := range st.Fields.List {
+		if len(f.Names) == 0 {
+			typ := f.Type
+			if star, ok := typ.(*ast.StarExpr); ok {
+				typ = star.X
+			}
+			if sel, ok := typ.(*ast.SelectorExpr); ok {
+				typ = sel.Sel
+			}
+			if id, ok := typ.(*ast.Ident); ok && id.IsExported() {
+				n++
+			}
+			continue
+		}
+		for _, name := range f.Names {
+			if name.IsExported() {
+				n++
+			}
+		}
+	}
+	return n
 }
 
 // nonTestDecls parses the package in dir (tests excluded) and returns

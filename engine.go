@@ -62,7 +62,6 @@ const (
 //
 //	eng := gfs.NewEngine(cluster,
 //		gfs.WithSystem(system),
-//		gfs.WithGrace(30*gfs.Second),
 //		gfs.WithObserver(log),
 //		gfs.WithScenario(sc),
 //	)

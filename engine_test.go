@@ -289,8 +289,7 @@ func TestRunBatchRecoversPanics(t *testing.T) {
 func TestEngineConfigRoundTrip(t *testing.T) {
 	build := func() *gfs.Engine {
 		return gfs.NewEngine(gfs.NewCluster("A100", 16, 8),
-			gfs.WithScheduler(gfs.NewYARNCS()),
-			gfs.WithGrace(30*gfs.Second))
+			gfs.WithScheduler(gfs.NewYARNCS()))
 	}
 	got := sched.Run(build().Config(), chaosTrace(5))
 	want := build().Run(chaosTrace(5))

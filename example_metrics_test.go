@@ -106,9 +106,7 @@ func ExampleReport_WritePrometheus() {
 func ExampleNewCostCollector() {
 	rep := gfs.NewEngine(gfs.NewCluster("A100", 8, 8),
 		gfs.WithScheduler(gfs.NewYARNCS()),
-		gfs.WithCollectors(gfs.NewCostCollector(gfs.CostConfig{
-			BaselineRates: map[string]float64{"A100": 0.30},
-		})),
+		gfs.WithCollectors(gfs.NewCostCollector(map[string]float64{"A100": 0.30})),
 	).RunReport(metricsTrace())
 	p := rep.Cost.Pools[0]
 	fmt.Println(p.Model, p.BaselineRate, p.MonthlyBenefitUSD != 0)

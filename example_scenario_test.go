@@ -58,22 +58,17 @@ func ExampleScenario_DiurnalReclamation() {
 	// Output: peak 0.28 trough 0.03 bursts 24
 }
 
-// A custom profile: overnight-quiet, weekend-damped, with an explicit
-// holiday calendar.
+// A custom profile: overnight-quiet and weekend-damped.
 func ExampleDiurnalProfile() {
 	p := gfs.DiurnalProfile{
-		Curve: gfs.DiurnalCurve{
-			PeakHour: 10, Width: 3,
-			WeekendFactor: 0.3, HolidayFactor: 0.1,
-		},
-		Calendar: gfs.NewCalendar(4), // day 4 (Friday) is a holiday
-		Base:     0.01,
-		Peak:     0.4,
+		Curve: gfs.DiurnalCurve{PeakHour: 10, Width: 3, WeekendFactor: 0.3},
+		Base:  0.01,
+		Peak:  0.4,
 	}
 	fmt.Printf("%.3f %.3f\n",
 		p.Intensity(gfs.Time(0).Add(10*gfs.Hour)),           // Monday peak
-		p.Intensity(gfs.Time(0).Add(4*gfs.Day+10*gfs.Hour))) // holiday peak
-	// Output: 0.400 0.049
+		p.Intensity(gfs.Time(0).Add(5*gfs.Day+10*gfs.Hour))) // Saturday peak
+	// Output: 0.400 0.127
 }
 
 // Compose merges scenarios; Repeat replays one on a period. Both

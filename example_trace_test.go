@@ -140,21 +140,18 @@ func ExampleWithTraceSource() {
 	// Output: 4 tasks replayed, 0 unfinished HP
 }
 
-// External schemas adapt on ingest: an Alibaba pai_task_table row
-// carries GPU requests in card-percent and instance counts; the
-// adapter maps them to pods × fractional GPUs and skips rows that
-// never completed.
-func ExampleNewAlibabaTraceSource() {
+// External schemas adapt on ingest: OpenTraceReader recognizes an
+// Alibaba pai_task_table by its header. A row carries GPU requests in
+// card-percent and instance counts; the adapter maps them to pods ×
+// fractional GPUs, imports them as checkpoint-free spot work, and
+// skips rows that never completed.
+func ExampleOpenTraceReader_alibaba() {
 	table := `job_name,task_name,inst_num,status,start_time,end_time,plan_cpu,plan_mem,plan_gpu,gpu_type
 j1,worker,1,Terminated,100,1300,600,29,50,V100
 j2,worker,4,Terminated,200,7400,600,29,100,V100
 j3,worker,1,Running,300,,600,29,100,V100
 `
-	src, err := gfs.NewAlibabaTraceSource(strings.NewReader(table), gfs.TraceAdapterConfig{
-		Type:            gfs.Spot,
-		CheckpointEvery: gfs.Hour,
-		GangPods:        2,
-	})
+	src, err := gfs.OpenTraceReader(strings.NewReader(table), gfs.TraceFormatAuto)
 	if err != nil {
 		panic(err)
 	}
@@ -163,12 +160,12 @@ j3,worker,1,Running,300,,600,29,100,V100
 		panic(err)
 	}
 	for _, tk := range tasks {
-		fmt.Printf("%s: %d × %.1f GPU, %ds, gang=%v\n",
-			tk.Org, tk.Pods, tk.GPUsPerPod, tk.Duration, tk.Gang)
+		fmt.Printf("%s: %d × %.1f GPU, %ds, %v\n",
+			tk.Org, tk.Pods, tk.GPUsPerPod, tk.Duration, tk.Type)
 	}
 	// Output:
-	// j1: 1 × 0.5 GPU, 1200s, gang=false
-	// j2: 4 × 1.0 GPU, 7200s, gang=true
+	// j1: 1 × 0.5 GPU, 1200s, spot
+	// j2: 4 × 1.0 GPU, 7200s, spot
 }
 
 // Streaming statistics: the Table 3 summary of an arbitrarily large

@@ -42,7 +42,6 @@ func main() {
 	evictions := 0
 	engine := gfs.NewEngine(cluster,
 		gfs.WithSystem(system),
-		gfs.WithGrace(30*gfs.Second),
 		gfs.WithObserver(gfs.ObserverFunc(func(e gfs.Event) {
 			if e.Kind == gfs.TaskEvicted {
 				evictions++

@@ -64,8 +64,9 @@ func SpillToLeastLoaded() SpilloverPolicy { return sched.SpillLeastLoaded{} }
 func DefaultPricing() PricingTable { return pricing.DefaultTable() }
 
 // Member is one federation member: a named Engine (cluster +
-// scheduler + quota + scenario) plus the pricing and forecast signals
-// routing policies read.
+// scheduler + quota + scenario) plus the forecast signal routing
+// policies read. Every member prices its GPU models with
+// DefaultPricing.
 type Member struct {
 	// Name uniquely identifies the member within the federation.
 	Name string
@@ -73,10 +74,6 @@ type Member struct {
 	// Its scenario, quota policy and observers all apply to the
 	// member's share of the federated run.
 	Engine *Engine
-	// Pricing prices the member's GPU models; nil uses
-	// DefaultPricing. The member's effective spot price (cheapest
-	// priced model × spot margin) feeds RouteCheapestSpot.
-	Pricing PricingTable
 	// Profile optionally forecasts the member's diurnal spot
 	// reclamation; RouteForecastAware steers spot tasks away from
 	// members heading into their reclamation peak.
@@ -84,14 +81,12 @@ type Member struct {
 }
 
 // spotPrice derives the member's effective $/GPU-hour for spot
-// capacity: the cheapest priced model in its cluster at the spot
-// realization margin. Members whose models are all unpriced fall
-// back to the table mean so price-aware routing still ranks them.
+// capacity, which feeds RouteCheapestSpot: the cheapest priced model
+// in its cluster at the spot realization margin. Members whose models
+// are all unpriced fall back to the table mean so price-aware routing
+// still ranks them.
 func (m Member) spotPrice() float64 {
-	tbl := m.Pricing
-	if tbl == nil {
-		tbl = pricing.DefaultTable()
-	}
+	tbl := pricing.DefaultTable()
 	best := 0.0
 	for _, model := range m.Engine.Cluster().Models() {
 		if p := tbl[model]; p > 0 && (best == 0 || p < best) {

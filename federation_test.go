@@ -151,10 +151,8 @@ func TestFederationMigrationDelay(t *testing.T) {
 func TestFederationRoutePolicies(t *testing.T) {
 	cheapMembers := func() []gfs.Member {
 		return []gfs.Member{
-			{Name: "h800", Engine: gfs.NewEngine(gfs.NewCluster("H800", 16, 8)),
-				Pricing: gfs.PricingTable{"H800": 4.1}},
-			{Name: "a10", Engine: gfs.NewEngine(gfs.NewCluster("A10", 16, 8)),
-				Pricing: gfs.PricingTable{"A10": 0.9}},
+			{Name: "h800", Engine: gfs.NewEngine(gfs.NewCluster("H800", 16, 8))},
+			{Name: "a10", Engine: gfs.NewEngine(gfs.NewCluster("A10", 16, 8))},
 		}
 	}
 	res := gfs.NewFederation(cheapMembers(), gfs.WithRoute(gfs.RouteCheapestSpot())).

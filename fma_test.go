@@ -11,21 +11,22 @@ import (
 // TestPlacementHasNoFusedMultiplyAdd: the Go spec lets a compiler fuse
 // x*y + z into one fused multiply-add, which rounds once where the
 // source rounds twice. amd64 never fuses; arm64 does. The placement,
-// simulation and autoscale packages round every such product with an
-// explicit float64 conversion, so their scores, usage sums, metrics
-// and capacity forecasts keep the same bits on both: compiled for
-// arm64, they hold no fused instruction.
+// simulation, autoscale and pricing packages and the root package's
+// collectors round every such product with an explicit float64
+// conversion, so their scores, usage sums, metrics, capacity forecasts
+// and cost ledgers keep the same bits on both: compiled for arm64, they
+// hold no fused instruction.
 func TestPlacementHasNoFusedMultiplyAdd(t *testing.T) {
 	if testing.Short() {
-		t.Skip("cross-compiles eight packages for arm64")
+		t.Skip("cross-compiles ten packages for arm64")
 	}
 	goTool, err := exec.LookPath("go")
 	if err != nil {
 		t.Skip("no go command on PATH")
 	}
-	cmd := exec.Command(goTool, "build", "-gcflags=-S", "./internal/pts", "./internal/cluster",
+	cmd := exec.Command(goTool, "build", "-gcflags=-S", ".", "./internal/pts", "./internal/cluster",
 		"./internal/baselines", "./internal/task", "./internal/sched", "./internal/sqa", "./internal/stats",
-		"./internal/autoscale")
+		"./internal/autoscale", "./internal/pricing")
 	cmd.Env = append(os.Environ(), "GOARCH=arm64", "CGO_ENABLED=0")
 	out, err := cmd.CombinedOutput()
 	if err != nil {

@@ -104,9 +104,6 @@ type Policy struct {
 	// activity weight — at peak hours a provision takes up to 2×
 	// PreWarm to deliver.
 	Curve *timefeat.DiurnalCurve
-	// Calendar resolves Curve's weekend/holiday damping; nil means a
-	// plain calendar.
-	Calendar *timefeat.Calendar
 	// IdleAfter is the grace a node must stay fully idle before it
 	// is retired (default 30 min).
 	IdleAfter simclock.Duration
@@ -288,7 +285,7 @@ func (p *Policy) Plan(ctx *sched.AutoscaleContext) sched.AutoscalePlan {
 func (p *Policy) lead(now simclock.Time) simclock.Duration {
 	lead := p.PreWarm
 	if p.Curve != nil {
-		w := p.Curve.WeightAt(p.Calendar, now)
+		w := p.Curve.WeightAt(now)
 		lead = simclock.Duration(float64(lead) * (1 + w))
 	}
 	return lead

@@ -495,7 +495,7 @@ func (n *Node) Tasks() []*task.Task {
 
 // evictionRetention is how far back a node remembers its evictions:
 // twice the production long window. Every history horizon a scheduler
-// queries (pts.Config.LongWindow) must fit inside it.
+// queries (pts's long window) must fit inside it.
 const evictionRetention = 2 * 24 * simclock.Hour
 
 // RecordEviction notes a spot eviction on this node at time t. The

@@ -12,12 +12,12 @@ import (
 	"github.com/sjtucitlab/gfs/internal/sqa"
 )
 
-// Options configures a GFS instance.
+// Options configures a GFS instance. The zero value is Table 4's
+// setting without an estimator, and so is every field left unset.
 type Options struct {
-	// PTS configures the scheduler; zero value means defaults.
+	// PTS holds the scheduler's ablation switches.
 	PTS pts.Config
-	// SQA configures the quota allocator; zero value means
-	// defaults.
+	// SQA holds the quota allocator's guarantee duration.
 	SQA sqa.Config
 	// Estimator is a trained demand estimator. Nil disables
 	// forecasting: the quota falls back to idle+spot capacity,
@@ -25,14 +25,12 @@ type Options struct {
 	Estimator *gde.Estimator
 	// DisableEtaFeedback pins η = 1 (the GFS-d ablation).
 	DisableEtaFeedback bool
-	// RampFraction bounds how fast spot usage may grow: per quota
-	// update, admissions may raise spot usage by at most this
-	// fraction of cluster capacity. Without it, a backlog released
-	// after a quota dip floods the cluster in one scheduling pass
-	// and the next HP surge evicts the whole cohort. Zero means
-	// the default 5%.
-	RampFraction float64
 }
+
+// rampFraction bounds how fast spot usage may grow: per quota update,
+// admissions may raise spot usage by at most this fraction of cluster
+// capacity.
+const rampFraction = 0.05
 
 // DefaultOptions returns Table 4's settings (estimator left nil for
 // the caller to supply).
@@ -48,22 +46,13 @@ type System struct {
 
 // New assembles a GFS system.
 func New(opts Options) *System {
-	if opts.PTS == (pts.Config{}) {
-		opts.PTS = pts.DefaultConfig()
-	}
-	if opts.SQA == (sqa.Config{}) {
-		opts.SQA = sqa.DefaultConfig()
-	}
-	if opts.RampFraction <= 0 {
-		opts.RampFraction = 0.05
-	}
 	return &System{
 		Scheduler: pts.New(opts.PTS),
 		Quota: &Quota{
 			est:         opts.Estimator,
 			alloc:       sqa.New(opts.SQA),
 			disableFeed: opts.DisableEtaFeedback,
-			ramp:        opts.RampFraction,
+			ramp:        rampFraction,
 		},
 	}
 }
@@ -86,9 +75,10 @@ type Quota struct {
 	forecasts   []sqa.OrgForecast
 	alloc       *sqa.Allocator
 	disableFeed bool
-	ramp        float64
-	lastEtaAt   simclock.Time
-	etaUpdated  bool
+	// ramp is rampFraction outside tests.
+	ramp       float64
+	lastEtaAt  simclock.Time
+	etaUpdated bool
 }
 
 // Allocator exposes the underlying SQA (for inspection in tests and

@@ -234,9 +234,9 @@ func (errNoFit) Error() string { return "no fit" }
 
 func TestSQAConfigPropagates(t *testing.T) {
 	opts := DefaultOptions()
-	opts.SQA = sqa.Config{P: 0.95, H: 2, Theta: simclock.Hour}
+	opts.SQA = sqa.Config{H: 2}
 	sys := New(opts)
-	if sys.Quota.Allocator().Config().P != 0.95 {
+	if sys.Quota.Allocator().Config().H != 2 {
 		t.Fatal("SQA config not propagated")
 	}
 }

@@ -9,7 +9,8 @@ import (
 )
 
 func TestMaxAdmitPerPass(t *testing.T) {
-	sys := New(Options{RampFraction: 0.03})
+	sys := New(Options{})
+	sys.Quota.ramp = 0.03
 	if got := sys.Quota.MaxAdmitPerPass(1000); got != 30 {
 		t.Fatalf("ramp = %v, want 30", got)
 	}

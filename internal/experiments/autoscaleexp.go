@@ -123,7 +123,7 @@ func AutoscaleExperiment(scale SimScale) ([]AutoscaleRow, error) {
 	for _, r := range runs {
 		collectors := []gfs.Collector{
 			gfs.NewSummaryCollector(),
-			gfs.NewCostCollector(gfs.CostConfig{BaselineRates: baselines}),
+			gfs.NewCostCollector(baselines),
 		}
 		opts := []gfs.Option{
 			gfs.WithInitialOrgDemand(scale.demandHistory()),

@@ -49,7 +49,7 @@ func ReportExperiment(scale SimScale) (*ReportData, error) {
 		gfs.NewEvictionCollector(),
 		gfs.NewQuotaCollector(),
 		gfs.NewAllocationCollector(),
-		gfs.NewCostCollector(gfs.CostConfig{BaselineRates: baselines}),
+		gfs.NewCostCollector(baselines),
 	}
 	rep := gfs.NewEngine(scale.NewCluster(),
 		gfs.WithSystem(sys),

@@ -15,7 +15,6 @@ import (
 	"github.com/sjtucitlab/gfs/internal/org"
 	"github.com/sjtucitlab/gfs/internal/sched"
 	"github.com/sjtucitlab/gfs/internal/simclock"
-	"github.com/sjtucitlab/gfs/internal/sqa"
 	"github.com/sjtucitlab/gfs/internal/task"
 	"github.com/sjtucitlab/gfs/internal/timefeat"
 	"github.com/sjtucitlab/gfs/internal/trace"
@@ -209,7 +208,6 @@ const (
 func (s SimScale) NewGFS(est *gde.Estimator, variant GFSVariant, guaranteeHours int) *core.System {
 	opts := core.DefaultOptions()
 	opts.Estimator = est
-	opts.SQA = sqa.DefaultConfig()
 	opts.SQA.H = guaranteeHours
 	switch variant {
 	case GFSStaticEta:

@@ -16,11 +16,9 @@ type Config struct {
 	// History is L, the input window in hours.
 	History int
 	// Horizon is H, the forecast span in hours (at least the
-	// largest guarantee duration SQA will ask for).
+	// largest guarantee duration SQA will ask for). It is also the
+	// stride between training windows.
 	Horizon int
-	// Stride is the window stride for training examples (defaults
-	// to Horizon).
-	Stride int
 	// Model is the underlying forecaster; nil defaults to
 	// OrgLinear with experiment settings.
 	Model forecast.Distributional
@@ -46,9 +44,6 @@ func New(cfg Config) *Estimator {
 	if cfg.Model == nil {
 		cfg.Model = forecast.NewOrgLinear(forecast.DefaultOrgLinearConfig())
 	}
-	if cfg.Stride <= 0 {
-		cfg.Stride = cfg.Horizon
-	}
 	return &Estimator{cfg: cfg, model: cfg.Model, orgIDs: make(map[string]forecast.OrgMeta)}
 }
 
@@ -71,7 +66,7 @@ func (e *Estimator) Train(panel map[string][]float64, startHour int) error {
 	for i, name := range names {
 		meta := forecast.OrgMeta{OrgID: i, ClusterID: 0, ModelID: 0}
 		e.orgIDs[name] = meta
-		exs := forecast.Windows(panel[name], startHour, e.cfg.History, e.cfg.Horizon, e.cfg.Stride, meta)
+		exs := forecast.Windows(panel[name], startHour, e.cfg.History, e.cfg.Horizon, e.cfg.Horizon, meta)
 		examples = append(examples, exs...)
 	}
 	if len(examples) == 0 {

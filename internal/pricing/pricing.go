@@ -116,7 +116,9 @@ func MonthlyBenefit(tbl Table, deltas []PoolDelta, margin float64) float64 {
 	total := 0.0
 	for _, d := range deltas {
 		price := tbl[d.Model]
-		total += float64(d.GPUs) * d.Improvement() * price * HoursPerMonth * margin
+		// The conversion rounds the product, so no platform fuses
+		// it into the sum.
+		total += float64(float64(d.GPUs) * d.Improvement() * price * HoursPerMonth * margin)
 	}
 	return total
 }

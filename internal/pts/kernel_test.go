@@ -23,7 +23,7 @@ func refBestNode(s *Scheduler, ctx *sched.Context, tk *task.Task) *cluster.Node 
 			continue
 		}
 		s1, s2 := s.occupancy(n, tk)
-		s3 := s.score3(n.WeightedEvictionRate(ctx.Now, s.cfg.Gamma, s.cfg.ShortWindow, s.cfg.LongWindow), tk.Type)
+		s3 := s.score3(n.WeightedEvictionRate(ctx.Now, gamma, shortWindow, longWindow), tk.Type)
 		if tk.Type == task.Spot && !s.cfg.DisableEvictionAware && tk.GPUsPerPod >= 1 {
 			if s3 <= 0 {
 				s.tripBreaker(n, ctx.Now)
@@ -124,14 +124,29 @@ func refBaselines(cl *cluster.Cluster) []refBaseline {
 // which three fresh evictions on one node trip it: under the steep one
 // bestNode's breaker guard is on from the first eviction, under Table
 // 4's never, and under this one it turns on mid-run.
-func kernelConfigs() []Config {
-	steep, three := DefaultConfig(), DefaultConfig()
-	steep.PenaltyM, three.PenaltyM = 130, 43
-	cfgs := []Config{steep, steep, steep, steep, DefaultConfig(), three}
-	cfgs[1].DisableCoLocation = true
-	cfgs[2].DisableEvictionAware = true
-	cfgs[3].RandomPreemption = true
-	return cfgs
+func kernelConfigs() []kernelConfig {
+	return []kernelConfig{
+		{m: 130},
+		{Config{DisableCoLocation: true}, 130},
+		{Config{DisableEvictionAware: true}, 130},
+		{Config{RandomPreemption: true}, 130},
+		{m: penaltyM},
+		{m: 43},
+	}
+}
+
+// kernelConfig is one scheduler setting of the fuzzer: its ablation
+// switches and Eq. 16's penalty intensity.
+type kernelConfig struct {
+	cfg Config
+	m   float64
+}
+
+// build makes a scheduler with the setting.
+func (k kernelConfig) build() *Scheduler {
+	s := New(k.cfg)
+	s.m = k.m
+	return s
 }
 
 // kernelWorld is one cluster driven through random mutations, with
@@ -169,8 +184,8 @@ func newKernelWorld(t *testing.T, seed int64) *kernelWorld {
 	}
 	w := &kernelWorld{t: t, rng: rng, cl: cl, nextID: 1, bases: refBaselines(cl)}
 	w.ctx = &sched.Context{Now: simclock.Time(simclock.Hour), State: sched.NewState(cl), G: 100, F: 5}
-	for _, cfg := range kernelConfigs() {
-		w.kern, w.ref = append(w.kern, New(cfg)), append(w.ref, New(cfg))
+	for _, k := range kernelConfigs() {
+		w.kern, w.ref = append(w.kern, k.build()), append(w.ref, k.build())
 	}
 	return w
 }
@@ -341,7 +356,7 @@ func (w *kernelWorld) mutate() {
 	case r == 19 && len(nodes) < 40:
 		w.cl.AddPool(cluster.Pool{Model: kernelModels[rng.Intn(2)], Nodes: 1 + rng.Intn(2), GPUsPerNode: []int{8, 4}[rng.Intn(2)]})
 	case r == 20:
-		step := []simclock.Duration{10 * simclock.Minute, DefaultConfig().ShortWindow + 1, DefaultConfig().LongWindow + 1}
+		step := []simclock.Duration{10 * simclock.Minute, shortWindow + 1, longWindow + 1}
 		w.ctx.Now = now.Add(step[rng.Intn(len(step))])
 	case r == 21:
 		// A gang placed by hand inside a transaction that also evicts,
@@ -575,7 +590,7 @@ func TestLooseClusterWalksEverything(t *testing.T) {
 // than its retention whenever it records a new one; Eq. 15's long
 // window must never reach back further than that.
 func TestLongWindowFitsEvictionRetention(t *testing.T) {
-	long := DefaultConfig().LongWindow
+	long := longWindow
 	n := cluster.NewNode(0, "A100", 8)
 	n.RecordEviction(0)
 	now := simclock.Time(long)

@@ -166,7 +166,7 @@ func TestPreemptionPlanBoundedByExactSolver(t *testing.T) {
 		for _, g := range []float64{1, 2, 4, 8} {
 			hp := mkTask(9000, task.HP, 1, g)
 			p := s.bestPreemption(ctx, hp, 0)
-			exact := opt.ExactPreemption(cl.Nodes(), int(g), ctx.G, ctx.F, s.cfg.Beta, ctx.ElapsedSeconds(), now)
+			exact := opt.ExactPreemption(cl.Nodes(), int(g), ctx.G, ctx.F, beta, ctx.ElapsedSeconds(), now)
 			if exact == nil {
 				if p.node != nil {
 					t.Fatalf("seed %d g=%v: plan on %v where the solver finds none", seed, g, p.node)
@@ -176,7 +176,7 @@ func TestPreemptionPlanBoundedByExactSolver(t *testing.T) {
 			if p.node == nil {
 				continue // a zero-victim plan on a mixed node is left to the non-preemptive path
 			}
-			ref := preemptionCost(ctx.G, ctx.F, len(p.victims), wasteOf(p.victims, now), s.cfg.Beta, float64(p.node.Capacity())*ctx.ElapsedSeconds())
+			ref := preemptionCost(ctx.G, ctx.F, len(p.victims), wasteOf(p.victims, now), float64(p.node.Capacity())*ctx.ElapsedSeconds())
 			if math.Float64bits(ref) != math.Float64bits(p.cost) {
 				t.Fatalf("seed %d g=%v: plan cost %v, recomputed from its victims %v", seed, g, p.cost, ref)
 			}

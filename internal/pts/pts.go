@@ -17,21 +17,26 @@ import (
 	"github.com/sjtucitlab/gfs/internal/task"
 )
 
-// Config holds the PTS parameters (Table 4).
-type Config struct {
-	// Gamma balances short- vs long-term eviction history (Eq. 15).
-	Gamma float64
-	// ShortWindow and LongWindow are the eviction history horizons
-	// (1 h and 24 h in production).
-	ShortWindow, LongWindow simclock.Duration
-	// PenaltyM is the eviction penalty intensity m (Eq. 16).
-	PenaltyM float64
-	// Beta weights the usage-impact term of the preemption cost
+// Table 4's PTS parameters.
+const (
+	// gamma balances short- vs long-term eviction history (Eq. 15).
+	gamma = 0.8
+	// shortWindow and longWindow are the eviction history horizons.
+	shortWindow = simclock.Hour
+	longWindow  = 24 * simclock.Hour
+	// penaltyM is the eviction penalty intensity m (Eq. 16).
+	penaltyM = 3
+	// beta weights the usage-impact term of the preemption cost
 	// (Eq. 19).
-	Beta float64
-	// BreakerDuration is how long a node stays blacklisted for
-	// spot placements after its spot Score3 reaches 0.
-	BreakerDuration simclock.Duration
+	beta = 0.5
+	// breakerDuration is how long a node stays blacklisted for spot
+	// placements after its spot Score3 reaches 0.
+	breakerDuration = simclock.Hour
+)
+
+// Config holds the ablation switches; every other PTS parameter is
+// Table 4's constant, so the zero value is the full scheduler.
+type Config struct {
 	// DisableCoLocation and DisableEvictionAware support the GFS-s
 	// ablation (packing only).
 	DisableCoLocation    bool
@@ -41,21 +46,14 @@ type Config struct {
 	RandomPreemption bool
 }
 
-// DefaultConfig returns Table 4's settings.
-func DefaultConfig() Config {
-	return Config{
-		Gamma:           0.8,
-		ShortWindow:     simclock.Hour,
-		LongWindow:      24 * simclock.Hour,
-		PenaltyM:        3,
-		Beta:            0.5,
-		BreakerDuration: simclock.Hour,
-	}
-}
+// DefaultConfig returns the full scheduler, with no ablation.
+func DefaultConfig() Config { return Config{} }
 
 // Scheduler is the PTS implementation of sched.Scheduler.
 type Scheduler struct {
 	cfg Config
+	// m is Eq. 16's penalty intensity, penaltyM outside tests.
+	m float64
 	// blacklist is the circuit breaker's state: node ID → the time its
 	// spot blacklisting ends. Scores are not kept: bestNode's bounded
 	// walk of the placement index scores few enough nodes afresh.
@@ -116,7 +114,7 @@ func (m *planMemo) entry(n *cluster.Node) *planEntry {
 
 // New creates a PTS scheduler.
 func New(cfg Config) *Scheduler {
-	return &Scheduler{cfg: cfg, blacklist: make(map[int]simclock.Time)}
+	return &Scheduler{cfg: cfg, m: penaltyM, blacklist: make(map[int]simclock.Time)}
 }
 
 // Name implements sched.Scheduler.
@@ -177,7 +175,7 @@ func (s *Scheduler) score3(e float64, typ task.Type) float64 {
 	if s.cfg.DisableEvictionAware {
 		return 0.5
 	}
-	p := float64(0.01 * s.cfg.PenaltyM * e)
+	p := float64(0.01 * s.m * e)
 	if typ == task.HP {
 		return math.Min(p, 1)
 	}
@@ -193,7 +191,7 @@ func (s *Scheduler) spotBlocked(n *cluster.Node, now simclock.Time) bool {
 
 // tripBreaker blacklists a node whose spot Score3 collapsed to 0.
 func (s *Scheduler) tripBreaker(n *cluster.Node, now simclock.Time) {
-	s.blacklist[n.ID] = now.Add(s.cfg.BreakerDuration)
+	s.blacklist[n.ID] = now.Add(breakerDuration)
 }
 
 type scored struct {
@@ -213,14 +211,12 @@ type scored struct {
 // Score3 is computed only where (score1, score2) ties or beats the
 // best. Alg. 1 line 7 trips the breaker on any whole-card spot
 // candidate whose Score3 is 0, winner or not, so all are scored unless
-// none can trip: for γ in [0, 1], m ≥ 0 and long > 0, Eqs. 15–16 are
-// monotone in the counts, and Score3 at the cluster's largest possible
-// eviction rate is above 0.
+// none can trip: with γ in [0, 1] and m ≥ 0, Eqs. 15–16 are monotone
+// in the counts, and Score3 at the cluster's largest possible eviction
+// rate is above 0.
 func (s *Scheduler) bestNode(ctx *sched.Context, tk *task.Task) *cluster.Node {
-	c := &s.cfg
-	breaker := tk.Type == task.Spot && !c.DisableEvictionAware && tk.GPUsPerPod >= 1
-	every := breaker && (!(c.Gamma >= 0 && c.Gamma <= 1 && c.PenaltyM >= 0 && c.LongWindow > 0) ||
-		s.score3(ctx.State.Cluster.MaxEvictionRate(c.Gamma, c.LongWindow), task.Spot) <= 0)
+	breaker := tk.Type == task.Spot && !s.cfg.DisableEvictionAware && tk.GPUsPerPod >= 1
+	every := breaker && s.score3(ctx.State.Cluster.MaxEvictionRate(gamma, longWindow), task.Spot) <= 0
 	var best scored
 	top := float64(ctx.State.Cluster.MaxCapacity(tk.GPUModel))
 	for n, floor := range ctx.State.Cluster.Candidates(tk) {
@@ -234,7 +230,7 @@ func (s *Scheduler) bestNode(ctx *sched.Context, tk *task.Task) *cluster.Node {
 			continue
 		}
 		s.rated++
-		cand.s3 = s.score3(n.WeightedEvictionRate(ctx.Now, c.Gamma, c.ShortWindow, c.LongWindow), tk.Type)
+		cand.s3 = s.score3(n.WeightedEvictionRate(ctx.Now, gamma, shortWindow, longWindow), tk.Type)
 		if breaker {
 			// Alg. 1 line 7: whole-card spot pods require
 			// Score3 > 0; tripping nodes enter the breaker
@@ -330,7 +326,7 @@ func (s *Scheduler) bestPreemption(ctx *sched.Context, tk *task.Task, evictedSoF
 		// shrink the waste term to noise and let the victim-count
 		// term steer preemption onto huge gang tasks.
 		gpuSeconds := float64(n.Capacity()) * elapsed
-		cost := preemptionCost(ctx.G, ctx.F+evictedSoFar, int(e.hi-e.lo), e.waste, s.cfg.Beta, gpuSeconds)
+		cost := preemptionCost(ctx.G, ctx.F+evictedSoFar, int(e.hi-e.lo), e.waste, gpuSeconds)
 		if cost < cand.cost || (cost == cand.cost && cand.node != nil && n.ID < cand.node.ID) {
 			cand = preemptCand{node: n, victims: m.arena[e.lo:e.hi:e.hi], cost: cost}
 		}
@@ -392,7 +388,7 @@ func (s *Scheduler) victimSet(ctx *sched.Context, n *cluster.Node, need int) (vi
 // t tasks whose wastes sum to wasteSum:
 //
 //	cost(n) = (F+|T|)/(G+F+|T|) + β·Σϑ/(Σ S·T)
-func preemptionCost(g, f, t int, wasteSum, beta, gpuSeconds float64) float64 {
+func preemptionCost(g, f, t int, wasteSum, gpuSeconds float64) float64 {
 	denom := float64(g + f + t)
 	evictTerm := 0.0
 	if denom > 0 {

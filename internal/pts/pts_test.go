@@ -149,11 +149,10 @@ func TestHPPrefersHotNodeOnTies(t *testing.T) {
 }
 
 func TestCircuitBreakerBlacklistsNode(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.PenaltyM = 100 // make Score3 collapse quickly
 	cl := cluster.NewHomogeneous("A100", 2, 8)
 	ctx := newCtx(cl)
-	s := New(cfg)
+	s := New(DefaultConfig())
+	s.m = 100 // make Score3 collapse quickly
 	hot := cl.Nodes()[0]
 	for i := 0; i < 40; i++ {
 		hot.RecordEviction(ctx.Now.Add(-5 * simclock.Minute))
@@ -373,13 +372,13 @@ func TestPreemptionCostFormula(t *testing.T) {
 	v.EnterQueue(0)
 	v.Start(0) // waste = 2 GPUs × 3600 s = 7200
 	victims := []*task.Task{v}
-	got := preemptionCost(90, 10, len(victims), wasteOf(victims, now), 0.5, 100_000)
+	got := preemptionCost(90, 10, len(victims), wasteOf(victims, now), 100_000)
 	want := (10.0+1)/(90+10+1) + 0.5*7200/100_000
 	if math.Abs(got-want) > 1e-12 {
 		t.Fatalf("cost = %v, want %v", got, want)
 	}
 	// Empty victim set: only the eviction-history term.
-	got = preemptionCost(90, 10, 0, wasteOf(nil, now), 0.5, 100_000)
+	got = preemptionCost(90, 10, 0, wasteOf(nil, now), 100_000)
 	if math.Abs(got-0.1) > 1e-12 {
 		t.Fatalf("no-victim cost = %v, want 0.1", got)
 	}

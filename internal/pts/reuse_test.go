@@ -99,7 +99,7 @@ func refPreemptionCost(ctx *sched.Context, f int, n *cluster.Node, victims []*ta
 	for _, v := range victims {
 		wasteSum += v.Waste(ctx.Now)
 	}
-	return evictTerm + DefaultConfig().Beta*wasteSum/(float64(n.Capacity())*ctx.ElapsedSeconds())
+	return evictTerm + beta*wasteSum/(float64(n.Capacity())*ctx.ElapsedSeconds())
 }
 
 func taskIDs(ts []*task.Task) []int {

@@ -40,7 +40,7 @@ func TestSimulationInvariants(t *testing.T) {
 		}
 		cfg := DefaultSimConfig(cl, &firstFit{preempt: true})
 		cfg.Quota = StaticQuota{Fraction: 0.3 + rng.Float64()*0.4}
-		cfg.IdleTimeout = 12 * simclock.Hour
+		cfg.limits = &limits{grace: paperLimits.grace, maxFailures: paperLimits.maxFailures, idleTimeout: 12 * simclock.Hour}
 		res := Run(cfg, tasks)
 
 		// Capacity conservation: used equals the footprint of

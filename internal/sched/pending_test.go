@@ -52,7 +52,7 @@ func (r *flatSim) pass() {
 			continue
 		}
 		shape := shapeOfTask(tk)
-		if failures >= r.cfg.MaxFailuresPerPass || slices.Contains(failed, shape) {
+		if failures >= r.cfg.limits.maxFailures || slices.Contains(failed, shape) {
 			kept = append(kept, tk)
 			continue
 		}
@@ -179,8 +179,7 @@ func newPassWorld(bucketed bool, order, maxFail int, ramp float64) *passWorld {
 	cl.AddPool(cluster.Pool{Model: "H800", Nodes: 4, GPUsPerNode: 8})
 	w := &passWorld{stub: &stubSched{order: order}}
 	cfg := DefaultSimConfig(cl, w.stub)
-	cfg.Grace = 0
-	cfg.MaxFailuresPerPass = maxFail
+	cfg.limits = &limits{grace: 0, maxFailures: maxFail, idleTimeout: paperLimits.idleTimeout}
 	cfg.Quota = rampQuota{perPass: ramp}
 	if bucketed {
 		w.sim = NewSimulator(cfg, nil)
@@ -284,7 +283,7 @@ func diffPasses(t *testing.T, seed int64, rounds int) {
 // TestSchedulePassMatchesFlatReference: over seeded random queues —
 // Less ties across shapes, shape- and mutation-dependent placement,
 // victims re-entering mid-pass, the admission ramp, spot-quota
-// failures and MaxFailuresPerPass cut-offs — the bucketed pass offers
+// failures and maxFailures cut-offs — the bucketed pass offers
 // the same tasks to the scheduler in the same order as the flat pass
 // and leaves the same queue.
 func TestSchedulePassMatchesFlatReference(t *testing.T) {

@@ -17,16 +17,6 @@ type SimConfig struct {
 	Scheduler Scheduler
 	// Quota is the spot quota policy; nil means unlimited.
 	Quota QuotaPolicy
-	// Grace is the preemption grace period (30 s in production).
-	Grace simclock.Duration
-	// MaxFailuresPerPass bounds wasted work scanning a long
-	// pending queue; once this many placement attempts fail in one
-	// pass, the rest wait for the next event.
-	MaxFailuresPerPass int
-	// IdleTimeout stops the simulation when nothing has progressed
-	// for this long (defaults to 48 h) so permanently unplaceable
-	// tasks cannot hang the run.
-	IdleTimeout simclock.Duration
 	// InitialOrgDemand seeds the per-organization demand history
 	// fed to the quota policy, avoiding a forecast cold start. Each
 	// series is hourly demand ending at the simulation epoch.
@@ -52,7 +42,28 @@ type SimConfig struct {
 	// it and the caller becomes responsible for its future, typically
 	// by injecting it into a sibling cluster (see RunFederationContext).
 	EvictionInterceptor func(tk *task.Task, cause EvictCause) bool
+
+	// limits replaces paperLimits in tests; nil outside them.
+	limits *limits
 }
+
+// limits are the simulator's fixed run settings.
+type limits struct {
+	// grace is the preemption grace period.
+	grace simclock.Duration
+	// maxFailures bounds wasted work scanning a long pending queue:
+	// once this many placement attempts fail in one pass, the rest
+	// wait for the next event.
+	maxFailures int
+	// idleTimeout stops the simulation when nothing has progressed
+	// for this long, so permanently unplaceable tasks cannot hang
+	// the run.
+	idleTimeout simclock.Duration
+}
+
+// paperLimits are the production settings: a 30 s grace, 25 failures
+// per pass and a 48 h idle timeout.
+var paperLimits = limits{grace: 30 * simclock.Second, maxFailures: 25, idleTimeout: 48 * simclock.Hour}
 
 // The quota tick runs every quotaInterval (Table 4: 300 s), and the
 // eviction rate and queueing delay fed to the quota policy look back
@@ -62,16 +73,11 @@ const (
 	quotaWindow   = simclock.Hour
 )
 
-// DefaultSimConfig fills in the paper's settings for a given cluster
-// and scheduler.
+// DefaultSimConfig runs scheduler s on cluster cl with no quota,
+// observers or scenario. The preemption grace (30 s), the failed
+// placements per pass (25) and the idle timeout (48 h) are fixed.
 func DefaultSimConfig(cl *cluster.Cluster, s Scheduler) SimConfig {
-	return SimConfig{
-		Cluster:            cl,
-		Scheduler:          s,
-		Grace:              30 * simclock.Second,
-		MaxFailuresPerPass: 25,
-		IdleTimeout:        48 * simclock.Hour,
-	}
+	return SimConfig{Cluster: cl, Scheduler: s}
 }
 
 // Result summarizes one simulation run.
@@ -123,11 +129,12 @@ type provisionEvent struct{ pool cluster.Pool }
 // advancing every member in lockstep on a shared clock;
 // NewSimulator/Step/Inject/Finish are the calls it makes.
 type Simulator struct {
-	cfg   SimConfig
-	queue simclock.Queue
-	state *State
-	pend  pendingQueue
-	now   simclock.Time
+	cfg    SimConfig
+	limits limits
+	queue  simclock.Queue
+	state  *State
+	pend   pendingQueue
+	now    simclock.Time
 
 	spotQuota    float64
 	gCount       int
@@ -243,14 +250,9 @@ func Run(cfg SimConfig, tasks []*task.Task) *Result {
 // Drive it with Step until it returns false (or interleave Step with
 // Inject), then collect metrics with Finish.
 func NewSimulator(cfg SimConfig, tasks []*task.Task) *Simulator {
-	if cfg.MaxFailuresPerPass <= 0 {
-		cfg.MaxFailuresPerPass = 25
-	}
-	if cfg.IdleTimeout <= 0 {
-		cfg.IdleTimeout = 48 * simclock.Hour
-	}
 	s := &Simulator{
 		cfg:       cfg,
+		limits:    paperLimits,
 		pend:      pendingQueue{sched: cfg.Scheduler, byShape: make(map[taskShape]*shapeBucket)},
 		state:     NewState(cfg.Cluster),
 		spotQuota: math.Inf(1),
@@ -269,6 +271,9 @@ func NewSimulator(cfg SimConfig, tasks []*task.Task) *Simulator {
 	for _, org := range initOrgs {
 		s.orgDemand[org] = append([]float64(nil), cfg.InitialOrgDemand[org]...)
 		s.orgSlot(org)
+	}
+	if cfg.limits != nil {
+		s.limits = *cfg.limits
 	}
 	s.hasObs = len(cfg.Observers) > 0
 	if er, ok := cfg.Quota.(EtaReporter); ok {
@@ -484,7 +489,7 @@ func (s *Simulator) handle(ev simclock.Event) bool {
 		s.autoscaleTick()
 		// Keep ticking while there is anything left to drive.
 		active := s.queue.Len() > 0 || s.running > 0
-		stalled := s.pend.n > 0 && s.now.Sub(s.lastProgress) < s.cfg.IdleTimeout
+		stalled := s.pend.n > 0 && s.now.Sub(s.lastProgress) < s.limits.idleTimeout
 		if active || stalled {
 			s.queue.Push(s.now.Add(quotaInterval), tickEvent{})
 		} else {
@@ -766,7 +771,7 @@ func (s *Simulator) schedulePass() {
 	q.begin()
 	s.work.passes++
 	s.work.shapes += uint64(len(q.live))
-	for failures := 0; failures < s.cfg.MaxFailuresPerPass; {
+	for failures := 0; failures < s.limits.maxFailures; {
 		i := q.min()
 		if i < 0 {
 			break
@@ -820,8 +825,8 @@ func (s *Simulator) apply(tk *task.Task, dec *Decision) {
 		s.evict(v, CausePreempted, locs)
 	}
 	start := s.now
-	if len(dec.Victims) > 0 && s.cfg.Grace > 0 {
-		start = start.Add(s.cfg.Grace)
+	if len(dec.Victims) > 0 {
+		start = start.Add(s.limits.grace)
 	}
 	if tk.Type == task.Spot {
 		s.recentQueues = append(s.recentQueues, queueObs{at: s.now, dur: start.Sub(tk.QueuedSince)})

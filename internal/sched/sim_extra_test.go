@@ -62,8 +62,7 @@ func TestShapeCacheAllowsBackfill(t *testing.T) {
 	blockerB := mkTask(2, task.Spot, 2, 8, simclock.Hour, 0) // same shape
 	small := mkTask(3, task.Spot, 1, 1, 30*simclock.Minute, 0)
 	cfg := DefaultSimConfig(cl, &firstFit{})
-	cfg.MaxFailuresPerPass = 2
-	cfg.IdleTimeout = simclock.Hour
+	cfg.limits = &limits{grace: paperLimits.grace, maxFailures: 2, idleTimeout: simclock.Hour}
 	res := Run(cfg, []*task.Task{blockerA, blockerB, small})
 	if small.State != task.Finished {
 		t.Fatal("small task should backfill past the blocked gang shapes")

@@ -283,7 +283,7 @@ func TestSimIdleTimeoutStopsStalledRun(t *testing.T) {
 	cl := cluster.NewHomogeneous("A100", 1, 8)
 	tasks := []*task.Task{mkTask(1, task.Spot, 1, 16, simclock.Hour, 0)}
 	cfg := DefaultSimConfig(cl, &firstFit{})
-	cfg.IdleTimeout = 2 * simclock.Hour
+	cfg.limits = &limits{grace: paperLimits.grace, maxFailures: paperLimits.maxFailures, idleTimeout: 2 * simclock.Hour}
 	res := Run(cfg, tasks)
 	if res.UnfinishedSpot != 1 {
 		t.Fatalf("unfinished spot = %d, want 1", res.UnfinishedSpot)

@@ -10,16 +10,14 @@ import (
 // DiurnalProfile shapes time-of-day spot reclamation intensity: the
 // fraction of held spot GPUs reclaimed per burst follows a smooth
 // daily curve between Base (trough) and Peak (at Curve.PeakHour),
-// optionally damped on weekends/holidays by the curve and scaled by a
+// optionally damped on weekends by the curve and scaled by a
 // price-pressure multiplier. It is how the cluster-external spot
 // market — which the forecasting layer tries to predict — enters the
 // simulation.
 type DiurnalProfile struct {
 	// Curve is the daily activity shape (peak hour, width, weekend
-	// and holiday damping).
+	// damping).
 	Curve timefeat.DiurnalCurve
-	// Calendar resolves holidays; nil means no holidays.
-	Calendar *timefeat.Calendar
 	// Base is the reclaimed fraction at the trough, in [0,1).
 	Base float64
 	// Peak is the reclaimed fraction at the peak, in (Base, 1].
@@ -32,7 +30,7 @@ type DiurnalProfile struct {
 // Intensity returns the reclaimed fraction at time t, clamped to
 // [0,1].
 func (p DiurnalProfile) Intensity(t simclock.Time) float64 {
-	w := p.Curve.WeightAt(p.Calendar, t)
+	w := p.Curve.WeightAt(t)
 	f := p.Base + float64((p.Peak-p.Base)*w)
 	if p.Pressure > 0 {
 		f *= p.Pressure
@@ -81,10 +79,9 @@ type StormProfile struct {
 	// failure rather than a reclamation burst, in [0,1].
 	FailureProb float64
 	// CascadeP spreads each failure storm to sibling domains with
-	// this probability (see ScenarioAction.CascadeP).
+	// this probability (see ScenarioAction.CascadeP), each hop 5
+	// minutes after the last.
 	CascadeP float64
-	// CascadeDelay is the spread lag (≤ 0 defaults to 5 minutes).
-	CascadeDelay simclock.Duration
 	// RestoreAfter brings a failed domain (and, when cascading, its
 	// blast radius: the parent for rack-level domains, every listed
 	// domain for top-level ones) back this long after the hit; ≤ 0
@@ -94,10 +91,15 @@ type StormProfile struct {
 	// Cascaded failures landing on domains outside Domains' coverage
 	// are not restored.
 	RestoreAfter simclock.Duration
-	// MinReclaim and MaxReclaim bound the fraction drawn for
-	// reclamation bursts (defaults 0.1–0.5).
-	MinReclaim, MaxReclaim float64
 }
+
+// A storm's cascade hops stormCascadeDelay apart, and a reclamation
+// burst takes a fraction drawn uniformly from [minReclaim, maxReclaim).
+const (
+	stormCascadeDelay = 5 * simclock.Minute
+	minReclaim        = 0.1
+	maxReclaim        = 0.5
+)
 
 // RandomStorms draws a storm schedule from rng. The output is a pure
 // function of the profile and the generator state, so a seeded rng
@@ -108,23 +110,6 @@ func RandomStorms(rng *rand.Rand, p StormProfile) []ScenarioAction {
 	mean := p.MeanInterval
 	if mean <= 0 {
 		mean = 6 * simclock.Hour
-	}
-	minR, maxR := p.MinReclaim, p.MaxReclaim
-	if minR <= 0 {
-		minR = 0.1
-	}
-	if minR > 1 {
-		minR = 1
-	}
-	if maxR <= minR {
-		maxR = minR + 0.4
-	}
-	if maxR > 1 {
-		maxR = 1
-	}
-	delay := p.CascadeDelay
-	if delay <= 0 {
-		delay = 5 * simclock.Minute
 	}
 	var out []ScenarioAction
 	t := simclock.Time(0)
@@ -141,13 +126,13 @@ func RandomStorms(rng *rand.Rand, p StormProfile) []ScenarioAction {
 			dom := p.Domains[rng.Intn(len(p.Domains))]
 			out = append(out, ScenarioAction{
 				At: t, Op: OpDomainDown, Domain: dom,
-				CascadeP: p.CascadeP, CascadeDelay: delay,
+				CascadeP: p.CascadeP, CascadeDelay: stormCascadeDelay,
 				Seed: rng.Int63(),
 			})
 			if p.RestoreAfter > 0 {
 				// Defer past the deepest possible cascade hop so a
 				// spread failure cannot land after its restore.
-				restoreAt := t.Add(cascadeSettle(p.CascadeP, delay)).Add(p.RestoreAfter)
+				restoreAt := t.Add(cascadeSettle(p.CascadeP, stormCascadeDelay)).Add(p.RestoreAfter)
 				// Without a cascade only the hit domain needs
 				// restoring; with one, restore the parent so the
 				// racks the failure spread to come back as well
@@ -174,7 +159,7 @@ func RandomStorms(rng *rand.Rand, p StormProfile) []ScenarioAction {
 				}
 			}
 		} else {
-			f := minR + float64(rng.Float64()*(maxR-minR))
+			f := minReclaim + float64(rng.Float64()*(maxReclaim-minReclaim))
 			out = append(out, ScenarioAction{At: t, Op: OpReclaimSpot, Fraction: f})
 		}
 	}

@@ -12,42 +12,42 @@ import (
 	"github.com/sjtucitlab/gfs/internal/stats"
 )
 
-// Config parameterizes the allocator, following Table 4.
-type Config struct {
-	// P is the target guarantee rate (e.g. 0.9): spot tasks
+// Table 4's allocator settings.
+const (
+	// guaranteeRate is the target guarantee rate P: spot tasks
 	// admitted under the quota should survive their guarantee
 	// duration with probability ≈ P.
-	P float64
-	// H is the guarantee duration in hours.
+	guaranteeRate = 0.9
+	// theta is the queuing-time threshold θ of the η update rule.
+	theta = simclock.Hour
+	// etaMin and etaMax clamp the safety coefficient so the feedback
+	// loop cannot run away; the paper leaves η unbounded, which is
+	// safe only with well-behaved forecasts.
+	etaMin, etaMax = 0.1, 2.0
+)
+
+// Config parameterizes the allocator; every other setting is Table
+// 4's constant.
+type Config struct {
+	// H is the guarantee duration in hours; below 1 reads as 1.
 	H int
-	// Theta is the queuing-time threshold θ of the η update rule.
-	Theta simclock.Duration
-	// EtaMin and EtaMax clamp the safety coefficient so the
-	// feedback loop cannot run away; the paper leaves η unbounded,
-	// which is safe only with well-behaved forecasts.
-	EtaMin, EtaMax float64
 }
 
 // DefaultConfig returns the paper's Table 4 settings.
-func DefaultConfig() Config {
-	return Config{P: 0.9, H: 1, Theta: simclock.Hour, EtaMin: 0.1, EtaMax: 2.0}
-}
+func DefaultConfig() Config { return Config{H: 1} }
 
 // Allocator maintains the quota state.
 type Allocator struct {
 	cfg Config
+	// p is the guarantee rate, guaranteeRate outside tests.
+	p   float64
 	eta float64
 }
 
 // New creates an allocator with η = 1 (Table 4's initial buffer).
 func New(cfg Config) *Allocator {
-	if cfg.EtaMax == 0 {
-		cfg.EtaMax = 2.0
-	}
-	if cfg.EtaMin == 0 {
-		cfg.EtaMin = 0.1
-	}
-	return &Allocator{cfg: cfg, eta: 1.0}
+	cfg.H = max(cfg.H, 1)
+	return &Allocator{cfg: cfg, p: guaranteeRate, eta: 1.0}
 }
 
 // Eta returns the current safety coefficient.
@@ -73,7 +73,7 @@ type OrgForecast struct {
 // uses max where the text implies min; we follow the text — see
 // DESIGN.md.)
 func (a *Allocator) Inventory(capacity float64, forecasts []OrgForecast) float64 {
-	z := stats.NormICDF(a.cfg.P)
+	z := stats.NormICDF(a.p)
 	total := 0.0
 	for _, f := range forecasts {
 		peak := math.Inf(-1)
@@ -116,22 +116,14 @@ func (a *Allocator) Quota(inventory, idle, guaranteedSpot float64) float64 {
 // rate P is close to 1, the comparison only makes sense against the
 // target eviction rate 1−P, which we use (see DESIGN.md errata).
 func (a *Allocator) UpdateEta(evictionRate float64, maxQueue simclock.Duration) {
-	target := 1 - a.cfg.P
-	if target <= 0 {
-		target = 0.01
-	}
+	target := 1 - a.p
 	switch {
 	case evictionRate > 1.5*target:
 		// High eviction: spot allocation too aggressive.
 		a.eta *= target / evictionRate
-	case evictionRate < 0.5*target && maxQueue > a.cfg.Theta:
+	case evictionRate < 0.5*target && maxQueue > theta:
 		// Low eviction but long queues: too conservative.
 		a.eta *= 1.5 - evictionRate/target
 	}
-	if a.eta < a.cfg.EtaMin {
-		a.eta = a.cfg.EtaMin
-	}
-	if a.eta > a.cfg.EtaMax {
-		a.eta = a.cfg.EtaMax
-	}
+	a.eta = min(max(a.eta, etaMin), etaMax)
 }

@@ -10,7 +10,7 @@ import (
 )
 
 func TestInventoryBasic(t *testing.T) {
-	a := New(Config{P: 0.9, H: 2, Theta: simclock.Hour})
+	a := New(Config{H: 2})
 	fc := []OrgForecast{
 		{Mu: []float64{100, 120}, Sigma: []float64{10, 10}},
 		{Mu: []float64{50, 40}, Sigma: []float64{5, 5}},
@@ -24,7 +24,7 @@ func TestInventoryBasic(t *testing.T) {
 }
 
 func TestInventorySaturationFloorsAtZero(t *testing.T) {
-	a := New(Config{P: 0.9, H: 1, Theta: simclock.Hour})
+	a := New(DefaultConfig())
 	fc := []OrgForecast{{Mu: []float64{900}, Sigma: []float64{50}}}
 	if got := a.Inventory(800, fc); got != 0 {
 		t.Fatalf("saturated inventory = %v, want 0", got)
@@ -34,7 +34,7 @@ func TestInventorySaturationFloorsAtZero(t *testing.T) {
 func TestInventoryHorizonClamp(t *testing.T) {
 	// H larger than the forecast length must not panic and uses
 	// available steps.
-	a := New(Config{P: 0.5, H: 10, Theta: simclock.Hour})
+	a := New(Config{H: 10})
 	fc := []OrgForecast{{Mu: []float64{100}, Sigma: []float64{0}}}
 	if got := a.Inventory(500, fc); math.Abs(got-400) > 1e-9 {
 		t.Fatalf("inventory = %v, want 400", got)
@@ -43,16 +43,22 @@ func TestInventoryHorizonClamp(t *testing.T) {
 
 func TestInventoryHigherPReservesMore(t *testing.T) {
 	fc := []OrgForecast{{Mu: []float64{500}, Sigma: []float64{50}}}
-	lo := New(Config{P: 0.8, H: 1, Theta: simclock.Hour}).Inventory(1000, fc)
-	hi := New(Config{P: 0.99, H: 1, Theta: simclock.Hour}).Inventory(1000, fc)
-	if hi >= lo {
+	lo, hi := New(DefaultConfig()), New(DefaultConfig())
+	lo.p, hi.p = 0.8, 0.99
+	if lo, hi := lo.Inventory(1000, fc), hi.Inventory(1000, fc); hi >= lo {
 		t.Fatalf("P=0.99 inventory %v should be below P=0.8 %v", hi, lo)
+	}
+}
+
+func TestZeroHReadsAsOne(t *testing.T) {
+	if h := New(Config{}).Config().H; h != 1 {
+		t.Fatalf("H = %d, want 1", h)
 	}
 }
 
 func TestInventoryNegativeUpperBoundIgnored(t *testing.T) {
 	// An org with strongly negative forecast must not add quota.
-	a := New(Config{P: 0.9, H: 1, Theta: simclock.Hour})
+	a := New(DefaultConfig())
 	fc := []OrgForecast{
 		{Mu: []float64{-50}, Sigma: []float64{1}},
 		{Mu: []float64{100}, Sigma: []float64{0}},

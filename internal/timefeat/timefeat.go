@@ -73,9 +73,9 @@ func Dims() (hours, weekdays, holiday int) { return 24, 7, 2 }
 // DiurnalCurve is a smooth daily activity shape: a Gaussian bump of
 // the given width (hours, standard deviation) centered on PeakHour,
 // evaluated on the 24-hour circle. Weight is 1 at the peak and decays
-// toward 0 at the antipodal hour; weekends and holidays are damped by
-// their factors (1 = no damping). The scenario layer uses it to make
-// spot reclamation pressure follow business hours.
+// toward 0 at the antipodal hour; weekends are damped by their factor
+// (1 = no damping). The scenario layer uses it to make spot
+// reclamation pressure follow business hours.
 type DiurnalCurve struct {
 	// PeakHour is the hour of day [0,24) of maximum activity.
 	PeakHour int
@@ -85,33 +85,22 @@ type DiurnalCurve struct {
 	// WeekendFactor scales the weight on Saturdays and Sundays; zero
 	// (and 1) mean no damping.
 	WeekendFactor float64
-	// HolidayFactor scales the weight on calendar holidays; zero
-	// (and 1) mean no damping.
-	HolidayFactor float64
 }
 
-// Weight evaluates the curve at the given features, in [0,1].
-func (c DiurnalCurve) Weight(f Features) float64 {
+// WeightAt evaluates the curve at time t, in [0,1].
+func (c DiurnalCurve) WeightAt(t simclock.Time) float64 {
 	width := c.Width
 	if width <= 0 {
 		width = 4
 	}
 	// Circular hour distance: 23:00 is one hour from 00:00.
-	d := math.Abs(float64(f.Hour - c.PeakHour))
+	d := math.Abs(float64(t.HourOfDay() - c.PeakHour))
 	if d > 12 {
 		d = 24 - d
 	}
 	w := math.Exp(-d * d / (2 * width * width))
-	if f.IsWeekend() && c.WeekendFactor > 0 {
+	if t.Weekday() >= 5 && c.WeekendFactor > 0 {
 		w *= c.WeekendFactor
 	}
-	if f.Holiday && c.HolidayFactor > 0 {
-		w *= c.HolidayFactor
-	}
 	return w
-}
-
-// WeightAt evaluates the curve at time t under cal's calendar.
-func (c DiurnalCurve) WeightAt(cal *Calendar, t simclock.Time) float64 {
-	return c.Weight(cal.At(t))
 }

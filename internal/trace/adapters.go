@@ -19,6 +19,12 @@ import (
 // rows), and an adapter's job is to stream past them while counting
 // what it dropped (see Skipper). Structural problems — a missing
 // required column, an unreadable stream — still fail loudly.
+//
+// External traces carry no priority column, no checkpoint interval
+// and no gang flag, so an imported task is spot (the conservative
+// reading of a trace with no priority column), checkpoint-free (every
+// eviction loses all progress), and a gang only where the schema
+// itself implies one.
 
 // Skipper is implemented by adapter Sources that tolerate and drop
 // unusable rows. Skipped reports how many data rows were dropped so
@@ -27,22 +33,6 @@ import (
 type Skipper interface {
 	// Skipped returns the number of data rows dropped so far.
 	Skipped() int
-}
-
-// AdapterConfig tunes how an external schema maps onto the task
-// model where the source format has no equivalent field.
-type AdapterConfig struct {
-	// Type classifies every imported task, since external traces
-	// carry no HP/spot distinction. The zero value imports everything
-	// as preemptible spot work — the conservative reading of a trace
-	// with no priority column.
-	Type task.Type
-	// CheckpointEvery is stamped on imported spot tasks (zero leaves
-	// them checkpoint-free, so every eviction loses all progress).
-	CheckpointEvery simclock.Duration
-	// GangPods marks imported tasks with at least this many pods as
-	// gang-scheduled; zero never marks gangs.
-	GangPods int
 }
 
 // headerIndex maps wanted column names to their positions in an
@@ -76,7 +66,7 @@ var alibabaColumns = []string{"job_name", "inst_num", "status", "start_time", "e
 // expresses GPU requests in card-percent), end−start → duration,
 // start → submission. Rows that never ran, have no GPU request, or
 // carry unparsable numbers are skipped and counted, not fatal.
-func NewAlibabaSource(r io.Reader, cfg AdapterConfig) (Source, error) {
+func NewAlibabaSource(r io.Reader) (Source, error) {
 	cr := csv.NewReader(r)
 	cr.ReuseRecord = true
 	cr.FieldsPerRecord = -1
@@ -93,14 +83,14 @@ func NewAlibabaSource(r io.Reader, cfg AdapterConfig) (Source, error) {
 	if opt, err := headerIndex(hdr, "gpu_type"); err == nil {
 		cols["gpu_type"] = opt["gpu_type"]
 	}
-	a := &adapterSource{cr: cr, cfg: cfg}
-	a.convert = func(rec []string) (*task.Task, bool) { return alibabaRow(rec, cols, cfg) }
+	a := &adapterSource{cr: cr}
+	a.convert = func(rec []string) (*task.Task, bool) { return alibabaRow(rec, cols) }
 	return a, nil
 }
 
 // alibabaRow converts one Alibaba task-table record; ok=false skips
 // it.
-func alibabaRow(rec []string, cols map[string]int, cfg AdapterConfig) (*task.Task, bool) {
+func alibabaRow(rec []string, cols map[string]int) (*task.Task, bool) {
 	field := func(name string) string {
 		i, ok := cols[name]
 		if !ok || i >= len(rec) {
@@ -122,7 +112,7 @@ func alibabaRow(rec []string, cols map[string]int, cfg AdapterConfig) (*task.Tas
 		!finite(start) || !finite(end) || !finite(planGPU) {
 		return nil, false
 	}
-	tk := task.New(0, cfg.Type, inst, planGPU/100, simclock.Duration(end-start))
+	tk := task.New(0, task.Spot, inst, planGPU/100, simclock.Duration(end-start))
 	tk.Org = strings.Clone(field("job_name"))
 	tk.GPUModel = strings.Clone(field("gpu_type"))
 	tk.Submit = simclock.Time(start)
@@ -142,7 +132,7 @@ var phillyColumns = []string{"submitted_time", "num_gpus", "duration"}
 // machines with the traced GPU total conserved exactly, marked gang.
 // Rows with a non-Pass status, zero GPUs or unparsable numbers are
 // skipped and counted.
-func NewPhillySource(r io.Reader, cfg AdapterConfig) (Source, error) {
+func NewPhillySource(r io.Reader) (Source, error) {
 	cr := csv.NewReader(r)
 	cr.ReuseRecord = true
 	cr.FieldsPerRecord = -1
@@ -166,13 +156,13 @@ func NewPhillySource(r io.Reader, cfg AdapterConfig) (Source, error) {
 			cols[opt] = m[opt]
 		}
 	}
-	p := &adapterSource{cr: cr, cfg: cfg}
-	p.convert = func(rec []string) (*task.Task, bool) { return phillyRow(rec, cols, cfg) }
+	p := &adapterSource{cr: cr}
+	p.convert = func(rec []string) (*task.Task, bool) { return phillyRow(rec, cols) }
 	return p, nil
 }
 
 // phillyRow converts one Philly record; ok=false skips it.
-func phillyRow(rec []string, cols map[string]int, cfg AdapterConfig) (*task.Task, bool) {
+func phillyRow(rec []string, cols map[string]int) (*task.Task, bool) {
 	field := func(name string) (string, bool) {
 		i, ok := cols[name]
 		if !ok || i >= len(rec) {
@@ -206,7 +196,7 @@ func phillyRow(rec []string, cols map[string]int, cfg AdapterConfig) (*task.Task
 		perPod = gpus / float64(pods)
 		gang = true
 	}
-	tk := task.New(0, cfg.Type, pods, perPod, simclock.Duration(dur))
+	tk := task.New(0, task.Spot, pods, perPod, simclock.Duration(dur))
 	if vc, ok := field("vc"); ok {
 		tk.Org = strings.Clone(vc)
 	}
@@ -219,11 +209,9 @@ func phillyRow(rec []string, cols map[string]int, cfg AdapterConfig) (*task.Task
 func finite(f float64) bool { return !math.IsNaN(f) && !math.IsInf(f, 0) }
 
 // adapterSource is the shared pull loop of the external-schema
-// adapters: read a record, convert or skip, stamp sequential IDs and
-// the adapter config's type-dependent fields.
+// adapters: read a record, convert or skip, stamp sequential IDs.
 type adapterSource struct {
 	cr      *csv.Reader
-	cfg     AdapterConfig
 	convert func(rec []string) (*task.Task, bool)
 	nextID  int
 	skipped int
@@ -250,12 +238,6 @@ func (a *adapterSource) Next() (*task.Task, error) {
 			continue
 		}
 		tk.ID = a.nextID + 1
-		if a.cfg.GangPods > 0 && tk.Pods >= a.cfg.GangPods {
-			tk.Gang = true
-		}
-		if tk.Type == task.Spot {
-			tk.CheckpointEvery = a.cfg.CheckpointEvery
-		}
 		// CheckTask is the final guard on the converters' lenient
 		// parsing, keeping the Source contract: anything it rejects is
 		// one more skipped row, never a malformed task downstream.

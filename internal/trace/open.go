@@ -131,9 +131,9 @@ func openPlain(br *bufio.Reader, f Format) (Source, error) {
 	case FormatJSONL:
 		return NewJSONLSource(br), nil
 	case FormatAlibaba:
-		return NewAlibabaSource(br, AdapterConfig{})
+		return NewAlibabaSource(br)
 	case FormatPhilly:
-		return NewPhillySource(br, AdapterConfig{})
+		return NewPhillySource(br)
 	}
 	return nil, fmt.Errorf("trace: cannot open format %v", f)
 }

@@ -316,10 +316,10 @@ j5,worker,2,Terminated,50,2450,600,29,200,
 
 // TestAlibabaAdapter: the pai_task_table mapping — percent GPUs to
 // fractional cards, instance counts to pods, Terminated-only, with
-// unusable rows skipped and counted.
+// unusable rows skipped and counted, every import checkpoint-free
+// spot work and no gang.
 func TestAlibabaAdapter(t *testing.T) {
-	src, err := NewAlibabaSource(strings.NewReader(alibabaSample),
-		AdapterConfig{Type: task.Spot, CheckpointEvery: simclock.Hour, GangPods: 2})
+	src, err := NewAlibabaSource(strings.NewReader(alibabaSample))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -338,12 +338,8 @@ func TestAlibabaAdapter(t *testing.T) {
 		half.Submit != 100 || half.Org != "j1" || half.GPUModel != "V100" {
 		t.Fatalf("row 1 mapped wrong: %+v", half)
 	}
-	gang := got[1]
-	if gang.Pods != 4 || gang.GPUsPerPod != 1 || !gang.Gang {
-		t.Fatalf("row 2 mapped wrong: %+v", gang)
-	}
-	if gang.CheckpointEvery != simclock.Hour {
-		t.Fatal("adapter config checkpoint not applied")
+	if four := got[1]; four.Pods != 4 || four.GPUsPerPod != 1 {
+		t.Fatalf("row 2 mapped wrong: %+v", four)
 	}
 	two := got[2]
 	if two.GPUsPerPod != 2 || two.Pods != 2 || two.ID != 3 {
@@ -352,6 +348,9 @@ func TestAlibabaAdapter(t *testing.T) {
 	for _, tk := range got {
 		if err := CheckTask(tk); err != nil {
 			t.Fatalf("adapter emitted invalid task: %v", err)
+		}
+		if tk.Type != task.Spot || tk.CheckpointEvery != 0 || tk.Gang {
+			t.Fatalf("imports are checkpoint-free spot tasks outside any gang: %+v", tk)
 		}
 	}
 }
@@ -369,7 +368,7 @@ app_6,vc1,300,12,600,Pass
 // jobs split across the fewest 8-card machines with the GPU total
 // conserved, non-Pass and zero-GPU rows skipped.
 func TestPhillyAdapter(t *testing.T) {
-	src, err := NewPhillySource(strings.NewReader(phillySample), AdapterConfig{Type: task.HP})
+	src, err := NewPhillySource(strings.NewReader(phillySample))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -383,7 +382,7 @@ func TestPhillyAdapter(t *testing.T) {
 	if sk := src.(Skipper).Skipped(); sk != 2 {
 		t.Fatalf("want 2 skipped rows, got %d", sk)
 	}
-	if got[0].Pods != 1 || got[0].GPUsPerPod != 1 || got[0].Org != "vc1" || got[0].Type != task.HP {
+	if got[0].Pods != 1 || got[0].GPUsPerPod != 1 || got[0].Org != "vc1" || got[0].Type != task.Spot {
 		t.Fatalf("row 1 mapped wrong: %+v", got[0])
 	}
 	multi := got[1]
@@ -411,7 +410,7 @@ b,0,+Inf,3600
 c,0,4,NaN
 d,60,4,3600
 `
-	src, err := NewPhillySource(strings.NewReader(philly), AdapterConfig{})
+	src, err := NewPhillySource(strings.NewReader(philly))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -436,7 +435,7 @@ a,1,Terminated,0,+Inf,100
 b,1,Terminated,NaN,100,100
 c,1,Terminated,0,1200,100
 `
-	asrc, err := NewAlibabaSource(strings.NewReader(alibaba), AdapterConfig{})
+	asrc, err := NewAlibabaSource(strings.NewReader(alibaba))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -456,7 +455,7 @@ func TestAlibabaWithoutGPUType(t *testing.T) {
 	in := `job_name,inst_num,status,start_time,end_time,plan_gpu
 j9,1,Terminated,0,600,100
 `
-	src, err := NewAlibabaSource(strings.NewReader(in), AdapterConfig{})
+	src, err := NewAlibabaSource(strings.NewReader(in))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -475,11 +474,11 @@ j9,1,Terminated,0,600,100
 // TestAdapterMissingColumn: a structurally wrong external file fails
 // at open, naming the missing column.
 func TestAdapterMissingColumn(t *testing.T) {
-	_, err := NewAlibabaSource(strings.NewReader("job_name,inst_num\nj,1\n"), AdapterConfig{})
+	_, err := NewAlibabaSource(strings.NewReader("job_name,inst_num\nj,1\n"))
 	if err == nil || !strings.Contains(err.Error(), "missing column") {
 		t.Fatalf("want missing-column error, got %v", err)
 	}
-	_, err = NewPhillySource(strings.NewReader("jobid\nx\n"), AdapterConfig{})
+	_, err = NewPhillySource(strings.NewReader("jobid\nx\n"))
 	if err == nil || !strings.Contains(err.Error(), "missing column") {
 		t.Fatalf("want missing-column error, got %v", err)
 	}

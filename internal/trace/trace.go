@@ -49,6 +49,13 @@ var (
 	}
 )
 
+// checkpointEvery is the spot checkpoint interval. Checkpoints align
+// with the guarantee boundary, one simulated hour: a spot task
+// preempted before completing its guaranteed hour saves nothing
+// (§2.2: "task states cannot be saved due to the absence of a
+// checkpoint").
+const checkpointEvery = simclock.Hour
+
 // Gang fractions from Table 3.
 const (
 	hpGangFrac2024   = 0.0866
@@ -83,9 +90,6 @@ type Config struct {
 	// MaxDuration caps task runtimes so simulations terminate;
 	// zero means 2× the trace span.
 	MaxDuration simclock.Duration
-	// CheckpointEvery is the spot checkpoint interval; zero
-	// defaults to one simulated hour, the guarantee window (§2.2).
-	CheckpointEvery simclock.Duration
 	// MaxPodGPUs caps the per-pod GPU request, for pools whose
 	// nodes have fewer than 8 cards (e.g. 1-GPU A10 nodes); zero
 	// means no cap.
@@ -121,13 +125,6 @@ func Generate(cfg Config) []*task.Task {
 	}
 	if cfg.MaxDuration == 0 {
 		cfg.MaxDuration = simclock.Duration(cfg.Days) * 2 * simclock.Day
-	}
-	if cfg.CheckpointEvery == 0 {
-		// Checkpoints align with the guarantee boundary: a spot
-		// task preempted before completing its guaranteed hour
-		// saves nothing (§2.2: "task states cannot be saved due
-		// to the absence of a checkpoint").
-		cfg.CheckpointEvery = simclock.Hour
 	}
 
 	var tasks []*task.Task
@@ -256,7 +253,7 @@ func sampleTask(cfg Config, typ task.Type, sizes []sizeBucket, gangFrac, medianR
 	tk.Gang = gang
 	tk.GPUModel = cfg.GPUModel
 	if typ == task.Spot {
-		tk.CheckpointEvery = cfg.CheckpointEvery
+		tk.CheckpointEvery = checkpointEvery
 	}
 	if len(cfg.Orgs) > 0 {
 		tk.Org = cfg.Orgs[rng.Intn(len(cfg.Orgs))]

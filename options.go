@@ -31,11 +31,6 @@ func WithQuota(q QuotaPolicy) Option {
 	}
 }
 
-// WithGrace sets the preemption grace period (30 s in production).
-func WithGrace(d Duration) Option {
-	return func(e *Engine) { e.cfg.Grace = d }
-}
-
 // WithInitialOrgDemand seeds per-organization hourly demand history
 // so quota forecasts have context from hour zero.
 func WithInitialOrgDemand(panel map[string][]float64) Option {

@@ -42,7 +42,6 @@ func TestReportSummaryMatchesResult(t *testing.T) {
 			return []gfs.Option{
 				gfs.WithScheduler(gfs.NewStaticFirstFit()),
 				gfs.WithQuota(gfs.StaticQuota(0.25)),
-				gfs.WithGrace(30 * gfs.Second),
 			}
 		}},
 		{"gfs-default", func() []gfs.Option { return nil }},
@@ -253,7 +252,7 @@ func TestCostLedgerReproducesPaperAccounting(t *testing.T) {
 	baselines := map[string]float64{"A100": 0.5}
 	rep := gfs.NewEngine(gfs.NewCluster("A100", 16, 8),
 		gfs.WithScheduler(gfs.NewYARNCS()),
-		gfs.WithCollectors(gfs.NewCostCollector(gfs.CostConfig{BaselineRates: baselines})),
+		gfs.WithCollectors(gfs.NewCostCollector(baselines)),
 	).RunReport(chaosTrace(17))
 	c := rep.Cost
 	if c == nil || len(c.Pools) != 1 {

@@ -147,14 +147,7 @@ type (
 	// DiurnalCurve is a smooth daily activity shape peaked at a
 	// configured hour.
 	DiurnalCurve = timefeat.DiurnalCurve
-	// Calendar resolves simulated timestamps to hour/weekday/holiday
-	// features.
-	Calendar = timefeat.Calendar
 )
-
-// NewCalendar creates a calendar with the given holiday day indices
-// (zero-based days since the simulation epoch, which is a Monday).
-func NewCalendar(holidays ...int) *Calendar { return timefeat.NewCalendar(holidays...) }
 
 // DefaultDiurnalProfile returns a business-hours reclamation profile
 // for the given GPU model: intensity peaks at 14:00, troughs

@@ -20,9 +20,6 @@ type (
 	// TraceEncoder streams tasks into an output format one at a time
 	// (the write-side counterpart of TraceSource).
 	TraceEncoder = trace.Encoder
-	// TraceAdapterConfig tunes how an external schema (Alibaba,
-	// Philly) maps onto the task model.
-	TraceAdapterConfig = trace.AdapterConfig
 )
 
 // Trace encodings accepted by OpenTrace and the gfstrace CLI.
@@ -151,18 +148,4 @@ func NewTraceEncoder(w io.Writer, f TraceFormat) (TraceEncoder, error) {
 // after the last Encode.
 func CreateTraceFileEncoder(path string, f TraceFormat) (TraceEncoder, func() error, error) {
 	return trace.CreateFileEncoder(path, f)
-}
-
-// NewAlibabaTraceSource streams the Alibaba GPU cluster trace's task
-// table onto the task model (see docs/traces.md for the column
-// mapping and skip rules).
-func NewAlibabaTraceSource(r io.Reader, cfg TraceAdapterConfig) (TraceSource, error) {
-	return trace.NewAlibabaSource(r, cfg)
-}
-
-// NewPhillyTraceSource streams a Philly-style per-job CSV onto the
-// task model (see docs/traces.md for the column mapping and skip
-// rules).
-func NewPhillyTraceSource(r io.Reader, cfg TraceAdapterConfig) (TraceSource, error) {
-	return trace.NewPhillySource(r, cfg)
 }
