@@ -29,9 +29,6 @@ type (
 	// grace. Hand a fresh policy to each run — it keeps per-run
 	// state.
 	AutoscalePolicy = autoscale.Policy
-	// AutoscaleTierQuota caps the autoscaled nodes of one capacity
-	// tier in an AutoscalePolicy's preference ladder.
-	AutoscaleTierQuota = autoscale.TierQuota
 )
 
 // Autoscale policy modes.
@@ -55,7 +52,7 @@ func PredictiveAutoscaler() *AutoscalePolicy {
 
 // NamedAutoscaler resolves a policy name ("predictive" or
 // "reactive") to a fresh built-in policy — the names the gfsim
-// -autoscale flag and the run spec's autoscale.mode field accept.
+// -autoscale flag and the run spec's autoscale field accept.
 func NamedAutoscaler(name string) (*AutoscalePolicy, error) {
 	mode, err := autoscale.ParseMode(name)
 	if err != nil {

@@ -179,11 +179,9 @@ func autoscaleSetup(testing.TB) func() [2]metric {
 	cl.AddPool(gfs.Pool{Model: "A100", Nodes: 2000,
 		GPUsPerNode: scale.GPUsPerNode, Tier: "spot"})
 	pol := &gfs.AutoscalePolicy{
-		Mode:        gfs.AutoscalePredictive,
-		Model:       "A100",
-		GPUsPerNode: scale.GPUsPerNode,
-		MaxNodes:    scale.Nodes,
-		Curve:       &gfs.DiurnalCurve{PeakHour: 14, Width: 4},
+		Mode:     gfs.AutoscalePredictive,
+		MaxNodes: scale.Nodes,
+		Curve:    &gfs.DiurnalCurve{PeakHour: 14, Width: 4},
 	}
 	eng := gfs.NewEngine(cl,
 		gfs.WithScheduler(gfs.NewYARNCS()), gfs.WithAutoscaler(pol))

@@ -141,12 +141,9 @@ func parseFlags(fs *flag.FlagSet, args []string) (*invocation, error) {
 	inv := &invocation{
 		spec: runspec.Spec{
 			Scheduler: *scheduler, Nodes: *nodes, Days: *days, SpotScale: *spotScale, Seed: *seed,
-			Scenario: *scenario, Federation: *federation, Route: *route,
+			Scenario: *scenario, Federation: *federation, Route: *route, Autoscale: *autoscalePolicy,
 		},
 		hours: *guarantee, events: *events, trace: *tracePath, report: *report,
-	}
-	if *autoscalePolicy != "" {
-		inv.spec.Autoscale = &runspec.AutoscaleSpec{Mode: *autoscalePolicy}
 	}
 	if v, ok := gfsVariants[*scheduler]; ok {
 		// The spec names the reactive stack; main installs the trained
@@ -207,8 +204,8 @@ func main() {
 		fmt.Printf("federation: 2 × %d nodes × 8 GPUs; route %s; %s\n", sp.Nodes, sp.Route, workload)
 	} else {
 		fmt.Printf("cluster: %d nodes × 8 GPUs; %s\n", sp.Nodes, workload)
-		if sp.Autoscale != nil {
-			fmt.Printf("autoscale: %s policy\n", sp.Autoscale.Mode)
+		if sp.Autoscale != "" {
+			fmt.Printf("autoscale: %s policy\n", sp.Autoscale)
 		}
 		if run.Scenario != nil {
 			fmt.Printf("scenario: %s (%d actions)\n", sp.Scenario, run.Scenario.Len())

@@ -42,7 +42,7 @@ func TestFlagsLowerOntoSpec(t *testing.T) {
 	want := def
 	want.Nodes, want.Days, want.SpotScale, want.Seed = 64, 2, 2, 5
 	want.Scenario = "rack-failure"
-	want.Autoscale = &runspec.AutoscaleSpec{Mode: "reactive"}
+	want.Autoscale = "reactive"
 	if !reflect.DeepEqual(inv.spec, want) {
 		t.Fatalf("spec = %+v, want %+v", inv.spec, want)
 	}
@@ -79,11 +79,11 @@ func TestRejections(t *testing.T) {
 		{[]string{"-trace", "t.csv", "-spotscale", "2"}, "-spotscale does not apply to -trace"},
 		{[]string{"-federation", "-scheduler", "gfs"}, "-scheduler does not apply to -federation"},
 		{[]string{"-federation", "-hours", "2"}, "-hours does not apply to -federation"},
-		{[]string{"-federation", "-autoscale", "reactive"}, specError(`{"federation":true,"autoscale":{"mode":"reactive"}}`)},
+		{[]string{"-federation", "-autoscale", "reactive"}, specError(`{"federation":true,"autoscale":"reactive"}`)},
 		{[]string{"-scheduler", "nope"}, specError(`{"scheduler":"nope"}`)},
 		{[]string{"-federation", "-route", "nope"}, specError(`{"federation":true,"route":"nope"}`)},
 		{[]string{"-scenario", "nope"}, specError(`{"scenario":"nope"}`)},
-		{[]string{"-autoscale", "nope"}, specError(`{"autoscale":{"mode":"nope"}}`)},
+		{[]string{"-autoscale", "nope"}, specError(`{"autoscale":"nope"}`)},
 		{[]string{"-nodes", "100000"}, specError(`{"nodes":100000}`)},
 		{[]string{"-report", "xml"}, runspec.CheckReportFormat("xml").Error()},
 		{[]string{"-shards", "2"}, "flag provided but not defined: -shards"},

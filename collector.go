@@ -769,12 +769,8 @@ func (c *CostCollector) Finish(rep *Report) {
 			Rate:            rate,
 			PricePerGPUHour: price,
 		}
-		// The Fig. 9 formula, per pool: GPUs × Δrate × price ×
-		// 730 h × margin (see internal/pricing.MonthlyBenefit). The
-		// conversion rounds it, so no platform fuses it into the
-		// ledger's sum.
-		pc.MonthlyBenefitUSD = float64(pc.GPUs * (pc.Rate - pc.BaselineRate) * price *
-			pricing.HoursPerMonth * pricing.DefaultSpotMargin)
+		// The Fig. 9 formula, per pool.
+		pc.MonthlyBenefitUSD = pricing.PoolBenefit(pc.GPUs, pc.Rate-pc.BaselineRate, price)
 		ledger.MonthlyBenefitUSD += pc.MonthlyBenefitUSD
 		ledger.Pools = append(ledger.Pools, pc)
 	}

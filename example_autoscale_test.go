@@ -63,26 +63,17 @@ func ExampleNamedAutoscaler() {
 }
 
 // A fully-specified policy: predictive scale-ups toward the forecast's
-// 90% quantile, a custom spot → on-demand → reserved budget ladder,
-// pre-warm leads stretched by the diurnal curve, and a 30-minute idle
-// grace before scale-down. Build a fresh policy per run — Plan keeps
+// 90% quantile, an 8-node budget (split by the spot → on-demand →
+// reserved ladder into 4, 2 and 8 nodes), and pre-warm leads stretched
+// by the diurnal curve. Build a fresh policy per run — Plan keeps
 // per-run state.
 func ExampleAutoscalePolicy() {
 	pol := &gfs.AutoscalePolicy{
-		Mode:        gfs.AutoscalePredictive,
-		Model:       "A100",
-		GPUsPerNode: 8,
-		MaxNodes:    8,
-		Step:        2,
-		Confidence:  0.9,
-		PreWarm:     10 * gfs.Minute,
-		IdleAfter:   30 * gfs.Minute,
-		Tiers: []gfs.AutoscaleTierQuota{
-			{Tier: "spot", MaxNodes: 4},
-			{Tier: "on-demand", MaxNodes: 2},
-			{Tier: "reserved", MaxNodes: 8},
-		},
-		Curve: &gfs.DiurnalCurve{PeakHour: 14, Width: 4},
+		Mode:       gfs.AutoscalePredictive,
+		MaxNodes:   8,
+		Step:       2,
+		Confidence: 0.9,
+		Curve:      &gfs.DiurnalCurve{PeakHour: 14, Width: 4},
 	}
 	// Lifetime provision counts per tier: tier caps bound the live
 	// fleet, so as idle nodes retire and demand returns, the same

@@ -11,14 +11,15 @@ import (
 // TestPlacementHasNoFusedMultiplyAdd: the Go spec lets a compiler fuse
 // x*y + z into one fused multiply-add, which rounds once where the
 // source rounds twice. amd64 never fuses; arm64 does. The placement,
-// simulation, autoscale and pricing packages and the root package's
-// collectors round every such product with an explicit float64
-// conversion, so their scores, usage sums, metrics, capacity forecasts
-// and cost ledgers keep the same bits on both: compiled for arm64, they
+// simulation, autoscale, pricing, workload-generation and experiment
+// packages and the root package's collectors round every such product
+// with an explicit float64 conversion, so their scores, usage sums,
+// metrics, capacity forecasts, generated workloads, demand panels and
+// cost ledgers keep the same bits on both: compiled for arm64, they
 // hold no fused instruction.
 func TestPlacementHasNoFusedMultiplyAdd(t *testing.T) {
 	if testing.Short() {
-		t.Skip("cross-compiles ten packages for arm64")
+		t.Skip("cross-compiles thirteen packages for arm64")
 	}
 	goTool, err := exec.LookPath("go")
 	if err != nil {
@@ -26,7 +27,7 @@ func TestPlacementHasNoFusedMultiplyAdd(t *testing.T) {
 	}
 	cmd := exec.Command(goTool, "build", "-gcflags=-S", ".", "./internal/pts", "./internal/cluster",
 		"./internal/baselines", "./internal/task", "./internal/sched", "./internal/sqa", "./internal/stats",
-		"./internal/autoscale", "./internal/pricing")
+		"./internal/autoscale", "./internal/pricing", "./internal/trace", "./internal/org", "./internal/experiments")
 	cmd.Env = append(os.Environ(), "GOARCH=arm64", "CGO_ENABLED=0")
 	out, err := cmd.CombinedOutput()
 	if err != nil {

@@ -49,25 +49,40 @@ func ParseMode(s string) (Mode, error) {
 	return "", fmt.Errorf("autoscale: unknown mode %q (want %q or %q)", s, ModeReactive, ModePredictive)
 }
 
-// TierQuota caps how many autoscaled nodes one capacity tier may
+// The operating point every policy runs at: the pools it buys, the
+// utilization it steers to, and its lead and grace times.
+const (
+	// model is the GPU model of provisioned pools.
+	model = "A100"
+	// gpusPerNode sizes provisioned nodes.
+	gpusPerNode = 8
+	// targetUtilization is the demand/capacity ratio the controller
+	// steers to: it scales up when demand would exceed target×capacity
+	// and down when idle capacity keeps utilization below it.
+	targetUtilization = 0.8
+	// preWarm is the base provisioning lead time.
+	preWarm = 10 * simclock.Minute
+	// idleAfter is the grace a node must stay fully idle before it is
+	// retired.
+	idleAfter = 30 * simclock.Minute
+)
+
+// tierQuota caps how many autoscaled nodes one capacity tier may
 // hold. A policy's tiers are tried in slice order, so listing spot
 // first buys the cheapest capacity first.
-type TierQuota struct {
-	// Tier names the capacity tier (pricing.TierSpot, TierOnDemand,
-	// TierReserved).
-	Tier string
-	// MaxNodes bounds the autoscaled nodes in this tier.
-	MaxNodes int
+type tierQuota struct {
+	tier     string
+	maxNodes int
 }
 
-// DefaultTiers returns the spot → on-demand → reserved preference
+// defaultTiers returns the spot → on-demand → reserved preference
 // ladder: half the budget interruptible, a quarter on-demand, and
 // reserved absorbing whatever overflow the total cap still allows.
-func DefaultTiers(maxNodes int) []TierQuota {
-	return []TierQuota{
-		{Tier: pricing.TierSpot, MaxNodes: (maxNodes + 1) / 2},
-		{Tier: pricing.TierOnDemand, MaxNodes: (maxNodes + 3) / 4},
-		{Tier: pricing.TierReserved, MaxNodes: maxNodes},
+func defaultTiers(maxNodes int) []tierQuota {
+	return []tierQuota{
+		{tier: pricing.TierSpot, maxNodes: (maxNodes + 1) / 2},
+		{tier: pricing.TierOnDemand, maxNodes: (maxNodes + 3) / 4},
+		{tier: pricing.TierReserved, maxNodes: maxNodes},
 	}
 }
 
@@ -79,38 +94,27 @@ func DefaultTiers(maxNodes int) []TierQuota {
 type Policy struct {
 	// Mode picks reactive or predictive demand estimation.
 	Mode Mode
-	// Model is the GPU model of provisioned pools (default "A100").
-	Model string
-	// GPUsPerNode sizes provisioned nodes (default 8).
-	GPUsPerNode int
 	// MaxNodes caps total live autoscaled nodes (default 64).
 	MaxNodes int
 	// Step caps nodes provisioned or retired per tick (default 4).
 	Step int
-	// Tiers is the per-tier budget ladder, tried in order; empty
-	// defaults to DefaultTiers(MaxNodes).
-	Tiers []TierQuota
 	// Confidence is the forecast quantile a predictive scale-up
 	// provisions toward, in (0,1) (default 0.9).
 	Confidence float64
-	// TargetUtilization is the demand/capacity ratio the controller
-	// steers to, in (0,1] (default 0.8): it scales up when demand
-	// would exceed target×capacity and down when idle capacity keeps
-	// utilization below it.
-	TargetUtilization float64
-	// PreWarm is the base provisioning lead time (default 10 min).
-	PreWarm simclock.Duration
 	// Curve, when set, stretches the pre-warm lead with the diurnal
-	// activity weight — at peak hours a provision takes up to 2×
-	// PreWarm to deliver.
+	// activity weight — at peak hours a provision takes up to twice
+	// the base lead to deliver.
 	Curve *timefeat.DiurnalCurve
-	// IdleAfter is the grace a node must stay fully idle before it
-	// is retired (default 30 min).
-	IdleAfter simclock.Duration
 	// Estimator, when fitted, serves the predictive forecasts; nil
 	// (or unfitted) falls back to a deterministic seasonal-naive
 	// forecast over the live demand history.
 	Estimator *gde.Estimator
+
+	// tiers is the per-tier budget ladder, tried in order; empty
+	// takes defaultTiers(MaxNodes).
+	tiers []tierQuota
+	// target is the utilization target; zero takes targetUtilization.
+	target float64
 
 	initDone  bool
 	idleSince map[int]simclock.Time
@@ -131,12 +135,6 @@ func (p *Policy) init() {
 		return
 	}
 	p.initDone = true
-	if p.Model == "" {
-		p.Model = "A100"
-	}
-	if p.GPUsPerNode <= 0 {
-		p.GPUsPerNode = 8
-	}
 	if p.MaxNodes <= 0 {
 		p.MaxNodes = 64
 	}
@@ -146,17 +144,11 @@ func (p *Policy) init() {
 	if p.Confidence <= 0 || p.Confidence >= 1 {
 		p.Confidence = 0.9
 	}
-	if p.TargetUtilization <= 0 || p.TargetUtilization > 1 {
-		p.TargetUtilization = 0.8
+	if p.target <= 0 {
+		p.target = targetUtilization
 	}
-	if p.PreWarm <= 0 {
-		p.PreWarm = 10 * simclock.Minute
-	}
-	if p.IdleAfter <= 0 {
-		p.IdleAfter = 30 * simclock.Minute
-	}
-	if len(p.Tiers) == 0 {
-		p.Tiers = DefaultTiers(p.MaxNodes)
+	if len(p.tiers) == 0 {
+		p.tiers = defaultTiers(p.MaxNodes)
 	}
 	if p.idleSince == nil {
 		p.idleSince = make(map[int]simclock.Time)
@@ -200,8 +192,8 @@ func (p *Policy) Plan(ctx *sched.AutoscaleContext) sched.AutoscalePlan {
 	// harvests the headroom the capacity target leaves open.
 	capacity := ctx.Cluster.TotalGPUs("")
 	demand := ctx.Cluster.HPGPUs("") + ctx.PendingGPUs
-	target := p.TargetUtilization
-	// The observed-demand target keeps utilization at TargetUtilization;
+	target := p.target
+	// The observed-demand target keeps utilization at the target;
 	// the forecast's upper quantile is a capacity target in its own
 	// right (the confidence margin already is the headroom), so it is
 	// not divided by target again.
@@ -213,12 +205,12 @@ func (p *Policy) Plan(ctx *sched.AutoscaleContext) sched.AutoscalePlan {
 	}
 	// Capacity already bought but still pre-warming counts toward the
 	// target, otherwise every tick inside the lead re-buys the gap.
-	effCap := capacity + float64(pendNodes*p.GPUsPerNode)
+	effCap := capacity + float64(pendNodes*gpusPerNode)
 	gap := need - effCap
 
 	var plan sched.AutoscalePlan
 	if gap > 0 {
-		nodes := int(math.Ceil(gap / float64(p.GPUsPerNode)))
+		nodes := int(math.Ceil(gap / gpusPerNode))
 		if nodes > p.Step {
 			nodes = p.Step
 		}
@@ -226,11 +218,11 @@ func (p *Policy) Plan(ctx *sched.AutoscaleContext) sched.AutoscalePlan {
 			nodes = room
 		}
 		lead := p.lead(now)
-		for _, tq := range p.Tiers {
+		for _, tq := range p.tiers {
 			if nodes <= 0 {
 				break
 			}
-			room := tq.MaxNodes - activeByTier[tq.Tier] - pendByTier[tq.Tier]
+			room := tq.maxNodes - activeByTier[tq.tier] - pendByTier[tq.tier]
 			if room <= 0 {
 				continue
 			}
@@ -239,10 +231,10 @@ func (p *Policy) Plan(ctx *sched.AutoscaleContext) sched.AutoscalePlan {
 				take = room
 			}
 			plan.Provisions = append(plan.Provisions, sched.Provision{
-				Pool: cluster.Pool{Model: p.Model, Nodes: take, GPUsPerNode: p.GPUsPerNode, Tier: tq.Tier},
+				Pool: cluster.Pool{Model: model, Nodes: take, GPUsPerNode: gpusPerNode, Tier: tq.tier},
 				Lead: lead,
 			})
-			p.pending = append(p.pending, pendingProv{at: now.Add(lead), nodes: take, tier: tq.Tier})
+			p.pending = append(p.pending, pendingProv{at: now.Add(lead), nodes: take, tier: tq.tier})
 			nodes -= take
 		}
 	}
@@ -265,7 +257,7 @@ func (p *Policy) Plan(ctx *sched.AutoscaleContext) sched.AutoscalePlan {
 		if gap > 0 || len(plan.Retire) >= p.Step {
 			continue
 		}
-		if now.Sub(since) < p.IdleAfter {
+		if now.Sub(since) < idleAfter {
 			continue
 		}
 		nc := float64(n.Capacity())
@@ -280,10 +272,10 @@ func (p *Policy) Plan(ctx *sched.AutoscaleContext) sched.AutoscalePlan {
 }
 
 // lead returns the pre-warm delay for a provision ordered at now:
-// PreWarm stretched by the diurnal activity weight when a curve is
+// preWarm stretched by the diurnal activity weight when a curve is
 // configured.
 func (p *Policy) lead(now simclock.Time) simclock.Duration {
-	lead := p.PreWarm
+	lead := preWarm
 	if p.Curve != nil {
 		w := p.Curve.WeightAt(now)
 		lead = simclock.Duration(float64(lead) * (1 + w))

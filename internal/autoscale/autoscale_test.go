@@ -111,15 +111,15 @@ func TestTierCapsHold(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
 		maxNodes int
-		tiers    []TierQuota
+		tiers    []tierQuota
 	}{
 		{"default ladder", 12, nil},
-		{"tight spot", 9, []TierQuota{{pricing.TierSpot, 2}, {pricing.TierOnDemand, 3}, {pricing.TierReserved, 100}}},
-		{"total binds first", 4, []TierQuota{{pricing.TierSpot, 3}, {pricing.TierOnDemand, 3}}},
-		{"ladder smaller than total", 20, []TierQuota{{pricing.TierSpot, 1}, {pricing.TierOnDemand, 2}}},
+		{"tight spot", 9, []tierQuota{{pricing.TierSpot, 2}, {pricing.TierOnDemand, 3}, {pricing.TierReserved, 100}}},
+		{"total binds first", 4, []tierQuota{{pricing.TierSpot, 3}, {pricing.TierOnDemand, 3}}},
+		{"ladder smaller than total", 20, []tierQuota{{pricing.TierSpot, 1}, {pricing.TierOnDemand, 2}}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			p := &Policy{Mode: ModeReactive, MaxNodes: tc.maxNodes, Tiers: tc.tiers, Step: 3}
+			p := &Policy{Mode: ModeReactive, MaxNodes: tc.maxNodes, tiers: tc.tiers, Step: 3}
 			f := newFleet(1)
 			var order []string
 			for i := 0; i < 40; i++ {
@@ -129,10 +129,10 @@ func TestTierCapsHold(t *testing.T) {
 				}
 				live, inFlight := f.tiered()
 				total := 0
-				for _, tq := range p.Tiers {
-					held := live[tq.Tier] + inFlight[tq.Tier]
-					if held > tq.MaxNodes {
-						t.Fatalf("tick %d: tier %s holds %d nodes, quota %d", i, tq.Tier, held, tq.MaxNodes)
+				for _, tq := range p.tiers {
+					held := live[tq.tier] + inFlight[tq.tier]
+					if held > tq.maxNodes {
+						t.Fatalf("tick %d: tier %s holds %d nodes, quota %d", i, tq.tier, held, tq.maxNodes)
 					}
 					total += held
 				}
@@ -141,8 +141,8 @@ func TestTierCapsHold(t *testing.T) {
 				}
 			}
 			rank := map[string]int{}
-			for i, tq := range p.Tiers {
-				rank[tq.Tier] = i
+			for i, tq := range p.tiers {
+				rank[tq.tier] = i
 			}
 			for i := 1; i < len(order); i++ {
 				if rank[order[i]] < rank[order[i-1]] {
@@ -156,10 +156,10 @@ func TestTierCapsHold(t *testing.T) {
 	}
 }
 
-// TestNoFlapInsideIdleAfter: a demand dip shorter than IdleAfter
-// retires nothing and so re-buys nothing when demand returns; a dip
-// that outlasts it retires nodes, none before it has been idle for
-// IdleAfter.
+// TestNoFlapInsideIdleAfter: a demand dip shorter than the idle
+// grace retires nothing and so re-buys nothing when demand returns; a
+// dip that outlasts it retires nodes, none before it has been idle for
+// the whole grace.
 func TestNoFlapInsideIdleAfter(t *testing.T) {
 	for _, tc := range []struct {
 		name       string
@@ -173,7 +173,7 @@ func TestNoFlapInsideIdleAfter(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			// Utilization target 1: capacity is bought to fit demand
 			// exactly, so no node sits idle while demand holds.
-			p := &Policy{Mode: ModeReactive, MaxNodes: 8, TargetUtilization: 1, IdleAfter: 30 * simclock.Minute}
+			p := &Policy{Mode: ModeReactive, MaxNodes: 8, target: 1}
 			f := newFleet(1)
 			now := simclock.Time(0)
 			next := func(pendingGPUs float64) sched.AutoscalePlan {
@@ -213,8 +213,8 @@ func TestNoFlapInsideIdleAfter(t *testing.T) {
 			retired := 0
 			for i := 0; i < tc.dipTicks; i++ {
 				plan := next(0)
-				if len(plan.Retire) > 0 && now.Add(-tick).Sub(idleFrom) < p.IdleAfter {
-					t.Fatalf("retired %v after %v idle, grace %v", plan.Retire, now.Add(-tick).Sub(idleFrom), p.IdleAfter)
+				if len(plan.Retire) > 0 && now.Add(-tick).Sub(idleFrom) < idleAfter {
+					t.Fatalf("retired %v after %v idle, grace %v", plan.Retire, now.Add(-tick).Sub(idleFrom), idleAfter)
 				}
 				retired += len(plan.Retire)
 			}

@@ -58,13 +58,11 @@ func autoscaleBaseNodes(scale SimScale) int {
 // sized so autoscaled capacity can restore the static fleet, leads
 // stretched by the business-hours diurnal curve (capacity markets are
 // tightest at peak), and the default spot → on-demand → reserved
-// ladder.
+// ladder of A100 8-card nodes.
 func autoscalePolicy(scale SimScale, mode gfs.AutoscaleMode) *gfs.AutoscalePolicy {
 	return &gfs.AutoscalePolicy{
-		Mode:        mode,
-		Model:       "A100",
-		GPUsPerNode: scale.GPUsPerNode,
-		MaxNodes:    scale.Nodes,
+		Mode:     mode,
+		MaxNodes: scale.Nodes,
 		// The GDE's quantiles are wide at experiment scale; a calmer
 		// confidence keeps the forecast headroom from dominating the
 		// tier bill while still landing capacity ahead of demand.
@@ -143,10 +141,10 @@ func AutoscaleExperiment(scale SimScale) ([]AutoscaleRow, error) {
 			Name:      r.name,
 			BaseNodes: r.scale.Nodes,
 			Report:    rep,
-			OwnedUSD:  float64(r.scale.Nodes) * ownedPerNode,
+			OwnedUSD:  float64(float64(r.scale.Nodes) * ownedPerNode),
 		}
 		if rep.Cost != nil {
-			row.MonthlyTierUSD = rep.Cost.TierSpendUSD * monthScale
+			row.MonthlyTierUSD = float64(rep.Cost.TierSpendUSD * monthScale)
 			row.NetUSD = rep.Cost.MonthlyBenefitUSD - row.OwnedUSD - row.MonthlyTierUSD
 		}
 		rows = append(rows, row)

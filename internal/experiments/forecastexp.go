@@ -123,6 +123,5 @@ func MonthlyBenefit(rows []Figure9Row) (float64, string) {
 			})
 		}
 	}
-	tbl := pricing.DefaultTable()
-	return pricing.MonthlyBenefit(tbl, deltas, 0), pricing.Format(tbl, deltas, 0)
+	return pricing.MonthlyBenefit(deltas), pricing.Format(deltas)
 }

@@ -70,4 +70,18 @@ var Table = map[string]Class{
 	// ordered map range or a wall-clock read here would reach the
 	// output of gfsim and gfsd alike.
 	Module + "/internal/runspec": {MapIter: true, WallClock: true},
+
+	// The packages that feed every run — the workload generator and
+	// its demand panels, the quota loop and its estimator, the
+	// statistics the collectors build on, the price table. They start
+	// no goroutine and emit no event, but a value they compute in map
+	// order or from the wall clock reaches a run's output.
+	Module + "/internal/gde":      {MapIter: true, WallClock: true},
+	Module + "/internal/org":      {MapIter: true, WallClock: true},
+	Module + "/internal/pricing":  {MapIter: true, WallClock: true},
+	Module + "/internal/sqa":      {MapIter: true, WallClock: true},
+	Module + "/internal/stats":    {MapIter: true, WallClock: true},
+	Module + "/internal/task":     {MapIter: true, WallClock: true},
+	Module + "/internal/timefeat": {MapIter: true, WallClock: true},
+	Module + "/internal/trace":    {MapIter: true, WallClock: true},
 }

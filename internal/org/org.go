@@ -57,9 +57,9 @@ func (c Config) Series(cal *timefeat.Calendar, startHour, hours int, rng *rand.R
 // At generates the demand at a single hour index.
 func (c Config) At(cal *timefeat.Calendar, hour int, rng *rand.Rand) float64 {
 	f := cal.AtHour(hour)
-	v := c.Base + c.Trend*float64(hour)
+	v := c.Base + float64(c.Trend*float64(hour))
 	// Smooth diurnal bump over the peak window.
-	v += c.DiurnalAmp * peakShape(f.Hour, c.PeakStart, c.PeakEnd)
+	v += float64(c.DiurnalAmp * peakShape(f.Hour, c.PeakStart, c.PeakEnd))
 	if f.IsWeekend() {
 		v *= 1 - c.WeekendDip
 	}
@@ -68,10 +68,10 @@ func (c Config) At(cal *timefeat.Calendar, hour int, rng *rand.Rand) float64 {
 	}
 	if rng != nil {
 		if c.Noise > 0 {
-			v += rng.NormFloat64() * c.Noise
+			v += float64(rng.NormFloat64() * c.Noise)
 		}
 		if c.BurstProb > 0 && rng.Float64() < c.BurstProb {
-			v += c.BurstAmp * (0.5 + rng.Float64())
+			v += float64(c.BurstAmp * (0.5 + float64(rng.Float64())))
 		}
 	}
 	if v < 0 {
@@ -88,7 +88,7 @@ func peakShape(hour, start, end int) float64 {
 	}
 	h := float64(hour) + 0.5
 	s, e := float64(start), float64(end)
-	mid := (s + e) / 2
+	mid := float64((s + e) / 2)
 	half := (e - s) / 2
 	d := math.Abs(h-mid) / half
 	if d >= 1.3 {

@@ -6,7 +6,10 @@
 // margin (spot instances sell 60–90% below on-demand).
 package pricing
 
-import "fmt"
+import (
+	"fmt"
+	"sort"
+)
 
 // Table maps GPU model → on-demand hourly USD price per card.
 type Table map[string]float64
@@ -31,9 +34,16 @@ func (t Table) Pressure(model string) float64 {
 	if !ok {
 		return 1
 	}
+	// Sum in sorted model order: float addition folds left to right,
+	// so map order would leak into the mean.
+	models := make([]string, 0, len(t))
+	for m := range t {
+		models = append(models, m)
+	}
+	sort.Strings(models)
 	mean := 0.0
-	for _, p := range t {
-		mean += p
+	for _, m := range models {
+		mean += t[m]
 	}
 	mean /= float64(len(t))
 	if mean <= 0 {
@@ -66,16 +76,6 @@ const (
 	TierReserved = "reserved"
 )
 
-// KnownTier reports whether tier names one of the capacity tiers
-// ("" counts as reserved).
-func KnownTier(tier string) bool {
-	switch tier {
-	case "", TierSpot, TierOnDemand, TierReserved:
-		return true
-	}
-	return false
-}
-
 // TierPrice returns the hourly USD price per card of model bought in
 // the given tier: spot pays the list price times DefaultSpotMargin,
 // on-demand pays list, and reserved (or an empty tier) pays list
@@ -104,21 +104,21 @@ type PoolDelta struct {
 // Improvement returns the allocation-rate gain.
 func (d PoolDelta) Improvement() float64 { return d.RateAfter - d.RateBefore }
 
-// MonthlyBenefit prices the reclaimed GPU-hours of each pool:
-//
-//	Σ_pool GPUs × Δrate × price × 730 h × margin
-//
-// A zero margin is replaced by DefaultSpotMargin.
-func MonthlyBenefit(tbl Table, deltas []PoolDelta, margin float64) float64 {
-	if margin <= 0 {
-		margin = DefaultSpotMargin
-	}
+// PoolBenefit prices one pool's reclaimed GPU-hours, the Fig. 9
+// formula GPUs × Δrate × price × 730 h × DefaultSpotMargin in USD per
+// month. The conversion rounds the product, so no platform fuses it
+// into a caller's sum.
+func PoolBenefit(gpus, delta, price float64) float64 {
+	return float64(gpus * delta * price * HoursPerMonth * DefaultSpotMargin)
+}
+
+// MonthlyBenefit prices the reclaimed GPU-hours of each pool at
+// DefaultTable's list prices: Σ_pool PoolBenefit.
+func MonthlyBenefit(deltas []PoolDelta) float64 {
+	tbl := DefaultTable()
 	total := 0.0
 	for _, d := range deltas {
-		price := tbl[d.Model]
-		// The conversion rounds the product, so no platform fuses
-		// it into the sum.
-		total += float64(float64(d.GPUs) * d.Improvement() * price * HoursPerMonth * margin)
+		total += PoolBenefit(float64(d.GPUs), d.Improvement(), tbl[d.Model])
 	}
 	return total
 }
@@ -135,19 +135,16 @@ func PaperDeltas() []PoolDelta {
 }
 
 // Format renders a benefit report.
-func Format(tbl Table, deltas []PoolDelta, margin float64) string {
-	if margin <= 0 {
-		margin = DefaultSpotMargin
-	}
+func Format(deltas []PoolDelta) string {
+	tbl := DefaultTable()
 	out := fmt.Sprintf("%-6s %6s %8s %8s %8s %12s\n",
 		"Model", "GPUs", "Pre", "Post", "Δ", "USD/month")
 	for _, d := range deltas {
-		benefit := float64(d.GPUs) * d.Improvement() * tbl[d.Model] * HoursPerMonth * margin
 		out += fmt.Sprintf("%-6s %6d %7.2f%% %7.2f%% %+7.2f%% %12.0f\n",
 			d.Model, d.GPUs, 100*d.RateBefore, 100*d.RateAfter,
-			100*d.Improvement(), benefit)
+			100*d.Improvement(), PoolBenefit(float64(d.GPUs), d.Improvement(), tbl[d.Model]))
 	}
 	out += fmt.Sprintf("Total: $%.0f/month (margin %.0f%%)\n",
-		MonthlyBenefit(tbl, deltas, margin), 100*margin)
+		MonthlyBenefit(deltas), 100*DefaultSpotMargin)
 	return out
 }

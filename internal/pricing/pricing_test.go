@@ -7,27 +7,30 @@ import (
 )
 
 func TestMonthlyBenefitFormula(t *testing.T) {
-	tbl := Table{"X": 2.0}
-	deltas := []PoolDelta{{Model: "X", GPUs: 100, RateBefore: 0.5, RateAfter: 0.6}}
-	got := MonthlyBenefit(tbl, deltas, 0.5)
-	want := 100 * 0.1 * 2.0 * HoursPerMonth * 0.5
-	if math.Abs(got-want) > 1e-9 {
+	deltas := []PoolDelta{
+		{Model: "A100", GPUs: 100, RateBefore: 0.5, RateAfter: 0.6},
+		{Model: "A10", GPUs: 40, RateBefore: 0.2, RateAfter: 0.45},
+	}
+	got := MonthlyBenefit(deltas)
+	tbl := DefaultTable()
+	want := 100*(0.6-0.5)*tbl["A100"]*HoursPerMonth*DefaultSpotMargin +
+		40*(0.45-0.2)*tbl["A10"]*HoursPerMonth*DefaultSpotMargin
+	if math.Abs(got-want) > 1e-6 {
 		t.Fatalf("benefit = %v, want %v", got, want)
 	}
 }
 
 func TestMonthlyBenefitDefaultMargin(t *testing.T) {
-	tbl := Table{"X": 1.0}
-	deltas := []PoolDelta{{Model: "X", GPUs: 10, RateBefore: 0, RateAfter: 1}}
-	got := MonthlyBenefit(tbl, deltas, 0)
-	want := 10 * 1.0 * HoursPerMonth * DefaultSpotMargin
+	deltas := []PoolDelta{{Model: "A100", GPUs: 10, RateBefore: 0, RateAfter: 1}}
+	got := MonthlyBenefit(deltas)
+	want := 10 * 2.9 * HoursPerMonth * DefaultSpotMargin
 	if math.Abs(got-want) > 1e-9 {
 		t.Fatalf("benefit = %v, want %v", got, want)
 	}
 }
 
 func TestPaperDeltasLandNearPaperFigure(t *testing.T) {
-	got := MonthlyBenefit(DefaultTable(), PaperDeltas(), 0)
+	got := MonthlyBenefit(PaperDeltas())
 	// The paper reports ≈$459,715/month; our list prices and spot
 	// margin should land in the same ballpark (±30%).
 	if got < 459715*0.7 || got > 459715*1.3 {
@@ -50,13 +53,13 @@ func TestImprovementsMatchFig9(t *testing.T) {
 
 func TestUnknownModelPricesZero(t *testing.T) {
 	deltas := []PoolDelta{{Model: "unknown", GPUs: 100, RateBefore: 0, RateAfter: 1}}
-	if got := MonthlyBenefit(DefaultTable(), deltas, 0.5); got != 0 {
+	if got := MonthlyBenefit(deltas); got != 0 {
 		t.Fatalf("unknown model should contribute 0, got %v", got)
 	}
 }
 
 func TestFormat(t *testing.T) {
-	out := Format(DefaultTable(), PaperDeltas(), 0)
+	out := Format(PaperDeltas())
 	if !strings.Contains(out, "A100") || !strings.Contains(out, "Total: $") {
 		t.Fatalf("format output incomplete:\n%s", out)
 	}

@@ -1,18 +1,19 @@
 package runspec
 
 import (
-	"math"
+	"bytes"
+	"encoding/json"
 	"testing"
 
+	gfs "github.com/sjtucitlab/gfs"
 	"github.com/sjtucitlab/gfs/internal/autoscale"
-	"github.com/sjtucitlab/gfs/internal/pricing"
 )
 
 // FuzzRunSpecJSON drives the POST /v1/sessions spec decoder with
 // arbitrary bodies: it must never panic, and any spec it accepts must
 // satisfy the bounds Validate promises (those are what protect the
-// multi-tenant workers from absurd sessions) and decode the same way
-// twice.
+// multi-tenant workers from absurd sessions), name a known autoscale
+// mode only on a single cluster, and decode the same way twice.
 func FuzzRunSpecJSON(f *testing.F) {
 	f.Add([]byte(`{}`))
 	f.Add([]byte(`{"scheduler":"yarn","nodes":32,"gpus_per_node":8,"days":2,"seed":7}`))
@@ -21,6 +22,9 @@ func FuzzRunSpecJSON(f *testing.F) {
 	f.Add([]byte(`{"scheduler":"nope"}`))
 	f.Add([]byte(`{"nodes":1e9}`))
 	f.Add([]byte(`[1,2,3]`))
+	f.Add([]byte(`{"autoscale":"predictive"}`))
+	f.Add([]byte(`{"autoscale":"clairvoyant"}`))
+	f.Add([]byte(`{"autoscale":"reactive","federation":true}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		sp, err := Decode(data)
 		if err != nil {
@@ -44,63 +48,67 @@ func FuzzRunSpecJSON(f *testing.F) {
 		if sp.SpotScale < 0 || sp.SpotScale > maxSpotScale {
 			t.Fatalf("accepted spot_scale %g outside [0,%d]", sp.SpotScale, maxSpotScale)
 		}
+		if sp.Autoscale != "" {
+			if _, err := autoscale.ParseMode(sp.Autoscale); err != nil {
+				t.Fatalf("accepted unknown autoscale mode %q", sp.Autoscale)
+			}
+			if sp.Federation {
+				t.Fatalf("accepted autoscale %q with federation", sp.Autoscale)
+			}
+		}
 		again, err := Decode(data)
 		if err != nil {
 			t.Fatalf("second decode of accepted spec failed: %v", err)
 		}
 		if sp.Scheduler != again.Scheduler || sp.Nodes != again.Nodes ||
 			sp.Seed != again.Seed || sp.Route != again.Route ||
-			len(sp.Tasks) != len(again.Tasks) {
+			sp.Autoscale != again.Autoscale || len(sp.Tasks) != len(again.Tasks) {
 			t.Fatalf("decode not deterministic: %+v vs %+v", sp, again)
 		}
 	})
 }
 
 // FuzzAutoscalePolicyJSON drives the spec decoder with arbitrary
-// autoscale sub-objects: it must never panic, and any autoscale spec
-// it accepts must name a known mode and known tiers, carry only
-// finite non-negative lead times, and lower onto a policy without
-// blowing up — those are the promises that keep a malformed session
-// from ever reaching a worker's simulation loop.
+// autoscale values: it must never panic, and an autoscale value it
+// accepts must be a JSON string naming a known mode on a single
+// cluster that lowers onto a policy. The old object form (a mode plus
+// tuning keys) must be rejected, never silently dropped — those are
+// the promises that keep a malformed session from ever reaching a
+// worker's simulation loop.
 func FuzzAutoscalePolicyJSON(f *testing.F) {
+	f.Add([]byte(`{"autoscale":"predictive"}`))
+	f.Add([]byte(`{"autoscale":"reactive","nodes":32}`))
+	f.Add([]byte(`{"autoscale":"clairvoyant"}`))
+	f.Add([]byte(`{"autoscale":"reactive","federation":true}`))
+	f.Add([]byte(`{"autoscale":"lunar"}`))
 	f.Add([]byte(`{"autoscale":{"mode":"predictive"}}`))
 	f.Add([]byte(`{"autoscale":{"mode":"reactive","max_nodes":32,"step":2}}`))
-	f.Add([]byte(`{"autoscale":{"mode":"predictive","confidence":0.95,"target_utilization":0.7,"pre_warm_s":600,"idle_after_s":1800}}`))
-	f.Add([]byte(`{"autoscale":{"mode":"predictive","tiers":[{"tier":"spot","max_nodes":16},{"tier":"on-demand","max_nodes":8}]}}`))
-	f.Add([]byte(`{"autoscale":{"mode":"predictive","tiers":[{"tier":"lunar","max_nodes":1}]}}`))
-	f.Add([]byte(`{"autoscale":{"mode":"clairvoyant"}}`))
-	f.Add([]byte(`{"autoscale":{"mode":"reactive","pre_warm_s":-60}}`))
-	f.Add([]byte(`{"autoscale":{"mode":"reactive","confidence":1.5}}`))
-	f.Add([]byte(`{"autoscale":{"mode":"reactive","idle_after_s":1e308}}`))
+	f.Add([]byte(`{"autoscale":["predictive"]}`))
+	f.Add([]byte(`{"autoscale":""}`))
 	f.Add([]byte(`{"autoscale":null}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		sp, err := Decode(data)
-		if err != nil || sp.Autoscale == nil {
+		if err != nil {
 			return
 		}
-		a := sp.Autoscale
-		if _, err := autoscale.ParseMode(a.Mode); err != nil {
-			t.Fatalf("accepted unknown autoscale mode %q", a.Mode)
+		var probe struct {
+			Autoscale json.RawMessage `json:"autoscale"`
 		}
-		for i, tq := range a.Tiers {
-			if tq.Tier == "" || !pricing.KnownTier(tq.Tier) {
-				t.Fatalf("accepted unknown tier %q at tiers[%d]", tq.Tier, i)
-			}
-			if tq.MaxNodes < 0 {
-				t.Fatalf("accepted negative tiers[%d].max_nodes %d", i, tq.MaxNodes)
+		if json.Unmarshal(data, &probe) == nil {
+			raw := bytes.TrimSpace(probe.Autoscale)
+			if len(raw) > 0 && !bytes.Equal(raw, []byte("null")) && raw[0] != '"' {
+				t.Fatalf("accepted non-string autoscale value %s", raw)
 			}
 		}
-		if math.IsNaN(a.Confidence) || a.Confidence < 0 || a.Confidence >= 1 {
-			t.Fatalf("accepted confidence %g outside [0,1)", a.Confidence)
+		if sp.Autoscale == "" {
+			return
 		}
-		if math.IsNaN(a.TargetUtilization) || a.TargetUtilization < 0 || a.TargetUtilization > 1 {
-			t.Fatalf("accepted target_utilization %g outside [0,1]", a.TargetUtilization)
+		if sp.Federation {
+			t.Fatalf("accepted autoscale %q with federation", sp.Autoscale)
 		}
-		if !isFiniteNonNeg(a.PreWarmS) || !isFiniteNonNeg(a.IdleAfterS) {
-			t.Fatalf("accepted non-finite or negative lead: pre_warm_s=%g idle_after_s=%g", a.PreWarmS, a.IdleAfterS)
-		}
-		if pol := a.policy(); pol == nil {
-			t.Fatal("validated spec lowered to a nil policy")
+		pol, err := gfs.NamedAutoscaler(sp.Autoscale)
+		if err != nil || pol == nil {
+			t.Fatalf("accepted autoscale %q that does not lower onto a policy: %v", sp.Autoscale, err)
 		}
 	})
 }

@@ -79,10 +79,11 @@ func Build(sp Spec, src gfs.TraceSource, obs gfs.Observer, extra ...gfs.Option) 
 	} else {
 		b.Tasks = scale.Trace(sp.SpotScale)
 	}
-	if sp.Autoscale != nil {
+	if sp.Autoscale != "" {
 		// A fresh policy per build: the policy keeps per-run state,
 		// and builds may execute concurrently across sessions.
-		opts = append(opts, gfs.WithAutoscaler(sp.Autoscale.policy()))
+		pol, _ := gfs.NamedAutoscaler(sp.Autoscale) // validated above
+		opts = append(opts, gfs.WithAutoscaler(pol))
 	}
 	opts = append(opts, gfs.WithCollectors(gfs.DefaultCollectors()...), gfs.WithScenario(b.Scenario))
 	if obs != nil {

@@ -12,15 +12,11 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"math"
 
 	gfs "github.com/sjtucitlab/gfs"
-	"github.com/sjtucitlab/gfs/internal/autoscale"
 	"github.com/sjtucitlab/gfs/internal/baselines"
 	"github.com/sjtucitlab/gfs/internal/experiments"
-	"github.com/sjtucitlab/gfs/internal/pricing"
 	"github.com/sjtucitlab/gfs/internal/sched"
-	"github.com/sjtucitlab/gfs/internal/simclock"
 )
 
 // Spec describes one simulation run: the JSON body of a gfsd POST
@@ -54,11 +50,12 @@ type Spec struct {
 	// round-robin).
 	Federation bool   `json:"federation,omitempty"`
 	Route      string `json:"route,omitempty"`
-	// Autoscale attaches the built-in capacity autoscaler to the run
-	// (single-cluster sessions only): nodes are provisioned and
-	// retired mid-run across the spot → on-demand → reserved tier
-	// ladder, and the report's cost ledger gains per-tier spend.
-	Autoscale *AutoscaleSpec `json:"autoscale,omitempty"`
+	// Autoscale names the built-in capacity autoscaler's mode
+	// (predictive or reactive) to attach to the run (single-cluster
+	// sessions only): nodes are provisioned and retired mid-run across
+	// the spot → on-demand → reserved tier ladder, and the report's
+	// cost ledger gains per-tier spend. Empty runs a fixed fleet.
+	Autoscale string `json:"autoscale,omitempty"`
 	// Tasks is an optional inline trace: JSONL task records (the
 	// gfstrace JSONL schema) as raw JSON objects, sorted by the
 	// server before replay. Tasks are consumed at submission and
@@ -69,114 +66,6 @@ type Spec struct {
 	// clients.
 	TraceTasks int   `json:"trace_tasks,omitempty"`
 	TraceBytes int64 `json:"trace_bytes,omitempty"`
-}
-
-// AutoscaleSpec is the JSON shape of Spec.Autoscale: the knobs of
-// the built-in gfs.AutoscalePolicy a session may set. Zero fields
-// take the policy defaults; only Mode is required.
-type AutoscaleSpec struct {
-	// Mode picks the policy: "predictive" (forecast-driven) or
-	// "reactive" (observed demand only).
-	Mode string `json:"mode"`
-	// Model is the GPU model of provisioned pools (default A100).
-	Model string `json:"model,omitempty"`
-	// GPUsPerNode sizes provisioned nodes (default 8).
-	GPUsPerNode int `json:"gpus_per_node,omitempty"`
-	// MaxNodes caps total live autoscaled nodes (default 64).
-	MaxNodes int `json:"max_nodes,omitempty"`
-	// Step caps nodes provisioned or retired per tick (default 4).
-	Step int `json:"step,omitempty"`
-	// Confidence is the forecast quantile predictive scale-ups
-	// provision toward, in (0,1) (default 0.9).
-	Confidence float64 `json:"confidence,omitempty"`
-	// TargetUtilization is the demand/capacity ratio the controller
-	// steers to, in (0,1] (default 0.8).
-	TargetUtilization float64 `json:"target_utilization,omitempty"`
-	// PreWarmS is the base provisioning lead in simulated seconds
-	// (default 600).
-	PreWarmS float64 `json:"pre_warm_s,omitempty"`
-	// IdleAfterS is the idle grace before retirement in simulated
-	// seconds (default 1800).
-	IdleAfterS float64 `json:"idle_after_s,omitempty"`
-	// Tiers overrides the per-tier budget ladder, tried in order;
-	// empty takes the default spot → on-demand → reserved split.
-	Tiers []AutoscaleTierSpec `json:"tiers,omitempty"`
-}
-
-// AutoscaleTierSpec caps one capacity tier in an AutoscaleSpec's
-// preference ladder.
-type AutoscaleTierSpec struct {
-	// Tier names the capacity tier: spot, on-demand or reserved.
-	Tier string `json:"tier"`
-	// MaxNodes bounds the autoscaled nodes in this tier.
-	MaxNodes int `json:"max_nodes"`
-}
-
-// validate rejects malformed autoscale specs with field-level errors:
-// unknown modes and tiers, non-finite numbers, negative leads and
-// out-of-range ratios must never reach the policy.
-func (a *AutoscaleSpec) validate() error {
-	if _, err := autoscale.ParseMode(a.Mode); err != nil {
-		return fmt.Errorf("autoscale.mode: %w", err)
-	}
-	if a.GPUsPerNode < 0 || a.GPUsPerNode > maxGPUsPerNode {
-		return fmt.Errorf("autoscale.gpus_per_node must be in [0, %d], got %d", maxGPUsPerNode, a.GPUsPerNode)
-	}
-	if a.MaxNodes < 0 || a.MaxNodes > maxNodes {
-		return fmt.Errorf("autoscale.max_nodes must be in [0, %d], got %d", maxNodes, a.MaxNodes)
-	}
-	if a.Step < 0 || a.Step > maxNodes {
-		return fmt.Errorf("autoscale.step must be in [0, %d], got %d", maxNodes, a.Step)
-	}
-	if math.IsNaN(a.Confidence) || a.Confidence < 0 || a.Confidence >= 1 {
-		return fmt.Errorf("autoscale.confidence must be in [0, 1), got %g", a.Confidence)
-	}
-	if math.IsNaN(a.TargetUtilization) || a.TargetUtilization < 0 || a.TargetUtilization > 1 {
-		return fmt.Errorf("autoscale.target_utilization must be in [0, 1], got %g", a.TargetUtilization)
-	}
-	if !isFiniteNonNeg(a.PreWarmS) || a.PreWarmS > maxLeadS {
-		return fmt.Errorf("autoscale.pre_warm_s must be a finite duration in [0, %d], got %g", maxLeadS, a.PreWarmS)
-	}
-	if !isFiniteNonNeg(a.IdleAfterS) || a.IdleAfterS > maxLeadS {
-		return fmt.Errorf("autoscale.idle_after_s must be a finite duration in [0, %d], got %g", maxLeadS, a.IdleAfterS)
-	}
-	for i, tq := range a.Tiers {
-		if tq.Tier == "" || !pricing.KnownTier(tq.Tier) {
-			return fmt.Errorf("autoscale.tiers[%d].tier: unknown tier %q (valid: %s, %s, %s)",
-				i, tq.Tier, pricing.TierSpot, pricing.TierOnDemand, pricing.TierReserved)
-		}
-		if tq.MaxNodes < 0 || tq.MaxNodes > maxNodes {
-			return fmt.Errorf("autoscale.tiers[%d].max_nodes must be in [0, %d], got %d", i, maxNodes, tq.MaxNodes)
-		}
-	}
-	return nil
-}
-
-// isFiniteNonNeg reports whether v is a usable duration value.
-func isFiniteNonNeg(v float64) bool {
-	return !math.IsNaN(v) && !math.IsInf(v, 0) && v >= 0
-}
-
-// policy lowers a validated spec onto a fresh gfs.AutoscalePolicy.
-// Each call builds a new policy, preserving the one-policy-per-run
-// contract across session retries.
-func (a *AutoscaleSpec) policy() *gfs.AutoscalePolicy {
-	mode, _ := autoscale.ParseMode(a.Mode) // validated upstream
-	pol := &gfs.AutoscalePolicy{
-		Mode:              mode,
-		Model:             a.Model,
-		GPUsPerNode:       a.GPUsPerNode,
-		MaxNodes:          a.MaxNodes,
-		Step:              a.Step,
-		Confidence:        a.Confidence,
-		TargetUtilization: a.TargetUtilization,
-		PreWarm:           simclock.Duration(a.PreWarmS),
-		IdleAfter:         simclock.Duration(a.IdleAfterS),
-	}
-	for _, tq := range a.Tiers {
-		pol.Tiers = append(pol.Tiers, gfs.AutoscaleTierQuota{Tier: tq.Tier, MaxNodes: tq.MaxNodes})
-	}
-	return pol
 }
 
 // specScheduler builds one named baseline stack. A nil scheduler
@@ -212,10 +101,6 @@ const (
 	maxGPUsPerNode = 16
 	maxDays        = 14
 	maxSpotScale   = 16
-	// maxLeadS bounds autoscale lead and grace durations to the
-	// longest run a spec can describe; anything beyond is a typo, and
-	// the bound keeps the float→simclock conversion overflow-free.
-	maxLeadS = maxDays * 24 * 3600
 )
 
 // Normalize fills the defaults into zero fields.
@@ -272,11 +157,11 @@ func (sp *Spec) Validate() error {
 			return err
 		}
 	}
-	if sp.Autoscale != nil {
+	if sp.Autoscale != "" {
 		if sp.Federation {
 			return fmt.Errorf("autoscale does not apply to federation (members manage capacity per engine)")
 		}
-		if err := sp.Autoscale.validate(); err != nil {
+		if _, err := gfs.NamedAutoscaler(sp.Autoscale); err != nil {
 			return err
 		}
 	}

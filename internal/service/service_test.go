@@ -9,6 +9,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -278,6 +279,39 @@ func TestStreamedTraceUpload(t *testing.T) {
 	want := referenceJSONL(t, RunSpec{Scheduler: "yarn", Nodes: 4}, src)
 	if got := fetchReport(t, ts, st.ID, "jsonl"); !bytes.Equal(got, want) {
 		t.Fatal("streamed-trace report differs from buffered replay of the same bytes")
+	}
+}
+
+// TestAutoscaleChannels: the query parameter of a trace upload and
+// the JSON body of a session name the autoscaler the same way, as a
+// mode string, and normalize to the same spec; the object form older
+// clients sent is rejected, not silently ignored.
+func TestAutoscaleChannels(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1})
+	post := func(url, contentType, body string) (int, []byte) {
+		resp, err := http.Post(ts.URL+url, contentType, strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		data, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, data
+	}
+	code, data := post("/v1/sessions?nodes=4&autoscale=predictive", "application/x-ndjson", string(traceBody(t)))
+	if code != http.StatusAccepted {
+		t.Fatalf("upload with ?autoscale=predictive = %d (body %s)", code, data)
+	}
+	var upload sessionStatus
+	if err := json.Unmarshal(data, &upload); err != nil {
+		t.Fatal(err)
+	}
+	upload.Spec.TraceTasks, upload.Spec.TraceBytes = 0, 0
+	body := postSpec(t, ts, RunSpec{Nodes: 4, Autoscale: "predictive"}, http.StatusAccepted)
+	if upload.Spec.Autoscale != "predictive" || !reflect.DeepEqual(upload.Spec, body.Spec) {
+		t.Fatalf("query spec %+v, body spec %+v: want the same spec naming the predictive autoscaler", upload.Spec, body.Spec)
+	}
+	if code, data := post("/v1/sessions", "application/json", `{"nodes":4,"autoscale":{"mode":"predictive"}}`); code != http.StatusBadRequest {
+		t.Fatalf("object-form autoscale = %d (body %s), want 400", code, data)
 	}
 }
 

@@ -49,9 +49,7 @@ func specFromQuery(q url.Values) (RunSpec, error) {
 	sp.Scenario = q.Get("scenario")
 	sp.Route = q.Get("route")
 	sp.Federation = q.Get("federation") == "true" || q.Get("federation") == "1"
-	if s := q.Get("autoscale"); s != "" {
-		sp.Autoscale = &runspec.AutoscaleSpec{Mode: s}
-	}
+	sp.Autoscale = q.Get("autoscale")
 	var err error
 	geti := func(name string) int {
 		s := q.Get(name)

@@ -178,13 +178,13 @@ func generateClass(cfg Config, typ task.Type, load float64, rng *rand.Rand) []*t
 		if cfg.MaxPodGPUs > 0 && g > cfg.MaxPodGPUs {
 			g = cfg.MaxPodGPUs
 		}
-		meanGPUs += g * b.prob
+		meanGPUs += float64(g * b.prob)
 	}
 	gs := 1.0
 	if typ == task.HP {
 		gs = float64(gangScale(cfg))
 	}
-	meanPods := 1 + gangFrac*(meanGangPods*gs-1)
+	meanPods := 1 + float64(gangFrac*(float64(meanGangPods*gs)-1))
 	meanRun := medianRun * math.Exp(sigma*sigma/2)
 	gpuSecondsPerTask := meanGPUs * meanPods * meanRun
 
@@ -269,7 +269,7 @@ func sampleSize(sizes []sizeBucket, rng *rand.Rand) float64 {
 		if u < acc {
 			if b.gpus < 1 {
 				// Partial card: uniform fraction in [0.1, 0.9].
-				return math.Round((0.1+0.8*rng.Float64())*10) / 10
+				return math.Round((0.1+float64(0.8*rng.Float64()))*10) / 10
 			}
 			return b.gpus
 		}
@@ -303,7 +303,7 @@ func poisson(rng *rand.Rand, lambda float64) int {
 		return 0
 	}
 	if lambda > 30 {
-		n := int(math.Round(lambda + math.Sqrt(lambda)*rng.NormFloat64()))
+		n := int(math.Round(lambda + float64(math.Sqrt(lambda)*rng.NormFloat64())))
 		if n < 0 {
 			n = 0
 		}
@@ -374,7 +374,7 @@ func (a *StatsAccumulator) Add(tk *task.Task) {
 	if tk.Submit > a.last {
 		a.last = tk.Submit
 	}
-	a.gpuSeconds += tk.TotalGPUs() * float64(tk.Duration)
+	a.gpuSeconds += float64(tk.TotalGPUs() * float64(tk.Duration))
 	key := sizeKey(tk.GPUsPerPod)
 	if tk.Type == task.HP {
 		a.hp++
@@ -405,13 +405,13 @@ func (a *StatsAccumulator) Stats() Stats {
 	}
 	if a.hp > 0 {
 		s.GangFracHP = float64(a.gangHP) / float64(a.hp)
-		for k, n := range a.histHP {
+		for k, n := range a.histHP { //lint:ordered a key-by-key copy into a fresh map; each entry is computed alone
 			s.SizeHistHP[k] = float64(n) / float64(a.hp)
 		}
 	}
 	if a.spot > 0 {
 		s.GangFracSpot = float64(a.gangSpot) / float64(a.spot)
-		for k, n := range a.histSpot {
+		for k, n := range a.histSpot { //lint:ordered a key-by-key copy into a fresh map; each entry is computed alone
 			s.SizeHistSpot[k] = float64(n) / float64(a.spot)
 		}
 	}

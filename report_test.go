@@ -265,9 +265,9 @@ func TestCostLedgerReproducesPaperAccounting(t *testing.T) {
 	if pool.Rate <= 0 || pool.Rate > 1 {
 		t.Fatalf("implausible achieved rate %v", pool.Rate)
 	}
-	want := pricing.MonthlyBenefit(pricing.DefaultTable(), []pricing.PoolDelta{{
+	want := pricing.MonthlyBenefit([]pricing.PoolDelta{{
 		Model: "A100", GPUs: int(pool.GPUs), RateBefore: pool.BaselineRate, RateAfter: pool.Rate,
-	}}, c.Margin)
+	}})
 	if diff := math.Abs(c.MonthlyBenefitUSD - want); diff > 1e-6*math.Abs(want) {
 		t.Fatalf("ledger %v != pricing.MonthlyBenefit %v", c.MonthlyBenefitUSD, want)
 	}
