@@ -41,15 +41,6 @@ const (
 	AutoscalePredictive = autoscale.ModePredictive
 )
 
-// PredictiveAutoscaler returns a fresh built-in policy in predictive
-// mode with default settings (A100 8-GPU nodes, 64-node cap, spot →
-// on-demand → reserved ladder, 90% confidence, 10 min pre-warm,
-// 30 min idle grace). Without a fitted estimator it forecasts with a
-// deterministic seasonal-naive model over the live demand history.
-func PredictiveAutoscaler() *AutoscalePolicy {
-	return &AutoscalePolicy{Mode: autoscale.ModePredictive}
-}
-
 // NamedAutoscaler resolves a policy name ("predictive" or
 // "reactive") to a fresh built-in policy — the names the gfsim
 // -autoscale flag and the run spec's autoscale field accept.

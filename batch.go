@@ -30,9 +30,9 @@ type BatchSpec struct {
 	Name string
 	// Setup builds the engine and trace for this run. A setup may
 	// instead attach a streaming trace (WithTraceSource) and return a
-	// nil task slice: the batch then replays the source via RunTrace,
-	// with source errors landing in BatchResult.Err. Each run needs
-	// its own source — sources are single-use.
+	// nil task slice: the batch then replays the source, with source
+	// errors landing in BatchResult.Err. Each run needs its own
+	// source — sources are single-use.
 	Setup func() (*Engine, []*Task)
 	// SetupFederation builds a federated run instead; exactly one of
 	// Setup and SetupFederation must be set. Like Setup it must build
@@ -143,13 +143,13 @@ func runOne(ctx context.Context, spec BatchSpec) (br BatchResult) {
 		fed, tasks := spec.SetupFederation()
 		br.Fed, br.Err = fed.run(ctx, tasks)
 		if br.Err == nil && fed.aggCollectors != nil {
-			br.FedReport = fed.Report()
+			br.FedReport = fed.report()
 		}
 	default:
 		eng, tasks := spec.Setup()
 		br.Result, br.Err = eng.run(ctx, tasks)
-		if br.Err == nil && len(eng.Collectors()) > 0 {
-			br.Report = eng.Report()
+		if br.Err == nil {
+			br.Report = eng.report()
 		}
 	}
 	return br

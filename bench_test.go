@@ -15,6 +15,7 @@ import (
 	"testing"
 
 	gfs "github.com/sjtucitlab/gfs"
+	"github.com/sjtucitlab/gfs/internal/baselines"
 	"github.com/sjtucitlab/gfs/internal/experiments"
 )
 
@@ -94,13 +95,13 @@ func runSetup(scale experiments.SimScale, spotScale float64, newSched func() gfs
 // simSetup is the simulator hot loop over the standard one-day trace
 // under YARN-CS: with no observer the event spine must cost nothing
 // here.
-var simSetup = runSetup(benchFigScale(), 2, gfs.NewYARNCS)
+var simSetup = runSetup(benchFigScale(), 2, func() gfs.Scheduler { return baselines.NewYARNCS() })
 
 // lyraSetup is the standard one-day run under Lyra with an HP load
 // above capacity, so inference reclaims the loan pool all day: the
 // baselines' preemption planning builds its victim orders in scheduler
 // scratch and allocates nothing per node it costs.
-var lyraSetup = runSetup(lyraScale(), 2, gfs.NewLyra)
+var lyraSetup = runSetup(lyraScale(), 2, func() gfs.Scheduler { return baselines.NewLyra() })
 
 func lyraScale() experiments.SimScale {
 	s := benchFigScale()
@@ -111,7 +112,7 @@ func lyraScale() experiments.SimScale {
 // sim10KSetup is one full run at production node count. It stays in
 // the milliseconds only while per-event costs stay flat in cluster
 // size (see docs/performance.md).
-var sim10KSetup = runSetup(sim10KScale(), 1, gfs.NewYARNCS)
+var sim10KSetup = runSetup(sim10KScale(), 1, func() gfs.Scheduler { return baselines.NewYARNCS() })
 
 // gzTrace encodes the standard one-day trace as gzipped CSV.
 func gzTrace(tb testing.TB) []byte {
@@ -153,7 +154,7 @@ func reportSetup(tb testing.TB) func() [2]metric {
 	scale := benchFigScale()
 	tasks := scale.Trace(2)
 	eng := gfs.NewEngine(gfs.NewCluster("A100", scale.Nodes, scale.GPUsPerNode),
-		gfs.WithScheduler(gfs.NewYARNCS()))
+		gfs.WithScheduler(baselines.NewYARNCS()))
 	var buf bytes.Buffer
 	return func() [2]metric {
 		rep := eng.RunReport(tasks)
@@ -184,7 +185,7 @@ func autoscaleSetup(testing.TB) func() [2]metric {
 		Curve:    &gfs.DiurnalCurve{PeakHour: 14, Width: 4},
 	}
 	eng := gfs.NewEngine(cl,
-		gfs.WithScheduler(gfs.NewYARNCS()), gfs.WithAutoscaler(pol))
+		gfs.WithScheduler(baselines.NewYARNCS()), gfs.WithAutoscaler(pol))
 	return func() [2]metric {
 		res := eng.Run(tasks)
 		return [2]metric{{"tasks", float64(len(tasks))}, {"allocPct", 100 * res.AllocationRate}}
@@ -311,15 +312,14 @@ func BenchmarkFederation(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		tasks := scale.Trace(2)
-		storm := gfs.CorrelatedFailure(6*gfs.Hour, "zone-0").
+		storm := gfs.NewScenario().FailDomain(6*gfs.Hour, "zone-0").
 			RestoreDomain(9*gfs.Hour, "zone-0")
+		west, east := scale.NewCluster(), scale.NewCluster()
 		fed := gfs.NewFederation([]gfs.Member{
-			{Name: "west", Engine: gfs.NewEngine(
-				gfs.NewClusterWithTopology("A100", scale.Nodes, scale.GPUsPerNode, 2, 4),
-				gfs.WithScheduler(gfs.NewYARNCS()), gfs.WithScenario(storm))},
-			{Name: "east", Engine: gfs.NewEngine(
-				gfs.NewClusterWithTopology("A100", scale.Nodes, scale.GPUsPerNode, 2, 4),
-				gfs.WithScheduler(gfs.NewYARNCS()))},
+			{Name: "west", Engine: gfs.NewEngine(west,
+				gfs.WithScheduler(baselines.NewYARNCS()), gfs.WithScenario(storm))},
+			{Name: "east", Engine: gfs.NewEngine(east,
+				gfs.WithScheduler(baselines.NewYARNCS()))},
 		})
 		b.StartTimer()
 		res := fed.Run(tasks)

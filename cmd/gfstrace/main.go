@@ -28,6 +28,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -38,40 +39,65 @@ import (
 	gfs "github.com/sjtucitlab/gfs"
 )
 
-func main() {
-	if len(os.Args) > 1 {
-		switch arg := os.Args[1]; arg {
+func main() { os.Exit(run(os.Args[1:], os.Stdin, os.Stdout, os.Stderr)) }
+
+// errUsage marks a flag error the flag set has already reported.
+var errUsage = errors.New("usage")
+
+// run is the command: it dispatches on the subcommand in args[0] (none
+// generates a trace), reads traces from stdin when no -in is given,
+// writes results to stdout and diagnostics to stderr, and returns the
+// exit status (2 for a flag error, 1 for any other failure).
+func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
+	cmd, rest := runGenerate, args
+	if len(args) > 0 {
+		switch arg := args[0]; arg {
 		case "convert":
-			runConvert(os.Args[2:])
-			return
+			cmd, rest = runConvert, args[1:]
 		case "validate":
-			runValidate(os.Args[2:])
-			return
+			cmd, rest = runValidate, args[1:]
 		case "stats":
-			runStats(os.Args[2:])
-			return
+			cmd, rest = runStats, args[1:]
 		default:
 			// Anything that isn't a flag must be a subcommand; a typo
 			// ("stat") must not silently fall through to generation.
 			if !strings.HasPrefix(arg, "-") {
-				fail(fmt.Errorf("unknown subcommand %q (valid: convert, validate, stats; no subcommand generates a trace)", arg))
+				fmt.Fprintf(stderr, "gfstrace: unknown subcommand %q (valid: convert, validate, stats; no subcommand generates a trace)\n", arg)
+				return 1
 			}
 		}
 	}
-	runGenerate(os.Args[1:])
+	err := cmd(rest, stdin, stdout, stderr)
+	switch {
+	case err == nil, errors.Is(err, flag.ErrHelp):
+		return 0
+	case errors.Is(err, errUsage):
+		return 2
+	}
+	fmt.Fprintf(stderr, "gfstrace: %v\n", err)
+	return 1
 }
 
-// rejectArgs fails on positional arguments so a path given without
-// -in cannot be silently ignored (and stdin read instead).
-func rejectArgs(fs *flag.FlagSet) {
-	if fs.NArg() > 0 {
-		fail(fmt.Errorf("unexpected argument %q (inputs are read from stdin or -in, outputs written to stdout or -out)", fs.Arg(0)))
+// parse parses args into fs, which reports its own errors on stderr,
+// and refuses positional arguments so a path given without -in cannot
+// be silently ignored (and stdin read instead).
+func parse(fs *flag.FlagSet, args []string, stderr io.Writer) error {
+	fs.SetOutput(stderr)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return err
+		}
+		return errUsage
 	}
+	if fs.NArg() > 0 {
+		return fmt.Errorf("unexpected argument %q (inputs are read from stdin or -in, outputs written to stdout or -out)", fs.Arg(0))
+	}
+	return nil
 }
 
 // runGenerate is the original trace-generation mode.
-func runGenerate(args []string) {
-	fs := flag.NewFlagSet("gfstrace", flag.ExitOnError)
+func runGenerate(args []string, _ io.Reader, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("gfstrace", flag.ContinueOnError)
 	days := fs.Int("days", 3, "trace span in days")
 	gpus := fs.Float64("gpus", 2296, "cluster GPU capacity for load calibration")
 	spotScale := fs.Float64("spotscale", 1, "spot submission multiplier")
@@ -79,8 +105,9 @@ func runGenerate(args []string) {
 	regime := fs.String("regime", "2024", "workload regime: 2024 | 2020")
 	out := fs.String("out", "", "write the trace to this path (.csv/.jsonl, .gz to compress; default: stdout stats only)")
 	showStats := fs.Bool("stats", false, "print trace statistics")
-	fs.Parse(args)
-	rejectArgs(fs)
+	if err := parse(fs, args, stderr); err != nil {
+		return err
+	}
 
 	cfg := gfs.DefaultTraceConfig()
 	cfg.Days = *days
@@ -89,48 +116,43 @@ func runGenerate(args []string) {
 	cfg.Seed = *seed
 	reg, err := gfs.ParseTraceRegime(*regime)
 	if err != nil {
-		fail(err)
+		return err
 	}
 	cfg.Regime = reg
 	tasks := gfs.GenerateTrace(cfg)
-	fmt.Printf("generated %d tasks over %d day(s)\n", len(tasks), *days)
+	fmt.Fprintf(stdout, "generated %d tasks over %d day(s)\n", len(tasks), *days)
 
 	if *out != "" {
 		if err := gfs.WriteTraceFile(*out, tasks); err != nil {
-			fail(err)
+			return err
 		}
-		fmt.Printf("wrote %s\n", *out)
+		fmt.Fprintf(stdout, "wrote %s\n", *out)
 	}
 	if *showStats || *out == "" {
-		printStats(gfs.SummarizeTrace(tasks))
+		printStats(stdout, gfs.SummarizeTrace(tasks))
 	}
+	return nil
 }
 
 // openIn opens -in (or stdin) as a trace source with the requested
-// format; gzip is sniffed either way.
-func openIn(path, format string) (gfs.TraceSource, func()) {
+// format; gzip is sniffed either way. Closing the source closes the
+// file, never stdin.
+func openIn(path, format string, stdin io.Reader) (gfs.TraceSource, error) {
 	f, err := gfs.ParseTraceFormat(format)
 	if err != nil {
-		fail(err)
+		return nil, err
 	}
 	if path == "" {
-		src, err := gfs.OpenTraceReader(os.Stdin, f)
-		if err != nil {
-			fail(err)
-		}
-		return src, func() {}
+		return gfs.OpenTraceReader(stdin, f)
 	}
-	src, err := gfs.OpenTraceFormat(path, f)
-	if err != nil {
-		fail(err)
-	}
-	return src, func() { src.Close() }
+	return gfs.OpenTraceFormat(path, f)
 }
 
 // openOut builds the output encoder: -out (with gzip-by-extension,
 // via the shared trace file-encoder helper) or stdout. The format is
-// -to when given, else the path extension, else csv.
-func openOut(path, to string) (gfs.TraceEncoder, func()) {
+// -to when given, else the path extension, else csv. The returned
+// close flushes the encoder and, for -out, closes the file.
+func openOut(path, to string, stdout io.Writer) (gfs.TraceEncoder, func() error, error) {
 	format := gfs.TraceFormatAuto
 	if path == "" {
 		format = gfs.TraceFormatCSV
@@ -138,39 +160,27 @@ func openOut(path, to string) (gfs.TraceEncoder, func()) {
 	if to != "" {
 		f, err := gfs.ParseTraceFormat(to)
 		if err != nil {
-			fail(err)
+			return nil, nil, err
 		}
 		if f != gfs.TraceFormatCSV && f != gfs.TraceFormatJSONL {
-			fail(fmt.Errorf("-to %s: writable formats are csv and jsonl", to))
+			return nil, nil, fmt.Errorf("-to %s: writable formats are csv and jsonl", to)
 		}
 		format = f
 	}
 	if path == "" {
-		enc, err := gfs.NewTraceEncoder(os.Stdout, format)
+		enc, err := gfs.NewTraceEncoder(stdout, format)
 		if err != nil {
-			fail(err)
+			return nil, nil, err
 		}
-		return enc, func() {
-			if err := enc.Flush(); err != nil {
-				fail(err)
-			}
-		}
+		return enc, enc.Flush, nil
 	}
-	enc, closeAll, err := gfs.CreateTraceFileEncoder(path, format)
-	if err != nil {
-		fail(err)
-	}
-	return enc, func() {
-		if err := closeAll(); err != nil {
-			fail(err)
-		}
-	}
+	return gfs.CreateTraceFileEncoder(path, format)
 }
 
 // runConvert streams -in → transforms → -out without materializing
 // the trace.
-func runConvert(args []string) {
-	fs := flag.NewFlagSet("gfstrace convert", flag.ExitOnError)
+func runConvert(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("gfstrace convert", flag.ContinueOnError)
 	in := fs.String("in", "", "input path (default stdin; gzip auto-detected)")
 	out := fs.String("out", "", "output path (default stdout; .gz compresses)")
 	from := fs.String("from", "auto", "input format: auto | csv | jsonl | alibaba | philly")
@@ -179,11 +189,15 @@ func runConvert(args []string) {
 	rate := fs.Float64("ratescale", 1, "divide submission times by this factor (2 = twice the arrival rate)")
 	window := fs.Duration("window", 0, "keep only the first window of trace time, measured from the first task (applies before rate scaling), e.g. 24h")
 	sortFlag := fs.Bool("sort", false, "sort by submission time (materializes the trace; for unsorted external dumps)")
-	fs.Parse(args)
-	rejectArgs(fs)
+	if err := parse(fs, args, stderr); err != nil {
+		return err
+	}
 
-	base, closeIn := openIn(*in, *from)
-	defer closeIn()
+	base, err := openIn(*in, *from, stdin)
+	if err != nil {
+		return err
+	}
+	defer base.Close()
 	src := base
 	if *sortFlag {
 		src = gfs.SortTraceBySubmit(src)
@@ -197,7 +211,7 @@ func runConvert(args []string) {
 	if *window > 0 {
 		span := gfs.Duration(window.Seconds())
 		if span < 1 {
-			fail(fmt.Errorf("-window %v is below the simulator's 1-second resolution", *window))
+			return fmt.Errorf("-window %v is below the simulator's 1-second resolution", *window)
 		}
 		src = gfs.HeadWindowTrace(src, span)
 	}
@@ -205,7 +219,10 @@ func runConvert(args []string) {
 		src = gfs.RateScaleTrace(src, *rate)
 	}
 
-	enc, closeOut := openOut(*out, *to)
+	enc, closeOut, err := openOut(*out, *to, stdout)
+	if err != nil {
+		return err
+	}
 	n := 0
 	for {
 		tk, err := src.Next()
@@ -213,79 +230,88 @@ func runConvert(args []string) {
 			break
 		}
 		if err != nil {
-			fail(err)
+			return err
 		}
 		if err := enc.Encode(tk); err != nil {
-			fail(err)
+			return err
 		}
 		n++
 	}
-	closeOut()
-	reportSkipped(base)
-	fmt.Fprintf(os.Stderr, "converted %d tasks\n", n)
+	if err := closeOut(); err != nil {
+		return err
+	}
+	reportSkipped(stderr, base)
+	fmt.Fprintf(stderr, "converted %d tasks\n", n)
+	return nil
 }
 
 // runValidate drains the input, checking fields and ordering.
-func runValidate(args []string) {
-	fs := flag.NewFlagSet("gfstrace validate", flag.ExitOnError)
+func runValidate(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("gfstrace validate", flag.ContinueOnError)
 	in := fs.String("in", "", "input path (default stdin; gzip auto-detected)")
 	from := fs.String("from", "auto", "input format: auto | csv | jsonl | alibaba | philly")
-	fs.Parse(args)
-	rejectArgs(fs)
-
-	src, closeIn := openIn(*in, *from)
-	defer closeIn()
-	n, err := gfs.ValidateTrace(src)
-	reportSkipped(src)
-	if err != nil {
-		fail(fmt.Errorf("after %d valid tasks: %w", n, err))
+	if err := parse(fs, args, stderr); err != nil {
+		return err
 	}
-	fmt.Printf("ok: %d tasks, sorted by submission, all fields valid\n", n)
+
+	src, err := openIn(*in, *from, stdin)
+	if err != nil {
+		return err
+	}
+	defer src.Close()
+	n, err := gfs.ValidateTrace(src)
+	reportSkipped(stderr, src)
+	if err != nil {
+		return fmt.Errorf("after %d valid tasks: %w", n, err)
+	}
+	fmt.Fprintf(stdout, "ok: %d tasks, sorted by submission, all fields valid\n", n)
+	return nil
 }
 
 // runStats streams the Table 3 summary, as text or (with -json) as
 // one machine-readable JSON object for report tooling.
-func runStats(args []string) {
-	fs := flag.NewFlagSet("gfstrace stats", flag.ExitOnError)
+func runStats(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("gfstrace stats", flag.ContinueOnError)
 	in := fs.String("in", "", "input path (default stdin; gzip auto-detected)")
 	from := fs.String("from", "auto", "input format: auto | csv | jsonl | alibaba | philly")
 	asJSON := fs.Bool("json", false, "emit the summary as one JSON object instead of text")
-	fs.Parse(args)
-	rejectArgs(fs)
+	if err := parse(fs, args, stderr); err != nil {
+		return err
+	}
 
-	src, closeIn := openIn(*in, *from)
-	defer closeIn()
-	s, err := gfs.SummarizeTraceSource(src)
-	reportSkipped(src)
+	src, err := openIn(*in, *from, stdin)
 	if err != nil {
-		fail(err)
+		return err
+	}
+	defer src.Close()
+	s, err := gfs.SummarizeTraceSource(src)
+	reportSkipped(stderr, src)
+	if err != nil {
+		return err
 	}
 	if *asJSON {
-		enc := json.NewEncoder(os.Stdout)
-		if err := enc.Encode(s); err != nil {
-			fail(err)
-		}
-		return
+		return json.NewEncoder(stdout).Encode(s)
 	}
-	fmt.Printf("tasks: %d spanning %.1f h, %.0f GPU-h offered\n",
+	fmt.Fprintf(stdout, "tasks: %d spanning %.1f h, %.0f GPU-h offered\n",
 		s.HPCount+s.SpotCount, s.LastSubmit.Sub(s.FirstSubmit).Hours(), s.TotalGPUSeconds/3600)
-	printStats(s)
+	printStats(stdout, s)
+	return nil
 }
 
 // reportSkipped prints the dropped-row count of lenient adapters.
-func reportSkipped(src gfs.TraceSource) {
+func reportSkipped(stderr io.Writer, src gfs.TraceSource) {
 	if sk, ok := src.(gfs.TraceSkipper); ok && sk.Skipped() > 0 {
-		fmt.Fprintf(os.Stderr, "skipped %d unusable rows\n", sk.Skipped())
+		fmt.Fprintf(stderr, "skipped %d unusable rows\n", sk.Skipped())
 	}
 }
 
-func printStats(s gfs.TraceStats) {
-	fmt.Printf("HP tasks:   %6d (%.2f%%)  gang %.2f%%\n",
+func printStats(w io.Writer, s gfs.TraceStats) {
+	fmt.Fprintf(w, "HP tasks:   %6d (%.2f%%)  gang %.2f%%\n",
 		s.HPCount, 100*s.HPFrac, 100*s.GangFracHP)
-	fmt.Printf("Spot tasks: %6d (%.2f%%)  gang %.2f%%\n",
+	fmt.Fprintf(w, "Spot tasks: %6d (%.2f%%)  gang %.2f%%\n",
 		s.SpotCount, 100*(1-s.HPFrac), 100*s.GangFracSpot)
-	fmt.Println("GPU request distribution (fraction of tasks):")
-	fmt.Printf("%6s %10s %10s\n", "g", "HP", "Spot")
+	fmt.Fprintln(w, "GPU request distribution (fraction of tasks):")
+	fmt.Fprintf(w, "%6s %10s %10s\n", "g", "HP", "Spot")
 	keys := make([]string, 0, len(s.SizeHistHP))
 	for k := range s.SizeHistHP {
 		keys = append(keys, k)
@@ -297,11 +323,6 @@ func printStats(s gfs.TraceStats) {
 	}
 	sort.Strings(keys)
 	for _, k := range keys {
-		fmt.Printf("%6s %9.2f%% %9.2f%%\n", k, 100*s.SizeHistHP[k], 100*s.SizeHistSpot[k])
+		fmt.Fprintf(w, "%6s %9.2f%% %9.2f%%\n", k, 100*s.SizeHistHP[k], 100*s.SizeHistSpot[k])
 	}
-}
-
-func fail(err error) {
-	fmt.Fprintf(os.Stderr, "gfstrace: %v\n", err)
-	os.Exit(1)
 }

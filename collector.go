@@ -47,8 +47,8 @@ type RunMeta struct {
 // loop — so heavy work belongs in Finish), then Finish (to write the
 // collected section into the report). Collectors are single-run and
 // must not be shared between concurrent runs; RunBatch builds a
-// fresh set per spec. Custom collectors attach their section with
-// Report.Attach.
+// fresh set per spec. Custom collectors append their section to
+// Report.Sections.
 type Collector interface {
 	// Name identifies the collector (custom sections use it as the
 	// section name).
@@ -82,7 +82,8 @@ func DefaultCollectors() []Collector {
 // AssembleReport builds a Report directly from collectors, for
 // callers that attached collectors (WithCollectors) to a run whose
 // engine they do not hold — e.g. a CLI threading options through an
-// experiment harness. Engine.Report is the usual path.
+// experiment harness. Engine.RunReport and RunBatch are the usual
+// paths.
 func AssembleReport(cs ...Collector) *Report {
 	rep := &Report{}
 	for _, c := range cs {
@@ -264,8 +265,8 @@ func (a *allocTally) rate() float64 {
 // SummaryCollector rebuilds the legacy Result scalars from the event
 // spine alone: task counts, JCT/queue statistics, eviction rates,
 // the time-averaged allocation rate, Eq. 17 waste and the final spot
-// quota. Report.Result reduces its section back to a Result; for any
-// deterministic run the two match field-for-field.
+// quota; for any deterministic run its section matches the Result
+// Engine.Run returns field for field.
 type SummaryCollector struct {
 	meta  RunMeta
 	tasks taskTally
@@ -455,7 +456,7 @@ func (c *QuotaCollector) Finish(rep *Report) {
 	n := 0
 	for _, s := range c.samples {
 		tr.FinalEta = s.Eta
-		if s.Quota.Unlimited() {
+		if s.Quota.unlimited() {
 			continue
 		}
 		err := float64(s.Quota) - s.SpotUsed
@@ -528,7 +529,7 @@ func (c *AllocationCollector) Finish(rep *Report) {
 // CostCollector prices the run's allocation per GPU pool,
 // reproducing the paper's monthly-benefit accounting (§4.3):
 // each pool's allocation-rate improvement over its baseline ×
-// DefaultPricing list price × 730 h × the ≈26% spot margin. Tasks
+// on-demand list price × 730 h × the ≈26% spot margin. Tasks
 // pinned to a GPU model charge that pool; unpinned tasks spread over
 // pools by capacity share.
 type CostCollector struct {

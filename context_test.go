@@ -8,6 +8,7 @@ import (
 	"time"
 
 	gfs "github.com/sjtucitlab/gfs"
+	"github.com/sjtucitlab/gfs/internal/sched"
 )
 
 // RunBatchContext is the module's one cancellable entry point (gfsim,
@@ -54,7 +55,7 @@ func TestRunContextMatchesRun(t *testing.T) {
 	res1, log1 := runChaos(11)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	log2 := &gfs.EventLog{}
+	log2 := &sched.EventLog{}
 	br := gfs.RunBatchContext(ctx, chaosSpec(11, log2))[0]
 	if br.Err != nil {
 		t.Fatalf("run under a live context: %v", br.Err)
@@ -81,7 +82,7 @@ func TestRunContextCancellation(t *testing.T) {
 
 	cancelAt := len(fullLog.Events) / 4
 	ctx, trip := cancelAfter(cancelAt + 1)
-	log := &gfs.EventLog{}
+	log := &sched.EventLog{}
 
 	start := time.Now()
 	br := gfs.RunBatchContext(ctx, chaosSpec(11, trip, log))[0]

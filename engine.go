@@ -22,8 +22,6 @@ type (
 	Observer = sched.Observer
 	// ObserverFunc adapts a function to Observer.
 	ObserverFunc = sched.ObserverFunc
-	// EventLog is an Observer recording every event in order.
-	EventLog = sched.EventLog
 )
 
 // Event kinds.
@@ -119,9 +117,6 @@ func (e *Engine) runMeta() RunMeta {
 	return meta
 }
 
-// Cluster returns the engine's cluster.
-func (e *Engine) Cluster() *Cluster { return e.cluster }
-
 // Config exposes the underlying simulation configuration (for
 // inspection; mutate via options instead).
 func (e *Engine) Config() SimConfig { return e.cfg }
@@ -158,15 +153,9 @@ func (e *Engine) run(ctx context.Context, tasks []*Task) (*Result, error) {
 	return res.Members[0].Result, nil
 }
 
-// Collectors returns the collectors registered with WithCollectors
-// (plus any defaults attached by RunReport), in registration order.
-func (e *Engine) Collectors() []Collector { return e.collectors }
-
-// Report assembles a Report from the engine's collectors. Call it
-// after Run or RunTrace; with no collectors registered it returns
-// nil. Assembly is a pure read of collector state, so it may be
-// called more than once.
-func (e *Engine) Report() *Report {
+// report assembles a Report from the engine's collectors after the
+// run; with no collectors registered it returns nil.
+func (e *Engine) report() *Report {
 	if len(e.collectors) == 0 {
 		return nil
 	}
@@ -180,8 +169,9 @@ func (e *Engine) Report() *Report {
 // RunReport executes the run with the engine's collectors attached —
 // the full default set when none were registered — and returns the
 // assembled Report. Like Run, it mutates tasks and the cluster, so
-// each engine reports on one run; Report.Result recovers the legacy
-// Result view.
+// each engine reports on one run. A RunBatch spec whose engine
+// registered collectors carries the same report in
+// BatchResult.Report.
 func (e *Engine) RunReport(tasks []*Task) *Report {
 	if len(e.collectors) == 0 {
 		e.collectors = DefaultCollectors()
@@ -192,7 +182,7 @@ func (e *Engine) RunReport(tasks []*Task) *Report {
 		}
 	}
 	e.Run(tasks)
-	return e.Report()
+	return e.report()
 }
 
 // RunTrace executes the simulation over the engine's attached trace

@@ -7,7 +7,9 @@ import (
 	"testing"
 
 	gfs "github.com/sjtucitlab/gfs"
+	"github.com/sjtucitlab/gfs/internal/baselines"
 	"github.com/sjtucitlab/gfs/internal/sched"
+	"github.com/sjtucitlab/gfs/internal/task"
 )
 
 // chaosTrace generates a one-day 128-GPU workload with enough spot
@@ -25,14 +27,14 @@ func chaosTrace(seed int64) []*gfs.Task {
 
 func chaosScenario() *gfs.Scenario {
 	return gfs.NewScenario().
-		KillNodes(6*gfs.Hour, 3, 4).
-		RestoreNodes(12*gfs.Hour, 3, 4)
+		KillNode(6*gfs.Hour, 3).KillNode(6*gfs.Hour, 4).
+		RestoreNode(12*gfs.Hour, 3).RestoreNode(12*gfs.Hour, 4)
 }
 
 // runChaos executes the acceptance scenario (2 nodes down at hour 6,
 // back at hour 12) and returns the result and event log.
-func runChaos(seed int64, extra ...gfs.Option) (*gfs.Result, *gfs.EventLog) {
-	log := &gfs.EventLog{}
+func runChaos(seed int64, extra ...gfs.Option) (*gfs.Result, *sched.EventLog) {
+	log := &sched.EventLog{}
 	opts := append([]gfs.Option{
 		gfs.WithScenario(chaosScenario()),
 		gfs.WithObserver(log),
@@ -176,10 +178,10 @@ func TestScenarioNodeFailure(t *testing.T) {
 func TestScenarioDrainSparesHP(t *testing.T) {
 	cl := gfs.NewCluster("A100", 1, 8)
 	tasks := []*gfs.Task{
-		gfs.NewTask(1, gfs.HP, 1, 4, 2*gfs.Hour),
-		gfs.NewTask(2, gfs.Spot, 1, 4, 2*gfs.Hour),
+		task.New(1, gfs.HP, 1, 4, 2*gfs.Hour),
+		task.New(2, gfs.Spot, 1, 4, 2*gfs.Hour),
 	}
-	log := &gfs.EventLog{}
+	log := &sched.EventLog{}
 	sc := gfs.NewScenario().DrainNode(30*gfs.Minute, 0)
 	res := gfs.NewEngine(cl,
 		gfs.WithScheduler(gfs.NewStaticFirstFit()),
@@ -205,10 +207,10 @@ func TestScenarioDrainSparesHP(t *testing.T) {
 func TestScenarioScaleOut(t *testing.T) {
 	cl := gfs.NewCluster("A100", 1, 8)
 	tasks := []*gfs.Task{
-		gfs.NewTask(1, gfs.HP, 1, 8, 4*gfs.Hour),
-		gfs.NewTask(2, gfs.HP, 1, 8, gfs.Hour), // blocked until scale-out
+		task.New(1, gfs.HP, 1, 8, 4*gfs.Hour),
+		task.New(2, gfs.HP, 1, 8, gfs.Hour), // blocked until scale-out
 	}
-	log := &gfs.EventLog{}
+	log := &sched.EventLog{}
 	sc := gfs.NewScenario().ScaleOut(gfs.Duration(3600), gfs.Pool{Model: "A100", Nodes: 1, GPUsPerNode: 8})
 	res := gfs.NewEngine(cl,
 		gfs.WithScheduler(gfs.NewStaticFirstFit()),
@@ -289,7 +291,7 @@ func TestRunBatchRecoversPanics(t *testing.T) {
 func TestEngineConfigRoundTrip(t *testing.T) {
 	build := func() *gfs.Engine {
 		return gfs.NewEngine(gfs.NewCluster("A100", 16, 8),
-			gfs.WithScheduler(gfs.NewYARNCS()))
+			gfs.WithScheduler(baselines.NewYARNCS()))
 	}
 	got := sched.Run(build().Config(), chaosTrace(5))
 	want := build().Run(chaosTrace(5))
@@ -305,7 +307,7 @@ func TestEngineConfigRoundTrip(t *testing.T) {
 // spawns nothing.
 func TestWithShardsIsInert(t *testing.T) {
 	run := func(extra ...gfs.Option) (string, int) {
-		log := &gfs.EventLog{}
+		log := &sched.EventLog{}
 		peak := 0
 		watch := gfs.ObserverFunc(func(gfs.Event) { peak = max(peak, runtime.NumGoroutine()) })
 		opts := append([]gfs.Option{gfs.WithObserver(log), gfs.WithObserver(watch)}, extra...)

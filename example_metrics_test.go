@@ -11,6 +11,7 @@ import (
 	"strings"
 
 	gfs "github.com/sjtucitlab/gfs"
+	"github.com/sjtucitlab/gfs/internal/baselines"
 )
 
 // metricsTrace is the small deterministic workload the metrics
@@ -27,15 +28,14 @@ func metricsTrace() []*gfs.Task {
 }
 
 // RunReport is the one-call path: it attaches the full default
-// collector set, runs, and returns the assembled Report. The legacy
-// Result view is always recoverable from the summary section.
+// collector set, runs, and returns the assembled Report. Its summary
+// section carries the scalars Engine.Run returns.
 func ExampleEngine_RunReport() {
 	rep := gfs.NewEngine(gfs.NewCluster("A100", 8, 8),
-		gfs.WithScheduler(gfs.NewYARNCS()),
+		gfs.WithScheduler(baselines.NewYARNCS()),
 	).RunReport(metricsTrace())
 
-	res := rep.Result() // thin back-compat view
-	fmt.Println(rep.Summary.Spot.Count == res.Spot.Count)
+	fmt.Println(rep.Summary.Spot.Count > 0)
 	fmt.Println(rep.Summary.FinalQuota)
 	// Output:
 	// true
@@ -43,16 +43,14 @@ func ExampleEngine_RunReport() {
 }
 
 // WithCollectors composes any subset of the built-ins (or custom
-// collectors) onto an engine; Engine.Report assembles their sections
-// after Run.
+// collectors) onto an engine; RunReport then assembles only their
+// sections.
 func ExampleWithCollectors() {
-	eng := gfs.NewEngine(gfs.NewCluster("A100", 8, 8),
-		gfs.WithScheduler(gfs.NewYARNCS()),
+	rep := gfs.NewEngine(gfs.NewCluster("A100", 8, 8),
+		gfs.WithScheduler(baselines.NewYARNCS()),
 		gfs.WithQuota(gfs.StaticQuota(0.25)),
 		gfs.WithCollectors(gfs.NewQuotaCollector(), gfs.NewEvictionCollector()),
-	)
-	eng.Run(metricsTrace())
-	rep := eng.Report()
+	).RunReport(metricsTrace())
 	fmt.Println(rep.Summary == nil, rep.Quota != nil, rep.Evictions != nil)
 	// Output: true true true
 }
@@ -61,7 +59,7 @@ func ExampleWithCollectors() {
 // the per-org trajectories of the paper's §4.2 tables.
 func ExampleOrgCollector() {
 	rep := gfs.NewEngine(gfs.NewCluster("A100", 8, 8),
-		gfs.WithScheduler(gfs.NewYARNCS()),
+		gfs.WithScheduler(baselines.NewYARNCS()),
 	).RunReport(metricsTrace())
 	for _, o := range rep.Orgs[:2] {
 		ok := o.HP.JCTP50 <= o.HP.JCTP99 && o.Spot.QueueP50 <= o.Spot.QueueMax
@@ -77,7 +75,7 @@ func ExampleOrgCollector() {
 // runs.
 func ExampleReport_WriteJSONL() {
 	rep := gfs.NewEngine(gfs.NewCluster("A100", 8, 8),
-		gfs.WithScheduler(gfs.NewYARNCS()),
+		gfs.WithScheduler(baselines.NewYARNCS()),
 	).RunReport(metricsTrace())
 	var buf bytes.Buffer
 	if err := rep.WriteJSONL(&buf); err != nil {
@@ -91,7 +89,7 @@ func ExampleReport_WriteJSONL() {
 // The Prometheus snapshot renders every section as labeled gauges.
 func ExampleReport_WritePrometheus() {
 	rep := gfs.NewEngine(gfs.NewCluster("A100", 8, 8),
-		gfs.WithScheduler(gfs.NewYARNCS()),
+		gfs.WithScheduler(baselines.NewYARNCS()),
 	).RunReport(metricsTrace())
 	var buf bytes.Buffer
 	if err := rep.WritePrometheus(&buf); err != nil {
@@ -105,7 +103,7 @@ func ExampleReport_WritePrometheus() {
 // allocation-rate gains over a baseline, priced per pool.
 func ExampleNewCostCollector() {
 	rep := gfs.NewEngine(gfs.NewCluster("A100", 8, 8),
-		gfs.WithScheduler(gfs.NewYARNCS()),
+		gfs.WithScheduler(baselines.NewYARNCS()),
 		gfs.WithCollectors(gfs.NewCostCollector(map[string]float64{"A100": 0.30})),
 	).RunReport(metricsTrace())
 	p := rep.Cost.Pools[0]
@@ -114,12 +112,12 @@ func ExampleNewCostCollector() {
 }
 
 // Custom collectors implement the four-method Collector interface
-// and attach their section with Report.Attach (countingCollector is
+// and append their section to Report.Sections (countingCollector is
 // defined in report_test.go: it counts events).
 func ExampleCollector() {
 	cc := &countingCollector{}
 	rep := gfs.NewEngine(gfs.NewCluster("A100", 8, 8),
-		gfs.WithScheduler(gfs.NewYARNCS()),
+		gfs.WithScheduler(baselines.NewYARNCS()),
 		gfs.WithCollectors(cc),
 	).RunReport(metricsTrace())
 	fmt.Println(rep.Sections[0].Name, rep.Sections[0].Value.(int) > 0)
@@ -127,17 +125,22 @@ func ExampleCollector() {
 }
 
 // Federations report per member plus an aggregate over the whole
-// tagged stream.
-func ExampleFederation_RunReport() {
-	fed := gfs.NewFederation([]gfs.Member{
-		{Name: "west", Engine: gfs.NewEngine(gfs.NewCluster("A100", 8, 8),
-			gfs.WithScheduler(gfs.NewYARNCS()))},
-		{Name: "east", Engine: gfs.NewEngine(gfs.NewCluster("A100", 8, 8),
-			gfs.WithScheduler(gfs.NewYARNCS()))},
-	})
-	frep := fed.RunReport(metricsTrace())
+// tagged stream; a batch run carries the report in FedReport.
+func ExampleWithFederationCollectors() {
+	out := gfs.RunBatch([]gfs.BatchSpec{{
+		Name: "federation",
+		SetupFederation: func() (*gfs.Federation, []*gfs.Task) {
+			return gfs.NewFederation([]gfs.Member{
+				{Name: "west", Engine: gfs.NewEngine(gfs.NewCluster("A100", 8, 8),
+					gfs.WithScheduler(baselines.NewYARNCS()))},
+				{Name: "east", Engine: gfs.NewEngine(gfs.NewCluster("A100", 8, 8),
+					gfs.WithScheduler(baselines.NewYARNCS()))},
+			}, gfs.WithFederationCollectors(nil)), metricsTrace()
+		},
+	}})[0]
+	frep := out.FedReport
 	agg := frep.Aggregate.Summary
-	west, east := frep.Member("west").Summary, frep.Member("east").Summary
+	west, east := frep.Members[0].Report.Summary, frep.Members[1].Report.Summary
 	fmt.Println(agg.HP.Finished == west.HP.Finished+east.HP.Finished)
 	// Output: true
 }

@@ -16,8 +16,8 @@ import (
 // primitives: kill, restore, drain, scale-out, reclamation burst.
 func ExampleNewScenario() {
 	sc := gfs.NewScenario().
-		KillNodes(6*gfs.Hour, 3, 4).
-		RestoreNodes(12*gfs.Hour, 3, 4).
+		KillNode(6*gfs.Hour, 3).KillNode(6*gfs.Hour, 4).
+		RestoreNode(12*gfs.Hour, 3).RestoreNode(12*gfs.Hour, 4).
 		DrainNode(14*gfs.Hour, 5).
 		ScaleOut(18*gfs.Hour, gfs.Pool{Model: "A100", Nodes: 4, GPUsPerNode: 8}).
 		ReclaimSpot(20*gfs.Hour, 0.5)
@@ -28,9 +28,10 @@ func ExampleNewScenario() {
 // Correlated failures target failure domains. AssignDomains lays a
 // zone/rack topology over the cluster; FailDomain takes a whole rack
 // down atomically.
-func ExampleCorrelatedFailure() {
-	cluster := gfs.NewClusterWithTopology("A100", 16, 8, 2, 4)
-	sc := gfs.CorrelatedFailure(6*gfs.Hour, "zone-0/rack-0").
+func ExampleScenario_FailDomain() {
+	cluster := gfs.NewCluster("A100", 16, 8)
+	cluster.AssignDomains(2, 4)
+	sc := gfs.NewScenario().FailDomain(6*gfs.Hour, "zone-0/rack-0").
 		RestoreDomain(9*gfs.Hour, "zone-0/rack-0")
 	fmt.Println(len(cluster.Domains()), "domains,", sc.Len(), "actions")
 	// Output: 8 domains, 2 actions
@@ -38,8 +39,8 @@ func ExampleCorrelatedFailure() {
 
 // Cascading failures spread to sibling domains with probability p,
 // halving per hop. The seed makes every run byte-identical.
-func ExampleCascadingFailure() {
-	sc := gfs.CascadingFailure(6*gfs.Hour, "zone-0/rack-0", 0.6, 10*gfs.Minute, 42).
+func ExampleScenario_CascadeFailure() {
+	sc := gfs.NewScenario().CascadeFailure(6*gfs.Hour, "zone-0/rack-0", 0.6, 10*gfs.Minute, 42).
 		RestoreDomain(12*gfs.Hour, "zone-0") // parent restores the whole zone
 	fmt.Println(sc.Len(), "actions")
 	// Output: 2 actions
@@ -71,14 +72,29 @@ func ExampleDiurnalProfile() {
 	// Output: 0.400 0.127
 }
 
-// Compose merges scenarios; Repeat replays one on a period. Both
-// leave their inputs untouched.
-func ExampleCompose() {
-	weekday := gfs.NewScenario().ReclaimSpot(14*gfs.Hour, 0.3)
-	storm := gfs.CorrelatedFailure(30*gfs.Hour, "zone-1/rack-2")
-	sc := gfs.Compose(gfs.Repeat(weekday, gfs.Day, 5), storm)
-	fmt.Println(sc.Len(), "actions")
-	// Output: 6 actions
+// Scenarios compose by repeating WithScenario: the run sees every
+// script's actions, merged by time. A script recurs by adding its
+// action once per period.
+func ExampleWithScenario_compose() {
+	weekday := gfs.NewScenario()
+	for day := gfs.Duration(0); day < 5; day++ {
+		weekday.ReclaimSpot(day*gfs.Day+14*gfs.Hour, 0.3)
+	}
+	storm := gfs.NewScenario().FailDomain(6*gfs.Hour, "zone-1/rack-2")
+	cluster := gfs.NewCluster("A100", 16, 8)
+	cluster.AssignDomains(2, 4)
+	down := 0
+	gfs.NewEngine(cluster,
+		gfs.WithScenario(weekday),
+		gfs.WithScenario(storm),
+		gfs.WithObserver(gfs.ObserverFunc(func(e gfs.Event) {
+			if e.Kind == gfs.NodeDown {
+				down++
+			}
+		})),
+	).Run(chaosTrace(17))
+	fmt.Println(weekday.Len()+storm.Len(), "actions,", down, "nodes down")
+	// Output: 6 actions, 2 nodes down
 }
 
 // RandomStorms draws a whole storm schedule from a seeded generator:
@@ -103,20 +119,22 @@ func ExampleRandomStorms() {
 // Attaching a scenario to an engine and observing the storm through
 // the typed event stream.
 func ExampleWithScenario() {
-	cluster := gfs.NewClusterWithTopology("A100", 16, 8, 2, 4)
-	sc := gfs.Compose(
-		gfs.NewScenario().DiurnalReclamation(0, 24*gfs.Hour, gfs.Hour,
-			gfs.DefaultDiurnalProfile("A100")),
-		gfs.CascadingFailure(6*gfs.Hour, "zone-0/rack-0", 0.6, 10*gfs.Minute, 42),
-	)
-	log := &gfs.EventLog{}
+	cluster := gfs.NewCluster("A100", 16, 8)
+	cluster.AssignDomains(2, 4)
+	sc := gfs.NewScenario().
+		DiurnalReclamation(0, 24*gfs.Hour, gfs.Hour, gfs.DefaultDiurnalProfile("A100")).
+		CascadeFailure(6*gfs.Hour, "zone-0/rack-0", 0.6, 10*gfs.Minute, 42)
+	causes := map[gfs.EvictCause]int{}
 	res := gfs.NewEngine(cluster,
 		gfs.WithScenario(sc),
-		gfs.WithObserver(log),
+		gfs.WithObserver(gfs.ObserverFunc(func(e gfs.Event) {
+			if e.Kind == gfs.TaskEvicted {
+				causes[e.Cause]++ // reclaimed / node-failure / preempted
+			}
+		})),
 	).Run(chaosTrace(17))
-	_ = res.Spot.EvictionRate       // storm-inflated
-	_ = log.Filter(gfs.TaskEvicted) // causes: reclaimed / node-failure
-	fmt.Println(len(log.Events) > 0)
+	_ = res.Spot.EvictionRate // storm-inflated
+	fmt.Println(causes[gfs.CauseReclaimed] > 0)
 	// Output: true
 }
 
@@ -124,14 +142,14 @@ func ExampleWithScenario() {
 // Engine — its own cluster, scheduler, quota and scenario — and the
 // route policy admits every arriving task to one of them.
 func ExampleNewFederation() {
-	storm := gfs.CorrelatedFailure(6*gfs.Hour, "zone-0").
+	storm := gfs.NewScenario().FailDomain(6*gfs.Hour, "zone-0").
 		RestoreDomain(12*gfs.Hour, "zone-0")
+	west, east := gfs.NewCluster("A100", 16, 8), gfs.NewCluster("A100", 16, 8)
+	west.AssignDomains(2, 4)
+	east.AssignDomains(2, 4)
 	fed := gfs.NewFederation([]gfs.Member{
-		{Name: "west", Engine: gfs.NewEngine(
-			gfs.NewClusterWithTopology("A100", 16, 8, 2, 4),
-			gfs.WithScenario(storm))},
-		{Name: "east", Engine: gfs.NewEngine(
-			gfs.NewClusterWithTopology("A100", 16, 8, 2, 4))},
+		{Name: "west", Engine: gfs.NewEngine(west, gfs.WithScenario(storm))},
+		{Name: "east", Engine: gfs.NewEngine(east)},
 	})
 	res := fed.Run(chaosTrace(17))
 	fmt.Println(res.Migrations > 0, res.Member("east").MigratedIn > 0)
@@ -142,27 +160,31 @@ func ExampleNewFederation() {
 // name and adds TaskMigrated / ClusterSaturated, all on one shared
 // sequence — byte-identical across runs and RunBatch worker counts.
 func ExampleWithFederationObserver() {
-	storm := gfs.CorrelatedFailure(6*gfs.Hour, "zone-0").
+	storm := gfs.NewScenario().FailDomain(6*gfs.Hour, "zone-0").
 		RestoreDomain(12*gfs.Hour, "zone-0")
-	log := &gfs.EventLog{}
+	west, east := gfs.NewCluster("A100", 16, 8), gfs.NewCluster("A100", 16, 8)
+	west.AssignDomains(2, 4)
+	east.AssignDomains(2, 4)
+	var migrations []gfs.Event
 	gfs.NewFederation([]gfs.Member{
-		{Name: "west", Engine: gfs.NewEngine(
-			gfs.NewClusterWithTopology("A100", 16, 8, 2, 4),
-			gfs.WithScenario(storm))},
-		{Name: "east", Engine: gfs.NewEngine(
-			gfs.NewClusterWithTopology("A100", 16, 8, 2, 4))},
+		{Name: "west", Engine: gfs.NewEngine(west, gfs.WithScenario(storm))},
+		{Name: "east", Engine: gfs.NewEngine(east)},
 	},
-		gfs.WithFederationObserver(log),
+		gfs.WithFederationObserver(gfs.ObserverFunc(func(e gfs.Event) {
+			if e.Kind == gfs.TaskMigrated {
+				migrations = append(migrations, e)
+			}
+		})),
 		gfs.WithMigrationDelay(5*gfs.Minute),
 	).Run(chaosTrace(17))
-	m := log.Filter(gfs.TaskMigrated)[0]
+	m := migrations[0]
 	fmt.Println(m.Member, "→", m.Target)
 	// Output: west → east
 }
 
 // Price-aware routing: spot tasks go to the cheapest member with
-// room, HP tasks to the least-loaded. Member pricing defaults to
-// DefaultPricing when nil.
+// room, HP tasks to the least-loaded. Members price their GPU models
+// from a built-in on-demand list.
 func ExampleRouteCheapestSpot() {
 	fed := gfs.NewFederation([]gfs.Member{
 		{Name: "h800", Engine: gfs.NewEngine(gfs.NewCluster("H800", 16, 8))},

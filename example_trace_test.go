@@ -13,13 +13,16 @@ import (
 	"strings"
 
 	gfs "github.com/sjtucitlab/gfs"
+	"github.com/sjtucitlab/gfs/internal/baselines"
+	"github.com/sjtucitlab/gfs/internal/task"
+	"github.com/sjtucitlab/gfs/internal/trace"
 )
 
 // tinyTrace is a hand-written four-task workload used by the
 // ingestion examples: deterministic, sorted by submission.
 func tinyTrace() []*gfs.Task {
 	mk := func(id int, typ gfs.TaskType, pods int, g float64, dur gfs.Duration, at gfs.Time) *gfs.Task {
-		tk := gfs.NewTask(id, typ, pods, g, dur)
+		tk := task.New(id, typ, pods, g, dur)
 		tk.Submit = at
 		tk.Org = "OrgA"
 		return tk
@@ -44,7 +47,7 @@ func ExampleOpenTrace() {
 	if err != nil {
 		panic(err)
 	}
-	tasks, err := gfs.CollectTrace(src) // Collect materializes; replay would stream
+	tasks, err := trace.Collect(src) // Collect materializes; replay would stream
 	if err != nil {
 		panic(err)
 	}
@@ -82,14 +85,14 @@ func ExampleOpenTraceReader() {
 	// Output: 2 valid tasks
 }
 
-// Transforms compose around any source: window a slice of trace
-// time, re-anchor it at the epoch, and double the arrival rate —
-// all streaming, nothing materialized.
-func ExampleTimeWindowTrace() {
-	src := gfs.TraceFromTasks(tinyTrace())
-	src = gfs.TimeWindowTrace(src, 0, 6*gfs.Time(gfs.Hour)) // drop the task at hour 7
-	src = gfs.RateScaleTrace(src, 2)                        // 2× arrival rate
-	tasks, err := gfs.CollectTrace(src)
+// Transforms compose around any source: keep the first span of
+// trace time and double the arrival rate — all streaming, nothing
+// materialized.
+func ExampleHeadWindowTrace() {
+	src := trace.SliceSource(tinyTrace())
+	src = gfs.HeadWindowTrace(src, 6*gfs.Hour) // drop the task at hour 7
+	src = gfs.RateScaleTrace(src, 2)           // 2× arrival rate
+	tasks, err := trace.Collect(src)
 	if err != nil {
 		panic(err)
 	}
@@ -109,7 +112,7 @@ func ExampleRebaseTrace() {
 	for _, tk := range late {
 		tk.Submit += gfs.Time(100 * gfs.Day)
 	}
-	tasks, err := gfs.CollectTrace(gfs.RebaseTrace(gfs.TraceFromTasks(late), 0))
+	tasks, err := trace.Collect(gfs.RebaseTrace(trace.SliceSource(late), 0))
 	if err != nil {
 		panic(err)
 	}
@@ -130,7 +133,7 @@ func ExampleWithTraceSource() {
 		panic(err)
 	}
 	res, err := gfs.NewEngine(gfs.NewCluster("A100", 4, 8),
-		gfs.WithScheduler(gfs.NewYARNCS()),
+		gfs.WithScheduler(baselines.NewYARNCS()),
 		gfs.WithTraceSource(src),
 	).RunTrace()
 	if err != nil {
@@ -155,7 +158,7 @@ j3,worker,1,Running,300,,600,29,100,V100
 	if err != nil {
 		panic(err)
 	}
-	tasks, err := gfs.CollectTrace(src)
+	tasks, err := trace.Collect(src)
 	if err != nil {
 		panic(err)
 	}
@@ -171,7 +174,7 @@ j3,worker,1,Running,300,,600,29,100,V100
 // Streaming statistics: the Table 3 summary of an arbitrarily large
 // trace in one pass and O(1) memory.
 func ExampleSummarizeTraceSource() {
-	stats, err := gfs.SummarizeTraceSource(gfs.TraceFromTasks(tinyTrace()))
+	stats, err := gfs.SummarizeTraceSource(trace.SliceSource(tinyTrace()))
 	if err != nil {
 		panic(err)
 	}

@@ -67,7 +67,6 @@ func main() {
 	}
 
 	// The same quota drives admission in a full simulation through
-	// gfs.NewEngine(cl, gfs.WithQuota(...)); see examples/quickstart
-	// and examples/chaos.
+	// gfs.NewEngine(cl, gfs.WithQuota(...)); see examples/quickstart.
 	var _ gfs.QuotaPolicy = gfs.StaticQuota(0.2)
 }

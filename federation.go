@@ -24,8 +24,6 @@ type (
 	MemberState = sched.MemberState
 	// FederationResult aggregates a federated run.
 	FederationResult = sched.FedResult
-	// PricingTable maps GPU model → on-demand hourly USD price.
-	PricingTable = pricing.Table
 )
 
 // Federation event kinds (see Event.Member and Event.Target).
@@ -54,19 +52,10 @@ func RouteForecastAware() RoutePolicy { return sched.RouteForecastAware{} }
 // baseline federation routing is compared against.
 func RouteRoundRobin() RoutePolicy { return &sched.RouteRoundRobin{} }
 
-// SpillToLeastLoaded migrates capacity-loss victims to the sibling
-// member with the most free GPUs that fits them, keeping them local
-// otherwise. It is the default spillover policy.
-func SpillToLeastLoaded() SpilloverPolicy { return sched.SpillLeastLoaded{} }
-
-// DefaultPricing returns representative cloud on-demand list prices
-// per GPU model.
-func DefaultPricing() PricingTable { return pricing.DefaultTable() }
-
 // Member is one federation member: a named Engine (cluster +
 // scheduler + quota + scenario) plus the forecast signal routing
-// policies read. Every member prices its GPU models with
-// DefaultPricing.
+// policies read. Every member prices its GPU models with the
+// representative on-demand list prices of internal/pricing.
 type Member struct {
 	// Name uniquely identifies the member within the federation.
 	Name string
@@ -88,7 +77,7 @@ type Member struct {
 func (m Member) spotPrice() float64 {
 	tbl := pricing.DefaultTable()
 	best := 0.0
-	for _, model := range m.Engine.Cluster().Models() {
+	for _, model := range m.Engine.cluster.Models() {
 		if p := tbl[model]; p > 0 && (best == 0 || p < best) {
 			best = p
 		}
@@ -137,7 +126,7 @@ type Federation struct {
 	delay     Duration
 	observers []Observer
 	// src is the streaming trace attached by
-	// WithFederationTraceSource, drained by RunTrace.
+	// WithFederationTraceSource, drained by a RunBatch replay.
 	src TraceSource
 	// Report-collection state: collectMk is the set factory from
 	// WithFederationCollectors, realized into one collector set per
@@ -161,8 +150,9 @@ func WithRoute(p RoutePolicy) FederationOption {
 }
 
 // WithSpillover selects the spillover policy; nil disables spillover,
-// so evicted tasks requeue on their own member (default:
-// SpillToLeastLoaded).
+// so evicted tasks requeue on their own member. The default migrates
+// capacity-loss victims to the sibling member with the most free GPUs
+// that fits them, keeping them local otherwise.
 func WithSpillover(p SpilloverPolicy) FederationOption {
 	return func(f *Federation) { f.spill = p }
 }
@@ -185,8 +175,9 @@ func WithFederationObserver(obs ...Observer) FederationOption {
 // WithFederationCollectors attaches report collection to the
 // federation: make builds one fresh collector set per member plus
 // one aggregate set over the whole member-tagged stream (nil uses
-// DefaultCollectors). After Run or RunTrace, Federation.Report
-// assembles the merged per-member + aggregate FederationReport.
+// DefaultCollectors). A RunBatch spec built with it carries the
+// merged per-member + aggregate FederationReport in
+// BatchResult.FedReport.
 func WithFederationCollectors(mk func() []Collector) FederationOption {
 	return func(f *Federation) {
 		if mk == nil {
@@ -197,8 +188,12 @@ func WithFederationCollectors(mk func() []Collector) FederationOption {
 }
 
 // WithFederationTraceSource attaches a streaming trace for replay by
-// RunTrace, or by RunBatch when the spec's SetupFederation returns a
-// nil task slice.
+// RunBatch: the spec's SetupFederation returns a nil task slice, and
+// arrivals are pulled just ahead of the shared clock and routed to
+// members through the same Inject path as Run, so federated replay
+// stays constant-memory on the ingestion side. The source must yield
+// tasks in non-decreasing submission order; it is closed when the
+// replay ends.
 func WithFederationTraceSource(src TraceSource) FederationOption {
 	return func(f *Federation) { f.src = src }
 }
@@ -227,7 +222,7 @@ func NewFederation(members []Member, opts ...FederationOption) *Federation {
 	f := &Federation{
 		members: append([]Member(nil), members...),
 		route:   RouteLeastLoaded(),
-		spill:   SpillToLeastLoaded(),
+		spill:   sched.SpillLeastLoaded{},
 		delay:   Minute,
 	}
 	for _, opt := range opts {
@@ -235,9 +230,6 @@ func NewFederation(members []Member, opts ...FederationOption) *Federation {
 	}
 	return f
 }
-
-// Members returns the federation's members in order.
-func (f *Federation) Members() []Member { return f.members }
 
 // fedDemux fans the tagged stream out to the aggregate collector set
 // and, by member name, to each member's set. Holding the sets, not the
@@ -306,10 +298,10 @@ func (f *Federation) attachCollectors(mk func() []Collector) {
 	f.observers = append(f.observers, &fedDemux{agg: f.aggCollectors, members: f.memberCollectors, index: index})
 }
 
-// Report assembles the merged FederationReport from the collector
-// sets attached by WithFederationCollectors (or RunReport). Call it
-// after Run or RunTrace; nil without collectors.
-func (f *Federation) Report() *FederationReport {
+// report assembles the merged FederationReport from the collector
+// sets attached by WithFederationCollectors, after the run; nil
+// without collectors.
+func (f *Federation) report() *FederationReport {
 	if f.aggCollectors == nil {
 		return nil
 	}
@@ -331,19 +323,6 @@ func (f *Federation) Report() *FederationReport {
 	return out
 }
 
-// RunReport executes the federated run with collectors attached (the
-// configured sets, or the defaults when none were configured) and
-// returns the merged per-member + aggregate report. Like Run, it
-// mutates tasks and member clusters, so each federation reports on
-// one run.
-func (f *Federation) RunReport(tasks []*Task) *FederationReport {
-	if f.collectMk == nil {
-		f.collectMk = DefaultCollectors
-	}
-	f.Run(tasks)
-	return f.Report()
-}
-
 // Run executes the federated simulation over the trace and returns
 // per-member and aggregate metrics. Tasks and member clusters are
 // mutated in place, so each Run needs a fresh federation and trace.
@@ -357,21 +336,7 @@ func (f *Federation) Run(tasks []*Task) *FederationResult {
 	return res
 }
 
-// RunTrace executes the federated simulation over the attached trace
-// source (WithFederationTraceSource): arrivals are pulled just ahead
-// of the shared clock and routed to members through the same Inject
-// path as Run, so federated replay of an ingested trace stays
-// constant-memory on the ingestion side. The source must yield tasks
-// in non-decreasing submission order; it is closed when the replay
-// ends.
-func (f *Federation) RunTrace() (*FederationResult, error) {
-	if f.src == nil {
-		return nil, errors.New("gfs: RunTrace needs WithFederationTraceSource")
-	}
-	return f.run(context.Background(), nil)
-}
-
-// run is the execution path behind Run, RunTrace and RunBatch. Only
+// run is the execution path behind Run and RunBatch. Only
 // the federation's source is replayed, so a member engine's own source
 // refuses the run (and is closed).
 func (f *Federation) run(ctx context.Context, tasks []*Task) (*FederationResult, error) {

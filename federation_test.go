@@ -5,13 +5,14 @@ import (
 	"testing"
 
 	gfs "github.com/sjtucitlab/gfs"
+	"github.com/sjtucitlab/gfs/internal/sched"
 )
 
 // stormMembers builds the standard two-member test federation: "west"
 // loses zone-0 (half its nodes) from hour 6 to hour 12, "east" stays
 // calm. Fresh state per call, as federated runs require.
 func stormMembers() []gfs.Member {
-	storm := gfs.CorrelatedFailure(6*gfs.Hour, "zone-0").
+	storm := gfs.NewScenario().FailDomain(6*gfs.Hour, "zone-0").
 		RestoreDomain(12*gfs.Hour, "zone-0")
 	return []gfs.Member{
 		{Name: "west", Engine: gfs.NewEngine(topoCluster(), gfs.WithScenario(storm))},
@@ -23,7 +24,7 @@ func stormMembers() []gfs.Member {
 // must produce migrations to its sibling, with TaskMigrated and
 // ClusterSaturated on the federation stream.
 func TestFederationSpillover(t *testing.T) {
-	log := &gfs.EventLog{}
+	log := &sched.EventLog{}
 	fed := gfs.NewFederation(stormMembers(), gfs.WithFederationObserver(log))
 	res := fed.Run(chaosTrace(17))
 
@@ -119,7 +120,7 @@ func TestFederationNoSpillover(t *testing.T) {
 // no earlier than the configured delay after the capacity loss.
 func TestFederationMigrationDelay(t *testing.T) {
 	const delay = 10 * gfs.Minute
-	log := &gfs.EventLog{}
+	log := &sched.EventLog{}
 	fed := gfs.NewFederation(stormMembers(),
 		gfs.WithMigrationDelay(delay),
 		gfs.WithFederationObserver(log))
@@ -188,11 +189,11 @@ func TestFederationRoutePolicies(t *testing.T) {
 func TestFederationDeterminismAcrossWorkers(t *testing.T) {
 	const runs = 4
 	sweep := func(workers int) []string {
-		logs := make([]*gfs.EventLog, runs)
+		logs := make([]*sched.EventLog, runs)
 		var specs []gfs.BatchSpec
 		for i := 0; i < runs; i++ {
 			i := i
-			logs[i] = &gfs.EventLog{}
+			logs[i] = &sched.EventLog{}
 			specs = append(specs, gfs.BatchSpec{
 				Name: fmt.Sprintf("seed-%d", i+1),
 				SetupFederation: func() (*gfs.Federation, []*gfs.Task) {

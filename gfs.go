@@ -18,8 +18,13 @@
 //
 //	cluster := gfs.NewCluster("A100", 16, 8)
 //	tasks := gfs.GenerateTrace(gfs.DefaultTraceConfig())
-//	est, _ := gfs.TrainEstimator(gfs.DefaultEstimatorConfig(), panel, 0)
-//	system := gfs.NewSystem(gfs.Options{Estimator: est})
+//	panel := gfs.SyntheticDemandPanel(24*14, 70, 1)
+//	est, _ := gfs.TrainEstimator(gfs.EstimatorConfig{
+//		History: 48, Horizon: 4, Model: gfs.NewOrgLinearFast(8),
+//	}, panel, 0)
+//	opts := gfs.DefaultOptions()
+//	opts.Estimator = est
+//	system := gfs.NewSystem(opts)
 //	result := gfs.NewEngine(cluster, gfs.WithSystem(system)).Run(tasks)
 //	fmt.Println(result.Spot.EvictionRate)
 //
@@ -83,9 +88,8 @@ type (
 	Time = simclock.Time
 	// Duration is a span of simulated time in seconds.
 	Duration = simclock.Duration
-	// Forecaster is a point-forecast demand model.
-	Forecaster = forecast.Forecaster
-	// Distributional is a forecaster with Gaussian uncertainty.
+	// Distributional is a demand forecaster with Gaussian
+	// uncertainty, the model an EstimatorConfig trains.
 	Distributional = forecast.Distributional
 )
 
@@ -122,28 +126,8 @@ func NewCluster(model string, nodes, gpusPerNode int) *Cluster {
 	return cluster.NewHomogeneous(model, nodes, gpusPerNode)
 }
 
-// NewClusterWithTopology builds a homogeneous cluster and lays a
-// zones × racksPerZone failure-domain topology over it (see
-// Cluster.AssignDomains). Correlated-failure scenarios target the
-// resulting "zone-<z>/rack-<r>" domains.
-func NewClusterWithTopology(model string, nodes, gpusPerNode, zones, racksPerZone int) *Cluster {
-	cl := cluster.NewHomogeneous(model, nodes, gpusPerNode)
-	cl.AssignDomains(zones, racksPerZone)
-	return cl
-}
-
 // Pool describes one slice of a heterogeneous cluster.
 type Pool = cluster.Pool
-
-// NewHeterogeneousCluster builds a multi-model cluster (Table 1).
-func NewHeterogeneousCluster(pools []Pool) *Cluster {
-	return cluster.NewHeterogeneous(pools)
-}
-
-// NewTask creates a pending task.
-func NewTask(id int, typ TaskType, pods int, gpusPerPod float64, duration Duration) *Task {
-	return task.New(id, typ, pods, gpusPerPod, duration)
-}
 
 // DefaultTraceConfig returns the paper-scale workload settings.
 func DefaultTraceConfig() TraceConfig { return trace.Default() }
@@ -172,10 +156,6 @@ func SummarizeTrace(tasks []*Task) TraceStats { return trace.Summarize(tasks) }
 // WriteTraceCSV writes a trace in the package's CSV interchange
 // format.
 func WriteTraceCSV(w io.Writer, tasks []*Task) error { return trace.WriteCSV(w, tasks) }
-
-// DefaultEstimatorConfig sizes the GDE as in the experiments: a week
-// of hourly history predicting the next 4 hours.
-func DefaultEstimatorConfig() EstimatorConfig { return gde.DefaultConfig() }
 
 // TrainEstimator creates and trains a demand estimator on an aligned
 // panel of per-organization hourly demand series starting at
@@ -224,18 +204,6 @@ func SyntheticDemandPanel(hours int, totalGPUs float64, seed int64) map[string][
 	return panel
 }
 
-// NewYARNCS builds the YARN capacity scheduler baseline (§4.1).
-func NewYARNCS() Scheduler { return baselines.NewYARNCS() }
-
-// NewChronus builds the Chronus lease-based baseline (§4.1).
-func NewChronus() Scheduler { return baselines.NewChronus() }
-
-// NewLyra builds the Lyra capacity-loaning baseline (§4.1).
-func NewLyra() Scheduler { return baselines.NewLyra() }
-
-// NewFGD builds the fragmentation-gradient-descent baseline (§4.1).
-func NewFGD() Scheduler { return baselines.NewFGD() }
-
 // NewStaticFirstFit builds the pre-GFS production scheduler: first
 // fit under a static spot quota (Fig. 1).
 func NewStaticFirstFit() Scheduler { return baselines.NewStaticFirstFit() }
@@ -246,40 +214,9 @@ func StaticQuota(fraction float64) QuotaPolicy {
 	return sched.StaticQuota{Fraction: fraction}
 }
 
-// UnlimitedQuota imposes no spot quota.
-func UnlimitedQuota() QuotaPolicy { return sched.UnlimitedQuota{} }
-
-// Forecasting model constructors (Fig. 10 lineup).
-func NewOrgLinear() Distributional {
-	return forecast.NewOrgLinear(forecast.DefaultOrgLinearConfig())
-}
-
-// NewOrgLinearFast builds an OrgLinear with a reduced epoch budget,
-// useful for interactive experimentation and tests.
+// NewOrgLinearFast builds the paper's OrgLinear forecaster (Fig. 10)
+// with the given epoch budget; a small budget suits interactive
+// experimentation and tests.
 func NewOrgLinearFast(epochs int) Distributional {
 	return forecast.NewOrgLinear(forecast.OrgLinearConfig{Epochs: epochs})
 }
-
-// NewDeepAR builds the probabilistic RNN baseline, trained for 8
-// epochs.
-func NewDeepAR() Distributional { return forecast.NewDeepAR(8) }
-
-// NewDLinear builds the linear decomposition baseline, trained for 40
-// epochs.
-func NewDLinear() Forecaster { return forecast.NewDLinear(40) }
-
-// NewTransformer builds the vanilla attention baseline, trained for 6
-// epochs.
-func NewTransformer() Forecaster { return forecast.NewTransformer(6) }
-
-// NewInformer builds the prob-sparse attention baseline, trained for 6
-// epochs.
-func NewInformer() Forecaster { return forecast.NewInformer(6) }
-
-// NewAutoformer builds the auto-correlation baseline, trained for 6
-// epochs.
-func NewAutoformer() Forecaster { return forecast.NewAutoformer(6) }
-
-// NewFEDformer builds the frequency-enhanced baseline, trained for 6
-// epochs.
-func NewFEDformer() Forecaster { return forecast.NewFEDformer(6) }

@@ -5,7 +5,11 @@ import (
 	"testing"
 
 	gfs "github.com/sjtucitlab/gfs"
+	"github.com/sjtucitlab/gfs/internal/baselines"
+	"github.com/sjtucitlab/gfs/internal/cluster"
 	"github.com/sjtucitlab/gfs/internal/org"
+	"github.com/sjtucitlab/gfs/internal/sched"
+	"github.com/sjtucitlab/gfs/internal/task"
 	"github.com/sjtucitlab/gfs/internal/timefeat"
 )
 
@@ -88,7 +92,10 @@ func TestBatchSharesTrainedEstimator(t *testing.T) {
 			}
 			opts := gfs.DefaultOptions()
 			opts.Estimator = est
-			scaler := gfs.PredictiveAutoscaler()
+			scaler, err := gfs.NamedAutoscaler("predictive")
+			if err != nil {
+				t.Fatal(err)
+			}
 			scaler.Estimator = est
 			return gfs.NewEngine(gfs.NewCluster("A100", 8, 8), gfs.WithSystem(gfs.NewSystem(opts)),
 				gfs.WithInitialOrgDemand(demandPanel()), gfs.WithAutoscaler(scaler)), tasks
@@ -108,15 +115,15 @@ func TestBatchSharesTrainedEstimator(t *testing.T) {
 
 func TestFacadeBaselines(t *testing.T) {
 	for _, s := range []gfs.Scheduler{
-		gfs.NewYARNCS(), gfs.NewChronus(), gfs.NewLyra(),
-		gfs.NewFGD(), gfs.NewStaticFirstFit(),
+		baselines.NewYARNCS(), baselines.NewChronus(), baselines.NewLyra(),
+		baselines.NewFGD(), gfs.NewStaticFirstFit(),
 	} {
 		cl := gfs.NewCluster("A100", 4, 8)
 		tasks := []*gfs.Task{
-			gfs.NewTask(1, gfs.HP, 1, 8, gfs.Hour),
-			gfs.NewTask(2, gfs.Spot, 1, 4, 30*gfs.Minute),
+			task.New(1, gfs.HP, 1, 8, gfs.Hour),
+			task.New(2, gfs.Spot, 1, 4, 30*gfs.Minute),
 		}
-		res := gfs.NewEngine(cl, gfs.WithScheduler(s), gfs.WithQuota(gfs.UnlimitedQuota())).Run(tasks)
+		res := gfs.NewEngine(cl, gfs.WithScheduler(s), gfs.WithQuota(sched.UnlimitedQuota{})).Run(tasks)
 		if res.UnfinishedHP != 0 || res.UnfinishedSpot != 0 {
 			t.Fatalf("%s: unfinished tasks", s.Name())
 		}
@@ -126,8 +133,8 @@ func TestFacadeBaselines(t *testing.T) {
 func TestFacadeStaticQuota(t *testing.T) {
 	cl := gfs.NewCluster("A100", 2, 8)
 	tasks := []*gfs.Task{
-		gfs.NewTask(1, gfs.Spot, 1, 8, 30*gfs.Minute),
-		gfs.NewTask(2, gfs.Spot, 1, 8, 30*gfs.Minute),
+		task.New(1, gfs.Spot, 1, 8, 30*gfs.Minute),
+		task.New(2, gfs.Spot, 1, 8, 30*gfs.Minute),
 	}
 	res := gfs.NewEngine(cl, gfs.WithScheduler(gfs.NewStaticFirstFit()), gfs.WithQuota(gfs.StaticQuota(0.5))).Run(tasks)
 	if res.UnfinishedSpot != 0 {
@@ -139,36 +146,26 @@ func TestFacadeStaticQuota(t *testing.T) {
 }
 
 func TestFacadeHeterogeneousCluster(t *testing.T) {
-	cl := gfs.NewHeterogeneousCluster([]gfs.Pool{
+	cl := cluster.NewHeterogeneous([]gfs.Pool{
 		{Model: "A10", Nodes: 4, GPUsPerNode: 1},
 		{Model: "A100", Nodes: 2, GPUsPerNode: 8},
 	})
 	if cl.TotalGPUs("A10") != 4 || cl.TotalGPUs("A100") != 16 {
 		t.Fatal("pool capacities wrong")
 	}
-	tk := gfs.NewTask(1, gfs.HP, 1, 8, gfs.Hour)
+	tk := task.New(1, gfs.HP, 1, 8, gfs.Hour)
 	tk.GPUModel = "A100"
-	res := gfs.NewEngine(cl, gfs.WithScheduler(gfs.NewYARNCS())).Run([]*gfs.Task{tk})
+	res := gfs.NewEngine(cl, gfs.WithScheduler(baselines.NewYARNCS())).Run([]*gfs.Task{tk})
 	if res.UnfinishedHP != 0 {
 		t.Fatal("model-constrained task should run on the A100 pool")
 	}
 }
 
+// TestFacadeForecasters: the one forecaster the package builds is
+// the paper's OrgLinear, distributional so an estimator can train it.
 func TestFacadeForecasters(t *testing.T) {
-	models := []gfs.Forecaster{
-		gfs.NewDLinear(), gfs.NewTransformer(), gfs.NewInformer(),
-		gfs.NewAutoformer(), gfs.NewFEDformer(),
-	}
-	names := map[string]bool{}
-	for _, m := range models {
-		names[m.Name()] = true
-	}
-	for _, want := range []string{"DLinear", "Transformer", "Informer", "Autoformer", "FEDformer"} {
-		if !names[want] {
-			t.Fatalf("missing forecaster %s", want)
-		}
-	}
-	if gfs.NewOrgLinear().Name() != "OrgLinear" || gfs.NewDeepAR().Name() != "DeepAR" {
-		t.Fatal("distributional constructors broken")
+	var m gfs.Distributional = gfs.NewOrgLinearFast(1)
+	if m.Name() != "OrgLinear" {
+		t.Fatalf("NewOrgLinearFast builds %s, want OrgLinear", m.Name())
 	}
 }

@@ -12,6 +12,9 @@ import (
 	"testing"
 
 	gfs "github.com/sjtucitlab/gfs"
+	"github.com/sjtucitlab/gfs/internal/baselines"
+	"github.com/sjtucitlab/gfs/internal/sched"
+	"github.com/sjtucitlab/gfs/internal/trace"
 )
 
 // The golden corpus pins the simulator's event stream byte-for-byte:
@@ -38,61 +41,63 @@ func goldenTraceCfg(seed int64) gfs.TraceConfig {
 	return cfg
 }
 
-// goldenStorm composes the scenario layers the corpus hardens:
-// diurnal reclamation, a cascading rack failure with restore, and
-// seeded random storms. Deterministic per call.
-func goldenStorm(seed int64) *gfs.Scenario {
-	return gfs.Compose(
-		gfs.NewScenario().DiurnalReclamation(0, 24*gfs.Hour, gfs.Hour,
-			gfs.DefaultDiurnalProfile("A100")),
-		gfs.CascadingFailure(6*gfs.Hour, "zone-0/rack-0", 0.7, 10*gfs.Minute, seed).
-			RestoreDomain(12*gfs.Hour, "zone-0"),
-		gfs.RandomStorms(rand.New(rand.NewSource(seed)), gfs.StormProfile{
+// goldenStorm composes the scenario layers the corpus hardens, one
+// WithScenario each: diurnal reclamation, a cascading rack failure
+// with restore, and seeded random storms. Deterministic per call.
+func goldenStorm(seed int64) []gfs.Option {
+	return []gfs.Option{
+		gfs.WithScenario(gfs.NewScenario().DiurnalReclamation(0, 24*gfs.Hour, gfs.Hour,
+			gfs.DefaultDiurnalProfile("A100"))),
+		gfs.WithScenario(gfs.NewScenario().CascadeFailure(6*gfs.Hour, "zone-0/rack-0", 0.7, 10*gfs.Minute, seed).
+			RestoreDomain(12*gfs.Hour, "zone-0")),
+		gfs.WithScenario(gfs.RandomStorms(rand.New(rand.NewSource(seed)), gfs.StormProfile{
 			Horizon:      24 * gfs.Hour,
 			MeanInterval: 6 * gfs.Hour,
 			Domains:      []string{"zone-1/rack-0", "zone-1/rack-2"},
 			FailureProb:  0.5,
 			CascadeP:     0.3,
 			RestoreAfter: 2 * gfs.Hour,
-		}),
-	)
+		})),
+	}
 }
 
 // goldenEngine builds one golden case's engine, fresh per call, with
 // log observing it; extra options (a trace source, say) apply last.
-type goldenEngine func(log *gfs.EventLog, extra ...gfs.Option) *gfs.Engine
+type goldenEngine func(log *sched.EventLog, extra ...gfs.Option) *gfs.Engine
 
 // runGolden runs mk's engine over the seed's golden trace and returns
 // the rendered event log.
 func runGolden(mk goldenEngine, seed int64) string {
-	log := &gfs.EventLog{}
+	log := &sched.EventLog{}
 	mk(log).Run(gfs.GenerateTrace(goldenTraceCfg(seed)))
 	return log.String()
 }
 
-// schedulerOpts runs sched under a static half quota; nil keeps the
+// schedulerOpts runs s under a static half quota; nil keeps the
 // full GFS stack.
-func schedulerOpts(sched gfs.Scheduler) []gfs.Option {
-	if sched == nil {
+func schedulerOpts(s gfs.Scheduler) []gfs.Option {
+	if s == nil {
 		return nil
 	}
-	return []gfs.Option{gfs.WithScheduler(sched), gfs.WithQuota(gfs.StaticQuota(0.5))}
+	return []gfs.Option{gfs.WithScheduler(s), gfs.WithQuota(gfs.StaticQuota(0.5))}
 }
 
-// engineOf runs one scheduler over a fresh 16-node cluster.
-func engineOf(sched gfs.Scheduler) goldenEngine {
-	return func(log *gfs.EventLog, extra ...gfs.Option) *gfs.Engine {
-		opts := append([]gfs.Option{gfs.WithObserver(log)}, schedulerOpts(sched)...)
+// engineOf runs scheduler s over a fresh 16-node cluster.
+func engineOf(s gfs.Scheduler) goldenEngine {
+	return func(log *sched.EventLog, extra ...gfs.Option) *gfs.Engine {
+		opts := append([]gfs.Option{gfs.WithObserver(log)}, schedulerOpts(s)...)
 		return gfs.NewEngine(gfs.NewCluster("A100", 16, 8), append(opts, extra...)...)
 	}
 }
 
 // stormOf is engineOf over the full scenario stack on the standard
 // 2-zone topology.
-func stormOf(sched gfs.Scheduler, seed int64) goldenEngine {
-	return func(log *gfs.EventLog, extra ...gfs.Option) *gfs.Engine {
-		opts := append([]gfs.Option{gfs.WithObserver(log), gfs.WithScenario(goldenStorm(seed))}, schedulerOpts(sched)...)
-		return gfs.NewEngine(gfs.NewClusterWithTopology("A100", 16, 8, 2, 4), append(opts, extra...)...)
+func stormOf(s gfs.Scheduler, seed int64) goldenEngine {
+	return func(log *sched.EventLog, extra ...gfs.Option) *gfs.Engine {
+		opts := append(append([]gfs.Option{gfs.WithObserver(log)}, goldenStorm(seed)...), schedulerOpts(s)...)
+		cl := gfs.NewCluster("A100", 16, 8)
+		cl.AssignDomains(2, 4)
+		return gfs.NewEngine(cl, append(opts, extra...)...)
 	}
 }
 
@@ -100,16 +105,16 @@ func stormOf(sched gfs.Scheduler, seed int64) goldenEngine {
 // west member, spillover migration to the east — and returns the
 // member-tagged federation log.
 func federationCase(seed int64) string {
-	log := &gfs.EventLog{}
+	log := &sched.EventLog{}
+	west, east := gfs.NewCluster("A100", 8, 8), gfs.NewCluster("A100", 8, 8)
+	west.AssignDomains(2, 2)
+	east.AssignDomains(2, 2)
 	fed := gfs.NewFederation([]gfs.Member{
-		{Name: "west", Engine: gfs.NewEngine(
-			gfs.NewClusterWithTopology("A100", 8, 8, 2, 2),
-			gfs.WithScenario(goldenStorm(seed)))},
-		{Name: "east", Engine: gfs.NewEngine(
-			gfs.NewClusterWithTopology("A100", 8, 8, 2, 2))},
+		{Name: "west", Engine: gfs.NewEngine(west, goldenStorm(seed)...)},
+		{Name: "east", Engine: gfs.NewEngine(east)},
 	},
 		gfs.WithRoute(gfs.RouteLeastLoaded()),
-		gfs.WithSpillover(gfs.SpillToLeastLoaded()),
+		gfs.WithSpillover(sched.SpillLeastLoaded{}),
 		gfs.WithMigrationDelay(10*gfs.Minute),
 		gfs.WithFederationObserver(log),
 	)
@@ -120,7 +125,7 @@ func federationCase(seed int64) string {
 // replayCSVCase round-trips the trace through the CSV codec and
 // replays it as a stream, covering the parser and the constant-memory
 // replay path in one fixture.
-func replayCSVCase(sched gfs.Scheduler, seed int64) string {
+func replayCSVCase(s gfs.Scheduler, seed int64) string {
 	var buf bytes.Buffer
 	if err := gfs.WriteTraceCSV(&buf, gfs.GenerateTrace(goldenTraceCfg(seed))); err != nil {
 		panic(err)
@@ -129,8 +134,8 @@ func replayCSVCase(sched gfs.Scheduler, seed int64) string {
 	if err != nil {
 		panic(err)
 	}
-	log := &gfs.EventLog{}
-	if _, err := engineOf(sched)(log, gfs.WithTraceSource(src)).RunTrace(); err != nil {
+	log := &sched.EventLog{}
+	if _, err := engineOf(s)(log, gfs.WithTraceSource(src)).RunTrace(); err != nil {
 		panic(err)
 	}
 	return log.String()
@@ -138,10 +143,10 @@ func replayCSVCase(sched gfs.Scheduler, seed int64) string {
 
 // replayStormCase streams the trace through a scenario run, covering
 // the scenario × streamed-replay interplay.
-func replayStormCase(sched gfs.Scheduler, seed int64) string {
-	log := &gfs.EventLog{}
-	src := gfs.TraceFromTasks(gfs.GenerateTrace(goldenTraceCfg(seed)))
-	if _, err := stormOf(sched, seed)(log, gfs.WithTraceSource(src)).RunTrace(); err != nil {
+func replayStormCase(s gfs.Scheduler, seed int64) string {
+	log := &sched.EventLog{}
+	src := trace.SliceSource(gfs.GenerateTrace(goldenTraceCfg(seed)))
+	if _, err := stormOf(s, seed)(log, gfs.WithTraceSource(src)).RunTrace(); err != nil {
 		panic(err)
 	}
 	return log.String()
@@ -162,7 +167,7 @@ func autoscalePolicy(mode gfs.AutoscaleMode) *gfs.AutoscalePolicy {
 // policy over an under-provisioned cluster, so the workload forces
 // mid-run provisions and idle retirements onto the event spine.
 func autoscaleCase(mode gfs.AutoscaleMode, seed int64) string {
-	log := &gfs.EventLog{}
+	log := &sched.EventLog{}
 	eng := gfs.NewEngine(gfs.NewCluster("A100", 10, 8),
 		gfs.WithAutoscaler(autoscalePolicy(mode)), gfs.WithObserver(log))
 	eng.Run(gfs.GenerateTrace(goldenTraceCfg(seed)))
@@ -173,13 +178,12 @@ func autoscaleCase(mode gfs.AutoscaleMode, seed int64) string {
 // run: correlated failures, diurnal reclamation and capacity churn
 // interleaved on one spine.
 func autoscaleStormOf(seed int64) goldenEngine {
-	return func(log *gfs.EventLog, extra ...gfs.Option) *gfs.Engine {
-		opts := []gfs.Option{
-			gfs.WithAutoscaler(autoscalePolicy(gfs.AutoscalePredictive)),
-			gfs.WithScenario(goldenStorm(seed)),
-			gfs.WithObserver(log),
-		}
-		return gfs.NewEngine(gfs.NewClusterWithTopology("A100", 12, 8, 2, 4), append(opts, extra...)...)
+	return func(log *sched.EventLog, extra ...gfs.Option) *gfs.Engine {
+		opts := append([]gfs.Option{gfs.WithAutoscaler(autoscalePolicy(gfs.AutoscalePredictive))},
+			append(goldenStorm(seed), gfs.WithObserver(log))...)
+		cl := gfs.NewCluster("A100", 12, 8)
+		cl.AssignDomains(2, 4)
+		return gfs.NewEngine(cl, append(opts, extra...)...)
 	}
 }
 
@@ -189,17 +193,17 @@ var goldenCases = []struct {
 	name string
 	run  func() string
 }{
-	{"engine_yarn_seed1", func() string { return runGolden(engineOf(gfs.NewYARNCS()), 1) }},
+	{"engine_yarn_seed1", func() string { return runGolden(engineOf(baselines.NewYARNCS()), 1) }},
 	{"engine_gfs_seed2", func() string { return runGolden(engineOf(nil), 2) }}, // full GFS stack (PTS + SQA)
-	{"engine_fgd_seed3", func() string { return runGolden(engineOf(gfs.NewFGD()), 3) }},
-	{"engine_chronus_seed4", func() string { return runGolden(engineOf(gfs.NewChronus()), 4) }},
-	{"engine_lyra_seed5", func() string { return runGolden(engineOf(gfs.NewLyra()), 5) }},
+	{"engine_fgd_seed3", func() string { return runGolden(engineOf(baselines.NewFGD()), 3) }},
+	{"engine_chronus_seed4", func() string { return runGolden(engineOf(baselines.NewChronus()), 4) }},
+	{"engine_lyra_seed5", func() string { return runGolden(engineOf(baselines.NewLyra()), 5) }},
 	{"engine_firstfit_seed6", func() string { return runGolden(engineOf(gfs.NewStaticFirstFit()), 6) }},
-	{"storm_yarn_seed7", func() string { return runGolden(stormOf(gfs.NewYARNCS(), 7), 7) }},
+	{"storm_yarn_seed7", func() string { return runGolden(stormOf(baselines.NewYARNCS(), 7), 7) }},
 	{"storm_gfs_seed8", func() string { return runGolden(stormOf(nil, 8), 8) }},
 	{"federation_seed9", func() string { return federationCase(9) }},
-	{"replay_csv_yarn_seed1", func() string { return replayCSVCase(gfs.NewYARNCS(), 1) }},
-	{"replay_storm_yarn_seed7", func() string { return replayStormCase(gfs.NewYARNCS(), 7) }},
+	{"replay_csv_yarn_seed1", func() string { return replayCSVCase(baselines.NewYARNCS(), 1) }},
+	{"replay_storm_yarn_seed7", func() string { return replayStormCase(baselines.NewYARNCS(), 7) }},
 	{"autoscale_predictive_seed12", func() string { return autoscaleCase(gfs.AutoscalePredictive, 12) }},
 	{"autoscale_reactive_seed13", func() string { return autoscaleCase(gfs.AutoscaleReactive, 13) }},
 	{"autoscale_storm_seed14", func() string { return runGolden(autoscaleStormOf(14), 14) }},
@@ -254,12 +258,12 @@ func TestFederationOfOneIsEngine(t *testing.T) {
 		mk   func() goldenEngine
 		seed int64
 	}{
-		{"engine_yarn_seed1", func() goldenEngine { return engineOf(gfs.NewYARNCS()) }, 1},
+		{"engine_yarn_seed1", func() goldenEngine { return engineOf(baselines.NewYARNCS()) }, 1},
 		{"storm_gfs_seed8", func() goldenEngine { return stormOf(nil, 8) }, 8},
 		{"autoscale_storm_seed14", func() goldenEngine { return autoscaleStormOf(14) }, 14},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			log := &gfs.EventLog{}
+			log := &sched.EventLog{}
 			tasks := gfs.GenerateTrace(goldenTraceCfg(tc.seed))
 			res := gfs.NewFederation([]gfs.Member{{Name: "solo", Engine: tc.mk()(log)}}).Run(tasks)
 			checkGolden(t, tc.name, log.String())
@@ -267,21 +271,26 @@ func TestFederationOfOneIsEngine(t *testing.T) {
 			if m.Routed != len(tasks) || res.Saturations != 0 {
 				t.Fatalf("routed %d of %d tasks with %d saturations", m.Routed, len(tasks), res.Saturations)
 			}
-			want := tc.mk()(&gfs.EventLog{}).Run(gfs.GenerateTrace(goldenTraceCfg(tc.seed)))
+			want := tc.mk()(&sched.EventLog{}).Run(gfs.GenerateTrace(goldenTraceCfg(tc.seed)))
 			if !reflect.DeepEqual(m.Result, want) {
 				t.Fatalf("member result differs from Engine.Run:\n got  %+v\n want %+v", m.Result, want)
 			}
 		})
 	}
 	t.Run("replay_storm_yarn_seed7", func(t *testing.T) {
-		log := &gfs.EventLog{}
-		src := gfs.TraceFromTasks(gfs.GenerateTrace(goldenTraceCfg(7)))
-		fed := gfs.NewFederation([]gfs.Member{{Name: "solo", Engine: stormOf(gfs.NewYARNCS(), 7)(log)}},
-			gfs.WithFederationTraceSource(src))
-		res, err := fed.RunTrace()
-		if err != nil {
-			t.Fatal(err)
+		log := &sched.EventLog{}
+		out := gfs.RunBatch([]gfs.BatchSpec{{
+			Name: "replay",
+			SetupFederation: func() (*gfs.Federation, []*gfs.Task) {
+				src := trace.SliceSource(gfs.GenerateTrace(goldenTraceCfg(7)))
+				return gfs.NewFederation([]gfs.Member{{Name: "solo", Engine: stormOf(baselines.NewYARNCS(), 7)(log)}},
+					gfs.WithFederationTraceSource(src)), nil
+			},
+		}})[0]
+		if out.Err != nil {
+			t.Fatal(out.Err)
 		}
+		res := out.Fed
 		checkGolden(t, "replay_storm_yarn_seed7", log.String())
 		if m := res.Members[0]; m.Routed != len(m.Result.Tasks) || res.Saturations != 0 {
 			t.Fatalf("routed %d of %d tasks with %d saturations", m.Routed, len(m.Result.Tasks), res.Saturations)

@@ -27,7 +27,7 @@ func TestNamedScenarioDeterministic(t *testing.T) {
 	for _, name := range []string{"zone-cascade", "random-storms"} {
 		a, _ := s.NamedScenario(name)
 		b, _ := s.NamedScenario(name)
-		if !reflect.DeepEqual(a.Actions(), b.Actions()) {
+		if !reflect.DeepEqual(a, b) {
 			t.Fatalf("%s: repeated builds differ", name)
 		}
 	}

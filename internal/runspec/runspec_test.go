@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	gfs "github.com/sjtucitlab/gfs"
+	"github.com/sjtucitlab/gfs/internal/trace"
 )
 
 // TestValidateBounds: the sizing bounds reject the first value past
@@ -35,7 +36,7 @@ func TestValidateBounds(t *testing.T) {
 // TestBuildRejectsAndReleases: Build validates for itself, and a
 // rejected build closes the trace source it was handed.
 func TestBuildRejectsAndReleases(t *testing.T) {
-	src := &closeCounter{TraceSource: gfs.TraceFromTasks(nil)}
+	src := &closeCounter{TraceSource: trace.SliceSource(nil)}
 	if _, err := Build(Spec{Scheduler: "nope"}, src, nil); err == nil || !strings.Contains(err.Error(), "unknown scheduler") {
 		t.Fatalf("Build of an unknown scheduler = %v", err)
 	}
@@ -86,7 +87,7 @@ func TestRunMatchesDirectEngine(t *testing.T) {
 	if !bytes.Equal(got.Bytes(), want.Bytes()) {
 		t.Fatalf("built run's report differs from the direct engine's (%d vs %d bytes)", got.Len(), want.Len())
 	}
-	if out.Result == nil || out.Result.SchedulerName != rep.Result().SchedulerName {
+	if out.Result == nil || out.Result.SchedulerName != rep.Summary.Scheduler {
 		t.Fatalf("built run's result = %+v", out.Result)
 	}
 }
@@ -94,7 +95,7 @@ func TestRunMatchesDirectEngine(t *testing.T) {
 // TestRunCancelledBeforeStartClosesSource: a run cancelled before it
 // starts never reaches the engine, so the runner releases the source.
 func TestRunCancelledBeforeStartClosesSource(t *testing.T) {
-	src := &closeCounter{TraceSource: gfs.TraceFromTasks(nil)}
+	src := &closeCounter{TraceSource: trace.SliceSource(nil)}
 	built, err := Build(Spec{}, src, nil)
 	if err != nil {
 		t.Fatal(err)

@@ -17,6 +17,7 @@ import (
 
 	gfs "github.com/sjtucitlab/gfs"
 	"github.com/sjtucitlab/gfs/internal/runspec"
+	"github.com/sjtucitlab/gfs/internal/trace"
 )
 
 // This file holds the daemon's original event encoder — wireEvent,
@@ -616,7 +617,7 @@ func TestFinishedSessionDropsSource(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	queued := &countingSource{TraceSource: gfs.TraceFromTasks(nil)}
+	queued := &countingSource{TraceSource: trace.SliceSource(nil)}
 	waiting, err := svc.startSession(smallSpec(), queued)
 	if err != nil {
 		t.Fatal(err)

@@ -4,6 +4,9 @@ import (
 	"testing"
 
 	gfs "github.com/sjtucitlab/gfs"
+	"github.com/sjtucitlab/gfs/internal/baselines"
+	"github.com/sjtucitlab/gfs/internal/sched"
+	"github.com/sjtucitlab/gfs/internal/trace"
 )
 
 // invariantChecker is an Observer asserting the simulator's safety
@@ -129,12 +132,13 @@ func TestInvariantsEngineStorm(t *testing.T) {
 		seed  int64
 	}{
 		{"gfs", nil, 21},
-		{"yarn", gfs.NewYARNCS(), 22},
+		{"yarn", baselines.NewYARNCS(), 22},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			cl := gfs.NewClusterWithTopology("A100", 16, 8, 2, 4)
+			cl := gfs.NewCluster("A100", 16, 8)
+			cl.AssignDomains(2, 4)
 			chk := newInvariantChecker(t).watch("", cl)
-			opts := []gfs.Option{gfs.WithObserver(chk), gfs.WithScenario(goldenStorm(tc.seed))}
+			opts := append([]gfs.Option{gfs.WithObserver(chk)}, goldenStorm(tc.seed)...)
 			if tc.sched != nil {
 				opts = append(opts, gfs.WithScheduler(tc.sched), gfs.WithQuota(gfs.StaticQuota(0.5)))
 			}
@@ -151,15 +155,17 @@ func TestInvariantsEngineStorm(t *testing.T) {
 // counts may exceed one, but finishes stay unique and capacity holds
 // on both member clusters.
 func TestInvariantsFederationStorm(t *testing.T) {
-	west := gfs.NewClusterWithTopology("A100", 8, 8, 2, 2)
-	east := gfs.NewClusterWithTopology("A100", 8, 8, 2, 2)
+	west := gfs.NewCluster("A100", 8, 8)
+	west.AssignDomains(2, 2)
+	east := gfs.NewCluster("A100", 8, 8)
+	east.AssignDomains(2, 2)
 	chk := newInvariantChecker(t).watch("west", west).watch("east", east)
 	fed := gfs.NewFederation([]gfs.Member{
-		{Name: "west", Engine: gfs.NewEngine(west, gfs.WithScenario(goldenStorm(23)))},
+		{Name: "west", Engine: gfs.NewEngine(west, goldenStorm(23)...)},
 		{Name: "east", Engine: gfs.NewEngine(east)},
 	},
 		gfs.WithRoute(gfs.RouteLeastLoaded()),
-		gfs.WithSpillover(gfs.SpillToLeastLoaded()),
+		gfs.WithSpillover(sched.SpillLeastLoaded{}),
 		gfs.WithMigrationDelay(10*gfs.Minute),
 		gfs.WithFederationObserver(chk),
 	)
@@ -276,7 +282,8 @@ func (c *autoscaleInvariantChecker) finishAutoscale(tasks []*gfs.Task) {
 func TestInvariantsAutoscaleStorm(t *testing.T) {
 	for _, mode := range []gfs.AutoscaleMode{gfs.AutoscaleReactive, gfs.AutoscalePredictive} {
 		t.Run(string(mode), func(t *testing.T) {
-			cl := gfs.NewClusterWithTopology("A100", 12, 8, 2, 4)
+			cl := gfs.NewCluster("A100", 12, 8)
+			cl.AssignDomains(2, 4)
 			chk := newAutoscaleChecker(t, cl)
 			pol := &gfs.AutoscalePolicy{
 				Mode:     mode,
@@ -285,11 +292,7 @@ func TestInvariantsAutoscaleStorm(t *testing.T) {
 				Curve:    &gfs.DiurnalCurve{PeakHour: 14, Width: 4},
 			}
 			tasks := gfs.GenerateTrace(goldenTraceCfg(27))
-			gfs.NewEngine(cl,
-				gfs.WithObserver(chk),
-				gfs.WithScenario(goldenStorm(27)),
-				gfs.WithAutoscaler(pol),
-			).Run(tasks)
+			gfs.NewEngine(cl, append(goldenStorm(27), gfs.WithObserver(chk), gfs.WithAutoscaler(pol))...).Run(tasks)
 			if len(chk.provisioned) == 0 {
 				t.Fatal("autoscaler never provisioned; the case no longer exercises the contract")
 			}
@@ -302,15 +305,15 @@ func TestInvariantsAutoscaleStorm(t *testing.T) {
 // replay path under the same storm stack: constant-memory ingestion
 // must uphold exactly the safety properties of the preloaded run.
 func TestInvariantsReplayStorm(t *testing.T) {
-	cl := gfs.NewClusterWithTopology("A100", 16, 8, 2, 4)
+	cl := gfs.NewCluster("A100", 16, 8)
+	cl.AssignDomains(2, 4)
 	chk := newInvariantChecker(t).watch("", cl)
 	tasks := gfs.GenerateTrace(goldenTraceCfg(24))
-	eng := gfs.NewEngine(cl,
-		gfs.WithScheduler(gfs.NewYARNCS()), gfs.WithQuota(gfs.StaticQuota(0.5)),
-		gfs.WithScenario(goldenStorm(24)),
+	eng := gfs.NewEngine(cl, append(goldenStorm(24),
+		gfs.WithScheduler(baselines.NewYARNCS()), gfs.WithQuota(gfs.StaticQuota(0.5)),
 		gfs.WithObserver(chk),
-		gfs.WithTraceSource(gfs.TraceFromTasks(tasks)),
-	)
+		gfs.WithTraceSource(trace.SliceSource(tasks)),
+	)...)
 	if _, err := eng.RunTrace(); err != nil {
 		t.Fatal(err)
 	}

@@ -46,8 +46,9 @@ func WithObserver(obs ...Observer) Option {
 
 // WithCollectors registers report collectors: each joins the event
 // stream as an observer and contributes its section to the Report
-// assembled by Engine.Report after the run. It may be repeated;
-// collectors receive events (and report) in registration order. Use
+// that Engine.RunReport or a RunBatch assembles after the run. It may
+// be repeated; collectors receive events (and report) in registration
+// order. Use
 // DefaultCollectors for the full built-in set, or compose any subset
 // with custom Collector implementations.
 func WithCollectors(cs ...Collector) Option {
@@ -64,7 +65,7 @@ func WithCollectors(cs ...Collector) Option {
 func WithScenario(sc *Scenario) Option {
 	return func(e *Engine) {
 		if sc != nil {
-			e.cfg.Scenario = append(e.cfg.Scenario, sc.Actions()...)
+			e.cfg.Scenario = append(e.cfg.Scenario, sc.sorted()...)
 		}
 	}
 }

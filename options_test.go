@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	gfs "github.com/sjtucitlab/gfs"
+	"github.com/sjtucitlab/gfs/internal/sched"
 )
 
 // TestPartialOptionsRunTable4: a field left unset in Options is Table
@@ -14,7 +15,7 @@ import (
 // runs on top of DefaultOptions.
 func TestPartialOptionsRunTable4(t *testing.T) {
 	digest := func(opts gfs.Options) [32]byte {
-		log := &gfs.EventLog{}
+		log := &sched.EventLog{}
 		res := gfs.NewEngine(gfs.NewCluster("A100", 16, 8),
 			gfs.WithSystem(gfs.NewSystem(opts)),
 			gfs.WithObserver(log),

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	gfs "github.com/sjtucitlab/gfs"
+	"github.com/sjtucitlab/gfs/internal/baselines"
 )
 
 // encodedChaosTrace renders the standard test workload as an
@@ -40,10 +41,10 @@ func openBytes(t testing.TB, data []byte) gfs.TraceSource {
 // slice — ingestion is lossless and injection order-faithful.
 func TestRunTraceMatchesRun(t *testing.T) {
 	eager := gfs.NewEngine(gfs.NewCluster("A100", 16, 8),
-		gfs.WithScheduler(gfs.NewYARNCS())).Run(chaosTrace(17))
+		gfs.WithScheduler(baselines.NewYARNCS())).Run(chaosTrace(17))
 
 	streamed, err := gfs.NewEngine(gfs.NewCluster("A100", 16, 8),
-		gfs.WithScheduler(gfs.NewYARNCS()),
+		gfs.WithScheduler(baselines.NewYARNCS()),
 		gfs.WithTraceSource(openBytes(t, encodedChaosTrace(t, 17))),
 	).RunTrace()
 	if err != nil {
@@ -79,9 +80,9 @@ func replayBatch(t *testing.T, traces map[int64][]byte, workers int) string {
 				Setup: func() (*gfs.Engine, []*gfs.Task) {
 					var s gfs.Scheduler
 					if sched == "yarn" {
-						s = gfs.NewYARNCS()
+						s = baselines.NewYARNCS()
 					} else {
-						s = gfs.NewFGD()
+						s = baselines.NewFGD()
 					}
 					return gfs.NewEngine(gfs.NewCluster("A100", 16, 8),
 						gfs.WithScheduler(s),
@@ -123,32 +124,32 @@ func TestReplayBatchDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestFederationRunTrace: a federation replays a streamed trace and
-// matches the eager federated run on the same workload.
+// TestFederationRunTrace: a federation replays a streamed trace
+// through RunBatch (a SetupFederation with a source and a nil task
+// slice) and matches the eager federated run on the same workload.
 func TestFederationRunTrace(t *testing.T) {
 	build := func(opts ...gfs.FederationOption) *gfs.Federation {
-		storm := gfs.CorrelatedFailure(6*gfs.Hour, "zone-0").
+		storm := gfs.NewScenario().FailDomain(6*gfs.Hour, "zone-0").
 			RestoreDomain(12*gfs.Hour, "zone-0")
+		west, east := topoCluster(), topoCluster()
 		return gfs.NewFederation([]gfs.Member{
-			{Name: "west", Engine: gfs.NewEngine(
-				gfs.NewClusterWithTopology("A100", 16, 8, 2, 4),
-				gfs.WithScheduler(gfs.NewYARNCS()), gfs.WithScenario(storm))},
-			{Name: "east", Engine: gfs.NewEngine(
-				gfs.NewClusterWithTopology("A100", 16, 8, 2, 4),
-				gfs.WithScheduler(gfs.NewYARNCS()))},
+			{Name: "west", Engine: gfs.NewEngine(west,
+				gfs.WithScheduler(baselines.NewYARNCS()), gfs.WithScenario(storm))},
+			{Name: "east", Engine: gfs.NewEngine(east,
+				gfs.WithScheduler(baselines.NewYARNCS()))},
 		}, opts...)
 	}
 	eager := build().Run(chaosTrace(17))
 	src := &closeCounter{TraceSource: openBytes(t, encodedChaosTrace(t, 17))}
-	streamed, err := build(gfs.WithFederationTraceSource(src)).RunTrace()
-	if err != nil {
-		t.Fatal(err)
+	br := gfs.RunBatch([]gfs.BatchSpec{{Name: "replay", SetupFederation: func() (*gfs.Federation, []*gfs.Task) {
+		return build(gfs.WithFederationTraceSource(src)), nil
+	}}})[0]
+	if br.Err != nil {
+		t.Fatal(br.Err)
 	}
+	streamed := br.Fed
 	if src.closed != 1 {
 		t.Fatalf("replayed source closed %d times, want 1", src.closed)
-	}
-	if _, err := build().RunTrace(); err == nil {
-		t.Fatal("RunTrace without WithFederationTraceSource should error")
 	}
 	if eager.GoodputGPUSeconds != streamed.GoodputGPUSeconds ||
 		eager.Migrations != streamed.Migrations ||

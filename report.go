@@ -10,8 +10,7 @@ import (
 // This file defines the Report type — the structured output of a
 // collected run — and its sections. Reports are produced by the
 // collectors of collector.go (see Engine.RunReport and
-// Federation.Report), exported by report_export.go, and reduce to the
-// legacy Result via Report.Result.
+// WithFederationCollectors) and exported by report_export.go.
 
 // QuotaValue is a spot quota in GPUs that may be unlimited (+Inf,
 // the value runs without a quota policy report). Unlike a raw
@@ -20,14 +19,14 @@ import (
 // exports valid for every engine configuration.
 type QuotaValue float64
 
-// Unlimited reports whether the quota imposes no bound.
-func (q QuotaValue) Unlimited() bool { return math.IsInf(float64(q), 1) }
+// unlimited reports whether the quota imposes no bound.
+func (q QuotaValue) unlimited() bool { return math.IsInf(float64(q), 1) }
 
 // MarshalJSON implements json.Marshaler: "unlimited" for an
 // unbounded quota, null for non-finite garbage, a number otherwise.
 func (q QuotaValue) MarshalJSON() ([]byte, error) {
 	f := float64(q)
-	if q.Unlimited() {
+	if q.unlimited() {
 		return []byte(`"unlimited"`), nil
 	}
 	if math.IsInf(f, -1) || math.IsNaN(f) {
@@ -57,7 +56,7 @@ func (q *QuotaValue) UnmarshalJSON(data []byte) error {
 
 // String implements fmt.Stringer.
 func (q QuotaValue) String() string {
-	if q.Unlimited() {
+	if q.unlimited() {
 		return "unlimited"
 	}
 	return fmt.Sprintf("%g", float64(q))
@@ -96,7 +95,7 @@ type ClassMetrics struct {
 
 // Summary is the whole-run section of a Report: the same scalars the
 // legacy Result carries, computed from the event spine by the summary
-// collector (see Report.Result for the reverse view).
+// collector.
 type Summary struct {
 	// Scheduler names the placement scheduler of the run.
 	Scheduler string `json:"scheduler"`
@@ -123,8 +122,8 @@ type EvictionCounts struct {
 	Drained     int `json:"drained"`
 }
 
-// Total returns the sum over all causes.
-func (c EvictionCounts) Total() int {
+// total returns the sum over all causes.
+func (c EvictionCounts) total() int {
 	return c.Preempted + c.NodeFailure + c.Reclaimed + c.Drained
 }
 
@@ -313,35 +312,6 @@ type Report struct {
 	Sections []CustomSection `json:"sections,omitempty"`
 }
 
-// Attach appends a custom section, the extension point for user
-// collectors.
-func (r *Report) Attach(name string, value any) {
-	r.Sections = append(r.Sections, CustomSection{Name: name, Value: value})
-}
-
-// Result reduces the report to the legacy Result type — the thin
-// back-compat view over the summary collector. Its Tasks field is nil
-// (the report's sections carry a richer version); every scalar field
-// matches what Engine.Run would have returned for the same run
-// exactly.
-func (r *Report) Result() *Result {
-	if r.Summary == nil {
-		return nil
-	}
-	s := r.Summary
-	return &Result{
-		SchedulerName:    s.Scheduler,
-		HP:               s.HP.taskMetrics(),
-		Spot:             s.Spot.taskMetrics(),
-		AllocationRate:   s.AllocationRate,
-		WastedGPUSeconds: s.WastedGPUSeconds,
-		UnfinishedHP:     s.HP.Unfinished,
-		UnfinishedSpot:   s.Spot.Unfinished,
-		End:              s.End,
-		FinalQuota:       float64(s.FinalQuota),
-	}
-}
-
 // String renders the report as a human-readable text snapshot, the
 // gfsim -report text format.
 func (r *Report) String() string {
@@ -377,7 +347,7 @@ func (r *Report) String() string {
 			name = "(none)"
 		}
 		fmt.Fprintf(&b, "org %-8s hp=%d spot=%d  gpu-h %.1f  evictions %d\n",
-			name, o.HP.Count, o.Spot.Count, o.GPUSeconds/3600, o.Evictions.Total())
+			name, o.HP.Count, o.Spot.Count, o.GPUSeconds/3600, o.Evictions.total())
 	}
 	if c := r.Cost; c != nil {
 		for _, p := range c.Pools {
@@ -394,21 +364,6 @@ func (r *Report) String() string {
 		fmt.Fprintf(&b, "cost total: $%.0f/month (margin %.0f%%)\n", c.MonthlyBenefitUSD, 100*c.Margin)
 	}
 	return b.String()
-}
-
-// taskMetrics maps the report's class metrics onto the legacy
-// stats.TaskMetrics shape.
-func (m ClassMetrics) taskMetrics() TaskMetrics {
-	return TaskMetrics{
-		Count:        m.Count,
-		JCT:          m.JCTMean,
-		JCTP99:       m.JCTP99,
-		JQT:          m.QueueMean,
-		MaxJQT:       m.QueueMax,
-		EvictionRate: m.EvictionRate,
-		Evictions:    m.Evictions,
-		Runs:         m.Runs,
-	}
 }
 
 // FederationReport is the collected output of a federated run: one
@@ -432,16 +387,6 @@ type MemberReport struct {
 	Name string `json:"name"`
 	// Report is the member's collected report.
 	Report *Report `json:"report"`
-}
-
-// Member returns the named member's report, or nil.
-func (f *FederationReport) Member(name string) *Report {
-	for _, m := range f.Members {
-		if m.Name == name {
-			return m.Report
-		}
-	}
-	return nil
 }
 
 // String renders the federation report as a text snapshot.

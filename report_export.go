@@ -363,7 +363,7 @@ func (r *Report) labeledSamples(labelKey, labelValue string) []promSample {
 		add("gfs_org_tasks_total", float64(o.HP.Count), "org", org, "class", "hp")
 		add("gfs_org_tasks_total", float64(o.Spot.Count), "org", org, "class", "spot")
 		add("gfs_org_gpu_seconds", o.GPUSeconds, "org", org)
-		add("gfs_org_evictions_total", float64(o.Evictions.Total()), "org", org)
+		add("gfs_org_evictions_total", float64(o.Evictions.total()), "org", org)
 	}
 	if c := r.Cost; c != nil {
 		for _, p := range c.Pools {

@@ -9,7 +9,9 @@ import (
 	"testing"
 
 	gfs "github.com/sjtucitlab/gfs"
+	"github.com/sjtucitlab/gfs/internal/baselines"
 	"github.com/sjtucitlab/gfs/internal/pricing"
+	"github.com/sjtucitlab/gfs/internal/sched"
 )
 
 // reportEngines builds matched engine pairs for equivalence checks:
@@ -18,25 +20,25 @@ import (
 // every collector code path fires.
 func reportScenario() *gfs.Scenario {
 	return gfs.NewScenario().
-		KillNodes(4*gfs.Hour, 3, 4).
+		KillNode(4*gfs.Hour, 3).KillNode(4*gfs.Hour, 4).
 		DrainNode(6*gfs.Hour, 7).
 		ReclaimSpot(8*gfs.Hour, 0.4).
-		RestoreNodes(10*gfs.Hour, 3, 4).
+		RestoreNode(10*gfs.Hour, 3).RestoreNode(10*gfs.Hour, 4).
 		RestoreNode(11*gfs.Hour, 7).
 		ScaleOut(12*gfs.Hour, gfs.Pool{Model: "A100", Nodes: 2, GPUsPerNode: 8})
 }
 
 // TestReportSummaryMatchesResult: the summary collector must rebuild
-// every legacy Result scalar from the event spine alone — the thin
-// back-compat view Report.Result and Engine.Run must agree exactly,
-// across schedulers, quota policies and a capacity-churn scenario.
+// every legacy Result scalar from the event spine alone — its
+// section and Engine.Run's Result must agree exactly, across
+// schedulers, quota policies and a capacity-churn scenario.
 func TestReportSummaryMatchesResult(t *testing.T) {
 	cases := []struct {
 		name string
 		opts func() []gfs.Option
 	}{
 		{"yarn-unlimited", func() []gfs.Option {
-			return []gfs.Option{gfs.WithScheduler(gfs.NewYARNCS())}
+			return []gfs.Option{gfs.WithScheduler(baselines.NewYARNCS())}
 		}},
 		{"firstfit-static-quota", func() []gfs.Option {
 			return []gfs.Option{
@@ -53,19 +55,24 @@ func TestReportSummaryMatchesResult(t *testing.T) {
 
 			opts = append(tc.opts(), gfs.WithScenario(reportScenario()))
 			rep := gfs.NewEngine(gfs.NewCluster("A100", 16, 8), opts...).RunReport(chaosTrace(17))
-			got := rep.Result()
-
+			got := rep.Summary
 			if got == nil {
 				t.Fatal("report without summary section")
 			}
-			if got.SchedulerName != want.SchedulerName {
-				t.Errorf("scheduler %q != %q", got.SchedulerName, want.SchedulerName)
+			if got.Scheduler != want.SchedulerName {
+				t.Errorf("scheduler %q != %q", got.Scheduler, want.SchedulerName)
 			}
-			if got.HP != want.HP {
-				t.Errorf("HP metrics diverged:\n got  %+v\n want %+v", got.HP, want.HP)
-			}
-			if got.Spot != want.Spot {
-				t.Errorf("Spot metrics diverged:\n got  %+v\n want %+v", got.Spot, want.Spot)
+			for _, c := range []struct {
+				class string
+				got   gfs.ClassMetrics
+				want  gfs.TaskMetrics
+			}{{"HP", got.HP, want.HP}, {"Spot", got.Spot, want.Spot}} {
+				g, w := c.got, c.want
+				if g.Count != w.Count || g.JCTMean != w.JCT || g.JCTP99 != w.JCTP99 ||
+					g.QueueMean != w.JQT || g.QueueMax != w.MaxJQT ||
+					g.EvictionRate != w.EvictionRate || g.Evictions != w.Evictions || g.Runs != w.Runs {
+					t.Errorf("%s metrics diverged:\n got  %+v\n want %+v", c.class, g, w)
+				}
 			}
 			if got.AllocationRate != want.AllocationRate {
 				t.Errorf("allocation rate %v != %v", got.AllocationRate, want.AllocationRate)
@@ -73,15 +80,15 @@ func TestReportSummaryMatchesResult(t *testing.T) {
 			if got.WastedGPUSeconds != want.WastedGPUSeconds {
 				t.Errorf("waste %v != %v", got.WastedGPUSeconds, want.WastedGPUSeconds)
 			}
-			if got.UnfinishedHP != want.UnfinishedHP || got.UnfinishedSpot != want.UnfinishedSpot {
+			if got.HP.Unfinished != want.UnfinishedHP || got.Spot.Unfinished != want.UnfinishedSpot {
 				t.Errorf("unfinished %d/%d != %d/%d",
-					got.UnfinishedHP, got.UnfinishedSpot, want.UnfinishedHP, want.UnfinishedSpot)
+					got.HP.Unfinished, got.Spot.Unfinished, want.UnfinishedHP, want.UnfinishedSpot)
 			}
 			if got.End != want.End {
 				t.Errorf("end %d != %d", got.End, want.End)
 			}
-			if got.FinalQuota != want.FinalQuota &&
-				!(math.IsInf(got.FinalQuota, 1) && math.IsInf(want.FinalQuota, 1)) {
+			if float64(got.FinalQuota) != want.FinalQuota &&
+				!(math.IsInf(float64(got.FinalQuota), 1) && math.IsInf(want.FinalQuota, 1)) {
 				t.Errorf("final quota %v != %v", got.FinalQuota, want.FinalQuota)
 			}
 		})
@@ -122,7 +129,8 @@ func TestReportSectionsPopulated(t *testing.T) {
 	for _, o := range rep.Orgs {
 		orgHP += o.HP.Count
 		orgSpot += o.Spot.Count
-		orgEvict += o.Evictions.Total()
+		e := o.Evictions
+		orgEvict += e.Preempted + e.NodeFailure + e.Reclaimed + e.Drained
 	}
 	if orgHP != rep.Summary.HP.Count || orgSpot != rep.Summary.Spot.Count {
 		t.Errorf("org task counts %d/%d != summary %d/%d",
@@ -169,11 +177,11 @@ func TestReportEtaTrajectory(t *testing.T) {
 // fully marshalable.
 func TestUnlimitedQuotaJSON(t *testing.T) {
 	rep := gfs.NewEngine(gfs.NewCluster("A100", 8, 8),
-		gfs.WithScheduler(gfs.NewYARNCS()),
-		gfs.WithQuota(gfs.UnlimitedQuota()),
+		gfs.WithScheduler(baselines.NewYARNCS()),
+		gfs.WithQuota(sched.UnlimitedQuota{}),
 	).RunReport(chaosTrace(5))
 
-	if !rep.Summary.FinalQuota.Unlimited() {
+	if !math.IsInf(float64(rep.Summary.FinalQuota), 1) {
 		t.Fatalf("expected unlimited final quota, got %v", rep.Summary.FinalQuota)
 	}
 	data, err := json.Marshal(rep)
@@ -196,7 +204,7 @@ func TestUnlimitedQuotaJSON(t *testing.T) {
 	}
 	// Round-trip the QuotaValue forms.
 	var q gfs.QuotaValue
-	if err := json.Unmarshal([]byte(`"unlimited"`), &q); err != nil || !q.Unlimited() {
+	if err := json.Unmarshal([]byte(`"unlimited"`), &q); err != nil || !math.IsInf(float64(q), 1) {
 		t.Fatalf("unmarshal unlimited: %v %v", q, err)
 	}
 	if err := json.Unmarshal([]byte(`128.5`), &q); err != nil || float64(q) != 128.5 {
@@ -249,10 +257,10 @@ func TestReportExportsDeterministic(t *testing.T) {
 // Fig. 9 formula — for the same deltas, and the ledger must price a
 // run's allocation against configured baselines.
 func TestCostLedgerReproducesPaperAccounting(t *testing.T) {
-	baselines := map[string]float64{"A100": 0.5}
+	rates := map[string]float64{"A100": 0.5}
 	rep := gfs.NewEngine(gfs.NewCluster("A100", 16, 8),
-		gfs.WithScheduler(gfs.NewYARNCS()),
-		gfs.WithCollectors(gfs.NewCostCollector(baselines)),
+		gfs.WithScheduler(baselines.NewYARNCS()),
+		gfs.WithCollectors(gfs.NewCostCollector(rates)),
 	).RunReport(chaosTrace(17))
 	c := rep.Cost
 	if c == nil || len(c.Pools) != 1 {
@@ -277,19 +285,24 @@ func TestCostLedgerReproducesPaperAccounting(t *testing.T) {
 // plus an aggregate whose task counts cover the whole workload
 // exactly once.
 func TestFederationReport(t *testing.T) {
-	storm := gfs.CorrelatedFailure(6*gfs.Hour, "zone-0").
+	storm := gfs.NewScenario().FailDomain(6*gfs.Hour, "zone-0").
 		RestoreDomain(12*gfs.Hour, "zone-0")
 	fed := gfs.NewFederation([]gfs.Member{
 		{Name: "west", Engine: gfs.NewEngine(
-			gfs.NewClusterWithTopology("A100", 16, 8, 2, 4),
-			gfs.WithScheduler(gfs.NewYARNCS()), gfs.WithScenario(storm))},
+			topoCluster(),
+			gfs.WithScheduler(baselines.NewYARNCS()), gfs.WithScenario(storm))},
 		{Name: "east", Engine: gfs.NewEngine(
-			gfs.NewClusterWithTopology("A100", 16, 8, 2, 4),
-			gfs.WithScheduler(gfs.NewYARNCS()))},
+			topoCluster(),
+			gfs.WithScheduler(baselines.NewYARNCS()))},
 	}, gfs.WithFederationCollectors(nil))
 	tasks := chaosTrace(17)
-	res := fed.Run(tasks)
-	frep := fed.Report()
+	br := gfs.RunBatch([]gfs.BatchSpec{{Name: "fed", SetupFederation: func() (*gfs.Federation, []*gfs.Task) {
+		return fed, tasks
+	}}})[0]
+	if br.Err != nil {
+		t.Fatal(br.Err)
+	}
+	res, frep := br.Fed, br.FedReport
 	if frep == nil || frep.Aggregate == nil || len(frep.Members) != 2 {
 		t.Fatalf("federation report malformed: %+v", frep)
 	}
@@ -304,8 +317,8 @@ func TestFederationReport(t *testing.T) {
 	if agg.HP.Finished+agg.Spot.Finished == 0 {
 		t.Fatal("aggregate recorded no completions")
 	}
-	west := frep.Member("west")
-	if west == nil || west.Summary == nil {
+	west := frep.Members[0].Report
+	if frep.Members[0].Name != "west" || west.Summary == nil {
 		t.Fatal("missing west member report")
 	}
 	if west.Summary.Scheduler != "YARN-CS" {
@@ -345,23 +358,31 @@ func TestFederationCollectorOptionOrder(t *testing.T) {
 	build := func(opts ...gfs.FederationOption) *gfs.Federation {
 		return gfs.NewFederation([]gfs.Member{
 			{Name: "west", Engine: gfs.NewEngine(gfs.NewCluster("A100", 8, 8),
-				gfs.WithScheduler(gfs.NewYARNCS()))},
+				gfs.WithScheduler(baselines.NewYARNCS()))},
 			{Name: "east", Engine: gfs.NewEngine(gfs.NewCluster("A100", 8, 8),
-				gfs.WithScheduler(gfs.NewYARNCS()))},
+				gfs.WithScheduler(baselines.NewYARNCS()))},
 		}, opts...)
 	}
-	fed := build(gfs.WithFederationCollectors(nil), gfs.WithRoute(gfs.RouteCheapestSpot()))
-	fed.Run(chaosTrace(5))
-	rep := fed.Report()
-	if got := rep.Aggregate.Scheduler; got != "federation(cheapest-spot)" {
+	var specs []gfs.BatchSpec
+	for _, opts := range [][]gfs.FederationOption{
+		{gfs.WithFederationCollectors(nil), gfs.WithRoute(gfs.RouteCheapestSpot())},
+		{gfs.WithFederationCollectors(nil)},
+		{gfs.WithFederationCollectors(nil), gfs.WithFederationCollectors(nil)},
+	} {
+		specs = append(specs, gfs.BatchSpec{Name: "fed", SetupFederation: func() (*gfs.Federation, []*gfs.Task) {
+			return build(opts...), chaosTrace(5)
+		}})
+	}
+	out := gfs.RunBatch(specs)
+	for _, br := range out {
+		if br.Err != nil {
+			t.Fatal(br.Err)
+		}
+	}
+	if got := out[0].FedReport.Aggregate.Scheduler; got != "federation(cheapest-spot)" {
 		t.Fatalf("aggregate labeled %q, want the final route", got)
 	}
-
-	single := build(gfs.WithFederationCollectors(nil))
-	single.Run(chaosTrace(5))
-	doubled := build(gfs.WithFederationCollectors(nil), gfs.WithFederationCollectors(nil))
-	doubled.Run(chaosTrace(5))
-	a, b := single.Report().Aggregate.Summary, doubled.Report().Aggregate.Summary
+	a, b := out[1].FedReport.Aggregate.Summary, out[2].FedReport.Aggregate.Summary
 	if a.HP.Count != b.HP.Count || a.HP.GPUSeconds != b.HP.GPUSeconds ||
 		a.Spot.Evictions != b.Spot.Evictions {
 		t.Fatalf("repeated collectors option changed the report:\n once  %+v\n twice %+v", a, b)
@@ -379,15 +400,15 @@ func federationReplayReportBatch(t *testing.T, traces map[int64][]byte, workers 
 		specs = append(specs, gfs.BatchSpec{
 			Name: fmt.Sprintf("fed-replay-%d", seed),
 			SetupFederation: func() (*gfs.Federation, []*gfs.Task) {
-				storm := gfs.CorrelatedFailure(6*gfs.Hour, "zone-0").
+				storm := gfs.NewScenario().FailDomain(6*gfs.Hour, "zone-0").
 					RestoreDomain(12*gfs.Hour, "zone-0")
 				fed := gfs.NewFederation([]gfs.Member{
 					{Name: "west", Engine: gfs.NewEngine(
-						gfs.NewClusterWithTopology("A100", 16, 8, 2, 4),
-						gfs.WithScheduler(gfs.NewYARNCS()), gfs.WithScenario(storm))},
+						topoCluster(),
+						gfs.WithScheduler(baselines.NewYARNCS()), gfs.WithScenario(storm))},
 					{Name: "east", Engine: gfs.NewEngine(
-						gfs.NewClusterWithTopology("A100", 16, 8, 2, 4),
-						gfs.WithScheduler(gfs.NewYARNCS()))},
+						topoCluster(),
+						gfs.WithScheduler(baselines.NewYARNCS()))},
 				},
 					gfs.WithFederationCollectors(nil),
 					gfs.WithFederationTraceSource(openBytes(t, traces[seed])))
@@ -442,7 +463,7 @@ func TestBatchEngineReports(t *testing.T) {
 				Name: fmt.Sprintf("seed-%d", seed),
 				Setup: func() (*gfs.Engine, []*gfs.Task) {
 					return gfs.NewEngine(gfs.NewCluster("A100", 16, 8),
-						gfs.WithScheduler(gfs.NewYARNCS()),
+						gfs.WithScheduler(baselines.NewYARNCS()),
 						gfs.WithCollectors(gfs.DefaultCollectors()...)), chaosTrace(seed)
 				},
 			})
@@ -469,21 +490,23 @@ func TestBatchEngineReports(t *testing.T) {
 	}
 }
 
-// TestReplayReportMatchesEagerReport: streaming a trace through
-// RunTrace with collectors attached yields the identical report to
-// RunReport over the equivalent task slice.
+// TestReplayReportMatchesEagerReport: streaming a trace through a
+// RunBatch replay with collectors attached yields the identical report
+// to RunReport over the equivalent task slice.
 func TestReplayReportMatchesEagerReport(t *testing.T) {
 	eager := gfs.NewEngine(gfs.NewCluster("A100", 16, 8),
-		gfs.WithScheduler(gfs.NewYARNCS())).RunReport(chaosTrace(17))
-	eng := gfs.NewEngine(gfs.NewCluster("A100", 16, 8),
-		gfs.WithScheduler(gfs.NewYARNCS()),
-		gfs.WithCollectors(gfs.DefaultCollectors()...),
-		gfs.WithTraceSource(openBytes(t, encodedChaosTrace(t, 17))),
-	)
-	if _, err := eng.RunTrace(); err != nil {
-		t.Fatal(err)
+		gfs.WithScheduler(baselines.NewYARNCS())).RunReport(chaosTrace(17))
+	br := gfs.RunBatch([]gfs.BatchSpec{{Name: "replay", Setup: func() (*gfs.Engine, []*gfs.Task) {
+		return gfs.NewEngine(gfs.NewCluster("A100", 16, 8),
+			gfs.WithScheduler(baselines.NewYARNCS()),
+			gfs.WithCollectors(gfs.DefaultCollectors()...),
+			gfs.WithTraceSource(openBytes(t, encodedChaosTrace(t, 17))),
+		), nil
+	}}})[0]
+	if br.Err != nil {
+		t.Fatal(br.Err)
 	}
-	streamed := eng.Report()
+	streamed := br.Report
 	var a, b bytes.Buffer
 	if err := eager.WriteJSONL(&a); err != nil {
 		t.Fatal(err)
@@ -499,13 +522,14 @@ func TestReplayReportMatchesEagerReport(t *testing.T) {
 // TestZeroCollectorEngineHasNoReport: engines without collectors run
 // the nil-cost path and report nothing.
 func TestZeroCollectorEngineHasNoReport(t *testing.T) {
-	eng := gfs.NewEngine(gfs.NewCluster("A100", 4, 8), gfs.WithScheduler(gfs.NewYARNCS()))
-	eng.Run(chaosTrace(5)[:20])
-	if rep := eng.Report(); rep != nil {
-		t.Fatalf("zero-collector engine produced a report: %+v", rep)
+	br := gfs.RunBatch([]gfs.BatchSpec{{Name: "bare", Setup: func() (*gfs.Engine, []*gfs.Task) {
+		return gfs.NewEngine(gfs.NewCluster("A100", 4, 8), gfs.WithScheduler(baselines.NewYARNCS())), chaosTrace(5)[:20]
+	}}})[0]
+	if br.Err != nil || br.Result == nil {
+		t.Fatalf("run failed: %v", br.Err)
 	}
-	if cs := eng.Collectors(); len(cs) != 0 {
-		t.Fatalf("unexpected collectors: %d", len(cs))
+	if br.Report != nil {
+		t.Fatalf("zero-collector engine produced a report: %+v", br.Report)
 	}
 }
 
@@ -514,7 +538,7 @@ func TestZeroCollectorEngineHasNoReport(t *testing.T) {
 func TestCustomCollectorSection(t *testing.T) {
 	cc := &countingCollector{}
 	rep := gfs.NewEngine(gfs.NewCluster("A100", 8, 8),
-		gfs.WithScheduler(gfs.NewYARNCS()),
+		gfs.WithScheduler(baselines.NewYARNCS()),
 		gfs.WithCollectors(cc),
 	).RunReport(chaosTrace(5))
 	if len(rep.Sections) != 1 || rep.Sections[0].Name != "event-count" {
@@ -535,7 +559,9 @@ func TestCustomCollectorSection(t *testing.T) {
 // countingCollector is a minimal custom Collector: it counts events.
 type countingCollector struct{ n int }
 
-func (c *countingCollector) Name() string         { return "event-count" }
-func (c *countingCollector) Begin(gfs.RunMeta)    { c.n = 0 }
-func (c *countingCollector) OnEvent(gfs.Event)    { c.n++ }
-func (c *countingCollector) Finish(r *gfs.Report) { r.Attach(c.Name(), c.n) }
+func (c *countingCollector) Name() string      { return "event-count" }
+func (c *countingCollector) Begin(gfs.RunMeta) { c.n = 0 }
+func (c *countingCollector) OnEvent(gfs.Event) { c.n++ }
+func (c *countingCollector) Finish(r *gfs.Report) {
+	r.Sections = append(r.Sections, gfs.CustomSection{Name: c.Name(), Value: c.n})
+}

@@ -8,32 +8,29 @@ import (
 	"github.com/sjtucitlab/gfs/internal/timefeat"
 )
 
-// ScenarioAction is one timed cluster mutation.
-type ScenarioAction = sched.ScenarioAction
-
 // Scenario is a timed script of cluster mutations fed into a
 // simulation's event queue: node failures and restores, drains,
 // capacity scale-out, spot reclamation bursts, correlated (and
 // cascading) failure-domain outages, and diurnal reclamation storms.
 // Scenarios are plain data — build one with the fluent methods or the
-// generators (RandomStorms), combine with Compose and Repeat, and
-// attach it via WithScenario:
+// generators (RandomStorms), and attach it via WithScenario, which
+// may be repeated to combine scenarios:
 //
 //	sc := gfs.NewScenario().
-//		KillNodes(6*gfs.Hour, 3, 4).
-//		RestoreNodes(12*gfs.Hour, 3, 4)
+//		KillNode(6*gfs.Hour, 3).
+//		RestoreNode(12*gfs.Hour, 3)
 //	res := gfs.NewEngine(cl, gfs.WithScenario(sc)).Run(tasks)
 //
 // Times are simulated durations from the trace epoch. Actions sharing
 // a timestamp apply in the order they were added.
 type Scenario struct {
-	actions []ScenarioAction
+	actions []sched.ScenarioAction
 }
 
 // NewScenario returns an empty scenario.
 func NewScenario() *Scenario { return &Scenario{} }
 
-func (s *Scenario) add(a ScenarioAction) *Scenario {
+func (s *Scenario) add(a sched.ScenarioAction) *Scenario {
 	s.actions = append(s.actions, a)
 	return s
 }
@@ -41,46 +38,30 @@ func (s *Scenario) add(a ScenarioAction) *Scenario {
 // KillNode fails one node at time at: every task with pods on it is
 // killed and requeued, and the node leaves the schedulable pool.
 func (s *Scenario) KillNode(at Duration, nodeID int) *Scenario {
-	return s.add(ScenarioAction{At: Time(0).Add(at), Op: sched.OpNodeDown, NodeID: nodeID})
-}
-
-// KillNodes fails several nodes at time at, in ID argument order.
-func (s *Scenario) KillNodes(at Duration, nodeIDs ...int) *Scenario {
-	for _, id := range nodeIDs {
-		s.KillNode(at, id)
-	}
-	return s
+	return s.add(sched.ScenarioAction{At: Time(0).Add(at), Op: sched.OpNodeDown, NodeID: nodeID})
 }
 
 // RestoreNode returns a failed or drained node to service at time at.
 func (s *Scenario) RestoreNode(at Duration, nodeID int) *Scenario {
-	return s.add(ScenarioAction{At: Time(0).Add(at), Op: sched.OpNodeUp, NodeID: nodeID})
-}
-
-// RestoreNodes restores several nodes at time at.
-func (s *Scenario) RestoreNodes(at Duration, nodeIDs ...int) *Scenario {
-	for _, id := range nodeIDs {
-		s.RestoreNode(at, id)
-	}
-	return s
+	return s.add(sched.ScenarioAction{At: Time(0).Add(at), Op: sched.OpNodeUp, NodeID: nodeID})
 }
 
 // DrainNode cordons a node at time at and evicts its spot tasks; HP
 // pods run to completion and the node stays in capacity totals.
 func (s *Scenario) DrainNode(at Duration, nodeID int) *Scenario {
-	return s.add(ScenarioAction{At: Time(0).Add(at), Op: sched.OpNodeDrain, NodeID: nodeID})
+	return s.add(sched.ScenarioAction{At: Time(0).Add(at), Op: sched.OpNodeDrain, NodeID: nodeID})
 }
 
 // ScaleOut adds a pool of fresh nodes at time at.
 func (s *Scenario) ScaleOut(at Duration, pool Pool) *Scenario {
-	return s.add(ScenarioAction{At: Time(0).Add(at), Op: sched.OpScaleOut, Pool: pool})
+	return s.add(sched.ScenarioAction{At: Time(0).Add(at), Op: sched.OpScaleOut, Pool: pool})
 }
 
 // ReclaimSpot evicts running spot tasks at time at until the given
 // fraction of the spot GPUs then in use has been reclaimed — a spot
 // reclamation burst.
 func (s *Scenario) ReclaimSpot(at Duration, fraction float64) *Scenario {
-	return s.add(ScenarioAction{At: Time(0).Add(at), Op: sched.OpReclaimSpot, Fraction: fraction})
+	return s.add(sched.ScenarioAction{At: Time(0).Add(at), Op: sched.OpReclaimSpot, Fraction: fraction})
 }
 
 // FailDomain fails every node in a failure domain atomically at time
@@ -88,7 +69,7 @@ func (s *Scenario) ReclaimSpot(at Duration, fraction float64) *Scenario {
 // Cluster.AssignDomains (or by setting Node.Domain directly); a
 // parent domain ("zone-0") covers all its children ("zone-0/rack-1").
 func (s *Scenario) FailDomain(at Duration, domain string) *Scenario {
-	return s.add(ScenarioAction{At: Time(0).Add(at), Op: sched.OpDomainDown, Domain: domain})
+	return s.add(sched.ScenarioAction{At: Time(0).Add(at), Op: sched.OpDomainDown, Domain: domain})
 }
 
 // CascadeFailure fails domain at time at and spreads the failure to
@@ -97,7 +78,7 @@ func (s *Scenario) FailDomain(at Duration, domain string) *Scenario {
 // deterministically: one run of a scenario is byte-for-byte
 // reproducible at any RunBatch worker count.
 func (s *Scenario) CascadeFailure(at Duration, domain string, p float64, delay Duration, seed int64) *Scenario {
-	return s.add(ScenarioAction{
+	return s.add(sched.ScenarioAction{
 		At: Time(0).Add(at), Op: sched.OpDomainDown, Domain: domain,
 		CascadeP: p, CascadeDelay: delay, Seed: seed,
 	})
@@ -106,13 +87,13 @@ func (s *Scenario) CascadeFailure(at Duration, domain string, p float64, delay D
 // RestoreDomain returns every failed or drained node in a domain to
 // service at time at.
 func (s *Scenario) RestoreDomain(at Duration, domain string) *Scenario {
-	return s.add(ScenarioAction{At: Time(0).Add(at), Op: sched.OpDomainUp, Domain: domain})
+	return s.add(sched.ScenarioAction{At: Time(0).Add(at), Op: sched.OpDomainUp, Domain: domain})
 }
 
 // DrainDomain cordons every node in a domain at time at and evicts
 // their spot tasks; HP pods run to completion.
 func (s *Scenario) DrainDomain(at Duration, domain string) *Scenario {
-	return s.add(ScenarioAction{At: Time(0).Add(at), Op: sched.OpDomainDrain, Domain: domain})
+	return s.add(sched.ScenarioAction{At: Time(0).Add(at), Op: sched.OpDomainDrain, Domain: domain})
 }
 
 // DiurnalReclamation appends a reclamation storm: one spot
@@ -128,10 +109,10 @@ func (s *Scenario) DiurnalReclamation(start, end Duration, every Duration, p Diu
 	return s
 }
 
-// Actions returns the scenario's mutations sorted by time, preserving
+// sorted returns the scenario's mutations sorted by time, preserving
 // insertion order within a timestamp.
-func (s *Scenario) Actions() []ScenarioAction {
-	return sched.SortActions(append([]ScenarioAction(nil), s.actions...))
+func (s *Scenario) sorted() []sched.ScenarioAction {
+	return sched.SortActions(append([]sched.ScenarioAction(nil), s.actions...))
 }
 
 // Len returns the number of actions.
@@ -163,53 +144,6 @@ func DefaultDiurnalProfile(model string) DiurnalProfile {
 		// pool's capacity (see internal/pricing).
 		Pressure: pricing.DefaultTable().Pressure(model),
 	}
-}
-
-// CorrelatedFailure returns a scenario that fails every node in a
-// failure domain atomically at time at. Shorthand for
-// NewScenario().FailDomain(at, domain); compose with Compose.
-func CorrelatedFailure(at Duration, domain string) *Scenario {
-	return NewScenario().FailDomain(at, domain)
-}
-
-// CascadingFailure returns a scenario that fails a domain at time at
-// and spreads to sibling domains with probability p after delay (see
-// Scenario.CascadeFailure).
-func CascadingFailure(at Duration, domain string, p float64, delay Duration, seed int64) *Scenario {
-	return NewScenario().CascadeFailure(at, domain, p, delay, seed)
-}
-
-// Compose merges scenarios into one. Actions keep their own times;
-// actions sharing a timestamp apply in argument order. Nil scenarios
-// are skipped and the inputs are not modified.
-func Compose(scenarios ...*Scenario) *Scenario {
-	out := NewScenario()
-	for _, sc := range scenarios {
-		if sc == nil {
-			continue
-		}
-		out.actions = append(out.actions, sc.actions...)
-	}
-	return out
-}
-
-// Repeat returns a scenario that replays sc times times, shifting
-// each repetition every later than the previous. Cascade draws in
-// shifted copies differ (their seed stream mixes in the firing time)
-// while remaining deterministic per run. The input is not modified.
-func Repeat(sc *Scenario, every Duration, times int) *Scenario {
-	out := NewScenario()
-	if sc == nil {
-		return out
-	}
-	for i := 0; i < times; i++ {
-		offset := Duration(int64(every) * int64(i))
-		for _, a := range sc.actions {
-			a.At = a.At.Add(offset)
-			out.actions = append(out.actions, a)
-		}
-	}
-	return out
 }
 
 // RandomStorms draws a random schedule of correlated domain failures

@@ -6,40 +6,44 @@ import (
 	"testing"
 
 	gfs "github.com/sjtucitlab/gfs"
+	"github.com/sjtucitlab/gfs/internal/sched"
+	"github.com/sjtucitlab/gfs/internal/task"
 )
 
 // topoCluster builds the standard test topology: 16 nodes, 2 zones ×
 // 4 racks, 2 nodes per rack.
 func topoCluster() *gfs.Cluster {
-	return gfs.NewClusterWithTopology("A100", 16, 8, 2, 4)
+	cl := gfs.NewCluster("A100", 16, 8)
+	cl.AssignDomains(2, 4)
+	return cl
 }
 
-// stormScenario composes every scenario layer: diurnal reclamation,
-// a cascading rack failure, and seeded random storms. Deterministic
-// per call.
-func stormScenario() *gfs.Scenario {
-	return gfs.Compose(
-		gfs.NewScenario().DiurnalReclamation(0, 24*gfs.Hour, gfs.Hour,
-			gfs.DefaultDiurnalProfile("A100")),
-		gfs.CascadingFailure(6*gfs.Hour, "zone-0/rack-0", 0.7, 10*gfs.Minute, 5).
-			RestoreDomain(12*gfs.Hour, "zone-0"),
-		gfs.RandomStorms(rand.New(rand.NewSource(9)), gfs.StormProfile{
+// stormScenario composes every scenario layer, one WithScenario each:
+// diurnal reclamation, a cascading rack failure, and seeded random
+// storms. Deterministic per call.
+func stormScenario() []gfs.Option {
+	return []gfs.Option{
+		gfs.WithScenario(gfs.NewScenario().DiurnalReclamation(0, 24*gfs.Hour, gfs.Hour,
+			gfs.DefaultDiurnalProfile("A100")).
+			CascadeFailure(6*gfs.Hour, "zone-0/rack-0", 0.7, 10*gfs.Minute, 5).
+			RestoreDomain(12*gfs.Hour, "zone-0")),
+		gfs.WithScenario(gfs.RandomStorms(rand.New(rand.NewSource(9)), gfs.StormProfile{
 			Horizon:      24 * gfs.Hour,
 			MeanInterval: 6 * gfs.Hour,
 			Domains:      []string{"zone-1/rack-0", "zone-1/rack-2"},
 			FailureProb:  0.5,
 			CascadeP:     0.3,
 			RestoreAfter: 2 * gfs.Hour,
-		}),
-	)
+		})),
+	}
 }
 
 // TestCorrelatedFailureAtomic: FailDomain takes every node of the
 // rack down at one timestamp, and evictions carry the node-failure
 // cause.
 func TestCorrelatedFailureAtomic(t *testing.T) {
-	log := &gfs.EventLog{}
-	sc := gfs.CorrelatedFailure(6*gfs.Hour, "zone-0/rack-0").
+	log := &sched.EventLog{}
+	sc := gfs.NewScenario().FailDomain(6*gfs.Hour, "zone-0/rack-0").
 		RestoreDomain(12*gfs.Hour, "zone-0/rack-0")
 	gfs.NewEngine(topoCluster(),
 		gfs.WithScenario(sc),
@@ -72,12 +76,13 @@ func TestCorrelatedFailureAtomic(t *testing.T) {
 // TestDrainDomainSparesHP: draining a domain evicts only its spot
 // tasks; HP pods run to completion on the cordoned nodes.
 func TestDrainDomainSparesHP(t *testing.T) {
-	cl := gfs.NewClusterWithTopology("A100", 2, 8, 1, 1)
+	cl := gfs.NewCluster("A100", 2, 8)
+	cl.AssignDomains(1, 1)
 	tasks := []*gfs.Task{
-		gfs.NewTask(1, gfs.HP, 1, 8, 2*gfs.Hour),
-		gfs.NewTask(2, gfs.Spot, 1, 8, 2*gfs.Hour),
+		task.New(1, gfs.HP, 1, 8, 2*gfs.Hour),
+		task.New(2, gfs.Spot, 1, 8, 2*gfs.Hour),
 	}
-	log := &gfs.EventLog{}
+	log := &sched.EventLog{}
 	res := gfs.NewEngine(cl,
 		gfs.WithScheduler(gfs.NewStaticFirstFit()),
 		gfs.WithScenario(gfs.NewScenario().DrainDomain(30*gfs.Minute, "zone-0/rack-0")),
@@ -96,9 +101,9 @@ func TestDrainDomainSparesHP(t *testing.T) {
 // are seeded, so two identical runs produce byte-identical event
 // logs, and the cascade actually spreads beyond the seed domain.
 func TestCascadeFailureDeterministic(t *testing.T) {
-	run := func() (*gfs.Result, *gfs.EventLog) {
-		log := &gfs.EventLog{}
-		sc := gfs.CascadingFailure(6*gfs.Hour, "zone-0/rack-0", 0.95, 10*gfs.Minute, 7)
+	run := func() (*gfs.Result, *sched.EventLog) {
+		log := &sched.EventLog{}
+		sc := gfs.NewScenario().CascadeFailure(6*gfs.Hour, "zone-0/rack-0", 0.95, 10*gfs.Minute, 7)
 		res := gfs.NewEngine(topoCluster(),
 			gfs.WithScenario(sc),
 			gfs.WithObserver(log),
@@ -130,31 +135,29 @@ func TestCascadeFailureDeterministic(t *testing.T) {
 	}
 }
 
-// TestComposeAndRepeat: composition preserves actions; Repeat shifts
-// copies by the period.
+// TestComposeAndRepeat: scenarios compose by repeating WithScenario
+// — the run sees the same events as one scenario holding both
+// scripts, and the inputs keep their own actions — and a script
+// repeats by adding its actions once per period.
 func TestComposeAndRepeat(t *testing.T) {
+	run := func(opts ...gfs.Option) string {
+		log := &sched.EventLog{}
+		gfs.NewEngine(topoCluster(), append(opts, gfs.WithObserver(log))...).Run(chaosTrace(17))
+		return log.String()
+	}
 	a := gfs.NewScenario().KillNode(gfs.Hour, 1)
-	b := gfs.NewScenario().ReclaimSpot(2*gfs.Hour, 0.5)
-	c := gfs.Compose(a, nil, b)
-	if c.Len() != 2 {
-		t.Fatalf("Compose len = %d, want 2", c.Len())
+	b := gfs.NewScenario()
+	for day := gfs.Duration(0); day < 3; day++ {
+		b.ReclaimSpot(2*gfs.Hour+day*gfs.Day, 0.5)
 	}
-	if a.Len() != 1 || b.Len() != 1 {
-		t.Fatal("Compose must not modify its inputs")
+	composed := run(gfs.WithScenario(a), gfs.WithScenario(nil), gfs.WithScenario(b))
+	one := run(gfs.WithScenario(gfs.NewScenario().KillNode(gfs.Hour, 1).
+		ReclaimSpot(2*gfs.Hour, 0.5).ReclaimSpot(26*gfs.Hour, 0.5).ReclaimSpot(50*gfs.Hour, 0.5)))
+	if composed != one {
+		t.Fatal("repeated WithScenario must run as one scenario holding both scripts")
 	}
-	r := gfs.Repeat(b, 24*gfs.Hour, 3)
-	if r.Len() != 3 {
-		t.Fatalf("Repeat len = %d, want 3", r.Len())
-	}
-	acts := r.Actions()
-	for i, act := range acts {
-		want := gfs.Time(0).Add(2*gfs.Hour + gfs.Duration(i)*24*gfs.Hour)
-		if act.At != want {
-			t.Fatalf("repeat %d at %d, want %d", i, act.At, want)
-		}
-	}
-	if b.Len() != 1 {
-		t.Fatal("Repeat must not modify its input")
+	if a.Len() != 1 || b.Len() != 3 {
+		t.Fatalf("inputs changed: %d and %d actions, want 1 and 3", a.Len(), b.Len())
 	}
 }
 
@@ -165,17 +168,16 @@ func TestComposeAndRepeat(t *testing.T) {
 func TestStormDeterminismAcrossWorkers(t *testing.T) {
 	const runs = 4
 	sweep := func(workers int) []string {
-		logs := make([]*gfs.EventLog, runs)
+		logs := make([]*sched.EventLog, runs)
 		var specs []gfs.BatchSpec
 		for i := 0; i < runs; i++ {
 			i := i
-			logs[i] = &gfs.EventLog{}
+			logs[i] = &sched.EventLog{}
 			specs = append(specs, gfs.BatchSpec{
 				Name: fmt.Sprintf("seed-%d", i+1),
 				Setup: func() (*gfs.Engine, []*gfs.Task) {
 					eng := gfs.NewEngine(topoCluster(),
-						gfs.WithScenario(stormScenario()),
-						gfs.WithObserver(logs[i]))
+						append(stormScenario(), gfs.WithObserver(logs[i]))...)
 					return eng, chaosTrace(int64(i + 1))
 				},
 			})

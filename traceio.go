@@ -70,16 +70,6 @@ func ParseTraceRegime(s string) (TraceRegime, error) { return trace.ParseRegime(
 // Philly) that drop unusable rows; Skipped reports how many.
 type TraceSkipper = trace.Skipper
 
-// TraceFromTasks adapts an in-memory trace to the TraceSource
-// interface, so generated workloads flow through the same transform
-// and replay pipeline as ingested files.
-func TraceFromTasks(tasks []*Task) TraceSource { return trace.SliceSource(tasks) }
-
-// CollectTrace drains a source into a slice, closing it. It is the
-// bridge back to slice-based APIs — and the one place a streamed
-// trace is fully materialized.
-func CollectTrace(src TraceSource) ([]*Task, error) { return trace.Collect(src) }
-
 // RebaseTrace shifts every submission time by a constant offset so
 // the first task submits at start. External traces rarely begin at
 // the simulation epoch; rebasing to 0 aligns them with the diurnal
@@ -91,13 +81,6 @@ func RebaseTrace(src TraceSource, start Time) TraceSource { return trace.Rebase(
 // Durations are untouched.
 func RateScaleTrace(src TraceSource, factor float64) TraceSource {
 	return trace.RateScale(src, factor)
-}
-
-// TimeWindowTrace keeps only tasks submitted in [from, to), ending
-// the stream at the first task past the window so nothing beyond it
-// is decoded.
-func TimeWindowTrace(src TraceSource, from, to Time) TraceSource {
-	return trace.TimeWindow(src, from, to)
 }
 
 // HeadWindowTrace keeps only the first span of trace time, measured
