@@ -27,6 +27,7 @@
 package main
 
 import (
+	"cmp"
 	"encoding/json"
 	"errors"
 	"flag"
@@ -223,26 +224,32 @@ func runConvert(args []string, stdin io.Reader, stdout, stderr io.Writer) error 
 	if err != nil {
 		return err
 	}
-	n := 0
-	for {
-		tk, err := src.Next()
-		if err == io.EOF {
-			break
+	n, err := encodeAll(enc, src)
+	if err = cmp.Or(err, closeOut()); err != nil {
+		if *out != "" {
+			os.Remove(*out) // a partial file is no trace: leave none behind
 		}
-		if err != nil {
-			return err
-		}
-		if err := enc.Encode(tk); err != nil {
-			return err
-		}
-		n++
-	}
-	if err := closeOut(); err != nil {
 		return err
 	}
 	reportSkipped(stderr, base)
 	fmt.Fprintf(stderr, "converted %d tasks\n", n)
 	return nil
+}
+
+// encodeAll encodes every task src yields and returns their count.
+func encodeAll(enc gfs.TraceEncoder, src gfs.TraceSource) (int, error) {
+	for n := 0; ; n++ {
+		tk, err := src.Next()
+		if err == io.EOF {
+			return n, nil
+		}
+		if err != nil {
+			return n, err
+		}
+		if err := enc.Encode(tk); err != nil {
+			return n, err
+		}
+	}
 }
 
 // runValidate drains the input, checking fields and ordering.

@@ -71,3 +71,34 @@ func TestUnknownSubcommand(t *testing.T) {
 		t.Fatalf("a rejected run wrote %q to stdout", stdout.String())
 	}
 }
+
+// TestConvertFailureLeavesNoFile: a CSV whose row 41 is malformed
+// fails convert mid-stream with exit status 1, and the half-written
+// -out file is removed rather than left as a truncated gzip stream.
+func TestConvertFailureLeavesNoFile(t *testing.T) {
+	dir := t.TempDir()
+	csvPath, badPath, outPath := filepath.Join(dir, "t.csv"), filepath.Join(dir, "bad.csv"), filepath.Join(dir, "o.csv.gz")
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-days", "1", "-gpus", "64", "-seed", "3", "-out", csvPath}, nil, &stdout, &stderr); code != 0 {
+		t.Fatalf("generate: exit %d, stderr: %s", code, stderr.String())
+	}
+	raw, err := os.ReadFile(csvPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.SplitAfter(string(raw), "\n")
+	if len(lines) < 50 {
+		t.Fatalf("generated trace has %d lines, want a longer one", len(lines))
+	}
+	lines[41] = "41,not,a,task\n" // line 0 is the header
+	if err := os.WriteFile(badPath, []byte(strings.Join(lines, "")), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	stderr.Reset()
+	if code := run([]string{"convert", "-in", badPath, "-out", outPath}, nil, &stdout, &stderr); code != 1 {
+		t.Fatalf("convert of a malformed trace: exit %d, want 1 (stderr: %s)", code, stderr.String())
+	}
+	if _, err := os.Stat(outPath); !os.IsNotExist(err) {
+		t.Fatalf("convert failed but left %s behind (stat: %v)", outPath, err)
+	}
+}

@@ -38,7 +38,7 @@ func TestExportedSymbolCeilings(t *testing.T) {
 	}{
 		{".", 198},
 		{"internal/sched", 95},
-		{"internal/cluster", 54},
+		{"internal/cluster", 55},
 		{"internal/stats", 23},
 		{"internal/service", 18},
 		{"internal/forecast", 56},

@@ -119,12 +119,29 @@ func (p *plans) best(nodes []*cluster.Node, need int, order func(n *cluster.Node
 // the node's spot tasks whose eviction frees need cards, or nil when
 // infeasible. When the node already fits without evictions it returns
 // an empty, non-nil slice.
+//
+// A whole-card tenant holds its cards alone, so while the prefix holds
+// only whole-card tenants it frees the idle cards plus theirs; from the
+// first fractional tenant on, which may share a card, each prefix is
+// counted by a card walk.
 func minimalVictims(n *cluster.Node, need int, order []*task.Task) []*task.Task {
-	if n.WholeFreeGPUs() >= need {
+	free := n.WholeFreeGPUs()
+	if free >= need {
 		return []*task.Task{}
 	}
-	for i := range order {
-		if n.WholeFreeGPUsWithout(order[:i+1]) >= need {
+	if !n.Schedulable() {
+		return nil
+	}
+	for i, v := range order {
+		if v.GPUsPerPod < 1 {
+			for ; i < len(order); i++ {
+				if n.WholeFreeGPUsWithout(order[:i+1]) >= need {
+					return order[:i+1]
+				}
+			}
+			return nil
+		}
+		if free += n.PodsOf(v.ID) * v.PodCards(); free >= need {
 			return order[:i+1]
 		}
 	}

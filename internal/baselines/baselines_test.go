@@ -367,3 +367,40 @@ func TestMinimalVictimsMatchesMapPath(t *testing.T) {
 		}
 	}
 }
+
+// TestMinimalVictimsMatchesCardWalk: on random nodes whose tenants run
+// up to three pods of whole, 1.5-GPU and fractional sizes, the prefix
+// search — card counts while the prefix is whole-card, the walk from
+// its first fractional tenant on — returns the prefix a card walk of
+// every prefix returns.
+func TestMinimalVictimsMatchesCardWalk(t *testing.T) {
+	for seed := int64(1); seed <= 300; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n := cluster.NewHomogeneous("A100", 1, 8).Nodes()[0]
+		for id := 1; id <= 8; id++ {
+			tk := mkTask(id, task.Type(rng.Intn(2)), 1, []float64{0.25, 0.5, 0.75, 1, 1, 1.5, 2, 4}[rng.Intn(8)])
+			for p := 1 + rng.Intn(3); p > 0; p-- {
+				_ = n.PlacePod(tk) // pods that do not fit are simply absent
+			}
+		}
+		if rng.Intn(8) == 0 {
+			n.SetCordoned(true)
+		}
+		order := n.SpotTasks()
+		rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
+		for need := 1; need <= 8; need++ {
+			var want []*task.Task
+			if n.WholeFreeGPUs() >= need {
+				want = []*task.Task{}
+			}
+			for i := 0; want == nil && i < len(order); i++ {
+				if n.WholeFreeGPUsWithout(order[:i+1]) >= need {
+					want = order[:i+1]
+				}
+			}
+			if got := minimalVictims(n, need, order); (got == nil) != (want == nil) || !slices.Equal(got, want) {
+				t.Fatalf("seed %d %v need %d: victims %v, card walk %v", seed, n, need, got, want)
+			}
+		}
+	}
+}

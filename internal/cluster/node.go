@@ -484,6 +484,32 @@ func (n *Node) AppendSpotTasks(dst []*task.Task) []*task.Task {
 	return dst
 }
 
+// AppendSpotHolds appends the node's spot tasks to tenants in task-ID
+// order and, to cards, the cards each holds alone. A whole-card pod
+// (GPUsPerPod ≥ 1) takes PodCards idle cards and is their only tenant,
+// so evicting a set of whole-card tenants frees WholeFreeGPUs plus
+// their cards. A fractional tenant may share its cards, so its count is
+// 0 and whole, which reports that no spot tenant is fractional, is
+// false: what evicting it frees takes a card walk
+// (WholeFreeGPUsWithout).
+func (n *Node) AppendSpotHolds(tenants []*task.Task, cards []int) (_ []*task.Task, _ []int, whole bool) {
+	whole = true
+	for i := range n.pods {
+		tk := n.pods[i].task
+		if tk.Type != task.Spot {
+			continue
+		}
+		c := 0
+		if tk.GPUsPerPod >= 1 {
+			c = n.pods[i].pods * tk.PodCards()
+		} else {
+			whole = false
+		}
+		tenants, cards = append(tenants, tk), append(cards, c)
+	}
+	return tenants, cards, whole
+}
+
 // Tasks returns all tasks on this node sorted by ID.
 func (n *Node) Tasks() []*task.Task {
 	out := make([]*task.Task, len(n.pods))

@@ -327,3 +327,70 @@ func BenchmarkPreemptPlan1250(b *testing.B) { benchPreemptPlan1250(b, false) }
 // BenchmarkPreemptPlan1250Advancing plans every gang at a new instant,
 // where every node's victim set is built afresh.
 func BenchmarkPreemptPlan1250Advancing(b *testing.B) { benchPreemptPlan1250(b, true) }
+
+// trimNode builds one eight-card node for the trim differential. Its
+// tenants take shuffled IDs, so ID order is not placement order, and
+// assorted start times and checkpoint intervals, so wastes differ with
+// some exact ties. Half the nodes hold only whole-card tenants (1, 2,
+// 4 and 1.5 GPUs per pod, the last holding one card per pod), where
+// the trim is arithmetic; the rest add 0.25, 0.5 and 0.75 fractions,
+// where it walks the cards. Tenants are HP or spot; one node in eight
+// is cordoned.
+func trimNode(rng *rand.Rand, now simclock.Time) *cluster.Node {
+	n := cluster.NewHomogeneous("A100", 1, 8).Nodes()[0]
+	sizes := []float64{1, 1, 2, 4, 1.5, 0.25, 0.5, 0.75}
+	if rng.Intn(2) == 0 {
+		sizes = sizes[:5]
+	}
+	ids := rng.Perm(12)
+	for _, id := range ids[:rng.Intn(len(ids))] {
+		tk := task.New(100+id, task.Type(rng.Intn(2)), 1, sizes[rng.Intn(len(sizes))], 4*simclock.Hour)
+		tk.CheckpointEvery = simclock.Duration(10+10*rng.Intn(3)) * simclock.Minute
+		placed := false
+		for p := 1 + rng.Intn(3); p > 0; p-- {
+			placed = n.PlacePod(tk) == nil || placed
+		}
+		if placed {
+			tk.EnterQueue(0)
+			tk.Start(now - simclock.Time(1+rng.Intn(4))*simclock.Time(7*simclock.Minute))
+		}
+	}
+	if rng.Intn(8) == 0 {
+		n.SetCordoned(true)
+	}
+	return n
+}
+
+// FuzzVictimTrim: on random nodes the trim victimSet makes — the
+// whole-card arithmetic, or the card walk where a spot tenant is
+// fractional — returns the victims and ok that walkTrim, the card walk
+// alone, returns for every node, for every pod size, waste-aware and
+// under the GFS-p ablation.
+func FuzzVictimTrim(f *testing.F) {
+	for seed := int64(1); seed <= 32; seed++ {
+		f.Add(seed)
+	}
+	now := simclock.Time(2 * simclock.Hour)
+	f.Fuzz(func(t *testing.T, seed int64) {
+		rng := rand.New(rand.NewSource(seed))
+		for range 8 {
+			n := trimNode(rng, now)
+			ctx := &sched.Context{Now: now}
+			for _, random := range []bool{false, true} {
+				s := New(Config{RandomPreemption: random})
+				for need := 1; need <= 8; need++ {
+					var want []*task.Task
+					wantOK := false
+					if n.ReclaimableGPUs() >= need {
+						want, wantOK = s.walkTrim(now, n, need, n.SpotTasks())
+					}
+					got, ok := s.victimSet(ctx, n, need)
+					if ok != wantOK || !slices.Equal(got, want) {
+						t.Fatalf("seed %d %v need %d random=%v: victims %v ok=%v, card walk %v ok=%v",
+							seed, n, need, random, got, ok, want, wantOK)
+					}
+				}
+			}
+		}
+	})
+}

@@ -84,9 +84,11 @@ type planMemo struct {
 	// nodes holds one entry per node, by node ID (clusters number
 	// their nodes densely from 0).
 	nodes []planEntry
-	// arena holds the victims of the key's entries; buf is the trim's
-	// workspace.
+	// arena holds the victims of the key's entries; buf, cards and
+	// keys are the trim's workspace.
 	arena, buf []*task.Task
+	cards      []int
+	keys       []trimKey
 	// rejected counts nodes the O(1) reclaimable-cards test ruled out,
 	// costed those whose victim set was built, reused those whose entry
 	// stood. A plan that never reused would cost costed+reused nodes.
@@ -343,18 +345,78 @@ func (s *Scheduler) bestPreemption(ctx *sched.Context, tk *task.Task, evictedSoF
 // when possible. A node whose idle cards suffice is a candidate only
 // if it hosts no spot task at all: the trim of a mixed node then
 // spares every tenant, and a plan that preempts nobody there is left
-// to the non-preemptive path (behaviour the golden logs pin). The
-// result aliases the planner's workspace, valid until the next call.
+// to the non-preemptive path (behaviour the golden logs pin).
+//
+// A whole-card spot tenant holds its cards alone, so on a node with no
+// fractional spot tenant a set of victims frees the idle cards plus the
+// victims' own, and the trim is arithmetic over a waste-ordered index
+// permutation with the victims left in place in ID order. A node with
+// a fractional spot tenant is trimmed by walking its cards
+// (walkTrim). The result aliases the planner's workspace, valid until
+// the next call.
 func (s *Scheduler) victimSet(ctx *sched.Context, n *cluster.Node, need int) (victims []*task.Task, ok bool) {
 	if n.ReclaimableGPUs() < need {
 		return nil, false
 	}
-	s.plans.costed++
-	buf := n.AppendSpotTasks(s.plans.buf[:0])
-	s.plans.buf = buf
+	m := &s.plans
+	m.costed++
+	buf, cards, whole := n.AppendSpotHolds(m.buf[:0], m.cards[:0])
+	m.buf, m.cards = buf, cards
+	if !whole {
+		return s.walkTrim(ctx.Now, n, need, buf)
+	}
+	free := n.WholeFreeGPUs()
 	if s.cfg.RandomPreemption {
 		// GFS-p ablation: accumulate victims in arbitrary (ID)
 		// order until the requirement is met, waste-blind.
+		for i, c := range cards {
+			if free += c; free >= need {
+				return buf[:i+1], true
+			}
+		}
+		return buf, true
+	}
+	// Waste-aware trim (Alg. 2): spare the highest-waste victims
+	// first. free counts the cards freed if every tenant not yet
+	// spared goes; a spared tenant's count drops to 0.
+	keys := m.keys[:0]
+	for i, v := range buf {
+		free += cards[i]
+		keys = append(keys, trimKey{waste: v.Waste(ctx.Now), i: i})
+	}
+	m.keys = keys
+	slices.SortFunc(keys, func(a, b trimKey) int {
+		if a.waste != b.waste {
+			return cmp.Compare(b.waste, a.waste)
+		}
+		return cmp.Compare(a.i, b.i)
+	})
+	for _, k := range keys {
+		if c := cards[k.i]; free-c >= need {
+			free -= c
+			cards[k.i] = 0
+		}
+	}
+	victims = buf[:0]
+	for i, v := range buf {
+		if cards[i] > 0 {
+			victims = append(victims, v)
+		}
+	}
+	return victims, len(victims) > 0 || len(buf) == 0
+}
+
+// trimKey orders one tenant, buf[i], in the waste-aware trim.
+type trimKey struct {
+	waste float64
+	i     int
+}
+
+// walkTrim is victimSet's trim of buf, n's spot tenants in ID order,
+// by card walks: WholeFreeGPUsWithout counts what each candidate set
+// frees, so fractional tenants sharing a card are counted right.
+func (s *Scheduler) walkTrim(now simclock.Time, n *cluster.Node, need int, buf []*task.Task) (victims []*task.Task, ok bool) {
+	if s.cfg.RandomPreemption {
 		for i := range buf {
 			if n.WholeFreeGPUsWithout(buf[:i+1]) >= need {
 				return buf[:i+1], true
@@ -362,10 +424,8 @@ func (s *Scheduler) victimSet(ctx *sched.Context, n *cluster.Node, need int) (vi
 		}
 		return buf, true
 	}
-	// Waste-aware trim (Alg. 2): spare the highest-waste victims
-	// first. buf[:lo] is spared, buf[lo:i] must go, buf[i:] is still
+	// buf[:lo] is spared, buf[lo:i] must go, buf[i:] is still
 	// undecided (and counted as going).
-	now := ctx.Now
 	slices.SortFunc(buf, func(a, b *task.Task) int {
 		if wa, wb := a.Waste(now), b.Waste(now); wa != wb {
 			return cmp.Compare(wb, wa)

@@ -1,6 +1,10 @@
 package sched
 
-import "github.com/sjtucitlab/gfs/internal/task"
+import (
+	"slices"
+
+	"github.com/sjtucitlab/gfs/internal/task"
+)
 
 // taskShape keys placement-feasibility: two pending tasks with the
 // same shape either both fit or both fail against the same cluster
@@ -31,6 +35,9 @@ type shapeBucket struct {
 	// cur is the bucket's cursor in the walk in progress (a scheduling
 	// pass or an ordered read): entries before it have been passed.
 	cur int
+	// leaf is the bucket's leaf in the walk's tree, or -1 when the walk
+	// began without it.
+	leaf int32
 }
 
 // head returns the entry under the cursor.
@@ -41,7 +48,11 @@ func (b *shapeBucket) head() pendEntry { return b.entries[b.cur] }
 // k-way selection over bucket heads, so a shape that cannot be placed
 // parks its whole bucket in one step and the pass costs what the
 // distinct shapes and the starts cost, not what the queue length
-// costs. The walk lists are reused, so a pass allocates nothing.
+// costs. The selection is a winner tree over the buckets a walk begins
+// with: the pick is its root, and a bucket whose head moves replays its
+// one leaf-to-root path, so a pick over L buckets costs ⌈log₂ L⌉
+// comparisons, not L − 1. The walk lists are reused, so a pass
+// allocates nothing.
 type pendingQueue struct {
 	sched   Scheduler
 	byShape map[taskShape]*shapeBucket
@@ -49,15 +60,23 @@ type pendingQueue struct {
 	n       int            // queued tasks
 	seq     uint64         // next entry sequence number
 
-	// Walk state: live buckets still have entries ahead of their
-	// cursor; parked buckets failed at their cursor and sit out until
-	// the next start.
-	live, parked []*shapeBucket
-	parks        uint64 // buckets parked so far; tests gate on it
+	// Walk state. walk holds the buckets that had entries at begin,
+	// the tree's leaves. win is the tree: win[len(walk)+j] is j while
+	// walk[j] is live — entries ahead of its cursor, not parked — and
+	// -1 otherwise, and every inner node win[p] is the first in queue
+	// order of its children win[2p] and win[2p+1], so win[1] is the
+	// live bucket whose head comes first. parked lists the leaves that
+	// failed at their cursor and sit out until the next start.
+	walk   []*shapeBucket
+	win    []int32
+	parked []int32
+	parks  uint64 // buckets parked so far; tests gate on it
+	cmps   uint64 // calls of before; tests gate on it
 }
 
 // before reports whether a precedes b in queue order.
 func (q *pendingQueue) before(a, b pendEntry) bool {
+	q.cmps++
 	if q.sched.Less(a.tk, b.tk) {
 		return true
 	}
@@ -87,7 +106,7 @@ func (q *pendingQueue) insert(tk *task.Task) {
 	shape := shapeOfTask(tk)
 	b := q.byShape[shape]
 	if b == nil {
-		b = &shapeBucket{}
+		b = &shapeBucket{leaf: -1}
 		q.byShape[shape] = b
 		q.buckets = append(q.buckets, b)
 	}
@@ -98,61 +117,89 @@ func (q *pendingQueue) insert(tk *task.Task) {
 	b.entries[i] = x
 	q.seq++
 	q.n++
-	if i < b.cur {
+	switch {
+	case i < b.cur:
 		b.cur++ // keep a walk in progress on the entry it was on
+	case i == b.cur && b.leaf >= 0 && q.win[len(q.walk)+int(b.leaf)] >= 0:
+		q.replay(int(b.leaf)) // a live bucket's head moved
 	}
 }
 
 // begin starts a walk from the head of every non-empty bucket.
 func (q *pendingQueue) begin() {
-	q.live, q.parked = q.live[:0], q.parked[:0]
+	q.walk, q.parked = q.walk[:0], q.parked[:0]
 	for _, b := range q.buckets {
+		b.leaf = -1
 		if len(b.entries) > 0 {
-			b.cur = 0
-			q.live = append(q.live, b)
+			b.cur, b.leaf = 0, int32(len(q.walk))
+			q.walk = append(q.walk, b)
 		}
+	}
+	n := len(q.walk)
+	q.win = slices.Grow(q.win[:0], 2*n)[:2*n]
+	for j := range n {
+		q.win[n+j] = int32(j)
+	}
+	for p := n - 1; p > 0; p-- {
+		q.win[p] = q.winner(q.win[2*p], q.win[2*p+1])
 	}
 }
 
-// min returns the index in live of the bucket whose head is first in
-// queue order, or -1 when the walk is over.
+// winner returns whichever of leaves a and b (-1 for none) has the
+// head that comes first.
+func (q *pendingQueue) winner(a, b int32) int32 {
+	if a < 0 {
+		return b
+	}
+	if b < 0 || q.before(q.walk[a].head(), q.walk[b].head()) {
+		return a
+	}
+	return b
+}
+
+// replay recomputes the inner nodes on leaf j's path to the root.
+func (q *pendingQueue) replay(j int) {
+	for p := (len(q.walk) + j) >> 1; p > 0; p >>= 1 {
+		q.win[p] = q.winner(q.win[2*p], q.win[2*p+1])
+	}
+}
+
+// min returns the leaf of the live bucket whose head is first in queue
+// order, or -1 when the walk is over.
 func (q *pendingQueue) min() int {
-	best := -1
-	for i, b := range q.live {
-		if best < 0 || q.before(b.head(), q.live[best].head()) {
-			best = i
-		}
+	if len(q.walk) == 0 {
+		return -1
 	}
-	return best
+	return int(q.win[1])
 }
 
-// drop removes live[i] from the walk (order within live is free: min
-// is a selection under a total order).
-func (q *pendingQueue) drop(i int) {
-	last := len(q.live) - 1
-	q.live[i] = q.live[last]
-	q.live = q.live[:last]
+// drop takes leaf j out of the walk.
+func (q *pendingQueue) drop(j int) {
+	q.win[len(q.walk)+j] = -1
+	q.replay(j)
 }
 
-// skip passes over live[i]'s head, leaving it queued.
-func (q *pendingQueue) skip(i int) {
-	b := q.live[i]
+// skip passes over leaf j's head, leaving it queued.
+func (q *pendingQueue) skip(j int) {
+	b := q.walk[j]
 	if b.cur++; b.cur == len(b.entries) {
-		q.drop(i)
+		q.drop(j)
+	} else {
+		q.replay(j)
 	}
 }
 
-// park sets live[i] aside until the next resume: its head cannot be
+// park sets leaf j aside until the next resume: its head cannot be
 // placed, so neither can the same-shape entries behind it.
-func (q *pendingQueue) park(i int) {
-	q.parked = append(q.parked, q.live[i])
+func (q *pendingQueue) park(j int) {
+	q.parked = append(q.parked, int32(j))
 	q.parks++
-	q.drop(i)
+	q.drop(j)
 }
 
-// remove dequeues live[i]'s head and returns it.
-func (q *pendingQueue) remove(i int) pendEntry {
-	b := q.live[i]
+// remove dequeues leaf j's head and returns it.
+func (q *pendingQueue) remove(j int) pendEntry {
+	b := q.walk[j]
 	x := b.head()
 	last := len(b.entries) - 1
 	copy(b.entries[b.cur:], b.entries[b.cur+1:])
@@ -160,7 +207,9 @@ func (q *pendingQueue) remove(i int) pendEntry {
 	b.entries = b.entries[:last]
 	q.n--
 	if b.cur == last {
-		q.drop(i)
+		q.drop(j)
+	} else {
+		q.replay(j)
 	}
 	return x
 }
@@ -170,9 +219,11 @@ func (q *pendingQueue) remove(i int) pendEntry {
 // shapes are worth retrying, but only behind the started task, as a
 // front-to-back pass over one flat queue would.
 func (q *pendingQueue) resume(x pendEntry) {
-	for _, p := range q.parked {
+	for _, j := range q.parked {
+		p := q.walk[j]
 		if p.cur = q.after(p, p.cur, x); p.cur < len(p.entries) {
-			q.live = append(q.live, p)
+			q.win[len(q.walk)+int(j)] = j
+			q.replay(int(j))
 		}
 	}
 	q.parked = q.parked[:0]
@@ -181,8 +232,8 @@ func (q *pendingQueue) resume(x pendEntry) {
 // each calls fn for every queued task in queue order.
 func (q *pendingQueue) each(fn func(*task.Task)) {
 	q.begin()
-	for i := q.min(); i >= 0; i = q.min() {
-		fn(q.live[i].head().tk)
-		q.skip(i)
+	for j := q.min(); j >= 0; j = q.min() {
+		fn(q.walk[j].head().tk)
+		q.skip(j)
 	}
 }

@@ -3,6 +3,7 @@ package sched
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"slices"
 	"sort"
@@ -332,11 +333,92 @@ func TestPassWorkScalesWithShapes(t *testing.T) {
 	}
 }
 
-// deepQueue builds a simulator holding 1,500 queued tasks of 13
-// shapes on a full cluster, so an unassisted pass fails every shape.
-// With room set, one idle node lets the head of the queue (HP, 1×8)
-// start and nothing else.
-func deepQueue(room bool) *Simulator {
+// TestPickWorkIsLogarithmic is the queue's work gate: over L live
+// buckets a pick — reading the tree's root, then replaying the path of
+// the leaf whose head it passed or removed — costs at most ⌈log₂ L⌉ + 1
+// calls of before, where a scan of the bucket heads cost L − 1, and
+// starting the walk costs L − 1. Every pick is also checked against
+// that scan, with tasks queued mid-walk right at a live bucket's
+// cursor, where a victim evicted during a pass can land. Counts only —
+// no clock.
+func TestPickWorkIsLogarithmic(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, live := range []int{1, 4, 16, 64} {
+		// Submit order alone, shuffled, so picks hop between buckets.
+		q := pendingQueue{sched: &stubSched{order: 2}, byShape: make(map[taskShape]*shapeBucket)}
+		queued := 0
+		add := func(pods int, submit simclock.Time) {
+			queued++
+			q.insert(mkTask(queued, task.Spot, pods, 1, simclock.Hour, submit))
+		}
+		for i, sub := range rng.Perm(8 * live) {
+			add(1+i%live, simclock.Time(sub))
+		}
+		scan := func() int {
+			best := -1
+			for j, b := range q.walk {
+				if q.win[live+j] >= 0 && (best < 0 || q.before(b.head(), q.walk[best].head())) {
+					best = j
+				}
+			}
+			return best
+		}
+		bound := uint64(bits.Len(uint(live-1))) + 1
+		c := q.cmps
+		q.begin()
+		if len(q.walk) != live || q.cmps-c > uint64(live-1) {
+			t.Fatalf("L=%d: the walk began with %d buckets in %d comparisons, want %d in ≤ %d", live, len(q.walk), q.cmps-c, live, live-1)
+		}
+		picks := 0
+		for j := q.min(); j >= 0; j = q.min() {
+			if want := scan(); j != want {
+				t.Fatalf("L=%d: pick %d took bucket %d, a scan of the heads takes %d", live, picks, j, want)
+			}
+			c := q.cmps
+			if picks%3 == 0 {
+				q.remove(j)
+			} else {
+				q.skip(j)
+			}
+			if w := q.cmps - c; w > bound {
+				t.Fatalf("L=%d: pick %d cost %d comparisons, want ≤ ⌈log₂ L⌉ + 1 = %d", live, picks, w, bound)
+			}
+			picks++
+			// Queue a task at a live bucket's cursor, ahead of the
+			// other buckets' heads.
+			if b := q.walk[rng.Intn(live)]; picks%5 == 0 && q.win[live+int(b.leaf)] >= 0 {
+				submit := simclock.Time(-queued)
+				if b.cur > 0 {
+					submit = b.entries[b.cur-1].tk.Submit
+				}
+				add(b.head().tk.Pods, submit)
+			}
+		}
+		if picks != queued {
+			t.Fatalf("L=%d: walk picked %d of %d entries", live, picks, queued)
+		}
+	}
+}
+
+// deepShapes are the 13 (pods, GPUs per pod) shapes of deepQueue;
+// manyShapes are 64: 1 to 16 pods of 8, 4, 2 or 1 GPUs.
+var deepShapes = [][2]float64{{1, 8}, {2, 8}, {4, 8}, {1, 4}, {2, 4}, {3, 4}, {1, 2}, {2, 2}, {3, 2}, {1, 1}, {2, 1}, {3, 1}, {5, 1}}
+
+var manyShapes = func() [][2]float64 {
+	var out [][2]float64
+	for _, g := range []float64{8, 4, 2, 1} {
+		for pods := 1; pods <= 16; pods++ {
+			out = append(out, [2]float64{float64(pods), g})
+		}
+	}
+	return out
+}()
+
+// deepQueue builds a simulator holding 1,500 queued tasks of the given
+// shapes, taken in turn, on a full cluster, so an unassisted pass fails
+// every shape. With room set, one idle node lets the head of the queue
+// (HP, 1×8, the first shape of both lists) start and nothing else.
+func deepQueue(room bool, shapes [][2]float64) *Simulator {
 	cl := cluster.NewHomogeneous("A100", 9, 8)
 	cfg := DefaultSimConfig(cl, &firstFit{})
 	s := NewSimulator(cfg, nil)
@@ -352,9 +434,8 @@ func deepQueue(room bool) *Simulator {
 		}
 		txn.Commit()
 	}
-	shapes := [13][2]float64{{1, 8}, {2, 8}, {4, 8}, {1, 4}, {2, 4}, {3, 4}, {1, 2}, {2, 2}, {3, 2}, {1, 1}, {2, 1}, {3, 1}, {5, 1}}
 	for i := 0; i < 1500; i++ {
-		sh := shapes[i%13]
+		sh := shapes[i%len(shapes)]
 		tk := mkTask(i+1, task.Type((i+1)%2), int(sh[0]), sh[1], simclock.Hour, simclock.Time(i))
 		tk.EnterQueue(0)
 		s.pend.insert(tk)
@@ -363,37 +444,44 @@ func deepQueue(room bool) *Simulator {
 }
 
 func TestAllFailPassAllocatesNothing(t *testing.T) {
-	s := deepQueue(false)
-	s.schedulePass() // sizes the walk lists
-	if n := testing.AllocsPerRun(20, s.schedulePass); n != 0 {
-		t.Fatalf("all-fail pass at depth %d: %v allocs, want 0", s.PendingTasks(), n)
-	}
-	if s.PendingTasks() != 1500 || s.work.starts != 0 {
-		t.Fatalf("pass changed the queue: %d queued, %d starts", s.PendingTasks(), s.work.starts)
+	for _, shapes := range [][][2]float64{deepShapes, manyShapes} {
+		s := deepQueue(false, shapes)
+		s.schedulePass() // sizes the walk lists
+		if n := testing.AllocsPerRun(20, s.schedulePass); n != 0 {
+			t.Fatalf("all-fail pass at depth %d over %d shapes: %v allocs, want 0", s.PendingTasks(), len(shapes), n)
+		}
+		if s.PendingTasks() != 1500 || s.work.starts != 0 {
+			t.Fatalf("pass changed the queue: %d queued, %d starts", s.PendingTasks(), s.work.starts)
+		}
 	}
 }
 
 func BenchmarkSchedulePass(b *testing.B) {
-	b.Run("all-fail", func(b *testing.B) {
-		s := deepQueue(false)
-		b.ReportAllocs()
-		for b.Loop() {
-			s.schedulePass()
-		}
-	})
-	b.Run("one-start", func(b *testing.B) {
-		s := deepQueue(true)
-		first := s.pend.buckets[0].entries[0].tk
-		b.ReportAllocs()
-		for b.Loop() {
-			s.schedulePass()
-			if first.State != task.Running {
-				b.Fatal("the head of the queue did not start")
+	for _, c := range []struct {
+		name   string
+		shapes [][2]float64
+	}{{"", deepShapes}, {"many-shapes-", manyShapes}} {
+		b.Run(c.name+"all-fail", func(b *testing.B) {
+			s := deepQueue(false, c.shapes)
+			b.ReportAllocs()
+			for b.Loop() {
+				s.schedulePass()
 			}
-			// Undo the start: the task goes back in the queue.
-			s.state.ReleaseAll(first)
-			first.EnterQueue(0)
-			s.pend.insert(first)
-		}
-	})
+		})
+		b.Run(c.name+"one-start", func(b *testing.B) {
+			s := deepQueue(true, c.shapes)
+			first := s.pend.buckets[0].entries[0].tk
+			b.ReportAllocs()
+			for b.Loop() {
+				s.schedulePass()
+				if first.State != task.Running {
+					b.Fatal("the head of the queue did not start")
+				}
+				// Undo the start: the task goes back in the queue.
+				s.state.ReleaseAll(first)
+				first.EnterQueue(0)
+				s.pend.insert(first)
+			}
+		})
+	}
 }

@@ -770,13 +770,13 @@ func (s *Simulator) schedulePass() {
 	passSeq := q.seq
 	q.begin()
 	s.work.passes++
-	s.work.shapes += uint64(len(q.live))
+	s.work.shapes += uint64(len(q.walk))
 	for failures := 0; failures < s.limits.maxFailures; {
 		i := q.min()
 		if i < 0 {
 			break
 		}
-		e := q.live[i].head()
+		e := q.walk[i].head()
 		tk := e.tk
 		s.work.examined++
 		if e.seq >= passSeq {
