@@ -254,7 +254,7 @@ func TestAllocCeilings(t *testing.T) {
 		{"Sim", simSetup, 1186},
 		{"Lyra", lyraSetup, 2802},
 		{"TraceIngest", traceIngestSetup(gzTrace(t)), 452},
-		{"Report", reportSetup, 2331},
+		{"Report", reportSetup, 1915},
 		{"Sim10K", sim10KSetup, 11025},
 		{"Autoscale", autoscaleSetup, 21881},
 		// GFS leaves room for one prediction tape regrown (~146

@@ -35,6 +35,10 @@ type Cluster struct {
 	// matter the order of updates.
 	upCapacity int
 
+	// nextID is one past the highest node ID added, floored at 0: the
+	// first ID AddPool numbers from.
+	nextID int
+
 	// fold[w] holds the whole-cluster usage fold's partial sums over
 	// the nodes up to the end of word w of occupied, for the words that
 	// hold an occupied node; total holds the sums over all of them.
@@ -107,6 +111,7 @@ func (c *Cluster) AddNode(n *Node) {
 	c.nodes = append(c.nodes, n)
 	ix.nodes = append(ix.nodes, n)
 	c.byID[n.ID] = n
+	c.nextID = max(c.nextID, n.ID+1)
 	if len(c.nodes) > 64*len(c.occupied) {
 		c.occupied = append(c.occupied, 0)
 		c.fold = append(c.fold, usage{})
@@ -121,7 +126,7 @@ func (c *Cluster) AddNode(n *Node) {
 // after the current maximum ID, and returns the new nodes. It is the
 // mutation behind scale-out scenario actions.
 func (c *Cluster) AddPool(p Pool) []*Node {
-	id := c.maxNodeID() + 1
+	id := c.nextID
 	added := make([]*Node, 0, p.Nodes)
 	for i := 0; i < p.Nodes; i++ {
 		n := NewNode(id, p.Model, p.GPUsPerNode)
@@ -135,17 +140,6 @@ func (c *Cluster) AddPool(p Pool) []*Node {
 
 // Node returns the node with the given ID, or nil.
 func (c *Cluster) Node(id int) *Node { return c.byID[id] }
-
-// maxNodeID returns the highest node ID, or -1 for an empty cluster.
-func (c *Cluster) maxNodeID() int {
-	maxID := -1
-	for _, n := range c.nodes {
-		if n.ID > maxID {
-			maxID = n.ID
-		}
-	}
-	return maxID
-}
 
 // DomainName returns the canonical failure-domain name of rack r in
 // zone z — the single source of truth for the names AssignDomains

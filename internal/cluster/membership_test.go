@@ -67,7 +67,24 @@ func TestAddPool(t *testing.T) {
 	if c.Node(4) != added[2] {
 		t.Fatal("byID lookup missing new node")
 	}
-	if c.maxNodeID() != 4 {
-		t.Fatalf("maxNodeID = %d", c.maxNodeID())
+	if c.nextID != 5 {
+		t.Fatalf("nextID = %d, want 5", c.nextID)
+	}
+
+	// Nodes added out of ID order: a pool numbers after the highest
+	// ID, not after the last node added.
+	c = New()
+	for _, id := range []int{7, 3} {
+		c.AddNode(NewNode(id, "A100", 8))
+	}
+	if added := c.AddPool(Pool{Model: "A100", Nodes: 2, GPUsPerNode: 8}); added[0].ID != 8 || added[1].ID != 9 {
+		t.Fatalf("out-of-order IDs: pool numbered %d, %d, want 8, 9", added[0].ID, added[1].ID)
+	}
+	// Negative IDs keep the floor: an empty or all-negative cluster
+	// numbers from 0.
+	c = New()
+	c.AddNode(NewNode(-5, "A100", 8))
+	if added := c.AddPool(Pool{Model: "A100", Nodes: 1, GPUsPerNode: 8}); added[0].ID != 0 {
+		t.Fatalf("after node -5: pool numbered %d, want 0", added[0].ID)
 	}
 }

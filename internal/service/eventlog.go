@@ -5,6 +5,7 @@ import (
 	"time"
 
 	gfs "github.com/sjtucitlab/gfs"
+	"github.com/sjtucitlab/gfs/internal/jsonenc"
 )
 
 // chunkSlots bounds one slab of a session's ring. Slabs are allocated
@@ -134,7 +135,7 @@ func (l *eventLog) intern(s string) uint32 {
 		l.ids = make(map[string]uint32)
 	}
 	id := uint32(len(l.strs))
-	l.strs = append(l.strs, string(appendJSONString(nil, s)))
+	l.strs = append(l.strs, string(jsonenc.AppendString(nil, s, true)))
 	l.ids[s] = id
 	return id
 }

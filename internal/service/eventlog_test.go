@@ -16,6 +16,7 @@ import (
 	"unsafe"
 
 	gfs "github.com/sjtucitlab/gfs"
+	"github.com/sjtucitlab/gfs/internal/jsonenc"
 	"github.com/sjtucitlab/gfs/internal/runspec"
 	"github.com/sjtucitlab/gfs/internal/trace"
 )
@@ -632,16 +633,17 @@ func TestFinishedSessionDropsSource(t *testing.T) {
 	}
 }
 
-// TestAppendJSONStringMatchesEncodingJSON spot-checks the string
-// escaper on the cases encoding/json treats specially.
+// TestAppendJSONStringMatchesEncodingJSON spot-checks the stream's
+// string escaper, jsonenc.AppendString with HTML escaping on, on the
+// cases encoding/json treats specially.
 func TestAppendJSONStringMatchesEncodingJSON(t *testing.T) {
 	for _, s := range []string{"", "plain", `q"b\s`, "<a href='x'>&amp;</a>", "\b\f\n\r\t\x00\x1f\x7f", "é漢字🙂", "\u2028\u2029", "bad\xff\xfe\xc3", strings.Repeat("x", 100)} {
 		want, err := json.Marshal(s)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := appendJSONString(nil, s); !bytes.Equal(got, want) {
-			t.Errorf("appendJSONString(%q) = %s, want %s", s, got, want)
+		if got := jsonenc.AppendString(nil, s, true); !bytes.Equal(got, want) {
+			t.Errorf("AppendString(%q, true) = %s, want %s", s, got, want)
 		}
 	}
 }

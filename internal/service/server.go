@@ -118,10 +118,14 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.mux.ServeHTTP(w, r)
 }
 
-// janitor periodically expires terminal sessions past their TTL.
+// janitor periodically expires terminal sessions past their TTL. A
+// session outlives its TTL by up to one interval, and under steady
+// load the registry peaks at TTL + interval worth of finished
+// sessions, so the interval is a sixteenth of the TTL: a peak 6 %
+// above what the TTL retains, where a quarter held 25 % more.
 func (s *Server) janitor(ttl time.Duration) {
 	defer close(s.janitorDone)
-	interval := ttl / 4
+	interval := ttl / 16
 	if interval < 100*time.Millisecond {
 		interval = 100 * time.Millisecond
 	}

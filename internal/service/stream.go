@@ -7,9 +7,9 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"unicode/utf8"
 
 	gfs "github.com/sjtucitlab/gfs"
+	"github.com/sjtucitlab/gfs/internal/jsonenc"
 )
 
 // streamBatch bounds how many events one read drains before flushing
@@ -171,7 +171,7 @@ func appendEvent(dst []byte, seq uint64, r *rec, strs []string, sse bool) ([]byt
 	dst = append(dst, `,"at":`...)
 	dst = strconv.AppendInt(dst, r.at, 10)
 	dst = append(dst, `,"kind":`...)
-	dst = appendJSONString(dst, kind)
+	dst = jsonenc.AppendString(dst, kind, true)
 	var err error
 	if r.hasTask {
 		if r.task != 0 {
@@ -179,14 +179,14 @@ func appendEvent(dst []byte, seq uint64, r *rec, strs []string, sse bool) ([]byt
 			dst = strconv.AppendInt(dst, r.task, 10)
 		}
 		dst = append(dst, `,"class":`...)
-		dst = appendJSONString(dst, gfs.TaskType(r.class).String())
+		dst = jsonenc.AppendString(dst, gfs.TaskType(r.class).String(), true)
 		dst = appendStr(dst, `,"org":`, r.org, strs)
 		dst = appendFloatField(dst, `,"gpus":`, r.gpus, &err)
 	}
 	switch r.kind {
 	case gfs.TaskEvicted:
 		dst = append(dst, `,"cause":`...)
-		dst = appendJSONString(dst, r.cause.String())
+		dst = jsonenc.AppendString(dst, r.cause.String(), true)
 		dst = appendFloatField(dst, `,"waste":`, r.f[0], &err)
 	case gfs.NodeDown, gfs.NodeUp:
 		dst = append(dst, `,"node":`...)
@@ -199,7 +199,7 @@ func appendEvent(dst []byte, seq uint64, r *rec, strs []string, sse bool) ([]byt
 		case math.IsInf(q, -1) || math.IsNaN(q):
 			dst = append(dst, `null`...)
 		default:
-			dst = appendJSONFloat(dst, q)
+			dst = jsonenc.AppendFloat(dst, q)
 		}
 		dst = appendFloatField(dst, `,"used":`, r.f[1], &err)
 		dst = appendFloatField(dst, `,"eta":`, r.f[2], &err)
@@ -247,84 +247,10 @@ func appendFloatField(dst []byte, key string, f float64, err *error) []byte {
 	if f == 0 {
 		return dst
 	}
-	if math.IsNaN(f) || math.IsInf(f, 0) {
+	if !jsonenc.Finite(f) {
 		*err = errUnsupportedFloat
 		return dst
 	}
 	dst = append(dst, key...)
-	return appendJSONFloat(dst, f)
-}
-
-// appendJSONFloat appends a finite float as encoding/json writes a
-// float64: the shortest decimal that round-trips, in exponent form
-// below 1e-6 and from 1e21 up, with a two-digit negative exponent
-// trimmed to one (1e-07 → 1e-7).
-func appendJSONFloat(dst []byte, f float64) []byte {
-	format := byte('f')
-	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
-	}
-	dst = strconv.AppendFloat(dst, f, format, -1, 64)
-	if format == 'e' {
-		if n := len(dst); n >= 4 && dst[n-4] == 'e' && dst[n-3] == '-' && dst[n-2] == '0' {
-			dst[n-2] = dst[n-1]
-			dst = dst[:n-1]
-		}
-	}
-	return dst
-}
-
-// appendJSONString appends s as encoding/json writes a string with
-// HTML escaping on: quoted; '"' and '\\' backslash-escaped; \b, \f,
-// \n, \r and \t by name; other control bytes and '<', '>', '&' as
-// \u00XX; U+2028 and U+2029 as \u2028 and \u2029; each invalid
-// UTF-8 byte as \ufffd.
-func appendJSONString(dst []byte, s string) []byte {
-	const hex = "0123456789abcdef"
-	dst = append(dst, '"')
-	start := 0
-	for i := 0; i < len(s); {
-		if c := s[i]; c < utf8.RuneSelf {
-			if c >= 0x20 && c != '"' && c != '\\' && c != '<' && c != '>' && c != '&' {
-				i++
-				continue
-			}
-			dst = append(dst, s[start:i]...)
-			switch c {
-			case '"', '\\':
-				dst = append(dst, '\\', c)
-			case '\b':
-				dst = append(dst, '\\', 'b')
-			case '\f':
-				dst = append(dst, '\\', 'f')
-			case '\n':
-				dst = append(dst, '\\', 'n')
-			case '\r':
-				dst = append(dst, '\\', 'r')
-			case '\t':
-				dst = append(dst, '\\', 't')
-			default:
-				dst = append(dst, '\\', 'u', '0', '0', hex[c>>4], hex[c&0xf])
-			}
-			i++
-			start = i
-			continue
-		}
-		c, size := utf8.DecodeRuneInString(s[i:])
-		switch {
-		case c == utf8.RuneError && size == 1:
-			dst = append(dst, s[start:i]...)
-			dst = append(dst, `\ufffd`...)
-		case c == '\u2028' || c == '\u2029':
-			dst = append(dst, s[start:i]...)
-			dst = append(dst, '\\', 'u', '2', '0', '2', hex[c&0xf])
-		default:
-			i += size
-			continue
-		}
-		i += size
-		start = i
-	}
-	dst = append(dst, s[start:]...)
-	return append(dst, '"')
+	return jsonenc.AppendFloat(dst, f)
 }

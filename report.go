@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"math"
 	"strings"
+
+	"github.com/sjtucitlab/gfs/internal/jsonenc"
 )
 
 // This file defines the Report type — the structured output of a
@@ -24,15 +26,18 @@ func (q QuotaValue) unlimited() bool { return math.IsInf(float64(q), 1) }
 
 // MarshalJSON implements json.Marshaler: "unlimited" for an
 // unbounded quota, null for non-finite garbage, a number otherwise.
-func (q QuotaValue) MarshalJSON() ([]byte, error) {
-	f := float64(q)
-	if q.unlimited() {
-		return []byte(`"unlimited"`), nil
+func (q QuotaValue) MarshalJSON() ([]byte, error) { return q.appendJSON(nil), nil }
+
+// appendJSON appends MarshalJSON's bytes.
+func (q QuotaValue) appendJSON(dst []byte) []byte {
+	switch f := float64(q); {
+	case q.unlimited():
+		return append(dst, `"unlimited"`...)
+	case math.IsInf(f, -1) || math.IsNaN(f):
+		return append(dst, `null`...)
+	default:
+		return jsonenc.AppendFloat(dst, f)
 	}
-	if math.IsInf(f, -1) || math.IsNaN(f) {
-		return []byte(`null`), nil
-	}
-	return json.Marshal(f)
 }
 
 // UnmarshalJSON implements json.Unmarshaler, accepting the forms

@@ -1,12 +1,17 @@
 package gfs
 
 import (
+	"bufio"
 	"encoding/csv"
 	"encoding/json"
-	"fmt"
 	"io"
 	"strconv"
 	"strings"
+	"sync"
+	"unicode"
+	"unicode/utf8"
+
+	"github.com/sjtucitlab/gfs/internal/jsonenc"
 )
 
 // This file implements the Report export formats: JSONL (one
@@ -44,21 +49,70 @@ type federationLine struct {
 	Saturations int `json:"saturations"`
 }
 
+// exportChunk is the size of the buffer every export writes through:
+// the destination sees one Write per exportChunk bytes, not one per
+// line.
+const exportChunk = 32 << 10
+
+// exporter is one export's output buffer, the encoding/json encoder
+// over it for the O(orgs) records, and the scratch a hand-appended
+// line is built in.
+type exporter struct {
+	*bufio.Writer
+	enc  *json.Encoder
+	line []byte
+}
+
+// exporters recycles exporters across exports, so a daemon serving
+// many reports does not allocate a chunk buffer for each.
+var exporters = sync.Pool{New: func() any {
+	e := &exporter{Writer: bufio.NewWriterSize(nil, exportChunk)}
+	e.enc = json.NewEncoder(e.Writer)
+	e.enc.SetEscapeHTML(false)
+	return e
+}}
+
+// export runs write against a pooled exporter over w, then flushes it.
+// The flush follows a failed line too, so w receives every line before
+// it. A failed write to w wins over a line's own error: writing line
+// by line, the export would have failed there first. An exporter goes
+// back to the pool only after a clean export: a json.Encoder whose
+// write failed returns that error from every later Encode.
+func export(w io.Writer, write func(*exporter) error) error {
+	e := exporters.Get().(*exporter)
+	e.Reset(w)
+	err := write(e)
+	if ferr := e.Flush(); ferr != nil {
+		err = ferr
+	}
+	if err == nil {
+		e.Reset(nil)
+		exporters.Put(e)
+	}
+	return err
+}
+
+// writeLine writes the line built in e.line.
+func (e *exporter) writeLine() error {
+	_, err := e.Write(e.line)
+	return err
+}
+
 // WriteJSONL streams the report as JSON Lines: a leading "report"
 // record, then one record per section element (orgs, quota samples
 // and timeline points each get a line of their own), so consumers
 // can process arbitrarily long trajectories without buffering the
-// whole report.
+// whole report. Every line is what encoding/json, HTML escaping off,
+// writes for its reportLine; the per-tick "quota" and "alloc" records
+// are appended by hand, the rest go through encoding/json.
 func (r *Report) WriteJSONL(w io.Writer) error {
-	return r.writeJSONL(w, "")
+	return export(w, func(e *exporter) error { return r.writeJSONL(e, "") })
 }
 
-func (r *Report) writeJSONL(w io.Writer, member string) error {
-	enc := json.NewEncoder(w)
-	enc.SetEscapeHTML(false)
+func (r *Report) writeJSONL(e *exporter, member string) error {
 	put := func(line reportLine) error {
 		line.Member = member
-		return enc.Encode(line)
+		return e.enc.Encode(line)
 	}
 	if err := put(reportLine{Record: "report", Scheduler: r.Scheduler, End: r.End}); err != nil {
 		return err
@@ -80,13 +134,13 @@ func (r *Report) writeJSONL(w io.Writer, member string) error {
 	}
 	if r.Quota != nil {
 		for i := range r.Quota.Samples {
-			if err := put(reportLine{Record: "quota", Quota: &r.Quota.Samples[i]}); err != nil {
+			if err := e.quotaLine(member, &r.Quota.Samples[i]); err != nil {
 				return err
 			}
 		}
 	}
 	for i := range r.Timeline {
-		if err := put(reportLine{Record: "alloc", Alloc: &r.Timeline[i]}); err != nil {
+		if err := e.allocLine(member, &r.Timeline[i]); err != nil {
 			return err
 		}
 	}
@@ -103,33 +157,110 @@ func (r *Report) writeJSONL(w io.Writer, member string) error {
 	return nil
 }
 
+// appendLineHead opens a per-tick JSONL record as encoding/json writes
+// a reportLine: the record kind, the member tag when set, then the
+// payload, which is keyed by the kind, up to its leading "at" key.
+func appendLineHead(dst []byte, record, member string) []byte {
+	dst = append(dst, `{"record":"`...)
+	dst = append(dst, record...)
+	dst = append(dst, '"')
+	dst = appendMemberField(dst, member)
+	dst = append(dst, `,"`...)
+	dst = append(dst, record...)
+	return append(dst, `":{"at":`...)
+}
+
+// appendMemberField appends a "member" field unless it is empty
+// (omitempty).
+func appendMemberField(dst []byte, member string) []byte {
+	if member == "" {
+		return dst
+	}
+	dst = append(dst, `,"member":`...)
+	return jsonenc.AppendString(dst, member, false)
+}
+
+// quotaLine writes the "quota" record of s. A sample encoding/json
+// refuses (a NaN or infinite usage or eta) goes to encoding/json, which
+// returns the error it always did and writes nothing.
+func (e *exporter) quotaLine(member string, s *QuotaSample) error {
+	if !jsonenc.Finite(s.SpotUsed) || !jsonenc.Finite(s.Eta) {
+		return e.enc.Encode(reportLine{Record: "quota", Member: member, Quota: s})
+	}
+	b := appendLineHead(e.line[:0], "quota", member)
+	b = strconv.AppendInt(b, int64(s.At), 10)
+	b = appendMemberField(b, s.Member)
+	b = append(b, `,"quota":`...)
+	b = s.Quota.appendJSON(b)
+	b = append(b, `,"spot_used":`...)
+	b = jsonenc.AppendFloat(b, s.SpotUsed)
+	if s.Eta != 0 {
+		b = append(b, `,"eta":`...)
+		b = jsonenc.AppendFloat(b, s.Eta)
+	}
+	e.line = append(b, "}}\n"...)
+	return e.writeLine()
+}
+
+// allocLine writes the "alloc" record of p; like quotaLine, a point
+// with a NaN or infinite value goes to encoding/json for its error.
+func (e *exporter) allocLine(member string, p *AllocPoint) error {
+	if !jsonenc.Finite(p.Used) || !jsonenc.Finite(p.Capacity) || !jsonenc.Finite(p.Rate) {
+		return e.enc.Encode(reportLine{Record: "alloc", Member: member, Alloc: p})
+	}
+	b := appendLineHead(e.line[:0], "alloc", member)
+	b = strconv.AppendInt(b, int64(p.At), 10)
+	b = appendMemberField(b, p.Member)
+	b = append(b, `,"used":`...)
+	b = jsonenc.AppendFloat(b, p.Used)
+	b = append(b, `,"capacity":`...)
+	b = jsonenc.AppendFloat(b, p.Capacity)
+	b = append(b, `,"rate":`...)
+	b = jsonenc.AppendFloat(b, p.Rate)
+	e.line = append(b, "}}\n"...)
+	return e.writeLine()
+}
+
 // WriteJSONL streams the federation report: a "federation" header
 // record, the aggregate report's records untagged, then each
 // member's records tagged with its name.
 func (f *FederationReport) WriteJSONL(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetEscapeHTML(false)
-	err := enc.Encode(reportLine{Record: "federation", Federation: &federationLine{
-		Migrations: f.Migrations, Saturations: f.Saturations,
-	}})
-	if err != nil {
-		return err
-	}
-	if f.Aggregate != nil {
-		if err := f.Aggregate.writeJSONL(w, ""); err != nil {
+	return export(w, func(e *exporter) error {
+		err := e.enc.Encode(reportLine{Record: "federation", Federation: &federationLine{
+			Migrations: f.Migrations, Saturations: f.Saturations,
+		}})
+		if err != nil {
 			return err
 		}
-	}
-	for _, m := range f.Members {
-		if err := m.Report.writeJSONL(w, m.Name); err != nil {
-			return err
+		if f.Aggregate != nil {
+			if err := f.Aggregate.writeJSONL(e, ""); err != nil {
+				return err
+			}
 		}
-	}
-	return nil
+		for _, m := range f.Members {
+			if err := m.Report.writeJSONL(e, m.Name); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
 }
 
-// ftoa renders a float for CSV output, shortest round-trip form.
-func ftoa(f float64) string { return strconv.FormatFloat(f, 'g', -1, 64) }
+// ftoa renders a float for CSV and Prometheus output, shortest
+// round-trip form (Prometheus accepts the +Inf it writes).
+func ftoa(f float64) string { return string(appendFloat(make([]byte, 0, 24), f)) }
+
+// appendFloat appends ftoa(f). A whole number below 1e6 in magnitude
+// is its integer's digits (%g's shortest form switches to an exponent
+// from 1e6 up); zero goes the long way, which keeps the sign of -0.
+func appendFloat(dst []byte, f float64) []byte {
+	if f != 0 && f > -1e6 && f < 1e6 {
+		if i := int64(f); float64(i) == f {
+			return strconv.AppendInt(dst, i, 10)
+		}
+	}
+	return strconv.AppendFloat(dst, f, 'g', -1, 64)
+}
 
 // WriteCSV writes the per-organization metrics table — one row per
 // organization and task class, led by two "*" rows carrying the
@@ -143,7 +274,13 @@ func (r *Report) WriteCSV(w io.Writer) error {
 // has a summary, then one row per organization and task class. With
 // member set, a leading member column holds each report's name.
 func writeOrgCSV(w io.Writer, member bool, reports []MemberReport) error {
-	cw := csv.NewWriter(w)
+	return export(w, func(e *exporter) error { return writeOrgRows(e, member, reports) })
+}
+
+// writeOrgRows writes writeOrgCSV's table through e. csv.NewWriter
+// writes straight into e's buffer, which is larger than its own.
+func writeOrgRows(e *exporter, member bool, reports []MemberReport) error {
+	cw := csv.NewWriter(e.Writer)
 	header := []string{
 		"member", "org", "class", "count", "finished", "unfinished",
 		"jct_mean_s", "jct_p50_s", "jct_p95_s", "jct_p99_s",
@@ -197,45 +334,88 @@ func writeOrgCSV(w io.Writer, member bool, reports []MemberReport) error {
 
 // WriteQuotaCSV writes the quota trajectory: one row per quota tick
 // (at, member, quota, spot_used, eta); an unlimited quota renders as
-// the string "unlimited".
+// the string "unlimited". The bytes are encoding/csv's for the same
+// fields.
 func (r *Report) WriteQuotaCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"at", "member", "quota", "spot_used", "eta"}); err != nil {
-		return err
-	}
-	if r.Quota != nil {
-		for _, s := range r.Quota.Samples {
-			err := cw.Write([]string{
-				strconv.FormatInt(int64(s.At), 10), s.Member,
-				s.Quota.String(), ftoa(s.SpotUsed), ftoa(s.Eta),
-			})
-			if err != nil {
+	return export(w, func(e *exporter) error {
+		if _, err := e.WriteString("at,member,quota,spot_used,eta\n"); err != nil {
+			return err
+		}
+		if r.Quota == nil {
+			return nil
+		}
+		for i := range r.Quota.Samples {
+			s := &r.Quota.Samples[i]
+			b := appendCSVTick(e.line[:0], s.At, s.Member)
+			if s.Quota.unlimited() {
+				b = append(b, ",unlimited"...)
+			} else {
+				b = appendCSVFloats(b, float64(s.Quota))
+			}
+			e.line = append(appendCSVFloats(b, s.SpotUsed, s.Eta), '\n')
+			if err := e.writeLine(); err != nil {
 				return err
 			}
 		}
-	}
-	cw.Flush()
-	return cw.Error()
+		return nil
+	})
 }
 
 // WriteTimelineCSV writes the allocation timeline: one row per step
-// (at, member, used, capacity, rate).
+// (at, member, used, capacity, rate). The bytes are encoding/csv's for
+// the same fields.
 func (r *Report) WriteTimelineCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"at", "member", "used", "capacity", "rate"}); err != nil {
-		return err
-	}
-	for _, p := range r.Timeline {
-		err := cw.Write([]string{
-			strconv.FormatInt(int64(p.At), 10), p.Member,
-			ftoa(p.Used), ftoa(p.Capacity), ftoa(p.Rate),
-		})
-		if err != nil {
+	return export(w, func(e *exporter) error {
+		if _, err := e.WriteString("at,member,used,capacity,rate\n"); err != nil {
 			return err
 		}
+		for i := range r.Timeline {
+			p := &r.Timeline[i]
+			b := appendCSVTick(e.line[:0], p.At, p.Member)
+			e.line = append(appendCSVFloats(b, p.Used, p.Capacity, p.Rate), '\n')
+			if err := e.writeLine(); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+}
+
+// appendCSVTick opens a per-tick CSV row: the time, then the member.
+func appendCSVTick(dst []byte, at Time, member string) []byte {
+	dst = strconv.AppendInt(dst, int64(at), 10)
+	dst = append(dst, ',')
+	return appendCSVField(dst, member)
+}
+
+// appendCSVFloats appends each float as a further field of a row.
+func appendCSVFloats(dst []byte, fs ...float64) []byte {
+	for _, f := range fs {
+		dst = appendFloat(append(dst, ','), f)
 	}
-	cw.Flush()
-	return cw.Error()
+	return dst
+}
+
+// appendCSVField appends s as a csv.Writer with the default comma and
+// LF line ends writes a field: quoted, with each '"' doubled, when it
+// holds a comma, a quote, CR or LF, starts with a space character, or
+// is `\.`; verbatim otherwise. The numbers beside it never need quotes.
+func appendCSVField(dst []byte, s string) []byte {
+	if r, _ := utf8.DecodeRuneInString(s); s != `\.` && !strings.ContainsAny(s, ",\"\r\n") && !unicode.IsSpace(r) {
+		return append(dst, s...)
+	}
+	dst = append(dst, '"')
+	for {
+		i := strings.IndexByte(s, '"')
+		if i < 0 {
+			break
+		}
+		dst = append(dst, s[:i+1]...)
+		dst = append(dst, '"')
+		s = s[i+1:]
+	}
+	dst = append(dst, s...)
+	return append(dst, '"')
 }
 
 // promSample is one metric sample of the Prometheus snapshot.
@@ -298,9 +478,6 @@ func promLabels(pairs ...string) string {
 	}
 	return s + "}"
 }
-
-// promValue renders a sample value (Prometheus accepts +Inf).
-func promValue(f float64) string { return strconv.FormatFloat(f, 'g', -1, 64) }
 
 // samples flattens the report into metric samples, tagging each with
 // the member label when set.
@@ -382,21 +559,33 @@ func writeProm(w io.Writer, samples []promSample) error {
 	for _, s := range samples {
 		byName[s.name] = append(byName[s.name], s)
 	}
-	for _, fam := range promFamilies {
-		ss := byName[fam.name]
-		if len(ss) == 0 {
-			continue
-		}
-		if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n", fam.name, fam.help, fam.name); err != nil {
-			return err
-		}
-		for _, s := range ss {
-			if _, err := fmt.Fprintf(w, "%s%s %s\n", s.name, s.labels, promValue(s.value)); err != nil {
+	return export(w, func(e *exporter) error {
+		for _, fam := range promFamilies {
+			ss := byName[fam.name]
+			if len(ss) == 0 {
+				continue
+			}
+			b := append(e.line[:0], "# HELP "...)
+			b = append(b, fam.name...)
+			b = append(b, ' ')
+			b = append(b, fam.help...)
+			b = append(b, "\n# TYPE "...)
+			b = append(b, fam.name...)
+			b = append(b, " gauge\n"...)
+			for _, s := range ss {
+				b = append(b, s.name...)
+				b = append(b, s.labels...)
+				b = append(b, ' ')
+				b = appendFloat(b, s.value)
+				b = append(b, '\n')
+			}
+			e.line = b
+			if err := e.writeLine(); err != nil {
 				return err
 			}
 		}
-	}
-	return nil
+		return nil
+	})
 }
 
 // WritePrometheus renders the report as a Prometheus text-exposition
