@@ -16,6 +16,7 @@ import (
 
 	gfs "github.com/sjtucitlab/gfs"
 	"github.com/sjtucitlab/gfs/internal/baselines"
+	"github.com/sjtucitlab/gfs/internal/cluster"
 	"github.com/sjtucitlab/gfs/internal/experiments"
 )
 
@@ -177,7 +178,7 @@ func autoscaleSetup(testing.TB) func() [2]metric {
 	scale := sim10KScale()
 	tasks := scale.Trace(1)
 	cl := gfs.NewCluster("A100", scale.Nodes-2000, scale.GPUsPerNode)
-	cl.AddPool(gfs.Pool{Model: "A100", Nodes: 2000,
+	cl.AddPool(cluster.Pool{Model: "A100", Nodes: 2000,
 		GPUsPerNode: scale.GPUsPerNode, Tier: "spot"})
 	pol := &gfs.AutoscalePolicy{
 		Mode:     gfs.AutoscalePredictive,

@@ -542,11 +542,6 @@ type CostCollector struct {
 	lastAt   Time
 	firstAt  Time
 	started  bool
-	// downNodes distinguishes a NodeUp that restores a failed node
-	// (capacity already on the books) from one that delivers a
-	// scale-out node never seen before (a new pool, or growth of an
-	// existing one).
-	downNodes map[int]bool
 	// Autoscaled capacity is additionally attributed per (tier,
 	// model): tierCap is the live provisioned capacity, tierArea its
 	// GPU-seconds integral (advanced by integrateTo), tierProv /
@@ -585,7 +580,6 @@ func (c *CostCollector) Begin(meta RunMeta) {
 	c.used = make(map[string]float64)
 	c.area = make(map[string]float64)
 	c.started = false
-	c.downNodes = make(map[int]bool)
 	c.tierCap = make(map[tierKey]float64)
 	c.tierArea = make(map[tierKey]float64)
 	c.tierProv = make(map[tierKey]int)
@@ -598,7 +592,7 @@ func (c *CostCollector) Begin(meta RunMeta) {
 }
 
 // addModel registers a model the run-start pools did not list (a
-// scale-out pool, or a pinned task's model), keeping the ledger
+// provisioned pool, or a pinned task's model), keeping the ledger
 // order sorted.
 func (c *CostCollector) addModel(model string) {
 	if _, ok := c.cap[model]; ok {
@@ -696,26 +690,12 @@ func (c *CostCollector) OnEvent(e Event) {
 	case TaskEvicted, TaskFinished:
 		c.integrateTo(e.At)
 		c.charge(e.Task.GPUModel, -e.Task.TotalGPUs())
-	case NodeDown:
-		if e.Node != nil {
-			c.downNodes[e.Node.ID] = true
-		}
-	case NodeUp:
-		// A NodeUp for a node never seen down is a scale-out
-		// delivery: grow (or create) its pool so the ledger covers
-		// capacity added mid-run.
-		if e.Node == nil {
-			return
-		}
-		if c.downNodes[e.Node.ID] {
-			delete(c.downNodes, e.Node.ID)
-			return
-		}
-		c.addModel(e.Node.Model)
-		c.cap[e.Node.Model] += float64(e.Node.Capacity())
 	case NodeProvisioned:
-		// Autoscaled capacity: grow the node's pool like a scale-out
-		// delivery and open its per-tier billing window.
+		// Autoscaled capacity: grow (or create) the node's pool so the
+		// ledger covers capacity added mid-run, and open its per-tier
+		// billing window. A NodeDown/NodeUp pair only takes a node
+		// the ledger already counts out of service and back, so
+		// neither moves the books.
 		if e.Node == nil {
 			return
 		}

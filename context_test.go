@@ -42,7 +42,7 @@ func cancelAfter(n int) (context.Context, gfs.Observer) {
 // chaosSpec is the chaos-scenario engine of runChaos as a batch spec.
 func chaosSpec(seed int64, obs ...gfs.Observer) []gfs.BatchSpec {
 	return []gfs.BatchSpec{{Name: "chaos", Setup: func() (*gfs.Engine, []*gfs.Task) {
-		return gfs.NewEngine(gfs.NewCluster("A100", 16, 8),
+		return gfs.NewEngine(chaosCluster(),
 			gfs.WithScenario(chaosScenario()), gfs.WithObserver(obs...)), chaosTrace(seed)
 	}}}
 }

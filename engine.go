@@ -31,8 +31,12 @@ const (
 	TaskEvicted  = sched.TaskEvicted
 	TaskFinished = sched.TaskFinished
 	QuotaUpdated = sched.QuotaUpdated
-	NodeDown     = sched.NodeDown
-	NodeUp       = sched.NodeUp
+	// NodeDown marks a node taken down by a failure-domain outage
+	// (Event.Node); a retirement announces NodeRetired instead.
+	NodeDown = sched.NodeDown
+	// NodeUp marks a domain restore returning a failed node to
+	// service (Event.Node); it always follows that node's NodeDown.
+	NodeUp = sched.NodeUp
 	// AllocSampled mirrors the simulator's allocation observations
 	// onto the spine (Event.Used / Event.Capacity); collectors
 	// rebuild the allocation trajectory from these ticks.
@@ -124,11 +128,11 @@ func (e *Engine) Config() SimConfig { return e.cfg }
 // Run executes the discrete-event simulation over the trace and
 // returns its metrics. Tasks are mutated in place (lifecycle state,
 // run logs), so each Run needs a fresh trace and engines are not safe
-// for concurrent Runs against the same cluster. Scenarios that change
-// cluster membership (KillNode without a restore, ScaleOut) leave
-// those changes on the cluster after Run returns, so an engine with
-// such a scenario should run once; for sweeps, build fresh state per
-// run via RunBatch. An engine with an attached trace source replays
+// for concurrent Runs against the same cluster. A scenario that fails
+// a domain without restoring it, and an autoscaler's provisioned and
+// retired nodes, leave those changes on the cluster after Run
+// returns, so such an engine should run once; for sweeps, build fresh
+// state per run via RunBatch. An engine with an attached trace source replays
 // it through RunTrace instead; Run panics on one.
 func (e *Engine) Run(tasks []*Task) *Result {
 	// A background context never cancels and a task slice cannot fail

@@ -8,8 +8,8 @@ import (
 
 	gfs "github.com/sjtucitlab/gfs"
 	"github.com/sjtucitlab/gfs/internal/baselines"
+	"github.com/sjtucitlab/gfs/internal/cluster"
 	"github.com/sjtucitlab/gfs/internal/sched"
-	"github.com/sjtucitlab/gfs/internal/task"
 )
 
 // chaosTrace generates a one-day 128-GPU workload with enough spot
@@ -25,10 +25,25 @@ func chaosTrace(seed int64) []*gfs.Task {
 	return gfs.GenerateTrace(cfg)
 }
 
+// chaosCluster is the 16-node test cluster with one node per rack:
+// rack r of zone 0 holds node r, so a node fault is a rack op.
+func chaosCluster() *gfs.Cluster {
+	cl := gfs.NewCluster("A100", 16, 8)
+	cl.AssignDomains(1, 16)
+	return cl
+}
+
+// rack names the one-node rack of node id in chaosCluster.
+func rack(id int) string { return cluster.DomainName(0, id) }
+
+// burst is a flat reclamation profile: DiurnalReclamation over one
+// interval with it is a single burst taking fraction f.
+func burst(f float64) gfs.DiurnalProfile { return gfs.DiurnalProfile{Base: f, Peak: f} }
+
 func chaosScenario() *gfs.Scenario {
 	return gfs.NewScenario().
-		KillNode(6*gfs.Hour, 3).KillNode(6*gfs.Hour, 4).
-		RestoreNode(12*gfs.Hour, 3).RestoreNode(12*gfs.Hour, 4)
+		FailDomain(6*gfs.Hour, rack(3)).FailDomain(6*gfs.Hour, rack(4)).
+		RestoreDomain(12*gfs.Hour, rack(3)).RestoreDomain(12*gfs.Hour, rack(4))
 }
 
 // runChaos executes the acceptance scenario (2 nodes down at hour 6,
@@ -39,7 +54,7 @@ func runChaos(seed int64, extra ...gfs.Option) (*gfs.Result, *sched.EventLog) {
 		gfs.WithScenario(chaosScenario()),
 		gfs.WithObserver(log),
 	}, extra...)
-	res := gfs.NewEngine(gfs.NewCluster("A100", 16, 8), opts...).Run(chaosTrace(seed))
+	res := gfs.NewEngine(chaosCluster(), opts...).Run(chaosTrace(seed))
 	return res, log
 }
 
@@ -69,7 +84,7 @@ func TestEventLogDeterministic(t *testing.T) {
 // TestObserverNeutral: registering observers must not change any
 // simulation metric.
 func TestObserverNeutral(t *testing.T) {
-	bare := gfs.NewEngine(gfs.NewCluster("A100", 16, 8),
+	bare := gfs.NewEngine(chaosCluster(),
 		gfs.WithScenario(chaosScenario())).Run(chaosTrace(17))
 	observed, log := runChaos(17)
 	if len(log.Events) == 0 {
@@ -173,62 +188,6 @@ func TestScenarioNodeFailure(t *testing.T) {
 	}
 }
 
-// TestScenarioDrainSparesHP: draining evicts spot pods but lets HP
-// pods finish on the cordoned node.
-func TestScenarioDrainSparesHP(t *testing.T) {
-	cl := gfs.NewCluster("A100", 1, 8)
-	tasks := []*gfs.Task{
-		task.New(1, gfs.HP, 1, 4, 2*gfs.Hour),
-		task.New(2, gfs.Spot, 1, 4, 2*gfs.Hour),
-	}
-	log := &sched.EventLog{}
-	sc := gfs.NewScenario().DrainNode(30*gfs.Minute, 0)
-	res := gfs.NewEngine(cl,
-		gfs.WithScheduler(gfs.NewStaticFirstFit()),
-		gfs.WithScenario(sc),
-		gfs.WithObserver(log),
-	).Run(tasks)
-	if res.HP.Evictions != 0 {
-		t.Fatal("drain must not evict HP pods")
-	}
-	if res.Spot.Evictions != 1 {
-		t.Fatalf("drain should evict the spot task once, got %d", res.Spot.Evictions)
-	}
-	if got := log.Filter(gfs.TaskEvicted); len(got) != 1 || got[0].Cause != gfs.CauseDrained {
-		t.Fatalf("want one drained TaskEvicted event, got %v", got)
-	}
-	if res.UnfinishedHP != 0 {
-		t.Fatal("HP task should finish on the cordoned node")
-	}
-}
-
-// TestScenarioScaleOut: added capacity unblocks a task that cannot
-// fit on the initial cluster.
-func TestScenarioScaleOut(t *testing.T) {
-	cl := gfs.NewCluster("A100", 1, 8)
-	tasks := []*gfs.Task{
-		task.New(1, gfs.HP, 1, 8, 4*gfs.Hour),
-		task.New(2, gfs.HP, 1, 8, gfs.Hour), // blocked until scale-out
-	}
-	log := &sched.EventLog{}
-	sc := gfs.NewScenario().ScaleOut(gfs.Duration(3600), gfs.Pool{Model: "A100", Nodes: 1, GPUsPerNode: 8})
-	res := gfs.NewEngine(cl,
-		gfs.WithScheduler(gfs.NewStaticFirstFit()),
-		gfs.WithScenario(sc),
-		gfs.WithObserver(log),
-	).Run(tasks)
-	if res.UnfinishedHP != 0 {
-		t.Fatal("scale-out should unblock the second task")
-	}
-	ups := log.Filter(gfs.NodeUp)
-	if len(ups) != 1 || ups[0].Node.ID != 1 {
-		t.Fatalf("want one NodeUp for node 1, got %v", ups)
-	}
-	if tasks[1].FirstStart < gfs.Time(3600) {
-		t.Fatalf("task 2 started at %d, before scale-out", tasks[1].FirstStart)
-	}
-}
-
 // TestRunBatchDeterministic: a batch sweep must reproduce identical
 // per-seed results serially and with 8 workers.
 func TestRunBatchDeterministic(t *testing.T) {
@@ -238,7 +197,7 @@ func TestRunBatchDeterministic(t *testing.T) {
 			out = append(out, gfs.BatchSpec{
 				Name: fmt.Sprintf("seed-%d", seed),
 				Setup: func() (*gfs.Engine, []*gfs.Task) {
-					eng := gfs.NewEngine(gfs.NewCluster("A100", 16, 8),
+					eng := gfs.NewEngine(chaosCluster(),
 						gfs.WithScenario(chaosScenario()))
 					return eng, chaosTrace(seed)
 				},

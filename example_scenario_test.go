@@ -12,17 +12,19 @@ import (
 	gfs "github.com/sjtucitlab/gfs"
 )
 
-// A scenario is a timed script of cluster mutations. Single-node
-// primitives: kill, restore, drain, scale-out, reclamation burst.
+// A scenario is a timed script of cluster mutations: failure-domain
+// outages and restores, and spot reclamation bursts. A single node
+// fails as a rack of its own: AssignDomains(1, n) gives each of n
+// nodes its own rack, so rack r holds node r.
 func ExampleNewScenario() {
+	cluster := gfs.NewCluster("A100", 16, 8)
+	cluster.AssignDomains(1, 16)
 	sc := gfs.NewScenario().
-		KillNode(6*gfs.Hour, 3).KillNode(6*gfs.Hour, 4).
-		RestoreNode(12*gfs.Hour, 3).RestoreNode(12*gfs.Hour, 4).
-		DrainNode(14*gfs.Hour, 5).
-		ScaleOut(18*gfs.Hour, gfs.Pool{Model: "A100", Nodes: 4, GPUsPerNode: 8}).
-		ReclaimSpot(20*gfs.Hour, 0.5)
-	fmt.Println(sc.Len(), "actions")
-	// Output: 7 actions
+		FailDomain(6*gfs.Hour, "zone-0/rack-3").FailDomain(6*gfs.Hour, "zone-0/rack-4").
+		RestoreDomain(12*gfs.Hour, "zone-0/rack-3").RestoreDomain(12*gfs.Hour, "zone-0/rack-4").
+		DiurnalReclamation(20*gfs.Hour, 21*gfs.Hour, gfs.Hour, gfs.DiurnalProfile{Base: 0.5, Peak: 0.5})
+	fmt.Println(len(cluster.Domains()), "racks,", sc.Len(), "actions")
+	// Output: 16 racks, 5 actions
 }
 
 // Correlated failures target failure domains. AssignDomains lays a
@@ -73,13 +75,11 @@ func ExampleDiurnalProfile() {
 }
 
 // Scenarios compose by repeating WithScenario: the run sees every
-// script's actions, merged by time. A script recurs by adding its
-// action once per period.
+// script's actions, merged by time. A flat profile (Base = Peak)
+// makes DiurnalReclamation a fixed-size burst once per interval.
 func ExampleWithScenario_compose() {
-	weekday := gfs.NewScenario()
-	for day := gfs.Duration(0); day < 5; day++ {
-		weekday.ReclaimSpot(day*gfs.Day+14*gfs.Hour, 0.3)
-	}
+	weekday := gfs.NewScenario().DiurnalReclamation(14*gfs.Hour, 5*gfs.Day, gfs.Day,
+		gfs.DiurnalProfile{Base: 0.3, Peak: 0.3}) // 14:00 on days 0-4
 	storm := gfs.NewScenario().FailDomain(6*gfs.Hour, "zone-1/rack-2")
 	cluster := gfs.NewCluster("A100", 16, 8)
 	cluster.AssignDomains(2, 4)

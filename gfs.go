@@ -126,9 +126,6 @@ func NewCluster(model string, nodes, gpusPerNode int) *Cluster {
 	return cluster.NewHomogeneous(model, nodes, gpusPerNode)
 }
 
-// Pool describes one slice of a heterogeneous cluster.
-type Pool = cluster.Pool
-
 // DefaultTraceConfig returns the paper-scale workload settings.
 func DefaultTraceConfig() TraceConfig { return trace.Default() }
 

@@ -146,7 +146,7 @@ func TestFacadeStaticQuota(t *testing.T) {
 }
 
 func TestFacadeHeterogeneousCluster(t *testing.T) {
-	cl := cluster.NewHeterogeneous([]gfs.Pool{
+	cl := cluster.NewHeterogeneous([]cluster.Pool{
 		{Model: "A10", Nodes: 4, GPUsPerNode: 1},
 		{Model: "A100", Nodes: 2, GPUsPerNode: 8},
 	})

@@ -123,8 +123,8 @@ func (c *Cluster) AddNode(n *Node) {
 }
 
 // AddPool grows the cluster by a pool of fresh nodes, numbering them
-// after the current maximum ID, and returns the new nodes. It is the
-// mutation behind scale-out scenario actions.
+// after the current maximum ID, and returns the new nodes. It is how
+// an autoscaler's provisioned capacity joins the cluster mid-run.
 func (c *Cluster) AddPool(p Pool) []*Node {
 	id := c.nextID
 	added := make([]*Node, 0, p.Nodes)

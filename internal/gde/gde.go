@@ -24,13 +24,6 @@ type Config struct {
 	Model forecast.Distributional
 }
 
-// DefaultConfig returns the experiment settings: a week of history
-// predicting the next 4 hours (the largest guarantee duration in
-// Table 4 plus slack).
-func DefaultConfig() Config {
-	return Config{History: 168, Horizon: 4}
-}
-
 // Estimator serves per-organization demand distributions.
 type Estimator struct {
 	cfg    Config

@@ -168,13 +168,3 @@ func TestOrgLinearBackedEstimator(t *testing.T) {
 		}
 	}
 }
-
-func TestDefaultConfigUsesOrgLinear(t *testing.T) {
-	e := New(DefaultConfig())
-	if e.model.Name() != "OrgLinear" {
-		t.Fatalf("default model = %s, want OrgLinear", e.model.Name())
-	}
-	if e.cfg.Horizon != 4 || e.History() != 168 {
-		t.Fatal("default dims")
-	}
-}

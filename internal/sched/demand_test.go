@@ -147,7 +147,7 @@ func runDemandWorld(seed int64, mode int) (returns int, err error) {
 	var oracles []*demandOracle
 	cfg := FedConfig{Route: RouteLeastLoaded{}, Spill: SpillLeastLoaded{}}
 	for m := range members {
-		mc := DefaultSimConfig(cluster.NewHomogeneous("A100", 2+rng.Intn(3), 8), &firstFit{})
+		mc := DefaultSimConfig(oneNodeRacks(cluster.NewHomogeneous("A100", 2+rng.Intn(3), 8)), &firstFit{})
 		mc.InitialOrgDemand = initial
 		o := newDemandOracle(initial)
 		if mode == demandUnsorted {
@@ -162,8 +162,8 @@ func runDemandWorld(seed int64, mode int) (returns int, err error) {
 			down := simclock.Time(rng.Intn(int(8 * simclock.Hour)))
 			id := rng.Intn(2)
 			mc.Scenario = append(mc.Scenario,
-				ScenarioAction{At: down, Op: OpNodeDown, NodeID: id},
-				ScenarioAction{At: down.Add(simclock.Duration(1+rng.Intn(90)) * simclock.Minute), Op: OpNodeUp, NodeID: id})
+				rackDown(down, id),
+				rackUp(down.Add(simclock.Duration(1+rng.Intn(90))*simclock.Minute), id))
 		}
 		oracles = append(oracles, o)
 		cfg.Members = append(cfg.Members, FedMember{Name: fmt.Sprint("m", m), Cfg: mc})

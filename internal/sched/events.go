@@ -27,11 +27,13 @@ const (
 	// QuotaUpdated fires at each quota tick with the new spot quota
 	// in Event.Quota.
 	QuotaUpdated
-	// NodeDown fires when a node fails or is cordoned by a scenario
-	// action; Event.Node holds the node.
+	// NodeDown fires when a failure-domain outage takes a node down;
+	// Event.Node holds the node. A retirement drain announces
+	// NodeRetired instead.
 	NodeDown
-	// NodeUp fires when a node (re)joins the schedulable pool,
-	// including nodes added by a scale-out action.
+	// NodeUp fires when a domain restore returns a failed node to the
+	// schedulable pool; every NodeUp follows that node's NodeDown on
+	// the same stream. New capacity announces NodeProvisioned instead.
 	NodeUp
 	// TaskMigrated fires on the federation event stream when a task
 	// evicted by capacity loss is delivered to a sibling cluster
@@ -107,7 +109,7 @@ const (
 	CauseNodeFailure
 	// CauseReclaimed: a spot reclamation burst took the capacity.
 	CauseReclaimed
-	// CauseDrained: the hosting node was drained.
+	// CauseDrained: the hosting node was drained for retirement.
 	CauseDrained
 )
 

@@ -9,10 +9,10 @@ import (
 	"github.com/sjtucitlab/gfs/internal/task"
 )
 
-// fedTestConfig builds a one-node member configuration for the
-// low-level loop tests.
+// fedTestConfig builds a member configuration of one-node racks for
+// the low-level loop tests.
 func fedTestConfig(nodes int) SimConfig {
-	return DefaultSimConfig(cluster.NewHomogeneous("A100", nodes, 8), &firstFit{})
+	return DefaultSimConfig(oneNodeRacks(cluster.NewHomogeneous("A100", nodes, 8)), &firstFit{})
 }
 
 // runFed runs a preloaded federation to completion, failing the test
@@ -34,7 +34,7 @@ func TestFederationLateMigrationRestartsMember(t *testing.T) {
 	// kills at hour 20. east: idle from the start; by hour 20 its
 	// tick chain is long gone.
 	westCfg := fedTestConfig(1)
-	westCfg.Scenario = []ScenarioAction{{At: simclock.Time(0).Add(20 * simclock.Hour), Op: OpNodeDown, NodeID: 0}}
+	westCfg.Scenario = []ScenarioAction{rackDown(simclock.Time(0).Add(20*simclock.Hour), 0)}
 	eastCfg := fedTestConfig(1)
 	tasks := []*task.Task{
 		mkTask(1, task.Spot, 1, 8, 48*simclock.Hour, 0),
@@ -71,8 +71,8 @@ func TestFederationSpillKeepsLocalWhenFull(t *testing.T) {
 	westCfg := fedTestConfig(2)
 	// Node 0 dies at hour 1 and comes back at hour 2.
 	westCfg.Scenario = []ScenarioAction{
-		{At: simclock.Time(0).Add(simclock.Hour), Op: OpNodeDown, NodeID: 0},
-		{At: simclock.Time(0).Add(2 * simclock.Hour), Op: OpNodeUp, NodeID: 0},
+		rackDown(simclock.Time(0).Add(simclock.Hour), 0),
+		rackUp(simclock.Time(0).Add(2*simclock.Hour), 0),
 	}
 	eastCfg := fedTestConfig(1)
 	tasks := []*task.Task{

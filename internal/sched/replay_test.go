@@ -102,12 +102,12 @@ func TestRunSourceMatchesRun(t *testing.T) {
 // the streamed run matches the eager run under a mid-trace node kill.
 func TestRunSourceWithScenario(t *testing.T) {
 	scenario := []ScenarioAction{
-		{At: 4 * simclock.Time(simclock.Hour), Op: OpNodeDown, NodeID: 3},
-		{At: 8 * simclock.Time(simclock.Hour), Op: OpNodeUp, NodeID: 3},
+		rackDown(4*simclock.Time(simclock.Hour), 3),
+		rackUp(8*simclock.Time(simclock.Hour), 3),
 		{At: 10 * simclock.Time(simclock.Hour), Op: OpReclaimSpot, Fraction: 0.5},
 	}
 	run := func(streamed bool) string {
-		cl := cluster.NewHomogeneous("A100", 8, 8)
+		cl := oneNodeRacks(cluster.NewHomogeneous("A100", 8, 8))
 		log := &EventLog{}
 		cfg := DefaultSimConfig(cl, &firstFit{preempt: true})
 		cfg.Observers = []Observer{log}

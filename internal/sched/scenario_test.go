@@ -35,10 +35,10 @@ func scenarioWorld(t *testing.T) (*Simulator, *EventLog) {
 	return s, log
 }
 
-// TestScenarioOpContract pins, for all eight ops, the two halves of the
-// one node-mutation path: an action that changes nothing — unknown
-// node or domain, a node already in the state asked for, nothing to
-// reclaim — emits no event, samples no allocation, leaves capacity and
+// TestScenarioOpContract pins, for all three ops, the two halves of
+// the one mutation path: an action that changes nothing — an unknown
+// domain, nodes already in the state asked for, nothing to reclaim —
+// emits no event, samples no allocation, leaves capacity and
 // the idle clock alone and asks for no scheduling pass; an action that
 // changes something emits its events, then exactly one AllocSampled
 // carrying the new capacity, restarts the idle clock and asks for a
@@ -53,18 +53,6 @@ func TestScenarioOpContract(t *testing.T) {
 		want     []EventKind
 		capacity float64
 	}{
-		{"node-down unknown id", ScenarioAction{Op: OpNodeDown, NodeID: 99}, nil, 24},
-		{"node-down already down", ScenarioAction{Op: OpNodeDown, NodeID: 1}, nil, 24},
-		{"node-down", ScenarioAction{Op: OpNodeDown, NodeID: 0}, []EventKind{down, evicted, sampled}, 16},
-		{"node-up unknown id", ScenarioAction{Op: OpNodeUp, NodeID: 99}, nil, 24},
-		{"node-up already up", ScenarioAction{Op: OpNodeUp, NodeID: 0}, nil, 24},
-		{"node-up", ScenarioAction{Op: OpNodeUp, NodeID: 1}, []EventKind{up, sampled}, 32},
-		{"node-up uncordons", ScenarioAction{Op: OpNodeUp, NodeID: 3}, []EventKind{up, sampled}, 24},
-		{"node-drain unknown id", ScenarioAction{Op: OpNodeDrain, NodeID: 99}, nil, 24},
-		{"node-drain already cordoned", ScenarioAction{Op: OpNodeDrain, NodeID: 3}, nil, 24},
-		{"node-drain down node", ScenarioAction{Op: OpNodeDrain, NodeID: 1}, nil, 24},
-		{"node-drain", ScenarioAction{Op: OpNodeDrain, NodeID: 2}, []EventKind{down, evicted, sampled}, 24},
-		{"scale-out", ScenarioAction{Op: OpScaleOut, Pool: cluster.Pool{Model: "A100", Nodes: 2, GPUsPerNode: 8}}, []EventKind{up, up, sampled}, 40},
 		{"reclaim zero fraction", ScenarioAction{Op: OpReclaimSpot}, nil, 24},
 		{"reclaim", ScenarioAction{Op: OpReclaimSpot, Fraction: 1}, []EventKind{evicted, sampled}, 24},
 		{"domain-down empty domain", ScenarioAction{Op: OpDomainDown}, nil, 24},
@@ -74,10 +62,8 @@ func TestScenarioOpContract(t *testing.T) {
 		{"domain-up unknown domain", ScenarioAction{Op: OpDomainUp, Domain: "zone-9"}, nil, 24},
 		{"domain-up already up", ScenarioAction{Op: OpDomainUp, Domain: "zone-0/rack-0"}, nil, 24},
 		{"domain-up", ScenarioAction{Op: OpDomainUp, Domain: "zone-0"}, []EventKind{up, sampled}, 32},
-		{"domain-drain empty domain", ScenarioAction{Op: OpDomainDrain}, nil, 24},
-		{"domain-drain already cordoned", ScenarioAction{Op: OpDomainDrain, Domain: "zone-1/rack-1"}, nil, 24},
-		{"domain-drain", ScenarioAction{Op: OpDomainDrain, Domain: "zone-0"}, []EventKind{down, sampled}, 24},
-		{"unknown op", ScenarioAction{Op: OpDomainDrain + 1, NodeID: 0, Domain: "zone-0"}, nil, 24},
+		{"domain-up keeps a retiring node cordoned", ScenarioAction{Op: OpDomainUp, Domain: "zone-1/rack-1"}, nil, 24},
+		{"unknown op", ScenarioAction{Op: OpDomainUp + 1, Domain: "zone-0"}, nil, 24},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			s, log := scenarioWorld(t)

@@ -24,8 +24,8 @@ type SimConfig struct {
 	// Observers receive the typed event stream. With none
 	// registered the simulator pays no emission cost.
 	Observers []Observer
-	// Scenario lists timed cluster mutations (node failure/restore,
-	// drain, scale-out, spot reclamation) injected into the event
+	// Scenario lists timed cluster mutations (failure-domain outages
+	// and restores, spot reclamation bursts) injected into the event
 	// queue mid-run. Actions sharing a timestamp apply in order.
 	Scenario []ScenarioAction
 	// Autoscaler, when non-nil, is consulted at every quota tick
@@ -633,13 +633,25 @@ func (s *Simulator) autoscaleTick() {
 	}
 }
 
-// retireNode begins retiring one node: it drains it (NodeRetired), and
-// a node left without pods leaves capacity immediately; one still
-// hosting HP pods parks in the retiring set and leaves when its last
-// pod completes. It reports whether the node was schedulable.
+// retireNode begins retiring one node: it cordons it, announces
+// NodeRetired and evicts its spot tasks with the drain cause, while HP
+// pods run on. The cordon lands before the event, so observers never
+// see a retiring node still schedulable. A node left without pods
+// leaves capacity immediately; one still hosting HP pods parks in the
+// retiring set and leaves when its last pod completes. It reports
+// whether the node was schedulable.
 func (s *Simulator) retireNode(n *cluster.Node) bool {
-	if !s.drainNode(n, true) {
+	if n == nil || !n.Schedulable() {
 		return false
+	}
+	n.SetCordoned(true)
+	if s.hasObs {
+		s.emit(Event{Kind: NodeRetired, Node: n, Tier: n.Tier})
+	}
+	for _, v := range n.SpotTasks() {
+		locs := s.state.NodesOf(v)
+		s.state.ReleaseAll(v)
+		s.evict(v, CauseDrained, locs)
 	}
 	if n.UsedGPUs() == 0 {
 		n.SetDown(true)

@@ -143,9 +143,9 @@ func TestStaleFinishAfterEvictAndRestart(t *testing.T) {
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			log := &EventLog{}
-			cfg := DefaultSimConfig(cluster.NewHomogeneous("A100", 2, 8), &firstFit{})
+			cfg := DefaultSimConfig(oneNodeRacks(cluster.NewHomogeneous("A100", 2, 8)), &firstFit{})
 			cfg.Observers = []Observer{log}
-			cfg.Scenario = []ScenarioAction{{At: simclock.Time(30 * simclock.Minute), Op: OpNodeDown, NodeID: 0}}
+			cfg.Scenario = []ScenarioAction{rackDown(simclock.Time(30*simclock.Minute), 0)}
 			tk := mkTask(1, c.typ, 1, 8, 2*simclock.Hour, 0)
 			res := Run(cfg, []*task.Task{tk})
 			fin := finishesOf(log, 1)
@@ -168,9 +168,9 @@ func TestStaleFinishAfterEvictAndRestart(t *testing.T) {
 // task finishes once, on west, at its third run's end.
 func TestStaleFinishAfterRoundTrip(t *testing.T) {
 	westCfg := fedTestConfig(2)
-	westCfg.Scenario = []ScenarioAction{{At: simclock.Time(30 * simclock.Minute), Op: OpNodeDown, NodeID: 0}}
+	westCfg.Scenario = []ScenarioAction{rackDown(simclock.Time(30*simclock.Minute), 0)}
 	eastCfg := fedTestConfig(2)
-	eastCfg.Scenario = []ScenarioAction{{At: simclock.Time(60 * simclock.Minute), Op: OpNodeDown, NodeID: 0}}
+	eastCfg.Scenario = []ScenarioAction{rackDown(simclock.Time(60*simclock.Minute), 0)}
 	log := &EventLog{}
 	tk := mkTask(1, task.HP, 1, 8, 4*simclock.Hour, 0)
 	res := runFed(t, FedConfig{
@@ -197,5 +197,72 @@ func TestStaleFinishAfterRoundTrip(t *testing.T) {
 	}
 	if west := res.Member("west"); len(west.Result.Tasks) != 1 || len(res.Member("east").Result.Tasks) != 0 {
 		t.Fatalf("the task should be on west's books only")
+	}
+}
+
+// scriptedScaler retires node 0 at the first tick at or after
+// retireAt and orders one 8-GPU node, with no lead, at the first tick
+// at or after provisionAt.
+type scriptedScaler struct {
+	retireAt, provisionAt simclock.Time
+	retired, provisioned  bool
+}
+
+func (a *scriptedScaler) Plan(ctx *AutoscaleContext) AutoscalePlan {
+	var p AutoscalePlan
+	if !a.retired && ctx.Now >= a.retireAt {
+		a.retired = true
+		p.Retire = []int{0}
+	}
+	if !a.provisioned && ctx.Now >= a.provisionAt {
+		a.provisioned = true
+		p.Provisions = []Provision{{Pool: cluster.Pool{Model: "A100", Nodes: 1, GPUsPerNode: 8, Tier: "on-demand"}}}
+	}
+	return p
+}
+
+// TestAutoscaleRetireDrainsAndProvisionUnblocks: retirement is a drain
+// — the spot task on the retired node is evicted with the drain cause,
+// the HP pod beside it runs to completion, and no pod lands on the
+// cordoned node, though the evicted spot task would fit there — and a
+// provisioned node unblocks an HP task no base node can hold.
+func TestAutoscaleRetireDrainsAndProvisionUnblocks(t *testing.T) {
+	cl := cluster.NewHomogeneous("A100", 1, 8)
+	hp := mkTask(1, task.HP, 1, 4, 2*simclock.Hour, 0)
+	spot := mkTask(2, task.Spot, 1, 4, 2*simclock.Hour, 0)
+	blocked := mkTask(3, task.HP, 1, 8, simclock.Hour, 0)
+	log := &EventLog{}
+	retiredUsed := -1.0
+	cordon := ObserverFunc(func(e Event) {
+		used := cl.Node(0).UsedGPUs()
+		if retiredUsed >= 0 && used > retiredUsed {
+			t.Fatalf("node 0 grew from %g to %g GPUs after retirement (%s)", retiredUsed, used, e)
+		}
+		if e.Kind == NodeRetired || retiredUsed >= 0 {
+			retiredUsed = used
+		}
+	})
+	cfg := DefaultSimConfig(cl, &firstFit{})
+	cfg.Observers = []Observer{log, cordon}
+	cfg.Autoscaler = &scriptedScaler{retireAt: simclock.Time(30 * simclock.Minute), provisionAt: simclock.Time(simclock.Hour)}
+	res := Run(cfg, []*task.Task{hp, spot, blocked})
+
+	if ret := log.Filter(NodeRetired); len(ret) != 1 || ret[0].Node.ID != 0 {
+		t.Fatalf("want one NodeRetired for node 0, got %v", ret)
+	}
+	if evs := log.Filter(TaskEvicted); len(evs) != 1 || evs[0].Task != spot || evs[0].Cause != CauseDrained {
+		t.Fatalf("want one drained eviction of the spot task, got %v", evs)
+	}
+	if hp.Evictions != 0 || hp.FinishedAt != simclock.Time(2*simclock.Hour) {
+		t.Fatalf("HP task evicted %d times, finished at %d; want never evicted, done at 2h", hp.Evictions, hp.FinishedAt)
+	}
+	if prov := log.Filter(NodeProvisioned); len(prov) != 1 || prov[0].Node.ID != 1 {
+		t.Fatalf("want one NodeProvisioned for node 1, got %v", prov)
+	}
+	if blocked.FirstStart < simclock.Time(simclock.Hour) {
+		t.Fatalf("8-GPU task started at %d, before its node was provisioned", blocked.FirstStart)
+	}
+	if res.UnfinishedHP+res.UnfinishedSpot != 0 || !cl.Node(0).Down() {
+		t.Fatalf("%d unfinished, node 0 down %v; want all done and node 0 gone", res.UnfinishedHP+res.UnfinishedSpot, cl.Node(0).Down())
 	}
 }

@@ -55,6 +55,23 @@ func (f *firstFit) Schedule(ctx *Context, tk *task.Task) (*Decision, error) {
 	return txn.Commit(), nil
 }
 
+// oneNodeRacks gives every node of cl its own rack, so rack r of zone
+// 0 holds node r and a node fault is a rack op.
+func oneNodeRacks(cl *cluster.Cluster) *cluster.Cluster {
+	cl.AssignDomains(1, len(cl.Nodes()))
+	return cl
+}
+
+// rackDown and rackUp fail and restore node id through its one-node
+// rack (see oneNodeRacks).
+func rackDown(at simclock.Time, id int) ScenarioAction {
+	return ScenarioAction{At: at, Op: OpDomainDown, Domain: cluster.DomainName(0, id)}
+}
+
+func rackUp(at simclock.Time, id int) ScenarioAction {
+	return ScenarioAction{At: at, Op: OpDomainUp, Domain: cluster.DomainName(0, id)}
+}
+
 var ErrNoFit = errNoFit{}
 
 type errNoFit struct{}

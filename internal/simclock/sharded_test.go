@@ -14,8 +14,8 @@ func TestShardedQueueMatchesQueue(t *testing.T) {
 		rng := rand.New(rand.NewSource(int64(41 + shards)))
 		var ref Queue
 		sq := NewShardedQueue(shards)
-		if sq.Shards() != shards {
-			t.Fatalf("Shards() = %d, want %d", sq.Shards(), shards)
+		if len(sq.shards) != shards {
+			t.Fatalf("%d shards, want %d", len(sq.shards), shards)
 		}
 		now := Time(0)
 		for op := 0; op < 20000; op++ {
@@ -36,19 +36,14 @@ func TestShardedQueueMatchesQueue(t *testing.T) {
 				now = got.At
 			default:
 				// Mix of near-future, same-instant, and far events,
-				// front and back classes, spread across shards.
+				// spread across shards.
 				at := now + Time(rng.Intn(50))
 				if rng.Intn(8) == 0 {
 					at = now + Time(10000+rng.Intn(5000))
 				}
 				shard := rng.Intn(shards)
-				if rng.Intn(4) == 0 {
-					ref.PushFront(at, op)
-					sq.PushFront(shard, at, op)
-				} else {
-					ref.Push(at, op)
-					sq.Push(shard, at, op)
-				}
+				ref.Push(at, op)
+				sq.Push(shard, at, op)
 			}
 			if sq.Len() != ref.Len() {
 				t.Fatalf("shards=%d op=%d: Len = %d, want %d", shards, op, sq.Len(), ref.Len())
@@ -68,34 +63,11 @@ func TestShardedQueueMatchesQueue(t *testing.T) {
 	}
 }
 
-// TestShardedQueuePeek checks Peek agrees with the subsequent Pop and
-// does not consume.
-func TestShardedQueuePeek(t *testing.T) {
-	sq := NewShardedQueue(3)
-	if _, ok := sq.Peek(); ok {
-		t.Fatal("Peek on empty queue reported an event")
-	}
-	sq.Push(2, 50, "late")
-	sq.Push(0, 10, "early")
-	sq.PushFront(1, 10, "front")
-	for _, want := range []string{"front", "early", "late"} {
-		pk, ok := sq.Peek()
-		if !ok || pk.Value != want {
-			t.Fatalf("Peek = %v %v, want %q", pk.Value, ok, want)
-		}
-		pp, _ := sq.Pop()
-		if pp.Value != want {
-			t.Fatalf("Pop = %v, want %q", pp.Value, want)
-		}
-	}
-}
-
 // TestNewShardedQueueClamps verifies the shard-count floor.
 func TestNewShardedQueueClamps(t *testing.T) {
-	if got := NewShardedQueue(0).Shards(); got != 1 {
-		t.Fatalf("Shards() = %d, want 1", got)
-	}
-	if got := NewShardedQueue(-3).Shards(); got != 1 {
-		t.Fatalf("Shards() = %d, want 1", got)
+	for _, n := range []int{0, -3} {
+		if got := len(NewShardedQueue(n).shards); got != 1 {
+			t.Fatalf("NewShardedQueue(%d) has %d shards, want 1", n, got)
+		}
 	}
 }

@@ -57,7 +57,7 @@ func Summarize(tasks []*task.Task, typ task.Type) TaskMetrics {
 
 // AllocationTracker integrates the cluster's GPU allocation over
 // simulated time to produce the time-averaged allocation rate. The
-// capacity may change mid-run (node failures, scale-out): the rate is
+// capacity may change mid-run (node failures, provisioning): the rate is
 // then ∫used dt / ∫capacity dt over the observed span. It keeps the
 // integrals only; a timeline of observations is a collector's job.
 type AllocationTracker struct {
@@ -92,7 +92,7 @@ func (a *AllocationTracker) Observe(t simclock.Time, used float64) {
 }
 
 // SetCapacity closes the current integration window at time t and
-// switches to a new capacity (node failure, restore, or scale-out).
+// switches to a new capacity (node failure, restore, or provisioning).
 func (a *AllocationTracker) SetCapacity(t simclock.Time, capacity float64) {
 	if a.started {
 		a.Observe(t, a.lastUsed)

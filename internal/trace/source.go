@@ -157,29 +157,10 @@ func (f *failSource) Next() (*task.Task, error) { return nil, f.err }
 
 func (f *failSource) Close() error { return f.inner.Close() }
 
-// TimeWindow keeps only tasks submitted in [from, to), dropping
-// earlier tasks and ending the stream at the first task at or past
-// to — which keeps windowed ingestion of a long sorted trace cheap,
-// since nothing beyond the window is decoded. Submission times are
-// not rebased; compose with Rebase to re-anchor the window at the
-// epoch.
-func TimeWindow(src Source, from, to simclock.Time) Source {
-	return &transformSource{inner: src, fn: func(tk *task.Task) (*task.Task, error) {
-		if tk.Submit >= to {
-			return nil, io.EOF
-		}
-		if tk.Submit < from {
-			return nil, nil
-		}
-		return tk, nil
-	}}
-}
-
 // HeadWindow keeps only the first span of trace time, measured from
-// the first task's own submission — so it works on dumps anchored at
-// any epoch, unlike TimeWindow's absolute bounds. Like TimeWindow it
-// ends the stream at the first task past the window, so nothing
-// beyond it is decoded.
+// the first task's own submission, so it works on dumps anchored at
+// any epoch. It ends the stream at the first task past the window, so
+// nothing beyond it is decoded.
 func HeadWindow(src Source, span simclock.Duration) Source {
 	first := true
 	var end simclock.Time

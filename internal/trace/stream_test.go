@@ -189,8 +189,8 @@ func TestValidateCatchesUnsorted(t *testing.T) {
 	}
 }
 
-// TestTransforms: rebase anchors the first submission, rate-scale
-// divides arrival times, window half-opens and stops decoding.
+// TestTransforms: rebase anchors the first submission and rate-scale
+// divides arrival times.
 func TestTransforms(t *testing.T) {
 	mk := func() Source { return SliceSource(genTrace(3, Regime2024)) }
 	orig := genTrace(3, Regime2024)
@@ -223,26 +223,6 @@ func TestTransforms(t *testing.T) {
 	}
 	if _, err := Collect(RateScale(mk(), 0)); err == nil {
 		t.Fatal("rate-scale factor 0 must error")
-	}
-
-	from, to := simclock.Time(6*simclock.Hour), simclock.Time(12*simclock.Hour)
-	windowed, err := Collect(TimeWindow(mk(), from, to))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := 0
-	for _, tk := range orig {
-		if tk.Submit >= from && tk.Submit < to {
-			want++
-		}
-	}
-	if len(windowed) != want || want == 0 {
-		t.Fatalf("window kept %d tasks, want %d", len(windowed), want)
-	}
-	for _, tk := range windowed {
-		if tk.Submit < from || tk.Submit >= to {
-			t.Fatalf("task %d submit %d outside [%d,%d)", tk.ID, tk.Submit, from, to)
-		}
 	}
 }
 

@@ -21,7 +21,10 @@ import (
 //     strictly increasing;
 //   - capacity: no node is ever oversubscribed or negative-used;
 //   - conservation: lifecycle events only ever reference tasks that
-//     arrived, and no task finishes twice.
+//     arrived, and no task finishes twice;
+//   - restores: every NodeUp names a node its member's stream saw go
+//     NodeDown and has not restored since. The cost ledger keeps no
+//     books on NodeDown/NodeUp because of it.
 //
 // Clusters are registered per member name ("" for single-engine
 // runs) so the capacity sweep follows the event's member.
@@ -33,6 +36,13 @@ type invariantChecker struct {
 	lastSeq  uint64
 	arrived  map[int]int
 	finished map[int]int
+	down     map[memberNode]bool
+}
+
+// memberNode names one node of one member's cluster.
+type memberNode struct {
+	member string
+	id     int
 }
 
 func newInvariantChecker(t *testing.T) *invariantChecker {
@@ -42,6 +52,7 @@ func newInvariantChecker(t *testing.T) *invariantChecker {
 		lastAt:   map[string]gfs.Time{},
 		arrived:  map[int]int{},
 		finished: map[int]int{},
+		down:     map[memberNode]bool{},
 	}
 }
 
@@ -97,6 +108,14 @@ func (c *invariantChecker) OnEvent(e gfs.Event) {
 		if c.finished[e.Task.ID] > 1 {
 			t.Fatalf("task %d finished twice", e.Task.ID)
 		}
+	case gfs.NodeDown:
+		c.down[memberNode{e.Member, e.Node.ID}] = true
+	case gfs.NodeUp:
+		k := memberNode{e.Member, e.Node.ID}
+		if !c.down[k] {
+			t.Fatalf("NodeUp for node %d, which its stream never saw go down (%s)", e.Node.ID, e.String())
+		}
+		delete(c.down, k)
 	}
 }
 

@@ -14,18 +14,15 @@ import (
 	"github.com/sjtucitlab/gfs/internal/sched"
 )
 
-// reportEngines builds matched engine pairs for equivalence checks:
-// one configuration under several schedulers/quotas, with a capacity-
-// churn scenario (kills, restores, drains, reclamation, scale-out) so
-// every collector code path fires.
+// reportScenario is the capacity-churn scenario (node kills,
+// reclamation, restores) on chaosCluster that the report equivalence
+// checks run under, so every eviction cause a scenario can raise
+// reaches the collectors.
 func reportScenario() *gfs.Scenario {
 	return gfs.NewScenario().
-		KillNode(4*gfs.Hour, 3).KillNode(4*gfs.Hour, 4).
-		DrainNode(6*gfs.Hour, 7).
-		ReclaimSpot(8*gfs.Hour, 0.4).
-		RestoreNode(10*gfs.Hour, 3).RestoreNode(10*gfs.Hour, 4).
-		RestoreNode(11*gfs.Hour, 7).
-		ScaleOut(12*gfs.Hour, gfs.Pool{Model: "A100", Nodes: 2, GPUsPerNode: 8})
+		FailDomain(4*gfs.Hour, rack(3)).FailDomain(4*gfs.Hour, rack(4)).
+		DiurnalReclamation(8*gfs.Hour, 9*gfs.Hour, gfs.Hour, burst(0.4)).
+		RestoreDomain(10*gfs.Hour, rack(3)).RestoreDomain(10*gfs.Hour, rack(4))
 }
 
 // TestReportSummaryMatchesResult: the summary collector must rebuild
@@ -51,10 +48,10 @@ func TestReportSummaryMatchesResult(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			opts := append(tc.opts(), gfs.WithScenario(reportScenario()))
-			want := gfs.NewEngine(gfs.NewCluster("A100", 16, 8), opts...).Run(chaosTrace(17))
+			want := gfs.NewEngine(chaosCluster(), opts...).Run(chaosTrace(17))
 
 			opts = append(tc.opts(), gfs.WithScenario(reportScenario()))
-			rep := gfs.NewEngine(gfs.NewCluster("A100", 16, 8), opts...).RunReport(chaosTrace(17))
+			rep := gfs.NewEngine(chaosCluster(), opts...).RunReport(chaosTrace(17))
 			got := rep.Summary
 			if got == nil {
 				t.Fatal("report without summary section")
@@ -98,7 +95,7 @@ func TestReportSummaryMatchesResult(t *testing.T) {
 // TestReportSectionsPopulated: every default collector contributes
 // its section, with internally consistent numbers.
 func TestReportSectionsPopulated(t *testing.T) {
-	rep := gfs.NewEngine(gfs.NewCluster("A100", 16, 8),
+	rep := gfs.NewEngine(chaosCluster(),
 		gfs.WithScheduler(gfs.NewStaticFirstFit()),
 		gfs.WithQuota(gfs.StaticQuota(0.25)),
 		gfs.WithScenario(reportScenario()),
@@ -216,7 +213,7 @@ func TestUnlimitedQuotaJSON(t *testing.T) {
 // byte-identical JSONL, CSV and Prometheus snapshots.
 func TestReportExportsDeterministic(t *testing.T) {
 	render := func() (string, string, string) {
-		rep := gfs.NewEngine(gfs.NewCluster("A100", 16, 8),
+		rep := gfs.NewEngine(chaosCluster(),
 			gfs.WithScheduler(gfs.NewStaticFirstFit()),
 			gfs.WithQuota(gfs.StaticQuota(0.25)),
 			gfs.WithScenario(reportScenario()),

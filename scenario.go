@@ -9,16 +9,18 @@ import (
 )
 
 // Scenario is a timed script of cluster mutations fed into a
-// simulation's event queue: node failures and restores, drains,
-// capacity scale-out, spot reclamation bursts, correlated (and
-// cascading) failure-domain outages, and diurnal reclamation storms.
-// Scenarios are plain data — build one with the fluent methods or the
-// generators (RandomStorms), and attach it via WithScenario, which
-// may be repeated to combine scenarios:
+// simulation's event queue: correlated (and cascading) failure-domain
+// outages and their restores, and spot reclamation storms that follow
+// a diurnal profile. Scenarios are plain data — build one with the
+// fluent methods or the generators (RandomStorms), and attach it via
+// WithScenario, which may be repeated to combine scenarios:
 //
+//	cl := gfs.NewCluster("A100", 16, 8)
+//	cl.AssignDomains(2, 4)
 //	sc := gfs.NewScenario().
-//		KillNode(6*gfs.Hour, 3).
-//		RestoreNode(12*gfs.Hour, 3)
+//		FailDomain(6*gfs.Hour, "zone-0/rack-1").
+//		RestoreDomain(12*gfs.Hour, "zone-0/rack-1").
+//		DiurnalReclamation(0, 24*gfs.Hour, gfs.Hour, gfs.DefaultDiurnalProfile("A100"))
 //	res := gfs.NewEngine(cl, gfs.WithScenario(sc)).Run(tasks)
 //
 // Times are simulated durations from the trace epoch. Actions sharing
@@ -35,37 +37,10 @@ func (s *Scenario) add(a sched.ScenarioAction) *Scenario {
 	return s
 }
 
-// KillNode fails one node at time at: every task with pods on it is
-// killed and requeued, and the node leaves the schedulable pool.
-func (s *Scenario) KillNode(at Duration, nodeID int) *Scenario {
-	return s.add(sched.ScenarioAction{At: Time(0).Add(at), Op: sched.OpNodeDown, NodeID: nodeID})
-}
-
-// RestoreNode returns a failed or drained node to service at time at.
-func (s *Scenario) RestoreNode(at Duration, nodeID int) *Scenario {
-	return s.add(sched.ScenarioAction{At: Time(0).Add(at), Op: sched.OpNodeUp, NodeID: nodeID})
-}
-
-// DrainNode cordons a node at time at and evicts its spot tasks; HP
-// pods run to completion and the node stays in capacity totals.
-func (s *Scenario) DrainNode(at Duration, nodeID int) *Scenario {
-	return s.add(sched.ScenarioAction{At: Time(0).Add(at), Op: sched.OpNodeDrain, NodeID: nodeID})
-}
-
-// ScaleOut adds a pool of fresh nodes at time at.
-func (s *Scenario) ScaleOut(at Duration, pool Pool) *Scenario {
-	return s.add(sched.ScenarioAction{At: Time(0).Add(at), Op: sched.OpScaleOut, Pool: pool})
-}
-
-// ReclaimSpot evicts running spot tasks at time at until the given
-// fraction of the spot GPUs then in use has been reclaimed — a spot
-// reclamation burst.
-func (s *Scenario) ReclaimSpot(at Duration, fraction float64) *Scenario {
-	return s.add(sched.ScenarioAction{At: Time(0).Add(at), Op: sched.OpReclaimSpot, Fraction: fraction})
-}
-
 // FailDomain fails every node in a failure domain atomically at time
-// at — a correlated rack or zone outage. Domains are assigned with
+// at — a correlated rack or zone outage: every task with pods on a
+// failed node is killed and requeued, and the nodes leave the
+// schedulable pool until a RestoreDomain. Domains are assigned with
 // Cluster.AssignDomains (or by setting Node.Domain directly); a
 // parent domain ("zone-0") covers all its children ("zone-0/rack-1").
 func (s *Scenario) FailDomain(at Duration, domain string) *Scenario {
@@ -84,16 +59,10 @@ func (s *Scenario) CascadeFailure(at Duration, domain string, p float64, delay D
 	})
 }
 
-// RestoreDomain returns every failed or drained node in a domain to
-// service at time at.
+// RestoreDomain returns every failed node in a domain to service at
+// time at.
 func (s *Scenario) RestoreDomain(at Duration, domain string) *Scenario {
 	return s.add(sched.ScenarioAction{At: Time(0).Add(at), Op: sched.OpDomainUp, Domain: domain})
-}
-
-// DrainDomain cordons every node in a domain at time at and evicts
-// their spot tasks; HP pods run to completion.
-func (s *Scenario) DrainDomain(at Duration, domain string) *Scenario {
-	return s.add(sched.ScenarioAction{At: Time(0).Add(at), Op: sched.OpDomainDrain, Domain: domain})
 }
 
 // DiurnalReclamation appends a reclamation storm: one spot

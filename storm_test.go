@@ -7,7 +7,6 @@ import (
 
 	gfs "github.com/sjtucitlab/gfs"
 	"github.com/sjtucitlab/gfs/internal/sched"
-	"github.com/sjtucitlab/gfs/internal/task"
 )
 
 // topoCluster builds the standard test topology: 16 nodes, 2 zones ×
@@ -73,30 +72,6 @@ func TestCorrelatedFailureAtomic(t *testing.T) {
 	}
 }
 
-// TestDrainDomainSparesHP: draining a domain evicts only its spot
-// tasks; HP pods run to completion on the cordoned nodes.
-func TestDrainDomainSparesHP(t *testing.T) {
-	cl := gfs.NewCluster("A100", 2, 8)
-	cl.AssignDomains(1, 1)
-	tasks := []*gfs.Task{
-		task.New(1, gfs.HP, 1, 8, 2*gfs.Hour),
-		task.New(2, gfs.Spot, 1, 8, 2*gfs.Hour),
-	}
-	log := &sched.EventLog{}
-	res := gfs.NewEngine(cl,
-		gfs.WithScheduler(gfs.NewStaticFirstFit()),
-		gfs.WithScenario(gfs.NewScenario().DrainDomain(30*gfs.Minute, "zone-0/rack-0")),
-		gfs.WithObserver(log),
-	).Run(tasks)
-	if res.HP.Evictions != 0 || res.UnfinishedHP != 0 {
-		t.Fatal("domain drain must spare HP pods")
-	}
-	evs := log.Filter(gfs.TaskEvicted)
-	if len(evs) != 1 || evs[0].Cause != gfs.CauseDrained {
-		t.Fatalf("want one drained eviction, got %v", evs)
-	}
-}
-
 // TestCascadeFailureDeterministic: the cascade's probability draws
 // are seeded, so two identical runs produce byte-identical event
 // logs, and the cascade actually spreads beyond the seed domain.
@@ -142,17 +117,19 @@ func TestCascadeFailureDeterministic(t *testing.T) {
 func TestComposeAndRepeat(t *testing.T) {
 	run := func(opts ...gfs.Option) string {
 		log := &sched.EventLog{}
-		gfs.NewEngine(topoCluster(), append(opts, gfs.WithObserver(log))...).Run(chaosTrace(17))
+		gfs.NewEngine(chaosCluster(), append(opts, gfs.WithObserver(log))...).Run(chaosTrace(17))
 		return log.String()
 	}
-	a := gfs.NewScenario().KillNode(gfs.Hour, 1)
+	a := gfs.NewScenario().FailDomain(gfs.Hour, rack(1))
 	b := gfs.NewScenario()
 	for day := gfs.Duration(0); day < 3; day++ {
-		b.ReclaimSpot(2*gfs.Hour+day*gfs.Day, 0.5)
+		b.DiurnalReclamation(2*gfs.Hour+day*gfs.Day, 3*gfs.Hour+day*gfs.Day, gfs.Hour, burst(0.5))
 	}
 	composed := run(gfs.WithScenario(a), gfs.WithScenario(nil), gfs.WithScenario(b))
-	one := run(gfs.WithScenario(gfs.NewScenario().KillNode(gfs.Hour, 1).
-		ReclaimSpot(2*gfs.Hour, 0.5).ReclaimSpot(26*gfs.Hour, 0.5).ReclaimSpot(50*gfs.Hour, 0.5)))
+	one := run(gfs.WithScenario(gfs.NewScenario().FailDomain(gfs.Hour, rack(1)).
+		DiurnalReclamation(2*gfs.Hour, 3*gfs.Hour, gfs.Hour, burst(0.5)).
+		DiurnalReclamation(26*gfs.Hour, 27*gfs.Hour, gfs.Hour, burst(0.5)).
+		DiurnalReclamation(50*gfs.Hour, 51*gfs.Hour, gfs.Hour, burst(0.5))))
 	if composed != one {
 		t.Fatal("repeated WithScenario must run as one scenario holding both scripts")
 	}
