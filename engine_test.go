@@ -10,6 +10,7 @@ import (
 	"github.com/sjtucitlab/gfs/internal/baselines"
 	"github.com/sjtucitlab/gfs/internal/cluster"
 	"github.com/sjtucitlab/gfs/internal/sched"
+	"github.com/sjtucitlab/gfs/internal/task"
 )
 
 // chaosTrace generates a one-day 128-GPU workload with enough spot
@@ -185,6 +186,102 @@ func TestScenarioNodeFailure(t *testing.T) {
 	// Capacity is whole again after the restore.
 	if res.End <= gfs.Time(0).Add(12*gfs.Hour) {
 		t.Fatalf("run ended at %d, before the restore", res.End)
+	}
+}
+
+// scriptedScaler retires the nodes in retire at the first quota tick
+// at or after retireAt, and orders the pools in provision, with no
+// lead, at the first tick at or after provisionAt. Retirement is the
+// drain and provisioning the scale-out a program can reach.
+type scriptedScaler struct {
+	retireAt, provisionAt gfs.Time
+	retire                []int
+	provision             []cluster.Pool
+	retired, provisioned  bool
+}
+
+func (a *scriptedScaler) Plan(ctx *gfs.AutoscaleContext) gfs.AutoscalePlan {
+	var p gfs.AutoscalePlan
+	if !a.retired && len(a.retire) > 0 && ctx.Now >= a.retireAt {
+		a.retired = true
+		p.Retire = a.retire
+	}
+	if !a.provisioned && len(a.provision) > 0 && ctx.Now >= a.provisionAt {
+		a.provisioned = true
+		for _, pool := range a.provision {
+			p.Provisions = append(p.Provisions, gfs.Provision{Pool: pool})
+		}
+	}
+	return p
+}
+
+// TestScenarioDrainSparesHP: retiring a node drains it — its spot pod
+// is evicted with the drain cause, the HP pod beside it runs to
+// completion on the cordoned node, and no pod lands there afterwards.
+func TestScenarioDrainSparesHP(t *testing.T) {
+	cl := gfs.NewCluster("A100", 1, 8)
+	tasks := []*gfs.Task{
+		task.New(1, gfs.HP, 1, 4, 2*gfs.Hour),
+		task.New(2, gfs.Spot, 1, 4, 2*gfs.Hour),
+	}
+	log := &sched.EventLog{}
+	retiredUsed := -1.0
+	cordon := gfs.ObserverFunc(func(e gfs.Event) {
+		used := cl.Node(0).UsedGPUs()
+		if retiredUsed >= 0 && used > retiredUsed {
+			t.Fatalf("node 0 grew from %g to %g GPUs after retirement (%s)", retiredUsed, used, e)
+		}
+		if e.Kind == gfs.NodeRetired || retiredUsed >= 0 {
+			retiredUsed = used
+		}
+	})
+	res := gfs.NewEngine(cl,
+		gfs.WithScheduler(gfs.NewStaticFirstFit()),
+		gfs.WithAutoscaler(&scriptedScaler{retireAt: gfs.Time(0).Add(30 * gfs.Minute), retire: []int{0}}),
+		gfs.WithObserver(log),
+		gfs.WithObserver(cordon),
+	).Run(tasks)
+	if res.HP.Evictions != 0 {
+		t.Fatal("drain must not evict HP pods")
+	}
+	if res.Spot.Evictions != 1 {
+		t.Fatalf("drain should evict the spot task once, got %d", res.Spot.Evictions)
+	}
+	if got := log.Filter(gfs.TaskEvicted); len(got) != 1 || got[0].Cause != gfs.CauseDrained {
+		t.Fatalf("want one drained TaskEvicted event, got %v", got)
+	}
+	if res.UnfinishedHP != 0 {
+		t.Fatal("HP task should finish on the cordoned node")
+	}
+}
+
+// TestScenarioScaleOut: added capacity unblocks a task that cannot
+// fit on the initial cluster.
+func TestScenarioScaleOut(t *testing.T) {
+	cl := gfs.NewCluster("A100", 1, 8)
+	tasks := []*gfs.Task{
+		task.New(1, gfs.HP, 1, 8, 4*gfs.Hour),
+		task.New(2, gfs.HP, 1, 8, gfs.Hour), // blocked until scale-out
+	}
+	log := &sched.EventLog{}
+	scaler := &scriptedScaler{
+		provisionAt: gfs.Time(3600),
+		provision:   []cluster.Pool{{Model: "A100", Nodes: 1, GPUsPerNode: 8, Tier: "on-demand"}},
+	}
+	res := gfs.NewEngine(cl,
+		gfs.WithScheduler(gfs.NewStaticFirstFit()),
+		gfs.WithAutoscaler(scaler),
+		gfs.WithObserver(log),
+	).Run(tasks)
+	if res.UnfinishedHP != 0 {
+		t.Fatal("scale-out should unblock the second task")
+	}
+	prov := log.Filter(gfs.NodeProvisioned)
+	if len(prov) != 1 || prov[0].Node.ID != 1 {
+		t.Fatalf("want one NodeProvisioned for node 1, got %v", prov)
+	}
+	if tasks[1].FirstStart < gfs.Time(3600) {
+		t.Fatalf("task 2 started at %d, before scale-out", tasks[1].FirstStart)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 
 	gfs "github.com/sjtucitlab/gfs"
 	"github.com/sjtucitlab/gfs/internal/sched"
+	"github.com/sjtucitlab/gfs/internal/task"
 )
 
 // topoCluster builds the standard test topology: 16 nodes, 2 zones ×
@@ -69,6 +70,38 @@ func TestCorrelatedFailureAtomic(t *testing.T) {
 		if e.At == gfs.Time(0).Add(6*gfs.Hour) && e.Cause != gfs.CauseNodeFailure {
 			t.Fatalf("failure-time eviction has cause %v", e.Cause)
 		}
+	}
+}
+
+// TestDrainDomainSparesHP: retiring every node of a domain evicts
+// only its spot tasks; HP pods run to completion on the cordoned
+// nodes.
+func TestDrainDomainSparesHP(t *testing.T) {
+	cl := gfs.NewCluster("A100", 2, 8)
+	cl.AssignDomains(1, 1)
+	var ids []int
+	for _, n := range cl.NodesInDomain("zone-0/rack-0") {
+		ids = append(ids, n.ID)
+	}
+	tasks := []*gfs.Task{
+		task.New(1, gfs.HP, 1, 8, 2*gfs.Hour),
+		task.New(2, gfs.Spot, 1, 8, 2*gfs.Hour),
+	}
+	log := &sched.EventLog{}
+	res := gfs.NewEngine(cl,
+		gfs.WithScheduler(gfs.NewStaticFirstFit()),
+		gfs.WithAutoscaler(&scriptedScaler{retireAt: gfs.Time(0).Add(30 * gfs.Minute), retire: ids}),
+		gfs.WithObserver(log),
+	).Run(tasks)
+	if len(ids) != 2 {
+		t.Fatalf("rack holds %d nodes, want 2", len(ids))
+	}
+	if res.HP.Evictions != 0 || res.UnfinishedHP != 0 {
+		t.Fatal("domain drain must spare HP pods")
+	}
+	evs := log.Filter(gfs.TaskEvicted)
+	if len(evs) != 1 || evs[0].Cause != gfs.CauseDrained {
+		t.Fatalf("want one drained eviction, got %v", evs)
 	}
 }
 
