@@ -2,7 +2,7 @@ package cluster
 
 import (
 	"fmt"
-	"math/bits"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -24,10 +24,9 @@ type Cluster struct {
 	evictions int
 	loose     bool
 
-	// occupied has one bit per node, by position in nodes, set while
-	// the node holds any allocation: the only nodes the usage fold
-	// visits.
-	occupied []uint64
+	// used, hp and spot keep the whole-cluster usage totals, filed by
+	// Node.bump.
+	used, hp, spot book
 
 	// upCapacity is the total card count over non-down nodes,
 	// maintained incrementally. Capacities are integers, so the
@@ -38,20 +37,7 @@ type Cluster struct {
 	// nextID is one past the highest node ID added, floored at 0: the
 	// first ID AddPool numbers from.
 	nextID int
-
-	// fold[w] holds the whole-cluster usage fold's partial sums over
-	// the nodes up to the end of word w of occupied, for the words that
-	// hold an occupied node; total holds the sums over all of them.
-	// The entries of the occupied words before stale are current:
-	// Node.bump lowers stale to the node's word, and refreshAgg replays
-	// the fold from there.
-	fold  []usage
-	total usage
-	stale int
 }
-
-// usage is one partial sum of the usage fold.
-type usage struct{ used, hp, spot float64 }
 
 // New builds an empty cluster.
 func New() *Cluster {
@@ -63,6 +49,7 @@ func New() *Cluster {
 // A100 nodes).
 func NewHomogeneous(model string, n, gpusPerNode int) *Cluster {
 	c := New()
+	c.reserve(n)
 	for i := 0; i < n; i++ {
 		c.AddNode(NewNode(i, model, gpusPerNode))
 	}
@@ -87,12 +74,21 @@ func NewHeterogeneous(pools []Pool) *Cluster {
 	c := New()
 	id := 0
 	for _, p := range pools {
+		c.reserve(p.Nodes)
 		for i := 0; i < p.Nodes; i++ {
 			c.AddNode(NewNode(id, p.Model, p.GPUsPerNode))
 			id++
 		}
 	}
 	return c
+}
+
+// reserve makes room for n more nodes.
+func (c *Cluster) reserve(n int) {
+	c.nodes = slices.Grow(c.nodes, n)
+	c.used.reserve(n)
+	c.hp.reserve(n)
+	c.spot.reserve(n)
 }
 
 // AddNode registers a node, whatever it already holds.
@@ -112,10 +108,9 @@ func (c *Cluster) AddNode(n *Node) {
 	ix.nodes = append(ix.nodes, n)
 	c.byID[n.ID] = n
 	c.nextID = max(c.nextID, n.ID+1)
-	if len(c.nodes) > 64*len(c.occupied) {
-		c.occupied = append(c.occupied, 0)
-		c.fold = append(c.fold, usage{})
-	}
+	c.used.grow()
+	c.hp.grow()
+	c.spot.grow()
 	if !n.down {
 		c.upCapacity += n.Capacity()
 	}
@@ -128,6 +123,7 @@ func (c *Cluster) AddNode(n *Node) {
 func (c *Cluster) AddPool(p Pool) []*Node {
 	id := c.nextID
 	added := make([]*Node, 0, p.Nodes)
+	c.reserve(p.Nodes)
 	for i := 0; i < p.Nodes; i++ {
 		n := NewNode(id, p.Model, p.GPUsPerNode)
 		n.Tier = p.Tier
@@ -262,51 +258,6 @@ func (c *Cluster) Models() []string {
 	return out
 }
 
-// refreshAgg brings the whole-cluster usage totals up to date and
-// returns them. The three sums fold over nodes in slice order with the
-// same per-node expressions the per-call scans used — used accumulates
-// hpUsed+spotUsed node by node, not hp+spot — so no sum shifts a single
-// ULP. Only occupied nodes are visited, in ascending position: a
-// skipped node holds exactly +0.0 of each class, the sums start at +0.0
-// and never go negative, and x + 0.0 is x bit for bit, so every partial
-// sum equals the one the full walk produced. The fold restarts at the
-// first word holding a changed node, from the partial sums stored at
-// the last occupied word before it: the same additions in the same
-// order as a fold from the start, so the sums keep their bits. Sums
-// are stored for occupied words only, so a sparse cluster's fold costs
-// no more than a walk over its bitmap.
-func (c *Cluster) refreshAgg() usage {
-	if c.stale == len(c.occupied) {
-		return c.total
-	}
-	occupied, fold, nodes := c.occupied, c.fold[:len(c.occupied)], c.nodes
-	var acc usage
-	for w := c.stale - 1; w >= 0; w-- {
-		if occupied[w] != 0 {
-			acc = fold[w]
-			break
-		}
-	}
-	for w := c.stale; w < len(occupied); w++ {
-		word := occupied[w]
-		if word == 0 {
-			continue
-		}
-		for ; word != 0; word &= word - 1 {
-			n := nodes[w<<6+bits.TrailingZeros64(word)]
-			if n.down {
-				continue
-			}
-			acc.used += n.hpUsed + n.spotUsed
-			acc.hp += n.hpUsed
-			acc.spot += n.spotUsed
-		}
-		fold[w] = acc
-	}
-	c.total, c.stale = acc, len(occupied)
-	return acc
-}
-
 // TotalGPUs returns the cluster capacity C, optionally restricted to
 // one model. Down nodes contribute nothing.
 func (c *Cluster) TotalGPUs(model string) float64 {
@@ -329,7 +280,7 @@ func (c *Cluster) TotalGPUs(model string) float64 {
 // restricted to one model.
 func (c *Cluster) UsedGPUs(model string) float64 {
 	if model == "" {
-		return c.refreshAgg().used
+		return c.used.total()
 	}
 	u := 0.0
 	for _, n := range c.NodesOfModel(model) {
@@ -350,7 +301,7 @@ func (c *Cluster) IdleGPUs(model string) float64 {
 // SpotGPUs returns capacity held by spot tasks.
 func (c *Cluster) SpotGPUs(model string) float64 {
 	if model == "" {
-		return c.refreshAgg().spot
+		return c.spot.total()
 	}
 	u := 0.0
 	for _, n := range c.NodesOfModel(model) {
@@ -365,7 +316,7 @@ func (c *Cluster) SpotGPUs(model string) float64 {
 // HPGPUs returns capacity held by HP tasks.
 func (c *Cluster) HPGPUs(model string) float64 {
 	if model == "" {
-		return c.refreshAgg().hp
+		return c.hp.total()
 	}
 	u := 0.0
 	for _, n := range c.NodesOfModel(model) {

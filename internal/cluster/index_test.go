@@ -16,8 +16,8 @@ import (
 // checkIndex is the placement index's invariant: every node sits in
 // exactly the container its own state names, at the slot it records;
 // the containers hold nothing else; each pristine class is a min-ID
-// heap; and a node's occupied bit is set exactly while it holds an
-// allocation.
+// heap; and the usage books file each node's usage, none while it is
+// down.
 func checkIndex(c *Cluster) error {
 	filed := 0
 	for _, ix := range c.models {
@@ -51,9 +51,12 @@ func checkIndex(c *Cluster) error {
 		if n.bin != 0 {
 			filed--
 		}
-		bit := c.occupied[ord>>6]>>(ord&63)&1 == 1
-		if bit != (n.hpUsed != 0 || n.spotUsed != 0) {
-			return fmt.Errorf("%v: occupied bit %v", n, bit)
+		var hp, spot float64
+		if !n.down {
+			hp, spot = n.hpUsed, n.spotUsed
+		}
+		if got := [3]float64{c.used.val[ord], c.hp.val[ord], c.spot.val[ord]}; got != [3]float64{hp + spot, hp, spot} {
+			return fmt.Errorf("%v: usage books file %v", n, got)
 		}
 	}
 	if filed != 0 {
@@ -158,7 +161,7 @@ func probes(c *Cluster) []*task.Task {
 	return out
 }
 
-// bruteAgg is the full-walk fold refreshAgg used to run.
+// bruteAgg is the full-walk fold the usage books reproduce.
 func bruteAgg(c *Cluster) (used, hp, spot float64) {
 	for _, n := range c.nodes {
 		if n.down {
@@ -175,7 +178,7 @@ func bruteAgg(c *Cluster) (used, hp, spot float64) {
 // cordons, evictions and pool growth over two models and two
 // capacities with shuffled node IDs, checking after every step the
 // index invariant, the kernel against the brute-force scan for every
-// probe shape, and the bitmap-folded aggregates bit for bit.
+// probe shape, and the usage totals bit for bit.
 func TestIndexUnderRandomOps(t *testing.T) {
 	for seed := int64(1); seed <= 40; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -232,67 +235,6 @@ func TestIndexUnderRandomOps(t *testing.T) {
 				t.Fatalf("seed %d step %d: aggregates %v, full walk %v", seed, step, got, [3]float64{used, hp, spot})
 			}
 		}
-	}
-}
-
-// TestUsageFoldRestartsExactly drives clusters of 200 to 250 nodes —
-// four words of the occupied bitmap, grown by pools across the fifth
-// word's boundary — through fractional placements drawn from
-// [0.1, 0.9], whose sums depend on their order, releases, and failures
-// and returns of occupied nodes, several at scattered positions between
-// reads, and checks that the fold, restarted from the first changed
-// word, equals the full walk bit for bit.
-func TestUsageFoldRestartsExactly(t *testing.T) {
-	var midRestarts, crossed int
-	for seed := int64(1); seed <= 20; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		c := NewHomogeneous("A100", 200+rng.Intn(51), 8)
-		words := len(c.occupied)
-		var live []*task.Task
-		for step, id := 0, 1; step < 300; step++ {
-			for k := 1 + rng.Intn(4); k > 0; k-- {
-				n := c.nodes[rng.Intn(len(c.nodes))]
-				switch r := rng.Intn(12); {
-				case r < 6:
-					g := 0.1 + 0.8*rng.Float64()
-					if r == 0 {
-						g = float64(1 + rng.Intn(2))
-					}
-					tk := newTask(id, task.Type(rng.Intn(2)), 1, g)
-					id++
-					placed := false
-					for p := 1 + rng.Intn(2); p > 0; p-- {
-						placed = c.nodes[rng.Intn(len(c.nodes))].PlacePod(tk) == nil || placed
-					}
-					if placed {
-						live = append(live, tk)
-					}
-				case r < 9 && len(live) > 0:
-					i := rng.Intn(len(live))
-					for _, m := range c.nodes {
-						m.ReleaseTask(live[i])
-					}
-					live = slices.Delete(live, i, i+1)
-				case r < 11:
-					n.SetDown(!n.down) // whatever it holds
-				case r == 11 && len(c.nodes) < 320:
-					c.AddPool(Pool{Model: "A100", Nodes: 1 + rng.Intn(8), GPUsPerNode: 8})
-				}
-			}
-			if c.stale > 0 && c.stale < len(c.occupied) {
-				midRestarts++
-			}
-			used, hp, spot := bruteAgg(c)
-			if got := [3]float64{c.UsedGPUs(""), c.HPGPUs(""), c.SpotGPUs("")}; got != [3]float64{used, hp, spot} {
-				t.Fatalf("seed %d step %d: aggregates %v, full walk %v", seed, step, got, [3]float64{used, hp, spot})
-			}
-		}
-		if len(c.occupied) > words {
-			crossed++
-		}
-	}
-	if midRestarts == 0 || crossed == 0 {
-		t.Fatalf("%d reads restarted mid-bitmap, %d runs grew a word: too little exercised", midRestarts, crossed)
 	}
 }
 

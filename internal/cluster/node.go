@@ -77,8 +77,9 @@ type Node struct {
 	// wholeFree's eight bytes, so Node does not grow.
 	changes uint32
 	// slot is the node's position inside its placement-index container
-	// and ord its position in the owning cluster's node list (its bit in
-	// Cluster.occupied): int32s, because Node must not grow (spotCards).
+	// and ord its position in the owning cluster's node list (where the
+	// usage totals file it): int32s, because Node must not grow
+	// (spotCards).
 	slot, ord int32
 	// owner is the placement index of the node's model in the cluster
 	// it was added to, if any; bump reports every change there.
@@ -126,12 +127,12 @@ func NewNode(id int, model string, capacity int) *Node {
 
 // bump reports a change of the node's occupancy, availability or
 // eviction history, once the node's own fields are settled: the change
-// counter moves, and in the owning cluster the usage fold goes stale
-// from the node's word on, the occupied bit follows the node's usage,
-// the cluster's eviction and looseness marks take it in, and the
-// placement index re-files the node. The hook lives here, not in
-// sched.State, so callers that mutate a node directly (Txn.Rollback,
-// benchmarks) keep the index exact.
+// counter moves, and in the owning cluster the usage totals file the
+// node's usage (none while it is down), the cluster's eviction and
+// looseness marks take it in, and the placement index re-files the
+// node. The hook lives here, not in sched.State, so callers that
+// mutate a node directly (Txn.Rollback, benchmarks) keep the index
+// exact.
 func (n *Node) bump() {
 	n.changes++
 	ix := n.owner
@@ -139,15 +140,16 @@ func (n *Node) bump() {
 		return
 	}
 	c := ix.cl
-	w, bit := int(n.ord>>6), uint64(1)<<(n.ord&63)
-	c.stale = min(c.stale, w)
 	c.evictions = max(c.evictions, len(n.evictions))
 	c.loose = c.loose || n.IdleGPUs() < float64(n.wholeFree)-0.5
-	if n.hpUsed != 0 || n.spotUsed != 0 {
-		c.occupied[w] |= bit
-	} else {
-		c.occupied[w] &^= bit
+	var hp, spot float64
+	if !n.down {
+		hp, spot = n.hpUsed, n.spotUsed
 	}
+	p := int(n.ord)
+	c.used.file(p, hp+spot)
+	c.hp.file(p, hp)
+	c.spot.file(p, spot)
 	ix.reindex(n)
 }
 

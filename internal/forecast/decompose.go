@@ -18,8 +18,16 @@ func Decompose(series []float64, kernel int) (trend, cyclical []float64) {
 	half := kernel / 2
 	for i := 0; i < n; i++ {
 		sum := 0.0
-		for k := -half; k <= half; k++ {
-			sum += series[reflect(i+k, n)]
+		if i >= half && i+half < n {
+			// Inside the series the window needs no reflection: the
+			// same additions, in the same order.
+			for _, v := range series[i-half : i+half+1] {
+				sum += v
+			}
+		} else {
+			for k := -half; k <= half; k++ {
+				sum += series[reflect(i+k, n)]
+			}
 		}
 		trend[i] = sum / float64(kernel)
 		cyclical[i] = series[i] - trend[i]

@@ -32,6 +32,10 @@ type pendEntry struct {
 // shapeBucket holds the queued tasks of one shape in queue order.
 type shapeBucket struct {
 	entries []pendEntry
+	// buf is entries' backing array at full length: entries starts
+	// past the slots that removes freed at the front, and insert slides
+	// it back over them before it grows the array.
+	buf []pendEntry
 	// cur is the bucket's cursor in the walk in progress (a scheduling
 	// pass or an ordered read): entries before it have been passed.
 	cur int
@@ -112,7 +116,15 @@ func (q *pendingQueue) insert(tk *task.Task) {
 	}
 	x := pendEntry{tk: tk, seq: q.seq}
 	i := q.after(b, 0, x)
+	if n := len(b.entries); n == cap(b.entries) && cap(b.buf) > n {
+		copy(b.buf, b.entries)
+		clear(b.buf[n:])
+		b.entries = b.buf[:n]
+	}
 	b.entries = append(b.entries, pendEntry{})
+	if cap(b.entries) > cap(b.buf) {
+		b.buf = b.entries[:cap(b.entries)]
+	}
 	copy(b.entries[i+1:], b.entries[i:])
 	b.entries[i] = x
 	q.seq++
@@ -197,14 +209,22 @@ func (q *pendingQueue) park(j int) {
 	q.drop(j)
 }
 
-// remove dequeues leaf j's head and returns it.
+// remove dequeues leaf j's head and returns it. The gap closes from
+// its shorter side: the passed entries move up a slot when they are
+// fewer than the entries behind the head.
 func (q *pendingQueue) remove(j int) pendEntry {
 	b := q.walk[j]
 	x := b.head()
 	last := len(b.entries) - 1
-	copy(b.entries[b.cur:], b.entries[b.cur+1:])
-	b.entries[last] = pendEntry{}
-	b.entries = b.entries[:last]
+	if b.cur < last-b.cur {
+		copy(b.entries[1:], b.entries[:b.cur])
+		b.entries[0] = pendEntry{}
+		b.entries = b.entries[1:]
+	} else {
+		copy(b.entries[b.cur:], b.entries[b.cur+1:])
+		b.entries[last] = pendEntry{}
+		b.entries = b.entries[:last]
+	}
 	q.n--
 	if b.cur == last {
 		q.drop(j)

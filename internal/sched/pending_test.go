@@ -400,6 +400,41 @@ func TestPickWorkIsLogarithmic(t *testing.T) {
 	}
 }
 
+// TestRemoveKeepsCapacity: a bucket that starts its head and queues a
+// later task, again and again, keeps its queue order and its backing
+// array. A remove near the front shifts the passed entries up a slot
+// rather than the tail down, and the insert that finds the array full
+// at the back slides the entries back over the freed slots.
+func TestRemoveKeepsCapacity(t *testing.T) {
+	q := pendingQueue{sched: &stubSched{order: 2}, byShape: make(map[taskShape]*shapeBucket)}
+	id := 0
+	add := func() {
+		id++
+		q.insert(mkTask(id, task.Spot, 1, 1, simclock.Hour, simclock.Time(id)))
+	}
+	for range 100 {
+		add()
+	}
+	b := q.buckets[0]
+	capacity := cap(b.buf)
+	for round := range 1000 {
+		q.begin()
+		for range round % 7 { // pass a few entries, then start the next
+			q.skip(q.min())
+		}
+		q.remove(q.min())
+		add()
+		if cap(b.buf) != capacity || len(b.entries) != 100 {
+			t.Fatalf("round %d: %d entries, capacity %d, want 100 and %d", round, len(b.entries), cap(b.buf), capacity)
+		}
+		for i := 1; i < len(b.entries); i++ {
+			if b.entries[i-1].tk.Submit >= b.entries[i].tk.Submit {
+				t.Fatalf("round %d: entry %d submitted at %v after %v", round, i, b.entries[i].tk.Submit, b.entries[i-1].tk.Submit)
+			}
+		}
+	}
+}
+
 // deepShapes are the 13 (pods, GPUs per pod) shapes of deepQueue;
 // manyShapes are 64: 1 to 16 pods of 8, 4, 2 or 1 GPUs.
 var deepShapes = [][2]float64{{1, 8}, {2, 8}, {4, 8}, {1, 4}, {2, 4}, {3, 4}, {1, 2}, {2, 2}, {3, 2}, {1, 1}, {2, 1}, {3, 1}, {5, 1}}
