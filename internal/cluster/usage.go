@@ -63,9 +63,6 @@ type book struct {
 	// value has changed since.
 	sum   float64
 	fresh bool
-	// rounds counts the binade roundings that moved a sum, and steps
-	// the integer values run added one at a time; tests gate on them.
-	rounds, steps uint64
 }
 
 // whole reports whether v is an integer.
@@ -144,12 +141,9 @@ func (b *book) next(below int64) int {
 // total returns the fold over the filed values.
 func (b *book) total() float64 {
 	if !b.fresh {
-		switch {
-		case len(b.frac) == 0:
+		if len(b.frac) == 0 {
 			b.sum = float64(b.ints)
-		case len(b.frac) > len(b.val)/32:
-			b.sum = b.walk()
-		default:
+		} else {
 			b.sum = b.fold()
 		}
 		b.fresh = true
@@ -157,19 +151,8 @@ func (b *book) total() float64 {
 	return b.sum
 }
 
-// walk is the fold itself, over every position. A read takes it when
-// more than one position in 32 holds a non-integer value: on 10,000
-// positions fold costs about 20 ns per non-integer position and walk
-// under 1 ns per position, so they break even near one in 25.
-func (b *book) walk() float64 {
-	s := 0.0
-	for _, v := range b.val {
-		s += v
-	}
-	return s
-}
-
-// fold is walk, visiting only the non-integer positions.
+// fold is the fold over every position, visiting only the non-integer
+// positions.
 func (b *book) fold() float64 {
 	s, below := 0.0, int64(0)
 	for _, p := range b.frac {
@@ -191,17 +174,13 @@ func (b *book) run(s float64, below, at int64) float64 {
 			r := float64(at - below)
 			p := math.Float64frombits(math.Float64bits(s)&^(1<<52-1) + 1<<52) // the power of two above s
 			for ; r >= p-s; p *= 2 {
-				if t := float64(s+p) - p; t != s {
-					s = t
-					b.rounds++
-				}
+				s = float64(s+p) - p
 			}
 			return s + r
 		}
 		v := b.val[b.next(below)]
 		s += v
 		below += int64(v)
-		b.steps++
 	}
 	return s
 }

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -35,23 +36,68 @@ func checkBook(b *book) error {
 	return nil
 }
 
-// checkTotals compares the cluster's totals, and each book's fold
-// taken whatever the density of fractional values, with the full walk
-// bit for bit.
-func checkTotals(c *Cluster) error {
+// paths replays a book's fold over its filed values in position order,
+// as the full walk adds them, and reports which of run's paths the
+// integer runs between non-integer values call for. A run that starts
+// on a non-integer sum below top must be added one value at a time
+// (stepped); one that starts at or above top is added by the binade
+// shortcut, which paths recomputes and checks against the one-by-one
+// sum, reporting whether a rounding moved the sum (rounded).
+func paths(b *book) (rounded, stepped bool, err error) {
+	s := 0.0
+	for p := 0; p < len(b.val); {
+		if v := b.val[p]; !whole(v) {
+			s += v
+			p++
+			continue
+		}
+		q, one, r := p, s, 0.0
+		for ; q < len(b.val) && whole(b.val[q]); q++ {
+			one += b.val[q]
+			r += b.val[q]
+		}
+		switch {
+		case r == 0 || whole(s):
+		case s < b.top:
+			stepped = true
+		default:
+			short := s
+			for pw := math.Ldexp(1, math.Ilogb(s)+1); r >= pw-short; pw *= 2 {
+				short = float64(short+pw) - pw
+			}
+			rounded = rounded || short != s
+			if short+r != one {
+				return rounded, stepped, fmt.Errorf("run [%d, %d) from %v: shortcut %v, one by one %v", p, q, s, short+r, one)
+			}
+		}
+		s, p = one, q
+	}
+	return rounded, stepped, nil
+}
+
+// checkTotals compares the cluster's totals, and each book's fold even
+// when its total is cached, with the full walk bit for bit, and reports
+// whether any book's fold calls for a binade rounding that moves a sum
+// or for the small-sum path (see paths).
+func checkTotals(c *Cluster) (rounded, stepped bool, err error) {
 	used, hp, spot := bruteAgg(c)
 	if got := [3]float64{c.UsedGPUs(""), c.HPGPUs(""), c.SpotGPUs("")}; got != [3]float64{used, hp, spot} {
-		return fmt.Errorf("totals %v, full walk %v", got, [3]float64{used, hp, spot})
+		return false, false, fmt.Errorf("totals %v, full walk %v", got, [3]float64{used, hp, spot})
 	}
 	for i, b := range []*book{&c.used, &c.hp, &c.spot} {
 		if err := checkBook(b); err != nil {
-			return fmt.Errorf("book %d: %v", i, err)
+			return false, false, fmt.Errorf("book %d: %v", i, err)
 		}
 		if got, want := b.fold(), [3]float64{used, hp, spot}[i]; got != want {
-			return fmt.Errorf("book %d folds %v, full walk %v", i, got, want)
+			return false, false, fmt.Errorf("book %d folds %v, full walk %v", i, got, want)
 		}
+		r, st, err := paths(b)
+		if err != nil {
+			return false, false, fmt.Errorf("book %d: %v", i, err)
+		}
+		rounded, stepped = rounded || r, stepped || st
 	}
-	return nil
+	return rounded, stepped, nil
 }
 
 // TestUsageFoldRestartsExactly drives clusters of 200 to 250 nodes,
@@ -99,17 +145,17 @@ func TestUsageFoldRestartsExactly(t *testing.T) {
 					c.AddPool(Pool{Model: "A100", Nodes: 1 + rng.Intn(8), GPUsPerNode: 8})
 				}
 			}
-			rounds, steps := c.used.rounds+c.hp.rounds+c.spot.rounds, c.used.steps+c.hp.steps+c.spot.steps
 			if len(c.used.frac)+len(c.hp.frac)+len(c.spot.frac) > 0 {
 				fracReads++
 			}
-			if err := checkTotals(c); err != nil {
+			r, st, err := checkTotals(c)
+			if err != nil {
 				t.Fatalf("seed %d step %d: %v", seed, step, err)
 			}
-			if c.used.rounds+c.hp.rounds+c.spot.rounds > rounds {
+			if r {
 				rounded++
 			}
-			if c.used.steps+c.hp.steps+c.spot.steps > steps {
+			if st {
 				stepped++
 			}
 		}
@@ -133,8 +179,11 @@ func TestUsageSmallSum(t *testing.T) {
 	b.grow()
 	b.file(0, 0.022511916928550358)
 	b.file(1, 2)
-	if got := b.fold(); got != 2.02251191692855 || b.steps != 1 {
-		t.Fatalf("fold = %v after %d single steps, want 2.02251191692855 after 1", got, b.steps)
+	if _, stepped, _ := paths(&b); !stepped {
+		t.Fatal("a run from 0.0225… below top 2 does not take the small-sum path")
+	}
+	if got := b.fold(); got != 2.02251191692855 {
+		t.Fatalf("fold = %v, want 2.02251191692855", got)
 	}
 	b.top = 0 // as if 2 were below the sum: the shortcut
 	if got := b.fold(); got != 2.0225119169285506 {
@@ -224,7 +273,7 @@ func FuzzUsageTotals(f *testing.F) {
 					}
 				}
 			}
-			if err := checkTotals(c); err != nil {
+			if _, _, err := checkTotals(c); err != nil {
 				t.Fatalf("seed %d step %d: %v", seed, step, err)
 			}
 		}
