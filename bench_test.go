@@ -252,16 +252,16 @@ func TestAllocCeilings(t *testing.T) {
 		setup   benchSetup
 		ceiling uint64
 	}{
-		{"Sim", simSetup, 1186},
-		{"Lyra", lyraSetup, 2802},
+		{"Sim", simSetup, 737},
+		{"Lyra", lyraSetup, 1906},
 		{"TraceIngest", traceIngestSetup(gzTrace(t)), 452},
-		{"Report", reportSetup, 1915},
-		{"Sim10K", sim10KSetup, 11025},
-		{"Autoscale", autoscaleSetup, 21881},
+		{"Report", reportSetup, 1449},
+		{"Sim10K", sim10KSetup, 4881},
+		{"Autoscale", autoscaleSetup, 15736},
 		// GFS leaves room for one prediction tape regrown (~146
 		// allocations) after a garbage collection empties the pool.
-		{"GFS", gfsSetup(t), 2338},
-		{"Train", trainSetup, 1811},
+		{"GFS", gfsSetup(t), 1533},
+		{"Train", trainSetup, 1555},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			// The first op also pays one-time initialisation

@@ -8,12 +8,16 @@ import "github.com/sjtucitlab/gfs/internal/tensor"
 // kernel must be positive; even kernels are rounded up to the next
 // odd size for symmetry.
 func Decompose(series []float64, kernel int) (trend, cyclical []float64) {
+	trend = make([]float64, len(series))
+	cyclical = make([]float64, len(series))
+	decompose(series, kernel, trend, cyclical)
+	return trend, cyclical
+}
+
+// decompose is Decompose into trend and cyclical, which must be as long
+// as series.
+func decompose(series []float64, kernel int, trend, cyclical []float64) {
 	n := len(series)
-	trend = make([]float64, n)
-	cyclical = make([]float64, n)
-	if n == 0 {
-		return trend, cyclical
-	}
 	kernel = oddKernel(kernel)
 	half := kernel / 2
 	for i := 0; i < n; i++ {
@@ -32,7 +36,6 @@ func Decompose(series []float64, kernel int) (trend, cyclical []float64) {
 		trend[i] = sum / float64(kernel)
 		cyclical[i] = series[i] - trend[i]
 	}
-	return trend, cyclical
 }
 
 // oddKernel is the moving-average width used for kernel: at least 1,

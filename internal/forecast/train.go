@@ -33,18 +33,29 @@ type window struct {
 	trend, cyc   []float64
 }
 
-// prepare builds ex's window. A positive kernel also decomposes the
-// scaled history; the models that decompose inside the network pass 0.
-func prepare(ex Example, kernel int) window {
+// prepare builds ex's window in buf, allocating a new buffer when buf
+// is too short, and returns the buffer it used. A positive kernel also
+// decomposes the scaled history; the models that decompose inside the
+// network pass 0.
+func prepare(ex Example, kernel int, buf []float64) (window, []float64) {
 	w := window{ex: ex, sc: newScaler(ex.History)}
-	l := len(ex.History)
-	scaled := w.sc.apply(make([]float64, 0, l+len(ex.Future)), ex.History)
-	scaled = w.sc.apply(scaled, ex.Future)
-	w.hist, w.future = scaled[:l:l], scaled[l:]
+	l, h := len(ex.History), len(ex.Future)
+	n := l + h
 	if kernel > 0 {
-		w.trend, w.cyc = Decompose(w.hist, kernel)
+		n += 2 * l
 	}
-	return w
+	if cap(buf) < n {
+		buf = make([]float64, n)
+	}
+	buf = buf[:n]
+	scaled := w.sc.apply(buf[:0], ex.History)
+	scaled = w.sc.apply(scaled, ex.Future)
+	w.hist, w.future = scaled[:l:l], scaled[l:l+h:l+h]
+	if kernel > 0 {
+		w.trend, w.cyc = buf[l+h:2*l+h:2*l+h], buf[2*l+h:]
+		decompose(w.hist, kernel, w.trend, w.cyc)
+	}
+	return w, buf
 }
 
 // fit is the one training loop. It checks train's shape, lets build
@@ -65,7 +76,7 @@ func fit(tc trainConfig, train []Example, kernel int,
 	params := build(l, h, rng)
 	ws := make([]window, len(train))
 	for i, ex := range train {
-		ws[i] = prepare(ex, kernel)
+		ws[i], _ = prepare(ex, kernel, nil)
 	}
 	opt := nn.NewAdam(params, tc.lr)
 	opt.Clip = 5
@@ -105,17 +116,32 @@ func nll(forward func(*tensor.Tape, window) (mu, sigma *tensor.Tensor)) func(*te
 	}
 }
 
-// tapes is the pool of prediction tapes. A trained model is shared
-// read-only by concurrent forecasters, so a prediction borrows a tape
-// here instead of keeping one on the model. A pooled tape keeps its
-// slots' buffers, but not the tensors of the model it last ran, until
-// a garbage collection frees it.
-var tapes = sync.Pool{New: func() any { return tensor.NewTape() }}
+// scratch is what one prediction borrows from the pool: a tape, and
+// the buffer its window is prepared in.
+type scratch struct {
+	tp  *tensor.Tape
+	buf []float64
+}
 
-// putTape resets a borrowed tape and returns it to the pool.
-func putTape(tp *tensor.Tape) {
-	tp.Reset()
-	tapes.Put(tp)
+// scratches is the pool of prediction scratch. A trained model is
+// shared read-only by concurrent forecasters, so a prediction borrows
+// its tape and window buffer here instead of keeping them on the
+// model. A pooled tape keeps its slots' buffers, but not the tensors
+// of the model it last ran, until a garbage collection frees it.
+var scratches = sync.Pool{New: func() any { return &scratch{tp: tensor.NewTape()} }}
+
+// getScratch borrows prediction scratch and prepares ex's window in it.
+func getScratch(ex Example, kernel int) (*scratch, window) {
+	ps := scratches.Get().(*scratch)
+	var w window
+	w, ps.buf = prepare(ex, kernel, ps.buf)
+	return ps, w
+}
+
+// put resets the borrowed tape and returns the scratch to the pool.
+func (ps *scratch) put() {
+	ps.tp.Reset()
+	scratches.Put(ps)
 }
 
 // predict is every point model's Predict: zeros before Fit (params is
@@ -126,10 +152,9 @@ func predict(params []*tensor.Tensor, ex Example, kernel int,
 	if params == nil {
 		return make([]float64, len(ex.Future))
 	}
-	w := prepare(ex, kernel)
-	tp := tapes.Get().(*tensor.Tape)
-	defer putTape(tp)
-	return w.sc.invert(forward(tp, w).Row(0))
+	ps, w := getScratch(ex, kernel)
+	defer ps.put()
+	return w.sc.invert(forward(ps.tp, w).Row(0))
 }
 
 // predictDist is predict for the Gaussian models, which forecast zero
@@ -140,10 +165,9 @@ func predictDist(params []*tensor.Tensor, ex Example, kernel int,
 	if params == nil {
 		return make([]float64, len(ex.Future)), ones(len(ex.Future))
 	}
-	w := prepare(ex, kernel)
-	tp := tapes.Get().(*tensor.Tape)
-	defer putTape(tp)
-	muT, sigmaT := forward(tp, w)
+	ps, w := getScratch(ex, kernel)
+	defer ps.put()
+	muT, sigmaT := forward(ps.tp, w)
 	return w.sc.invert(muT.Row(0)), w.sc.invertStd(sigmaT.Row(0))
 }
 

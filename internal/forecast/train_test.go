@@ -3,6 +3,7 @@ package forecast
 import (
 	"math"
 	"math/rand"
+	"runtime/debug"
 	"sync"
 	"testing"
 
@@ -32,7 +33,7 @@ func TestFitStepAllocatesNothing(t *testing.T) {
 	exs := orgPanelExamples(168, 4)
 	m := NewOrgLinear(DefaultOrgLinearConfig())
 	m.build(168, 4, rand.New(rand.NewSource(1)))
-	w := prepare(exs[0], orgLinearKernel)
+	w, _ := prepare(exs[0], orgLinearKernel, nil)
 	loss := nll(m.forward)
 	tp := tensor.NewTape()
 	step := func() {
@@ -42,6 +43,29 @@ func TestFitStepAllocatesNothing(t *testing.T) {
 	step()
 	if n := testing.AllocsPerRun(100, step); n != 0 {
 		t.Fatalf("a warm example step allocates %v times, want 0", n)
+	}
+}
+
+// TestPredictDistAllocatesOnlyRows pins the prediction scratch: a warm
+// OrgLinear forecast prepares its window in a pooled buffer and runs
+// on a pooled tape, so it allocates only the two rows it returns.
+func TestPredictDistAllocatesOnlyRows(t *testing.T) {
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range bi.Settings {
+			if s.Key == "-race" && s.Value == "true" {
+				t.Skip("sync.Pool drops items at random under -race")
+			}
+		}
+	}
+	// A collection would empty the pool mid-count.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	exs := orgPanelExamples(168, 4)
+	m := NewOrgLinear(DefaultOrgLinearConfig())
+	m.build(168, 4, rand.New(rand.NewSource(1)))
+	predict := func() { m.PredictDist(exs[0]) }
+	predict()
+	if n := testing.AllocsPerRun(100, predict); n != 2 {
+		t.Fatalf("a warm PredictDist allocates %v times, want 2", n)
 	}
 }
 

@@ -15,7 +15,8 @@ import (
 // hosting each pod, and the spot victims that must be evicted first.
 // By the time Schedule returns, the capacity-level changes are
 // already applied to the cluster via the transaction; the driver
-// performs the task-lifecycle side effects.
+// performs the task-lifecycle side effects. A decision is its State's
+// until that state's next Commit, which refills it.
 type Decision struct {
 	PodNodes []*cluster.Node
 	Victims  []*task.Task

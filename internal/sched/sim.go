@@ -1,8 +1,10 @@
 package sched
 
 import (
+	"cmp"
 	"context"
 	"math"
+	"slices"
 	"sort"
 
 	"github.com/sjtucitlab/gfs/internal/cluster"
@@ -104,12 +106,12 @@ type RuntimeInflater interface {
 	InflateRuntime(tk *task.Task) simclock.Duration
 }
 
-// Event payloads. Arrivals ride as a bare *task.Task (no wrapper, so
-// pushing one allocates nothing); finishes as pooled *finishEvent
-// records recycled after delivery; ticks as a zero-size marker whose
-// boxing is allocation-free. A finish event carries the task's run
-// count at start: every run that ends appends to tk.Runs, so a moved
-// count marks the event stale.
+// Event payloads. Injected arrivals ride as a bare *task.Task (no
+// wrapper, so pushing one allocates nothing); finishes as pooled
+// *finishEvent records recycled after delivery; ticks as a zero-size
+// marker whose boxing is allocation-free. A finish event carries the
+// task's run count at start: every run that ends appends to tk.Runs,
+// so a moved count marks the event stale.
 type finishEvent struct {
 	tk   *task.Task
 	runs int
@@ -132,9 +134,14 @@ type Simulator struct {
 	cfg    SimConfig
 	limits limits
 	queue  simclock.Queue
-	state  *State
-	pend   pendingQueue
-	now    simclock.Time
+	// arrivals is the preloaded trace in stable Submit order, delivered
+	// from a cursor instead of the queue: arrivals[next] is the next one
+	// due. The queue holds only the events of a run in flight.
+	arrivals []*task.Task
+	next     int
+	state    *State
+	pend     pendingQueue
+	now      simclock.Time
 
 	spotQuota    float64
 	gCount       int
@@ -279,12 +286,15 @@ func NewSimulator(cfg SimConfig, tasks []*task.Task) *Simulator {
 	if er, ok := cfg.Quota.(EtaReporter); ok {
 		s.etaRep = er
 	}
-	// Arrivals use the queue's front class so a mutation at time t
-	// always applies after arrivals at t — even for arrivals Injected
-	// mid-run by a federation router or the streaming replay loop,
-	// which therefore tie-break exactly like a preloaded trace.
-	for _, tk := range tasks {
-		s.queue.PushFront(tk.Submit, tk)
+	// A preloaded arrival is delivered before every queued event at its
+	// instant (see pop). Injected arrivals use the queue's front class,
+	// so a mutation at time t always applies after arrivals at t, and
+	// an arrival Injected mid-run by a federation router or the
+	// streaming replay loop tie-breaks exactly like a preloaded one.
+	s.arrivals = tasks
+	if !slices.IsSortedFunc(tasks, bySubmit) {
+		s.arrivals = slices.Clone(tasks)
+		slices.SortStableFunc(s.arrivals, bySubmit)
 	}
 	// Scenario actions join the same queue in the normal class.
 	// Against finish events the tie-break goes the other way:
@@ -296,11 +306,13 @@ func NewSimulator(cfg SimConfig, tasks []*task.Task) *Simulator {
 	for _, a := range actions {
 		s.queue.Push(a.At, scenarioEvent{action: a})
 	}
-	if len(tasks) > 0 {
-		s.arm(tasks[0].Submit)
+	if len(s.arrivals) > 0 {
+		s.arm(s.arrivals[0].Submit)
 	}
 	return s
 }
+
+func bySubmit(a, b *task.Task) int { return cmp.Compare(a.Submit, b.Submit) }
 
 // arm readies the simulator for a first (or, after the tick chain went
 // idle, a next) task arriving at time at: the initial quota is set
@@ -323,10 +335,27 @@ func (s *Simulator) arm(at simclock.Time) {
 // which member advances next.
 func (s *Simulator) PeekTime() (simclock.Time, bool) {
 	ev, ok := s.queue.Peek()
-	if !ok {
-		return 0, false
+	if s.next < len(s.arrivals) {
+		if at := s.arrivals[s.next].Submit; !ok || at <= ev.At {
+			return at, true
+		}
 	}
-	return ev.At, true
+	return ev.At, ok
+}
+
+// pop removes the next event: the cursor's arrival when it is due no
+// later than the queue's head, else the head. Ties go to the cursor,
+// as they did when the preload was pushed into the queue at
+// construction, with the lowest sequence numbers of all.
+func (s *Simulator) pop() (simclock.Event, bool) {
+	if s.next < len(s.arrivals) {
+		tk := s.arrivals[s.next]
+		if ev, ok := s.queue.Peek(); !ok || tk.Submit <= ev.At {
+			s.next++
+			return simclock.Event{At: tk.Submit, Value: tk}, true
+		}
+	}
+	return s.queue.Pop()
 }
 
 // Now returns the simulator's current time (the timestamp of the last
@@ -341,7 +370,7 @@ func (s *Simulator) PendingTasks() int { return s.pend.n }
 // earliest pending timestamp, followed by at most one scheduling pass
 // — and reports whether any event was processed.
 func (s *Simulator) Step() bool {
-	ev, ok := s.queue.Pop()
+	ev, ok := s.pop()
 	if !ok {
 		return false
 	}
@@ -349,11 +378,10 @@ func (s *Simulator) Step() bool {
 	scheduleNeeded := s.handle(ev)
 	// Drain events sharing this timestamp before scheduling.
 	for {
-		next, ok := s.queue.Peek()
-		if !ok || next.At != s.now {
+		if at, ok := s.PeekTime(); !ok || at != s.now {
 			break
 		}
-		ev, _ = s.queue.Pop()
+		ev, _ = s.pop()
 		if s.handle(ev) {
 			scheduleNeeded = true
 		}
@@ -488,7 +516,7 @@ func (s *Simulator) handle(ev simclock.Event) bool {
 		s.updateQuota()
 		s.autoscaleTick()
 		// Keep ticking while there is anything left to drive.
-		active := s.queue.Len() > 0 || s.running > 0
+		active := s.queue.Len() > 0 || s.next < len(s.arrivals) || s.running > 0
 		stalled := s.pend.n > 0 && s.now.Sub(s.lastProgress) < s.limits.idleTimeout
 		if active || stalled {
 			s.queue.Push(s.now.Add(quotaInterval), tickEvent{})

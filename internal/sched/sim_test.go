@@ -317,3 +317,31 @@ func TestUnlimitedAndStaticQuota(t *testing.T) {
 		t.Fatalf("static quota = %v, want 4", got)
 	}
 }
+
+// TestUnsortedPreloadKeepsTimeMonotone: a preload out of submission
+// order still delivers its events in time order. The quota chain arms
+// at the earliest arrival, not at the slice's first task, so no
+// QuotaUpdated at 7200 precedes the arrival at 0.
+func TestUnsortedPreloadKeepsTimeMonotone(t *testing.T) {
+	cl := cluster.NewHomogeneous("A100", 2, 8)
+	tasks := []*task.Task{
+		mkTask(1, task.HP, 1, 4, simclock.Hour, 7200),
+		mkTask(2, task.Spot, 1, 4, simclock.Hour, 0),
+	}
+	cfg := DefaultSimConfig(cl, &firstFit{})
+	cfg.Quota = UnlimitedQuota{}
+	last := simclock.Time(math.MinInt64)
+	cfg.Observers = []Observer{ObserverFunc(func(e Event) {
+		if e.At < last {
+			t.Fatalf("time went back: %d after %d", e.At, last)
+		}
+		last = e.At
+	})}
+	res := Run(cfg, tasks)
+	if res.UnfinishedHP != 0 || res.UnfinishedSpot != 0 {
+		t.Fatalf("unfinished %d/%d", res.UnfinishedHP, res.UnfinishedSpot)
+	}
+	if tasks[0].ID != 1 || tasks[1].ID != 2 || res.Tasks[0] != tasks[0] {
+		t.Fatal("the caller's slice and the result keep the caller's order")
+	}
+}

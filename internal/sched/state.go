@@ -25,6 +25,8 @@ type State struct {
 	// txnFree recycles the transaction record — scheduling is
 	// single-threaded per state, so one spare suffices.
 	txnFree *Txn
+	// dec is the decision every Commit refills and returns.
+	dec Decision
 }
 
 // NewState wraps a cluster.
@@ -209,19 +211,21 @@ func (t *Txn) Rollback() {
 
 // Commit finalizes the transaction and returns the decision: the node
 // of each placed pod in placement order, the victims in eviction order.
+// The decision belongs to the state, which refills it at the next
+// Commit: apply it (or copy what must be kept) before then.
 func (t *Txn) Commit() *Decision {
 	t.mustBeOpen()
 	t.done = true
-	dec := &Decision{PodNodes: make([]*cluster.Node, len(t.placed))}
-	for i, p := range t.placed {
-		dec.PodNodes[i] = p.node
+	dec := &t.state.dec
+	clear(dec.Victims)
+	clear(dec.VictimLocs)
+	dec.PodNodes, dec.Victims, dec.VictimLocs = dec.PodNodes[:0], dec.Victims[:0], dec.VictimLocs[:0]
+	for _, p := range t.placed {
+		dec.PodNodes = append(dec.PodNodes, p.node)
 	}
-	if len(t.evicted) > 0 {
-		dec.Victims = make([]*task.Task, len(t.evicted))
-		dec.VictimLocs = make([][]NodePods, len(t.evicted))
-		for i, e := range t.evicted {
-			dec.Victims[i], dec.VictimLocs[i] = e.tk, e.locs
-		}
+	for _, e := range t.evicted {
+		dec.Victims = append(dec.Victims, e.tk)
+		dec.VictimLocs = append(dec.VictimLocs, e.locs)
 	}
 	t.release()
 	return dec

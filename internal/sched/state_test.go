@@ -133,3 +133,29 @@ func TestEvictUnknownTaskIsNoop(t *testing.T) {
 		t.Fatalf("evicting an unplaced task should record nothing, got %v", dec.Victims)
 	}
 }
+
+// TestTxnCycleAllocatesNothing: once warm, a placement transaction —
+// Begin, Place, Commit, then ReleaseAll when the task ends — reuses
+// the pooled transaction, the recycled location slice and the state's
+// decision.
+func TestTxnCycleAllocatesNothing(t *testing.T) {
+	st := NewState(cluster.NewHomogeneous("A100", 2, 8))
+	tk := newTask(1, task.HP, 2, 4)
+	nodes := st.Cluster.Nodes()
+	cycle := func() {
+		txn := st.Begin()
+		for _, n := range nodes {
+			if err := txn.Place(n, tk); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if dec := txn.Commit(); len(dec.PodNodes) != 2 {
+			t.Fatalf("pod nodes %v", dec.PodNodes)
+		}
+		st.ReleaseAll(tk)
+	}
+	cycle()
+	if n := testing.AllocsPerRun(100, cycle); n != 0 {
+		t.Fatalf("a warm transaction cycle allocates %v times, want 0", n)
+	}
+}

@@ -1,6 +1,8 @@
 package stats
 
 import (
+	"sort"
+
 	"github.com/sjtucitlab/gfs/internal/simclock"
 	"github.com/sjtucitlab/gfs/internal/task"
 )
@@ -29,12 +31,17 @@ type TaskMetrics struct {
 // all) tasks of the given type.
 func Summarize(tasks []*task.Task, typ task.Type) TaskMetrics {
 	var m TaskMetrics
-	var jcts, jqts []float64
+	for _, tk := range tasks {
+		if tk.Type == typ {
+			m.Count++
+		}
+	}
+	buf := make([]float64, 2*m.Count)
+	jcts, jqts := buf[:0:m.Count], buf[m.Count:m.Count]
 	for _, tk := range tasks {
 		if tk.Type != typ {
 			continue
 		}
-		m.Count++
 		m.Evictions += tk.Evictions
 		m.Runs += tk.RunCount()
 		if tk.State == task.Finished {
@@ -42,8 +49,12 @@ func Summarize(tasks []*task.Task, typ task.Type) TaskMetrics {
 		}
 		jqts = append(jqts, tk.JQT().Seconds())
 	}
+	// Mean sums in slice order, so it reads jcts before the sort.
 	m.JCT = Mean(jcts)
-	m.JCTP99 = Percentile(jcts, 0.99)
+	if len(jcts) > 0 {
+		sort.Float64s(jcts)
+		m.JCTP99 = quantileSorted(jcts, 0.99)
+	}
 	m.JQT = Mean(jqts)
 	m.MaxJQT = Max(jqts)
 	if len(jqts) == 0 {

@@ -127,9 +127,9 @@ func Generate(cfg Config) []*task.Task {
 		cfg.MaxDuration = simclock.Duration(cfg.Days) * 2 * simclock.Day
 	}
 
-	var tasks []*task.Task
-	tasks = append(tasks, generateClass(cfg, task.HP, cfg.HPLoad, rng)...)
-	tasks = append(tasks, generateClass(cfg, task.Spot, cfg.SpotLoad*cfg.SpotScale, rng)...)
+	hp := generateClass(cfg, task.HP, cfg.HPLoad, rng)
+	spot := generateClass(cfg, task.Spot, cfg.SpotLoad*cfg.SpotScale, rng)
+	tasks := append(append(make([]*task.Task, 0, len(hp)+len(spot)), hp...), spot...)
 
 	sort.Slice(tasks, func(i, j int) bool {
 		if tasks[i].Submit != tasks[j].Submit {
@@ -202,7 +202,9 @@ func generateClass(cfg Config, typ task.Type, load float64, rng *rand.Rand) []*t
 		wsum += w
 	}
 
-	var out []*task.Task
+	// The hourly Poisson counts sum to about nTasks, with a standard
+	// deviation of √nTasks: room for four of them rarely regrows.
+	out := make([]*task.Task, 0, nTasks+4*int(math.Sqrt(float64(nTasks)))+16)
 	for h := 0; h < hours; h++ {
 		lambda := float64(nTasks) * weights[h] / wsum
 		n := poisson(rng, lambda)
