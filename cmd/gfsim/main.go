@@ -25,9 +25,9 @@
 //
 // -trace replays a trace file instead of generating a workload: any
 // format gfstrace can read (CSV/JSONL, gzipped or not, plus the
-// Alibaba and Philly schemas), streamed through the engine's Inject
-// core — the file is decoded as the simulated clock advances, never
-// loaded whole. It composes with every scheduler, -scenario and
+// Alibaba and Philly schemas), streamed through the simulator's
+// arrival cursor — the file is decoded as the simulated clock
+// advances, never loaded whole. It composes with every scheduler, -scenario and
 // -federation; -days and -spotscale describe generated workloads
 // only, so they are rejected alongside it.
 //

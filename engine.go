@@ -190,12 +190,11 @@ func (e *Engine) RunReport(tasks []*Task) *Report {
 }
 
 // RunTrace executes the simulation over the engine's attached trace
-// source (WithTraceSource): tasks are pulled one at a time and
-// injected as the clock reaches their submission times, so ingestion
-// stays constant-memory and works on traces far larger than RAM. The
-// replayed run is event-for-event identical to Run over the same
-// trace (see sched.RunFederationContext for the idle-gap quota-tick
-// caveat). Decode and ordering errors from the source abort the run.
+// source (WithTraceSource): tasks are pulled one at a time, one
+// ahead of the clock, so ingestion stays constant-memory and works on
+// traces far larger than RAM. The replayed run is event-for-event
+// identical to Run over the same trace, idle gaps included. Decode and
+// ordering errors from the source abort the run.
 // Like Run, it mutates replayed tasks and the cluster, so an engine
 // runs one trace; the source is closed when the replay ends.
 func (e *Engine) RunTrace() (*Result, error) {

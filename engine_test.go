@@ -349,10 +349,13 @@ func TestEngineConfigRoundTrip(t *testing.T) {
 		return gfs.NewEngine(gfs.NewCluster("A100", 16, 8),
 			gfs.WithScheduler(baselines.NewYARNCS()))
 	}
-	got := sched.Run(build().Config(), chaosTrace(5))
+	sim := sched.NewSimulator(build().Config(), chaosTrace(5))
+	for sim.Step() {
+	}
+	got := sim.Finish()
 	want := build().Run(chaosTrace(5))
 	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("sched.Run(Engine.Config()) diverged from Engine.Run:\n got  %+v\n want %+v", got, want)
+		t.Fatalf("stepping Engine.Config() diverged from Engine.Run:\n got  %+v\n want %+v", got, want)
 	}
 }
 

@@ -121,8 +121,8 @@ func ExampleRebaseTrace() {
 }
 
 // Replay: WithTraceSource attaches a stream to an engine and
-// RunTrace pulls tasks through the Inject core as the clock reaches
-// their submission times — the trace is never loaded whole.
+// RunTrace pulls tasks one ahead of the clock, through the arrival
+// cursor a preload takes — the trace is never loaded whole.
 func ExampleWithTraceSource() {
 	var buf bytes.Buffer
 	if err := gfs.WriteTraceCSV(&buf, tinyTrace()); err != nil {

@@ -190,7 +190,7 @@ func WithFederationCollectors(mk func() []Collector) FederationOption {
 // WithFederationTraceSource attaches a streaming trace for replay by
 // RunBatch: the spec's SetupFederation returns a nil task slice, and
 // arrivals are pulled just ahead of the shared clock and routed to
-// members through the same Inject path as Run, so federated replay
+// members exactly as Run routes a preloaded trace, so federated replay
 // stays constant-memory on the ingestion side. The source must yield
 // tasks in non-decreasing submission order; it is closed when the
 // replay ends.

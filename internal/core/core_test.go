@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -101,6 +102,17 @@ func TestQuotaDisableEtaFeedbackPinsEta(t *testing.T) {
 	}
 }
 
+// runSim runs cfg over tasks as a federation of one, the call every
+// engine run makes.
+func runSim(t *testing.T, cfg sched.SimConfig, tasks []*task.Task) *sched.Result {
+	t.Helper()
+	res, err := sched.RunFederationContext(context.Background(), sched.FedConfig{Members: []sched.FedMember{{Cfg: cfg}}}, tasks, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res.Members[0].Result
+}
+
 // End-to-end: GFS runs a small trace to completion with sane metrics.
 func TestGFSEndToEndSmallTrace(t *testing.T) {
 	cfg := trace.Config{
@@ -118,7 +130,7 @@ func TestGFSEndToEndSmallTrace(t *testing.T) {
 	cl := cluster.NewHomogeneous("A100", 16, 8)
 	simCfg := sched.DefaultSimConfig(cl, sys.Scheduler)
 	simCfg.Quota = sys.Quota
-	res := sched.Run(simCfg, tasks)
+	res := runSim(t, simCfg, tasks)
 
 	if res.HP.Count == 0 || res.Spot.Count == 0 {
 		t.Fatal("both classes should be present")
@@ -164,10 +176,10 @@ func TestGFSReducesEvictionsVsStaticFirstFit(t *testing.T) {
 	gfsCl := cluster.NewHomogeneous("A100", 16, 8)
 	gfsCfg := sched.DefaultSimConfig(gfsCl, sys.Scheduler)
 	gfsCfg.Quota = sys.Quota
-	gfsRes := sched.Run(gfsCfg, gen())
+	gfsRes := runSim(t, gfsCfg, gen())
 
 	ffCl := cluster.NewHomogeneous("A100", 16, 8)
-	ffRes := sched.Run(sched.DefaultSimConfig(ffCl, staticFF()), gen())
+	ffRes := runSim(t, sched.DefaultSimConfig(ffCl, staticFF()), gen())
 
 	if gfsRes.Spot.EvictionRate > ffRes.Spot.EvictionRate {
 		t.Fatalf("GFS eviction %v should not exceed first-fit %v",

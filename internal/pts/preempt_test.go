@@ -1,6 +1,7 @@
 package pts
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"slices"
@@ -210,12 +211,15 @@ func TestVictimSetOnLosingNodeAllocatesNothing(t *testing.T) {
 // planCounts runs one day of PTS at spot scale 4 on 48 eight-card
 // nodes, for a trace sized for clusterGPUs cards with gangs scaled by
 // gangScale, and returns the planner's node counters.
-func planCounts(clusterGPUs float64, gangScale int) (rejected, costed, reused uint64) {
+func planCounts(t *testing.T, clusterGPUs float64, gangScale int) (rejected, costed, reused uint64) {
 	cfg := trace.Default()
 	cfg.Seed, cfg.Days, cfg.ClusterGPUs, cfg.SpotScale, cfg.GangScale = 11, 1, clusterGPUs, 4, gangScale
 	cfg.MaxDuration = 6 * simclock.Hour
 	s := New(DefaultConfig())
-	sched.Run(sched.DefaultSimConfig(cluster.NewHomogeneous("A100", 48, 8), s), trace.Generate(cfg))
+	solo := sched.FedConfig{Members: []sched.FedMember{{Cfg: sched.DefaultSimConfig(cluster.NewHomogeneous("A100", 48, 8), s)}}}
+	if _, err := sched.RunFederationContext(context.Background(), solo, trace.Generate(cfg), nil); err != nil {
+		t.Fatal(err)
+	}
 	return s.plans.rejected, s.plans.costed, s.plans.reused
 }
 
@@ -227,12 +231,12 @@ func planCounts(clusterGPUs float64, gangScale int) (rejected, costed, reused ui
 // With production-size gangs, where one gang's pods are planned at one
 // instant back to back, the memo serves more than half of those.
 func TestPreemptPlanRejectsMostNodesInO1(t *testing.T) {
-	rejected, costed, reused := planCounts(64*8, trace.Default().GangScale)
+	rejected, costed, reused := planCounts(t, 64*8, trace.Default().GangScale)
 	t.Logf("preemption scan: %d nodes rejected in O(1), %d costed, %d reused", rejected, costed, reused)
 	if costed+reused == 0 || rejected < costed+reused {
 		t.Fatalf("rejected %d, costed %d, reused %d: want a contended run where the O(1) test settles most nodes", rejected, costed, reused)
 	}
-	rejected, costed, reused = planCounts(48*8, 4)
+	rejected, costed, reused = planCounts(t, 48*8, 4)
 	t.Logf("production-size gangs: %d nodes rejected in O(1), %d costed, %d reused", rejected, costed, reused)
 	if reused == 0 || 2*costed >= costed+reused {
 		t.Fatalf("costed %d, reused %d: want the memo to serve most of the nodes a fresh planner would cost", costed, reused)

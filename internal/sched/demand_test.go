@@ -187,12 +187,9 @@ func runDemandWorld(seed int64, mode int) (returns int, err error) {
 	if mode == demandStreamed {
 		preload, src = nil, trace.SliceSource(tasks)
 	}
-	f := newFedSim(cfg, preload)
+	f := newFedSim(cfg, preload, src)
 	for i, o := range oracles {
 		o.sim = f.books[i].sim
-	}
-	if f.feed, err = newReplayFeed(src); err != nil {
-		return 0, err
 	}
 	if err = f.loop(context.Background()); err != nil {
 		return 0, err

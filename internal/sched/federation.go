@@ -319,10 +319,8 @@ func (r *FedResult) Member(name string) *MemberResult {
 	return nil
 }
 
-// Federation-level queue events: an arriving task rides as a bare
-// *task.Task (allocation-free boxing, like the member simulators'
-// arrivals); fedMigration is a spilled task reaching its new member
-// after the migration delay.
+// fedMigration is the federation queue's one event: a spilled task
+// reaching its new member after the migration delay.
 type fedMigration struct {
 	tk       *task.Task
 	from, to int
@@ -352,9 +350,9 @@ type fedSim struct {
 	states      []*MemberState
 	migrations  int
 	saturations int
-	// feed streams arrivals in just ahead of the shared clock; it is
-	// dry from the start when the trace was preloaded instead.
-	feed replayFeed
+	// feed walks the trace just ahead of the shared clock: a solo
+	// member's own, or the federation's, whose arrivals it routes.
+	feed *replayFeed
 }
 
 // fedTap forwards one member's event stream to the federation
@@ -376,34 +374,32 @@ func (t fedTap) OnEvent(e Event) {
 }
 
 // RunFederationContext executes a simulation, deterministic in
-// (config, trace). tasks are queued up front; src, when non-nil,
-// streams further arrivals in just ahead of the shared clock, which
-// keeps decoding (not the simulators) constant-memory. It must yield
+// (config, trace). The trace is tasks, or src when it is non-nil (a
+// run given both is refused). One replay feed walks it just ahead of
+// the shared clock — a solo member's own, or the federation's, which
+// routes each arrival — so a streamed trace runs event for event like
+// its preload while decoding stays constant-memory. src must yield
 // unique positive IDs in non-decreasing submission order; callers own
-// and close it. Streaming a solo member's trace matches preloading it
-// event for event, except that once it idles longer than the quota
-// interval its tick chain re-anchors at the next arrival.
-// Cancellation, a bad configuration and a failing source are the only
-// errors.
+// and close it. Cancellation, a bad configuration and a failing source
+// are the only errors.
 func RunFederationContext(ctx context.Context, cfg FedConfig, tasks []*task.Task, src TaskSource) (*FedResult, error) {
 	if len(cfg.Members) == 0 {
 		return nil, fmt.Errorf("sched: federation needs at least one member")
 	}
-	f := newFedSim(cfg, tasks)
-	var err error
-	if f.feed, err = newReplayFeed(src); err != nil {
-		return nil, err
+	if src != nil && len(tasks) > 0 {
+		return nil, fmt.Errorf("sched: run has both a trace source and a task slice")
 	}
-	if err = f.loop(ctx); err != nil {
+	f := newFedSim(cfg, tasks, src)
+	if err := f.loop(ctx); err != nil {
 		return nil, err
 	}
 	return f.finish(), nil
 }
 
 // newFedSim builds the shared-clock driver over the configured members
-// with tasks preloaded: into a solo member's simulator, else onto the
-// federation queue for routing.
-func newFedSim(cfg FedConfig, tasks []*task.Task) *fedSim {
+// with the trace's feed: a solo member's simulator walks it, else the
+// federation does, routing each arrival.
+func newFedSim(cfg FedConfig, tasks []*task.Task, src TaskSource) *fedSim {
 	if cfg.Route == nil {
 		cfg.Route = RouteLeastLoaded{}
 	}
@@ -423,52 +419,41 @@ func newFedSim(cfg FedConfig, tasks []*task.Task) *fedSim {
 		if f.hasObs {
 			mcfg.Observers = append(append([]Observer(nil), mcfg.Observers...), fedTap{f: f, member: m.Name})
 		}
-		var preload []*task.Task
-		if solo {
-			preload, b.routed = tasks, len(tasks)
-		} else {
-			if cfg.Spill != nil {
-				mcfg.EvictionInterceptor = func(tk *task.Task, cause EvictCause) bool {
-					return f.intercept(i, tk, cause)
-				}
-			}
-			f.states = append(f.states, &b.MemberState)
-		}
 		b.MemberState = MemberState{
 			Name:      m.Name,
 			SpotPrice: m.SpotPrice,
 			Reclaim:   m.Reclaim,
 			cluster:   mcfg.Cluster,
-			sim:       NewSimulator(mcfg, preload),
 		}
 		b.satLast = -1
+		if solo {
+			b.sim = newSimulator(mcfg, tasks, src)
+			f.feed = &b.sim.feed
+			continue
+		}
+		if cfg.Spill != nil {
+			mcfg.EvictionInterceptor = func(tk *task.Task, cause EvictCause) bool {
+				return f.intercept(i, tk, cause)
+			}
+		}
+		b.sim = NewSimulator(mcfg, nil)
+		f.states = append(f.states, &b.MemberState)
 	}
 	if !solo {
-		for _, tk := range tasks {
-			f.queue.PushFront(tk.Submit, tk)
-		}
+		feed := newReplayFeed(tasks, src)
+		f.feed = &feed
 	}
 	return f
 }
 
-// arrive takes one streamed task: a solo member injects it at its
-// submission time, as preloading would have queued it; otherwise it
-// joins the federation queue (front class, like preloaded arrivals).
-func (f *fedSim) arrive(tk *task.Task) {
-	if len(f.books) == 1 {
-		f.books[0].routed++
-		f.books[0].sim.Inject(tk, tk.Submit)
-		return
-	}
-	f.queue.PushFront(tk.Submit, tk)
-}
-
-// loop advances the shared clock: at each instant the feed's due
-// arrivals arrive, federation events (routing, migration delivery)
-// resolve, then every member with events at that instant steps, in
-// member order. It checks ctx first, so a cancelled run stops within
-// one instant of the signal — gfsd's DELETE /v1/sessions/{id} — and
-// a background context, whose Done channel is nil, pays the default.
+// loop advances the shared clock: at each instant a larger
+// federation routes the arrivals its feed has due, migrations land,
+// then every member with events at that instant steps, in member
+// order. It checks ctx first, so a cancelled run stops within one
+// instant of the signal — gfsd's DELETE /v1/sessions/{id} — and a
+// background context, whose Done channel is nil, pays the default. A
+// failing source stops the run once the instant of its last good
+// arrival is done.
 func (f *fedSim) loop(ctx context.Context) error {
 	for done := ctx.Done(); ; {
 		select {
@@ -476,26 +461,24 @@ func (f *fedSim) loop(ctx context.Context) error {
 			return ctx.Err()
 		default:
 		}
-		if err := f.feed.drain(f.nextTime, f.arrive); err != nil {
-			return err
+		if f.feed.err != nil {
+			return f.feed.err
 		}
 		t, ok := f.nextTime()
 		if !ok {
 			return nil
 		}
 		f.now = t
+		for len(f.books) > 1 && f.feed.next != nil && f.feed.next.Submit == t {
+			f.route(f.feed.take())
+		}
 		for {
 			ev, ok := f.queue.Peek()
 			if !ok || ev.At != t {
 				break
 			}
 			ev, _ = f.queue.Pop()
-			switch e := ev.Value.(type) {
-			case *task.Task:
-				f.route(e)
-			case fedMigration:
-				f.deliver(e)
-			}
+			f.deliver(ev.Value.(fedMigration))
 		}
 		for i := range f.books {
 			m := f.books[i].sim
@@ -510,12 +493,16 @@ func (f *fedSim) loop(ctx context.Context) error {
 	}
 }
 
-// nextTime returns the earliest pending timestamp across the
-// federation queue and every member, or false when all have run dry.
+// nextTime returns the earliest pending timestamp across the feed,
+// the federation queue and every member, or false when all have run
+// dry.
 func (f *fedSim) nextTime() (simclock.Time, bool) {
 	var best simclock.Time
 	found := false
-	if ev, ok := f.queue.Peek(); ok {
+	if tk := f.feed.next; tk != nil {
+		best, found = tk.Submit, true
+	}
+	if ev, ok := f.queue.Peek(); ok && (!found || ev.At < best) {
 		best, found = ev.At, true
 	}
 	for i := range f.books {
@@ -605,6 +592,9 @@ func (f *fedSim) finish() *FedResult {
 	for i := range f.books {
 		b := &f.books[i]
 		r := b.sim.Finish()
+		if len(f.books) == 1 {
+			b.routed = len(r.Tasks)
+		}
 		mr := MemberResult{
 			Name:        b.Name,
 			Result:      r,

@@ -2,6 +2,7 @@ package sched_test
 
 import (
 	"cmp"
+	"context"
 	"math/rand"
 	"slices"
 	"testing"
@@ -12,6 +13,7 @@ import (
 	"github.com/sjtucitlab/gfs/internal/sched"
 	"github.com/sjtucitlab/gfs/internal/simclock"
 	"github.com/sjtucitlab/gfs/internal/task"
+	"github.com/sjtucitlab/gfs/internal/trace"
 )
 
 // preloadWorld is one random run: tasks, possibly out of submission
@@ -20,16 +22,26 @@ import (
 type preloadWorld struct {
 	tasks   func() []*task.Task
 	gfs     bool
+	sorted  bool
 	actions []sched.ScenarioAction
 }
+
+// The three ways a world's tasks reach the simulator.
+const (
+	preloaded = iota
+	injected
+	streamed
+)
 
 func newPreloadWorld(seed int64, n uint8, flags uint8) preloadWorld {
 	rng := rand.New(rand.NewSource(seed))
 	count := 1 + int(n)%80
 	unsorted := flags&1 != 0
-	w := preloadWorld{gfs: flags&2 != 0}
+	w := preloadWorld{gfs: flags&2 != 0, sorted: !unsorted}
 	// Few instants, so most arrivals tie with another arrival and, at
-	// multiples of the 300 s quota interval, with a tick.
+	// multiples of the 300 s quota interval, with a tick. The instants
+	// fall in up to three bursts 8 h apart, so a run usually idles
+	// between bursts far longer than the quota interval.
 	type spec struct {
 		typ    task.Type
 		pods   int
@@ -44,7 +56,7 @@ func newPreloadWorld(seed int64, n uint8, flags uint8) preloadWorld {
 			pods:   1 + rng.Intn(2),
 			gpus:   []float64{0.5, 1, 2, 4, 8}[rng.Intn(5)],
 			dur:    simclock.Duration(5+rng.Intn(90)) * simclock.Minute,
-			submit: simclock.Time(rng.Intn(12)) * 300,
+			submit: simclock.Time(rng.Intn(12))*300 + simclock.Time(rng.Intn(3)*8)*simclock.Time(simclock.Hour),
 		}
 		if rng.Intn(2) == 0 {
 			sp.typ = task.Spot
@@ -95,10 +107,10 @@ func newPreloadWorld(seed int64, n uint8, flags uint8) preloadWorld {
 	return w
 }
 
-// run renders the event log of the world's tasks, preloaded or (when
-// inject is set) Injected in stable submission order before the first
-// Step, as arrivals streamed into an empty simulator are.
-func (w preloadWorld) run(inject bool) string {
+// run renders the event log of the world's tasks: preloaded, Injected
+// in stable submission order before the first Step, or streamed
+// through a one-member run from a source.
+func (w preloadWorld) run(how int) string {
 	cl := cluster.NewHomogeneous("A100", 4, 8)
 	cl.AssignDomains(2, 2)
 	var sc sched.Scheduler = baselines.NewStaticFirstFit()
@@ -111,8 +123,15 @@ func (w preloadWorld) run(inject bool) string {
 	cfg.Scenario = w.actions
 	cfg.Observers = []sched.Observer{log}
 	tasks := w.tasks()
+	if how == streamed {
+		solo := sched.FedConfig{Members: []sched.FedMember{{Name: "solo", Cfg: cfg}}}
+		if _, err := sched.RunFederationContext(context.Background(), solo, nil, trace.SliceSource(tasks)); err != nil {
+			return err.Error()
+		}
+		return log.String()
+	}
 	var s *sched.Simulator
-	if inject {
+	if how == injected {
 		s = sched.NewSimulator(cfg, nil)
 		slices.SortStableFunc(tasks, func(a, b *task.Task) int { return cmp.Compare(a.Submit, b.Submit) })
 		for _, tk := range tasks {
@@ -128,10 +147,12 @@ func (w preloadWorld) run(inject bool) string {
 }
 
 // FuzzPreloadMatchesInject: a preloaded trace, delivered from the
-// simulator's arrival cursor, yields byte for byte the event log of
-// the same tasks Injected up front into the event queue, under GFS's
+// simulator's arrival feed, yields byte for byte the event log of the
+// same tasks Injected up front into the event queue, under GFS's
 // placement and first fit, sorted or not, with ties among arrivals and
-// against scenario actions and quota ticks at the same instant.
+// against scenario actions and quota ticks at the same instant. A
+// sorted world streamed from a source yields it too, idle gaps
+// between bursts included.
 func FuzzPreloadMatchesInject(f *testing.F) {
 	// Every pairing of sorted or not with GFS or first fit.
 	for seed := int64(1); seed <= 24; seed++ {
@@ -141,8 +162,15 @@ func FuzzPreloadMatchesInject(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, seed int64, n, flags uint8) {
 		w := newPreloadWorld(seed, n, flags)
-		if got, want := w.run(false), w.run(true); got != want {
-			t.Fatalf("preloaded log differs from the injected one\npreloaded:\n%s\ninjected:\n%s", got, want)
+		want := w.run(preloaded)
+		if got := w.run(injected); got != want {
+			t.Fatalf("injected log differs from the preloaded one\ninjected:\n%s\npreloaded:\n%s", got, want)
+		}
+		if !w.sorted {
+			return
+		}
+		if got := w.run(streamed); got != want {
+			t.Fatalf("streamed log differs from the preloaded one\nstreamed:\n%s\npreloaded:\n%s", got, want)
 		}
 	})
 }

@@ -16,7 +16,9 @@ type ScenarioOp uint8
 const (
 	// OpReclaimSpot evicts running spot tasks until the requested
 	// fraction of currently held spot GPUs is reclaimed (a spot
-	// reclamation burst, oldest task IDs first).
+	// reclamation burst). It sweeps the simulator's tasks in the order
+	// they joined its books: a preload in the caller's order, a stream
+	// in arrival order, then routed and migrated arrivals.
 	OpReclaimSpot ScenarioOp = iota
 	// OpDomainDown fails every node in a failure domain atomically
 	// (one timestamp, ID order) — a correlated rack or zone outage:

@@ -1,10 +1,7 @@
 package sched
 
 import (
-	"cmp"
-	"context"
 	"math"
-	"slices"
 	"sort"
 
 	"github.com/sjtucitlab/gfs/internal/cluster"
@@ -127,21 +124,19 @@ type scenarioEvent struct{ action ScenarioAction }
 type provisionEvent struct{ pool cluster.Pool }
 
 // Simulator is one cluster's discrete-event core. RunFederationContext
-// is the one loop that steps it — a plain Run is a federation of one —
+// is the one loop that steps it — a plain run is a federation of one —
 // advancing every member in lockstep on a shared clock;
-// NewSimulator/Step/Inject/Finish are the calls it makes.
+// PeekTime/Step/Inject/Finish are the calls it makes.
 type Simulator struct {
 	cfg    SimConfig
 	limits limits
 	queue  simclock.Queue
-	// arrivals is the preloaded trace in stable Submit order, delivered
-	// from a cursor instead of the queue: arrivals[next] is the next one
-	// due. The queue holds only the events of a run in flight.
-	arrivals []*task.Task
-	next     int
-	state    *State
-	pend     pendingQueue
-	now      simclock.Time
+	// feed walks the trace, preloaded or streamed, one task ahead of
+	// the clock; the queue holds only the events of a run in flight.
+	feed  replayFeed
+	state *State
+	pend  pendingQueue
+	now   simclock.Time
 
 	spotQuota    float64
 	gCount       int
@@ -156,9 +151,10 @@ type Simulator struct {
 	recentQueues []queueObs
 	running      int
 
-	// tasks is every task in injection order: the preloaded slice,
-	// then each Inject (a migrant when it is delivered, once). Only
-	// OpReclaimSpot and result read it.
+	// tasks is every task in injection order: the preloaded slice in
+	// the caller's order or a stream in arrival order, then each Inject
+	// (a migrant when it is delivered, once). Only OpReclaimSpot and
+	// result read it.
 	tasks []*task.Task
 
 	// hasObs caches len(cfg.Observers) > 0 so the hot loop skips
@@ -172,8 +168,9 @@ type Simulator struct {
 
 	// tickOn tracks whether a quota tick is pending in the queue, and
 	// quotaInit whether the initial quota update ran; both matter only
-	// for simulators fed via Inject, whose first task can arrive long
-	// after construction (or after the tick chain went idle).
+	// for federation members fed via Inject, whose first task can
+	// arrive long after construction (or after the tick chain went
+	// idle).
 	tickOn    bool
 	quotaInit bool
 	// retiring holds autoscaler-retired nodes still hosting HP pods;
@@ -198,10 +195,10 @@ type Simulator struct {
 	// in iteration order, and floating-point addition is not
 	// associative. Arrivals pop in time order, ties in s.tasks order:
 	// that is s.tasks order for a Submit-sorted preload, a source stream
-	// and every federation route or delivery. An unsorted preload (or
-	// one a source interleaves with) arrives in stable Submit order
-	// instead, so its sums may round differently than a scan of s.tasks
-	// when HP requests are fractional.
+	// and every federation route or delivery. An unsorted preload
+	// arrives in stable Submit order instead, so its sums may round
+	// differently than a scan of s.tasks when HP requests are
+	// fractional.
 	hpLive []*task.Task
 	// hpOrg holds each hpLive task's org slot, so the per-tick demand
 	// accumulation indexes a flat array instead of hashing org strings.
@@ -245,27 +242,26 @@ type queueObs struct {
 	dur simclock.Duration
 }
 
-// Run executes the simulation over the given trace and returns the
-// metrics: a federation of one under a background context, which can
-// never cancel, so no error surfaces.
-func Run(cfg SimConfig, tasks []*task.Task) *Result {
-	res, _ := RunFederationContext(context.Background(), FedConfig{Members: []FedMember{{Cfg: cfg}}}, tasks, nil)
-	return res.Members[0].Result
-}
-
 // NewSimulator builds a simulator over the trace without running it.
 // Drive it with Step until it returns false (or interleave Step with
 // Inject), then collect metrics with Finish.
 func NewSimulator(cfg SimConfig, tasks []*task.Task) *Simulator {
+	return newSimulator(cfg, tasks, nil)
+}
+
+// newSimulator builds a simulator whose feed walks the trace: tasks,
+// or src when it is non-nil.
+func newSimulator(cfg SimConfig, tasks []*task.Task, src TaskSource) *Simulator {
 	s := &Simulator{
 		cfg:       cfg,
 		limits:    paperLimits,
+		feed:      newReplayFeed(tasks, src),
+		tasks:     tasks,
 		pend:      pendingQueue{sched: cfg.Scheduler, byShape: make(map[taskShape]*shapeBucket)},
 		state:     NewState(cfg.Cluster),
 		spotQuota: math.Inf(1),
 		evWindow:  stats.NewEvictionWindow(quotaWindow),
 		alloc:     stats.NewAllocationTracker(cfg.Cluster.TotalGPUs("")),
-		tasks:     tasks,
 		orgDemand: make(map[string][]float64),
 		orgSlots:  make(map[string]int),
 		lastHour:  -1,
@@ -286,16 +282,11 @@ func NewSimulator(cfg SimConfig, tasks []*task.Task) *Simulator {
 	if er, ok := cfg.Quota.(EtaReporter); ok {
 		s.etaRep = er
 	}
-	// A preloaded arrival is delivered before every queued event at its
-	// instant (see pop). Injected arrivals use the queue's front class,
-	// so a mutation at time t always applies after arrivals at t, and
-	// an arrival Injected mid-run by a federation router or the
-	// streaming replay loop tie-breaks exactly like a preloaded one.
-	s.arrivals = tasks
-	if !slices.IsSortedFunc(tasks, bySubmit) {
-		s.arrivals = slices.Clone(tasks)
-		slices.SortStableFunc(s.arrivals, bySubmit)
-	}
+	// An arrival from the feed is delivered before every queued event
+	// at its instant (see pop). Injected arrivals use the queue's front
+	// class, so a mutation at time t always applies after arrivals at
+	// t, and an arrival Injected mid-run by a federation router
+	// tie-breaks exactly like one from the feed.
 	// Scenario actions join the same queue in the normal class.
 	// Against finish events the tie-break goes the other way:
 	// finishes are pushed mid-run with higher sequence numbers, so a
@@ -306,13 +297,11 @@ func NewSimulator(cfg SimConfig, tasks []*task.Task) *Simulator {
 	for _, a := range actions {
 		s.queue.Push(a.At, scenarioEvent{action: a})
 	}
-	if len(s.arrivals) > 0 {
-		s.arm(s.arrivals[0].Submit)
+	if tk := s.feed.next; tk != nil {
+		s.arm(tk.Submit)
 	}
 	return s
 }
-
-func bySubmit(a, b *task.Task) int { return cmp.Compare(a.Submit, b.Submit) }
 
 // arm readies the simulator for a first (or, after the tick chain went
 // idle, a next) task arriving at time at: the initial quota is set
@@ -335,23 +324,24 @@ func (s *Simulator) arm(at simclock.Time) {
 // which member advances next.
 func (s *Simulator) PeekTime() (simclock.Time, bool) {
 	ev, ok := s.queue.Peek()
-	if s.next < len(s.arrivals) {
-		if at := s.arrivals[s.next].Submit; !ok || at <= ev.At {
-			return at, true
-		}
+	if tk := s.feed.next; tk != nil && (!ok || tk.Submit <= ev.At) {
+		return tk.Submit, true
 	}
 	return ev.At, ok
 }
 
-// pop removes the next event: the cursor's arrival when it is due no
-// later than the queue's head, else the head. Ties go to the cursor,
-// as they did when the preload was pushed into the queue at
-// construction, with the lowest sequence numbers of all.
+// pop removes the next event: the feed's arrival when it is due no
+// later than the queue's head, else the head. Ties go to the feed, as
+// they did when a preload was pushed into the queue at construction,
+// with the lowest sequence numbers of all. A streamed arrival joins
+// the books as it arrives; a preload is in them from the start.
 func (s *Simulator) pop() (simclock.Event, bool) {
-	if s.next < len(s.arrivals) {
-		tk := s.arrivals[s.next]
+	if tk := s.feed.next; tk != nil {
 		if ev, ok := s.queue.Peek(); !ok || tk.Submit <= ev.At {
-			s.next++
+			if s.feed.src != nil {
+				s.tasks = append(s.tasks, tk)
+			}
+			s.feed.take()
 			return simclock.Event{At: tk.Submit, Value: tk}, true
 		}
 	}
@@ -394,8 +384,8 @@ func (s *Simulator) Step() bool {
 
 // Inject adds a task to the simulation mid-run, arriving at time at
 // (which must not precede the simulator's current time). It is the
-// entry point for streamed arrivals, federation routing and migration:
-// tasks reach a member as the shared clock reaches each submission.
+// entry point for federation routing and migration: tasks reach a
+// member as the shared clock reaches each submission.
 // Re-injecting a task that previously migrated away returns it to this
 // simulator's books when it arrives.
 func (s *Simulator) Inject(tk *task.Task, at simclock.Time) {
@@ -516,7 +506,7 @@ func (s *Simulator) handle(ev simclock.Event) bool {
 		s.updateQuota()
 		s.autoscaleTick()
 		// Keep ticking while there is anything left to drive.
-		active := s.queue.Len() > 0 || s.next < len(s.arrivals) || s.running > 0
+		active := s.queue.Len() > 0 || s.feed.next != nil || s.running > 0
 		stalled := s.pend.n > 0 && s.now.Sub(s.lastProgress) < s.limits.idleTimeout
 		if active || stalled {
 			s.queue.Push(s.now.Add(quotaInterval), tickEvent{})

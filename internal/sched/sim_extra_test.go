@@ -24,7 +24,7 @@ func TestAdmissionRampDefersSecondTask(t *testing.T) {
 	}
 	cfg := DefaultSimConfig(cl, &firstFit{})
 	cfg.Quota = rampQuota{perPass: 8} // one 8-GPU admission per pass
-	res := Run(cfg, tasks)
+	res, _ := runSolo(t, cfg, tasks, nil)
 	if res.UnfinishedSpot != 0 {
 		t.Fatal("ramp must defer, not starve")
 	}
@@ -44,7 +44,7 @@ func TestAdmissionRampNeverDeadlocksLargeTask(t *testing.T) {
 	tasks := []*task.Task{mkTask(1, task.Spot, 2, 8, 30*simclock.Minute, 0)}
 	cfg := DefaultSimConfig(cl, &firstFit{})
 	cfg.Quota = rampQuota{perPass: 1}
-	res := Run(cfg, tasks)
+	res, _ := runSolo(t, cfg, tasks, nil)
 	if res.UnfinishedSpot != 0 {
 		t.Fatal("oversized-vs-ramp task must not deadlock")
 	}
@@ -63,7 +63,7 @@ func TestShapeCacheAllowsBackfill(t *testing.T) {
 	small := mkTask(3, task.Spot, 1, 1, 30*simclock.Minute, 0)
 	cfg := DefaultSimConfig(cl, &firstFit{})
 	cfg.limits = &limits{grace: paperLimits.grace, maxFailures: 2, idleTimeout: simclock.Hour}
-	res := Run(cfg, []*task.Task{blockerA, blockerB, small})
+	res, _ := runSolo(t, cfg, []*task.Task{blockerA, blockerB, small}, nil)
 	if small.State != task.Finished {
 		t.Fatal("small task should backfill past the blocked gang shapes")
 	}
@@ -82,7 +82,7 @@ func TestInitialOrgDemandSeedsQuotaContext(t *testing.T) {
 		got = ctx.OrgDemand
 		return math.Inf(1)
 	})
-	Run(cfg, tasks)
+	runSolo(t, cfg, tasks, nil)
 	if len(got["OrgZ"]) < 3 || got["OrgZ"][0] != 1 || got["OrgZ"][2] != 3 {
 		t.Fatalf("seeded history missing: %v", got["OrgZ"])
 	}
@@ -107,7 +107,7 @@ func TestHourlyDemandIsAveraged(t *testing.T) {
 		}
 		return math.Inf(1)
 	})
-	Run(cfg, []*task.Task{tk, later})
+	runSolo(t, cfg, []*task.Task{tk, later}, nil)
 	if len(series) == 0 {
 		t.Fatal("no demand recorded")
 	}
@@ -147,7 +147,7 @@ func TestStaleFinishAfterEvictAndRestart(t *testing.T) {
 			cfg.Observers = []Observer{log}
 			cfg.Scenario = []ScenarioAction{rackDown(simclock.Time(30*simclock.Minute), 0)}
 			tk := mkTask(1, c.typ, 1, 8, 2*simclock.Hour, 0)
-			res := Run(cfg, []*task.Task{tk})
+			res, _ := runSolo(t, cfg, []*task.Task{tk}, nil)
 			fin := finishesOf(log, 1)
 			if len(fin) != 1 || fin[0].At != c.want || tk.FinishedAt != c.want {
 				t.Fatalf("finished %d times (%v), at %d; want once at %d", len(fin), fin, tk.FinishedAt, c.want)
@@ -245,7 +245,7 @@ func TestAutoscaleRetireDrainsAndProvisionUnblocks(t *testing.T) {
 	cfg := DefaultSimConfig(cl, &firstFit{})
 	cfg.Observers = []Observer{log, cordon}
 	cfg.Autoscaler = &scriptedScaler{retireAt: simclock.Time(30 * simclock.Minute), provisionAt: simclock.Time(simclock.Hour)}
-	res := Run(cfg, []*task.Task{hp, spot, blocked})
+	res, _ := runSolo(t, cfg, []*task.Task{hp, spot, blocked}, nil)
 
 	if ret := log.Filter(NodeRetired); len(ret) != 1 || ret[0].Node.ID != 0 {
 		t.Fatalf("want one NodeRetired for node 0, got %v", ret)

@@ -93,7 +93,7 @@ func TestSimTasksComplete(t *testing.T) {
 		mkTask(1, task.HP, 1, 8, simclock.Hour, 0),
 		mkTask(2, task.Spot, 1, 4, 30*simclock.Minute, 0),
 	}
-	res := Run(DefaultSimConfig(cl, &firstFit{}), tasks)
+	res, _ := runSolo(t, DefaultSimConfig(cl, &firstFit{}), tasks, nil)
 	if res.UnfinishedHP != 0 || res.UnfinishedSpot != 0 {
 		t.Fatalf("unfinished %d/%d", res.UnfinishedHP, res.UnfinishedSpot)
 	}
@@ -120,7 +120,7 @@ func TestSimQueuesWhenFull(t *testing.T) {
 		mkTask(1, task.HP, 1, 8, simclock.Hour, 0),
 		mkTask(2, task.HP, 1, 8, simclock.Hour, 0),
 	}
-	res := Run(DefaultSimConfig(cl, &firstFit{}), tasks)
+	res, _ := runSolo(t, DefaultSimConfig(cl, &firstFit{}), tasks, nil)
 	if res.UnfinishedHP != 0 {
 		t.Fatal("both must eventually finish")
 	}
@@ -140,7 +140,7 @@ func TestSimPreemptionFlow(t *testing.T) {
 		mkTask(2, task.HP, 1, 8, simclock.Hour, simclock.Time(30*simclock.Minute)),
 	}
 	cfg := DefaultSimConfig(cl, &firstFit{preempt: true})
-	res := Run(cfg, tasks)
+	res, _ := runSolo(t, cfg, tasks, nil)
 	spot, hp := tasks[0], tasks[1]
 	if hp.State != task.Finished || spot.State != task.Finished {
 		t.Fatalf("states: hp=%v spot=%v", hp.State, spot.State)
@@ -175,7 +175,7 @@ func TestSimWasteAccounting(t *testing.T) {
 		// task's 30-minute checkpoint → 8 GPUs × 300 s wasted.
 		mkTask(2, task.HP, 1, 8, simclock.Hour, simclock.Time(35*simclock.Minute)),
 	}
-	res := Run(DefaultSimConfig(cl, &firstFit{preempt: true}), tasks)
+	res, _ := runSolo(t, DefaultSimConfig(cl, &firstFit{preempt: true}), tasks, nil)
 	want := 8 * (5 * simclock.Minute).Seconds()
 	if math.Abs(res.WastedGPUSeconds-want) > 1e-9 {
 		t.Fatalf("waste = %v, want %v", res.WastedGPUSeconds, want)
@@ -190,7 +190,7 @@ func TestSimSpotQuotaBlocksAdmission(t *testing.T) {
 	}
 	cfg := DefaultSimConfig(cl, &firstFit{})
 	cfg.Quota = StaticQuota{Fraction: 0.5} // 8 of 16 GPUs
-	res := Run(cfg, tasks)
+	res, _ := runSolo(t, cfg, tasks, nil)
 	if res.UnfinishedSpot != 0 {
 		t.Fatal("both spot tasks should finish eventually")
 	}
@@ -213,7 +213,7 @@ func TestSimQuotaInitializedBeforeFirstPass(t *testing.T) {
 	}
 	cfg := DefaultSimConfig(cl, &firstFit{})
 	cfg.Quota = StaticQuota{Fraction: 0.5}
-	Run(cfg, tasks)
+	runSolo(t, cfg, tasks, nil)
 	if tasks[0].FirstStart != 0 {
 		t.Fatal("first spot task should start immediately")
 	}
@@ -229,7 +229,7 @@ func TestSimGangAtomicity(t *testing.T) {
 	blocker := mkTask(1, task.HP, 1, 8, simclock.Hour, 0)
 	gang := mkTask(2, task.HP, 2, 8, 30*simclock.Minute, simclock.Time(simclock.Minute))
 	gang.Gang = true
-	res := Run(DefaultSimConfig(cl, &firstFit{}), []*task.Task{blocker, gang})
+	res, _ := runSolo(t, DefaultSimConfig(cl, &firstFit{}), []*task.Task{blocker, gang}, nil)
 	if res.UnfinishedHP != 0 {
 		t.Fatal("gang should finish after blocker")
 	}
@@ -251,7 +251,8 @@ func TestSimDeterminism(t *testing.T) {
 				simclock.Duration(10+i)*simclock.Minute,
 				simclock.Time(i)*simclock.Time(simclock.Minute)))
 		}
-		return Run(DefaultSimConfig(cl, &firstFit{preempt: true}), tasks)
+		res, _ := runSolo(t, DefaultSimConfig(cl, &firstFit{preempt: true}), tasks, nil)
+		return res
 	}
 	a, b := build(), build()
 	if a.HP.JCT != b.HP.JCT || a.Spot.JCT != b.Spot.JCT ||
@@ -274,7 +275,7 @@ func TestSimOrgDemandRecorded(t *testing.T) {
 		captured = ctx.OrgDemand
 		return math.Inf(1)
 	})
-	Run(cfg, tasks)
+	runSolo(t, cfg, tasks, nil)
 	if len(captured["OrgX"]) == 0 {
 		t.Fatal("hourly org demand should be recorded")
 	}
@@ -301,7 +302,7 @@ func TestSimIdleTimeoutStopsStalledRun(t *testing.T) {
 	tasks := []*task.Task{mkTask(1, task.Spot, 1, 16, simclock.Hour, 0)}
 	cfg := DefaultSimConfig(cl, &firstFit{})
 	cfg.limits = &limits{grace: paperLimits.grace, maxFailures: paperLimits.maxFailures, idleTimeout: 2 * simclock.Hour}
-	res := Run(cfg, tasks)
+	res, _ := runSolo(t, cfg, tasks, nil)
 	if res.UnfinishedSpot != 1 {
 		t.Fatalf("unfinished spot = %d, want 1", res.UnfinishedSpot)
 	}
@@ -337,7 +338,7 @@ func TestUnsortedPreloadKeepsTimeMonotone(t *testing.T) {
 		}
 		last = e.At
 	})}
-	res := Run(cfg, tasks)
+	res, _ := runSolo(t, cfg, tasks, nil)
 	if res.UnfinishedHP != 0 || res.UnfinishedSpot != 0 {
 		t.Fatalf("unfinished %d/%d", res.UnfinishedHP, res.UnfinishedSpot)
 	}

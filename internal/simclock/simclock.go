@@ -95,9 +95,9 @@ func (q *Queue) Push(at Time, value any) {
 
 // PushFront schedules value for delivery at time at, ahead of every
 // same-instant Push event no matter when either was inserted. The
-// simulator uses it for task arrivals, so a trace streamed in mid-run
-// (Inject, replay) observes the same arrivals-first tie-break as a
-// trace preloaded at construction. PushFront events at the same
+// simulator uses it for task arrivals, so a task Injected mid-run (a
+// federation route or migration) observes the same arrivals-first
+// tie-break as a trace walked from the arrival cursor. PushFront events at the same
 // instant keep insertion order among themselves.
 func (q *Queue) PushFront(at Time, value any) {
 	q.push(at, 0, value)

@@ -83,11 +83,11 @@ func WithShards(n int) Option {
 
 // WithTraceSource attaches a streaming trace to the engine for
 // replay: Engine.RunTrace pulls tasks from the source as the
-// simulated clock reaches their submission times, feeding the
-// stepwise Inject core, so the trace is never materialized. The
-// source must yield tasks in non-decreasing submission order (every
-// codec in this module does) and, being single-use, supports exactly
-// one RunTrace.
+// simulated clock reaches their submission times, through the same
+// arrival cursor a preloaded trace takes, so the trace is never
+// materialized. The source must yield tasks in non-decreasing
+// submission order (every codec in this module does) and, being
+// single-use, supports exactly one RunTrace.
 func WithTraceSource(src TraceSource) Option {
 	return func(e *Engine) { e.src = src }
 }
