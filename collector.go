@@ -79,22 +79,6 @@ func DefaultCollectors() []Collector {
 	}
 }
 
-// AssembleReport builds a Report directly from collectors, for
-// callers that attached collectors (WithCollectors) to a run whose
-// engine they do not hold — e.g. a CLI threading options through an
-// experiment harness. Engine.RunReport and RunBatch are the usual
-// paths.
-func AssembleReport(cs ...Collector) *Report {
-	rep := &Report{}
-	for _, c := range cs {
-		c.Finish(rep)
-	}
-	if rep.Summary != nil {
-		rep.Scheduler = rep.Summary.Scheduler
-	}
-	return rep
-}
-
 // taskRecord is the per-task scratch state the task-tracking
 // collectors accumulate from the event stream. Records are kept in
 // first-arrival order so float accumulations reproduce the simulator

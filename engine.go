@@ -2,7 +2,6 @@ package gfs
 
 import (
 	"context"
-	"errors"
 
 	"github.com/sjtucitlab/gfs/internal/core"
 	"github.com/sjtucitlab/gfs/internal/sched"
@@ -76,7 +75,7 @@ type Engine struct {
 	cluster *Cluster
 	cfg     sched.SimConfig
 	// src is the streaming trace attached by WithTraceSource, drained
-	// by RunTrace.
+	// by the run.
 	src TraceSource
 	// collectors are the report collectors attached by
 	// WithCollectors, assembled into a Report after the run.
@@ -90,7 +89,7 @@ type Engine struct {
 // NewEngine builds an engine over the cluster, applying options in
 // order (later options win).
 func NewEngine(cl *Cluster, opts ...Option) *Engine {
-	e := &Engine{cluster: cl, cfg: sched.DefaultSimConfig(cl, nil)}
+	e := &Engine{cluster: cl, cfg: sched.SimConfig{Cluster: cl}}
 	for _, opt := range opts {
 		opt(e)
 	}
@@ -121,10 +120,6 @@ func (e *Engine) runMeta() RunMeta {
 	return meta
 }
 
-// Config exposes the underlying simulation configuration (for
-// inspection; mutate via options instead).
-func (e *Engine) Config() SimConfig { return e.cfg }
-
 // Run executes the discrete-event simulation over the trace and
 // returns its metrics. Tasks are mutated in place (lifecycle state,
 // run logs), so each Run needs a fresh trace and engines are not safe
@@ -132,8 +127,8 @@ func (e *Engine) Config() SimConfig { return e.cfg }
 // a domain without restoring it, and an autoscaler's provisioned and
 // retired nodes, leave those changes on the cluster after Run
 // returns, so such an engine should run once; for sweeps, build fresh
-// state per run via RunBatch. An engine with an attached trace source replays
-// it through RunTrace instead; Run panics on one.
+// state per run via RunBatch. An engine with an attached trace source
+// replays it through RunBatch instead; Run panics on one.
 func (e *Engine) Run(tasks []*Task) *Result {
 	// A background context never cancels and a task slice cannot fail
 	// to decode, so the only error left is the source-plus-slice
@@ -145,7 +140,7 @@ func (e *Engine) Run(tasks []*Task) *Result {
 	return res
 }
 
-// run is the one execution path behind Run, RunTrace and RunBatch: the
+// run is the one execution path behind Run and RunBatch: the
 // engine runs as a federation of one whose source is the engine's (see
 // Federation.execute for the context and source rules).
 func (e *Engine) run(ctx context.Context, tasks []*Task) (*Result, error) {
@@ -187,19 +182,4 @@ func (e *Engine) RunReport(tasks []*Task) *Report {
 	}
 	e.Run(tasks)
 	return e.report()
-}
-
-// RunTrace executes the simulation over the engine's attached trace
-// source (WithTraceSource): tasks are pulled one at a time, one
-// ahead of the clock, so ingestion stays constant-memory and works on
-// traces far larger than RAM. The replayed run is event-for-event
-// identical to Run over the same trace, idle gaps included. Decode and
-// ordering errors from the source abort the run.
-// Like Run, it mutates replayed tasks and the cluster, so an engine
-// runs one trace; the source is closed when the replay ends.
-func (e *Engine) RunTrace() (*Result, error) {
-	if e.src == nil {
-		return nil, errors.New("gfs: RunTrace needs WithTraceSource")
-	}
-	return e.run(context.Background(), nil)
 }

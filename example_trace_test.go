@@ -120,9 +120,12 @@ func ExampleRebaseTrace() {
 	// Output: first submit: 0
 }
 
-// Replay: WithTraceSource attaches a stream to an engine and
-// RunTrace pulls tasks one ahead of the clock, through the arrival
-// cursor a preload takes — the trace is never loaded whole.
+// Replay: WithTraceSource attaches a stream to an engine and the run
+// pulls tasks one ahead of the clock, through the arrival cursor a
+// preload takes — the trace is never loaded whole. RunTrace and
+// WriteTraceCSV are bench pins (ROADMAP item 1a), kept here as their
+// witness; programs replay through RunBatch with a Setup that returns
+// the engine and a nil task slice, as gfsim and gfsd do.
 func ExampleWithTraceSource() {
 	var buf bytes.Buffer
 	if err := gfs.WriteTraceCSV(&buf, tinyTrace()); err != nil {

@@ -388,7 +388,7 @@ func (f *Federation) fedConfig() sched.FedConfig {
 	}
 	for i, m := range f.members {
 		fm := &cfg.Members[i]
-		fm.Name, fm.Cfg = m.Name, m.Engine.Config()
+		fm.Name, fm.Cfg = m.Name, m.Engine.cfg
 		if len(f.members) == 1 {
 			continue
 		}

@@ -35,7 +35,6 @@
 package gfs
 
 import (
-	"io"
 	"sort"
 
 	"github.com/sjtucitlab/gfs/internal/baselines"
@@ -68,8 +67,6 @@ type (
 	Scheduler = sched.Scheduler
 	// QuotaPolicy computes the spot quota at each update tick.
 	QuotaPolicy = sched.QuotaPolicy
-	// SimConfig configures a simulation run.
-	SimConfig = sched.SimConfig
 	// Result summarizes a simulation.
 	Result = sched.Result
 	// TaskMetrics summarizes one task class of a Result.
@@ -149,10 +146,6 @@ type TraceStats = trace.Stats
 
 // SummarizeTrace computes workload statistics over a trace.
 func SummarizeTrace(tasks []*Task) TraceStats { return trace.Summarize(tasks) }
-
-// WriteTraceCSV writes a trace in the package's CSV interchange
-// format.
-func WriteTraceCSV(w io.Writer, tasks []*Task) error { return trace.WriteCSV(w, tasks) }
 
 // TrainEstimator creates and trains a demand estimator on an aligned
 // panel of per-organization hourly demand series starting at

@@ -128,7 +128,7 @@ func TestGFSEndToEndSmallTrace(t *testing.T) {
 	est := trainedEstimator(t)
 	sys := New(Options{Estimator: est})
 	cl := cluster.NewHomogeneous("A100", 16, 8)
-	simCfg := sched.DefaultSimConfig(cl, sys.Scheduler)
+	simCfg := sched.SimConfig{Cluster: cl, Scheduler: sys.Scheduler}
 	simCfg.Quota = sys.Quota
 	res := runSim(t, simCfg, tasks)
 
@@ -174,12 +174,12 @@ func TestGFSReducesEvictionsVsStaticFirstFit(t *testing.T) {
 
 	sys := New(Options{Estimator: est})
 	gfsCl := cluster.NewHomogeneous("A100", 16, 8)
-	gfsCfg := sched.DefaultSimConfig(gfsCl, sys.Scheduler)
+	gfsCfg := sched.SimConfig{Cluster: gfsCl, Scheduler: sys.Scheduler}
 	gfsCfg.Quota = sys.Quota
 	gfsRes := runSim(t, gfsCfg, gen())
 
 	ffCl := cluster.NewHomogeneous("A100", 16, 8)
-	ffRes := runSim(t, sched.DefaultSimConfig(ffCl, staticFF()), gen())
+	ffRes := runSim(t, sched.SimConfig{Cluster: ffCl, Scheduler: staticFF()}, gen())
 
 	if gfsRes.Spot.EvictionRate > ffRes.Spot.EvictionRate {
 		t.Fatalf("GFS eviction %v should not exceed first-fit %v",

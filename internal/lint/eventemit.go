@@ -6,7 +6,7 @@ import (
 )
 
 // EventEmit flags construction of sched.Event values outside the emit
-// path. Events carry the run's sequence: Simulator.emit stamps At and
+// path. Events carry the run's sequence: simulator.emit stamps At and
 // Seq under the single per-run counter, which is what gives observers
 // one totally ordered, gap-free stream (and what the NodeRetired
 // cordon-ordering fix in the autoscaler PR shows is easy to violate by

@@ -216,7 +216,7 @@ func planCounts(t *testing.T, clusterGPUs float64, gangScale int) (rejected, cos
 	cfg.Seed, cfg.Days, cfg.ClusterGPUs, cfg.SpotScale, cfg.GangScale = 11, 1, clusterGPUs, 4, gangScale
 	cfg.MaxDuration = 6 * simclock.Hour
 	s := New(DefaultConfig())
-	solo := sched.FedConfig{Members: []sched.FedMember{{Cfg: sched.DefaultSimConfig(cluster.NewHomogeneous("A100", 48, 8), s)}}}
+	solo := sched.FedConfig{Members: []sched.FedMember{{Cfg: sched.SimConfig{Cluster: cluster.NewHomogeneous("A100", 48, 8), Scheduler: s}}}}
 	if _, err := sched.RunFederationContext(context.Background(), solo, trace.Generate(cfg), nil); err != nil {
 		t.Fatal(err)
 	}

@@ -23,10 +23,10 @@ import (
 // after recordDemand and compares its series with the simulator's,
 // bit for bit.
 type demandOracle struct {
-	sim *Simulator
+	sim *simulator
 	// order returns the tasks in the order the sum runs over; nil
 	// means s.tasks.
-	order    func(s *Simulator) []*task.Task
+	order    func(s *simulator) []*task.Task
 	calls    int
 	lastHour int
 	samples  int
@@ -105,7 +105,7 @@ func sameSeries(now simclock.Time, want, got map[string][]float64) error {
 // Demand-view world modes.
 const (
 	demandSorted    = iota // Submit-sorted preload into one simulator
-	demandStreamed         // the same trace streamed through Inject
+	demandStreamed         // the same trace streamed from a source
 	demandFederated        // routed over two members with spillover
 	demandUnsorted         // a shuffled preload into one simulator
 	demandModes
@@ -147,11 +147,11 @@ func runDemandWorld(seed int64, mode int) (returns int, err error) {
 	var oracles []*demandOracle
 	cfg := FedConfig{Route: RouteLeastLoaded{}, Spill: SpillLeastLoaded{}}
 	for m := range members {
-		mc := DefaultSimConfig(oneNodeRacks(cluster.NewHomogeneous("A100", 2+rng.Intn(3), 8)), &firstFit{})
+		mc := SimConfig{Cluster: oneNodeRacks(cluster.NewHomogeneous("A100", 2+rng.Intn(3), 8)), Scheduler: &firstFit{}}
 		mc.InitialOrgDemand = initial
 		o := newDemandOracle(initial)
 		if mode == demandUnsorted {
-			o.order = func(s *Simulator) []*task.Task {
+			o.order = func(s *simulator) []*task.Task {
 				return slices.SortedStableFunc(slices.Values(s.tasks), func(a, b *task.Task) int {
 					return cmp.Compare(a.Submit, b.Submit)
 				})

@@ -35,7 +35,7 @@ type MemberState struct {
 	Reclaim func(simclock.Time) float64
 
 	cluster *cluster.Cluster
-	sim     *Simulator
+	sim     *simulator
 }
 
 // FreeGPUs returns the member's currently idle schedulable capacity.
@@ -432,11 +432,11 @@ func newFedSim(cfg FedConfig, tasks []*task.Task, src TaskSource) *fedSim {
 			continue
 		}
 		if cfg.Spill != nil {
-			mcfg.EvictionInterceptor = func(tk *task.Task, cause EvictCause) bool {
+			mcfg.evictionInterceptor = func(tk *task.Task, cause EvictCause) bool {
 				return f.intercept(i, tk, cause)
 			}
 		}
-		b.sim = NewSimulator(mcfg, nil)
+		b.sim = newSimulator(mcfg, nil, nil)
 		f.states = append(f.states, &b.MemberState)
 	}
 	if !solo {
@@ -483,11 +483,11 @@ func (f *fedSim) loop(ctx context.Context) error {
 		for i := range f.books {
 			m := f.books[i].sim
 			for {
-				mt, ok := m.PeekTime()
+				mt, ok := m.peekTime()
 				if !ok || mt != t {
 					break
 				}
-				m.Step()
+				m.step()
 			}
 		}
 	}
@@ -506,7 +506,7 @@ func (f *fedSim) nextTime() (simclock.Time, bool) {
 		best, found = ev.At, true
 	}
 	for i := range f.books {
-		if mt, ok := f.books[i].sim.PeekTime(); ok && (!found || mt < best) {
+		if mt, ok := f.books[i].sim.peekTime(); ok && (!found || mt < best) {
 			best, found = mt, true
 		}
 	}
@@ -526,14 +526,14 @@ func (f *fedSim) route(tk *task.Task) {
 		f.saturated(to)
 	}
 	b.routed++
-	b.sim.Inject(tk, f.now)
+	b.sim.inject(tk, f.now)
 }
 
 // intercept is the per-member eviction hook: it asks the spillover
 // policy where the victim goes and, when a sibling takes it,
 // schedules the migration and claims the task from the member.
 func (f *fedSim) intercept(from int, tk *task.Task, cause EvictCause) bool {
-	now := f.books[from].sim.Now()
+	now := f.books[from].sim.now
 	to := f.cfg.Spill.Spill(&SpillContext{
 		Now: now, Task: tk, Cause: cause,
 		From: from, Members: f.states,
@@ -558,7 +558,7 @@ func (f *fedSim) deliver(e fedMigration) {
 			Member: f.books[e.from].Name, Target: f.books[e.to].Name,
 		})
 	}
-	f.books[e.to].sim.Inject(e.tk, f.now)
+	f.books[e.to].sim.inject(e.tk, f.now)
 }
 
 // saturated records (and, once per member and timestamp, emits) a
@@ -591,7 +591,7 @@ func (f *fedSim) finish() *FedResult {
 	out := &FedResult{Members: make([]MemberResult, 0, len(f.books))}
 	for i := range f.books {
 		b := &f.books[i]
-		r := b.sim.Finish()
+		r := b.sim.finish()
 		if len(f.books) == 1 {
 			b.routed = len(r.Tasks)
 		}

@@ -12,7 +12,7 @@ import (
 // fedTestConfig builds a member configuration of one-node racks for
 // the low-level loop tests.
 func fedTestConfig(nodes int) SimConfig {
-	return DefaultSimConfig(oneNodeRacks(cluster.NewHomogeneous("A100", nodes, 8)), &firstFit{})
+	return SimConfig{Cluster: oneNodeRacks(cluster.NewHomogeneous("A100", nodes, 8)), Scheduler: &firstFit{}}
 }
 
 // runFed runs a preloaded federation to completion, failing the test
@@ -114,23 +114,23 @@ func (routeByID) Route(ctx *RouteContext) int {
 	return 1
 }
 
-// TestInjectRestartsTickChain: Inject into a simulator whose queue
+// TestInjectRestartsTickChain: inject into a simulator whose queue
 // ran dry must restart quota ticking so the new task is scheduled.
 func TestInjectRestartsTickChain(t *testing.T) {
 	cfg := fedTestConfig(1)
 	cfg.Quota = StaticQuota{Fraction: 1}
-	s := NewSimulator(cfg, []*task.Task{mkTask(1, task.HP, 1, 8, simclock.Hour, 0)})
-	for s.Step() {
+	s := newSimulator(cfg, []*task.Task{mkTask(1, task.HP, 1, 8, simclock.Hour, 0)}, nil)
+	for s.step() {
 	}
-	if _, ok := s.PeekTime(); ok {
+	if _, ok := s.peekTime(); ok {
 		t.Fatal("simulator should be idle")
 	}
 	late := mkTask(2, task.Spot, 1, 8, simclock.Hour, 0)
-	at := s.Now().Add(10 * simclock.Hour)
-	s.Inject(late, at)
-	for s.Step() {
+	at := s.now.Add(10 * simclock.Hour)
+	s.inject(late, at)
+	for s.step() {
 	}
-	res := s.Finish()
+	res := s.finish()
 	if late.State != task.Finished {
 		t.Fatalf("late-injected task state %v, want finished", late.State)
 	}

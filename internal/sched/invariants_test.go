@@ -38,7 +38,7 @@ func TestSimulationInvariants(t *testing.T) {
 			}
 			tasks = append(tasks, tk)
 		}
-		cfg := DefaultSimConfig(cl, &firstFit{preempt: true})
+		cfg := SimConfig{Cluster: cl, Scheduler: &firstFit{preempt: true}}
 		cfg.Quota = StaticQuota{Fraction: 0.3 + rng.Float64()*0.4}
 		cfg.limits = &limits{grace: paperLimits.grace, maxFailures: paperLimits.maxFailures, idleTimeout: 12 * simclock.Hour}
 		res, _ := runSolo(t, cfg, tasks, nil)
@@ -127,7 +127,7 @@ func TestSimulationNeverLosesTasks(t *testing.T) {
 			tk.CheckpointEvery = 20 * simclock.Minute
 			tasks = append(tasks, tk)
 		}
-		res, _ := runSolo(t, DefaultSimConfig(cl, &firstFit{preempt: true}), tasks, nil)
+		res, _ := runSolo(t, SimConfig{Cluster: cl, Scheduler: &firstFit{preempt: true}}, tasks, nil)
 		// Light load, plentiful capacity: every task must finish.
 		if res.UnfinishedHP+res.UnfinishedSpot != 0 {
 			t.Fatalf("trial %d: %d/%d tasks unfinished under light load",

@@ -168,7 +168,7 @@ func (s *stubSched) place(ctx *Context, tk *task.Task, h uint64) (*Decision, err
 // passWorld is one side of the differential: a cluster, a stub
 // scheduler and either the simulator (bucketed pass) or flatSim.
 type passWorld struct {
-	sim   *Simulator
+	sim   *simulator
 	flat  *flatSim
 	stub  *stubSched
 	tasks []*task.Task
@@ -179,11 +179,11 @@ func newPassWorld(bucketed bool, order, maxFail int, ramp float64) *passWorld {
 	cl.AddPool(cluster.Pool{Model: "A100", Nodes: 6, GPUsPerNode: 8})
 	cl.AddPool(cluster.Pool{Model: "H800", Nodes: 4, GPUsPerNode: 8})
 	w := &passWorld{stub: &stubSched{order: order}}
-	cfg := DefaultSimConfig(cl, w.stub)
+	cfg := SimConfig{Cluster: cl, Scheduler: w.stub}
 	cfg.limits = &limits{grace: 0, maxFailures: maxFail, idleTimeout: paperLimits.idleTimeout}
 	cfg.Quota = rampQuota{perPass: ramp}
 	if bucketed {
-		w.sim = NewSimulator(cfg, nil)
+		w.sim = newSimulator(cfg, nil, nil)
 	} else {
 		w.flat = &flatSim{cfg: cfg, state: NewState(cl)}
 	}
@@ -219,8 +219,8 @@ func (w *passWorld) round(now simclock.Time, finish []int, arrivals []*task.Task
 		}
 		w.sim.schedulePass()
 		w.sim.pend.each(func(tk *task.Task) { ids = append(ids, tk.ID) })
-		if w.sim.PendingTasks() != len(ids) {
-			panic(fmt.Sprintf("queue count %d, walk saw %d", w.sim.PendingTasks(), len(ids)))
+		if w.sim.pend.n != len(ids) {
+			panic(fmt.Sprintf("queue count %d, walk saw %d", w.sim.pend.n, len(ids)))
 		}
 		return ids
 	}
@@ -310,15 +310,15 @@ func TestPassWorkScalesWithShapes(t *testing.T) {
 	cfg.MaxDuration = 6 * simclock.Hour
 	// The trace loads 64 nodes at spot scale 4; 48 nodes carry it.
 	cl := cluster.NewHomogeneous("A100", 48, 8)
-	sc := DefaultSimConfig(cl, &firstFit{preempt: true})
+	sc := SimConfig{Cluster: cl, Scheduler: &firstFit{preempt: true}}
 	sc.Quota = StaticQuota{Fraction: 0.5}
-	s := NewSimulator(sc, trace.Generate(cfg))
+	s := newSimulator(sc, trace.Generate(cfg), nil)
 	var depth, steps uint64
-	for s.Step() {
-		depth += uint64(s.PendingTasks())
+	for s.step() {
+		depth += uint64(s.pend.n)
 		steps++
 	}
-	s.Finish()
+	s.finish()
 	w := s.work
 	t.Logf("passes %d shapes %d examined %d parked %d calls %d starts %d; mean depth %.0f",
 		w.passes, w.shapes, w.examined, s.pend.parks, w.calls, w.starts, float64(depth)/float64(steps))
@@ -453,10 +453,10 @@ var manyShapes = func() [][2]float64 {
 // shapes, taken in turn, on a full cluster, so an unassisted pass fails
 // every shape. With room set, one idle node lets the head of the queue
 // (HP, 1×8, the first shape of both lists) start and nothing else.
-func deepQueue(room bool, shapes [][2]float64) *Simulator {
+func deepQueue(room bool, shapes [][2]float64) *simulator {
 	cl := cluster.NewHomogeneous("A100", 9, 8)
-	cfg := DefaultSimConfig(cl, &firstFit{})
-	s := NewSimulator(cfg, nil)
+	cfg := SimConfig{Cluster: cl, Scheduler: &firstFit{}}
+	s := newSimulator(cfg, nil, nil)
 	nodes := cl.Nodes()
 	if room {
 		nodes = nodes[1:]
@@ -483,10 +483,10 @@ func TestAllFailPassAllocatesNothing(t *testing.T) {
 		s := deepQueue(false, shapes)
 		s.schedulePass() // sizes the walk lists
 		if n := testing.AllocsPerRun(20, s.schedulePass); n != 0 {
-			t.Fatalf("all-fail pass at depth %d over %d shapes: %v allocs, want 0", s.PendingTasks(), len(shapes), n)
+			t.Fatalf("all-fail pass at depth %d over %d shapes: %v allocs, want 0", s.pend.n, len(shapes), n)
 		}
-		if s.PendingTasks() != 1500 || s.work.starts != 0 {
-			t.Fatalf("pass changed the queue: %d queued, %d starts", s.PendingTasks(), s.work.starts)
+		if s.pend.n != 1500 || s.work.starts != 0 {
+			t.Fatalf("pass changed the queue: %d queued, %d starts", s.pend.n, s.work.starts)
 		}
 	}
 }

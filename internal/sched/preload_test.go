@@ -1,4 +1,4 @@
-package sched_test
+package sched
 
 import (
 	"cmp"
@@ -7,23 +7,20 @@ import (
 	"slices"
 	"testing"
 
-	"github.com/sjtucitlab/gfs/internal/baselines"
 	"github.com/sjtucitlab/gfs/internal/cluster"
-	"github.com/sjtucitlab/gfs/internal/pts"
-	"github.com/sjtucitlab/gfs/internal/sched"
 	"github.com/sjtucitlab/gfs/internal/simclock"
 	"github.com/sjtucitlab/gfs/internal/task"
 	"github.com/sjtucitlab/gfs/internal/trace"
 )
 
 // preloadWorld is one random run: tasks, possibly out of submission
-// order and many sharing an instant, a scheduler choice and scenario
-// actions timed at arrival instants.
+// order and many sharing an instant, first fit with or without
+// preemption, and scenario actions timed at arrival instants.
 type preloadWorld struct {
 	tasks   func() []*task.Task
-	gfs     bool
+	preempt bool
 	sorted  bool
-	actions []sched.ScenarioAction
+	actions []ScenarioAction
 }
 
 // The three ways a world's tasks reach the simulator.
@@ -37,7 +34,7 @@ func newPreloadWorld(seed int64, n uint8, flags uint8) preloadWorld {
 	rng := rand.New(rand.NewSource(seed))
 	count := 1 + int(n)%80
 	unsorted := flags&1 != 0
-	w := preloadWorld{gfs: flags&2 != 0, sorted: !unsorted}
+	w := preloadWorld{preempt: flags&2 != 0, sorted: !unsorted}
 	// Few instants, so most arrivals tie with another arrival and, at
 	// multiples of the 300 s quota interval, with a tick. The instants
 	// fall in up to three bursts 8 h apart, so a run usually idles
@@ -95,66 +92,62 @@ func newPreloadWorld(seed int64, n uint8, flags uint8) preloadWorld {
 		rack := cluster.DomainName(rng.Intn(2), rng.Intn(2))
 		switch rng.Intn(3) {
 		case 0:
-			w.actions = append(w.actions, sched.ScenarioAction{At: at, Op: sched.OpDomainDown, Domain: rack})
+			w.actions = append(w.actions, ScenarioAction{At: at, Op: OpDomainDown, Domain: rack})
 		case 1:
-			w.actions = append(w.actions, sched.ScenarioAction{At: at, Op: sched.OpDomainUp, Domain: rack})
+			w.actions = append(w.actions, ScenarioAction{At: at, Op: OpDomainUp, Domain: rack})
 		default:
 			if !unsorted {
-				w.actions = append(w.actions, sched.ScenarioAction{At: at, Op: sched.OpReclaimSpot, Fraction: 0.5})
+				w.actions = append(w.actions, ScenarioAction{At: at, Op: OpReclaimSpot, Fraction: 0.5})
 			}
 		}
 	}
 	return w
 }
 
-// run renders the event log of the world's tasks: preloaded, Injected
-// in stable submission order before the first Step, or streamed
+// run renders the event log of the world's tasks: preloaded, injected
+// in stable submission order before the first step, or streamed
 // through a one-member run from a source.
 func (w preloadWorld) run(how int) string {
 	cl := cluster.NewHomogeneous("A100", 4, 8)
 	cl.AssignDomains(2, 2)
-	var sc sched.Scheduler = baselines.NewStaticFirstFit()
-	if w.gfs {
-		sc = pts.New(pts.DefaultConfig())
-	}
-	log := &sched.EventLog{}
-	cfg := sched.DefaultSimConfig(cl, sc)
-	cfg.Quota = sched.StaticQuota{Fraction: 0.5}
+	log := &EventLog{}
+	cfg := SimConfig{Cluster: cl, Scheduler: &firstFit{preempt: w.preempt}}
+	cfg.Quota = StaticQuota{Fraction: 0.5}
 	cfg.Scenario = w.actions
-	cfg.Observers = []sched.Observer{log}
+	cfg.Observers = []Observer{log}
 	tasks := w.tasks()
 	if how == streamed {
-		solo := sched.FedConfig{Members: []sched.FedMember{{Name: "solo", Cfg: cfg}}}
-		if _, err := sched.RunFederationContext(context.Background(), solo, nil, trace.SliceSource(tasks)); err != nil {
+		solo := FedConfig{Members: []FedMember{{Name: "solo", Cfg: cfg}}}
+		if _, err := RunFederationContext(context.Background(), solo, nil, trace.SliceSource(tasks)); err != nil {
 			return err.Error()
 		}
 		return log.String()
 	}
-	var s *sched.Simulator
+	var s *simulator
 	if how == injected {
-		s = sched.NewSimulator(cfg, nil)
+		s = newSimulator(cfg, nil, nil)
 		slices.SortStableFunc(tasks, func(a, b *task.Task) int { return cmp.Compare(a.Submit, b.Submit) })
 		for _, tk := range tasks {
-			s.Inject(tk, tk.Submit)
+			s.inject(tk, tk.Submit)
 		}
 	} else {
-		s = sched.NewSimulator(cfg, tasks)
+		s = newSimulator(cfg, tasks, nil)
 	}
-	for s.Step() {
+	for s.step() {
 	}
-	s.Finish()
+	s.finish()
 	return log.String()
 }
 
 // FuzzPreloadMatchesInject: a preloaded trace, delivered from the
 // simulator's arrival feed, yields byte for byte the event log of the
-// same tasks Injected up front into the event queue, under GFS's
-// placement and first fit, sorted or not, with ties among arrivals and
+// same tasks injected up front into the event queue, under first fit
+// with and without preemption, sorted or not, with ties among arrivals and
 // against scenario actions and quota ticks at the same instant. A
 // sorted world streamed from a source yields it too, idle gaps
 // between bursts included.
 func FuzzPreloadMatchesInject(f *testing.F) {
-	// Every pairing of sorted or not with GFS or first fit.
+	// Every pairing of sorted or not with preempting or not.
 	for seed := int64(1); seed <= 24; seed++ {
 		for flags := range uint8(4) {
 			f.Add(seed, uint8(7*seed), flags)

@@ -14,16 +14,29 @@ import (
 )
 
 // denseTrace generates a dense one-day workload small enough for
-// fast tests but busy enough that ties (same-second arrivals, quota
-// ticks during arrivals) actually occur.
-func denseTrace(seed int64) []*task.Task {
+// fast tests. Submissions are floored to the minute, so arrivals share
+// instants with each other and with quota ticks; it fails the test if
+// the seed yields no two arrivals at one instant.
+func denseTrace(t testing.TB, seed int64) []*task.Task {
+	t.Helper()
 	cfg := trace.Default()
 	cfg.Seed = seed
 	cfg.Days = 1
 	cfg.ClusterGPUs = 128
 	cfg.SpotScale = 2
 	cfg.MaxDuration = 6 * simclock.Hour
-	return trace.Generate(cfg)
+	tasks := trace.Generate(cfg)
+	ties := 0
+	for i, tk := range tasks {
+		tk.Submit -= tk.Submit % simclock.Time(simclock.Minute)
+		if i > 0 && tk.Submit == tasks[i-1].Submit {
+			ties++
+		}
+	}
+	if ties == 0 {
+		t.Fatalf("denseTrace(%d): no same-instant arrivals", seed)
+	}
+	return tasks
 }
 
 // recordingPolicy counts the route and spill decisions asked of it.
@@ -86,7 +99,7 @@ func TestRunSourceMatchesRun(t *testing.T) {
 		nodes int
 		tasks func() []*task.Task
 	}{
-		{"dense", 16, func() []*task.Task { return denseTrace(41) }},
+		{"dense", 16, func() []*task.Task { return denseTrace(t, 41) }},
 		{"idle-gap", 2, func() []*task.Task {
 			return []*task.Task{
 				mkTask(1, task.HP, 1, 8, simclock.Hour, 0),
@@ -98,7 +111,7 @@ func TestRunSourceMatchesRun(t *testing.T) {
 			run := func(streamed bool) (*Result, *EventLog) {
 				cl := cluster.NewHomogeneous("A100", c.nodes, 8)
 				log := &EventLog{}
-				cfg := DefaultSimConfig(cl, &firstFit{preempt: true})
+				cfg := SimConfig{Cluster: cl, Scheduler: &firstFit{preempt: true}}
 				cfg.Quota = StaticQuota{Fraction: 0.5}
 				cfg.Observers = []Observer{log}
 				tasks := c.tasks()
@@ -157,10 +170,10 @@ func TestRunSourceWithScenario(t *testing.T) {
 	run := func(streamed bool) string {
 		cl := oneNodeRacks(cluster.NewHomogeneous("A100", 8, 8))
 		log := &EventLog{}
-		cfg := DefaultSimConfig(cl, &firstFit{preempt: true})
+		cfg := SimConfig{Cluster: cl, Scheduler: &firstFit{preempt: true}}
 		cfg.Observers = []Observer{log}
 		cfg.Scenario = scenario
-		tasks := denseTrace(7)
+		tasks := denseTrace(t, 7)
 		if !streamed {
 			runSolo(t, cfg, tasks, nil)
 		} else if _, err := runSolo(t, cfg, nil, trace.SliceSource(tasks)); err != nil {
@@ -181,7 +194,7 @@ func TestRunSourceRejectsUnsorted(t *testing.T) {
 	a.Submit = 100
 	b := task.New(2, task.Spot, 1, 1, simclock.Hour)
 	b.Submit = 50
-	_, err := runSolo(t, DefaultSimConfig(cl, &firstFit{}), nil, trace.SliceSource([]*task.Task{a, b}))
+	_, err := runSolo(t, SimConfig{Cluster: cl, Scheduler: &firstFit{}}, nil, trace.SliceSource([]*task.Task{a, b}))
 	if err == nil || !strings.Contains(err.Error(), "submission order") {
 		t.Fatalf("want submission-order error, got %v", err)
 	}
@@ -205,7 +218,7 @@ func TestFederationSourceMatchesPreloaded(t *testing.T) {
 	build := func() FedConfig {
 		mk := func(name string) FedMember {
 			cl := cluster.NewHomogeneous("A100", 8, 8)
-			return FedMember{Name: name, Cfg: DefaultSimConfig(cl, &firstFit{preempt: true})}
+			return FedMember{Name: name, Cfg: SimConfig{Cluster: cl, Scheduler: &firstFit{preempt: true}}}
 		}
 		return FedConfig{
 			Members: []FedMember{mk("west"), mk("east")},
@@ -217,8 +230,8 @@ func TestFederationSourceMatchesPreloaded(t *testing.T) {
 	cfgA.Observers = []Observer{logA}
 	cfgB.Observers = []Observer{logB}
 
-	eager := runFed(t, cfgA, denseTrace(13))
-	streamed, err := RunFederationContext(context.Background(), cfgB, nil, trace.SliceSource(denseTrace(13)))
+	eager := runFed(t, cfgA, denseTrace(t, 13))
+	streamed, err := RunFederationContext(context.Background(), cfgB, nil, trace.SliceSource(denseTrace(t, 13)))
 	if err != nil {
 		t.Fatalf("RunFederationContext: %v", err)
 	}
@@ -249,7 +262,7 @@ func TestFederationUnsortedPreloadMatchesSorted(t *testing.T) {
 			Spill:     SpillLeastLoaded{},
 			Observers: []Observer{log},
 		}
-		tasks := denseTrace(13)
+		tasks := denseTrace(t, 13)
 		for _, tk := range tasks {
 			tk.Submit -= tk.Submit % 600 // ties, which a stable sort keeps in shuffled order
 		}

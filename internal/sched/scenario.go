@@ -85,7 +85,7 @@ func SortActions(actions []ScenarioAction) []ScenarioAction {
 // nothing — an unknown domain, nodes already in the state asked for,
 // nothing to reclaim — emits nothing, samples nothing and asks for no
 // pass.
-func (s *Simulator) applyScenario(a ScenarioAction) bool {
+func (s *simulator) applyScenario(a ScenarioAction) bool {
 	cl := s.state.Cluster
 	switch a.Op {
 	case OpReclaimSpot:
@@ -134,7 +134,7 @@ func (s *Simulator) applyScenario(a ScenarioAction) bool {
 
 // failNode kills one node: emits NodeDown and releases and requeues
 // its tasks. It reports whether the node was up.
-func (s *Simulator) failNode(n *cluster.Node) bool {
+func (s *simulator) failNode(n *cluster.Node) bool {
 	if n.Down() {
 		return false
 	}
@@ -153,7 +153,7 @@ func (s *Simulator) failNode(n *cluster.Node) bool {
 // being retired, and a restore does not undo a retirement, so every
 // NodeUp follows that node's NodeDown. It reports whether the node
 // needed restoring.
-func (s *Simulator) restoreNode(n *cluster.Node) bool {
+func (s *simulator) restoreNode(n *cluster.Node) bool {
 	if !n.Down() || n.Cordoned() {
 		return false
 	}
@@ -174,7 +174,7 @@ func (s *Simulator) restoreNode(n *cluster.Node) bool {
 // resolves by push order (unlike pre-queued scenario actions, which
 // always win such ties) — still deterministic, just not biased
 // toward the failure.
-func (s *Simulator) cascadeFailure(a ScenarioAction) {
+func (s *simulator) cascadeFailure(a ScenarioAction) {
 	h := fnv.New64a()
 	h.Write([]byte(a.Domain))
 	rng := rand.New(rand.NewSource(a.Seed ^ int64(s.now)*0x5851F42D4C957F2D ^ int64(h.Sum64())))

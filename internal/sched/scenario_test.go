@@ -13,20 +13,20 @@ import (
 // 1, zone-1: nodes 2 and 3), with node 1 down and node 3 cordoned, an
 // HP task filling node 0 and a spot task on node 2, stepped past the
 // arrivals to t=100 with the event log cleared.
-func scenarioWorld(t *testing.T) (*Simulator, *EventLog) {
+func scenarioWorld(t *testing.T) (*simulator, *EventLog) {
 	t.Helper()
 	cl := cluster.NewHomogeneous("A100", 4, 8)
 	cl.AssignDomains(2, 2)
 	cl.Node(1).SetDown(true)
 	cl.Node(3).SetCordoned(true)
 	log := &EventLog{}
-	cfg := DefaultSimConfig(cl, &firstFit{})
+	cfg := SimConfig{Cluster: cl, Scheduler: &firstFit{}}
 	cfg.Observers = []Observer{log}
-	s := NewSimulator(cfg, []*task.Task{
+	s := newSimulator(cfg, []*task.Task{
 		mkTask(1, task.HP, 1, 8, simclock.Hour, 0),
 		mkTask(2, task.Spot, 1, 4, simclock.Hour, 0),
-	})
-	s.Step()
+	}, nil)
+	s.step()
 	if cl.Node(0).UsedGPUs() != 8 || cl.Node(2).SpotGPUs() != 4 {
 		t.Fatalf("world not as described: node 0 holds %g, node 2 holds %g spot", cl.Node(0).UsedGPUs(), cl.Node(2).SpotGPUs())
 	}

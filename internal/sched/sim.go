@@ -34,14 +34,14 @@ type SimConfig struct {
 	// rather than strand (cordon + spot eviction, capacity leaves
 	// when the last HP pod completes).
 	Autoscaler Autoscaler
-	// EvictionInterceptor, when non-nil, is consulted after a
+
+	// evictionInterceptor, when non-nil, is consulted after a
 	// capacity-loss eviction (node failure, drain, spot reclamation —
 	// never scheduler preemption) before the victim is requeued
 	// locally. Returning true claims the task: the simulator forgets
-	// it and the caller becomes responsible for its future, typically
-	// by injecting it into a sibling cluster (see RunFederationContext).
-	EvictionInterceptor func(tk *task.Task, cause EvictCause) bool
-
+	// it and the federation injects it into a sibling member. Only
+	// newFedSim sets it, for a federation with a spillover policy.
+	evictionInterceptor func(tk *task.Task, cause EvictCause) bool
 	// limits replaces paperLimits in tests; nil outside them.
 	limits *limits
 }
@@ -71,13 +71,6 @@ const (
 	quotaInterval = 300 * simclock.Second
 	quotaWindow   = simclock.Hour
 )
-
-// DefaultSimConfig runs scheduler s on cluster cl with no quota,
-// observers or scenario. The preemption grace (30 s), the failed
-// placements per pass (25) and the idle timeout (48 h) are fixed.
-func DefaultSimConfig(cl *cluster.Cluster, s Scheduler) SimConfig {
-	return SimConfig{Cluster: cl, Scheduler: s}
-}
 
 // Result summarizes one simulation run.
 type Result struct {
@@ -123,11 +116,11 @@ type scenarioEvent struct{ action ScenarioAction }
 // scenario actions, so arrivals at the same instant are handled first.
 type provisionEvent struct{ pool cluster.Pool }
 
-// Simulator is one cluster's discrete-event core. RunFederationContext
-// is the one loop that steps it — a plain run is a federation of one —
-// advancing every member in lockstep on a shared clock;
-// PeekTime/Step/Inject/Finish are the calls it makes.
-type Simulator struct {
+// simulator is one cluster's discrete-event core. fedSim, behind
+// RunFederationContext, is its one driver — a plain run is a
+// federation of one — stepping every member in lockstep on a shared
+// clock; the exported Simulator in benchpin.go is a bench pin.
+type simulator struct {
 	cfg    SimConfig
 	limits limits
 	queue  simclock.Queue
@@ -152,7 +145,7 @@ type Simulator struct {
 	running      int
 
 	// tasks is every task in injection order: the preloaded slice in
-	// the caller's order or a stream in arrival order, then each Inject
+	// the caller's order or a stream in arrival order, then each inject
 	// (a migrant when it is delivered, once). Only OpReclaimSpot and
 	// result read it.
 	tasks []*task.Task
@@ -168,7 +161,7 @@ type Simulator struct {
 
 	// tickOn tracks whether a quota tick is pending in the queue, and
 	// quotaInit whether the initial quota update ran; both matter only
-	// for federation members fed via Inject, whose first task can
+	// for federation members fed via inject, whose first task can
 	// arrive long after construction (or after the tick chain went
 	// idle).
 	tickOn    bool
@@ -227,7 +220,7 @@ type passWork struct {
 // newFinishEvent takes a finish record from the pool (or allocates
 // one). Records return to the pool in handle, immediately after the
 // queue delivers them.
-func (s *Simulator) newFinishEvent(tk *task.Task) *finishEvent {
+func (s *simulator) newFinishEvent(tk *task.Task) *finishEvent {
 	if n := len(s.finishFree); n > 0 {
 		e := s.finishFree[n-1]
 		s.finishFree = s.finishFree[:n-1]
@@ -242,17 +235,10 @@ type queueObs struct {
 	dur simclock.Duration
 }
 
-// NewSimulator builds a simulator over the trace without running it.
-// Drive it with Step until it returns false (or interleave Step with
-// Inject), then collect metrics with Finish.
-func NewSimulator(cfg SimConfig, tasks []*task.Task) *Simulator {
-	return newSimulator(cfg, tasks, nil)
-}
-
 // newSimulator builds a simulator whose feed walks the trace: tasks,
 // or src when it is non-nil.
-func newSimulator(cfg SimConfig, tasks []*task.Task, src TaskSource) *Simulator {
-	s := &Simulator{
+func newSimulator(cfg SimConfig, tasks []*task.Task, src TaskSource) *simulator {
+	s := &simulator{
 		cfg:       cfg,
 		limits:    paperLimits,
 		feed:      newReplayFeed(tasks, src),
@@ -307,7 +293,7 @@ func newSimulator(cfg SimConfig, tasks []*task.Task, src TaskSource) *Simulator 
 // idle, a next) task arriving at time at: the initial quota is set
 // before the first pass ever runs, and the quota tick chain restarts
 // one interval on.
-func (s *Simulator) arm(at simclock.Time) {
+func (s *simulator) arm(at simclock.Time) {
 	if !s.quotaInit {
 		s.now = at
 		s.updateQuota()
@@ -319,10 +305,10 @@ func (s *Simulator) arm(at simclock.Time) {
 	}
 }
 
-// PeekTime returns the timestamp of the next pending event, or false
+// peekTime returns the timestamp of the next pending event, or false
 // when the simulation has run dry. It is how a federated loop decides
 // which member advances next.
-func (s *Simulator) PeekTime() (simclock.Time, bool) {
+func (s *simulator) peekTime() (simclock.Time, bool) {
 	ev, ok := s.queue.Peek()
 	if tk := s.feed.next; tk != nil && (!ok || tk.Submit <= ev.At) {
 		return tk.Submit, true
@@ -335,7 +321,7 @@ func (s *Simulator) PeekTime() (simclock.Time, bool) {
 // they did when a preload was pushed into the queue at construction,
 // with the lowest sequence numbers of all. A streamed arrival joins
 // the books as it arrives; a preload is in them from the start.
-func (s *Simulator) pop() (simclock.Event, bool) {
+func (s *simulator) pop() (simclock.Event, bool) {
 	if tk := s.feed.next; tk != nil {
 		if ev, ok := s.queue.Peek(); !ok || tk.Submit <= ev.At {
 			if s.feed.src != nil {
@@ -348,18 +334,10 @@ func (s *Simulator) pop() (simclock.Event, bool) {
 	return s.queue.Pop()
 }
 
-// Now returns the simulator's current time (the timestamp of the last
-// processed event).
-func (s *Simulator) Now() simclock.Time { return s.now }
-
-// PendingTasks returns the number of tasks waiting in the scheduling
-// queue.
-func (s *Simulator) PendingTasks() int { return s.pend.n }
-
-// Step processes the next timestamp bundle — every event sharing the
+// step processes the next timestamp bundle — every event sharing the
 // earliest pending timestamp, followed by at most one scheduling pass
 // — and reports whether any event was processed.
-func (s *Simulator) Step() bool {
+func (s *simulator) step() bool {
 	ev, ok := s.pop()
 	if !ok {
 		return false
@@ -368,7 +346,7 @@ func (s *Simulator) Step() bool {
 	scheduleNeeded := s.handle(ev)
 	// Drain events sharing this timestamp before scheduling.
 	for {
-		if at, ok := s.PeekTime(); !ok || at != s.now {
+		if at, ok := s.peekTime(); !ok || at != s.now {
 			break
 		}
 		ev, _ = s.pop()
@@ -382,13 +360,13 @@ func (s *Simulator) Step() bool {
 	return true
 }
 
-// Inject adds a task to the simulation mid-run, arriving at time at
+// inject adds a task to the simulation mid-run, arriving at time at
 // (which must not precede the simulator's current time). It is the
 // entry point for federation routing and migration: tasks reach a
 // member as the shared clock reaches each submission.
 // Re-injecting a task that previously migrated away returns it to this
 // simulator's books when it arrives.
-func (s *Simulator) Inject(tk *task.Task, at simclock.Time) {
+func (s *simulator) inject(tk *task.Task, at simclock.Time) {
 	if !s.migrated[tk.ID] {
 		s.tasks = append(s.tasks, tk)
 	}
@@ -396,10 +374,10 @@ func (s *Simulator) Inject(tk *task.Task, at simclock.Time) {
 	s.arm(at)
 }
 
-// Finish closes the books — observing the final allocation sample —
-// and returns the run's metrics. Call it exactly once, after Step
+// finish closes the books — observing the final allocation sample —
+// and returns the run's metrics. Call it exactly once, after step
 // returns false.
-func (s *Simulator) Finish() *Result {
+func (s *simulator) finish() *Result {
 	s.sampleAlloc()
 	return s.result()
 }
@@ -408,7 +386,7 @@ func (s *Simulator) Finish() *Result {
 // internal tracker and mirrors the observation onto the event spine
 // (AllocSampled), so collectors see exactly the trajectory the
 // tracker integrates.
-func (s *Simulator) sampleAlloc() {
+func (s *simulator) sampleAlloc() {
 	used := s.state.Cluster.UsedGPUs("")
 	s.alloc.Observe(s.now, used)
 	if s.hasObs {
@@ -421,7 +399,7 @@ func (s *Simulator) sampleAlloc() {
 // Every caller follows up with sampleAlloc, so capacity changes and
 // usage observations reach the spine as one uniform tick stream that
 // collectors can integrate exactly like the internal tracker.
-func (s *Simulator) refreshCapacity() {
+func (s *simulator) refreshCapacity() {
 	s.alloc.SetCapacity(s.now, s.state.Cluster.TotalGPUs(""))
 }
 
@@ -429,7 +407,7 @@ func (s *Simulator) refreshCapacity() {
 // the cluster holds or offers: it re-reads capacity when membership
 // moved, observes the allocation and restarts the idle clock. It
 // returns true — a scheduling pass should follow.
-func (s *Simulator) progressed(membership bool) bool {
+func (s *simulator) progressed(membership bool) bool {
 	if membership {
 		s.refreshCapacity()
 	}
@@ -441,7 +419,7 @@ func (s *Simulator) progressed(membership bool) bool {
 // emit delivers one event to every observer, stamping time and
 // sequence. Callers must guard with s.hasObs so unobserved runs pay
 // nothing.
-func (s *Simulator) emit(ev Event) {
+func (s *simulator) emit(ev Event) {
 	ev.At = s.now
 	ev.Seq = s.eventSeq
 	s.eventSeq++
@@ -452,7 +430,7 @@ func (s *Simulator) emit(ev Event) {
 
 // handle processes one event and reports whether a scheduling pass
 // should follow.
-func (s *Simulator) handle(ev simclock.Event) bool {
+func (s *simulator) handle(ev simclock.Event) bool {
 	switch e := ev.Value.(type) {
 	case *task.Task: // arrival
 		if s.migrated[e.ID] {
@@ -511,7 +489,7 @@ func (s *Simulator) handle(ev simclock.Event) bool {
 		if active || stalled {
 			s.queue.Push(s.now.Add(quotaInterval), tickEvent{})
 		} else {
-			// The tick chain ends here; a later Inject restarts it.
+			// The tick chain ends here; a later inject restarts it.
 			s.tickOn = false
 		}
 		return true
@@ -523,7 +501,7 @@ func (s *Simulator) handle(ev simclock.Event) bool {
 // hourly average to each org's series when the hour rolls over.
 // Averaging smooths Poisson arrival bursts into the hourly usage
 // signal production telemetry would report.
-func (s *Simulator) recordDemand() {
+func (s *simulator) recordDemand() {
 	// Close the previous hour before sampling the current tick. An org
 	// with a series but no samples this hour still advances it.
 	if hour := s.now.HourIndex(); hour != s.lastHour {
@@ -565,7 +543,7 @@ func (s *Simulator) recordDemand() {
 
 // orgSlot returns org's accumulator slot, assigning one on first
 // sight.
-func (s *Simulator) orgSlot(org string) int {
+func (s *simulator) orgSlot(org string) int {
 	if i, ok := s.orgSlots[org]; ok {
 		return i
 	}
@@ -577,7 +555,7 @@ func (s *Simulator) orgSlot(org string) int {
 	return i
 }
 
-func (s *Simulator) updateQuota() {
+func (s *simulator) updateQuota() {
 	if s.cfg.Quota == nil {
 		return
 	}
@@ -605,7 +583,7 @@ func (s *Simulator) updateQuota() {
 // their pre-warm lead (the nodes do not exist — and therefore cannot
 // host a pod — until the delivery event fires), retirements apply
 // immediately in plan order.
-func (s *Simulator) autoscaleTick() {
+func (s *simulator) autoscaleTick() {
 	if s.cfg.Autoscaler == nil {
 		return
 	}
@@ -658,7 +636,7 @@ func (s *Simulator) autoscaleTick() {
 // leaves capacity immediately; one still hosting HP pods parks in the
 // retiring set and leaves when its last pod completes. It reports
 // whether the node was schedulable.
-func (s *Simulator) retireNode(n *cluster.Node) bool {
+func (s *simulator) retireNode(n *cluster.Node) bool {
 	if n == nil || !n.Schedulable() {
 		return false
 	}
@@ -685,7 +663,7 @@ func (s *Simulator) retireNode(n *cluster.Node) bool {
 
 // checkRetiring sweeps the retiring set (in node-ID order, for
 // determinism) and takes now-empty nodes out of capacity.
-func (s *Simulator) checkRetiring() {
+func (s *simulator) checkRetiring() {
 	ids := make([]int, 0, len(s.retiring))
 	for id := range s.retiring {
 		ids = append(ids, id)
@@ -710,7 +688,7 @@ func (s *Simulator) checkRetiring() {
 // counters, per-node eviction history, event emission and requeueing.
 // Every cause but scheduler preemption first offers the victim to the
 // eviction interceptor.
-func (s *Simulator) evict(v *task.Task, cause EvictCause, locs []NodePods) {
+func (s *simulator) evict(v *task.Task, cause EvictCause, locs []NodePods) {
 	if v.State != task.Running {
 		return
 	}
@@ -727,7 +705,7 @@ func (s *Simulator) evict(v *task.Task, cause EvictCause, locs []NodePods) {
 	if s.hasObs {
 		s.emit(Event{Kind: TaskEvicted, Task: v, Cause: cause, Waste: waste})
 	}
-	if cause != CausePreempted && s.cfg.EvictionInterceptor != nil && s.cfg.EvictionInterceptor(v, cause) {
+	if cause != CausePreempted && s.cfg.evictionInterceptor != nil && s.cfg.evictionInterceptor(v, cause) {
 		// Claimed: the task leaves this simulator's books (it will be
 		// re-injected elsewhere). Its eviction moved len(v.Runs), so
 		// the old run's finish event is still discarded.
@@ -743,7 +721,7 @@ func (s *Simulator) evict(v *task.Task, cause EvictCause, locs []NodePods) {
 // maxSpotQueue is the worst spot queuing experience over the recent
 // window: currently pending waits plus queue segments of recent
 // starts.
-func (s *Simulator) maxSpotQueue() simclock.Duration {
+func (s *simulator) maxSpotQueue() simclock.Duration {
 	var maxQ simclock.Duration
 	for _, b := range s.pend.buckets {
 		for _, e := range b.entries {
@@ -774,7 +752,7 @@ func (s *Simulator) maxSpotQueue() simclock.Duration {
 // queued task of that shape skipped at once — until a start mutates
 // the state. This lets small tasks backfill past blocked large ones
 // without rescanning the cluster, or even the queue, per entry.
-func (s *Simulator) schedulePass() {
+func (s *simulator) schedulePass() {
 	q := &s.pend
 	if q.n == 0 {
 		return
@@ -846,7 +824,7 @@ func (s *Simulator) schedulePass() {
 
 // apply performs the task-lifecycle side effects of a committed
 // decision: victim eviction bookkeeping and the task start.
-func (s *Simulator) apply(tk *task.Task, dec *Decision) {
+func (s *simulator) apply(tk *task.Task, dec *Decision) {
 	for i, v := range dec.Victims {
 		var locs []NodePods
 		if i < len(dec.VictimLocs) {
@@ -874,7 +852,7 @@ func (s *Simulator) apply(tk *task.Task, dec *Decision) {
 	}
 }
 
-func (s *Simulator) result() *Result {
+func (s *simulator) result() *Result {
 	tasks := s.tasks
 	if len(s.migrated) > 0 {
 		// Tasks that migrated away finished (or died) on another

@@ -22,7 +22,7 @@ func TestAdmissionRampDefersSecondTask(t *testing.T) {
 		mkTask(1, task.Spot, 1, 8, 30*simclock.Minute, 0),
 		mkTask(2, task.Spot, 1, 8, 30*simclock.Minute, 0),
 	}
-	cfg := DefaultSimConfig(cl, &firstFit{})
+	cfg := SimConfig{Cluster: cl, Scheduler: &firstFit{}}
 	cfg.Quota = rampQuota{perPass: 8} // one 8-GPU admission per pass
 	res, _ := runSolo(t, cfg, tasks, nil)
 	if res.UnfinishedSpot != 0 {
@@ -42,7 +42,7 @@ func TestAdmissionRampNeverDeadlocksLargeTask(t *testing.T) {
 	// admitted (first admission always proceeds).
 	cl := cluster.NewHomogeneous("A100", 2, 8)
 	tasks := []*task.Task{mkTask(1, task.Spot, 2, 8, 30*simclock.Minute, 0)}
-	cfg := DefaultSimConfig(cl, &firstFit{})
+	cfg := SimConfig{Cluster: cl, Scheduler: &firstFit{}}
 	cfg.Quota = rampQuota{perPass: 1}
 	res, _ := runSolo(t, cfg, tasks, nil)
 	if res.UnfinishedSpot != 0 {
@@ -61,7 +61,7 @@ func TestShapeCacheAllowsBackfill(t *testing.T) {
 	blockerA := mkTask(1, task.Spot, 2, 8, simclock.Hour, 0) // needs 2 nodes
 	blockerB := mkTask(2, task.Spot, 2, 8, simclock.Hour, 0) // same shape
 	small := mkTask(3, task.Spot, 1, 1, 30*simclock.Minute, 0)
-	cfg := DefaultSimConfig(cl, &firstFit{})
+	cfg := SimConfig{Cluster: cl, Scheduler: &firstFit{}}
 	cfg.limits = &limits{grace: paperLimits.grace, maxFailures: 2, idleTimeout: simclock.Hour}
 	res, _ := runSolo(t, cfg, []*task.Task{blockerA, blockerB, small}, nil)
 	if small.State != task.Finished {
@@ -76,7 +76,7 @@ func TestInitialOrgDemandSeedsQuotaContext(t *testing.T) {
 	cl := cluster.NewHomogeneous("A100", 1, 8)
 	tasks := []*task.Task{mkTask(1, task.HP, 1, 1, 20*simclock.Minute, 0)}
 	var got map[string][]float64
-	cfg := DefaultSimConfig(cl, &firstFit{})
+	cfg := SimConfig{Cluster: cl, Scheduler: &firstFit{}}
 	cfg.InitialOrgDemand = map[string][]float64{"OrgZ": {1, 2, 3}}
 	cfg.Quota = quotaFunc(func(ctx *QuotaContext) float64 {
 		got = ctx.OrgDemand
@@ -100,7 +100,7 @@ func TestHourlyDemandIsAveraged(t *testing.T) {
 	later := mkTask(2, task.HP, 1, 1, 10*simclock.Minute, simclock.Time(70*simclock.Minute))
 	later.Org = "OrgY"
 	var series []float64
-	cfg := DefaultSimConfig(cl, &firstFit{})
+	cfg := SimConfig{Cluster: cl, Scheduler: &firstFit{}}
 	cfg.Quota = quotaFunc(func(ctx *QuotaContext) float64 {
 		if s := ctx.OrgDemand["OrgY"]; len(s) > 0 {
 			series = append([]float64(nil), s...)
@@ -143,7 +143,7 @@ func TestStaleFinishAfterEvictAndRestart(t *testing.T) {
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			log := &EventLog{}
-			cfg := DefaultSimConfig(oneNodeRacks(cluster.NewHomogeneous("A100", 2, 8)), &firstFit{})
+			cfg := SimConfig{Cluster: oneNodeRacks(cluster.NewHomogeneous("A100", 2, 8)), Scheduler: &firstFit{}}
 			cfg.Observers = []Observer{log}
 			cfg.Scenario = []ScenarioAction{rackDown(simclock.Time(30*simclock.Minute), 0)}
 			tk := mkTask(1, c.typ, 1, 8, 2*simclock.Hour, 0)
@@ -242,7 +242,7 @@ func TestAutoscaleRetireDrainsAndProvisionUnblocks(t *testing.T) {
 			retiredUsed = used
 		}
 	})
-	cfg := DefaultSimConfig(cl, &firstFit{})
+	cfg := SimConfig{Cluster: cl, Scheduler: &firstFit{}}
 	cfg.Observers = []Observer{log, cordon}
 	cfg.Autoscaler = &scriptedScaler{retireAt: simclock.Time(30 * simclock.Minute), provisionAt: simclock.Time(simclock.Hour)}
 	res, _ := runSolo(t, cfg, []*task.Task{hp, spot, blocked}, nil)

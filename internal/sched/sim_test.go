@@ -93,7 +93,7 @@ func TestSimTasksComplete(t *testing.T) {
 		mkTask(1, task.HP, 1, 8, simclock.Hour, 0),
 		mkTask(2, task.Spot, 1, 4, 30*simclock.Minute, 0),
 	}
-	res, _ := runSolo(t, DefaultSimConfig(cl, &firstFit{}), tasks, nil)
+	res, _ := runSolo(t, SimConfig{Cluster: cl, Scheduler: &firstFit{}}, tasks, nil)
 	if res.UnfinishedHP != 0 || res.UnfinishedSpot != 0 {
 		t.Fatalf("unfinished %d/%d", res.UnfinishedHP, res.UnfinishedSpot)
 	}
@@ -120,7 +120,7 @@ func TestSimQueuesWhenFull(t *testing.T) {
 		mkTask(1, task.HP, 1, 8, simclock.Hour, 0),
 		mkTask(2, task.HP, 1, 8, simclock.Hour, 0),
 	}
-	res, _ := runSolo(t, DefaultSimConfig(cl, &firstFit{}), tasks, nil)
+	res, _ := runSolo(t, SimConfig{Cluster: cl, Scheduler: &firstFit{}}, tasks, nil)
 	if res.UnfinishedHP != 0 {
 		t.Fatal("both must eventually finish")
 	}
@@ -139,7 +139,7 @@ func TestSimPreemptionFlow(t *testing.T) {
 		mkTask(1, task.Spot, 1, 8, 2*simclock.Hour, 0),
 		mkTask(2, task.HP, 1, 8, simclock.Hour, simclock.Time(30*simclock.Minute)),
 	}
-	cfg := DefaultSimConfig(cl, &firstFit{preempt: true})
+	cfg := SimConfig{Cluster: cl, Scheduler: &firstFit{preempt: true}}
 	res, _ := runSolo(t, cfg, tasks, nil)
 	spot, hp := tasks[0], tasks[1]
 	if hp.State != task.Finished || spot.State != task.Finished {
@@ -175,7 +175,7 @@ func TestSimWasteAccounting(t *testing.T) {
 		// task's 30-minute checkpoint → 8 GPUs × 300 s wasted.
 		mkTask(2, task.HP, 1, 8, simclock.Hour, simclock.Time(35*simclock.Minute)),
 	}
-	res, _ := runSolo(t, DefaultSimConfig(cl, &firstFit{preempt: true}), tasks, nil)
+	res, _ := runSolo(t, SimConfig{Cluster: cl, Scheduler: &firstFit{preempt: true}}, tasks, nil)
 	want := 8 * (5 * simclock.Minute).Seconds()
 	if math.Abs(res.WastedGPUSeconds-want) > 1e-9 {
 		t.Fatalf("waste = %v, want %v", res.WastedGPUSeconds, want)
@@ -188,7 +188,7 @@ func TestSimSpotQuotaBlocksAdmission(t *testing.T) {
 		mkTask(1, task.Spot, 1, 8, 30*simclock.Minute, 0),
 		mkTask(2, task.Spot, 1, 8, 30*simclock.Minute, 0),
 	}
-	cfg := DefaultSimConfig(cl, &firstFit{})
+	cfg := SimConfig{Cluster: cl, Scheduler: &firstFit{}}
 	cfg.Quota = StaticQuota{Fraction: 0.5} // 8 of 16 GPUs
 	res, _ := runSolo(t, cfg, tasks, nil)
 	if res.UnfinishedSpot != 0 {
@@ -211,7 +211,7 @@ func TestSimQuotaInitializedBeforeFirstPass(t *testing.T) {
 		mkTask(1, task.Spot, 1, 8, 10*simclock.Minute, 0),
 		mkTask(2, task.Spot, 1, 8, 10*simclock.Minute, 0),
 	}
-	cfg := DefaultSimConfig(cl, &firstFit{})
+	cfg := SimConfig{Cluster: cl, Scheduler: &firstFit{}}
 	cfg.Quota = StaticQuota{Fraction: 0.5}
 	runSolo(t, cfg, tasks, nil)
 	if tasks[0].FirstStart != 0 {
@@ -229,7 +229,7 @@ func TestSimGangAtomicity(t *testing.T) {
 	blocker := mkTask(1, task.HP, 1, 8, simclock.Hour, 0)
 	gang := mkTask(2, task.HP, 2, 8, 30*simclock.Minute, simclock.Time(simclock.Minute))
 	gang.Gang = true
-	res, _ := runSolo(t, DefaultSimConfig(cl, &firstFit{}), []*task.Task{blocker, gang}, nil)
+	res, _ := runSolo(t, SimConfig{Cluster: cl, Scheduler: &firstFit{}}, []*task.Task{blocker, gang}, nil)
 	if res.UnfinishedHP != 0 {
 		t.Fatal("gang should finish after blocker")
 	}
@@ -251,7 +251,7 @@ func TestSimDeterminism(t *testing.T) {
 				simclock.Duration(10+i)*simclock.Minute,
 				simclock.Time(i)*simclock.Time(simclock.Minute)))
 		}
-		res, _ := runSolo(t, DefaultSimConfig(cl, &firstFit{preempt: true}), tasks, nil)
+		res, _ := runSolo(t, SimConfig{Cluster: cl, Scheduler: &firstFit{preempt: true}}, tasks, nil)
 		return res
 	}
 	a, b := build(), build()
@@ -270,7 +270,7 @@ func TestSimOrgDemandRecorded(t *testing.T) {
 		tasks = append(tasks, tk)
 	}
 	var captured map[string][]float64
-	cfg := DefaultSimConfig(cl, &firstFit{})
+	cfg := SimConfig{Cluster: cl, Scheduler: &firstFit{}}
 	cfg.Quota = quotaFunc(func(ctx *QuotaContext) float64 {
 		captured = ctx.OrgDemand
 		return math.Inf(1)
@@ -300,7 +300,7 @@ func TestSimIdleTimeoutStopsStalledRun(t *testing.T) {
 	// nodes) must not hang the simulation.
 	cl := cluster.NewHomogeneous("A100", 1, 8)
 	tasks := []*task.Task{mkTask(1, task.Spot, 1, 16, simclock.Hour, 0)}
-	cfg := DefaultSimConfig(cl, &firstFit{})
+	cfg := SimConfig{Cluster: cl, Scheduler: &firstFit{}}
 	cfg.limits = &limits{grace: paperLimits.grace, maxFailures: paperLimits.maxFailures, idleTimeout: 2 * simclock.Hour}
 	res, _ := runSolo(t, cfg, tasks, nil)
 	if res.UnfinishedSpot != 1 {
@@ -329,7 +329,7 @@ func TestUnsortedPreloadKeepsTimeMonotone(t *testing.T) {
 		mkTask(1, task.HP, 1, 4, simclock.Hour, 7200),
 		mkTask(2, task.Spot, 1, 4, simclock.Hour, 0),
 	}
-	cfg := DefaultSimConfig(cl, &firstFit{})
+	cfg := SimConfig{Cluster: cl, Scheduler: &firstFit{}}
 	cfg.Quota = UnlimitedQuota{}
 	last := simclock.Time(math.MinInt64)
 	cfg.Observers = []Observer{ObserverFunc(func(e Event) {

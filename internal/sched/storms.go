@@ -168,7 +168,7 @@ func RandomStorms(rng *rand.Rand, p StormProfile) []ScenarioAction {
 // cascadeSettle returns how long a cascade starting at probability p
 // can keep spreading: one delay per generation until the per-hop
 // probability (halved each hop, zeroed below 1% — mirroring
-// Simulator.cascadeFailure) dies out.
+// simulator.cascadeFailure) dies out.
 func cascadeSettle(p float64, delay simclock.Duration) simclock.Duration {
 	hops := 0
 	for ; p >= 0.01; p *= 0.5 {

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	gfs "github.com/sjtucitlab/gfs"
+	"github.com/sjtucitlab/gfs/internal/runspec"
 )
 
 // fakeClock is a manually-advanced Clock. Tests drive TTL expiry and
@@ -46,10 +47,10 @@ func TestRegistrySweepFakeClock(t *testing.T) {
 	reg := newRegistry(clock)
 	ttl := time.Hour
 
-	done := reg.add(context.Background(), RunSpec{}, nil, 4)
+	done := reg.add(context.Background(), runspec.Spec{}, nil, 4)
 	done.finish(StateDone, gfs.BatchResult{}, "")
 	clock.Advance(30 * time.Minute)
-	running := reg.add(context.Background(), RunSpec{}, nil, 4)
+	running := reg.add(context.Background(), runspec.Spec{}, nil, 4)
 	running.markRunning()
 
 	if n := reg.sweep(clock.Now(), ttl); n != 0 {
@@ -85,7 +86,7 @@ func TestRegistrySweepFakeClock(t *testing.T) {
 func TestSessionTimestampsFakeClock(t *testing.T) {
 	clock := newFakeClock(epoch)
 	reg := newRegistry(clock)
-	sess := reg.add(context.Background(), RunSpec{}, nil, 4)
+	sess := reg.add(context.Background(), runspec.Spec{}, nil, 4)
 	if got := sess.status().CreatedAt; !got.Equal(epoch) {
 		t.Fatalf("CreatedAt = %v, want %v", got, epoch)
 	}

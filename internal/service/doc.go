@@ -1,7 +1,7 @@
 // Package service implements the gfsd daemon core: a long-running
 // multi-tenant HTTP/JSON front end over the gfs simulation engine.
 //
-// Clients POST a RunSpec (scheduler, cluster shape, scenario,
+// Clients POST a run spec (scheduler, cluster shape, scenario,
 // federation/route, plus an inline, uploaded or streamed trace) to
 // /v1/sessions; each accepted spec becomes a session queued onto a
 // bounded shared worker pool. Sessions move through the states
@@ -14,7 +14,7 @@
 //	DELETE /v1/sessions/{id}          cancel (idempotent)
 //	GET    /metrics                   daemon counters + per-session snapshots
 //
-// A RunSpec is the runspec.Spec gfsim lowers its flags onto, and a
+// A run spec is the runspec.Spec gfsim lowers its flags onto, and a
 // session executes it through the same builder and runner
 // (internal/runspec), so this package is transport only. Cancellation
 // rides the engine's context plumbing: the simulation checks the

@@ -376,7 +376,7 @@ func TestRingChunkEdges(t *testing.T) {
 
 // referenceWire runs a spec directly and returns its event stream as
 // the oracle flattens it.
-func referenceWire(t *testing.T, spec RunSpec, src gfs.TraceSource) []wireEvent {
+func referenceWire(t *testing.T, spec runspec.Spec, src gfs.TraceSource) []wireEvent {
 	t.Helper()
 	var evs []wireEvent
 	built, err := runspec.Build(spec, src, gfs.ObserverFunc(func(e gfs.Event) {
@@ -415,7 +415,7 @@ func getStream(t *testing.T, ts *httptest.Server, id, query string) []byte {
 // over the same run's events.
 func TestStreamMatchesOracle(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 2, EventBuffer: 1 << 20})
-	specs := []RunSpec{
+	specs := []runspec.Spec{
 		smallSpec(),
 		{Scheduler: "gfs", Nodes: 4, Days: 1, Scenario: "rack-failure"},
 		{Federation: true, Route: "round-robin", Nodes: 4, Days: 1, Scenario: "rack-failure"},
@@ -569,7 +569,7 @@ func TestStreamAllocatesPerBatch(t *testing.T) {
 	const events = 10000
 	svc := New(Config{Workers: 1, EventBuffer: events})
 	defer svc.Close()
-	sess := svc.reg.add(context.Background(), RunSpec{}, nil, events)
+	sess := svc.reg.add(context.Background(), runspec.Spec{}, nil, events)
 	for i := 0; i < events; i++ {
 		sess.log.append(syntheticEvent(i))
 	}
@@ -604,7 +604,7 @@ func TestFinishedSessionDropsSource(t *testing.T) {
 	ran := &countingSource{TraceSource: inlineSource([]json.RawMessage{
 		json.RawMessage(`{"id":1,"org":"alpha","type":"hp","pods":1,"gpus_per_pod":1,"duration_s":600,"submit_s":0}`),
 	})}
-	sess, err := svc.startSession(RunSpec{Scheduler: "yarn", Nodes: 2}, ran)
+	sess, err := svc.startSession(runspec.Spec{Scheduler: "yarn", Nodes: 2}, ran)
 	if err != nil {
 		t.Fatal(err)
 	}

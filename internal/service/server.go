@@ -209,7 +209,7 @@ func (s *Server) session(w http.ResponseWriter, r *http.Request) (*Session, bool
 // startSession registers a queued session and hands it to the pool.
 // On a full backlog the session is unwound and the trace source
 // closed.
-func (s *Server) startSession(spec RunSpec, src gfs.TraceSource) (*Session, error) {
+func (s *Server) startSession(spec runspec.Spec, src gfs.TraceSource) (*Session, error) {
 	sess := s.reg.add(s.root, spec, src, s.cfg.EventBuffer)
 	if err := s.pool.submit(func() { s.runSession(sess) }); err != nil {
 		s.reg.remove(sess.ID())
@@ -282,8 +282,8 @@ func (s *Server) runSession(sess *Session) {
 }
 
 // handleCreate accepts a new session. An application/json (or bare)
-// body is a RunSpec, optionally carrying an inline trace; any other
-// content type is a trace body (format auto-detected, gzip included)
+// body is a runspec.Spec, optionally carrying an inline trace; any
+// other content type is a trace body (format auto-detected, gzip included)
 // with the spec in query parameters. ?stream=true replays the body
 // without buffering and responds only when the session ends.
 func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
@@ -309,7 +309,7 @@ func (s *Server) createFromSpec(w http.ResponseWriter, r *http.Request) {
 		httpError(w, code, "bad spec: %v", err)
 		return
 	}
-	spec, err := DecodeRunSpec(raw)
+	spec, err := runspec.Decode(raw)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "bad spec: %v", err)
 		return

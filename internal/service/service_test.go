@@ -33,13 +33,13 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 
 // smallSpec is a spec that simulates quickly but still exercises the
 // full event spine.
-func smallSpec() RunSpec {
-	return RunSpec{Scheduler: "yarn", Nodes: 4, Days: 1, SpotScale: 1, Seed: 17}
+func smallSpec() runspec.Spec {
+	return runspec.Spec{Scheduler: "yarn", Nodes: 4, Days: 1, SpotScale: 1, Seed: 17}
 }
 
 // postSpec submits a spec and decodes the status response, asserting
 // the HTTP code.
-func postSpec(t *testing.T, ts *httptest.Server, spec RunSpec, wantCode int) sessionStatus {
+func postSpec(t *testing.T, ts *httptest.Server, spec runspec.Spec, wantCode int) sessionStatus {
 	t.Helper()
 	body, err := json.Marshal(spec)
 	if err != nil {
@@ -118,7 +118,7 @@ func fetchReport(t *testing.T, ts *httptest.Server, id, format string) []byte {
 
 // referenceJSONL computes the expected report for a spec by running
 // the engine directly — the byte-parity oracle.
-func referenceJSONL(t *testing.T, spec RunSpec, src gfs.TraceSource) []byte {
+func referenceJSONL(t *testing.T, spec runspec.Spec, src gfs.TraceSource) []byte {
 	t.Helper()
 	built, err := runspec.Build(spec, src, nil)
 	if err != nil {
@@ -167,7 +167,7 @@ func TestSessionLifecycle(t *testing.T) {
 
 func TestFederationSession(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 2})
-	spec := RunSpec{Federation: true, Route: "round-robin", Nodes: 4, Days: 1, Scenario: "rack-failure"}
+	spec := runspec.Spec{Federation: true, Route: "round-robin", Nodes: 4, Days: 1, Scenario: "rack-failure"}
 	st := postSpec(t, ts, spec, http.StatusAccepted)
 	waitState(t, ts, st.ID, StateDone, 60*time.Second)
 	got := fetchReport(t, ts, st.ID, "jsonl")
@@ -191,7 +191,7 @@ func TestInlineTasks(t *testing.T) {
 			json.RawMessage(`{"id":3,"org":"alpha","type":"hp","pods":2,"gpus_per_pod":4,"duration_s":1800,"submit_s":900}`),
 		}
 	}
-	spec := RunSpec{Scheduler: "yarn", Nodes: 2, Tasks: mkTasks()}
+	spec := runspec.Spec{Scheduler: "yarn", Nodes: 2, Tasks: mkTasks()}
 	st := postSpec(t, ts, spec, http.StatusAccepted)
 	if st.Spec.TraceTasks != 3 || len(st.Spec.Tasks) != 0 {
 		t.Fatalf("status spec should count inline tasks, not echo them: %+v", st.Spec)
@@ -201,7 +201,7 @@ func TestInlineTasks(t *testing.T) {
 		t.Fatalf("tasks_arrived = %d, want 3", done.Progress.TasksArrived)
 	}
 	got := fetchReport(t, ts, st.ID, "jsonl")
-	want := referenceJSONL(t, RunSpec{Scheduler: "yarn", Nodes: 2}, inlineSource(mkTasks()))
+	want := referenceJSONL(t, runspec.Spec{Scheduler: "yarn", Nodes: 2}, inlineSource(mkTasks()))
 	if !bytes.Equal(got, want) {
 		t.Fatal("inline-trace report differs from engine replay of the same tasks")
 	}
@@ -247,7 +247,7 @@ func TestTraceUpload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := referenceJSONL(t, RunSpec{Scheduler: "yarn", Nodes: 4}, src)
+	want := referenceJSONL(t, runspec.Spec{Scheduler: "yarn", Nodes: 4}, src)
 	if got := fetchReport(t, ts, st.ID, "jsonl"); !bytes.Equal(got, want) {
 		t.Fatal("uploaded-trace report differs from engine replay of the same file")
 	}
@@ -276,7 +276,7 @@ func TestStreamedTraceUpload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := referenceJSONL(t, RunSpec{Scheduler: "yarn", Nodes: 4}, src)
+	want := referenceJSONL(t, runspec.Spec{Scheduler: "yarn", Nodes: 4}, src)
 	if got := fetchReport(t, ts, st.ID, "jsonl"); !bytes.Equal(got, want) {
 		t.Fatal("streamed-trace report differs from buffered replay of the same bytes")
 	}
@@ -306,7 +306,7 @@ func TestAutoscaleChannels(t *testing.T) {
 		t.Fatal(err)
 	}
 	upload.Spec.TraceTasks, upload.Spec.TraceBytes = 0, 0
-	body := postSpec(t, ts, RunSpec{Nodes: 4, Autoscale: "predictive"}, http.StatusAccepted)
+	body := postSpec(t, ts, runspec.Spec{Nodes: 4, Autoscale: "predictive"}, http.StatusAccepted)
 	if upload.Spec.Autoscale != "predictive" || !reflect.DeepEqual(upload.Spec, body.Spec) {
 		t.Fatalf("query spec %+v, body spec %+v: want the same spec naming the predictive autoscaler", upload.Spec, body.Spec)
 	}
@@ -316,8 +316,8 @@ func TestAutoscaleChannels(t *testing.T) {
 }
 
 // slowSpec simulates long enough to observe and cancel mid-run.
-func slowSpec() RunSpec {
-	return RunSpec{Scheduler: "gfs", Nodes: 64, Days: 14, SpotScale: 8}
+func slowSpec() runspec.Spec {
+	return runspec.Spec{Scheduler: "gfs", Nodes: 64, Days: 14, SpotScale: 8}
 }
 
 func TestCancelRunningSession(t *testing.T) {
@@ -441,7 +441,7 @@ func TestPanickingRunFailsSession(t *testing.T) {
 
 func TestValidation(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1})
-	cases := []RunSpec{
+	cases := []runspec.Spec{
 		{Scheduler: "nope"},
 		{Scheduler: "yarn", Federation: true},
 		{Nodes: -1},

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	gfs "github.com/sjtucitlab/gfs"
+	"github.com/sjtucitlab/gfs/internal/runspec"
 )
 
 // State is a session's lifecycle stage.
@@ -33,7 +34,7 @@ func (s State) Terminal() bool {
 // freely.
 type Session struct {
 	id      string
-	spec    RunSpec
+	spec    runspec.Spec
 	src     gfs.TraceSource // attached trace, until runSession takes it
 	log     *eventLog
 	clock   Clock
@@ -137,9 +138,9 @@ type sessionStatus struct {
 	EndedAt   *time.Time `json:"ended_at,omitempty"`
 	// TimeToFirstEventMS is the wall-clock latency from submission
 	// to the first simulator event (0 until one fires).
-	TimeToFirstEventMS float64  `json:"time_to_first_event_ms,omitempty"`
-	Progress           Progress `json:"progress"`
-	Spec               RunSpec  `json:"spec"`
+	TimeToFirstEventMS float64      `json:"time_to_first_event_ms,omitempty"`
+	Progress           Progress     `json:"progress"`
+	Spec               runspec.Spec `json:"spec"`
 }
 
 // status snapshots the session for serving.
@@ -182,7 +183,7 @@ func newRegistry(clock Clock) *registry {
 }
 
 // add creates a queued session under the parent context.
-func (r *registry) add(parent context.Context, spec RunSpec, src gfs.TraceSource, eventBuffer int) *Session {
+func (r *registry) add(parent context.Context, spec runspec.Spec, src gfs.TraceSource, eventBuffer int) *Session {
 	ctx, cancel := context.WithCancel(parent)
 	r.mu.Lock()
 	r.seq++

@@ -11,15 +11,6 @@ import (
 	"github.com/sjtucitlab/gfs/internal/runspec"
 )
 
-// RunSpec is the session description: the runspec.Spec gfsim and
-// gfsd both decode, so a session and the equivalent CLI invocation
-// build the same run.
-type RunSpec = runspec.Spec
-
-// DecodeRunSpec parses, defaults and validates a JSON RunSpec body as
-// POST /v1/sessions does.
-func DecodeRunSpec(data []byte) (RunSpec, error) { return runspec.Decode(data) }
-
 // inlineSource turns the spec's inline task records into a replayable
 // trace source: the records are framed as JSONL, decoded by the same
 // codec trace files use, and sorted by submission time (inline JSON
@@ -40,11 +31,11 @@ func inlineSource(tasks []json.RawMessage) gfs.TraceSource {
 	return gfs.SortTraceBySubmit(src)
 }
 
-// specFromQuery decodes a RunSpec from URL query parameters — the
+// specFromQuery decodes a run spec from URL query parameters — the
 // spec channel for trace-upload submissions, whose body is the trace
 // itself.
-func specFromQuery(q url.Values) (RunSpec, error) {
-	var sp RunSpec
+func specFromQuery(q url.Values) (runspec.Spec, error) {
+	var sp runspec.Spec
 	sp.Scheduler = q.Get("scheduler")
 	sp.Scenario = q.Get("scenario")
 	sp.Route = q.Get("route")

@@ -1,10 +1,9 @@
-// Nothing in the product uses ShardedQueue any more: the sharded core
-// it served is deleted (docs/performance.md, "Sharding verdict") and
-// the simulator holds a plain Queue. The file stays only because
-// bench/'s simclock.sharded_hold_ns_100k probe compiles against
-// NewShardedQueue, Push and Pop, so it keeps just those (and Len);
-// the benchmark change that drops the probe deletes this file, its
-// test and Queue.pushSeq with it.
+// Bench pins: nothing in the product uses ShardedQueue any more: the
+// sharded core it served is deleted (docs/performance.md, "Sharding
+// verdict"). The file stays only because bench/'s sharded_hold probe
+// compiles against NewShardedQueue, Push and Pop (and Len); no program
+// may use them (TestBenchPinsHaveNoProgramCaller). ROADMAP item 1a
+// deletes this file, its test and Queue.pushSeq with it.
 
 package simclock
 
@@ -17,14 +16,14 @@ package simclock
 // ShardedQueue changes where events are stored, never when they are
 // delivered.
 // Pushes and pops are not synchronized and must happen from one
-// goroutine at a time, just like Queue.
+// goroutine at a time, just like Queue. Bench pin (ROADMAP item 1a).
 type ShardedQueue struct {
 	seq    uint64
 	shards []Queue
 }
 
 // NewShardedQueue returns a queue with n member shards. n is clamped
-// to at least 1.
+// to at least 1. Bench pin (ROADMAP item 1a).
 func NewShardedQueue(n int) *ShardedQueue {
 	if n < 1 {
 		n = 1
@@ -32,7 +31,7 @@ func NewShardedQueue(n int) *ShardedQueue {
 	return &ShardedQueue{shards: make([]Queue, n)}
 }
 
-// Len reports the number of pending events across all shards.
+// Len counts pending events in all shards. Bench pin (ROADMAP item 1a).
 func (s *ShardedQueue) Len() int {
 	n := 0
 	for i := range s.shards {
@@ -42,7 +41,8 @@ func (s *ShardedQueue) Len() int {
 }
 
 // Push schedules value on the given shard for delivery at time at,
-// with the same global-order semantics as Queue.Push.
+// with the same global-order semantics as Queue.Push. Bench pin
+// (ROADMAP item 1a).
 func (s *ShardedQueue) Push(shard int, at Time, value any) {
 	s.shards[shard].pushSeq(at, 1, value, s.seq)
 	s.seq++
@@ -66,7 +66,8 @@ func (s *ShardedQueue) min() int {
 }
 
 // Pop removes and returns the next event across all shards. The
-// second result is false if every shard is empty.
+// second result is false if every shard is empty. Bench pin
+// (ROADMAP item 1a).
 func (s *ShardedQueue) Pop() (Event, bool) {
 	i := s.min()
 	if i < 0 {

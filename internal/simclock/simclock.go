@@ -109,7 +109,7 @@ func (q *Queue) push(at Time, class uint8, value any) {
 }
 
 // pushSeq schedules an event with an externally assigned insertion
-// sequence. It is split from push only for ShardedQueue (sharded.go),
+// sequence. It is split from push only for ShardedQueue (benchpin.go),
 // which stamps one sequence across its member queues; when that file
 // goes, this folds back into push.
 func (q *Queue) pushSeq(at Time, class uint8, value any, seq uint64) {

@@ -70,24 +70,13 @@ func WithScenario(sc *Scenario) Option {
 	}
 }
 
-// WithShards is accepted and ignored: the run is serial whatever n
-// is. The intra-run sharded core it selected measured slower than the
-// serial engine on its best case and was deleted (docs/performance.md,
-// "Sharding verdict"); to use several cores, spread runs over them
-// with RunBatch.
-//
-// Deprecated: the option has no effect and will be removed.
-func WithShards(n int) Option {
-	return func(*Engine) {}
-}
-
 // WithTraceSource attaches a streaming trace to the engine for
-// replay: Engine.RunTrace pulls tasks from the source as the
-// simulated clock reaches their submission times, through the same
-// arrival cursor a preloaded trace takes, so the trace is never
-// materialized. The source must yield tasks in non-decreasing
-// submission order (every codec in this module does) and, being
-// single-use, supports exactly one RunTrace.
+// replay: a RunBatch spec whose Setup returns the engine with a nil
+// task slice pulls tasks as the simulated clock reaches their
+// submission times, through the arrival cursor a preload takes, so the
+// trace is never materialized. The source must yield tasks in
+// non-decreasing submission order (every codec here does) and, being
+// single-use, supports exactly one run.
 func WithTraceSource(src TraceSource) Option {
 	return func(e *Engine) { e.src = src }
 }

@@ -332,70 +332,6 @@ func writeOrgRows(e *exporter, member bool, reports []MemberReport) error {
 	return cw.Error()
 }
 
-// WriteQuotaCSV writes the quota trajectory: one row per quota tick
-// (at, member, quota, spot_used, eta); an unlimited quota renders as
-// the string "unlimited". The bytes are encoding/csv's for the same
-// fields.
-func (r *Report) WriteQuotaCSV(w io.Writer) error {
-	return export(w, func(e *exporter) error {
-		if _, err := e.WriteString("at,member,quota,spot_used,eta\n"); err != nil {
-			return err
-		}
-		if r.Quota == nil {
-			return nil
-		}
-		for i := range r.Quota.Samples {
-			s := &r.Quota.Samples[i]
-			b := appendCSVTick(e.line[:0], s.At, s.Member)
-			if s.Quota.unlimited() {
-				b = append(b, ",unlimited"...)
-			} else {
-				b = appendCSVFloats(b, float64(s.Quota))
-			}
-			e.line = append(appendCSVFloats(b, s.SpotUsed, s.Eta), '\n')
-			if err := e.writeLine(); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-}
-
-// WriteTimelineCSV writes the allocation timeline: one row per step
-// (at, member, used, capacity, rate). The bytes are encoding/csv's for
-// the same fields.
-func (r *Report) WriteTimelineCSV(w io.Writer) error {
-	return export(w, func(e *exporter) error {
-		if _, err := e.WriteString("at,member,used,capacity,rate\n"); err != nil {
-			return err
-		}
-		for i := range r.Timeline {
-			p := &r.Timeline[i]
-			b := appendCSVTick(e.line[:0], p.At, p.Member)
-			e.line = append(appendCSVFloats(b, p.Used, p.Capacity, p.Rate), '\n')
-			if err := e.writeLine(); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-}
-
-// appendCSVTick opens a per-tick CSV row: the time, then the member.
-func appendCSVTick(dst []byte, at Time, member string) []byte {
-	dst = strconv.AppendInt(dst, int64(at), 10)
-	dst = append(dst, ',')
-	return appendCSVField(dst, member)
-}
-
-// appendCSVFloats appends each float as a further field of a row.
-func appendCSVFloats(dst []byte, fs ...float64) []byte {
-	for _, f := range fs {
-		dst = appendFloat(append(dst, ','), f)
-	}
-	return dst
-}
-
 // appendCSVField appends s as a csv.Writer with the default comma and
 // LF line ends writes a field: quoted, with each '"' doubled, when it
 // holds a comma, a quote, CR or LF, starts with a space character, or

@@ -12,7 +12,7 @@ type (
 	// TraceSource is a pull-based trace iterator: Next returns tasks
 	// one at a time in file order (io.EOF at the end), so arbitrarily
 	// large traces flow through decoders, transforms and replay in
-	// constant memory. See OpenTrace, Engine.RunTrace.
+	// constant memory. See OpenTrace, WithTraceSource.
 	TraceSource = trace.Source
 	// TraceFormat identifies a trace encoding (CSV, JSONL, or an
 	// external schema).
@@ -41,7 +41,9 @@ const (
 //
 //	src, err := gfs.OpenTrace("trace.csv.gz")
 //	...
-//	res, err := gfs.NewEngine(cluster, gfs.WithTraceSource(src)).RunTrace()
+//	res := gfs.RunBatch([]gfs.BatchSpec{{Setup: func() (*gfs.Engine, []*gfs.Task) {
+//		return gfs.NewEngine(cluster, gfs.WithTraceSource(src)), nil
+//	}}})[0]
 func OpenTrace(path string) (TraceSource, error) { return trace.Open(path) }
 
 // OpenTraceFormat is OpenTrace with an explicit format instead of
