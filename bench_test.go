@@ -119,7 +119,7 @@ var sim10KSetup = runSetup(sim10KScale(), 1, func() gfs.Scheduler { return basel
 func gzTrace(tb testing.TB) []byte {
 	var buf bytes.Buffer
 	zw := gzip.NewWriter(&buf)
-	if err := gfs.WriteTraceCSV(zw, benchFigScale().Trace(2)); err != nil {
+	if err := writeTraceCSV(zw, benchFigScale().Trace(2)); err != nil {
 		tb.Fatal(err)
 	}
 	if err := zw.Close(); err != nil {

@@ -1,21 +1,17 @@
 package gfs_test
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"go/ast"
-	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
-	"io"
 	"io/fs"
-	"os"
-	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"github.com/sjtucitlab/gfs/internal/lint"
 )
 
 // TestExportedSymbolsDocumented is the doc-lint gate run by CI: every
@@ -107,55 +103,17 @@ func exportedCounts(t *testing.T, dir string) (core, pins int) {
 // TestBenchPinsHaveNoProgramCaller: a name declared in a benchpin.go
 // is kept only because bench/ (its own module) compiles against it,
 // so no non-test file of this module outside a benchpin.go may use
-// one. Uses are resolved by go/types, not by name, so a pinned
-// Finish and a collector's Finish are told apart. Imports resolve
-// from the build cache's export data, as internal/lint's loader does.
+// one. Uses are resolved by go/types (gfslint's loader, over every
+// package of the module), not by name, so a pinned Finish and a
+// collector's Finish are told apart.
 func TestBenchPinsHaveNoProgramCaller(t *testing.T) {
-	cmd := exec.Command("go", "list", "-deps", "-export", "-json=ImportPath,Dir,GoFiles,Export,Standard", "./...")
-	var stderr bytes.Buffer
-	cmd.Stderr = &stderr
-	out, err := cmd.Output()
+	pkgs, err := lint.Load(".", []string{"./..."}, nil)
 	if err != nil {
-		t.Fatalf("go list: %v\n%s", err, stderr.Bytes())
+		t.Fatal(err)
 	}
-	type listed struct {
-		ImportPath, Dir, Export string
-		GoFiles                 []string
-		Standard                bool
-	}
-	var own []listed
-	exports := map[string]string{}
-	for dec := json.NewDecoder(bytes.NewReader(out)); ; {
-		var p listed
-		if err := dec.Decode(&p); err == io.EOF {
-			break
-		} else if err != nil {
-			t.Fatalf("decoding go list output: %v", err)
-		}
-		exports[p.ImportPath] = p.Export
-		if !p.Standard {
-			own = append(own, p)
-		}
-	}
-	for _, p := range own {
-		fset := token.NewFileSet()
-		var files []*ast.File
-		for _, name := range p.GoFiles {
-			f, err := parser.ParseFile(fset, filepath.Join(p.Dir, name), nil, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			files = append(files, f)
-		}
-		imp := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
-			return os.Open(exports[path])
-		})
-		info := &types.Info{Uses: map[*ast.Ident]types.Object{}}
-		if _, err := (&types.Config{Importer: imp}).Check(p.ImportPath, fset, files, info); err != nil {
-			t.Fatalf("type-checking %s: %v", p.ImportPath, err)
-		}
-		for id, obj := range info.Uses {
-			use, decl := fset.Position(id.Pos()), fset.Position(obj.Pos())
+	for _, p := range pkgs {
+		for id, obj := range p.Info.Uses {
+			use, decl := p.Fset.Position(id.Pos()), p.Fset.Position(obj.Pos())
 			if filepath.Base(decl.Filename) != "benchpin.go" || filepath.Base(use.Filename) == "benchpin.go" {
 				continue
 			}

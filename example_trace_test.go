@@ -120,28 +120,30 @@ func ExampleRebaseTrace() {
 	// Output: first submit: 0
 }
 
-// Replay: WithTraceSource attaches a stream to an engine and the run
-// pulls tasks one ahead of the clock, through the arrival cursor a
-// preload takes — the trace is never loaded whole. RunTrace and
-// WriteTraceCSV are bench pins (ROADMAP item 1a), kept here as their
-// witness; programs replay through RunBatch with a Setup that returns
-// the engine and a nil task slice, as gfsim and gfsd do.
+// Replay: WithTraceSource attaches a stream to an engine, and a
+// RunBatch spec whose Setup returns the engine with a nil task slice
+// replays it, as gfsim and gfsd do. The run pulls tasks one ahead of
+// the clock, through the arrival cursor a preload takes — the trace is
+// never loaded whole.
 func ExampleWithTraceSource() {
 	var buf bytes.Buffer
-	if err := gfs.WriteTraceCSV(&buf, tinyTrace()); err != nil {
+	if err := gfs.WriteTraceJSONL(&buf, tinyTrace()); err != nil {
 		panic(err)
 	}
-	src, err := gfs.OpenTraceReader(&buf, gfs.TraceFormatCSV)
+	src, err := gfs.OpenTraceReader(&buf, gfs.TraceFormatJSONL)
 	if err != nil {
 		panic(err)
 	}
-	res, err := gfs.NewEngine(gfs.NewCluster("A100", 4, 8),
-		gfs.WithScheduler(baselines.NewYARNCS()),
-		gfs.WithTraceSource(src),
-	).RunTrace()
-	if err != nil {
-		panic(err)
+	br := gfs.RunBatch([]gfs.BatchSpec{{Name: "replay", Setup: func() (*gfs.Engine, []*gfs.Task) {
+		return gfs.NewEngine(gfs.NewCluster("A100", 4, 8),
+			gfs.WithScheduler(baselines.NewYARNCS()),
+			gfs.WithTraceSource(src),
+		), nil
+	}}})[0]
+	if br.Err != nil {
+		panic(br.Err)
 	}
+	res := br.Result
 	fmt.Println(res.HP.Count+res.Spot.Count, "tasks replayed,", res.UnfinishedHP, "unfinished HP")
 	// Output: 4 tasks replayed, 0 unfinished HP
 }

@@ -127,7 +127,7 @@ func federationCase(seed int64) string {
 // replay path in one fixture.
 func replayCSVCase(s gfs.Scheduler, seed int64) string {
 	var buf bytes.Buffer
-	if err := gfs.WriteTraceCSV(&buf, gfs.GenerateTrace(goldenTraceCfg(seed))); err != nil {
+	if err := writeTraceCSV(&buf, gfs.GenerateTrace(goldenTraceCfg(seed))); err != nil {
 		panic(err)
 	}
 	src, err := gfs.OpenTraceReader(&buf, gfs.TraceFormatCSV)
@@ -135,7 +135,7 @@ func replayCSVCase(s gfs.Scheduler, seed int64) string {
 		panic(err)
 	}
 	log := &sched.EventLog{}
-	if _, err := engineOf(s)(log, gfs.WithTraceSource(src)).RunTrace(); err != nil {
+	if _, err := replay(engineOf(s)(log, gfs.WithTraceSource(src))); err != nil {
 		panic(err)
 	}
 	return log.String()
@@ -146,7 +146,7 @@ func replayCSVCase(s gfs.Scheduler, seed int64) string {
 func replayStormCase(s gfs.Scheduler, seed int64) string {
 	log := &sched.EventLog{}
 	src := trace.SliceSource(gfs.GenerateTrace(goldenTraceCfg(seed)))
-	if _, err := stormOf(s, seed)(log, gfs.WithTraceSource(src)).RunTrace(); err != nil {
+	if _, err := replay(stormOf(s, seed)(log, gfs.WithTraceSource(src))); err != nil {
 		panic(err)
 	}
 	return log.String()

@@ -153,7 +153,10 @@ func CheckPackage(pkg *Package, class Class) []Finding {
 // (resolved by the go tool from dir) and returns the combined
 // findings. A nil, nil return means the tree is clean.
 func Check(dir string, patterns []string) ([]Finding, error) {
-	pkgs, err := Load(dir, patterns)
+	pkgs, err := Load(dir, patterns, func(path string) bool {
+		_, ok := Table[path]
+		return ok
+	})
 	if err != nil {
 		return nil, err
 	}

@@ -126,10 +126,10 @@ func checkFiles(path string, fset *token.FileSet, files []*ast.File, imp types.I
 }
 
 // Load resolves the patterns with the go tool (from dir), keeps the
-// packages classified in Table, and parses and type-checks each
-// against build-cache export data. Packages come back sorted by
-// import path.
-func Load(dir string, patterns []string) ([]*Package, error) {
+// packages whose import path keep accepts (all of them when keep is
+// nil), and parses and type-checks each against build-cache export
+// data. Packages come back sorted by import path.
+func Load(dir string, patterns []string, keep func(path string) bool) ([]*Package, error) {
 	args := append([]string{"list", "-json=ImportPath,Dir,GoFiles"}, patterns...)
 	listed, err := goList(dir, args...)
 	if err != nil {
@@ -137,7 +137,7 @@ func Load(dir string, patterns []string) ([]*Package, error) {
 	}
 	var targets []listedPackage
 	for _, p := range listed {
-		if _, ok := Table[p.ImportPath]; ok {
+		if keep == nil || keep(p.ImportPath) {
 			targets = append(targets, p)
 		}
 	}

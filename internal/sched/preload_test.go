@@ -1,4 +1,4 @@
-package sched
+package sched_test
 
 import (
 	"cmp"
@@ -7,20 +7,23 @@ import (
 	"slices"
 	"testing"
 
+	"github.com/sjtucitlab/gfs/internal/baselines"
 	"github.com/sjtucitlab/gfs/internal/cluster"
+	"github.com/sjtucitlab/gfs/internal/pts"
+	"github.com/sjtucitlab/gfs/internal/sched"
 	"github.com/sjtucitlab/gfs/internal/simclock"
 	"github.com/sjtucitlab/gfs/internal/task"
 	"github.com/sjtucitlab/gfs/internal/trace"
 )
 
 // preloadWorld is one random run: tasks, possibly out of submission
-// order and many sharing an instant, first fit with or without
-// preemption, and scenario actions timed at arrival instants.
+// order and many sharing an instant, a scheduler choice and scenario
+// actions timed at arrival instants.
 type preloadWorld struct {
 	tasks   func() []*task.Task
-	preempt bool
+	gfs     bool
 	sorted  bool
-	actions []ScenarioAction
+	actions []sched.ScenarioAction
 }
 
 // The three ways a world's tasks reach the simulator.
@@ -34,7 +37,7 @@ func newPreloadWorld(seed int64, n uint8, flags uint8) preloadWorld {
 	rng := rand.New(rand.NewSource(seed))
 	count := 1 + int(n)%80
 	unsorted := flags&1 != 0
-	w := preloadWorld{preempt: flags&2 != 0, sorted: !unsorted}
+	w := preloadWorld{gfs: flags&2 != 0, sorted: !unsorted}
 	// Few instants, so most arrivals tie with another arrival and, at
 	// multiples of the 300 s quota interval, with a tick. The instants
 	// fall in up to three bursts 8 h apart, so a run usually idles
@@ -92,12 +95,12 @@ func newPreloadWorld(seed int64, n uint8, flags uint8) preloadWorld {
 		rack := cluster.DomainName(rng.Intn(2), rng.Intn(2))
 		switch rng.Intn(3) {
 		case 0:
-			w.actions = append(w.actions, ScenarioAction{At: at, Op: OpDomainDown, Domain: rack})
+			w.actions = append(w.actions, sched.ScenarioAction{At: at, Op: sched.OpDomainDown, Domain: rack})
 		case 1:
-			w.actions = append(w.actions, ScenarioAction{At: at, Op: OpDomainUp, Domain: rack})
+			w.actions = append(w.actions, sched.ScenarioAction{At: at, Op: sched.OpDomainUp, Domain: rack})
 		default:
 			if !unsorted {
-				w.actions = append(w.actions, ScenarioAction{At: at, Op: OpReclaimSpot, Fraction: 0.5})
+				w.actions = append(w.actions, sched.ScenarioAction{At: at, Op: sched.OpReclaimSpot, Fraction: 0.5})
 			}
 		}
 	}
@@ -110,44 +113,49 @@ func newPreloadWorld(seed int64, n uint8, flags uint8) preloadWorld {
 func (w preloadWorld) run(how int) string {
 	cl := cluster.NewHomogeneous("A100", 4, 8)
 	cl.AssignDomains(2, 2)
-	log := &EventLog{}
-	cfg := SimConfig{Cluster: cl, Scheduler: &firstFit{preempt: w.preempt}}
-	cfg.Quota = StaticQuota{Fraction: 0.5}
+	var sc sched.Scheduler = baselines.NewStaticFirstFit()
+	if w.gfs {
+		sc = pts.New(pts.DefaultConfig())
+	}
+	log := &sched.EventLog{}
+	cfg := sched.SimConfig{Cluster: cl, Scheduler: sc}
+	cfg.Quota = sched.StaticQuota{Fraction: 0.5}
 	cfg.Scenario = w.actions
-	cfg.Observers = []Observer{log}
+	cfg.Observers = []sched.Observer{log}
 	tasks := w.tasks()
 	if how == streamed {
-		solo := FedConfig{Members: []FedMember{{Name: "solo", Cfg: cfg}}}
-		if _, err := RunFederationContext(context.Background(), solo, nil, trace.SliceSource(tasks)); err != nil {
+		solo := sched.FedConfig{Members: []sched.FedMember{{Name: "solo", Cfg: cfg}}}
+		if _, err := sched.RunFederationContext(context.Background(), solo, nil, trace.SliceSource(tasks)); err != nil {
 			return err.Error()
 		}
 		return log.String()
 	}
-	var s *simulator
+	var preload []*task.Task
+	if how == preloaded {
+		preload = tasks
+	}
+	s := sched.NewSimForTest(cfg, preload, nil)
 	if how == injected {
-		s = newSimulator(cfg, nil, nil)
 		slices.SortStableFunc(tasks, func(a, b *task.Task) int { return cmp.Compare(a.Submit, b.Submit) })
 		for _, tk := range tasks {
-			s.inject(tk, tk.Submit)
+			sched.InjectForTest(s, tk, tk.Submit)
 		}
-	} else {
-		s = newSimulator(cfg, tasks, nil)
 	}
-	for s.step() {
+	for sched.StepForTest(s) {
 	}
-	s.finish()
+	sched.FinishForTest(s)
 	return log.String()
 }
 
 // FuzzPreloadMatchesInject: a preloaded trace, delivered from the
 // simulator's arrival feed, yields byte for byte the event log of the
-// same tasks injected up front into the event queue, under first fit
-// with and without preemption, sorted or not, with ties among arrivals and
+// same tasks injected up front into the event queue, under GFS's
+// placement and first fit, sorted or not, with ties among arrivals and
 // against scenario actions and quota ticks at the same instant. A
 // sorted world streamed from a source yields it too, idle gaps
 // between bursts included.
 func FuzzPreloadMatchesInject(f *testing.F) {
-	// Every pairing of sorted or not with preempting or not.
+	// Every pairing of sorted or not with GFS or first fit.
 	for seed := int64(1); seed <= 24; seed++ {
 		for flags := range uint8(4) {
 			f.Add(seed, uint8(7*seed), flags)

@@ -333,7 +333,7 @@ func TestInvariantsReplayStorm(t *testing.T) {
 		gfs.WithObserver(chk),
 		gfs.WithTraceSource(trace.SliceSource(tasks)),
 	)...)
-	if _, err := eng.RunTrace(); err != nil {
+	if _, err := replay(eng); err != nil {
 		t.Fatal(err)
 	}
 	chk.finish(tasks)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"compress/gzip"
 	"fmt"
+	"io"
 	"strings"
 	"testing"
 
@@ -11,13 +12,38 @@ import (
 	"github.com/sjtucitlab/gfs/internal/baselines"
 )
 
+// writeTraceCSV encodes tasks as CSV through the streaming encoder
+// programs write traces with.
+func writeTraceCSV(w io.Writer, tasks []*gfs.Task) error {
+	enc, err := gfs.NewTraceEncoder(w, gfs.TraceFormatCSV)
+	if err != nil {
+		return err
+	}
+	for _, tk := range tasks {
+		if err := enc.Encode(tk); err != nil {
+			return err
+		}
+	}
+	return enc.Flush()
+}
+
+// replay runs the engine's attached trace source (WithTraceSource) as
+// a one-spec RunBatch with a nil task slice, the path gfsim and gfsd
+// replay through.
+func replay(e *gfs.Engine) (*gfs.Result, error) {
+	br := gfs.RunBatch([]gfs.BatchSpec{{Name: "replay", Setup: func() (*gfs.Engine, []*gfs.Task) {
+		return e, nil
+	}}})[0]
+	return br.Result, br.Err
+}
+
 // encodedChaosTrace renders the standard test workload as an
 // in-memory gzipped CSV — the bytes every replay spec re-ingests.
 func encodedChaosTrace(t testing.TB, seed int64) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	zw := gzip.NewWriter(&buf)
-	if err := gfs.WriteTraceCSV(zw, chaosTrace(seed)); err != nil {
+	if err := writeTraceCSV(zw, chaosTrace(seed)); err != nil {
 		t.Fatal(err)
 	}
 	if err := zw.Close(); err != nil {
@@ -38,23 +64,35 @@ func openBytes(t testing.TB, data []byte) gfs.TraceSource {
 
 // TestRunTraceMatchesRun: replaying an encoded trace through the
 // streaming path gives the same result as running the generated
-// slice — ingestion is lossless and injection order-faithful.
+// slice — ingestion is lossless and injection order-faithful — both
+// through RunBatch, the path programs replay through, and through the
+// RunTrace bench pin (its arm goes with ROADMAP item 1a).
 func TestRunTraceMatchesRun(t *testing.T) {
 	eager := gfs.NewEngine(gfs.NewCluster("A100", 16, 8),
 		gfs.WithScheduler(baselines.NewYARNCS())).Run(chaosTrace(17))
 
-	streamed, err := gfs.NewEngine(gfs.NewCluster("A100", 16, 8),
-		gfs.WithScheduler(baselines.NewYARNCS()),
-		gfs.WithTraceSource(openBytes(t, encodedChaosTrace(t, 17))),
-	).RunTrace()
-	if err != nil {
-		t.Fatal(err)
+	engine := func() *gfs.Engine {
+		return gfs.NewEngine(gfs.NewCluster("A100", 16, 8),
+			gfs.WithScheduler(baselines.NewYARNCS()),
+			gfs.WithTraceSource(openBytes(t, encodedChaosTrace(t, 17))))
 	}
-	if eager.HP.JCT != streamed.HP.JCT || eager.Spot.JCT != streamed.Spot.JCT ||
-		eager.Spot.Evictions != streamed.Spot.Evictions ||
-		eager.AllocationRate != streamed.AllocationRate || eager.End != streamed.End {
-		t.Fatalf("replay diverged from eager run:\n eager    %+v %+v\n streamed %+v %+v",
-			eager.HP, eager.Spot, streamed.HP, streamed.Spot)
+	for _, arm := range []struct {
+		name string
+		run  func() (*gfs.Result, error)
+	}{
+		{"RunBatch", func() (*gfs.Result, error) { return replay(engine()) }},
+		{"RunTrace", func() (*gfs.Result, error) { return engine().RunTrace() }},
+	} {
+		streamed, err := arm.run()
+		if err != nil {
+			t.Fatalf("%s: %v", arm.name, err)
+		}
+		if eager.HP.JCT != streamed.HP.JCT || eager.Spot.JCT != streamed.Spot.JCT ||
+			eager.Spot.Evictions != streamed.Spot.Evictions ||
+			eager.AllocationRate != streamed.AllocationRate || eager.End != streamed.End {
+			t.Fatalf("%s replay diverged from eager run:\n eager    %+v %+v\n streamed %+v %+v",
+				arm.name, eager.HP, eager.Spot, streamed.HP, streamed.Spot)
+		}
 	}
 }
 
