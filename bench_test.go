@@ -255,7 +255,7 @@ func TestAllocCeilings(t *testing.T) {
 		{"Sim", simSetup, 737},
 		{"Lyra", lyraSetup, 1906},
 		{"TraceIngest", traceIngestSetup(gzTrace(t)), 452},
-		{"Report", reportSetup, 1449},
+		{"Report", reportSetup, 901},
 		{"Sim10K", sim10KSetup, 4881},
 		{"Autoscale", autoscaleSetup, 15736},
 		// GFS leaves room for one prediction tape regrown (~146

@@ -1,6 +1,7 @@
 package gfs
 
 import (
+	"iter"
 	"math"
 	"sort"
 
@@ -79,40 +80,123 @@ func DefaultCollectors() []Collector {
 	}
 }
 
+// seq is an append-only sequence kept in chunks whose capacity
+// doubles from 16 up to limit elements. A chunk never grows past its
+// capacity, so the pointer push returns stays valid for the
+// sequence's life, and a long run appends without copying what it
+// already holds; a short one allocates little.
+type seq[T any] struct {
+	chunks [][]T
+	n      int
+	limit  int
+}
+
+// reset empties the sequence, dropping its chunks, and caps the
+// chunks it allocates next at limit elements.
+func (s *seq[T]) reset(limit int) { *s = seq[T]{limit: limit} }
+
+// push appends v and returns a pointer to the stored copy.
+func (s *seq[T]) push(v T) *T {
+	k := len(s.chunks) - 1
+	if k < 0 || len(s.chunks[k]) == cap(s.chunks[k]) {
+		size := 16
+		if k >= 0 {
+			size = min(2*cap(s.chunks[k]), s.limit)
+		}
+		s.chunks = append(s.chunks, make([]T, 0, size))
+		k++
+	}
+	s.chunks[k] = append(s.chunks[k], v)
+	s.n++
+	return &s.chunks[k][len(s.chunks[k])-1]
+}
+
+// all walks the elements in push order.
+func (s *seq[T]) all() iter.Seq[*T] {
+	return func(yield func(*T) bool) {
+		for _, c := range s.chunks {
+			for i := range c {
+				if !yield(&c[i]) {
+					return
+				}
+			}
+		}
+	}
+}
+
+// flatten returns a fresh exact-size copy of the elements in push
+// order, or nil when the sequence is empty.
+func (s *seq[T]) flatten() []T {
+	if s.n == 0 {
+		return nil
+	}
+	out := make([]T, 0, s.n)
+	for _, c := range s.chunks {
+		out = append(out, c...)
+	}
+	return out
+}
+
+// Chunk caps: a full tally chunk is 45 KB of records, a full
+// timeline or quota chunk 48 KB of points.
+const (
+	recordChunk = 512
+	pointChunk  = 1024
+)
+
 // taskRecord is the per-task scratch state the task-tracking
-// collectors accumulate from the event stream. Records are kept in
-// first-arrival order so float accumulations reproduce the simulator
-// core's own summaries bit-for-bit.
+// collectors accumulate from the event stream, packed to 88 bytes:
+// the org is an index into the tally's org list, the per-cause
+// eviction counts are indexed by cause − CausePreempted, and the task
+// type is kept as its class slot (classOf).
 type taskRecord struct {
-	org         string
-	typ         TaskType
 	gpus        float64
 	submit      Time
 	queuedSince Time
 	lastStart   Time
 	queue       Duration
 	jct         Duration
-	finished    bool
-	evictions   int
-	causes      EvictionCounts
-	runs        int
 	gpuSeconds  float64
+	causes      [4]int32
+	org         int32
+	evictions   int32
+	runs        int32
+	class       int8
+	finished    bool
 }
 
-// taskTally tracks every task seen on the spine, by ID, in
-// first-arrival order. It is the shared engine of the summary and
-// org collectors; each collector owns its own tally so collectors
-// stay independently registrable.
+// taskTally tracks every task seen on the spine, by ID. Records are
+// kept by value in first-arrival order so float accumulations
+// reproduce the simulator core's own summaries bit-for-bit. It is the
+// shared engine of the summary and org collectors; each collector
+// owns its own tally so collectors stay independently registrable.
 type taskTally struct {
-	byID  map[int]*taskRecord
-	order []*taskRecord
-	end   Time
+	records seq[taskRecord]
+	byID    map[int]*taskRecord
+	// orgs lists the orgs in first-seen order; orgIndex inverts it.
+	orgs     []string
+	orgIndex map[string]int32
+	end      Time
 }
 
 func (t *taskTally) reset() {
+	t.records.reset(recordChunk)
 	t.byID = make(map[int]*taskRecord)
-	t.order = nil
+	t.orgs = nil
+	t.orgIndex = make(map[string]int32)
 	t.end = 0
+}
+
+// org returns the index of the named org, registering it on first
+// sight.
+func (t *taskTally) org(name string) int32 {
+	i, ok := t.orgIndex[name]
+	if !ok {
+		i = int32(len(t.orgs))
+		t.orgs = append(t.orgs, name)
+		t.orgIndex[name] = i
+	}
+	return i
 }
 
 // observe folds one event into the tally.
@@ -127,14 +211,13 @@ func (t *taskTally) observe(e Event) {
 	case TaskArrived:
 		r := t.byID[e.Task.ID]
 		if r == nil {
-			r = &taskRecord{
-				org:    e.Task.Org,
-				typ:    e.Task.Type,
+			r = t.records.push(taskRecord{
+				org:    t.org(e.Task.Org),
+				class:  classOf(e.Task.Type),
 				gpus:   e.Task.TotalGPUs(),
 				submit: e.Task.Submit,
-			}
+			})
 			t.byID[e.Task.ID] = r
-			t.order = append(t.order, r)
 		}
 		// A re-arrival (a task migrating into this member) reopens
 		// the queue clock here, matching the task's own bookkeeping.
@@ -149,7 +232,9 @@ func (t *taskTally) observe(e Event) {
 	case TaskEvicted:
 		if r := t.byID[e.Task.ID]; r != nil {
 			r.evictions++
-			r.causes.add(e.Cause)
+			if c := e.Cause; c >= CausePreempted && c <= CauseDrained {
+				r.causes[c-CausePreempted]++
+			}
 			r.runs++
 			// The conversion rounds the product, so no platform
 			// fuses it into the sum (likewise below).
@@ -166,39 +251,81 @@ func (t *taskTally) observe(e Event) {
 	}
 }
 
-// classMetrics summarizes the records of one task class, in record
-// (first-arrival) order.
-func classMetrics(records []*taskRecord, typ TaskType) ClassMetrics {
-	var m ClassMetrics
-	var jcts, queues []float64
-	for _, r := range records {
-		if r.typ != typ {
+// classOf is a task type's class slot: HP 0, spot 1, -1 for neither.
+func classOf(typ TaskType) int8 {
+	switch typ {
+	case HP:
+		return 0
+	case Spot:
+		return 1
+	}
+	return -1
+}
+
+// summarize folds the tally's records into one ClassMetrics per slot;
+// slot maps a record to its slot in [0, slots), or below 0 to skip
+// it. Each slot sees its records in first-arrival order. A first pass
+// sizes every slot's JCT and queue-wait runs, so one scratch slice
+// holds them all at exact size; each run is averaged in record order
+// before it is sorted in place for its percentiles.
+func (t *taskTally) summarize(slots int, slot func(*taskRecord) int) []ClassMetrics {
+	out := make([]ClassMetrics, slots)
+	finished := 0
+	for r := range t.records.all() {
+		if s := slot(r); s >= 0 {
+			out[s].Count++
+			if r.finished {
+				out[s].Finished++
+				finished++
+			}
+		}
+	}
+	scratch := make([]float64, finished+t.records.n)
+	jcts := make([][]float64, slots)
+	queues := make([][]float64, slots)
+	for s := range out {
+		jcts[s], scratch = scratch[:0:out[s].Finished], scratch[out[s].Finished:]
+	}
+	for s := range out {
+		queues[s], scratch = scratch[:0:out[s].Count], scratch[out[s].Count:]
+	}
+	for r := range t.records.all() {
+		s := slot(r)
+		if s < 0 {
 			continue
 		}
-		m.Count++
-		m.Evictions += r.evictions
-		m.Runs += r.runs
+		m := &out[s]
+		m.Evictions += int(r.evictions)
+		m.Runs += int(r.runs)
 		m.GPUSeconds += r.gpuSeconds
 		if r.finished {
-			m.Finished++
-			jcts = append(jcts, r.jct.Seconds())
+			jcts[s] = append(jcts[s], r.jct.Seconds())
 		}
-		queues = append(queues, r.queue.Seconds())
+		queues[s] = append(queues[s], r.queue.Seconds())
 	}
+	for s := range out {
+		finishClass(&out[s], jcts[s], queues[s])
+	}
+	return out
+}
+
+// finishClass derives a class's means, percentiles and rates from its
+// sums and its JCT and queue-wait samples (in record order), sorting
+// the samples in place.
+func finishClass(m *ClassMetrics, jcts, queues []float64) {
 	m.Unfinished = m.Count - m.Finished
 	m.JCTMean = stats.Mean(jcts)
-	jq := stats.Quantiles(jcts, 0.5, 0.95, 0.99)
-	m.JCTP50, m.JCTP95, m.JCTP99 = jq[0], jq[1], jq[2]
 	m.QueueMean = stats.Mean(queues)
-	qq := stats.Quantiles(queues, 0.5, 0.95, 0.99)
-	m.QueueP50, m.QueueP95, m.QueueP99 = qq[0], qq[1], qq[2]
 	if len(queues) > 0 {
 		m.QueueMax = stats.Max(queues)
 	}
+	jq := stats.Quantiles(jcts, 0.5, 0.95, 0.99)
+	m.JCTP50, m.JCTP95, m.JCTP99 = jq[0], jq[1], jq[2]
+	qq := stats.Quantiles(queues, 0.5, 0.95, 0.99)
+	m.QueueP50, m.QueueP95, m.QueueP99 = qq[0], qq[1], qq[2]
 	if m.Runs > 0 {
 		m.EvictionRate = float64(m.Evictions) / float64(m.Runs)
 	}
-	return m
 }
 
 // allocTally integrates AllocSampled ticks into time-averaged
@@ -288,11 +415,12 @@ func (c *SummaryCollector) OnEvent(e Event) {
 
 // Finish implements Collector.
 func (c *SummaryCollector) Finish(rep *Report) {
+	cls := c.tasks.summarize(2, func(r *taskRecord) int { return int(r.class) })
 	s := &Summary{
 		Scheduler:        c.meta.Scheduler,
 		End:              c.tasks.end,
-		HP:               classMetrics(c.tasks.order, HP),
-		Spot:             classMetrics(c.tasks.order, Spot),
+		HP:               cls[0],
+		Spot:             cls[1],
 		AllocationRate:   c.alloc.rate(),
 		WastedGPUSeconds: c.waste,
 		FinalQuota:       c.quota,
@@ -326,31 +454,34 @@ func (c *OrgCollector) OnEvent(e Event) { c.tasks.observe(e) }
 
 // Finish implements Collector.
 func (c *OrgCollector) Finish(rep *Report) {
-	byOrg := make(map[string][]*taskRecord)
-	var orgs []string
-	for _, r := range c.tasks.order {
-		if _, ok := byOrg[r.org]; !ok {
-			orgs = append(orgs, r.org)
-		}
-		byOrg[r.org] = append(byOrg[r.org], r)
+	t := &c.tasks
+	// byName lists the org indices in name order; rank inverts it.
+	byName := make([]int32, len(t.orgs))
+	for i := range byName {
+		byName[i] = int32(i)
 	}
-	sort.Strings(orgs)
-	out := make([]OrgMetrics, 0, len(orgs))
-	for _, org := range orgs {
-		records := byOrg[org]
-		m := OrgMetrics{
-			Org:  org,
-			HP:   classMetrics(records, HP),
-			Spot: classMetrics(records, Spot),
+	sort.Slice(byName, func(i, j int) bool { return t.orgs[byName[i]] < t.orgs[byName[j]] })
+	rank := make([]int, len(t.orgs))
+	for pos, i := range byName {
+		rank[i] = pos
+	}
+	cls := t.summarize(2*len(t.orgs), func(r *taskRecord) int {
+		if r.class < 0 {
+			return -1
 		}
-		for _, r := range records {
-			m.Evictions.Preempted += r.causes.Preempted
-			m.Evictions.NodeFailure += r.causes.NodeFailure
-			m.Evictions.Reclaimed += r.causes.Reclaimed
-			m.Evictions.Drained += r.causes.Drained
-			m.GPUSeconds += r.gpuSeconds
-		}
-		out = append(out, m)
+		return 2*rank[r.org] + int(r.class)
+	})
+	out := make([]OrgMetrics, len(t.orgs))
+	for pos, i := range byName {
+		out[pos] = OrgMetrics{Org: t.orgs[i], HP: cls[2*pos], Spot: cls[2*pos+1]}
+	}
+	for r := range t.records.all() {
+		m := &out[rank[r.org]]
+		m.Evictions.Preempted += int(r.causes[0])
+		m.Evictions.NodeFailure += int(r.causes[1])
+		m.Evictions.Reclaimed += int(r.causes[2])
+		m.Evictions.Drained += int(r.causes[3])
+		m.GPUSeconds += r.gpuSeconds
 	}
 	rep.Orgs = out
 	if c.tasks.end > rep.End {
@@ -408,7 +539,7 @@ func (c *EvictionCollector) Finish(rep *Report) {
 // reports one — and summarizes how closely the feedback loop tracks
 // its target.
 type QuotaCollector struct {
-	samples []QuotaSample
+	samples seq[QuotaSample]
 }
 
 // NewQuotaCollector builds the collector behind Report.Quota.
@@ -418,14 +549,14 @@ func NewQuotaCollector() *QuotaCollector { return &QuotaCollector{} }
 func (c *QuotaCollector) Name() string { return "quota" }
 
 // Begin implements Collector.
-func (c *QuotaCollector) Begin(RunMeta) { c.samples = nil }
+func (c *QuotaCollector) Begin(RunMeta) { c.samples.reset(pointChunk) }
 
 // OnEvent implements Collector.
 func (c *QuotaCollector) OnEvent(e Event) {
 	if e.Kind != QuotaUpdated {
 		return
 	}
-	c.samples = append(c.samples, QuotaSample{
+	c.samples.push(QuotaSample{
 		At:       e.At,
 		Member:   e.Member,
 		Quota:    QuotaValue(e.Quota),
@@ -436,9 +567,10 @@ func (c *QuotaCollector) OnEvent(e Event) {
 
 // Finish implements Collector.
 func (c *QuotaCollector) Finish(rep *Report) {
-	tr := &QuotaTrajectory{Samples: append([]QuotaSample(nil), c.samples...)}
+	samples := c.samples.flatten()
+	tr := &QuotaTrajectory{Samples: samples}
 	n := 0
-	for _, s := range c.samples {
+	for _, s := range samples {
 		tr.FinalEta = s.Eta
 		if s.Quota.unlimited() {
 			continue
@@ -457,8 +589,8 @@ func (c *QuotaCollector) Finish(rep *Report) {
 		tr.MeanAbsError /= float64(n)
 	}
 	rep.Quota = tr
-	if k := len(c.samples); k > 0 && c.samples[k-1].At > rep.End {
-		rep.End = c.samples[k-1].At
+	if k := len(samples); k > 0 && samples[k-1].At > rep.End {
+		rep.End = samples[k-1].At
 	}
 }
 
@@ -469,7 +601,7 @@ func (c *QuotaCollector) Finish(rep *Report) {
 // independently, so interleaved members cannot defeat the
 // deduplication.
 type AllocationCollector struct {
-	points []AllocPoint
+	points seq[AllocPoint]
 	last   map[string]AllocPoint
 }
 
@@ -481,7 +613,7 @@ func (c *AllocationCollector) Name() string { return "timeline" }
 
 // Begin implements Collector.
 func (c *AllocationCollector) Begin(RunMeta) {
-	c.points = nil
+	c.points.reset(pointChunk)
 	c.last = make(map[string]AllocPoint)
 }
 
@@ -499,14 +631,14 @@ func (c *AllocationCollector) OnEvent(e Event) {
 		return
 	}
 	c.last[p.Member] = p
-	c.points = append(c.points, p)
+	c.points.push(p)
 }
 
 // Finish implements Collector.
 func (c *AllocationCollector) Finish(rep *Report) {
-	rep.Timeline = append([]AllocPoint(nil), c.points...)
-	if n := len(c.points); n > 0 && c.points[n-1].At > rep.End {
-		rep.End = c.points[n-1].At
+	rep.Timeline = c.points.flatten()
+	if n := len(rep.Timeline); n > 0 && rep.Timeline[n-1].At > rep.End {
+		rep.End = rep.Timeline[n-1].At
 	}
 }
 
@@ -564,6 +696,8 @@ func (c *CostCollector) Begin(meta RunMeta) {
 	c.used = make(map[string]float64)
 	c.area = make(map[string]float64)
 	c.started = false
+	c.firstAt, c.lastAt = 0, 0
+	c.tiers = nil
 	c.tierCap = make(map[tierKey]float64)
 	c.tierArea = make(map[tierKey]float64)
 	c.tierProv = make(map[tierKey]int)

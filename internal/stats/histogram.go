@@ -6,17 +6,18 @@ import (
 )
 
 // Quantiles returns the percentiles of xs at each p in ps (each in
-// [0,1]), sorting the data once. It matches Percentile exactly for
-// every p, including the empty-slice (0) and single-sample cases.
+// [0,1]), sorting xs in place once, so the caller passes a slice it
+// owns and reads anything order-dependent (a mean, say) first. It
+// matches Percentile exactly for every p, including the empty-slice
+// (0) and single-sample cases.
 func Quantiles(xs []float64, ps ...float64) []float64 {
 	out := make([]float64, len(ps))
 	if len(xs) == 0 {
 		return out
 	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
+	sort.Float64s(xs)
 	for i, p := range ps {
-		out[i] = quantileSorted(s, p)
+		out[i] = quantileSorted(xs, p)
 	}
 	return out
 }
