@@ -1,9 +1,12 @@
 package gfs
 
 import (
+	"cmp"
 	"iter"
 	"math"
+	"slices"
 	"sort"
+	"strings"
 
 	"github.com/sjtucitlab/gfs/internal/pricing"
 	"github.com/sjtucitlab/gfs/internal/stats"
@@ -65,14 +68,13 @@ type Collector interface {
 }
 
 // DefaultCollectors returns a fresh instance of every built-in
-// collector: summary, per-org metrics, eviction breakdown, quota
-// trajectory, allocation timeline and the cost ledger (at default
-// pricing). This is the set Engine.RunReport attaches when none were
-// registered.
+// collector: summary (with the per-org metrics), eviction breakdown,
+// quota trajectory, allocation timeline and the cost ledger (at
+// default pricing). This is the set Engine.RunReport attaches when
+// none were registered.
 func DefaultCollectors() []Collector {
 	return []Collector{
 		NewSummaryCollector(),
-		NewOrgCollector(),
 		NewEvictionCollector(),
 		NewQuotaCollector(),
 		NewAllocationCollector(),
@@ -144,8 +146,8 @@ const (
 	pointChunk  = 1024
 )
 
-// taskRecord is the per-task scratch state the task-tracking
-// collectors accumulate from the event stream, packed to 88 bytes:
+// taskRecord is the per-task scratch state the summary collector
+// accumulates from the event stream, packed to 88 bytes:
 // the org is an index into the tally's org list, the per-cause
 // eviction counts are indexed by cause − CausePreempted, and the task
 // type is kept as its class slot (classOf).
@@ -167,9 +169,9 @@ type taskRecord struct {
 
 // taskTally tracks every task seen on the spine, by ID. Records are
 // kept by value in first-arrival order so float accumulations
-// reproduce the simulator core's own summaries bit-for-bit. It is the
-// shared engine of the summary and org collectors; each collector
-// owns its own tally so collectors stay independently registrable.
+// reproduce the simulator core's own summaries bit-for-bit. The
+// summary collector owns the one tally of a collector set and folds
+// it into both the per-class and the per-org sections.
 type taskTally struct {
 	records seq[taskRecord]
 	byID    map[int]*taskRecord
@@ -377,7 +379,11 @@ func (a *allocTally) rate() float64 {
 // spine alone: task counts, JCT/queue statistics, eviction rates,
 // the time-averaged allocation rate, Eq. 17 waste and the final spot
 // quota; for any deterministic run its section matches the Result
-// Engine.Run returns field for field.
+// Engine.Run returns field for field. From the same task records it
+// also breaks the run down by organization: per-org, per-class task
+// metrics with JCT and queue-wait percentiles, eviction causes and
+// GPU time — the per-org allocation and eviction trajectories of the
+// paper's §4.2 tables.
 type SummaryCollector struct {
 	meta  RunMeta
 	tasks taskTally
@@ -386,7 +392,8 @@ type SummaryCollector struct {
 	quota QuotaValue
 }
 
-// NewSummaryCollector builds the collector behind Report.Summary.
+// NewSummaryCollector builds the collector behind Report.Summary and
+// Report.Orgs.
 func NewSummaryCollector() *SummaryCollector { return &SummaryCollector{} }
 
 // Name implements Collector.
@@ -426,35 +433,15 @@ func (c *SummaryCollector) Finish(rep *Report) {
 		FinalQuota:       c.quota,
 	}
 	rep.Summary = s
+	rep.Orgs = c.tasks.byOrg()
 	rep.Scheduler = c.meta.Scheduler
 	if s.End > rep.End {
 		rep.End = s.End
 	}
 }
 
-// OrgCollector breaks the run down by organization: per-org, per-
-// class task metrics with JCT and queue-wait percentiles, eviction
-// causes and GPU time — the per-org allocation and eviction
-// trajectories of the paper's §4.2 tables.
-type OrgCollector struct {
-	tasks taskTally
-}
-
-// NewOrgCollector builds the collector behind Report.Orgs.
-func NewOrgCollector() *OrgCollector { return &OrgCollector{} }
-
-// Name implements Collector.
-func (c *OrgCollector) Name() string { return "orgs" }
-
-// Begin implements Collector.
-func (c *OrgCollector) Begin(RunMeta) { c.tasks.reset() }
-
-// OnEvent implements Collector.
-func (c *OrgCollector) OnEvent(e Event) { c.tasks.observe(e) }
-
-// Finish implements Collector.
-func (c *OrgCollector) Finish(rep *Report) {
-	t := &c.tasks
+// byOrg folds the records into one OrgMetrics per org, sorted by name.
+func (t *taskTally) byOrg() []OrgMetrics {
 	// byName lists the org indices in name order; rank inverts it.
 	byName := make([]int32, len(t.orgs))
 	for i := range byName {
@@ -483,10 +470,7 @@ func (c *OrgCollector) Finish(rep *Report) {
 		m.Evictions.Drained += int(r.causes[3])
 		m.GPUSeconds += r.gpuSeconds
 	}
-	rep.Orgs = out
-	if c.tasks.end > rep.End {
-		rep.End = c.tasks.end
-	}
+	return out
 }
 
 // EvictionCollector breaks evictions down by cause and victim class,
@@ -650,32 +634,41 @@ func (c *AllocationCollector) Finish(rep *Report) {
 // pools by capacity share.
 type CostCollector struct {
 	baseline map[string]float64
-	meta     RunMeta
-	models   []string
-	cap      map[string]float64
-	used     map[string]float64
-	area     map[string]float64
-	lastAt   Time
-	firstAt  Time
-	started  bool
-	// Autoscaled capacity is additionally attributed per (tier,
-	// model): tierCap is the live provisioned capacity, tierArea its
-	// GPU-seconds integral (advanced by integrateTo), tierProv /
-	// tierRet the delivery and retirement counts. Billing runs from
-	// NodeProvisioned to NodeRetired; the drain tail after a
-	// retirement begins is not billed.
-	tierCap  map[tierKey]float64
-	tierArea map[tierKey]float64
-	tierProv map[tierKey]int
-	tierRet  map[tierKey]int
-	// tiers mirrors tierCap's key set in (tier, model) order, so the
-	// per-event integration loop never ranges the map.
-	tiers []tierKey
+	// pools holds one record per GPU model, sorted by model.
+	pools []poolBook
+	// tiers attributes autoscaled capacity per (tier, model), sorted
+	// by tier and then model. Billing runs from NodeProvisioned to
+	// NodeRetired; the drain tail after a retirement begins is not
+	// billed.
+	tiers   []tierBook
+	lastAt  Time
+	firstAt Time
+	started bool
 }
 
-// tierKey indexes autoscaled-capacity attribution per capacity tier
-// and GPU model.
-type tierKey struct{ tier, model string }
+// poolBook is one GPU pool's live capacity and usage and their
+// GPU-seconds integrals. integrateTo advances the usage integral;
+// the capacity integral closes a segment only when the capacity
+// changes (setCap), so a pool whose capacity never changes integrates
+// to capacity × span in one product, exactly.
+type poolBook struct {
+	model     string
+	cap, used float64
+	area      float64
+	// capArea integrates cap over the closed segments; the open one
+	// runs from since.
+	capArea float64
+	since   Time
+}
+
+// tierBook is one (tier, model) billing record: its live provisioned
+// capacity, that capacity's GPU-seconds integral, and its delivery
+// and retirement counts.
+type tierBook struct {
+	tier, model string
+	cap, area   float64
+	prov, ret   int
+}
 
 // NewCostCollector builds the collector behind Report.Cost.
 // baselineRates holds the pre-deployment allocation rate per GPU model
@@ -690,104 +683,96 @@ func (c *CostCollector) Name() string { return "cost" }
 
 // Begin implements Collector.
 func (c *CostCollector) Begin(meta RunMeta) {
-	c.meta = meta
-	c.models = nil
-	c.cap = make(map[string]float64)
-	c.used = make(map[string]float64)
-	c.area = make(map[string]float64)
+	c.pools = nil
+	c.tiers = nil
 	c.started = false
 	c.firstAt, c.lastAt = 0, 0
-	c.tiers = nil
-	c.tierCap = make(map[tierKey]float64)
-	c.tierArea = make(map[tierKey]float64)
-	c.tierProv = make(map[tierKey]int)
-	c.tierRet = make(map[tierKey]int)
 	for _, p := range meta.Pools {
-		c.models = append(c.models, p.Model)
-		c.cap[p.Model] += p.GPUs
+		c.pool(p.Model).cap += p.GPUs
 	}
-	sort.Strings(c.models)
 }
 
-// addModel registers a model the run-start pools did not list (a
-// provisioned pool, or a pinned task's model), keeping the ledger
-// order sorted.
-func (c *CostCollector) addModel(model string) {
-	if _, ok := c.cap[model]; ok {
-		return
-	}
-	c.cap[model] = 0
-	i := sort.SearchStrings(c.models, model)
-	c.models = append(c.models, "")
-	copy(c.models[i+1:], c.models[i:])
-	c.models[i] = model
-}
-
-// addTier registers a (tier, model) billing key, keeping the ordered
-// mirror of tierCap's key set in sync.
-func (c *CostCollector) addTier(k tierKey) {
-	if _, ok := c.tierCap[k]; ok {
-		return
-	}
-	c.tierCap[k] = 0
-	i := sort.Search(len(c.tiers), func(i int) bool {
-		t := c.tiers[i]
-		if t.tier != k.tier {
-			return t.tier > k.tier
-		}
-		return t.model >= k.model
+// pool returns the model's record, inserting an empty one in model
+// order for a model the run-start pools did not list (a provisioned
+// pool, or a pinned task's model). The pointer is valid until the
+// next insertion.
+func (c *CostCollector) pool(model string) *poolBook {
+	i, ok := slices.BinarySearchFunc(c.pools, model, func(p poolBook, m string) int {
+		return strings.Compare(p.model, m)
 	})
-	c.tiers = append(c.tiers, tierKey{})
-	copy(c.tiers[i+1:], c.tiers[i:])
-	c.tiers[i] = k
+	if !ok {
+		c.pools = slices.Insert(c.pools, i, poolBook{model: model, since: c.lastAt})
+	}
+	return &c.pools[i]
 }
 
-// integrateTo closes the per-model integration windows up to at.
+// tier returns the (tier, model) billing record, inserting an empty
+// one in order on first sight. The pointer is valid until the next
+// insertion.
+func (c *CostCollector) tier(tier, model string) *tierBook {
+	k := tierBook{tier: tier, model: model}
+	i, ok := slices.BinarySearchFunc(c.tiers, k, func(a, b tierBook) int {
+		return cmp.Or(strings.Compare(a.tier, b.tier), strings.Compare(a.model, b.model))
+	})
+	if !ok {
+		c.tiers = slices.Insert(c.tiers, i, k)
+	}
+	return &c.tiers[i]
+}
+
+// integrateTo closes the integration windows up to at.
 func (c *CostCollector) integrateTo(at Time) {
 	if !c.started {
 		return
 	}
 	dt := float64(at.Sub(c.lastAt))
 	if dt > 0 {
-		// Iterate the ordered mirrors, not the maps: the additions
-		// are per-key and order-independent, but keeping the hot loop
-		// off map ranges means the determinism argument never depends
-		// on that observation. (charge can key used by "" when no
-		// pool is registered; that entry is never read by Finish, so
-		// skipping it here changes nothing.) The conversions round
-		// each product, so no platform fuses it into the sum.
-		for _, m := range c.models {
-			if u, ok := c.used[m]; ok {
-				c.area[m] += float64(u * dt)
-			}
+		// The conversions round each product, so no platform fuses it
+		// into the sum.
+		for i := range c.pools {
+			p := &c.pools[i]
+			p.area += float64(p.used * dt)
 		}
-		for _, k := range c.tiers {
-			c.tierArea[k] += float64(c.tierCap[k] * dt)
+		for i := range c.tiers {
+			t := &c.tiers[i]
+			t.area += float64(t.cap * dt)
 		}
 		c.lastAt = at
 	}
 }
 
+// setCap moves a pool's capacity to gpus at the integration point,
+// closing the open segment of its capacity integral.
+func (c *CostCollector) setCap(p *poolBook, gpus float64) {
+	if c.started {
+		p.capArea += float64(p.cap * float64(c.lastAt.Sub(p.since)))
+		p.since = c.lastAt
+	}
+	p.cap = gpus
+}
+
 // charge adjusts per-model usage by delta GPUs for a task, spreading
-// unpinned tasks over pools by capacity share.
+// unpinned tasks over pools by capacity share. With no pool to spread
+// over, an unpinned task charges nothing.
 func (c *CostCollector) charge(model string, delta float64) {
-	if model != "" || len(c.models) == 0 {
-		if model != "" {
-			c.addModel(model)
-		}
-		c.used[model] += delta
+	if model != "" {
+		c.pool(model).used += delta
+		return
+	}
+	if len(c.pools) == 0 {
 		return
 	}
 	total := 0.0
-	for _, m := range c.models {
-		total += c.cap[m]
+	for _, p := range c.pools {
+		total += p.cap
 	}
 	if total <= 0 {
-		c.used[c.models[0]] += delta
+		c.pools[0].used += delta
 		return
 	}
-	for _, m := range c.models {
-		c.used[m] += delta * c.cap[m] / total
+	for i := range c.pools {
+		p := &c.pools[i]
+		p.used += delta * p.cap / total
 	}
 }
 
@@ -799,6 +784,9 @@ func (c *CostCollector) OnEvent(e Event) {
 			c.started = true
 			c.firstAt = e.At
 			c.lastAt = e.At
+			for i := range c.pools {
+				c.pools[i].since = e.At
+			}
 			return
 		}
 		c.integrateTo(e.At)
@@ -818,13 +806,12 @@ func (c *CostCollector) OnEvent(e Event) {
 			return
 		}
 		c.integrateTo(e.At)
-		c.addModel(e.Node.Model)
 		gpus := float64(e.Node.Capacity())
-		c.cap[e.Node.Model] += gpus
-		k := tierKey{tier: e.Tier, model: e.Node.Model}
-		c.addTier(k)
-		c.tierCap[k] += gpus
-		c.tierProv[k]++
+		p := c.pool(e.Node.Model)
+		c.setCap(p, p.cap+gpus)
+		t := c.tier(e.Tier, e.Node.Model)
+		t.cap += gpus
+		t.prov++
 	case NodeRetired:
 		// Retirement closes the capacity window at cordon time: the
 		// node takes no new work, so both its tier billing and its
@@ -835,15 +822,11 @@ func (c *CostCollector) OnEvent(e Event) {
 		}
 		c.integrateTo(e.At)
 		gpus := float64(e.Node.Capacity())
-		if c.cap[e.Node.Model] -= gpus; c.cap[e.Node.Model] < 0 {
-			c.cap[e.Node.Model] = 0
-		}
-		k := tierKey{tier: e.Tier, model: e.Node.Model}
-		c.addTier(k)
-		if c.tierCap[k] -= gpus; c.tierCap[k] < 0 {
-			c.tierCap[k] = 0
-		}
-		c.tierRet[k]++
+		p := c.pool(e.Node.Model)
+		c.setCap(p, max(p.cap-gpus, 0))
+		t := c.tier(e.Tier, e.Node.Model)
+		t.cap = max(t.cap-gpus, 0)
+		t.ret++
 	}
 }
 
@@ -853,18 +836,20 @@ func (c *CostCollector) Finish(rep *Report) {
 		Margin:        pricing.DefaultSpotMargin,
 		HoursPerMonth: pricing.HoursPerMonth,
 	}
-	span := float64(c.lastAt.Sub(c.firstAt))
 	prices := pricing.DefaultTable()
-	for _, m := range c.models {
+	for _, p := range c.pools {
+		// A pool's rate is its usage integral over its capacity
+		// integral (the closed segments plus the open one), so
+		// capacity provisioned and later retired counts on both sides.
 		rate := 0.0
-		if span > 0 && c.cap[m] > 0 {
-			rate = c.area[m] / (c.cap[m] * span)
+		if capArea := p.capArea + float64(p.cap*float64(c.lastAt.Sub(p.since))); capArea > 0 {
+			rate = p.area / capArea
 		}
-		price := prices[m]
+		price := prices[p.model]
 		pc := PoolCost{
-			Model:           m,
-			GPUs:            c.cap[m],
-			BaselineRate:    c.baseline[m],
+			Model:           p.model,
+			GPUs:            p.cap,
+			BaselineRate:    c.baseline[p.model],
 			Rate:            rate,
 			PricePerGPUHour: price,
 		}
@@ -873,30 +858,27 @@ func (c *CostCollector) Finish(rep *Report) {
 		ledger.MonthlyBenefitUSD += pc.MonthlyBenefitUSD
 		ledger.Pools = append(ledger.Pools, pc)
 	}
-	// Per-tier attribution of autoscaled capacity, sorted by (tier,
-	// model) for a deterministic ledger. Absent without an
-	// autoscaler, so pre-existing reports are byte-stable.
-	keys := make([]tierKey, 0, len(c.tierProv))
-	for k := range c.tierProv {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].tier != keys[j].tier {
-			return keys[i].tier < keys[j].tier
+	// Per-tier attribution of autoscaled capacity, in (tier, model)
+	// order; a record only ever retired from bills nothing and is left
+	// out. Absent without an autoscaler, so pre-existing reports are
+	// byte-stable.
+	for _, t := range c.tiers {
+		if t.prov == 0 {
+			continue
 		}
-		return keys[i].model < keys[j].model
-	})
-	for _, k := range keys {
-		hours := c.tierArea[k] / 3600
-		price := pricing.TierPrice(prices, k.model, k.tier)
+		hours := t.area / 3600
+		price := pricing.TierPrice(prices, t.model, t.tier)
+		// The conversion rounds the spend, so no platform fuses it into
+		// the total below.
+		spend := float64(hours * price)
 		tc := TierCost{
-			Tier:            k.tier,
-			Model:           k.model,
+			Tier:            t.tier,
+			Model:           t.model,
 			GPUHours:        hours,
 			PricePerGPUHour: price,
-			SpendUSD:        hours * price,
-			Provisioned:     c.tierProv[k],
-			Retired:         c.tierRet[k],
+			SpendUSD:        spend,
+			Provisioned:     t.prov,
+			Retired:         t.ret,
 		}
 		ledger.TierSpendUSD += tc.SpendUSD
 		ledger.Tiers = append(ledger.Tiers, tc)

@@ -55,11 +55,13 @@ func ExampleWithCollectors() {
 	// Output: true true true
 }
 
-// Per-organization metrics carry JCT and queue-wait percentiles —
-// the per-org trajectories of the paper's §4.2 tables.
-func ExampleOrgCollector() {
+// The summary collector also writes the per-organization section from
+// the same task records: per-org metrics carry JCT and queue-wait
+// percentiles — the per-org trajectories of the paper's §4.2 tables.
+func ExampleSummaryCollector_orgs() {
 	rep := gfs.NewEngine(gfs.NewCluster("A100", 8, 8),
 		gfs.WithScheduler(baselines.NewYARNCS()),
+		gfs.WithCollectors(gfs.NewSummaryCollector()),
 	).RunReport(metricsTrace())
 	for _, o := range rep.Orgs[:2] {
 		ok := o.HP.JCTP50 <= o.HP.JCTP99 && o.Spot.QueueP50 <= o.Spot.QueueMax

@@ -94,11 +94,18 @@ func TestTable8GDEAblation(t *testing.T) {
 		t.Fatalf("rows %+v", rows)
 	}
 	// The previous-week-peak forecast over-reserves, starving spot
-	// tasks: GFS's spot JQT must not be worse.
-	if rows[1].SpotJQT > rows[0].SpotJQT+1 {
-		t.Fatalf("GFS spot JQT %v should beat GFS-e %v", rows[1].SpotJQT, rows[0].SpotJQT)
+	// tasks. JQT averages finished tasks only, so it compares only
+	// when neither row left spot work unfinished; otherwise GFS must
+	// not leave more spot tasks unfinished than GFS-e.
+	gfsE, full := rows[0], rows[1]
+	if gfsE.UnfinishedSpot == 0 && full.UnfinishedSpot == 0 {
+		if full.SpotJQT > gfsE.SpotJQT+1 {
+			t.Fatalf("GFS spot JQT %v should beat GFS-e %v", full.SpotJQT, gfsE.SpotJQT)
+		}
+	} else if full.UnfinishedSpot > gfsE.UnfinishedSpot {
+		t.Fatalf("GFS leaves %d spot tasks unfinished, GFS-e %d", full.UnfinishedSpot, gfsE.UnfinishedSpot)
 	}
-	if out := FormatAblation(rows); !strings.Contains(out, "GFS-e") {
+	if out := FormatAblation(rows); !strings.Contains(out, "GFS-e") || !strings.Contains(out, "unfin") {
 		t.Fatal("format")
 	}
 }

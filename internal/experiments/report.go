@@ -45,16 +45,13 @@ func ReportExperiment(scale SimScale) (*ReportData, error) {
 	sys := scale.NewGFS(est, GFSFull, 1)
 	collectors := []gfs.Collector{
 		gfs.NewSummaryCollector(),
-		gfs.NewOrgCollector(),
 		gfs.NewEvictionCollector(),
 		gfs.NewQuotaCollector(),
 		gfs.NewAllocationCollector(),
 		gfs.NewCostCollector(baselines),
 	}
-	rep := gfs.NewEngine(scale.NewCluster(),
-		gfs.WithSystem(sys),
-		gfs.WithCollectors(collectors...),
-	).RunReport(scale.Trace(2))
+	opts := append(scale.GFSOptions(sys), gfs.WithCollectors(collectors...))
+	rep := gfs.NewEngine(scale.NewCluster(), opts...).RunReport(scale.Trace(2))
 	return &ReportData{Baseline: base, GFS: rep}, nil
 }
 

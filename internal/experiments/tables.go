@@ -132,12 +132,15 @@ func FormatTable6(rows []Table6Row) string {
 	return b.String()
 }
 
-// AblationRow is one variant's metrics (Tables 8–10).
+// AblationRow is one variant's metrics (Tables 8–10). JCT and JQT
+// average finished tasks only, so a variant that starves a class
+// shows it in that class's unfinished count, not in its times.
 type AblationRow struct {
-	Variant          string
-	HPJCT, HPJQT     float64
-	SpotJCT, SpotJQT float64
-	EvictionRate     float64
+	Variant                      string
+	HPJCT, HPJQT                 float64
+	SpotJCT, SpotJQT             float64
+	EvictionRate                 float64
+	UnfinishedHP, UnfinishedSpot int
 }
 
 func ablationRow(name string, res *sched.Result) AblationRow {
@@ -146,6 +149,7 @@ func ablationRow(name string, res *sched.Result) AblationRow {
 		HPJCT:   res.HP.JCT, HPJQT: res.HP.JQT,
 		SpotJCT: res.Spot.JCT, SpotJQT: res.Spot.JQT,
 		EvictionRate: res.Spot.EvictionRate,
+		UnfinishedHP: res.UnfinishedHP, UnfinishedSpot: res.UnfinishedSpot,
 	}
 }
 
@@ -200,10 +204,10 @@ func Table10(scale SimScale) ([]AblationRow, error) {
 // FormatAblation renders Tables 8–10.
 func FormatAblation(rows []AblationRow) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%-8s %10s %8s | %10s %9s %7s\n", "", "JCT(s)", "JQT(s)", "JCT(s)", "JQT(s)", "e(%)")
+	fmt.Fprintf(&b, "%-8s %10s %8s %6s | %10s %9s %7s %6s\n", "", "JCT(s)", "JQT(s)", "unfin", "JCT(s)", "JQT(s)", "e(%)", "unfin")
 	for _, r := range rows {
-		fmt.Fprintf(&b, "%-8s %10.1f %8.1f | %10.1f %9.1f %7.2f\n",
-			r.Variant, r.HPJCT, r.HPJQT, r.SpotJCT, r.SpotJQT, 100*r.EvictionRate)
+		fmt.Fprintf(&b, "%-8s %10.1f %8.1f %6d | %10.1f %9.1f %7.2f %6d\n",
+			r.Variant, r.HPJCT, r.HPJQT, r.UnfinishedHP, r.SpotJCT, r.SpotJQT, 100*r.EvictionRate, r.UnfinishedSpot)
 	}
 	return b.String()
 }

@@ -226,11 +226,11 @@ type AllocPoint struct {
 type PoolCost struct {
 	// Model is the pool's GPU model.
 	Model string `json:"model"`
-	// GPUs is the pool's capacity.
+	// GPUs is the pool's capacity at run end.
 	GPUs float64 `json:"gpus"`
 	// BaselineRate and Rate are the allocation rates priced: the
 	// pre-deployment reference and the collected run's achieved
-	// rate.
+	// rate, the pool's usage integral over its capacity integral.
 	BaselineRate float64 `json:"baseline_rate"`
 	Rate         float64 `json:"rate"`
 	// PricePerGPUHour is the on-demand list price used.
